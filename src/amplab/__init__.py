@@ -40,6 +40,7 @@ from .ensembles import (
 from .harness import ExperimentConfig, run_experiment, tensor_checks, universality_compare
 from .rng import RngStream
 from .state_evolution import (
+    Coloring,
     OnsagerSchedule,
     SECovarianceSequence,
     estimate_onsager_from_data,

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .denoisers import Denoiser, residual_shift_denoiser, signal_residual_denoiser
-from .exceptions import DimensionError, NumericError, ParameterError
+from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
-from .state_evolution import OnsagerSchedule
+from .state_evolution import Coloring, OnsagerSchedule
 
 ONSAGER_ANALYTIC = "analytic"
 ONSAGER_MC = "monte_carlo"
@@ -61,14 +61,19 @@ class RectAmpProblem:
 
 @dataclass
 class SensingProblem:
-    """Observations x = W theta_star + e with per-iteration denoisers."""
+    """Observations x = W theta_star + e with per-iteration denoisers.
+
+    With K set the sensing is coloured, x = W K theta_star + e. K may be an
+    ndarray or a Coloring and is held as a Coloring; problems that share
+    one Coloring share its inverse and condition number, computed once.
+    """
 
     W: np.ndarray
     theta_star: np.ndarray
     e: np.ndarray
     eta_seq: Sequence[Denoiser]
     x: Optional[np.ndarray] = None
-    K: Optional[np.ndarray] = None  # colored sensing: effective matrix is W @ K
+    K: Optional[Union[np.ndarray, Coloring]] = None
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -76,12 +81,13 @@ class SensingProblem:
         self.e = np.asarray(self.e, dtype=np.float64)
         if self.W.shape != (self.e.size, self.theta_star.size):
             raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
+        signal = self.theta_star
         if self.K is not None:
-            self.K = np.asarray(self.K, dtype=np.float64)
-            if self.K.shape != (self.theta_star.size,) * 2:
+            self.K = Coloring.of(self.K)
+            if self.K.matrix.shape != (self.theta_star.size,) * 2:
                 raise DimensionError("K must be n x n")
-        w_eff = self.W if self.K is None else self.W @ self.K
-        expected = w_eff @ self.theta_star + self.e
+            signal = self.K.matrix @ signal
+        expected = self.W @ signal + self.e
         if self.x is None:
             self.x = expected
         else:
@@ -288,7 +294,11 @@ def run_sensing_amp(
 
     b_t = (1/m) div eta_(t-1), evaluated at the realized input that produced
     theta_t; b_1 = 0 since r_0 = 0. With a colored problem (K set) the
-    recursion uses W K and the backprojection (K^T K)^(-1) (W K)^T r_t.
+    residual is r_t = x - W (K theta_t) + b_t r_(t-1) and the backprojection
+    is K^(-1) (W^T r_t). That equals the normal-equations form
+    (K^T K)^(-1) (W K)^T r_t because K is square and invertible, and it is
+    conditioned by cond(K) rather than cond(K)^2. A K whose condition number
+    exceeds 1e12 raises NumericError; trace.condition_number is cond(K).
 
     ``onsager`` picks the analytic divergence when the denoiser declares one,
     or the Gaussian probe estimator; the source actually used per iteration is
@@ -301,16 +311,10 @@ def run_sensing_amp(
     tic = time.perf_counter()
     rng = rng or RngStream(0)
     m, n = problem.W.shape
-    cond = 1.0
     if problem.K is not None:
-        cond = float(np.linalg.cond(problem.K))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericError(f"K is numerically singular (condition number {cond:.3e})")
-        w_eff = problem.W @ problem.K
-        ktk = problem.K.T @ problem.K
+        K, K_inv, cond = problem.K.matrix, problem.K.inverse(), problem.K.cond
     else:
-        w_eff = problem.W
-        ktk = None
+        K, K_inv, cond = None, None, 1.0
     theta = np.zeros((n, T + 1))
     r = np.zeros((m, T))
     b_applied = np.zeros(T)
@@ -333,10 +337,11 @@ def run_sensing_amp(
                 b_source.append("monte_carlo")
             b_t = div / m
         b_applied[t - 1] = b_t
-        r_t = problem.x - w_eff @ theta[:, t - 1] + b_t * r_prev
-        back = w_eff.T @ r_t
-        if ktk is not None:
-            back = np.linalg.solve(ktk, back)
+        signal = theta[:, t - 1] if K is None else K @ theta[:, t - 1]
+        r_t = problem.x - problem.W @ signal + b_t * r_prev
+        back = problem.W.T @ r_t
+        if K_inv is not None:
+            back = K_inv @ back
         arg = theta[:, t - 1] + back
         theta[:, t] = problem.eta_seq[t - 1].apply(arg)
         r[:, t - 1] = r_t

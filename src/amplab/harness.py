@@ -37,7 +37,7 @@ from .ensembles import (
 )
 from .exceptions import ConfigError
 from .rng import RngStream
-from .state_evolution import se_scalar_sensing
+from .state_evolution import Coloring, se_scalar_sensing
 from .vecmat import mat
 
 EXPERIMENTS = (
@@ -129,6 +129,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("onsager_source", "must be 'analytic' or 'mc'")
     if not (0 < cfg.kappa_low <= cfg.kappa_high):
         raise ConfigError("kappa_low", "need 0 < kappa_low <= kappa_high")
+    for name in ("se_draws", "mc_reps"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(name, "must be >= 1")
+    for name in ("bandwidth", "threshold"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(name, "must be >= 0")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -172,7 +178,7 @@ class _Pipeline:
     theta_star: np.ndarray
     e: np.ndarray
     eta_seq: List[Denoiser]
-    K: Optional[np.ndarray]
+    K: Optional[Coloring]
     onsager: str  # analytic | mc
 
 
@@ -200,8 +206,11 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
             cfg.kappa_low, cfg.kappa_high, size=cfg.n
         )
         K = (o * diag) @ o.T
+        # drop the Haar factor before Coloring.of inverts K, so o and K^(-1)
+        # never add up in the peak memory
+        del o
         den = soft_threshold_denoiser(cfg.threshold)
-        return _Pipeline(theta, e, [den] * T, K, cfg.onsager_source or "analytic")
+        return _Pipeline(theta, e, [den] * T, Coloring.of(K), cfg.onsager_source or "analytic")
     raise ConfigError("experiment", f"no sensing pipeline for {kind!r}")
 
 

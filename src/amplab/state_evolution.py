@@ -11,18 +11,52 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .denoisers import Denoiser
-from .exceptions import NumericError, ParameterError, ScheduleError
+from .exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from .rng import RngStream
 
 logger = logging.getLogger(__name__)
 
 PSD_TOL = 1e-8
 CHOL_JITTER = 1e-8
+# condition number above which a colouring matrix K counts as singular
+COND_LIMIT = 1e12
+
+
+@dataclass(frozen=True, eq=False)
+class Coloring:
+    """Colouring matrix K of the sensing model x = W K theta + e, with its
+    inverse and exact 2-norm condition number, computed once per K.
+
+    A numerically singular K is accepted here and rejected by ``inverse``,
+    so the error surfaces in the solver that needs the backprojection.
+    """
+
+    matrix: np.ndarray
+    inv: Optional[np.ndarray]  # None when cond exceeds COND_LIMIT
+    cond: float
+
+    @classmethod
+    def of(cls, K) -> "Coloring":
+        """Coloring of K; a Coloring is returned unchanged."""
+        if isinstance(K, Coloring):
+            return K
+        K = np.asarray(K, dtype=np.float64)
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise DimensionError("K must be a square matrix")
+        cond = float(np.linalg.cond(K))
+        singular = not np.isfinite(cond) or cond > COND_LIMIT
+        return cls(matrix=K, inv=None if singular else np.linalg.inv(K), cond=cond)
+
+    def inverse(self) -> np.ndarray:
+        """K^(-1); NumericError when K is numerically singular."""
+        if self.inv is None:
+            raise NumericError(f"K is numerically singular (condition number {self.cond:.3e})")
+        return self.inv
 
 
 @dataclass
@@ -73,20 +107,24 @@ class SECovarianceSequence:
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
 
 
-def _chol_sample(cov: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """rows x t draw with i.i.d. rows N(0, cov); lower Cholesky, jitter fallback."""
+def _chol_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of cov; jitter fallback, warned once per factor."""
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         logger.warning("covariance near-singular; adding diagonal jitter %g", CHOL_JITTER)
         try:
-            chol = np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 "covariance not positive definite even after jitter; "
                 "increase jitter or perturb the denoisers"
             ) from exc
-    return gen.standard_normal((rows, cov.shape[0])) @ chol.T
+
+
+def _chol_draw(chol: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """rows x t draw with i.i.d. rows N(0, chol chol^T)."""
+    return gen.standard_normal((rows, chol.shape[0])) @ chol.T
 
 
 def _divergences(den: Denoiser, stack: np.ndarray, rng: RngStream) -> Tuple[np.ndarray, bool]:
@@ -126,8 +164,9 @@ def se_symmetric(
         f_t = f_seq[t - 1]
         col = np.zeros(t + 1)  # entries Sigma_(t+1)[r+1, t+1] for r = 0..t
         divs = np.zeros(t)
+        chol = _chol_factor(sigma[t - 1])
         for rep in range(mc_samples):
-            z = _chol_sample(sigma[t - 1], n, gen)
+            z = _chol_draw(chol, n, gen)
             ft_val = f_t.apply(z)
             col[0] += u1 @ ft_val / n
             for r in range(1, t):
@@ -183,8 +222,9 @@ def se_asymmetric(
         f_t = f_seq[t - 1]
         col = np.zeros(t)
         divs = np.zeros(t)
+        chol = _chol_factor(omega[t - 1])
         for rep in range(mc_samples):
-            z = _chol_sample(omega[t - 1], m, gen)
+            z = _chol_draw(chol, m, gen)
             ft_val = f_t.apply(z)
             for r in range(1, t):
                 col[r - 1] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / m
@@ -208,8 +248,9 @@ def se_asymmetric(
             g_t = g_seq[t - 1]
             col = np.zeros(t + 1)
             divs = np.zeros(t)
+            chol = _chol_factor(sigma[t - 1])
             for rep in range(mc_samples):
-                y = _chol_sample(sigma[t - 1], n, gen)
+                y = _chol_draw(chol, n, gen)
                 gt_val = g_t.apply(y)
                 col[0] += u1 @ gt_val / m
                 for r in range(1, t):
@@ -249,7 +290,7 @@ def se_scalar_sensing(
     T: int,
     mc_draws: int = 50,
     rng: Optional[RngStream] = None,
-    K: Optional[np.ndarray] = None,
+    K: Optional[Union[np.ndarray, Coloring]] = None,
 ) -> ScalarSE:
     """Variance recursion for the sensing recursion with denoisers eta_t.
 
@@ -257,7 +298,13 @@ def se_scalar_sensing(
     sigma_t^2 = omega_t^2 + |e|^2/m exactly (the shift map adds an independent
     offset); omega_(t+1)^2 and the predicted MSE are Monte-Carlo averages over
     Y ~ N(0, sigma_t^2 I_n) of (1/m)|K(theta - eta_t(arg))|^2 and
-    (1/n)|theta - eta_t(arg)|^2, where arg = (K^T K)^(-1) K^T Y + theta.
+    (1/n)|theta - eta_t(arg)|^2, where arg = K^(-1) Y + theta.
+
+    K may be an ndarray or a Coloring. The backprojection K^(-1) Y is the
+    normal-equations form (K^T K)^(-1) K^T Y, since K is square and
+    invertible; a numerically singular K raises NumericError. Each
+    iteration draws its mc_draws samples as one block, in the order the
+    per-draw loop consumed them.
     """
     if mc_draws < 1:
         raise ParameterError("mc_draws must be >= 1")
@@ -266,8 +313,8 @@ def se_scalar_sensing(
     e = np.asarray(e, dtype=np.float64)
     n, m = theta_star.size, e.size
     if K is not None:
-        K = np.asarray(K, dtype=np.float64)
-        ktk = K.T @ K
+        coloring = Coloring.of(K)
+        K, K_inv = coloring.matrix, coloring.inverse()
         u1 = K @ theta_star
     else:
         u1 = theta_star
@@ -282,10 +329,9 @@ def se_scalar_sensing(
         acc_omega = 0.0
         acc_mse = 0.0
         eta_t = eta_seq[t - 1]
-        std = np.sqrt(max(sig_t, 0.0))
-        for _ in range(mc_draws):
-            y = std * gen.standard_normal(n)
-            back = np.linalg.solve(ktk, K.T @ y) if K is not None else y
+        ys = np.sqrt(max(sig_t, 0.0)) * gen.standard_normal((mc_draws, n))
+        backs = ys @ K_inv.T if K is not None else ys
+        for back in backs:
             diff = theta_star - eta_t.apply(back + theta_star)
             acc_mse += diff @ diff / n
             gu = K @ diff if K is not None else diff
@@ -308,11 +354,11 @@ def test_function_gap(
     z = np.asarray(getattr(z_stack, "z", z_stack), dtype=np.float64)
     n = z.shape[0]
     emp = phi1(z) @ phi2(z) / n
-    cov = se.sigma[-1]
+    chol = _chol_factor(se.sigma[-1])
     gen = (rng or RngStream(0)).generator()
     acc = 0.0
     for _ in range(mc_draws):
-        zz = _chol_sample(cov, n, gen)
+        zz = _chol_draw(chol, n, gen)
         acc += phi1(zz) @ phi2(zz) / n
     return float(abs(emp - acc / mc_draws))
 

@@ -21,9 +21,9 @@ from amplab.denoisers import (
     zero_denoiser,
 )
 from amplab.ensembles import EnsembleSpec, sample_ginibre, sample_wigner
-from amplab.exceptions import NumericError, ParameterError, ScheduleError
+from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
-from amplab.state_evolution import OnsagerSchedule
+from amplab.state_evolution import Coloring, OnsagerSchedule
 
 
 def _goe(n, seed):
@@ -241,6 +241,71 @@ def test_aniso_singular_K_rejected():
                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
     with pytest.raises(NumericError):
         run_sensing_amp(prob, 1)
+
+
+def _colored_sensing(seed, m=30, n=40, T=4):
+    """A sensing instance and a non-symmetric, well-conditioned K."""
+    base = _random_sensing(seed, m=m, n=n, T=T)
+    gen = RngStream(seed).derive(2).generator()
+    K = np.eye(n) + 0.3 * gen.standard_normal((n, n)) / np.sqrt(n)
+    return base, K
+
+
+def _normal_equations_sensing(prob, K, T):
+    """Reference coloured recursion: effective matrix W K and the
+    normal-equations backprojection (K^T K)^(-1) (W K)^T r_t."""
+    m, n = prob.W.shape
+    w_eff = prob.W @ K
+    ktk = K.T @ K
+    x = w_eff @ prob.theta_star + prob.e
+    theta, r_prev, prev_arg = np.zeros(n), np.zeros(m), None
+    out = []
+    for t in range(T):
+        b = 0.0 if t == 0 else prob.eta_seq[t - 1].divergence(prev_arg)[-1] / m
+        r = x - w_eff @ theta + b * r_prev
+        arg = theta + np.linalg.solve(ktk, w_eff.T @ r)
+        theta = prob.eta_seq[t].apply(arg)
+        out.append(theta)
+        r_prev, prev_arg = r, arg
+    return np.column_stack(out)
+
+
+def test_aniso_matches_normal_equations_oracle():
+    T = 4
+    base, K = _colored_sensing(28, T=T)
+    prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
+                          eta_seq=base.eta_seq, K=K)
+    trace = run_sensing_amp(prob, T)
+    expect = _normal_equations_sensing(base, K, T)
+    assert np.abs(expect).max() > 0.1  # the soft threshold lets signal through
+    assert np.abs(trace.theta[:, 1:] - expect).max() <= 1e-10 * np.abs(expect).max()
+    assert trace.condition_number == np.linalg.cond(K) < 10
+
+
+def test_aniso_ndarray_and_coloring_give_identical_traces():
+    T = 4
+    base, K = _colored_sensing(29, T=T)
+    coloring = Coloring.of(K)
+    assert Coloring.of(coloring) is coloring
+    traces = []
+    for k in (K, coloring):
+        prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
+                              eta_seq=base.eta_seq, K=k)
+        assert isinstance(prob.K, Coloring)
+        traces.append(run_sensing_amp(prob, T))
+    raw, shared = traces
+    for name in ("theta", "r", "b_applied", "mse"):
+        assert np.array_equal(getattr(raw, name), getattr(shared, name))
+    assert raw.condition_number == shared.condition_number
+
+
+def test_aniso_K_shape_rejected():
+    m, n = 8, 5
+    w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(30))
+    for K in (np.eye(n + 1), np.ones((n, n + 1))):
+        with pytest.raises(DimensionError):
+            SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
 
 
 def _rect_with_static_schedule(seed, m, n, T):

@@ -1,0 +1,58 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import amplab
+from amplab.exceptions import ConfigError
+from amplab.harness import config_from_dict, run_experiment
+
+
+@pytest.mark.parametrize("field, value", [
+    ("se_draws", 0),
+    ("mc_reps", 0),
+    ("bandwidth", -1),
+    ("threshold", -0.1),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"experiment": "fig3_aniso", "seeds": [1], "n": 20, "m": 10,
+                          field: value})
+    assert info.value.field == field
+
+
+def test_aniso_factors_K_once_per_config(monkeypatch):
+    calls = {"cond": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    cfg = config_from_dict({"experiment": "fig3_aniso", "seeds": [1, 2], "n": 60, "m": 30,
+                            "iterations": 3, "se_draws": 4, "threshold": 0.5,
+                            "ensembles": ["gaussian", "rademacher"]})
+    records, summary = run_experiment(cfg)
+    assert len(records) == 2 * 2 * 3
+    assert all(np.isfinite(r.mse) for r in records)
+    assert len(summary["se_predicted"]) == 3
+    assert calls == {"cond": 1, "solve": 0}
+
+
+def test_import_loads_no_scipy():
+    """``import amplab`` must load no scipy module. Importing scipy.linalg
+    took about 0.33 s on a 2-CPU machine with scipy 1.17, more than the
+    whole median set-up time of a benchmark run there (about 0.27 s), so a
+    single scipy import in the package would regress every run's set-up."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amplab.__file__)))
+    code = ("import sys, amplab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

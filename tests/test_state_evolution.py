@@ -10,9 +10,10 @@ from amplab.denoisers import (
     soft_threshold_denoiser,
     zero_denoiser,
 )
-from amplab.exceptions import ScheduleError
+from amplab.exceptions import NumericError, ScheduleError
 from amplab.rng import RngStream
 from amplab.state_evolution import (
+    Coloring,
     OnsagerSchedule,
     export_se_csv,
     estimate_onsager_from_data,
@@ -155,6 +156,62 @@ def test_scalar_sensing_agrees_with_asymmetric_solver():
         assert abs(om_scalar - om_asym) / max(om_scalar, 1e-12) < 0.08
     # the mapped g has divergence -div eta, so b is negative once signal survives
     assert sched.b[(2, 1)] <= 0.0
+
+
+def _per_draw_scalar_sensing(theta, e, eta_seq, T, mc_draws, rng, K=None):
+    """Reference: one draw per loop pass and the normal-equations
+    backprojection (K^T K)^(-1) K^T y."""
+    n, m = theta.size, e.size
+    u1 = theta if K is None else K @ theta
+    omega, pred = [float(u1 @ u1 / m)], []
+    gen = rng.generator()
+    for t in range(T):
+        std = np.sqrt(max(omega[-1] + e @ e / m, 0.0))
+        acc_omega = acc_mse = 0.0
+        for _ in range(mc_draws):
+            y = std * gen.standard_normal(n)
+            back = y if K is None else np.linalg.solve(K.T @ K, K.T @ y)
+            diff = theta - eta_seq[t].apply(back + theta)
+            acc_mse += diff @ diff / n
+            gu = diff if K is None else K @ diff
+            acc_omega += gu @ gu / m
+        omega.append(acc_omega / mc_draws)
+        pred.append(acc_mse / mc_draws)
+    return omega, pred
+
+
+def _sparse_sensing_instance(seed, m=30, n=40):
+    gen = RngStream(seed).generator()
+    theta = gen.standard_normal(n) * (gen.random(n) < 0.4)
+    return theta, 0.2 * gen.standard_normal(m)
+
+
+def test_scalar_sensing_blocked_draws_equal_per_draw_loop():
+    theta, e = _sparse_sensing_instance(29)
+    eta_seq = [soft_threshold_denoiser(0.5)] * 4
+    sc = se_scalar_sensing(theta, e, eta_seq, 4, mc_draws=7, rng=RngStream(30))
+    omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, 4, 7, RngStream(30))
+    assert sc.omega_sq == omega
+    assert sc.predicted_mse == pred
+
+
+def test_scalar_sensing_colored_matches_normal_equations():
+    n, T = 40, 4
+    theta, e = _sparse_sensing_instance(31, n=n)
+    K = np.eye(n) + 0.3 * RngStream(32).generator().standard_normal((n, n)) / np.sqrt(n)
+    eta_seq = [soft_threshold_denoiser(0.5)] * T
+    omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, T, 7, RngStream(33), K=K)
+    for k in (K, Coloring.of(K)):
+        sc = se_scalar_sensing(theta, e, eta_seq, T, mc_draws=7, rng=RngStream(33), K=k)
+        assert np.allclose(sc.omega_sq, omega, rtol=1e-10, atol=0)
+        assert np.allclose(sc.predicted_mse, pred, rtol=1e-10, atol=0)
+
+
+def test_scalar_sensing_rejects_singular_K():
+    n = 6
+    with pytest.raises(NumericError, match="condition number"):
+        se_scalar_sensing(np.ones(n), np.zeros(4), [soft_threshold_denoiser(0.2)], 1,
+                          mc_draws=2, rng=RngStream(34), K=np.zeros((n, n)))
 
 
 def test_mc_sample_size_convergence():
