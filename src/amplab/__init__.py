@@ -14,7 +14,6 @@ from .amp import (
     change_of_variables_check,
     embed_symmetric,
     run_asymmetric_amp,
-    run_perturbed_symmetric_amp,
     run_sensing_amp,
     run_symmetric_amp,
 )

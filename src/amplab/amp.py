@@ -1,6 +1,6 @@
-"""AMP recursions: symmetric, asymmetric, the sensing form and its
-anisotropic variant, the Gaussian-perturbed run, and the symmetric embedding
-of the asymmetric recursion.
+"""AMP recursions: symmetric (optionally Gaussian-perturbed, delta > 0),
+asymmetric, the sensing form and its anisotropic variant, and the symmetric
+embedding of the asymmetric recursion.
 
 All runners are sequential and deterministic given their inputs; corrections
 sum over earlier iterates in ascending order so serial runs are bitwise
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class SymmetricAmpTrace:
     u: np.ndarray  # n x T
     applied_b: dict
     wall_ms: float = 0.0
-    seed_info: str = ""
 
 
 @dataclass
@@ -119,7 +118,6 @@ class RectAmpTrace:
     applied_b: dict
     applied_a: dict
     wall_ms: float = 0.0
-    seed_info: str = ""
 
 
 @dataclass
@@ -131,78 +129,46 @@ class SensingAmpTrace:
     mse: np.ndarray  # length T, (1/n)|theta_(t+1) - theta_star|^2
     condition_number: float = 1.0
     wall_ms: float = 0.0
-    seed_info: str = ""
 
 
 # ---------------------------------------------------------------------------
 # Symmetric recursion
 
 
-def run_symmetric_amp(problem: SymmetricAmpProblem, T: int,
-                      keep: str = "all") -> SymmetricAmpTrace:
+def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
+                      rng: Optional[RngStream] = None) -> SymmetricAmpTrace:
     """z_t = W u_t - sum_(s<t) b_ts u_s, u_(t+1) = f_t(z_(1:t)); z_1 = W u_1.
 
-    keep="last2" drops old iterate columns to bound memory; it requires
-    last-column denoisers and a schedule that never reaches further back
-    than one step.
+    With delta > 0 every u_t gets fresh N(0, 1) noise: u_1 = u1 + delta xi_1
+    and u_(t+1) = f_t(z_(1:t)) + delta xi_(t+1), drawn from rng in that
+    order. delta = 0 consumes no draws and needs no rng.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
-    tic = time.perf_counter()
-    n = problem.u1.size
-    z = np.zeros((n, T))
-    u = np.zeros((n, T))
-    applied = {}
-    u[:, 0] = problem.u1
-    z[:, 0] = problem.W @ problem.u1
-    for t in range(2, T + 1):
-        f_t = problem.f_seq[t - 2]
-        if keep == "last2" and not f_t.reads_last_only:
-            raise ParameterError("keep='last2' needs last-column denoisers")
-        u[:, t - 1] = f_t.apply(z[:, : t - 1])
-        correction = np.zeros(n)
-        for s in range(1, t):
-            coeff = problem.onsager.b_coeff(t, s)
-            applied[(t, s)] = coeff
-            if keep == "last2" and coeff != 0.0 and s < t - 1:
-                raise ParameterError("keep='last2' cannot reach iterates older than t-1")
-            if coeff != 0.0:
-                correction += coeff * u[:, s - 1]
-        z[:, t - 1] = problem.W @ u[:, t - 1] - correction
-        if keep == "last2" and t >= 3:
-            z[:, t - 3] = 0.0
-            u[:, t - 3] = 0.0
-    return SymmetricAmpTrace(z=z, u=u, applied_b=applied,
-                             wall_ms=(time.perf_counter() - tic) * 1e3)
-
-
-def run_perturbed_symmetric_amp(
-    problem: SymmetricAmpProblem, delta: float, rng: RngStream, T: int
-) -> SymmetricAmpTrace:
-    """Symmetric run with fresh N(0,1) vectors added: u_(t+1) = f_t(z) + delta xi.
-
-    delta = 0 reproduces run_symmetric_amp bitwise (no draws are consumed).
-    """
     if delta < 0:
         raise ParameterError("delta must be >= 0")
-    if delta == 0.0:
-        return run_symmetric_amp(problem, T)
+    if delta > 0 and rng is None:
+        raise ParameterError("a perturbed run (delta > 0) needs an rng")
     tic = time.perf_counter()
-    gen = rng.generator()
     n = problem.u1.size
+    gen = rng.generator() if delta > 0 else None
+
+    def perturb(x):
+        return x if gen is None else x + delta * gen.standard_normal(n)
+
     z = np.zeros((n, T))
     u = np.zeros((n, T))
     applied = {}
-    u[:, 0] = problem.u1 + delta * gen.standard_normal(n)
+    u[:, 0] = perturb(problem.u1)
     z[:, 0] = problem.W @ u[:, 0]
     for t in range(2, T + 1):
-        f_t = problem.f_seq[t - 2]
-        u[:, t - 1] = f_t.apply(z[:, : t - 1]) + delta * gen.standard_normal(n)
+        u[:, t - 1] = perturb(problem.f_seq[t - 2].apply(z[:, : t - 1]))
         correction = np.zeros(n)
         for s in range(1, t):
             coeff = problem.onsager.b_coeff(t, s)
             applied[(t, s)] = coeff
-            correction += coeff * u[:, s - 1]
+            if coeff != 0.0:
+                correction += coeff * u[:, s - 1]
         z[:, t - 1] = problem.W @ u[:, t - 1] - correction
     return SymmetricAmpTrace(z=z, u=u, applied_b=applied,
                              wall_ms=(time.perf_counter() - tic) * 1e3)

@@ -1,13 +1,17 @@
 """Command-line entry point.
 
-Subcommands: run-amp, state-evolution, universality, tensor-eval, bcp-check,
-graph-lemma. Each takes --config (JSON mirroring the ExperimentConfig field
-names) plus the shared flags --seed, --out, --serial, --format.
+Subcommands: run-amp, state-evolution, universality, bcp-check, graph-lemma
+and tensor-eval. All but tensor-eval take --config (JSON mirroring the
+ExperimentConfig field names) plus the shared flags --seed, --out and
+--format; flags and per-command settings are validated like the config
+file. bcp-check and graph-lemma run only their own battery and need no
+config. tensor-eval takes only --network.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,6 +19,7 @@ import sys
 from . import tensor_net as tn
 from .exceptions import AmplabError
 from .harness import (
+    _KIND_OF,
     ExperimentConfig,
     config_from_dict,
     load_config,
@@ -24,15 +29,15 @@ from .harness import (
     write_records_csv,
     write_summary_json,
 )
-from .rng import RngStream
+
+# subcommand -> the one tensor battery it runs
+_BATTERY_OF = {"bcp-check": "bcp_diagonal_bound", "graph-lemma": "graph_lemma"}
 
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override: use this single seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--serial", action="store_true",
-                   help="bitwise-reproducible serial mode (zeroes wall-clock fields)")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
 
@@ -43,65 +48,41 @@ def _load(args, default_experiment=None) -> ExperimentConfig:
         cfg = config_from_dict({"experiment": default_experiment, "seeds": [0]})
     else:
         raise SystemExit("--config is required")
+    overrides = {}
     if args.seed is not None:
-        cfg.seeds = [args.seed]
-    if args.serial:
-        cfg.serial = True
+        overrides["seeds"] = [args.seed]
     if args.fmt:
-        cfg.fmt = args.fmt
+        overrides["fmt"] = args.fmt
     if args.out:
-        cfg.out = args.out
-    return cfg
+        overrides["out"] = args.out
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _emit(cfg: ExperimentConfig, records, summary, stem: str):
     os.makedirs(cfg.out or ".", exist_ok=True)
-    wrote = []
     if records is not None and cfg.fmt == "csv":
         path = os.path.join(cfg.out, f"{stem}.csv")
         write_records_csv(path, records)
-        wrote.append(path)
+        print(f"wrote {path}")
     path = os.path.join(cfg.out, f"{stem}_summary.json")
     write_summary_json(path, summary)
-    wrote.append(path)
-    for p in wrote:
-        print(f"wrote {p}")
+    print(f"wrote {path}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="amplab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run-amp", "state-evolution", "universality", "bcp-check", "graph-lemma"):
+    for name in ("run-amp", "state-evolution", "universality", *_BATTERY_OF):
         sp = sub.add_parser(name)
         _common_flags(sp)
 
     sp = sub.add_parser("tensor-eval")
-    _common_flags(sp)
     sp.add_argument("--network", required=True, help="network file saved by save_network")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run-amp":
-            cfg = _load(args)
-            records, summary = run_experiment(cfg)
-            _emit(cfg, records, summary, "results")
-        elif args.command == "state-evolution":
-            cfg = _load(args)
-            cfg.experiment = "se_only" if cfg.experiment == "tensor_checks" else cfg.experiment
-            if cfg.experiment not in ("se_only",):
-                cfg.pipeline = {"fig1_local": "local", "universality_sweep": "local",
-                                "fig2_spectral": "spectral", "fig3_aniso": "aniso"}.get(
-                                    cfg.experiment, cfg.pipeline)
-                cfg.experiment = "se_only"
-            _, summary = run_experiment(cfg)
-            _emit(cfg, None, summary, "state_evolution")
-        elif args.command == "universality":
-            cfg = _load(args)
-            table = universality_compare(cfg)
-            _emit(cfg, None, table, "universality")
-        elif args.command == "tensor-eval":
-            cfg = _load(args, default_experiment="tensor_checks")
+        if args.command == "tensor-eval":
             graph, labeling = tn.load_network(args.network)
             n = labeling[0].n
             brute = tn.eval_value_bruteforce(graph, labeling, n)
@@ -109,22 +90,21 @@ def main(argv=None) -> int:
             report = {"bruteforce": brute, "contraction": fast,
                       "relative_gap": abs(brute - fast) / max(abs(brute), 1.0)}
             print(json.dumps(report, indent=2))
-        elif args.command == "bcp-check":
-            cfg = _load(args, default_experiment="tensor_checks")
-            cfg.experiment = "tensor_checks"
-            report = tensor_checks(cfg)
-            report["batteries"] = [b for b in report["batteries"]
-                                   if b["name"] in ("bcp_diagonal_bound",)]
-            report["all_pass"] = all(b["passed"] for b in report["batteries"])
-            _emit(cfg, None, report, "bcp_check")
-        elif args.command == "graph-lemma":
-            cfg = _load(args, default_experiment="tensor_checks")
-            cfg.experiment = "tensor_checks"
-            report = tensor_checks(cfg)
-            report["batteries"] = [b for b in report["batteries"]
-                                   if b["name"] in ("graph_lemma",)]
-            report["all_pass"] = all(b["passed"] for b in report["batteries"])
-            _emit(cfg, None, report, "graph_lemma")
+            return 0
+        cfg = _load(args, "tensor_checks" if args.command in _BATTERY_OF else None)
+        if args.command == "run-amp":
+            records, summary = run_experiment(cfg)
+            _emit(cfg, records, summary, "results")
+        elif args.command == "state-evolution":
+            cfg = dataclasses.replace(cfg, experiment="se_only",
+                                      pipeline=_KIND_OF.get(cfg.experiment, cfg.pipeline))
+            _emit(cfg, None, run_experiment(cfg)[1], "state_evolution")
+        elif args.command == "universality":
+            _emit(cfg, None, universality_compare(cfg), "universality")
+        else:
+            cfg = dataclasses.replace(cfg, experiment="tensor_checks")
+            report = tensor_checks(cfg, [_BATTERY_OF[args.command]])
+            _emit(cfg, None, report, args.command.replace("-", "_"))
     except AmplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,12 +56,12 @@ class Denoiser:
             raise ParameterError(f"denoiser {self.name or '<anon>'} has no analytic divergence")
         return np.asarray(self.divergence_fn(_as_stack(z)), dtype=np.float64)
 
-    def divergence_mc(self, z, eps=None, reps=100, rng=None, columns=None) -> np.ndarray:
-        """Monte-Carlo per-column divergence sums at z."""
+    def divergence_mc(self, z, eps=None, reps=100, rng=None) -> np.ndarray:
+        """Monte-Carlo per-column divergence sums at z; columns a
+        last-column denoiser never reads are left at zero."""
         z = _as_stack(z)
         t = z.shape[1]
-        if columns is None:
-            columns = [t - 1] if self.reads_last_only else list(range(t))
+        columns = [t - 1] if self.reads_last_only else list(range(t))
         if rng is None:
             rng = RngStream(0)
         out = np.zeros(t)

@@ -9,8 +9,8 @@ emitting machine-readable CSV/JSON results.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,19 +35,14 @@ from .ensembles import (
     sample_noise,
     sample_signal,
 )
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ParameterError
 from .rng import RngStream
 from .state_evolution import Coloring, se_scalar_sensing
 from .vecmat import mat
 
-EXPERIMENTS = (
-    "fig1_local",
-    "fig2_spectral",
-    "fig3_aniso",
-    "universality_sweep",
-    "se_only",
-    "tensor_checks",
-)
+# sensing experiment -> pipeline kind; se_only takes its kind from cfg.pipeline
+_KIND_OF = {"fig1_local": "local", "fig2_spectral": "spectral", "fig3_aniso": "aniso"}
+EXPERIMENTS = (*_KIND_OF, "se_only", "tensor_checks")
 
 # stream_id namespaces; seeds select replicates within each purpose
 _STREAM_SIGNAL = 1
@@ -80,7 +75,6 @@ class ExperimentConfig:
     se_draws: int = 50
     onsager_source: str = ""  # "" = experiment default; else analytic | mc
     mc_reps: int = 100
-    serial: bool = True
     out: Optional[str] = None
     fmt: str = "csv"
     # tensor_checks battery sizes
@@ -97,6 +91,11 @@ class ExperimentConfig:
         validate_config(self)
 
 
+def _kind(cfg: ExperimentConfig) -> Optional[str]:
+    """Sensing pipeline the experiment runs; None for tensor_checks."""
+    return _KIND_OF.get(cfg.experiment, cfg.pipeline if cfg.experiment == "se_only" else None)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -108,10 +107,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for i, ens in enumerate(cfg.ensembles):
             if ens not in ENTRY_DISTS:
                 raise ConfigError(f"ensembles[{i}]", f"unknown entry distribution {ens!r}")
-    needs_image = cfg.experiment in ("fig1_local", "fig2_spectral", "universality_sweep") or (
-        cfg.experiment == "se_only" and cfg.pipeline in ("local", "spectral")
-    )
-    if needs_image:
+    if cfg.experiment == "se_only" and cfg.pipeline not in _KIND_OF.values():
+        raise ConfigError("pipeline", f"must be one of {sorted(_KIND_OF.values())}")
+    if _kind(cfg) in ("local", "spectral"):
         if cfg.M < 1 or cfg.N < 1:
             raise ConfigError("dims.M", "matrix experiments need positive M, N")
         if cfg.n != cfg.M * cfg.N:
@@ -132,7 +130,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("se_draws", "mc_reps"):
         if getattr(cfg, name) < 1:
             raise ConfigError(name, "must be >= 1")
-    for name in ("bandwidth", "threshold"):
+    for name in ("bandwidth", "threshold", "tensor_trees", "tensor_cycles", "wick_instances",
+                 "bcp_queries", "graph_instances"):
         if getattr(cfg, name) < 0:
             raise ConfigError(name, "must be >= 0")
 
@@ -166,7 +165,6 @@ class ResultRecord:
     mse: float
     se_predicted: float
     gap: float
-    runtime_ms: float
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +212,6 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
     raise ConfigError("experiment", f"no sensing pipeline for {kind!r}")
 
 
-_KIND_OF = {
-    "fig1_local": "local",
-    "universality_sweep": "local",
-    "fig2_spectral": "spectral",
-    "fig3_aniso": "aniso",
-}
-
-
 def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
     # streams keyed by the ensemble name, so a repeated entry replays exactly
     eidx = ENTRY_DISTS.index(ensemble)
@@ -256,10 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
     """
     if cfg.experiment == "tensor_checks":
         return [], tensor_checks(cfg)
-    kind = _KIND_OF.get(cfg.experiment, cfg.pipeline if cfg.experiment == "se_only" else None)
-    if kind is None:
-        raise ConfigError("experiment", f"cannot dispatch {cfg.experiment!r}")
-    pipe = _build_pipeline(cfg, kind)
+    pipe = _build_pipeline(cfg, _kind(cfg))
     scalar = se_scalar_sensing(
         pipe.theta_star, pipe.e, pipe.eta_seq, cfg.iterations,
         mc_draws=cfg.se_draws, rng=RngStream(cfg.signal_seed, _STREAM_SE), K=pipe.K,
@@ -272,16 +259,11 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
     }
     if cfg.experiment == "se_only":
         return [], summary
-    cells = [(ens, seed) for ens in cfg.ensembles for seed in cfg.seeds]
-    if cfg.serial:
-        traces = [_run_cell(cfg, pipe, ens, seed) for ens, seed in cells]
-    else:
-        with ThreadPoolExecutor() as pool:
-            traces = list(pool.map(lambda c: _run_cell(cfg, pipe, c[0], c[1]), cells))
     records: List[ResultRecord] = []
     sv_counts: Dict[str, List[int]] = {}
     curves: Dict[str, List[List[float]]] = {}
-    for (ens, seed), trace in zip(cells, traces):
+    for ens, seed in itertools.product(cfg.ensembles, cfg.seeds):
+        trace = _run_cell(cfg, pipe, ens, seed)
         curves.setdefault(ens, []).append([float(v) for v in trace.mse])
         for t in range(1, cfg.iterations + 1):
             mse = float(trace.mse[t - 1])
@@ -289,7 +271,6 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
             records.append(ResultRecord(
                 experiment=cfg.experiment, ensemble=ens, seed=seed, t=t,
                 mse=mse, se_predicted=pred, gap=abs(mse - pred),
-                runtime_ms=0.0 if cfg.serial else trace.wall_ms,
             ))
         if cfg.experiment == "fig2_spectral":
             sv_counts.setdefault(ens, []).append(
@@ -339,17 +320,9 @@ def universality_compare(cfg: ExperimentConfig) -> dict:
 # Tensor-network batteries
 
 
-def random_tree_network(num_vertices: int, n: int, gen) -> Tuple[tn.OrderedMultigraph, dict]:
-    edges = [(int(gen.integers(0, v)), v) for v in range(1, num_vertices)]
-    graph = tn.OrderedMultigraph.from_edges(num_vertices, edges)
-    labeling = {
-        v: tn.DenseTensor.from_array(gen.standard_normal((n,) * graph.degree(v)))
-        for v in range(num_vertices)
-    }
-    return graph, labeling
-
-
-def random_cyclic_network(num_vertices: int, n: int, extra: int, gen):
+def random_cyclic_network(num_vertices: int, n: int, gen, extra: int = 0):
+    """A random tree on num_vertices vertices plus extra random edges (none,
+    and no draws, for extra=0), labeled with dense Gaussian tensors."""
     edges = [(int(gen.integers(0, v)), v) for v in range(1, num_vertices)]
     for _ in range(extra):
         a, b = gen.choice(num_vertices, size=2, replace=False)
@@ -365,24 +338,18 @@ def random_cyclic_network(num_vertices: int, n: int, extra: int, gen):
 def _battery_oracle_equivalence(cfg: ExperimentConfig, rng: RngStream) -> dict:
     gen = rng.generator()
     worst = 0.0
-    checked = 0
-    for i in range(cfg.tensor_trees):
-        nv = int(gen.integers(2, 7))
-        n = int(gen.integers(2, cfg.tensor_n + 1))
-        graph, labeling = random_tree_network(nv, n, gen)
-        a = tn.eval_value_bruteforce(graph, labeling, n)
-        b = tn.eval_value_contraction(graph, labeling, n)
-        worst = max(worst, abs(a - b) / max(abs(a), 1.0))
-        checked += 1
-    for i in range(cfg.tensor_cycles):
-        nv = int(gen.integers(3, 6))
-        n = int(gen.integers(2, cfg.tensor_n + 1))
-        graph, labeling = random_cyclic_network(nv, n, int(gen.integers(1, 3)), gen)
-        a = tn.eval_value_bruteforce(graph, labeling, n)
-        b = tn.eval_value_contraction(graph, labeling, n)
-        worst = max(worst, abs(a - b) / max(abs(a), 1.0))
-        checked += 1
-    return {"name": "oracle_equivalence", "checked": checked,
+    # trees on 2..6 vertices, then cyclic networks on 3..5 with 1..2 extra edges
+    for count, vertices, extra in ((cfg.tensor_trees, (2, 7), None),
+                                   (cfg.tensor_cycles, (3, 6), (1, 3))):
+        for _ in range(count):
+            nv = int(gen.integers(*vertices))
+            n = int(gen.integers(2, cfg.tensor_n + 1))
+            k = int(gen.integers(*extra)) if extra else 0
+            graph, labeling = random_cyclic_network(nv, n, gen, k)
+            a = tn.eval_value_bruteforce(graph, labeling, n)
+            b = tn.eval_value_contraction(graph, labeling, n)
+            worst = max(worst, abs(a - b) / max(abs(a), 1.0))
+    return {"name": "oracle_equivalence", "checked": cfg.tensor_trees + cfg.tensor_cycles,
             "worst_relative": worst, "passed": worst <= 1e-10}
 
 
@@ -405,7 +372,6 @@ def random_wick_instance(gen, n_cap: int):
 
 def _battery_wick(cfg: ExperimentConfig, rng: RngStream) -> dict:
     gen = rng.generator()
-    checked = 0
     failures = 0
     worst_z = 0.0
     for i in range(cfg.wick_instances):
@@ -417,17 +383,16 @@ def _battery_wick(cfg: ExperimentConfig, rng: RngStream) -> dict:
         worst_z = max(worst_z, z)
         if z > 3.0:
             failures += 1
-        checked += 1
         # odd-multiplicity variant must vanish identically
         odd_sigma = list(sigma)
         odd_sigma[0] = max(sigma) + 1
         if tn.wick_expectation(tensor, odd_sigma, n) != 0.0:
             failures += 1
-    return {"name": "wick_mc", "checked": checked, "worst_z": worst_z,
+    return {"name": "wick_mc", "checked": cfg.wick_instances, "worst_z": worst_z,
             "passed": failures == 0}
 
 
-def random_diagonal_bcp_query(gen, bound: float):
+def random_diagonal_bcp_query(gen):
     m = int(gen.integers(1, 4))
     orders = [int(gen.choice([2, 4])) for _ in range(m)]
     total = sum(orders)
@@ -446,12 +411,11 @@ def random_diagonal_bcp_query(gen, bound: float):
 
 def _battery_bcp_diagonal(cfg: ExperimentConfig, rng: RngStream) -> dict:
     gen = rng.generator()
-    checked = 0
     failures = 0
     n = 16
     for _ in range(cfg.bcp_queries):
         bound = float(gen.uniform(0.5, 2.0))
-        query = random_diagonal_bcp_query(gen, bound)
+        query = random_diagonal_bcp_query(gen)
         tensors = [
             tn.DenseTensor.diagonal(gen.uniform(-bound, bound, size=n), k)
             for k in query.orders
@@ -459,8 +423,7 @@ def _battery_bcp_diagonal(cfg: ExperimentConfig, rng: RngStream) -> dict:
         ratio = tn.bcp_ratio(query, tensors, n)
         if ratio > bound ** query.m:
             failures += 1
-        checked += 1
-    return {"name": "bcp_diagonal_bound", "checked": checked, "passed": failures == 0}
+    return {"name": "bcp_diagonal_bound", "checked": cfg.bcp_queries, "passed": failures == 0}
 
 
 def random_alt_cycles(gen, max_vertices: int = 8, max_cycles: int = 4):
@@ -473,7 +436,6 @@ def random_alt_cycles(gen, max_vertices: int = 8, max_cycles: int = 4):
 
 def _battery_graph_lemma(cfg: ExperimentConfig, rng: RngStream) -> dict:
     gen = rng.generator()
-    checked = 0
     failures = 0
     base = tn.alt_cycle_component_bound_check([[0, 0]])
     if not (base["holds"] and base["lhs"] == base["rhs"]):
@@ -482,22 +444,32 @@ def _battery_graph_lemma(cfg: ExperimentConfig, rng: RngStream) -> dict:
         report = tn.alt_cycle_component_bound_check(random_alt_cycles(gen))
         if not report["holds"]:
             failures += 1
-        checked += 1
-    return {"name": "graph_lemma", "checked": checked, "passed": failures == 0,
+    return {"name": "graph_lemma", "checked": cfg.graph_instances, "passed": failures == 0,
             "base_case_equality": base["lhs"] == base["rhs"]}
 
 
-def tensor_checks(cfg: ExperimentConfig) -> dict:
-    """Oracle-equivalence, Wick-MC, BCP-diagonal-bound and graph-lemma
-    batteries at the configured sizes; raises BudgetError on sizes beyond
-    the enumeration budget."""
+# battery name -> (substream of battery_seed, battery)
+_BATTERIES = {
+    "oracle_equivalence": (1, _battery_oracle_equivalence),
+    "wick_mc": (2, _battery_wick),
+    "bcp_diagonal_bound": (3, _battery_bcp_diagonal),
+    "graph_lemma": (4, _battery_graph_lemma),
+}
+
+
+def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES)) -> dict:
+    """The named batteries (default: all four) in the given order, at the
+    configured sizes. Each draws from its own substream of battery_seed, so a
+    selection reports what the full run reports for it. Raises BudgetError on
+    sizes beyond the enumeration budget."""
+    unknown = [name for name in names if name not in _BATTERIES]
+    if unknown:
+        raise ParameterError(f"unknown batteries {unknown}; known: {list(_BATTERIES)}")
     rng = RngStream(cfg.battery_seed)
-    batteries = [
-        _battery_oracle_equivalence(cfg, rng.derive(1)),
-        _battery_wick(cfg, rng.derive(2)),
-        _battery_bcp_diagonal(cfg, rng.derive(3)),
-        _battery_graph_lemma(cfg, rng.derive(4)),
-    ]
+    batteries = []
+    for name in names:
+        stream, battery = _BATTERIES[name]
+        batteries.append(battery(cfg, rng.derive(stream)))
     return {"batteries": batteries, "all_pass": all(b["passed"] for b in batteries)}
 
 
@@ -505,7 +477,9 @@ def tensor_checks(cfg: ExperimentConfig) -> dict:
 # Output writers
 
 
-CSV_HEADER = ["experiment", "ensemble", "seed", "t", "mse", "se_predicted", "gap", "runtime_ms"]
+# One row per (ensemble, seed, t). Wall-clock time is not a column, so two
+# runs of one config write identical files; per-cell time is trace.wall_ms.
+CSV_HEADER = ["experiment", "ensemble", "seed", "t", "mse", "se_predicted", "gap"]
 
 
 def write_records_csv(path, records: Sequence[ResultRecord]) -> None:
@@ -516,7 +490,6 @@ def write_records_csv(path, records: Sequence[ResultRecord]) -> None:
             writer.writerow([
                 r.experiment, r.ensemble, r.seed, r.t,
                 f"{r.mse:.17g}", f"{r.se_predicted:.17g}", f"{r.gap:.17g}",
-                f"{r.runtime_ms:.17g}",
             ])
 
 

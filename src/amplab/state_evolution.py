@@ -91,6 +91,7 @@ class SECovarianceSequence:
     mc_samples: int = 0
     n: int = 0
     m: int = 0
+    jittered: List[str] = field(default_factory=list)  # e.g. "omega_4"
 
     def validate(self):
         for name, seq in (("sigma", self.sigma), ("omega", self.omega or [])):
@@ -107,14 +108,15 @@ class SECovarianceSequence:
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
 
 
-def _chol_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of cov; jitter fallback, warned once per factor."""
+def _chol_factor(cov: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """(lower Cholesky factor of cov, whether the jitter fallback was needed);
+    the fallback is warned once per factor."""
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov), False
     except np.linalg.LinAlgError:
         logger.warning("covariance near-singular; adding diagonal jitter %g", CHOL_JITTER)
         try:
-            return np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0])), True
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 "covariance not positive definite even after jitter; "
@@ -127,11 +129,52 @@ def _chol_draw(chol: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndar
     return gen.standard_normal((rows, chol.shape[0])) @ chol.T
 
 
-def _divergences(den: Denoiser, stack: np.ndarray, rng: RngStream) -> Tuple[np.ndarray, bool]:
-    """Per-column divergence sums at stack; (values, used_analytic)."""
-    if den.has_analytic_divergence:
-        return den.divergence(stack), True
-    return den.divergence_mc(stack, rng=rng), False
+def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
+               name: str, jittered: List[str], rows: int, denom: int, mc_samples: int,
+               gen: np.random.Generator, div_rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo averages, over stacks Z (rows x t) with i.i.d. rows
+    N(0, cov), of the new covariance column (1/denom) f_r(Z)^T f_t(Z) for
+    r = 1..t, led by (1/denom) u1^T f_t(Z) when u1 is given, and of the
+    divergences (1/denom) div f_t(Z); sample k probes with div_rng.derive(k)
+    when f_t has no divergence formula. Appends name to jittered when cov
+    needs the Cholesky jitter."""
+    chol, jitter = _chol_factor(cov)
+    if jitter:
+        jittered.append(name)
+    f_t = f_seq[t - 1]
+    off = 0 if u1 is None else 1
+    col = np.zeros(t + off)
+    divs = np.zeros(t)
+    for rep in range(mc_samples):
+        z = _chol_draw(chol, rows, gen)
+        ft_val = f_t.apply(z)
+        if u1 is not None:
+            col[0] += u1 @ ft_val / denom
+        for r in range(1, t):
+            col[off + r - 1] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / denom
+        col[off + t - 1] += ft_val @ ft_val / denom
+        if f_t.has_analytic_divergence:
+            divs += f_t.divergence(z) / denom
+        else:
+            divs += f_t.divergence_mc(z, rng=div_rng.derive(rep)) / denom
+    return col / mc_samples, divs / mc_samples
+
+
+def _provenance(denoisers: Sequence[Denoiser]) -> str:
+    """Schedule provenance: analytic unless some denoiser needs the probe."""
+    if all(d.has_analytic_divergence for d in denoisers):
+        return "analytic"
+    return "monte_carlo"
+
+
+def _border(prev: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The symmetric matrix nesting prev, with col as last row and column."""
+    k = col.size
+    nxt = np.zeros((k, k))
+    nxt[: k - 1, : k - 1] = prev
+    nxt[k - 1, :] = col
+    nxt[:, k - 1] = col
+    return nxt
 
 
 def se_symmetric(
@@ -147,7 +190,8 @@ def se_symmetric(
     Sigma_(t+1)[r+1, s+1] averages (1/n) f_r^T f_s over mc_samples surrogate
     draws Z_(1:t) with i.i.d. rows N(0, Sigma_t); earlier blocks are reused so
     the sequence nests exactly. b_(t+1, s) averages (1/n) div_s f_t, using the
-    analytic divergence when the denoiser declares one.
+    analytic divergence when the denoiser declares one. Covariances that
+    needed the Cholesky jitter are named in the sequence's ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -158,35 +202,16 @@ def se_symmetric(
     n = u1.size
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[Tuple[int, int], float] = {}
-    all_analytic = True
+    jittered: List[str] = []
     for t in range(1, T):
-        gen = rng.derive(t).generator()
-        f_t = f_seq[t - 1]
-        col = np.zeros(t + 1)  # entries Sigma_(t+1)[r+1, t+1] for r = 0..t
-        divs = np.zeros(t)
-        chol = _chol_factor(sigma[t - 1])
-        for rep in range(mc_samples):
-            z = _chol_draw(chol, n, gen)
-            ft_val = f_t.apply(z)
-            col[0] += u1 @ ft_val / n
-            for r in range(1, t):
-                col[r] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / n
-            col[t] += ft_val @ ft_val / n
-            d, analytic = _divergences(f_t, z, rng.derive(10_000 + t).derive(rep))
-            all_analytic &= analytic
-            divs += d / n
-        col /= mc_samples
-        divs /= mc_samples
-        nxt = np.zeros((t + 1, t + 1))
-        nxt[:t, :t] = sigma[t - 1]
-        nxt[t, :] = col
-        nxt[:, t] = col
-        sigma.append(nxt)
+        col, divs = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
+                               mc_samples, rng.derive(t).generator(), rng.derive(10_000 + t))
+        sigma.append(_border(sigma[t - 1], col))
         for s in range(1, t + 1):
             b[(t + 1, s)] = float(divs[s - 1])
-    cov = SECovarianceSequence(sigma=sigma, mc_samples=mc_samples, n=n)
+    cov = SECovarianceSequence(sigma=sigma, mc_samples=mc_samples, n=n, jittered=jittered)
     cov.validate()
-    sched = OnsagerSchedule(b=b, provenance="analytic" if all_analytic else "monte_carlo")
+    sched = OnsagerSchedule(b=b, provenance=_provenance(f_seq[: T - 1]))
     return cov, sched
 
 
@@ -205,6 +230,7 @@ def se_asymmetric(
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
     N(0, Sigma_t); a_ts = (1/m) E div_s f_t and b_(t+1)s = (1/m) E div_s g_t.
+    Covariances that needed the Cholesky jitter are named in ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -215,62 +241,26 @@ def se_asymmetric(
     sigma: List[np.ndarray] = []
     a: Dict[Tuple[int, int], float] = {}
     b: Dict[Tuple[int, int], float] = {}
-    all_analytic = True
+    jittered: List[str] = []
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
-        gen = rng.derive(2 * t).generator()
-        f_t = f_seq[t - 1]
-        col = np.zeros(t)
-        divs = np.zeros(t)
-        chol = _chol_factor(omega[t - 1])
-        for rep in range(mc_samples):
-            z = _chol_draw(chol, m, gen)
-            ft_val = f_t.apply(z)
-            for r in range(1, t):
-                col[r - 1] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / m
-            col[t - 1] += ft_val @ ft_val / m
-            d, analytic = _divergences(f_t, z, rng.derive(20_000 + t).derive(rep))
-            all_analytic &= analytic
-            divs += d / m
-        col /= mc_samples
-        divs /= mc_samples
-        nxt = np.zeros((t, t))
-        if t > 1:
-            nxt[: t - 1, : t - 1] = sigma[t - 2]
-        nxt[t - 1, :] = col
-        nxt[:, t - 1] = col
-        sigma.append(nxt)
+        col, divs = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
+                               mc_samples, rng.derive(2 * t).generator(), rng.derive(20_000 + t))
+        sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         for s in range(1, t + 1):
             a[(t, s)] = float(divs[s - 1])
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
         if t - 1 < len(g_seq):
-            gen = rng.derive(2 * t + 1).generator()
-            g_t = g_seq[t - 1]
-            col = np.zeros(t + 1)
-            divs = np.zeros(t)
-            chol = _chol_factor(sigma[t - 1])
-            for rep in range(mc_samples):
-                y = _chol_draw(chol, n, gen)
-                gt_val = g_t.apply(y)
-                col[0] += u1 @ gt_val / m
-                for r in range(1, t):
-                    col[r] += g_seq[r - 1].apply(y[:, :r]) @ gt_val / m
-                col[t] += gt_val @ gt_val / m
-                d, analytic = _divergences(g_t, y, rng.derive(30_000 + t).derive(rep))
-                all_analytic &= analytic
-                divs += d / m
-            col /= mc_samples
-            divs /= mc_samples
-            nxt = np.zeros((t + 1, t + 1))
-            nxt[:t, :t] = omega[t - 1]
-            nxt[t, :] = col
-            nxt[:, t] = col
-            omega.append(nxt)
+            col, divs = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, m,
+                                   mc_samples, rng.derive(2 * t + 1).generator(),
+                                   rng.derive(30_000 + t))
+            omega.append(_border(omega[t - 1], col))
             for s in range(1, t + 1):
                 b[(t + 1, s)] = float(divs[s - 1])
-    cov = SECovarianceSequence(sigma=sigma, omega=omega, mc_samples=mc_samples, n=n, m=m)
+    cov = SECovarianceSequence(sigma=sigma, omega=omega, mc_samples=mc_samples, n=n, m=m,
+                               jittered=jittered)
     cov.validate()
-    sched = OnsagerSchedule(b=b, a=a, provenance="analytic" if all_analytic else "monte_carlo")
+    sched = OnsagerSchedule(b=b, a=a, provenance=_provenance([*f_seq[:T], *g_seq[:T]]))
     return cov, sched
 
 
@@ -354,7 +344,7 @@ def test_function_gap(
     z = np.asarray(getattr(z_stack, "z", z_stack), dtype=np.float64)
     n = z.shape[0]
     emp = phi1(z) @ phi2(z) / n
-    chol = _chol_factor(se.sigma[-1])
+    chol, _ = _chol_factor(se.sigma[-1])
     gen = (rng or RngStream(0)).generator()
     acc = 0.0
     for _ in range(mc_draws):

@@ -373,24 +373,12 @@ def validate_bcp_query(query: BcpQuery) -> dict:
     counts = np.bincount(query.pi, minlength=query.ell)
     even = bool(np.all(counts % 2 == 0))
 
-    parent = list(range(query.m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(range(query.m))
     owner: Dict[int, int] = {}
     for a, slots in enumerate(query.slot_ranges()):
         for s in slots:
-            j = query.pi[s]
-            if j in owner:
-                ra, rb = find(a), find(owner[j])
-                parent[ra] = rb
-            else:
-                owner[j] = a
-    connected = len({find(a) for a in range(query.m)}) == 1
+            uf.union(a, owner.setdefault(query.pi[s], a))
+    connected = uf.count() == 1
     return {"even_multiplicity": even, "connected": connected}
 
 

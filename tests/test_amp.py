@@ -9,7 +9,6 @@ from amplab.amp import (
     embed_symmetric,
     export_trace_csv,
     run_asymmetric_amp,
-    run_perturbed_symmetric_amp,
     run_sensing_amp,
     run_symmetric_amp,
 )
@@ -68,25 +67,13 @@ def test_missing_coefficient_raises():
         run_symmetric_amp(prob, 2)
 
 
-def test_keep_last2_matches_full_for_banded_schedule():
-    n = 10
-    w = _goe(n, 7)
-    u1 = np.ones(n)
-    sched = OnsagerSchedule(b={(2, 1): 1.0, (3, 1): 0.0, (3, 2): 1.0})
-    f_seq = [soft_threshold_denoiser(0.2)] * 2
-    full = run_symmetric_amp(SymmetricAmpProblem(w, u1, f_seq, sched), 3)
-    slim = run_symmetric_amp(SymmetricAmpProblem(w, u1, f_seq, sched), 3, keep="last2")
-    assert np.array_equal(full.z[:, -1], slim.z[:, -1])
-    assert np.all(slim.z[:, 0] == 0)  # trimmed
-
-
 def test_perturbed_delta_zero_is_bitwise_identical():
     n = 9
     w = _goe(n, 8)
     sched = OnsagerSchedule(b={(2, 1): 1.0})
     prob = SymmetricAmpProblem(w, np.ones(n), [identity_denoiser()], sched)
     a = run_symmetric_amp(prob, 2)
-    b = run_perturbed_symmetric_amp(prob, 0.0, RngStream(99), 2)
+    b = run_symmetric_amp(prob, 2, delta=0.0, rng=RngStream(99))
     assert np.array_equal(a.z, b.z) and np.array_equal(a.u, b.u)
 
 
@@ -95,21 +82,30 @@ def test_perturbed_pure_noise_has_unit_norm_iterates():
     w = _goe(n, 9)
     sched = OnsagerSchedule(b={(2, 1): 0.0, (3, 1): 0.0, (3, 2): 0.0})
     prob = SymmetricAmpProblem(w, np.zeros(n), [zero_denoiser(n)] * 2, sched)
-    trace = run_perturbed_symmetric_amp(prob, 1.0, RngStream(10), 3)
+    trace = run_symmetric_amp(prob, 3, delta=1.0, rng=RngStream(10))
     for t in range(3):
         norm_sq = trace.u[:, t] @ trace.u[:, t] / n
         assert abs(norm_sq - 1.0) < 3 * np.sqrt(2.0 / n)
 
 
 def test_perturbed_initial_variance_adds_delta_squared():
-    n = 10_000
+    n = 2000
     delta = 0.7
-    w = _goe(50, 11)  # W unused for the variance check; use tiny separate run
     u1 = RngStream(12).generator().standard_normal(n)
-    xi = RngStream(13).generator().standard_normal(n)
+    prob = SymmetricAmpProblem(np.zeros((n, n)), u1, [], OnsagerSchedule())
+    trace = run_symmetric_amp(prob, 1, delta=delta, rng=RngStream(13))
     sigma1 = u1 @ u1 / n
-    sigma1_pert = (u1 + delta * xi) @ (u1 + delta * xi) / n
+    sigma1_pert = trace.u[:, 0] @ trace.u[:, 0] / n
+    assert not np.array_equal(trace.u[:, 0], u1)
     assert abs(sigma1_pert - sigma1 - delta**2) < 3 * np.sqrt(2.0 / n) * (1 + delta**2)
+
+
+def test_perturbed_run_needs_rng_and_nonnegative_delta():
+    prob = SymmetricAmpProblem(_goe(4, 11), np.ones(4), [], OnsagerSchedule())
+    with pytest.raises(ParameterError):
+        run_symmetric_amp(prob, 1, delta=0.5)
+    with pytest.raises(ParameterError):
+        run_symmetric_amp(prob, 1, delta=-0.1, rng=RngStream(1))
 
 
 def test_asymmetric_first_iteration_expansion():

@@ -1,0 +1,133 @@
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from amplab import tensor_net as tn
+from amplab.cli import main
+from amplab.harness import CSV_HEADER
+
+TINY_LOCAL = {"experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4, "n": 16, "m": 12,
+              "iterations": 2, "ensembles": ["gaussian", "rademacher"], "se_draws": 2}
+
+
+def _config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_run_amp_writes_records_and_summary(tmp_path):
+    out = tmp_path / "out"
+    code = main(["run-amp", "--config", _config(tmp_path, TINY_LOCAL), "--out", str(out),
+                 "--seed", "5"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "results_summary.json"]
+    with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER
+    assert len(rows) == 1 + 2 * 1 * 2  # ensembles x seeds x iterations
+    assert {row[2] for row in rows[1:]} == {"5"}
+    summary = _json(out / "results_summary.json")
+    assert set(summary) == {"config", "se_predicted", "sigma_sq", "omega_sq", "ensembles"}
+    assert summary["config"]["seeds"] == [5]
+    assert set(summary["ensembles"]) == {"gaussian", "rademacher"}
+
+
+def test_run_amp_json_format_writes_summary_only(tmp_path):
+    code = main(["run-amp", "--config", _config(tmp_path, TINY_LOCAL), "--out", str(tmp_path / "o"),
+                 "--format", "json"])
+    assert code == 0
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["results_summary.json"]
+
+
+def test_state_evolution_maps_the_experiment_to_its_pipeline(tmp_path):
+    code = main(["state-evolution", "--config", _config(tmp_path, TINY_LOCAL),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = _json(tmp_path / "state_evolution_summary.json")
+    assert set(summary) == {"config", "se_predicted", "sigma_sq", "omega_sq"}
+    assert summary["config"]["experiment"] == "se_only"
+    assert summary["config"]["pipeline"] == "local"
+    assert len(summary["se_predicted"]) == TINY_LOCAL["iterations"]
+
+
+def test_state_evolution_on_a_tensor_config_is_a_config_error(tmp_path, capsys):
+    config = _config(tmp_path, {"experiment": "tensor_checks", "seeds": []})
+    code = main(["state-evolution", "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_universality_writes_the_comparison_table(tmp_path):
+    code = main(["universality", "--config", _config(tmp_path, TINY_LOCAL),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    table = _json(tmp_path / "universality_summary.json")
+    assert set(table) == {"mean_mse", "se_predicted", "pairwise_relative_gap",
+                          "se_relative_gap", "summary"}
+    assert set(table["pairwise_relative_gap"]) == {"gaussian|rademacher"}
+
+
+def test_unknown_config_field_is_rejected(tmp_path, capsys):
+    config = _config(tmp_path, dict(TINY_LOCAL, serial=True))
+    assert main(["run-amp", "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: serial: unknown configuration field\n"
+
+
+# Summaries written by the bcp-check and graph-lemma commands at their default
+# sizes, when every battery still ran and the other three were discarded.
+BATTERY_SUMMARIES = {
+    "bcp-check": ("bcp_check_summary.json",
+                  '{\n  "all_pass": true,\n  "batteries": [\n    {\n      "checked": 100,\n'
+                  '      "name": "bcp_diagonal_bound",\n      "passed": true\n    }\n  ]\n}\n'),
+    "graph-lemma": ("graph_lemma_summary.json",
+                    '{\n  "all_pass": true,\n  "batteries": [\n    {\n'
+                    '      "base_case_equality": true,\n      "checked": 1000,\n'
+                    '      "name": "graph_lemma",\n      "passed": true\n    }\n  ]\n}\n'),
+}
+# the core routine of each battery
+BATTERY_CORE = {
+    "oracle_equivalence": "eval_value_bruteforce",
+    "wick_mc": "wick_expectation_mc",
+    "bcp_diagonal_bound": "bcp_ratio",
+    "graph_lemma": "alt_cycle_component_bound_check",
+}
+
+
+@pytest.mark.parametrize("command, battery", [("bcp-check", "bcp_diagonal_bound"),
+                                              ("graph-lemma", "graph_lemma")])
+def test_battery_command_runs_only_its_battery(tmp_path, monkeypatch, command, battery):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a battery the command does not report was run")
+
+    for name, core in BATTERY_CORE.items():
+        if name != battery:
+            monkeypatch.setattr(tn, core, forbidden)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    filename, expected = BATTERY_SUMMARIES[command]
+    assert [p.name for p in tmp_path.iterdir()] == [filename]
+    assert (tmp_path / filename).read_text(encoding="utf-8") == expected
+
+
+def test_tensor_eval_prints_both_values(tmp_path, capsys):
+    g = tn.OrderedMultigraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    gen = np.random.default_rng(4)
+    lab = {v: tn.DenseTensor.from_array(gen.standard_normal((3, 3))) for v in range(3)}
+    path = tmp_path / "net.txt"
+    tn.save_network(str(path), g, lab)
+    assert main(["tensor-eval", "--network", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"bruteforce", "contraction", "relative_gap"}
+    assert report["relative_gap"] < 1e-12
+    with pytest.raises(SystemExit) as info:
+        main(["tensor-eval", "--network", str(path), "--config", "unused.json"])
+    assert info.value.code == 2

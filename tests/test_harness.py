@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import amplab
-from amplab.exceptions import ConfigError
-from amplab.harness import config_from_dict, run_experiment
+from amplab.exceptions import ConfigError, ParameterError
+from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, tensor_checks
 
 
 @pytest.mark.parametrize("field, value", [
@@ -15,12 +15,20 @@ from amplab.harness import config_from_dict, run_experiment
     ("mc_reps", 0),
     ("bandwidth", -1),
     ("threshold", -0.1),
+    ("graph_instances", -1),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ConfigError) as info:
         config_from_dict({"experiment": "fig3_aniso", "seeds": [1], "n": 20, "m": 10,
                           field: value})
     assert info.value.field == field
+
+
+def test_se_only_rejects_an_unknown_pipeline():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"experiment": "se_only", "seeds": [1], "n": 20, "m": 10,
+                          "pipeline": "aniso_typo"})
+    assert info.value.field == "pipeline"
 
 
 def test_aniso_factors_K_once_per_config(monkeypatch):
@@ -56,3 +64,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_battery_selection_matches_the_full_run():
+    cfg = ExperimentConfig(experiment="tensor_checks", seeds=[], tensor_trees=5,
+                           tensor_cycles=3, wick_instances=3, wick_samples=2000,
+                           bcp_queries=10, graph_instances=50)
+    full = tensor_checks(cfg)
+    names = [b["name"] for b in full["batteries"]]
+    assert names == ["oracle_equivalence", "wick_mc", "bcp_diagonal_bound", "graph_lemma"]
+    for battery in full["batteries"]:
+        alone = tensor_checks(cfg, [battery["name"]])
+        assert alone == {"batteries": [battery], "all_pass": battery["passed"]}
+    with pytest.raises(ParameterError):
+        tensor_checks(cfg, ["bcp_diagonal_bound", "no_such_battery"])

@@ -24,6 +24,17 @@ from amplab.state_evolution import (
 from amplab.state_evolution import test_function_gap as tf_gap
 
 
+def test_jitter_fallback_is_recorded_on_the_sequence(caplog):
+    # soft thresholding drives the iterate to zero, so Sigma_5 is singular
+    cov, _ = se_symmetric([soft_threshold_denoiser(0.5)] * 5, np.ones(40), 6,
+                          mc_samples=4, rng=RngStream(3))
+    assert cov.jittered == ["sigma_5"]
+    assert len(caplog.records) == 1
+    cov, _ = se_symmetric([identity_denoiser()] * 2, np.ones(40), 3,
+                          mc_samples=4, rng=RngStream(3))
+    assert cov.jittered == []
+
+
 def test_identity_chain_preserves_variance_and_unit_coefficients():
     n, T = 600, 4
     u1 = np.ones(n)
