@@ -64,8 +64,10 @@ class SensingProblem:
     """Observations x = W theta_star + e with per-iteration denoisers.
 
     With K set the sensing is coloured, x = W K theta_star + e. K may be an
-    ndarray or a Coloring and is held as a Coloring; problems that share
-    one Coloring share its inverse and condition number, computed once.
+    ndarray, turned into a Coloring by ``Coloring.of`` (an SVD and an LU
+    inverse), or a Coloring already built, e.g. by ``Coloring.from_eig`` from
+    K's eigen-factors. Problems that share one Coloring share its inverse and
+    condition number, computed once.
     """
 
     W: np.ndarray

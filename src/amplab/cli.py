@@ -37,7 +37,8 @@ _BATTERY_OF = {"bcp-check": "bcp_diagonal_bound", "graph-lemma": "graph_lemma"}
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override: use this single seed")
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", default=None,
+                   help="output directory; default: the config's out, else .")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
 
@@ -53,13 +54,12 @@ def _load(args, default_experiment=None) -> ExperimentConfig:
         overrides["seeds"] = [args.seed]
     if args.fmt:
         overrides["fmt"] = args.fmt
-    if args.out:
-        overrides["out"] = args.out
+    overrides["out"] = args.out or cfg.out or "."
     return dataclasses.replace(cfg, **overrides)
 
 
 def _emit(cfg: ExperimentConfig, records, summary, stem: str):
-    os.makedirs(cfg.out or ".", exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
     if records is not None and cfg.fmt == "csv":
         path = os.path.join(cfg.out, f"{stem}.csv")
         write_records_csv(path, records)

@@ -127,9 +127,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("onsager_source", "must be 'analytic' or 'mc'")
     if not (0 < cfg.kappa_low <= cfg.kappa_high):
         raise ConfigError("kappa_low", "need 0 < kappa_low <= kappa_high")
-    for name in ("se_draws", "mc_reps"):
+    for name in ("se_draws", "mc_reps", "wick_samples"):
         if getattr(cfg, name) < 1:
             raise ConfigError(name, "must be >= 1")
+    if cfg.tensor_n < 2:
+        raise ConfigError("tensor_n", "must be >= 2")
     for name in ("bandwidth", "threshold", "tensor_trees", "tensor_cycles", "wick_instances",
                  "bcp_queries", "graph_instances"):
         if getattr(cfg, name) < 0:
@@ -200,15 +202,14 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
         spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
         theta = sample_signal(spec, signal_rng).vector
         o = sample_haar_orthogonal(cfg.n, RngStream(cfg.signal_seed, _STREAM_KAPPA))
-        diag = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
+        kappa = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
             cfg.kappa_low, cfg.kappa_high, size=cfg.n
         )
-        K = (o * diag) @ o.T
-        # drop the Haar factor before Coloring.of inverts K, so o and K^(-1)
-        # never add up in the peak memory
-        del o
+        # K = o diag(kappa) o^T: from_eig reads K^(-1) and cond(K) off the
+        # factors, with no SVD or LU; the Haar factor o is dropped on return
+        K = Coloring.from_eig(o, kappa)
         den = soft_threshold_denoiser(cfg.threshold)
-        return _Pipeline(theta, e, [den] * T, Coloring.of(K), cfg.onsager_source or "analytic")
+        return _Pipeline(theta, e, [den] * T, K, cfg.onsager_source or "analytic")
     raise ConfigError("experiment", f"no sensing pipeline for {kind!r}")
 
 
@@ -257,6 +258,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
         "sigma_sq": list(scalar.sigma_sq),
         "omega_sq": list(scalar.omega_sq),
     }
+    if pipe.K is not None:
+        summary["condition_number"] = pipe.K.cond
     if cfg.experiment == "se_only":
         return [], summary
     records: List[ResultRecord] = []

@@ -25,12 +25,24 @@ PSD_TOL = 1e-8
 CHOL_JITTER = 1e-8
 # condition number above which a colouring matrix K counts as singular
 COND_LIMIT = 1e12
+# relative error |O^T O x - x| / |x| above which Coloring.from_eig rejects O
+ORTHO_TOL = 1e-10
+
+
+def _singular(cond: float) -> bool:
+    return not np.isfinite(cond) or cond > COND_LIMIT
 
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
     """Colouring matrix K of the sensing model x = W K theta + e, with its
     inverse and exact 2-norm condition number, computed once per K.
+
+    Two constructors build one: ``from_eig(O, kappa)`` takes the spectral
+    factors of a symmetric K = O diag(kappa) O^T and reads the inverse and
+    condition number off them, with no SVD or LU; ``of(K)`` takes any square
+    K, symmetric or not, and pays for an SVD (the condition number) and an
+    LU inverse.
 
     A numerically singular K is accepted here and rejected by ``inverse``,
     so the error surfaces in the solver that needs the backprojection.
@@ -49,8 +61,34 @@ class Coloring:
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise DimensionError("K must be a square matrix")
         cond = float(np.linalg.cond(K))
-        singular = not np.isfinite(cond) or cond > COND_LIMIT
-        return cls(matrix=K, inv=None if singular else np.linalg.inv(K), cond=cond)
+        return cls(matrix=K, inv=None if _singular(cond) else np.linalg.inv(K), cond=cond)
+
+    @classmethod
+    def from_eig(cls, O, kappa) -> "Coloring":
+        """Coloring of K = O diag(kappa) O^T for an orthogonal O.
+
+        K^(-1) = O diag(1/kappa) O^T and cond(K) = max|kappa| / min|kappa|.
+        Orthogonality is checked with one probe vector x, |O^T O x - x|
+        against ORTHO_TOL |x|, which costs two matvecs instead of forming
+        O^T O.
+        """
+        O = np.asarray(O, dtype=np.float64)
+        kappa = np.asarray(kappa, dtype=np.float64)
+        if O.ndim != 2 or O.shape[0] != O.shape[1] or O.size == 0:
+            raise DimensionError("O must be a non-empty square matrix")
+        if kappa.shape != (O.shape[0],):
+            raise DimensionError(f"kappa must be a vector of length {O.shape[0]}")
+        if not np.all(np.isfinite(kappa)):
+            raise ParameterError("kappa must be finite")
+        x = np.sin(np.arange(1, kappa.size + 1))  # no entry is zero
+        # written so that a NaN in O fails the test too
+        if not np.linalg.norm(O.T @ (O @ x) - x) <= ORTHO_TOL * np.linalg.norm(x):
+            raise ParameterError("O is not orthogonal")
+        magnitude = np.abs(kappa)
+        low = magnitude.min()
+        cond = float(magnitude.max() / low) if low > 0 else np.inf
+        inv = None if _singular(cond) else (O / kappa) @ O.T
+        return cls(matrix=(O * kappa) @ O.T, inv=inv, cond=cond)
 
     def inverse(self) -> np.ndarray:
         """K^(-1); NumericError when K is numerically singular."""

@@ -58,6 +58,22 @@ def test_state_evolution_maps_the_experiment_to_its_pipeline(tmp_path):
     assert len(summary["se_predicted"]) == TINY_LOCAL["iterations"]
 
 
+@pytest.mark.parametrize("config_out, flag_out, written_to", [
+    ("from_config", None, "from_config"),  # the config's out applies
+    ("from_config", "from_flag", "from_flag"),  # --out overrides it
+    (None, None, "."),  # neither: the working directory
+])
+def test_out_directory_precedence(tmp_path, monkeypatch, config_out, flag_out, written_to):
+    monkeypatch.chdir(tmp_path)
+    data = TINY_LOCAL if config_out is None else dict(TINY_LOCAL, out=config_out)
+    argv = ["state-evolution", "--config", _config(tmp_path, data)]
+    assert main(argv + ([] if flag_out is None else ["--out", flag_out])) == 0
+    summary = _json(tmp_path / written_to / "state_evolution_summary.json")
+    assert summary["config"]["out"] == written_to
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"config.json", "state_evolution_summary.json" if written_to == "." else written_to})
+
+
 def test_state_evolution_on_a_tensor_config_is_a_config_error(tmp_path, capsys):
     config = _config(tmp_path, {"experiment": "tensor_checks", "seeds": []})
     code = main(["state-evolution", "--config", config, "--out", str(tmp_path / "o")])

@@ -8,6 +8,7 @@ import pytest
 import amplab
 from amplab.exceptions import ConfigError, ParameterError
 from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, tensor_checks
+from amplab.state_evolution import Coloring
 
 
 @pytest.mark.parametrize("field, value", [
@@ -16,6 +17,8 @@ from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, t
     ("bandwidth", -1),
     ("threshold", -0.1),
     ("graph_instances", -1),
+    ("wick_samples", 0),
+    ("tensor_n", 1),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ConfigError) as info:
@@ -32,7 +35,7 @@ def test_se_only_rejects_an_unknown_pipeline():
 
 
 def test_aniso_factors_K_once_per_config(monkeypatch):
-    calls = {"cond": 0, "solve": 0}
+    calls = {"cond": 0, "solve": 0, "inv": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -49,7 +52,24 @@ def test_aniso_factors_K_once_per_config(monkeypatch):
     assert len(records) == 2 * 2 * 3
     assert all(np.isfinite(r.mse) for r in records)
     assert len(summary["se_predicted"]) == 3
-    assert calls == {"cond": 1, "solve": 0}
+    assert calls == {"cond": 0, "solve": 0, "inv": 0}
+
+
+def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
+    cfg = config_from_dict({"experiment": "fig3_aniso", "seeds": [1, 2], "n": 60, "m": 30,
+                            "iterations": 3, "se_draws": 4, "threshold": 0.5,
+                            "ensembles": ["gaussian", "rademacher"]})
+    records, summary = run_experiment(cfg)
+    monkeypatch.setattr(Coloring, "from_eig",
+                        classmethod(lambda cls, O, kappa: cls.of((O * kappa) @ O.T)))
+    dense_records, dense_summary = run_experiment(cfg)
+    assert [(r.ensemble, r.seed, r.t) for r in records] == \
+        [(r.ensemble, r.seed, r.t) for r in dense_records]
+    assert np.allclose([r.mse for r in records], [r.mse for r in dense_records],
+                       rtol=1e-12, atol=0)
+    for key in ("se_predicted", "sigma_sq", "omega_sq", "condition_number"):
+        assert np.allclose(summary[key], dense_summary[key], rtol=1e-12, atol=0), key
+    assert 1 < summary["condition_number"] <= cfg.kappa_high / cfg.kappa_low
 
 
 def test_import_loads_no_scipy():

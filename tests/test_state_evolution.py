@@ -10,7 +10,8 @@ from amplab.denoisers import (
     soft_threshold_denoiser,
     zero_denoiser,
 )
-from amplab.exceptions import NumericError, ScheduleError
+from amplab.ensembles import sample_haar_orthogonal
+from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
@@ -223,6 +224,46 @@ def test_scalar_sensing_rejects_singular_K():
     with pytest.raises(NumericError, match="condition number"):
         se_scalar_sensing(np.ones(n), np.zeros(4), [soft_threshold_denoiser(0.2)], 1,
                           mc_draws=2, rng=RngStream(34), K=np.zeros((n, n)))
+
+
+def _eig_factors(n=50):
+    O = sample_haar_orthogonal(n, RngStream(35))
+    kappa = RngStream(36).generator().uniform(0.5, 2.0, size=n)
+    return O, kappa
+
+
+def test_coloring_from_eig_matches_the_dense_path():
+    O, kappa = _eig_factors()
+    K = (O * kappa) @ O.T
+    col = Coloring.from_eig(O, kappa)
+    assert np.array_equal(col.matrix, K)
+    ref = np.linalg.inv(K)
+    assert np.linalg.norm(col.inverse() - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert abs(col.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-13])
+def test_coloring_from_eig_singular_kappa(spread):
+    O, kappa = _eig_factors()
+    kappa[7] = spread * kappa.max()  # a zero, or max/min above 1e12
+    col = Coloring.from_eig(O, kappa)
+    with pytest.raises(NumericError, match="condition number"):
+        col.inverse()
+
+
+@pytest.mark.parametrize("mangle, error", [
+    (lambda O, k: (O[:, :-1], k), DimensionError),
+    (lambda O, k: (O, k[:-1]), DimensionError),
+    (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.nan, k)), ParameterError),
+    (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.inf, k)), ParameterError),
+    (lambda O, k: (1.01 * O, k), ParameterError),
+    (lambda O, k: (O + 1e-6 * np.eye(O.shape[0]), k), ParameterError),
+    (lambda O, k: (np.where(np.eye(O.shape[0]) == 1, np.nan, O), k), ParameterError),
+], ids=["O-not-square", "kappa-too-short", "kappa-nan", "kappa-inf", "O-scaled",
+        "O-perturbed", "O-nan"])
+def test_coloring_from_eig_rejects_bad_factors(mangle, error):
+    with pytest.raises(error):
+        Coloring.from_eig(*mangle(*_eig_factors()))
 
 
 def test_mc_sample_size_convergence():
