@@ -65,7 +65,7 @@ class ExperimentConfig:
     ensembles: List[str] = field(default_factory=lambda: ["gaussian", "rademacher"])
     pipeline: str = "local"  # used by se_only
     bandwidth: int = 1
-    threshold: float = 0.05
+    threshold: float = 0.5
     signal_rank: int = 4
     signal_density: float = 0.05
     signal_seed: int = 1

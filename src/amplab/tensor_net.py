@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ensembles import load_matrix, save_matrix
-from .exceptions import BudgetError, DimensionError, NumericError, SpecError
+from .exceptions import BudgetError, DimensionError, NumericError, ParameterError, SpecError
 from .rng import RngStream
 from .vecmat import split_index
 
@@ -269,6 +269,8 @@ def wick_expectation(
     d = tensor.order
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
+    if n != tensor.n:
+        raise DimensionError(f"n must equal tensor.n = {tensor.n}, got {n}")
     blocks: Dict[int, List[int]] = {}
     for pos, s in enumerate(sigma):
         blocks.setdefault(s, []).append(pos)
@@ -303,30 +305,43 @@ def wick_expectation_mc(
     """Monte-Carlo estimate of the same Gaussian expectation.
 
     Returns (mean, standard error) over the requested number of samples.
+
+    Draw order (the reproducibility contract): samples are taken in chunks
+    of ``chunk`` (the last one partial); within a chunk of b samples, each
+    stream in ``sorted(set(sigma))`` draws ``standard_normal((b, n))`` from
+    ``rng.generator()`` in turn.
+
+    The kernel keeps the sample axis last: the slots 0..d//2-1 form one
+    (n^(d//2), b) outer product, a single matmul contracts it with the
+    tensor, and the remaining slots are summed out one at a time, last slot
+    first, so no Kronecker row of the right half is ever formed.
     """
     d = tensor.order
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
+    if n != tensor.n:
+        raise DimensionError(f"n must equal tensor.n = {tensor.n}, got {n}")
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples}")
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     streams = sorted(set(sigma))
     d1 = d // 2
-    flat = tensor.to_dense().reshape(n**d1, n ** (d - d1))
+    flat_t = tensor.to_dense().reshape(n**d1, n ** (d - d1)).T
     gen = rng.generator()
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        draws = {s: gen.standard_normal((b, n)) for s in streams}
-
-        def kron(positions):
-            out = np.ones((b, 1))
-            for p in positions:
-                out = (out[:, :, None] * draws[sigma[p]][:, None, :]).reshape(b, -1)
-            return out
-
-        left = kron(range(d1))
-        right = kron(range(d1, d))
-        vals = np.einsum("bi,bi->b", left @ flat, right)
+        draws = {s: np.ascontiguousarray(gen.standard_normal((b, n)).T) for s in streams}
+        left = np.ones((1, b))
+        for p in range(d1):
+            left = (left[:, None, :] * draws[sigma[p]]).reshape(-1, b)
+        acc = flat_t @ left
+        for p in range(d - 1, d1 - 1, -1):
+            acc = np.einsum("ikb,kb->ib", acc.reshape(-1, n, b), draws[sigma[p]])
+        vals = acc[0]
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += b

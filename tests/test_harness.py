@@ -34,6 +34,21 @@ def test_se_only_rejects_an_unknown_pipeline():
     assert info.value.field == "pipeline"
 
 
+@pytest.mark.parametrize("experiment, dims", [
+    ("fig2_spectral", {"M": 10, "N": 10, "n": 100, "m": 50}),
+    ("fig3_aniso", {"n": 100, "m": 50}),
+])
+def test_default_threshold_gives_a_convergent_se_curve(experiment, dims):
+    # A divergent SE curve roughly doubles every iteration (as at threshold
+    # 0.05); a converged one only wobbles.
+    cfg = config_from_dict({"experiment": experiment, "seeds": [1], "iterations": 6,
+                            "ensembles": ["gaussian"], **dims})
+    _, summary = run_experiment(cfg)
+    tail = np.asarray(summary["se_predicted"])[-3:]
+    assert np.all(np.isfinite(tail))
+    assert np.max(tail[1:] / tail[:-1] - 1.0) <= 0.5
+
+
 def test_aniso_factors_K_once_per_config(monkeypatch):
     calls = {"cond": 0, "solve": 0, "inv": 0}
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from amplab.exceptions import BudgetError, SpecError
+from amplab.exceptions import BudgetError, DimensionError, ParameterError, SpecError
 from amplab.rng import RngStream
 from amplab.tensor_net import (
     BcpQuery,
@@ -138,6 +138,76 @@ def test_wick_mixed_streams_against_mc():
     exact = wick_expectation(t, sigma, 3)
     mc, se = wick_expectation_mc(t, sigma, 3, samples=400_000, rng=RngStream(10))
     assert abs(mc - exact) < 3 * se
+
+
+def _wick_mc_kronecker(tensor, sigma, n, samples, rng, chunk):
+    """Oracle: per-sample values as (b, n^k) Kronecker rows, on the draw order
+    wick_expectation_mc promises (per chunk, sorted streams, (b, n) each)."""
+    d = tensor.order
+    d1 = d // 2
+    flat = tensor.to_dense().reshape(n**d1, n ** (d - d1))
+    gen = rng.generator()
+    vals = []
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        draws = {s: gen.standard_normal((b, n)) for s in sorted(set(sigma))}
+
+        def kron(positions):
+            out = np.ones((b, 1))
+            for p in positions:
+                out = (out[:, :, None] * draws[sigma[p]][:, None, :]).reshape(b, -1)
+            return out
+
+        vals.append(np.einsum("bi,bi->b", kron(range(d1)) @ flat, kron(range(d1, d))))
+        done += b
+    vals = np.concatenate(vals)
+    mean = vals.sum() / samples
+    var = max((vals**2).sum() / samples - mean**2, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+def _dense(order, n, seed):
+    return DenseTensor.from_array(RngStream(seed).generator().standard_normal((n,) * order))
+
+
+@pytest.mark.parametrize("tensor, sigma, samples, chunk", [
+    (DenseTensor.from_array(np.array(2.5)), [], 50, 16),
+    (_dense(1, 4, 21), [0], 1000, 300),
+    (_dense(2, 3, 22), [0, 0], 1000, 300),
+    (_dense(2, 5, 23), [1, 0], 999, 1000),
+    (_dense(3, 3, 24), [0, 1, 0], 1000, 300),
+    (_dense(4, 3, 25), [0, 0, 0, 0], 1000, 300),
+    (_dense(4, 4, 26), [1, 0, 0, 1], 1001, 250),
+    (_dense(6, 3, 27), [2, 0, 1, 1, 0, 2], 700, 256),
+    (_dense(6, 2, 28), [0, 0, 0, 0, 0, 0], 513, 512),
+    (DenseTensor.diagonal([0.5, -1.0, 2.0, 0.25], 4), [0, 1, 1, 0], 1000, 300),
+])
+def test_wick_mc_matches_kronecker_oracle_on_same_draws(tensor, sigma, samples, chunk):
+    got = wick_expectation_mc(tensor, sigma, tensor.n, samples, RngStream(40), chunk=chunk)
+    want = _wick_mc_kronecker(tensor, sigma, tensor.n, samples, RngStream(40), chunk)
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12 * abs(want[1]))
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, error, field", [
+    ({"samples": 0}, ParameterError, "samples"),
+    ({"samples": -5}, ParameterError, "samples"),
+    ({"chunk": 0}, ParameterError, "chunk"),
+    ({"n": 4}, DimensionError, "n must equal tensor.n"),
+])
+def test_wick_mc_rejects_bad_arguments(kwargs, error, field):
+    args = {"n": 3, "samples": 100, "chunk": 1 << 14, **kwargs}
+    with pytest.raises(error, match=field):
+        wick_expectation_mc(_dense(2, 3, 29), [0, 0], rng=RngStream(1), **args)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_wick_rejects_n_unequal_to_tensor_n(n):
+    t = DenseTensor.from_array(np.arange(9.0).reshape(3, 3))
+    assert wick_expectation(t, [0, 0], 3) == 12.0
+    with pytest.raises(DimensionError, match="n must equal tensor.n"):
+        wick_expectation(t, [0, 0], n)
 
 
 def test_bcp_worked_order4_example_vs_nested_loops():
