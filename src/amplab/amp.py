@@ -19,7 +19,7 @@ import numpy as np
 from .denoisers import Denoiser, residual_shift_denoiser, signal_residual_denoiser
 from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
-from .state_evolution import Coloring, OnsagerSchedule
+from .state_evolution import Coloring, OnsagerSchedule, require_length
 
 ONSAGER_ANALYTIC = "analytic"
 ONSAGER_MC = "monte_carlo"
@@ -151,6 +151,7 @@ def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
         raise ParameterError("delta must be >= 0")
     if delta > 0 and rng is None:
         raise ParameterError("a perturbed run (delta > 0) needs an rng")
+    require_length(problem.f_seq, T - 1, T)
     tic = time.perf_counter()
     n = problem.u1.size
     gen = rng.generator() if delta > 0 else None
@@ -190,6 +191,8 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
+    require_length(problem.f_seq, T, T, "f-denoisers")
+    require_length(problem.g_seq, T - 1, T, "g-denoisers")
     tic = time.perf_counter()
     m, n = problem.W.shape
     data_driven = problem.onsager is None
@@ -228,7 +231,7 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
             if coeff != 0.0:
                 correction += coeff * u[:, s - 1]
         y[:, t - 1] = problem.W.T @ v[:, t - 1] - correction
-        if t - 1 < len(problem.g_seq) and (t < T or has_final_g):
+        if t < T or has_final_g:
             g_t = problem.g_seq[t - 1]
             u[:, t] = g_t.apply(y[:, :t])
             if data_driven:
@@ -276,6 +279,7 @@ def run_sensing_amp(
         raise ParameterError("T must be >= 1")
     if onsager not in (ONSAGER_ANALYTIC, ONSAGER_MC):
         raise ParameterError(f"unknown Onsager source {onsager!r}")
+    require_length(problem.eta_seq, T, T)
     tic = time.perf_counter()
     rng = rng or RngStream(0)
     m, n = problem.W.shape

@@ -8,8 +8,8 @@ through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,20 +31,25 @@ def _as_stack(z: np.ndarray) -> np.ndarray:
 class Denoiser:
     """A non-linearity f: R^(n x t) -> R^n plus divergence metadata.
 
-    ``divergence_fn`` returns the raw divergence sums (one per input column,
-    not normalized by n). ``reads_last_only`` declares that only the latest
-    column enters, so divergences w.r.t. earlier columns vanish and Onsager
-    entries for them are pinned to zero.
+    With ``reads_last_only`` set (the default) only the latest column enters:
+    ``fn(x)`` and ``divergence_fn(x)`` take that column x in R^n, and
+    ``divergence_fn`` returns the raw divergence sum (a scalar, not
+    normalized by n). ``apply`` and ``divergence`` hand them ``z[:, -1]``,
+    and the divergences w.r.t. earlier columns are zero, so Onsager entries
+    for them are pinned to zero. A stack denoiser (``reads_last_only``
+    False) gets the whole n x t stack, and its ``divergence_fn`` returns one
+    raw sum per column.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
-    divergence_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    divergence_fn: Optional[Callable[[np.ndarray], Union[float, np.ndarray]]] = None
     reads_last_only: bool = True
     name: str = ""
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.fn(_as_stack(z))
+        z = _as_stack(z)
+        return self.fn(z[:, -1] if self.reads_last_only else z)
 
     @property
     def has_analytic_divergence(self) -> bool:
@@ -54,25 +59,26 @@ class Denoiser:
         """Analytic per-column divergence sums at z; requires a formula."""
         if self.divergence_fn is None:
             raise ParameterError(f"denoiser {self.name or '<anon>'} has no analytic divergence")
-        return np.asarray(self.divergence_fn(_as_stack(z)), dtype=np.float64)
+        z = _as_stack(z)
+        if not self.reads_last_only:
+            return np.asarray(self.divergence_fn(z), dtype=np.float64)
+        out = np.zeros(z.shape[1])
+        out[-1] = self.divergence_fn(z[:, -1])
+        return out
 
     def divergence_mc(self, z, eps=None, reps=100, rng=None) -> np.ndarray:
-        """Monte-Carlo per-column divergence sums at z; columns a
-        last-column denoiser never reads are left at zero."""
+        """Monte-Carlo per-column divergence sums at z; column j is probed
+        with rng.derive(j + 1), and columns a last-column denoiser never
+        reads are left at zero."""
         z = _as_stack(z)
-        t = z.shape[1]
-        columns = [t - 1] if self.reads_last_only else list(range(t))
-        if rng is None:
-            rng = RngStream(0)
-        out = np.zeros(t)
-        for j, col in enumerate(columns):
-            out[col] = mc_divergence(
-                lambda x, c=col: self.fn(_with_column(z, c, x)),
-                z[:, col],
-                eps=eps,
-                reps=reps,
-                rng=rng.derive(j + 1),
-            )
+        rng = rng or RngStream(0)
+        out = np.zeros(z.shape[1])
+        if self.reads_last_only:
+            out[-1] = mc_divergence(self.fn, z[:, -1], eps, reps, rng.derive(1))[0]
+            return out
+        for col in range(z.shape[1]):
+            f = lambda x, c=col: self.fn(_with_column(z, c, x))
+            out[col] = mc_divergence(f, z[:, col], eps, reps, rng.derive(col + 1))[0]
         return out
 
 
@@ -86,31 +92,28 @@ def _with_column(z, col, x):
 # Monte-Carlo divergence probe
 
 
-def default_probe_eps(x: np.ndarray) -> float:
-    x = np.asarray(x)
-    return 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
+def mc_divergence(f, x, eps=None, reps=100, rng=None) -> Tuple[float, float]:
+    """(mean, standard error) of the probe estimates
+    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes.
 
-
-def mc_divergence_samples(f, x, eps=None, reps=100, rng=None) -> np.ndarray:
-    """Per-probe estimates (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I)."""
+    eps defaults to 1e-4 max(1, |x| / sqrt(n)). The standard error is inf
+    for a single probe.
+    """
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     if eps is None:
-        eps = default_probe_eps(x)
+        eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     if eps <= 0:
         raise ParameterError("probe step eps must be positive")
     gen = (rng or RngStream(0)).generator()
     fx = f(x)
-    out = np.empty(reps)
+    samples = np.empty(reps)
     for r in range(reps):
         xi = gen.standard_normal(x.shape)
-        out[r] = xi @ (f(x + eps * xi) - fx) / eps
-    return out
-
-
-def mc_divergence(f, x, eps=None, reps=100, rng=None) -> float:
-    return float(np.mean(mc_divergence_samples(f, x, eps=eps, reps=reps, rng=rng)))
+        samples[r] = xi @ (f(x + eps * xi) - fx) / eps
+    stderr = float(np.std(samples, ddof=1) / np.sqrt(reps)) if reps > 1 else np.inf
+    return float(np.mean(samples)), stderr
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +134,10 @@ def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
 
 
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = soft_threshold_divergence(z[:, -1], lmbda)
-        return out
-
     return Denoiser(
-        fn=lambda z: soft_threshold_apply(z[:, -1], lmbda),
+        fn=lambda x: soft_threshold_apply(x, lmbda),
         lipschitz_bound=1.0,
-        divergence_fn=div,
+        divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
         name=f"soft_threshold(lmbda={lmbda})",
     )
 
@@ -212,16 +210,10 @@ def local_average_denoiser(spec: LocalKernelSpec) -> Denoiser:
         col_sums = _box_sum(1.0 / spec.window_counts(), spec.h)
         lip = float(np.sqrt(col_sums.max()))
     const = local_average_divergence(spec)
-
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = const
-        return out
-
     return Denoiser(
-        fn=lambda z: vec(local_average_apply(mat(z[:, -1], spec.M, spec.N), spec)),
+        fn=lambda x: vec(local_average_apply(mat(x, spec.M, spec.N), spec)),
         lipschitz_bound=max(lip, 1.0),
-        divergence_fn=div,
+        divergence_fn=lambda x: const,
         name=f"local_average(h={spec.h})",
     )
 
@@ -237,11 +229,14 @@ class SpectralSpec:
     M: int
     N: int
     threshold: float
-    shift: Optional[np.ndarray] = None  # added to mat(z) before thresholding
+    shift: Optional[np.ndarray] = None  # M x N, added to mat(z) before thresholding
 
     def __post_init__(self):
         if self.threshold < 0:
             raise ParameterError("threshold must be nonnegative")
+        if self.shift is not None and np.shape(self.shift) != (self.M, self.N):
+            raise DimensionError(
+                f"shift must be {self.M}x{self.N}, got shape {np.shape(self.shift)}")
 
 
 def svt_apply(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
@@ -254,23 +249,49 @@ def svt_apply(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     return (o * d) @ ut
 
 
-def svt_divergence_mc(x, spec: SpectralSpec, eps=None, reps=100, rng=None) -> float:
-    """Monte-Carlo divergence of the vectorized SVT map at mat input x."""
-    f = lambda v: vec(svt_apply(mat(v, spec.M, spec.N), spec))
-    return mc_divergence(f, vec(np.asarray(x)), eps=eps, reps=reps, rng=rng)
+def _svt_input(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
+    """The matrix the SVT denoiser thresholds: mat(x) + spec.shift."""
+    out = mat(x, spec.M, spec.N)
+    return out if spec.shift is None else out + spec.shift
+
+
+def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> float:
+    """Exact divergence of x -> vec(svt(mat(x) + shift)) (Candes, Sing-Long &
+    Trzasko 2013, arXiv:1210.4139). With s_1 >= ... >= s_k the singular
+    values of mat(x) + shift and g(s) = (s - lam)_+, lam = threshold sqrt(N):
+
+        sum_i g'(s_i) + |M - N| sum_i g(s_i)/s_i
+            + 2 sum_(i<j) (s_i g_i - s_j g_j) / (s_i^2 - s_j^2),
+
+    where g'(0) and g(s)/s at s = 0 are the right derivative g'(0+) (1 at
+    lam = 0, else 0). The pair term is 1 - lam/(s_i + s_j) when s_j > lam,
+    which is also its limit (g + s g')/(2s) at a tie, s_i g_i/(s_i^2 - s_j^2)
+    when only s_i > lam, and 0 otherwise, so near-ties lose no precision.
+    """
+    s = np.linalg.svd(_svt_input(x, spec), compute_uv=False)
+    lam = spec.threshold * np.sqrt(spec.N)
+    g = np.maximum(s - lam, 0.0)
+    active = (s > lam) | (lam == 0.0)
+    ratio = np.divide(g, s, out=active.astype(np.float64), where=s > 0)
+    i, j = np.triu_indices(s.size, 1)
+    a, b = s[i], s[j]
+    pair = np.where(active[j], 1.0 - np.divide(lam, a + b, out=np.zeros(a.size),
+                                                 where=a + b > 0), 0.0)
+    one = active[i] & ~active[j]  # then s_i > lam >= s_j, so s_i > s_j
+    pair[one] = (a * g[i])[one] / ((a - b) * (a + b))[one]
+    return float(np.count_nonzero(active) + abs(spec.M - spec.N) * ratio.sum()
+                 + 2.0 * pair.sum())
 
 
 def svt_denoiser(spec: SpectralSpec) -> Denoiser:
-    def fn(z):
-        x = mat(z[:, -1], spec.M, spec.N)
-        if spec.shift is not None:
-            x = x + spec.shift
-        return vec(svt_apply(x, spec))
-
+    """Soft thresholding of the singular values of mat(x) + spec.shift, with
+    the exact divergence ``svt_divergence``. ``apply`` and ``divergence``
+    each take one SVD of the same matrix; the divergence needs only the
+    singular values."""
     return Denoiser(
-        fn=fn,
+        fn=lambda x: vec(svt_apply(_svt_input(x, spec), spec)),
         lipschitz_bound=1.0,
-        divergence_fn=None,
+        divergence_fn=lambda x: svt_divergence(x, spec),
         name=f"svt(threshold={spec.threshold})",
     )
 
@@ -305,11 +326,13 @@ def aniso_apply(z: np.ndarray, spec: AnisoSpec) -> np.ndarray:
 
 
 def aniso_denoiser(spec: AnisoSpec) -> Denoiser:
+    """K' g(K^T x) of the latest column x; the inner map sees K^T x as an
+    n x 1 stack."""
     lip = (
         np.linalg.norm(spec.Kprime, 2) * spec.inner_lipschitz * np.linalg.norm(spec.K, 2)
     )
     return Denoiser(
-        fn=lambda z: aniso_apply(z, spec),
+        fn=lambda x: aniso_apply(x, spec),
         lipschitz_bound=float(lip),
         divergence_fn=None,
         name="aniso",
@@ -321,40 +344,25 @@ def aniso_denoiser(spec: AnisoSpec) -> Denoiser:
 
 
 def identity_denoiser() -> Denoiser:
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = z.shape[0]
-        return out
-
-    return Denoiser(fn=lambda z: z[:, -1].copy(), lipschitz_bound=1.0,
-                    divergence_fn=div, name="identity")
+    return Denoiser(fn=lambda x: x.copy(), lipschitz_bound=1.0,
+                    divergence_fn=lambda x: x.size, name="identity")
 
 
 def scaled_identity_denoiser(c: float) -> Denoiser:
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = c * z.shape[0]
-        return out
-
-    return Denoiser(fn=lambda z: c * z[:, -1], lipschitz_bound=abs(c),
-                    divergence_fn=div, name=f"scale({c})")
+    return Denoiser(fn=lambda x: c * x, lipschitz_bound=abs(c),
+                    divergence_fn=lambda x: c * x.size, name=f"scale({c})")
 
 
 def zero_denoiser(n: int) -> Denoiser:
-    return Denoiser(fn=lambda z: np.zeros(n), lipschitz_bound=0.0,
-                    divergence_fn=lambda z: np.zeros(z.shape[1]), name="zero")
+    return Denoiser(fn=lambda x: np.zeros(n), lipschitz_bound=0.0,
+                    divergence_fn=lambda x: 0.0, name="zero")
 
 
 def identity_plus_soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = z.shape[0] + soft_threshold_divergence(z[:, -1], lmbda)
-        return out
-
     return Denoiser(
-        fn=lambda z: z[:, -1] + soft_threshold_apply(z[:, -1], lmbda),
+        fn=lambda x: x + soft_threshold_apply(x, lmbda),
         lipschitz_bound=2.0,
-        divergence_fn=div,
+        divergence_fn=lambda x: x.size + soft_threshold_divergence(x, lmbda),
         name=f"identity_plus_soft_threshold(lmbda={lmbda})",
     )
 
@@ -364,34 +372,21 @@ def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
     e = np.asarray(e, dtype=np.float64)
     m = e.size
     lip = max(1.0, float(np.linalg.norm(e)) / np.sqrt(m))
-
-    def div(z):
-        out = np.zeros(z.shape[1])
-        out[-1] = m
-        return out
-
-    return Denoiser(fn=lambda z: z[:, -1] + e, lipschitz_bound=lip,
-                    divergence_fn=div, name="residual_shift")
+    return Denoiser(fn=lambda x: x + e, lipschitz_bound=lip,
+                    divergence_fn=lambda x: m, name="residual_shift")
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     """g(y) = theta_star - eta(y + theta_star); divergence is -div eta."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
     n = theta_star.size
-
-    def fn(z):
-        return theta_star - eta.apply(z[:, -1] + theta_star)
-
     div_fn = None
     if eta.has_analytic_divergence:
-        def div_fn(z):
-            out = np.zeros(z.shape[1])
-            out[-1] = -eta.divergence(z[:, -1] + theta_star)[-1]
-            return out
-
+        div_fn = lambda x: -eta.divergence(x + theta_star)[-1]
     at_zero = theta_star - eta.apply(theta_star)
     lip = max(eta.lipschitz_bound, float(np.linalg.norm(at_zero)) / np.sqrt(n))
-    return Denoiser(fn=fn, lipschitz_bound=lip, divergence_fn=div_fn,
+    return Denoiser(fn=lambda x: theta_star - eta.apply(x + theta_star),
+                    lipschitz_bound=lip, divergence_fn=div_fn,
                     name=f"signal_residual({eta.name})")
 
 

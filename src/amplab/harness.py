@@ -73,7 +73,7 @@ class ExperimentConfig:
     kappa_high: float = 2.0
     noise_std: float = 0.05
     se_draws: int = 50
-    onsager_source: str = ""  # "" = experiment default; else analytic | mc
+    onsager_source: str = "analytic"  # analytic | mc
     mc_reps: int = 100
     out: Optional[str] = None
     fmt: str = "csv"
@@ -123,7 +123,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("noise_std", "must be >= 0")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError("fmt", f"must be csv or json, got {cfg.fmt!r}")
-    if cfg.onsager_source not in ("", "analytic", "mc"):
+    if cfg.onsager_source not in ("analytic", "mc"):
         raise ConfigError("onsager_source", "must be 'analytic' or 'mc'")
     if not (0 < cfg.kappa_low <= cfg.kappa_high):
         raise ConfigError("kappa_low", "need 0 < kappa_low <= kappa_high")
@@ -179,7 +179,6 @@ class _Pipeline:
     e: np.ndarray
     eta_seq: List[Denoiser]
     K: Optional[Coloring]
-    onsager: str  # analytic | mc
 
 
 def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
@@ -191,13 +190,13 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
         spec = SignalSpec(kind="smooth_image", dims=cfg.n, M=cfg.M, N=cfg.N)
         theta = sample_signal(spec, signal_rng).vector
         den = local_average_denoiser(LocalKernelSpec(cfg.M, cfg.N, cfg.bandwidth))
-        return _Pipeline(theta, e, [den] * T, None, cfg.onsager_source or "analytic")
+        return _Pipeline(theta, e, [den] * T, None)
     if kind == "spectral":
         spec = SignalSpec(kind="low_rank", dims=cfg.n, M=cfg.M, N=cfg.N,
                           rank=cfg.signal_rank, sv_high=np.sqrt(cfg.N))
         theta = sample_signal(spec, signal_rng).vector
         den = svt_denoiser(SpectralSpec(cfg.M, cfg.N, cfg.threshold))
-        return _Pipeline(theta, e, [den] * T, None, cfg.onsager_source or "mc")
+        return _Pipeline(theta, e, [den] * T, None)
     if kind == "aniso":
         spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
         theta = sample_signal(spec, signal_rng).vector
@@ -209,7 +208,7 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
         # factors, with no SVD or LU; the Haar factor o is dropped on return
         K = Coloring.from_eig(o, kappa)
         den = soft_threshold_denoiser(cfg.threshold)
-        return _Pipeline(theta, e, [den] * T, K, cfg.onsager_source or "analytic")
+        return _Pipeline(theta, e, [den] * T, K)
     raise ConfigError("experiment", f"no sensing pipeline for {kind!r}")
 
 
@@ -225,7 +224,7 @@ def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
     trace = run_sensing_amp(
         problem,
         cfg.iterations,
-        onsager="analytic" if pipe.onsager == "analytic" else "monte_carlo",
+        onsager="analytic" if cfg.onsager_source == "analytic" else "monte_carlo",
         mc_reps=cfg.mc_reps,
         rng=RngStream(seed, _STREAM_ONSAGER + 10 * eidx),
     )

@@ -146,6 +146,13 @@ class SECovarianceSequence:
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
 
 
+def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -> None:
+    """ScheduleError naming the needed count when seq holds fewer than count
+    entries for a run of T iterations."""
+    if len(seq) < count:
+        raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
+
+
 def _chol_factor(cov: np.ndarray) -> Tuple[np.ndarray, bool]:
     """(lower Cholesky factor of cov, whether the jitter fallback was needed);
     the fallback is warned once per factor."""
@@ -233,8 +240,7 @@ def se_symmetric(
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
-    if len(f_seq) < T - 1:
-        raise ScheduleError(f"need {T - 1} denoisers for T={T}, got {len(f_seq)}")
+    require_length(f_seq, T - 1, T)
     rng = rng or RngStream(0)
     u1 = np.asarray(u1, dtype=np.float64)
     n = u1.size
@@ -272,6 +278,8 @@ def se_asymmetric(
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
+    require_length(f_seq, T, T, "f-denoisers")
+    require_length(g_seq, T - 1, T, "g-denoisers")
     rng = rng or RngStream(0)
     u1 = np.asarray(u1, dtype=np.float64)
     n = u1.size
@@ -336,6 +344,7 @@ def se_scalar_sensing(
     """
     if mc_draws < 1:
         raise ParameterError("mc_draws must be >= 1")
+    require_length(eta_seq, T, T)
     rng = rng or RngStream(0)
     theta_star = np.asarray(theta_star, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -379,6 +388,8 @@ def test_function_gap(
 ) -> float:
     """|(1/n) phi1(z)^T phi2(z) - MC E (1/n) phi1(Z)^T phi2(Z)| with the
     surrogate Z drawn from the final covariance of se."""
+    if mc_draws < 1:
+        raise ParameterError("mc_draws must be >= 1")
     z = np.asarray(getattr(z_stack, "z", z_stack), dtype=np.float64)
     n = z.shape[0]
     emp = phi1(z) @ phi2(z) / n

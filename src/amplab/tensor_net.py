@@ -20,6 +20,7 @@ from .vecmat import split_index
 
 DENSE_MATERIALIZE_CAP = 64  # structured tensors are never densified above this n
 DEFAULT_BUDGET_BITS = 30.0  # enumeration allowed while indices * log2(n) <= this
+ENUM_CHUNK = 1 << 16  # assignments gathered per batch by the brute-force sums
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +178,29 @@ def _check_labeling(graph: OrderedMultigraph, labeling: TensorLabeling):
             )
 
 
-def _budget_guard(num_indices: int, n: int, budget_bits: float):
-
+def _assignment_sum(factors, num_indices: int, n: int, budget_bits: float) -> float:
+    """Sum over all assignments in [n]^num_indices of the product of the
+    factors' entries; each factor is a (tensor, positions) pair whose slot p
+    reads index positions[p]. Assignments are enumerated in lexicographic
+    order, ENUM_CHUNK at a time; BudgetError when num_indices * log2(n)
+    exceeds budget_bits."""
     bits = num_indices * np.log2(max(n, 2))
     if bits > budget_bits:
         raise BudgetError(
             f"enumeration over {num_indices} indices of size {n} needs "
             f"{bits:.1f} bits > budget {budget_bits}"
         )
-
-
-def _iter_assignments(num_indices: int, n: int, chunk: int = 1 << 16):
-    """Yield tuples of index arrays covering [n]^num_indices in chunks."""
-    total = n**num_indices
-    shape = (n,) * num_indices
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        yield np.unravel_index(flat, shape)
-        start = stop
+    total = 0.0
+    count = n**num_indices
+    for start in range(0, count, ENUM_CHUNK):
+        assign = np.unravel_index(np.arange(start, min(start + ENUM_CHUNK, count)),
+                                  (n,) * num_indices)
+        prod = None
+        for tensor, positions in factors:
+            vals = tensor.gather([assign[i] for i in positions])
+            prod = vals if prod is None else prod * vals
+        total += float(prod.sum())
+    return total
 
 
 def eval_value_bruteforce(
@@ -208,16 +212,8 @@ def eval_value_bruteforce(
     """Definitional value: sum over all edge-index assignments of the product
     of labeled tensor entries, indices read in each vertex's edge order."""
     _check_labeling(graph, labeling)
-    num_edges = len(graph.edges)
-    _budget_guard(num_edges, n, budget_bits)
-    total = 0.0
-    for assign in _iter_assignments(num_edges, n):
-        prod = None
-        for v in range(graph.num_vertices):
-            vals = labeling[v].gather([assign[e] for e in graph.incidence[v]])
-            prod = vals if prod is None else prod * vals
-        total += float(prod.sum())
-    return total
+    factors = [(labeling[v], graph.incidence[v]) for v in range(graph.num_vertices)]
+    return _assignment_sum(factors, len(graph.edges), n, budget_bits)
 
 
 def eval_value_contraction(
@@ -278,7 +274,6 @@ def wick_expectation(
         return 0.0
     if d == 0:
         return float(tensor.to_dense())
-    _budget_guard(d // 2, n, budget_bits)
     per_block = [list(_pairings(tuple(b))) for b in blocks.values()]
     total = 0.0
     for combo in itertools.product(*per_block):
@@ -287,10 +282,8 @@ def wick_expectation(
         for free, (a, b) in enumerate(pairing):
             slot_of[a] = free
             slot_of[b] = free
-        subtotal = 0.0
-        for assign in _iter_assignments(d // 2, n):
-            subtotal += float(tensor.gather([assign[slot_of[p]] for p in range(d)]).sum())
-        total += subtotal
+        total += _assignment_sum([(tensor, [slot_of[p] for p in range(d)])], d // 2, n,
+                                 budget_bits)
     return total
 
 
@@ -409,16 +402,9 @@ def bcp_ratio(
     for t, k in zip(tensors, query.orders):
         if t.order != k:
             raise DimensionError(f"tensor order {t.order} != declared {k}")
-    _budget_guard(query.ell, n, budget_bits)
-    total = 0.0
-    ranges = query.slot_ranges()
-    for assign in _iter_assignments(query.ell, n):
-        prod = None
-        for tensor, slots in zip(tensors, ranges):
-            vals = tensor.gather([assign[query.pi[s]] for s in slots])
-            prod = vals if prod is None else prod * vals
-        total += float(prod.sum())
-    return abs(total) / n
+    factors = [(tensor, [query.pi[s] for s in slots])
+               for tensor, slots in zip(tensors, query.slot_ranges())]
+    return abs(_assignment_sum(factors, query.ell, n, budget_bits)) / n
 
 
 # ---------------------------------------------------------------------------

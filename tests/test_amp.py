@@ -346,3 +346,35 @@ def test_trace_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,norm_z_sq_over_n,mse,b_applied"
     assert len(lines) == 4
+
+
+def test_symmetric_short_f_seq_raises_schedule_error():
+    prob = SymmetricAmpProblem(W=_goe(6, 31), u1=np.ones(6), f_seq=[identity_denoiser()],
+                               onsager=OnsagerSchedule(b={(2, 1): 1.0}))
+    with pytest.raises(ScheduleError, match="need 2 denoisers for T=3, got 1"):
+        run_symmetric_amp(prob, 3)
+
+
+@pytest.mark.parametrize("data_driven", [False, True])
+def test_asymmetric_short_g_seq_raises_schedule_error(data_driven):
+    # an explicit schedule ran u_3 = 0 here, and the data-driven run raised
+    # a bare KeyError
+    prob, _ = _rect_with_static_schedule(32, 12, 9, 3)
+    prob.g_seq = prob.g_seq[:1]
+    if data_driven:
+        prob.onsager = None
+    with pytest.raises(ScheduleError, match="need 2 g-denoisers for T=3, got 1"):
+        run_asymmetric_amp(prob, 3)
+
+
+def test_asymmetric_short_f_seq_raises_schedule_error():
+    prob, _ = _rect_with_static_schedule(33, 12, 9, 3)
+    prob.f_seq = prob.f_seq[:2]
+    with pytest.raises(ScheduleError, match="need 3 f-denoisers for T=3, got 2"):
+        run_asymmetric_amp(prob, 3)
+
+
+def test_sensing_short_eta_seq_raises_schedule_error():
+    prob = _random_sensing(34, T=2)
+    with pytest.raises(ScheduleError, match="need 3 denoisers for T=3, got 2"):
+        run_sensing_amp(prob, 3)

@@ -17,7 +17,6 @@ from amplab.denoisers import (
     local_average_divergence,
     marchenko_pastur_sqrt_quantiles,
     mc_divergence,
-    mc_divergence_samples,
     residual_shift_denoiser,
     signal_residual_denoiser,
     soft_threshold_apply,
@@ -25,7 +24,7 @@ from amplab.denoisers import (
     soft_threshold_divergence,
     svt_apply,
     svt_denoiser,
-    svt_divergence_mc,
+    svt_divergence,
     zero_denoiser,
 )
 from amplab.ensembles import sample_haar_orthogonal
@@ -152,25 +151,82 @@ def test_svt_nonexpansive_on_probes():
 def test_mc_divergence_identity_and_scaled():
     n = 400
     x = RngStream(7).generator().standard_normal(n)
-    samples = mc_divergence_samples(lambda v: v, x, reps=200, rng=RngStream(8))
-    se = samples.std(ddof=1) / np.sqrt(len(samples))
-    assert abs(samples.mean() - n) < 3 * se
-    half = mc_divergence_samples(lambda v: 0.5 * v, x, reps=200, rng=RngStream(9))
-    se = half.std(ddof=1) / np.sqrt(len(half))
-    assert abs(half.mean() - n / 2) < 3 * se
+    mean, se = mc_divergence(lambda v: v, x, reps=200, rng=RngStream(8))
+    assert abs(mean - n) < 3 * se
+    mean, se = mc_divergence(lambda v: 0.5 * v, x, reps=200, rng=RngStream(9))
+    assert abs(mean - n / 2) < 3 * se
 
 
 def test_svt_divergence_mc_identity_threshold_zero():
     x = RngStream(10).generator().standard_normal((8, 8))
     spec = SpectralSpec(8, 8, 0.0)
-    samples = mc_divergence_samples(
+    mean, se = mc_divergence(
         lambda v: vec(svt_apply(mat(v, 8, 8), spec)), vec(x), reps=300, rng=RngStream(11)
     )
-    se = samples.std(ddof=1) / np.sqrt(len(samples))
-    assert abs(samples.mean() - 64) < 3 * se
-    # the convenience wrapper agrees with the raw samples
-    est = svt_divergence_mc(x, spec, reps=300, rng=RngStream(11))
-    assert est == pytest.approx(samples.mean())
+    assert abs(mean - 64) < 3 * se
+
+
+def _matrix_with_singular_values(M, N, sv, seed):
+    gen = RngStream(seed).generator()
+    o = np.linalg.qr(gen.standard_normal((M, M)))[0][:, : len(sv)]
+    u = np.linalg.qr(gen.standard_normal((N, N)))[0][:, : len(sv)]
+    return (o * np.asarray(sv, dtype=np.float64)) @ u.T
+
+
+# (M, N, threshold, singular values) with none within 0.1 of the level
+# threshold * sqrt(N), where the SVT map has a kink
+SVT_CASES = {
+    "wide": (6, 9, 0.5, [4.0, 3.1, 2.2, 1.2, 0.6, 0.3]),
+    "tall": (9, 6, 0.5, [4.0, 3.1, 2.2, 1.0, 0.6, 0.3]),
+    "rank_deficient": (7, 5, 0.4, [3.0, 1.5, 0.2]),
+    "tied": (6, 6, 0.3, [2.5, 2.5, 2.5, 0.4, 0.4, 0.4]),
+    "all_above_tied": (5, 8, 0.2, [1.9, 1.9, 1.9, 1.9, 1.9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVT_CASES))
+def test_svt_divergence_matches_the_probe(case):
+    M, N, threshold, sv = SVT_CASES[case]
+    spec = SpectralSpec(M, N, threshold)
+    x = vec(_matrix_with_singular_values(M, N, sv, seed=len(case)))
+    exact = svt_divergence(x, spec)
+    mean, se = mc_divergence(svt_denoiser(spec).fn, x, reps=2000, rng=RngStream(26))
+    assert abs(exact - mean) < 3 * se
+    assert svt_denoiser(spec).divergence(np.column_stack([x, x])).tolist() == [0.0, exact]
+
+
+def test_svt_divergence_is_taken_at_the_shifted_matrix():
+    M, N = 6, 4
+    target = _matrix_with_singular_values(M, N, [3.0, 2.0, 0.8, 0.1], seed=27)
+    shift = RngStream(28).generator().standard_normal((M, N))
+    spec = SpectralSpec(M, N, 0.5, shift=shift)
+    x = vec(target - shift)
+    exact = svt_divergence(x, spec)
+    assert exact == pytest.approx(svt_divergence(vec(target), SpectralSpec(M, N, 0.5)),
+                                  rel=1e-9)
+    assert exact != pytest.approx(svt_divergence(x, SpectralSpec(M, N, 0.5)), rel=1e-3)
+    mean, se = mc_divergence(svt_denoiser(spec).fn, x, reps=2000, rng=RngStream(29))
+    assert abs(exact - mean) < 3 * se
+
+
+@pytest.mark.parametrize("M, N, sv", [
+    (6, 9, [4.0, 3.0, 2.0, 1.0, 0.5, 0.1]),
+    (9, 6, [4.0, 3.0, 2.0, 1.0, 0.5, 0.1]),
+    (7, 5, [3.0, 1.5]),
+    (5, 5, [1.0] * 5),
+    (4, 3, []),
+])
+def test_svt_divergence_at_threshold_zero_is_exactly_MN(M, N, sv):
+    x = vec(_matrix_with_singular_values(M, N, sv, seed=30))
+    assert svt_divergence(x, SpectralSpec(M, N, 0.0)) == M * N
+
+
+def test_spectral_spec_rejects_a_mismatched_shift():
+    with pytest.raises(DimensionError):
+        SpectralSpec(5, 4, 0.5, shift=np.ones(4))
+    with pytest.raises(DimensionError):
+        SpectralSpec(5, 4, 0.5, shift=np.ones((4, 5)))
+    assert SpectralSpec(5, 4, 0.5, shift=np.ones((5, 4))).shift.shape == (5, 4)
 
 
 def test_mc_divergence_matches_analytic_count_for_soft_threshold():
@@ -178,8 +234,8 @@ def test_mc_divergence_matches_analytic_count_for_soft_threshold():
     x = RngStream(12).generator().standard_normal(n)
     lam = 0.6
     eps = 1e-4 * np.linalg.norm(x) / np.sqrt(n)
-    est = mc_divergence(lambda v: soft_threshold_apply(v, lam), x,
-                        eps=eps, reps=200, rng=RngStream(13))
+    est, _ = mc_divergence(lambda v: soft_threshold_apply(v, lam), x,
+                           eps=eps, reps=200, rng=RngStream(13))
     exact = soft_threshold_divergence(x, lam)
     assert abs(est - exact) / exact < 0.02
 

@@ -19,6 +19,7 @@ from amplab.state_evolution import Coloring
     ("graph_instances", -1),
     ("wick_samples", 0),
     ("tensor_n", 1),
+    ("onsager_source", ""),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ConfigError) as info:
@@ -68,6 +69,40 @@ def test_aniso_factors_K_once_per_config(monkeypatch):
     assert all(np.isfinite(r.mse) for r in records)
     assert len(summary["se_predicted"]) == 3
     assert calls == {"cond": 0, "solve": 0, "inv": 0}
+
+
+def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
+    calls = {"svd": 0, "apply": 0, "divergence": 0, "divergence_mc": 0}
+    traces = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    for name in ("apply", "divergence", "divergence_mc"):
+        monkeypatch.setattr(amplab.Denoiser, name, counting(name, getattr(amplab.Denoiser, name)))
+    run_sensing_amp = amplab.harness.run_sensing_amp
+
+    def recording(*args, **kwargs):
+        traces.append(run_sensing_amp(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(amplab.harness, "run_sensing_amp", recording)
+    cfg = config_from_dict({"experiment": "fig2_spectral", "seeds": [1, 2], "M": 6, "N": 6,
+                            "n": 36, "m": 24, "iterations": 4, "se_draws": 3,
+                            "ensembles": ["gaussian", "rademacher"]})
+    records, summary = run_experiment(cfg)
+    assert summary["config"]["onsager_source"] == "analytic"
+    assert len(traces) == 4
+    assert all(tr.b_source == ["none"] + ["analytic"] * 3 for tr in traces)
+    assert all(np.isfinite(r.mse) for r in records)
+    assert calls["divergence"] == 4 * 3 and calls["divergence_mc"] == 0
+    # one SVD per apply and per divergence, plus one per cell for the summary's
+    # singular-value count
+    assert calls["svd"] <= calls["apply"] + calls["divergence"] + len(traces)
 
 
 def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):

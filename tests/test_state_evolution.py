@@ -88,6 +88,23 @@ def test_missing_denoisers_rejected():
         se_symmetric([], np.ones(10), 3, mc_samples=5, rng=RngStream(5))
 
 
+@pytest.mark.parametrize("f_count, g_count, message", [
+    (2, 2, "need 3 f-denoisers for T=3, got 2"),
+    (3, 1, "need 2 g-denoisers for T=3, got 1"),
+])
+def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
+    m, n = 20, 15
+    with pytest.raises(ScheduleError, match=message):
+        se_asymmetric([zero_denoiser(m)] * f_count, [zero_denoiser(n)] * g_count,
+                      np.ones(n), 3, m, mc_samples=2, rng=RngStream(5))
+
+
+def test_scalar_sensing_short_eta_seq_rejected():
+    with pytest.raises(ScheduleError, match="need 3 denoisers for T=3, got 2"):
+        se_scalar_sensing(np.ones(10), np.zeros(5), [identity_denoiser()] * 2, 3,
+                          mc_draws=2, rng=RngStream(5))
+
+
 def test_asymmetric_shift_denoiser_decomposition():
     m, n, samples = 300, 400, 200
     gen = RngStream(6).generator()
@@ -312,6 +329,14 @@ def test_test_function_gap_projection_and_surrogate():
     zero_gap = tf_gap(np.zeros((n, 2)), proj, proj, cov,
                       mc_draws=400, rng=RngStream(23))
     assert zero_gap > 0.5 * cov.sigma[1][1, 1]
+
+
+def test_test_function_gap_rejects_zero_draws():
+    cov, _ = se_symmetric([identity_denoiser()], np.ones(10), 2, mc_samples=2,
+                          rng=RngStream(5))
+    proj = lambda stack: stack[:, 0]
+    with pytest.raises(ParameterError):
+        tf_gap(np.ones((10, 2)), proj, proj, cov, mc_draws=0)
 
 
 def test_estimate_onsager_from_data_probe():
