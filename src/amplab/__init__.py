@@ -36,7 +36,13 @@ from .ensembles import (
     sample_signal,
     sample_wigner,
 )
-from .harness import ExperimentConfig, run_experiment, tensor_checks, universality_compare
+from .harness import (
+    ExperimentConfig,
+    run_experiment,
+    se_summary,
+    tensor_checks,
+    universality_compare,
+)
 from .rng import RngStream
 from .state_evolution import (
     Coloring,

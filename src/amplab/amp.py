@@ -9,9 +9,8 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -20,9 +19,6 @@ from .denoisers import Denoiser, residual_shift_denoiser, signal_residual_denois
 from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
 from .state_evolution import Coloring, OnsagerSchedule, require_length
-
-ONSAGER_ANALYTIC = "analytic"
-ONSAGER_MC = "monte_carlo"
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +57,8 @@ class RectAmpProblem:
 
 @dataclass
 class SensingProblem:
-    """Observations x = W theta_star + e with per-iteration denoisers.
+    """Observations x = W theta_star + e with per-iteration denoisers; x is
+    derived from the other fields, not passed.
 
     With K set the sensing is coloured, x = W K theta_star + e. K may be an
     ndarray, turned into a Coloring by ``Coloring.of`` (an SVD and an LU
@@ -74,8 +71,8 @@ class SensingProblem:
     theta_star: np.ndarray
     e: np.ndarray
     eta_seq: Sequence[Denoiser]
-    x: Optional[np.ndarray] = None
     K: Optional[Union[np.ndarray, Coloring]] = None
+    x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -89,14 +86,7 @@ class SensingProblem:
             if self.K.matrix.shape != (self.theta_star.size,) * 2:
                 raise DimensionError("K must be n x n")
             signal = self.K.matrix @ signal
-        expected = self.W @ signal + self.e
-        if self.x is None:
-            self.x = expected
-        else:
-            self.x = np.asarray(self.x, dtype=np.float64)
-            scale = max(np.linalg.norm(expected), 1e-300)
-            if np.linalg.norm(self.x - expected) > 1e-12 * scale:
-                raise DimensionError("x is not reproducible from (W, theta_star, e)")
+        self.x = self.W @ signal + self.e
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +156,8 @@ def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
     z[:, 0] = problem.W @ u[:, 0]
     for t in range(2, T + 1):
         u[:, t - 1] = perturb(problem.f_seq[t - 2].apply(z[:, : t - 1]))
-        correction = np.zeros(n)
-        for s in range(1, t):
-            coeff = problem.onsager.b_coeff(t, s)
-            applied[(t, s)] = coeff
-            if coeff != 0.0:
-                correction += coeff * u[:, s - 1]
-        z[:, t - 1] = problem.W @ u[:, t - 1] - correction
+        z[:, t - 1] = problem.W @ u[:, t - 1] - _memory_term(
+            problem.onsager.b_coeff, t, u, t - 1, applied)
     return SymmetricAmpTrace(z=z, u=u, applied_b=applied,
                              wall_ms=(time.perf_counter() - tic) * 1e3)
 
@@ -187,7 +172,7 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
 
     With problem.onsager None, the coefficients are derived from the realized
     iterates: a_ts = (1/m) div_s f_t(z_(1:t)) and b_(t+1)s = (1/m) div_s
-    g_t(y_(1:t)), using analytic divergences where declared.
+    g_t(y_(1:t)), from ``Denoiser.onsager`` (the formula where declared).
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
@@ -196,6 +181,8 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     tic = time.perf_counter()
     m, n = problem.W.shape
     data_driven = problem.onsager is None
+    # the data-driven mode fills this schedule as the iterates come in
+    sched = OnsagerSchedule() if data_driven else problem.onsager
     z = np.zeros((m, T))
     v = np.zeros((m, T))
     y = np.zeros((n, T))
@@ -205,61 +192,43 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     applied_a = {}
     u[:, 0] = problem.u1
     for t in range(1, T + 1):
-        correction = np.zeros(m)
-        for s in range(1, t):
-            if data_driven:
-                coeff = applied_b[(t, s)]
-            else:
-                coeff = problem.onsager.b_coeff(t, s)
-                applied_b[(t, s)] = coeff
-            if coeff != 0.0:
-                correction += coeff * v[:, s - 1]
-        z[:, t - 1] = problem.W @ u[:, t - 1] - correction
+        z[:, t - 1] = problem.W @ u[:, t - 1] - _memory_term(sched.b_coeff, t, v, t - 1,
+                                                             applied_b)
         f_t = problem.f_seq[t - 1]
         v[:, t - 1] = f_t.apply(z[:, :t])
         if data_driven:
-            divs = _realized_divergences(f_t, z[:, :t])
-            for s in range(1, t + 1):
-                applied_a[(t, s)] = float(divs[s - 1] / m)
-        correction = np.zeros(n)
-        for s in range(1, t + 1):
-            if data_driven:
-                coeff = applied_a[(t, s)]
-            else:
-                coeff = problem.onsager.a_coeff(t, s)
-                applied_a[(t, s)] = coeff
-            if coeff != 0.0:
-                correction += coeff * u[:, s - 1]
-        y[:, t - 1] = problem.W.T @ v[:, t - 1] - correction
+            divs = f_t.onsager(z[:, :t])[0]
+            sched.a.update({(t, s): float(d / m) for s, d in enumerate(divs, 1)})
+        y[:, t - 1] = problem.W.T @ v[:, t - 1] - _memory_term(sched.a_coeff, t, u, t,
+                                                               applied_a)
         if t < T or has_final_g:
             g_t = problem.g_seq[t - 1]
             u[:, t] = g_t.apply(y[:, :t])
             if data_driven:
-                divs = _realized_divergences(g_t, y[:, :t])
-                for s in range(1, t + 1):
-                    applied_b[(t + 1, s)] = float(divs[s - 1] / m)
+                divs = g_t.onsager(y[:, :t])[0]
+                sched.b.update({(t + 1, s): float(d / m) for s, d in enumerate(divs, 1)})
     return RectAmpTrace(z=z, v=v, y=y, u=u, applied_b=applied_b, applied_a=applied_a,
                         wall_ms=(time.perf_counter() - tic) * 1e3)
 
 
-def _realized_divergences(den: Denoiser, stack: np.ndarray) -> np.ndarray:
-    if den.has_analytic_divergence:
-        return den.divergence(stack)
-    return den.divergence_mc(stack)
+def _memory_term(coeff, t: int, cols: np.ndarray, count: int, applied: dict) -> np.ndarray:
+    """sum_(s=1..count) coeff(t, s) cols[:, s-1], summed in ascending s so
+    serial runs are bitwise reproducible; zero coefficients are skipped, and
+    every coefficient is recorded as applied[(t, s)]."""
+    out = np.zeros(cols.shape[0])
+    for s in range(1, count + 1):
+        c = applied[(t, s)] = coeff(t, s)
+        if c != 0.0:
+            out += c * cols[:, s - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Sensing recursion
 
 
-def run_sensing_amp(
-    problem: SensingProblem,
-    T: int,
-    onsager: str = ONSAGER_ANALYTIC,
-    mc_reps: int = 100,
-    mc_eps: Optional[float] = None,
-    rng: Optional[RngStream] = None,
-) -> SensingAmpTrace:
+def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = None,
+                    rng: Optional[RngStream] = None) -> SensingAmpTrace:
     """r_t = x - W theta_t + b_t r_(t-1); theta_(t+1) = eta_t(theta_t + W^T r_t),
     initialized at theta_1 = 0, r_0 = 0.
 
@@ -271,14 +240,16 @@ def run_sensing_amp(
     conditioned by cond(K) rather than cond(K)^2. A K whose condition number
     exceeds 1e12 raises NumericError; trace.condition_number is cond(K).
 
-    ``onsager`` picks the analytic divergence when the denoiser declares one,
-    or the Gaussian probe estimator; the source actually used per iteration is
-    recorded in the trace.
+    ``Denoiser.onsager`` gives the divergence. mc_reps None takes the formula
+    where the denoiser declares one; an int mc_reps, or a denoiser without a
+    formula, takes the Gaussian probe with mc_reps probes (100 when None) on
+    rng.derive(t). The source used per iteration is recorded in
+    trace.b_source.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
-    if onsager not in (ONSAGER_ANALYTIC, ONSAGER_MC):
-        raise ParameterError(f"unknown Onsager source {onsager!r}")
+    if mc_reps is not None and mc_reps < 1:
+        raise ParameterError("mc_reps must be >= 1")
     require_length(problem.eta_seq, T, T)
     tic = time.perf_counter()
     rng = rng or RngStream(0)
@@ -296,18 +267,11 @@ def run_sensing_amp(
     prev_arg = None
     for t in range(1, T + 1):
         if t == 1:
-            b_t = 0.0
-            b_source.append("none")
+            b_t, source = 0.0, "none"
         else:
-            eta_prev = problem.eta_seq[t - 2]
-            if onsager == ONSAGER_ANALYTIC and eta_prev.has_analytic_divergence:
-                div = float(eta_prev.divergence(prev_arg)[-1])
-                b_source.append("analytic")
-            else:
-                div = float(eta_prev.divergence_mc(
-                    prev_arg, eps=mc_eps, reps=mc_reps, rng=rng.derive(t))[-1])
-                b_source.append("monte_carlo")
-            b_t = div / m
+            divs, source = problem.eta_seq[t - 2].onsager(prev_arg, mc_reps, rng.derive(t))
+            b_t = float(divs[-1]) / m
+        b_source.append(source)
         b_applied[t - 1] = b_t
         signal = theta[:, t - 1] if K is None else K @ theta[:, t - 1]
         r_t = problem.x - problem.W @ signal + b_t * r_prev
@@ -333,7 +297,7 @@ def change_of_variables_check(problem: SensingProblem, T: int) -> float:
     g_t(y) = theta_star - eta_t(y + theta_star), a_tt = 1)."""
     if problem.K is not None:
         raise ParameterError("the change-of-variables check uses the uncolored model")
-    direct = run_sensing_amp(problem, T, onsager=ONSAGER_ANALYTIC)
+    direct = run_sensing_amp(problem, T)
     f_seq = [residual_shift_denoiser(problem.e) for _ in range(T)]
     g_seq = [signal_residual_denoiser(problem.theta_star, eta) for eta in problem.eta_seq[:T]]
     mapped = run_asymmetric_amp(
@@ -381,37 +345,24 @@ class EmbedMaps:
 
 
 def _embedded_denoiser(inner: Denoiser, m: int, n: int, odd: bool, scale: float) -> Denoiser:
-    """Block-embedded denoiser reading every other column of the stacked trace."""
+    """Block-embedded denoiser reading every other column of the stacked trace:
+    sym iteration 2t-1 (odd) fills the m-block from the odd columns, sym
+    iteration 2t the n-block from the even ones."""
+    rows, first = (slice(None, m), 0) if odd else (slice(m, None), 1)
 
     def fn(stack):
-        t_sym = stack.shape[1]
         out = np.zeros(m + n)
-        if odd:  # sym iteration 2t-1: m-block from odd columns
-            sub = stack[:m, 0:t_sym:2]
-            out[:m] = scale * inner.apply(sub)
-        else:  # sym iteration 2t: n-block from even columns
-            sub = stack[m:, 1:t_sym:2]
-            out[m:] = scale * inner.apply(sub)
+        out[rows] = scale * inner.apply(stack[rows, first::2])
         return out
 
-    div_fn = None
-    if inner.has_analytic_divergence:
-        def div_fn(stack):
-            t_sym = stack.shape[1]
-            out = np.zeros(t_sym)
-            if odd:
-                cols = list(range(0, t_sym, 2))
-                sub = stack[:m, 0:t_sym:2]
-            else:
-                cols = list(range(1, t_sym, 2))
-                sub = stack[m:, 1:t_sym:2]
-            inner_div = inner.divergence(sub)
-            for j, c in enumerate(cols):
-                out[c] = scale * inner_div[j]
-            return out
+    def div_fn(stack):
+        out = np.zeros(stack.shape[1])
+        out[first::2] = scale * inner.divergence(stack[rows, first::2])
+        return out
 
     return Denoiser(fn=fn, lipschitz_bound=scale * inner.lipschitz_bound,
-                    divergence_fn=div_fn, reads_last_only=False,
+                    divergence_fn=div_fn if inner.has_analytic_divergence else None,
+                    reads_last_only=False,
                     name=f"embedded({inner.name})")
 
 
@@ -426,6 +377,8 @@ def embed_symmetric(problem: RectAmpProblem, rng: RngStream, T: int):
     """
     if problem.onsager is None:
         raise ParameterError("embedding needs an explicit asymmetric schedule")
+    require_length(problem.f_seq, T, T, "f-denoisers")
+    require_length(problem.g_seq, T - 1, T, "g-denoisers")
     m, n = problem.W.shape
     gen_a = rng.derive(1).generator()
     gen_b = rng.derive(2).generator()
@@ -460,36 +413,3 @@ def embed_symmetric(problem: RectAmpProblem, rng: RngStream, T: int):
         onsager=OnsagerSchedule(b=b_sym, provenance=problem.onsager.provenance),
     )
     return sym, EmbedMaps(m=m, n=n, scale=scale)
-
-
-# ---------------------------------------------------------------------------
-# Trace export
-
-
-def export_trace_csv(path, trace) -> None:
-    """Columns: t, norm_z_sq_over_n, mse, b_applied (blank where undefined)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "norm_z_sq_over_n", "mse", "b_applied"])
-        if isinstance(trace, SensingAmpTrace):
-            T = trace.r.shape[1]
-            for t in range(1, T + 1):
-                rt = trace.r[:, t - 1]
-                writer.writerow([
-                    t,
-                    f"{rt @ rt / trace.r.shape[0]:.17g}",
-                    f"{trace.mse[t - 1]:.17g}",
-                    f"{trace.b_applied[t - 1]:.17g}",
-                ])
-        else:
-            T = trace.z.shape[1]
-            n = trace.z.shape[0]
-            for t in range(1, T + 1):
-                zt = trace.z[:, t - 1]
-                b = trace.applied_b.get((t, t - 1), "")
-                writer.writerow([
-                    t,
-                    f"{zt @ zt / n:.17g}",
-                    "",
-                    b if b == "" else f"{b:.17g}",
-                ])

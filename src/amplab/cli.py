@@ -4,8 +4,10 @@ Subcommands: run-amp, state-evolution, universality, bcp-check, graph-lemma
 and tensor-eval. All but tensor-eval take --config (JSON mirroring the
 ExperimentConfig field names) plus the shared flags --seed, --out and
 --format; flags and per-command settings are validated like the config
-file. bcp-check and graph-lemma run only their own battery and need no
-config. tensor-eval takes only --network.
+file. state-evolution writes the SE prediction of a sensing config's own
+experiment (``harness.se_summary``) and exits 2 on a tensor_checks config.
+bcp-check and graph-lemma run only their own battery and need no config.
+tensor-eval takes only --network.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import sys
 from . import tensor_net as tn
 from .exceptions import AmplabError
 from .harness import (
-    _KIND_OF,
     ExperimentConfig,
     config_from_dict,
     load_config,
     run_experiment,
+    se_summary,
     tensor_checks,
     universality_compare,
     write_records_csv,
@@ -96,9 +98,7 @@ def main(argv=None) -> int:
             records, summary = run_experiment(cfg)
             _emit(cfg, records, summary, "results")
         elif args.command == "state-evolution":
-            cfg = dataclasses.replace(cfg, experiment="se_only",
-                                      pipeline=_KIND_OF.get(cfg.experiment, cfg.pipeline))
-            _emit(cfg, None, run_experiment(cfg)[1], "state_evolution")
+            _emit(cfg, None, se_summary(cfg), "state_evolution")
         elif args.command == "universality":
             _emit(cfg, None, universality_compare(cfg), "universality")
         else:

@@ -39,6 +39,10 @@ class Denoiser:
     for them are pinned to zero. A stack denoiser (``reads_last_only``
     False) gets the whole n x t stack, and its ``divergence_fn`` returns one
     raw sum per column.
+
+    ``onsager`` alone chooses between the formula (``divergence``) and the
+    Monte-Carlo probe (``divergence_mc``); every runner and SE solver takes
+    its Onsager terms from it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -66,7 +70,7 @@ class Denoiser:
         out[-1] = self.divergence_fn(z[:, -1])
         return out
 
-    def divergence_mc(self, z, eps=None, reps=100, rng=None) -> np.ndarray:
+    def divergence_mc(self, z, reps=100, rng=None) -> np.ndarray:
         """Monte-Carlo per-column divergence sums at z; column j is probed
         with rng.derive(j + 1), and columns a last-column denoiser never
         reads are left at zero."""
@@ -74,12 +78,21 @@ class Denoiser:
         rng = rng or RngStream(0)
         out = np.zeros(z.shape[1])
         if self.reads_last_only:
-            out[-1] = mc_divergence(self.fn, z[:, -1], eps, reps, rng.derive(1))[0]
+            out[-1] = mc_divergence(self.fn, z[:, -1], reps=reps, rng=rng.derive(1))[0]
             return out
         for col in range(z.shape[1]):
             f = lambda x, c=col: self.fn(_with_column(z, c, x))
-            out[col] = mc_divergence(f, z[:, col], eps, reps, rng.derive(col + 1))[0]
+            out[col] = mc_divergence(f, z[:, col], reps=reps, rng=rng.derive(col + 1))[0]
         return out
+
+    def onsager(self, z, reps=None, rng=None) -> Tuple[np.ndarray, str]:
+        """(per-column divergence sums at z, their source): ``divergence``
+        and "analytic" when reps is None and a formula exists, otherwise
+        ``divergence_mc`` with reps probes (100 when None) on rng and
+        "monte_carlo"."""
+        if reps is None and self.has_analytic_divergence:
+            return self.divergence(z), "analytic"
+        return self.divergence_mc(z, reps=100 if reps is None else reps, rng=rng), "monte_carlo"
 
 
 def _with_column(z, col, x):
@@ -222,9 +235,12 @@ def local_average_denoiser(spec: LocalKernelSpec) -> Denoiser:
 # Spectral maps (singular value thresholding)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSpec:
-    """Soft-threshold the singular values at level threshold * sqrt(N)."""
+    """Soft-threshold the singular values at level threshold * sqrt(N).
+
+    Specs compare and hash by identity, as ``Coloring`` does: the generated
+    ``==`` and ``hash`` fail on an ndarray ``shift``."""
 
     M: int
     N: int
@@ -346,11 +362,6 @@ def aniso_denoiser(spec: AnisoSpec) -> Denoiser:
 def identity_denoiser() -> Denoiser:
     return Denoiser(fn=lambda x: x.copy(), lipschitz_bound=1.0,
                     divergence_fn=lambda x: x.size, name="identity")
-
-
-def scaled_identity_denoiser(c: float) -> Denoiser:
-    return Denoiser(fn=lambda x: c * x, lipschitz_bound=abs(c),
-                    divergence_fn=lambda x: c * x.size, name=f"scale({c})")
 
 
 def zero_denoiser(n: int) -> Denoiser:

@@ -40,9 +40,9 @@ from .rng import RngStream
 from .state_evolution import Coloring, se_scalar_sensing
 from .vecmat import mat
 
-# sensing experiment -> pipeline kind; se_only takes its kind from cfg.pipeline
+# sensing experiment -> pipeline kind
 _KIND_OF = {"fig1_local": "local", "fig2_spectral": "spectral", "fig3_aniso": "aniso"}
-EXPERIMENTS = (*_KIND_OF, "se_only", "tensor_checks")
+EXPERIMENTS = (*_KIND_OF, "tensor_checks")
 
 # stream_id namespaces; seeds select replicates within each purpose
 _STREAM_SIGNAL = 1
@@ -63,7 +63,6 @@ class ExperimentConfig:
     n: int = 0
     iterations: int = 4
     ensembles: List[str] = field(default_factory=lambda: ["gaussian", "rademacher"])
-    pipeline: str = "local"  # used by se_only
     bandwidth: int = 1
     threshold: float = 0.5
     signal_rank: int = 4
@@ -91,11 +90,6 @@ class ExperimentConfig:
         validate_config(self)
 
 
-def _kind(cfg: ExperimentConfig) -> Optional[str]:
-    """Sensing pipeline the experiment runs; None for tensor_checks."""
-    return _KIND_OF.get(cfg.experiment, cfg.pipeline if cfg.experiment == "se_only" else None)
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -107,9 +101,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for i, ens in enumerate(cfg.ensembles):
             if ens not in ENTRY_DISTS:
                 raise ConfigError(f"ensembles[{i}]", f"unknown entry distribution {ens!r}")
-    if cfg.experiment == "se_only" and cfg.pipeline not in _KIND_OF.values():
-        raise ConfigError("pipeline", f"must be one of {sorted(_KIND_OF.values())}")
-    if _kind(cfg) in ("local", "spectral"):
+    if _KIND_OF.get(cfg.experiment) in ("local", "spectral"):
         if cfg.M < 1 or cfg.N < 1:
             raise ConfigError("dims.M", "matrix experiments need positive M, N")
         if cfg.n != cfg.M * cfg.N:
@@ -181,7 +173,8 @@ class _Pipeline:
     K: Optional[Coloring]
 
 
-def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
+def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
+    kind = _KIND_OF.get(cfg.experiment)
     signal_rng = RngStream(cfg.signal_seed, _STREAM_SIGNAL)
     noise_rng = RngStream(cfg.signal_seed, _STREAM_NOISE)
     e = sample_noise(cfg.m, cfg.noise_std, noise_rng)
@@ -209,7 +202,7 @@ def _build_pipeline(cfg: ExperimentConfig, kind: str) -> _Pipeline:
         K = Coloring.from_eig(o, kappa)
         den = soft_threshold_denoiser(cfg.threshold)
         return _Pipeline(theta, e, [den] * T, K)
-    raise ConfigError("experiment", f"no sensing pipeline for {kind!r}")
+    raise ConfigError("experiment", f"no sensing pipeline for {cfg.experiment!r}")
 
 
 def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
@@ -221,14 +214,12 @@ def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
     )
     problem = SensingProblem(W=w, theta_star=pipe.theta_star, e=pipe.e,
                              eta_seq=pipe.eta_seq, K=pipe.K)
-    trace = run_sensing_amp(
+    return run_sensing_amp(
         problem,
         cfg.iterations,
-        onsager="analytic" if cfg.onsager_source == "analytic" else "monte_carlo",
-        mc_reps=cfg.mc_reps,
+        mc_reps=cfg.mc_reps if cfg.onsager_source == "mc" else None,
         rng=RngStream(seed, _STREAM_ONSAGER + 10 * eidx),
     )
-    return trace
 
 
 def _sv_count_above(theta_vec: np.ndarray, cfg: ExperimentConfig) -> int:
@@ -236,17 +227,14 @@ def _sv_count_above(theta_vec: np.ndarray, cfg: ExperimentConfig) -> int:
     return int(np.count_nonzero(sv > cfg.threshold * np.sqrt(cfg.N)))
 
 
-def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
-    """Run the configured experiment; returns (records, summary).
+def se_summary(cfg: ExperimentConfig) -> dict:
+    """The state-evolution prediction of a sensing experiment, with no AMP
+    run: the summary block ``run_experiment`` starts from. A tensor_checks
+    config raises ConfigError."""
+    return _se_summary(cfg, _build_pipeline(cfg))
 
-    Sensing experiments share one signal/noise draw per config (so the
-    state-evolution prediction is a single per-iteration curve), vary the
-    matrix across (ensemble, seed) cells, and record per-iteration MSE
-    against the prediction.
-    """
-    if cfg.experiment == "tensor_checks":
-        return [], tensor_checks(cfg)
-    pipe = _build_pipeline(cfg, _kind(cfg))
+
+def _se_summary(cfg: ExperimentConfig, pipe: _Pipeline) -> dict:
     scalar = se_scalar_sensing(
         pipe.theta_star, pipe.e, pipe.eta_seq, cfg.iterations,
         mc_draws=cfg.se_draws, rng=RngStream(cfg.signal_seed, _STREAM_SE), K=pipe.K,
@@ -259,8 +247,21 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
     }
     if pipe.K is not None:
         summary["condition_number"] = pipe.K.cond
-    if cfg.experiment == "se_only":
-        return [], summary
+    return summary
+
+
+def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
+    """Run the configured experiment; returns (records, summary).
+
+    Sensing experiments share one signal/noise draw per config (so the
+    state-evolution prediction is a single per-iteration curve), vary the
+    matrix across (ensemble, seed) cells, and record per-iteration MSE
+    against the prediction.
+    """
+    if cfg.experiment == "tensor_checks":
+        return [], tensor_checks(cfg)
+    pipe = _build_pipeline(cfg)
+    summary = _se_summary(cfg, pipe)
     records: List[ResultRecord] = []
     sv_counts: Dict[str, List[int]] = {}
     curves: Dict[str, List[List[float]]] = {}
@@ -269,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
         curves.setdefault(ens, []).append([float(v) for v in trace.mse])
         for t in range(1, cfg.iterations + 1):
             mse = float(trace.mse[t - 1])
-            pred = float(scalar.predicted_mse[t - 1])
+            pred = float(summary["se_predicted"][t - 1])
             records.append(ResultRecord(
                 experiment=cfg.experiment, ensemble=ens, seed=seed, t=t,
                 mse=mse, se_predicted=pred, gap=abs(mse - pred),

@@ -122,13 +122,12 @@ class OnsagerSchedule:
 
 @dataclass
 class SECovarianceSequence:
-    """Nested covariance iterates of the Gaussian surrogate sequence."""
+    """Nested covariance iterates of the Gaussian surrogate sequence: sigma
+    (and omega for the asymmetric recursion), plus the names of the
+    covariances that needed the Cholesky jitter."""
 
     sigma: List[np.ndarray]
     omega: Optional[List[np.ndarray]] = None
-    mc_samples: int = 0
-    n: int = 0
-    m: int = 0
     jittered: List[str] = field(default_factory=list)  # e.g. "omega_4"
 
     def validate(self):
@@ -176,16 +175,18 @@ def _chol_draw(chol: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndar
 
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
                name: str, jittered: List[str], rows: int, denom: int, mc_samples: int,
-               gen: np.random.Generator, div_rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
+               stream: RngStream) -> Tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo averages, over stacks Z (rows x t) with i.i.d. rows
     N(0, cov), of the new covariance column (1/denom) f_r(Z)^T f_t(Z) for
     r = 1..t, led by (1/denom) u1^T f_t(Z) when u1 is given, and of the
-    divergences (1/denom) div f_t(Z); sample k probes with div_rng.derive(k)
+    divergences (1/denom) div f_t(Z) from ``Denoiser.onsager``. The samples
+    come from stream's generator, and sample k probes with stream.derive(k)
     when f_t has no divergence formula. Appends name to jittered when cov
     needs the Cholesky jitter."""
     chol, jitter = _chol_factor(cov)
     if jitter:
         jittered.append(name)
+    gen = stream.generator()
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
     col = np.zeros(t + off)
@@ -198,10 +199,7 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
         for r in range(1, t):
             col[off + r - 1] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / denom
         col[off + t - 1] += ft_val @ ft_val / denom
-        if f_t.has_analytic_divergence:
-            divs += f_t.divergence(z) / denom
-        else:
-            divs += f_t.divergence_mc(z, rng=div_rng.derive(rep)) / denom
+        divs += f_t.onsager(z, rng=stream.derive(rep))[0] / denom
     return col / mc_samples, divs / mc_samples
 
 
@@ -249,11 +247,11 @@ def se_symmetric(
     jittered: List[str] = []
     for t in range(1, T):
         col, divs = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
-                               mc_samples, rng.derive(t).generator(), rng.derive(10_000 + t))
+                               mc_samples, rng.derive(t))
         sigma.append(_border(sigma[t - 1], col))
         for s in range(1, t + 1):
             b[(t + 1, s)] = float(divs[s - 1])
-    cov = SECovarianceSequence(sigma=sigma, mc_samples=mc_samples, n=n, jittered=jittered)
+    cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
     sched = OnsagerSchedule(b=b, provenance=_provenance(f_seq[: T - 1]))
     return cov, sched
@@ -291,20 +289,18 @@ def se_asymmetric(
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
         col, divs = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
-                               mc_samples, rng.derive(2 * t).generator(), rng.derive(20_000 + t))
+                               mc_samples, rng.derive(2 * t))
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         for s in range(1, t + 1):
             a[(t, s)] = float(divs[s - 1])
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
         if t - 1 < len(g_seq):
             col, divs = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, m,
-                                   mc_samples, rng.derive(2 * t + 1).generator(),
-                                   rng.derive(30_000 + t))
+                                   mc_samples, rng.derive(2 * t + 1))
             omega.append(_border(omega[t - 1], col))
             for s in range(1, t + 1):
                 b[(t + 1, s)] = float(divs[s - 1])
-    cov = SECovarianceSequence(sigma=sigma, omega=omega, mc_samples=mc_samples, n=n, m=m,
-                               jittered=jittered)
+    cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
     sched = OnsagerSchedule(b=b, a=a, provenance=_provenance([*f_seq[:T], *g_seq[:T]]))
     return cov, sched
@@ -387,11 +383,15 @@ def test_function_gap(
     rng: Optional[RngStream] = None,
 ) -> float:
     """|(1/n) phi1(z)^T phi2(z) - MC E (1/n) phi1(Z)^T phi2(Z)| with the
-    surrogate Z drawn from the final covariance of se."""
+    surrogate Z drawn from the final covariance of se, which must be
+    t x t for the n x t stack z."""
     if mc_draws < 1:
         raise ParameterError("mc_draws must be >= 1")
     z = np.asarray(getattr(z_stack, "z", z_stack), dtype=np.float64)
     n = z.shape[0]
+    if z.ndim != 2 or z.shape[1] != se.sigma[-1].shape[0]:
+        raise DimensionError(f"z has shape {z.shape}, but the final covariance is "
+                             f"{se.sigma[-1].shape[0]}x{se.sigma[-1].shape[0]}")
     emp = phi1(z) @ phi2(z) / n
     chol, _ = _chol_factor(se.sigma[-1])
     gen = (rng or RngStream(0)).generator()
@@ -406,7 +406,6 @@ def estimate_onsager_from_data(
     stack,
     denoisers: Sequence[Denoiser],
     denominator: int,
-    eps: Optional[float] = None,
     reps: int = 100,
     rng: Optional[RngStream] = None,
 ) -> OnsagerSchedule:
@@ -421,7 +420,7 @@ def estimate_onsager_from_data(
     b: Dict[Tuple[int, int], float] = {}
     for t in range(1, min(len(denoisers), z.shape[1]) + 1):
         den = denoisers[t - 1]
-        divs = den.divergence_mc(z[:, :t], eps=eps, reps=reps, rng=rng.derive(t))
+        divs = den.onsager(z[:, :t], reps=reps, rng=rng.derive(t))[0]
         for s in range(1, t + 1):
             b[(t + 1, s)] = float(divs[s - 1] / denominator)
     return OnsagerSchedule(b=b, provenance="estimated_from_data")

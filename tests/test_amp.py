@@ -7,12 +7,12 @@ from amplab.amp import (
     SymmetricAmpProblem,
     change_of_variables_check,
     embed_symmetric,
-    export_trace_csv,
     run_asymmetric_amp,
     run_sensing_amp,
     run_symmetric_amp,
 )
 from amplab.denoisers import (
+    Denoiser,
     identity_denoiser,
     residual_shift_denoiser,
     signal_residual_denoiser,
@@ -171,12 +171,29 @@ def test_sensing_dead_zone_threshold():
         assert np.allclose(trace.r[:, t], prob.x)
 
 
-def test_sensing_x_consistency_guard():
-    m, n = 6, 4
-    w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(20))
-    with pytest.raises(Exception):
-        SensingProblem(W=w, theta_star=np.ones(n), e=np.zeros(m),
-                       eta_seq=[soft_threshold_denoiser(0.1)], x=np.ones(m) * 99)
+def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
+    prob = _random_sensing(40, T=4)
+    reps, rng = 5, RngStream(41)
+    trace = run_sensing_amp(prob, 4, mc_reps=reps, rng=rng)
+    assert trace.b_source == ["none"] + ["monte_carlo"] * 3
+    m = prob.W.shape[0]
+    for t in range(2, 5):
+        # the argument eta_(t-1) was applied to at iteration t-1
+        # the run's r_t is contiguous; a strided column can round differently
+        arg = trace.theta[:, t - 2] + prob.W.T @ trace.r[:, t - 2].copy()
+        probe = prob.eta_seq[t - 2].divergence_mc(arg, reps=reps, rng=rng.derive(t))
+        assert trace.b_applied[t - 1] == float(probe[-1]) / m
+
+
+def test_sensing_rejects_zero_probes_before_iterating():
+    prob = _random_sensing(42, T=3)
+    calls = []
+    eta = prob.eta_seq[0]
+    prob.eta_seq = [Denoiser(fn=lambda x: calls.append(1) or eta.fn(x),
+                             lipschitz_bound=1.0, divergence_fn=eta.divergence_fn)] * 3
+    with pytest.raises(ParameterError, match="mc_reps"):
+        run_sensing_amp(prob, 3, mc_reps=0)
+    assert calls == []
 
 
 def test_change_of_variables_identity():
@@ -338,14 +355,15 @@ def test_embedding_initialization_block():
     assert np.all(sym.u1[:m] == 0)
 
 
-def test_trace_csv_export(tmp_path):
-    prob = _random_sensing(32)
-    trace = run_sensing_amp(prob, 3)
-    path = tmp_path / "trace.csv"
-    export_trace_csv(path, trace)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,norm_z_sq_over_n,mse,b_applied"
-    assert len(lines) == 4
+@pytest.mark.parametrize("side, keep, message", [
+    ("g_seq", 1, "need 2 g-denoisers for T=3, got 1"),
+    ("f_seq", 2, "need 3 f-denoisers for T=3, got 2"),
+])
+def test_embedding_short_sequence_raises_schedule_error(side, keep, message):
+    prob, _ = _rect_with_static_schedule(35, 12, 9, 3)
+    setattr(prob, side, getattr(prob, side)[:keep])
+    with pytest.raises(ScheduleError, match=message):
+        embed_symmetric(prob, RngStream(36), 3)
 
 
 def test_symmetric_short_f_seq_raises_schedule_error():

@@ -53,8 +53,8 @@ def test_state_evolution_maps_the_experiment_to_its_pipeline(tmp_path):
     assert code == 0
     summary = _json(tmp_path / "state_evolution_summary.json")
     assert set(summary) == {"config", "se_predicted", "sigma_sq", "omega_sq"}
-    assert summary["config"]["experiment"] == "se_only"
-    assert summary["config"]["pipeline"] == "local"
+    assert summary["config"]["experiment"] == "fig1_local"
+    assert "pipeline" not in summary["config"]
     assert len(summary["se_predicted"]) == TINY_LOCAL["iterations"]
 
 

@@ -229,6 +229,32 @@ def test_spectral_spec_rejects_a_mismatched_shift():
     assert SpectralSpec(5, 4, 0.5, shift=np.ones((5, 4))).shift.shape == (5, 4)
 
 
+def test_shifted_spectral_spec_hashes_and_goes_into_a_set():
+    shift = np.ones((2, 2))
+    a, b = SpectralSpec(2, 2, 0.5, shift=shift), SpectralSpec(2, 2, 0.5, shift=shift)
+    assert a == a and a != b  # identity, not field-wise array comparison
+    assert len({a, b, a}) == 2
+    assert {a: 1}[a] == 1
+
+
+@pytest.mark.parametrize("formula, reps, source, probes", [
+    (True, None, "analytic", None),
+    (True, 7, "monte_carlo", 7),  # forced probe
+    (False, None, "monte_carlo", 100),  # no formula: the probe's default count
+    (False, 3, "monte_carlo", 3),
+])
+def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source, probes):
+    n = 20
+    z = RngStream(40).generator().standard_normal((n, 2))
+    den = soft_threshold_denoiser(0.4) if formula else aniso_denoiser(
+        AnisoSpec(K=np.eye(n), Kprime=np.eye(n), inner=lambda y: np.tanh(y[:, -1])))
+    divs, got = den.onsager(z, reps=reps, rng=RngStream(41))
+    assert got == source
+    want = (den.divergence(z) if probes is None
+            else den.divergence_mc(z, reps=probes, rng=RngStream(41)))
+    assert np.array_equal(divs, want)
+
+
 def test_mc_divergence_matches_analytic_count_for_soft_threshold():
     n = 2000
     x = RngStream(12).generator().standard_normal(n)

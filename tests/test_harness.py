@@ -28,11 +28,10 @@ def test_config_rejects_out_of_range_field(field, value):
     assert info.value.field == field
 
 
-def test_se_only_rejects_an_unknown_pipeline():
+def test_se_only_is_not_an_experiment():
     with pytest.raises(ConfigError) as info:
-        config_from_dict({"experiment": "se_only", "seeds": [1], "n": 20, "m": 10,
-                          "pipeline": "aniso_typo"})
-    assert info.value.field == "pipeline"
+        config_from_dict({"experiment": "se_only", "seeds": [1], "n": 20, "m": 10})
+    assert info.value.field == "experiment"
 
 
 @pytest.mark.parametrize("experiment, dims", [

@@ -16,6 +16,7 @@ from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
     OnsagerSchedule,
+    SECovarianceSequence,
     export_se_csv,
     estimate_onsager_from_data,
     se_asymmetric,
@@ -337,6 +338,13 @@ def test_test_function_gap_rejects_zero_draws():
     proj = lambda stack: stack[:, 0]
     with pytest.raises(ParameterError):
         tf_gap(np.ones((10, 2)), proj, proj, cov, mc_draws=0)
+
+
+def test_test_function_gap_rejects_a_stack_of_the_wrong_width():
+    cov = SECovarianceSequence(sigma=[np.eye(1), np.eye(2), np.eye(3)])
+    proj = lambda stack: stack[:, 0]
+    with pytest.raises(DimensionError, match="final covariance is 3x3"):
+        tf_gap(np.ones((10, 1)), proj, proj, cov, mc_draws=5)
 
 
 def test_estimate_onsager_from_data_probe():
