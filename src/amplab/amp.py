@@ -1,6 +1,6 @@
 """AMP recursions: symmetric (optionally Gaussian-perturbed, delta > 0),
-asymmetric, the sensing form and its anisotropic variant, and the symmetric
-embedding of the asymmetric recursion.
+asymmetric with an explicit Onsager schedule, and the sensing form, plain or
+coloured (x = W K theta + e).
 
 All runners are sequential and deterministic given their inputs; corrections
 sum over earlier iterates in ascending order so serial runs are bitwise
@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .denoisers import Denoiser, residual_shift_denoiser, signal_residual_denoiser
+from .denoisers import Denoiser
 from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
 from .state_evolution import Coloring, OnsagerSchedule, require_length
@@ -46,7 +46,7 @@ class RectAmpProblem:
     u1: np.ndarray  # length n
     f_seq: Sequence[Denoiser]  # m-side, f_1..f_T
     g_seq: Sequence[Denoiser]  # n-side, g_1..g_(T-1) (g_T optional)
-    onsager: Optional[OnsagerSchedule] = None  # None: derive from realized iterates
+    onsager: OnsagerSchedule
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -170,9 +170,8 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     """z_t = W u_t - sum b_ts v_s; v_t = f_t(z_(1:t));
     y_t = W^T v_t - sum_(s<=t) a_ts u_s; u_(t+1) = g_t(y_(1:t)).
 
-    With problem.onsager None, the coefficients are derived from the realized
-    iterates: a_ts = (1/m) div_s f_t(z_(1:t)) and b_(t+1)s = (1/m) div_s
-    g_t(y_(1:t)), from ``Denoiser.onsager`` (the formula where declared).
+    The coefficients come from problem.onsager, e.g. the schedule
+    ``se_asymmetric`` returns.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
@@ -180,9 +179,7 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     require_length(problem.g_seq, T - 1, T, "g-denoisers")
     tic = time.perf_counter()
     m, n = problem.W.shape
-    data_driven = problem.onsager is None
-    # the data-driven mode fills this schedule as the iterates come in
-    sched = OnsagerSchedule() if data_driven else problem.onsager
+    sched = problem.onsager
     z = np.zeros((m, T))
     v = np.zeros((m, T))
     y = np.zeros((n, T))
@@ -194,19 +191,11 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     for t in range(1, T + 1):
         z[:, t - 1] = problem.W @ u[:, t - 1] - _memory_term(sched.b_coeff, t, v, t - 1,
                                                              applied_b)
-        f_t = problem.f_seq[t - 1]
-        v[:, t - 1] = f_t.apply(z[:, :t])
-        if data_driven:
-            divs = f_t.onsager(z[:, :t])[0]
-            sched.a.update({(t, s): float(d / m) for s, d in enumerate(divs, 1)})
+        v[:, t - 1] = problem.f_seq[t - 1].apply(z[:, :t])
         y[:, t - 1] = problem.W.T @ v[:, t - 1] - _memory_term(sched.a_coeff, t, u, t,
                                                                applied_a)
         if t < T or has_final_g:
-            g_t = problem.g_seq[t - 1]
-            u[:, t] = g_t.apply(y[:, :t])
-            if data_driven:
-                divs = g_t.onsager(y[:, :t])[0]
-                sched.b.update({(t + 1, s): float(d / m) for s, d in enumerate(divs, 1)})
+            u[:, t] = problem.g_seq[t - 1].apply(y[:, :t])
     return RectAmpTrace(z=z, v=v, y=y, u=u, applied_b=applied_b, applied_a=applied_a,
                         wall_ms=(time.perf_counter() - tic) * 1e3)
 
@@ -288,128 +277,3 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     return SensingAmpTrace(theta=theta, r=r, b_applied=b_applied, b_source=b_source,
                            mse=mse, condition_number=cond,
                            wall_ms=(time.perf_counter() - tic) * 1e3)
-
-
-def change_of_variables_check(problem: SensingProblem, T: int) -> float:
-    """Max relative deviation over t between the sensing recursion run
-    directly and run through the mapped asymmetric recursion
-    (u_t = theta_star - theta_t, z_t = r_t - e, f(z) = z + e,
-    g_t(y) = theta_star - eta_t(y + theta_star), a_tt = 1)."""
-    if problem.K is not None:
-        raise ParameterError("the change-of-variables check uses the uncolored model")
-    direct = run_sensing_amp(problem, T)
-    f_seq = [residual_shift_denoiser(problem.e) for _ in range(T)]
-    g_seq = [signal_residual_denoiser(problem.theta_star, eta) for eta in problem.eta_seq[:T]]
-    mapped = run_asymmetric_amp(
-        RectAmpProblem(W=problem.W, u1=problem.theta_star.copy(),
-                       f_seq=f_seq, g_seq=g_seq, onsager=None),
-        T,
-    )
-    worst = 0.0
-    for t in range(1, T + 1):
-        theta_direct = direct.theta[:, t]
-        theta_mapped = problem.theta_star - mapped.u[:, t]
-        scale = max(float(np.linalg.norm(theta_direct)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(theta_direct - theta_mapped)) / scale)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Symmetric embedding of the asymmetric recursion
-
-
-@dataclass
-class EmbedMaps:
-    """Index bookkeeping for reading asymmetric iterates out of the embedded
-    symmetric trace."""
-
-    m: int
-    n: int
-    scale: float  # sqrt((m+n)/m)
-
-    def extract_z(self, trace: SymmetricAmpTrace) -> np.ndarray:
-        T = trace.z.shape[1] // 2
-        return trace.z[: self.m, 0 : 2 * T : 2]
-
-    def extract_y(self, trace: SymmetricAmpTrace) -> np.ndarray:
-        T = trace.z.shape[1] // 2
-        return trace.z[self.m :, 1 : 2 * T : 2]
-
-    def extract_u(self, trace: SymmetricAmpTrace) -> np.ndarray:
-        T = trace.z.shape[1] // 2
-        return trace.u[self.m :, 0 : 2 * T : 2] / self.scale
-
-    def extract_v(self, trace: SymmetricAmpTrace) -> np.ndarray:
-        T = trace.z.shape[1] // 2
-        return trace.u[: self.m, 1 : 2 * T : 2] / self.scale
-
-
-def _embedded_denoiser(inner: Denoiser, m: int, n: int, odd: bool, scale: float) -> Denoiser:
-    """Block-embedded denoiser reading every other column of the stacked trace:
-    sym iteration 2t-1 (odd) fills the m-block from the odd columns, sym
-    iteration 2t the n-block from the even ones."""
-    rows, first = (slice(None, m), 0) if odd else (slice(m, None), 1)
-
-    def fn(stack):
-        out = np.zeros(m + n)
-        out[rows] = scale * inner.apply(stack[rows, first::2])
-        return out
-
-    def div_fn(stack):
-        out = np.zeros(stack.shape[1])
-        out[first::2] = scale * inner.divergence(stack[rows, first::2])
-        return out
-
-    return Denoiser(fn=fn, lipschitz_bound=scale * inner.lipschitz_bound,
-                    divergence_fn=div_fn if inner.has_analytic_divergence else None,
-                    reads_last_only=False,
-                    name=f"embedded({inner.name})")
-
-
-def embed_symmetric(problem: RectAmpProblem, rng: RngStream, T: int):
-    """Build the (m+n)-dimensional symmetric problem whose iterates contain
-    the asymmetric ones: W_sym = sqrt(m/(m+n)) [[A, W], [W^T, B]] with fresh
-    Gaussian blocks A, B of entry variance 1/m, block-alternating denoisers
-    scaled by sqrt((m+n)/m), and the coefficient maps
-    b_sym[2t-1, 2s] = sqrt(m/(m+n)) b[t, s], b_sym[2t, 2s-1] = sqrt(m/(m+n)) a[t, s].
-
-    Returns (SymmetricAmpProblem, EmbedMaps); run it for 2T iterations.
-    """
-    if problem.onsager is None:
-        raise ParameterError("embedding needs an explicit asymmetric schedule")
-    require_length(problem.f_seq, T, T, "f-denoisers")
-    require_length(problem.g_seq, T - 1, T, "g-denoisers")
-    m, n = problem.W.shape
-    gen_a = rng.derive(1).generator()
-    gen_b = rng.derive(2).generator()
-    a_block = gen_a.standard_normal((m, m)) / np.sqrt(m)
-    b_block = gen_b.standard_normal((n, n)) / np.sqrt(m)
-    top = np.hstack([a_block, problem.W])
-    bottom = np.hstack([problem.W.T, b_block])
-    w_sym = np.sqrt(m / (m + n)) * np.vstack([top, bottom])
-    scale = np.sqrt((m + n) / m)
-    u1_sym = np.zeros(m + n)
-    u1_sym[m:] = scale * problem.u1
-    f_sym: List[Denoiser] = []
-    for t_sym in range(1, 2 * T):
-        # sym index 2t-1 wraps f_t; sym index 2t wraps g_t
-        if t_sym % 2 == 1:
-            f_sym.append(_embedded_denoiser(problem.f_seq[(t_sym + 1) // 2 - 1], m, n, True, scale))
-        else:
-            f_sym.append(_embedded_denoiser(problem.g_seq[t_sym // 2 - 1], m, n, False, scale))
-    shrink = np.sqrt(m / (m + n))
-    b_sym = {}
-    for t_sym in range(2, 2 * T + 1):
-        for s_sym in range(1, t_sym):
-            b_sym[(t_sym, s_sym)] = 0.0
-    for (t, s), val in problem.onsager.b.items():
-        if 2 * t - 1 <= 2 * T:
-            b_sym[(2 * t - 1, 2 * s)] = shrink * val
-    for (t, s), val in problem.onsager.a.items():
-        if 2 * t <= 2 * T:
-            b_sym[(2 * t, 2 * s - 1)] = shrink * val
-    sym = SymmetricAmpProblem(
-        W=w_sym, u1=u1_sym, f_seq=f_sym,
-        onsager=OnsagerSchedule(b=b_sym, provenance=problem.onsager.provenance),
-    )
-    return sym, EmbedMaps(m=m, n=n, scale=scale)

@@ -1,15 +1,15 @@
-"""Denoiser families: separable soft-thresholding, local kernel smoothers,
-spectral singular-value maps, anisotropic conjugations.
+"""Denoiser families: separable soft thresholding, local kernel smoothers,
+spectral singular-value maps, and the shift maps of the sensing recursion.
 
-Each denoiser maps a stack of iterates z_(1:t) in R^(n x t) to an n-vector and
-exposes its divergence, analytically when a formula exists and otherwise
-through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
+Each denoiser maps the latest iterate of a stack z_(1:t) in R^(n x t) to an
+n-vector and exposes its divergence, analytically when a formula exists and
+otherwise through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,16 +29,16 @@ def _as_stack(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Denoiser:
-    """A non-linearity f: R^(n x t) -> R^n plus divergence metadata.
+    """A non-linearity f: R^(n x t) -> R^n that reads only the latest column
+    of its input stack, plus divergence metadata.
 
-    With ``reads_last_only`` set (the default) only the latest column enters:
     ``fn(x)`` and ``divergence_fn(x)`` take that column x in R^n, and
     ``divergence_fn`` returns the raw divergence sum (a scalar, not
-    normalized by n). ``apply`` and ``divergence`` hand them ``z[:, -1]``,
-    and the divergences w.r.t. earlier columns are zero, so Onsager entries
-    for them are pinned to zero. A stack denoiser (``reads_last_only``
-    False) gets the whole n x t stack, and its ``divergence_fn`` returns one
-    raw sum per column.
+    normalized by n). ``apply`` and ``divergence`` hand them ``z[:, -1]``.
+    The divergences w.r.t. earlier columns are zero, so the per-column
+    vectors ``divergence``, ``divergence_mc`` and ``onsager`` return are zero
+    except in their last entry, and Onsager entries for earlier columns are
+    pinned to zero.
 
     ``onsager`` alone chooses between the formula (``divergence``) and the
     Monte-Carlo probe (``divergence_mc``); every runner and SE solver takes
@@ -47,13 +47,11 @@ class Denoiser:
 
     fn: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
-    divergence_fn: Optional[Callable[[np.ndarray], Union[float, np.ndarray]]] = None
-    reads_last_only: bool = True
+    divergence_fn: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        z = _as_stack(z)
-        return self.fn(z[:, -1] if self.reads_last_only else z)
+        return self.fn(_as_stack(z)[:, -1])
 
     @property
     def has_analytic_divergence(self) -> bool:
@@ -64,25 +62,17 @@ class Denoiser:
         if self.divergence_fn is None:
             raise ParameterError(f"denoiser {self.name or '<anon>'} has no analytic divergence")
         z = _as_stack(z)
-        if not self.reads_last_only:
-            return np.asarray(self.divergence_fn(z), dtype=np.float64)
         out = np.zeros(z.shape[1])
         out[-1] = self.divergence_fn(z[:, -1])
         return out
 
     def divergence_mc(self, z, reps=100, rng=None) -> np.ndarray:
-        """Monte-Carlo per-column divergence sums at z; column j is probed
-        with rng.derive(j + 1), and columns a last-column denoiser never
-        reads are left at zero."""
+        """Monte-Carlo per-column divergence sums at z; the last column is
+        probed with rng.derive(1)."""
         z = _as_stack(z)
-        rng = rng or RngStream(0)
         out = np.zeros(z.shape[1])
-        if self.reads_last_only:
-            out[-1] = mc_divergence(self.fn, z[:, -1], reps=reps, rng=rng.derive(1))[0]
-            return out
-        for col in range(z.shape[1]):
-            f = lambda x, c=col: self.fn(_with_column(z, c, x))
-            out[col] = mc_divergence(f, z[:, col], reps=reps, rng=rng.derive(col + 1))[0]
+        out[-1] = mc_divergence(self.fn, z[:, -1], reps=reps,
+                                rng=(rng or RngStream(0)).derive(1))[0]
         return out
 
     def onsager(self, z, reps=None, rng=None) -> Tuple[np.ndarray, str]:
@@ -95,30 +85,20 @@ class Denoiser:
         return self.divergence_mc(z, reps=100 if reps is None else reps, rng=rng), "monte_carlo"
 
 
-def _with_column(z, col, x):
-    out = z.copy()
-    out[:, col] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo divergence probe
 
 
-def mc_divergence(f, x, eps=None, reps=100, rng=None) -> Tuple[float, float]:
+def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     """(mean, standard error) of the probe estimates
-    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes.
-
-    eps defaults to 1e-4 max(1, |x| / sqrt(n)). The standard error is inf
+    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes,
+    with step eps = 1e-4 max(1, |x| / sqrt(n)). The standard error is inf
     for a single probe.
     """
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    if eps is None:
-        eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
-    if eps <= 0:
-        raise ParameterError("probe step eps must be positive")
+    eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     gen = (rng or RngStream(0)).generator()
     fx = f(x)
     samples = np.empty(reps)
@@ -313,49 +293,6 @@ def svt_denoiser(spec: SpectralSpec) -> Denoiser:
 
 
 # ---------------------------------------------------------------------------
-# Anisotropic conjugations f = K' g(K^T z)
-
-
-@dataclass
-class AnisoSpec:
-    """K' g(K^T .) with a separable (rowwise) inner map g."""
-
-    K: np.ndarray
-    Kprime: np.ndarray
-    inner: Callable[[np.ndarray], np.ndarray]  # (n x t) -> (n,)
-    inner_lipschitz: float = 1.0
-
-    def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=np.float64)
-        self.Kprime = np.asarray(self.Kprime, dtype=np.float64)
-        if self.K.ndim != 2 or self.K.shape[0] != self.K.shape[1]:
-            raise DimensionError("K must be square")
-        if self.Kprime.shape != self.K.shape:
-            raise DimensionError("K' must match K in shape")
-
-
-def aniso_apply(z: np.ndarray, spec: AnisoSpec) -> np.ndarray:
-    z = _as_stack(z)
-    if z.shape[0] != spec.K.shape[0]:
-        raise DimensionError("input rows must match K")
-    return spec.Kprime @ spec.inner(spec.K.T @ z)
-
-
-def aniso_denoiser(spec: AnisoSpec) -> Denoiser:
-    """K' g(K^T x) of the latest column x; the inner map sees K^T x as an
-    n x 1 stack."""
-    lip = (
-        np.linalg.norm(spec.Kprime, 2) * spec.inner_lipschitz * np.linalg.norm(spec.K, 2)
-    )
-    return Denoiser(
-        fn=lambda x: aniso_apply(x, spec),
-        lipschitz_bound=float(lip),
-        divergence_fn=None,
-        name="aniso",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Simple building blocks
 
 
@@ -367,15 +304,6 @@ def identity_denoiser() -> Denoiser:
 def zero_denoiser(n: int) -> Denoiser:
     return Denoiser(fn=lambda x: np.zeros(n), lipschitz_bound=0.0,
                     divergence_fn=lambda x: 0.0, name="zero")
-
-
-def identity_plus_soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    return Denoiser(
-        fn=lambda x: x + soft_threshold_apply(x, lmbda),
-        lipschitz_bound=2.0,
-        divergence_fn=lambda x: x.size + soft_threshold_divergence(x, lmbda),
-        name=f"identity_plus_soft_threshold(lmbda={lmbda})",
-    )
 
 
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
@@ -399,64 +327,3 @@ def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     return Denoiser(fn=lambda x: theta_star - eta.apply(x + theta_star),
                     lipschitz_bound=lip, divergence_fn=div_fn,
                     name=f"signal_residual({eta.name})")
-
-
-# ---------------------------------------------------------------------------
-# Monotone Lipschitz quantile interpolant
-
-
-@dataclass
-class MonotoneInterpolant:
-    """Piecewise-linear g through (knots, values), constant outside the range."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, x):
-        return np.interp(x, self.knots, self.values)
-
-
-def lipschitz_monotone_approx(s, d, iota: float) -> MonotoneInterpolant:
-    """Slope-capped monotone fit of nondecreasing targets d over the grid s.
-
-    s has one more entry than d; g is anchored at zero on the first knot and
-    g(s_j) = min(d_j, g(s_(j-1)) + (s_j - s_(j-1)) / iota) on the rest, so g
-    is monotone, (1/iota)-Lipschitz and never exceeds its target at a knot.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if iota <= 0:
-        raise ParameterError("iota must be positive")
-    if s.ndim != 1 or d.ndim != 1 or s.size != d.size + 1:
-        raise DimensionError("need len(s) == len(d) + 1")
-    if np.any(np.diff(s) <= 0):
-        raise ParameterError("knot grid s must be strictly increasing")
-    if np.any(np.diff(d) < 0) or np.any(d < 0):
-        raise ParameterError("targets d must be nonnegative and nondecreasing")
-    g = np.zeros(s.size)
-    for j in range(1, s.size):
-        g[j] = min(d[j - 1], g[j - 1] + (s[j] - s[j - 1]) / iota)
-    return MonotoneInterpolant(knots=s, values=g)
-
-
-def marchenko_pastur_sqrt_quantiles(count: int, aspect: float, grid: int = 20001):
-    """j/count quantiles (j=1..count) of the singular-value law sqrt(lambda),
-    lambda Marchenko-Pastur with the given aspect ratio in (0, 1].
-
-    Returns (base, quantiles) where base is the left support edge.
-    """
-    if not 0 < aspect <= 1:
-        raise ParameterError("aspect ratio must lie in (0, 1]")
-    lo, hi = 1.0 - np.sqrt(aspect), 1.0 + np.sqrt(aspect)
-    ss = np.linspace(lo, hi, grid)
-    a, b = lo * lo, hi * hi
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dens = np.sqrt(np.maximum((b - ss**2) * (ss**2 - a), 0.0)) / (
-            np.pi * aspect * np.maximum(ss, 1e-300)
-        )
-    if lo == 0.0:
-        dens[0] = 2.0 / np.pi  # limit of sqrt(4 - s^2)/pi at s = 0
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * np.diff(ss) / 2.0)])
-    cdf /= cdf[-1]
-    probs = np.arange(1, count + 1) / count
-    return lo, np.interp(probs, cdf, ss)

@@ -7,7 +7,7 @@ standardized to mean 0, variance 1 before scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,8 @@ from .vecmat import vec
 ENTRY_DISTS = ("gaussian", "rademacher", "uniform")
 
 _SQRT3 = np.sqrt(3.0)
+# smooth_image: number of low-frequency cosine modes per axis
+SMOOTH_MODES = 3
 
 
 def _draw_entries(dist: str, size, gen: np.random.Generator) -> np.ndarray:
@@ -60,9 +62,11 @@ class SignalSpec:
 
     kinds:
       zero                      all-zeros vector of length dims
-      sparse                    Bernoulli(density) support, i.i.d. amplitudes
-      low_rank                  M x N matrix O D U^T with Haar O, U
-      smooth_image              M x N low-frequency cosine mixture, |entries| <= 1
+      sparse                    Bernoulli(density) support, i.i.d. N(0, 1) amplitudes
+      low_rank                  M x N matrix O D U^T with Haar O, U and the rank
+                                nonzero singular values uniform on [0, sqrt(N)]
+      smooth_image              M x N cosine mixture of SMOOTH_MODES low
+                                frequencies per axis, |entries| <= 1
     """
 
     kind: str
@@ -71,9 +75,6 @@ class SignalSpec:
     N: int = 0
     rank: int = 0
     density: float = 0.0
-    amplitude_dist: str = "gaussian"
-    sv_high: float = 0.0  # low_rank: singular values uniform on [0, sv_high]
-    smoothness: int = 3  # smooth_image: number of low-frequency modes per axis
 
     def __post_init__(self):
         if self.kind not in ("zero", "sparse", "low_rank", "smooth_image"):
@@ -146,19 +147,18 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
         return SignalSample(np.zeros(spec.dims))
     if spec.kind == "sparse":
         mask = gen.random(spec.dims) < spec.density
-        amps = _draw_entries(spec.amplitude_dist, spec.dims, gen)
+        amps = gen.standard_normal(spec.dims)
         return SignalSample(np.where(mask, amps, 0.0))
     if spec.kind == "low_rank":
         o = sample_haar_orthogonal(spec.M, rng.derive(1))
         u = sample_haar_orthogonal(spec.N, rng.derive(2))
         k = min(spec.M, spec.N)
         sv = np.zeros(k)
-        high = spec.sv_high if spec.sv_high > 0 else np.sqrt(spec.N)
-        sv[: spec.rank] = np.sort(gen.uniform(0.0, high, size=spec.rank))[::-1]
+        sv[: spec.rank] = np.sort(gen.uniform(0.0, np.sqrt(spec.N), size=spec.rank))[::-1]
         theta = (o[:, :k] * sv) @ u[:, :k].T
         return SignalSample(vec(theta), left=o, singular_values=sv, right=u)
     # smooth_image: separable low-frequency cosine mixture capped at 1
-    p = spec.smoothness
+    p = SMOOTH_MODES
     coef = gen.standard_normal((p, p)) / (1.0 + np.add.outer(np.arange(p), np.arange(p)))
     ii = (np.arange(spec.M)[:, None] + 0.5) / spec.M
     jj = (np.arange(spec.N)[:, None] + 0.5) / spec.N
@@ -172,27 +172,6 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
 def sample_noise(m: int, std: float, rng: RngStream) -> np.ndarray:
     """i.i.d. N(0, std^2) noise vector of length m."""
     return std * rng.generator().standard_normal(m)
-
-
-def moment_check(w: np.ndarray, orders, exclude_diagonal: bool = False) -> dict:
-    """Empirical scaled moments: mean |W_ij|^k times rows^(k/2), per order k.
-
-    Bounded values across sizes confirm the moment growth condition for an
-    ensemble. ``exclude_diagonal`` restricts to off-diagonal entries of a
-    square matrix.
-    """
-    w = np.asarray(w)
-    rows = w.shape[0]
-    if exclude_diagonal:
-        entries = w[~np.eye(w.shape[0], w.shape[1], dtype=bool)]
-    else:
-        entries = w.ravel()
-    out = {}
-    for k in orders:
-        if k < 2:
-            raise SpecError("moment orders must be >= 2")
-        out[int(k)] = float(np.mean(np.abs(entries) ** k) * rows ** (k / 2.0))
-    return out
 
 
 def save_matrix(path, a: np.ndarray) -> None:

@@ -98,6 +98,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("seeds", "must list at least one seed")
         if cfg.iterations < 1:
             raise ConfigError("iterations", "must be >= 1")
+        if not cfg.ensembles:
+            raise ConfigError("ensembles", "must list at least one entry distribution")
         for i, ens in enumerate(cfg.ensembles):
             if ens not in ENTRY_DISTS:
                 raise ConfigError(f"ensembles[{i}]", f"unknown entry distribution {ens!r}")
@@ -142,11 +144,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The config in the JSON file at path; ConfigError("<file>") when the
+    file cannot be read or is not valid UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"not valid JSON: {exc}")
+    except OSError as exc:
+        raise ConfigError("<file>", str(exc)) from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError("<file>", f"not valid JSON: {exc}")
     return config_from_dict(data)
 
 
@@ -186,7 +192,7 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
         return _Pipeline(theta, e, [den] * T, None)
     if kind == "spectral":
         spec = SignalSpec(kind="low_rank", dims=cfg.n, M=cfg.M, N=cfg.N,
-                          rank=cfg.signal_rank, sv_high=np.sqrt(cfg.N))
+                          rank=cfg.signal_rank)
         theta = sample_signal(spec, signal_rng).vector
         den = svt_denoiser(SpectralSpec(cfg.M, cfg.N, cfg.threshold))
         return _Pipeline(theta, e, [den] * T, None)

@@ -8,7 +8,6 @@ coefficients b_ts (and a_ts) given by normalized expected divergences.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -278,6 +277,8 @@ def se_asymmetric(
         raise ParameterError("mc_samples must be >= 1")
     require_length(f_seq, T, T, "f-denoisers")
     require_length(g_seq, T - 1, T, "g-denoisers")
+    if m < 1:
+        raise DimensionError(f"m must be >= 1, got {m}")
     rng = rng or RngStream(0)
     u1 = np.asarray(u1, dtype=np.float64)
     n = u1.size
@@ -345,6 +346,8 @@ def se_scalar_sensing(
     theta_star = np.asarray(theta_star, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     n, m = theta_star.size, e.size
+    if n < 1 or m < 1:
+        raise DimensionError(f"theta_star and e must be non-empty, got lengths {n} and {m}")
     if K is not None:
         coloring = Coloring.of(K)
         K, K_inv = coloring.matrix, coloring.inverse()
@@ -372,80 +375,3 @@ def se_scalar_sensing(
         omega.append(acc_omega / mc_draws)
         pred.append(acc_mse / mc_draws)
     return ScalarSE(sigma_sq=sigma, omega_sq=omega, predicted_mse=pred)
-
-
-def test_function_gap(
-    z_stack,
-    phi1,
-    phi2,
-    se: SECovarianceSequence,
-    mc_draws: int = 200,
-    rng: Optional[RngStream] = None,
-) -> float:
-    """|(1/n) phi1(z)^T phi2(z) - MC E (1/n) phi1(Z)^T phi2(Z)| with the
-    surrogate Z drawn from the final covariance of se, which must be
-    t x t for the n x t stack z."""
-    if mc_draws < 1:
-        raise ParameterError("mc_draws must be >= 1")
-    z = np.asarray(getattr(z_stack, "z", z_stack), dtype=np.float64)
-    n = z.shape[0]
-    if z.ndim != 2 or z.shape[1] != se.sigma[-1].shape[0]:
-        raise DimensionError(f"z has shape {z.shape}, but the final covariance is "
-                             f"{se.sigma[-1].shape[0]}x{se.sigma[-1].shape[0]}")
-    emp = phi1(z) @ phi2(z) / n
-    chol, _ = _chol_factor(se.sigma[-1])
-    gen = (rng or RngStream(0)).generator()
-    acc = 0.0
-    for _ in range(mc_draws):
-        zz = _chol_draw(chol, n, gen)
-        acc += phi1(zz) @ phi2(zz) / n
-    return float(abs(emp - acc / mc_draws))
-
-
-def estimate_onsager_from_data(
-    stack,
-    denoisers: Sequence[Denoiser],
-    denominator: int,
-    reps: int = 100,
-    rng: Optional[RngStream] = None,
-) -> OnsagerSchedule:
-    """Monte-Carlo probe divergences at the realized iterates.
-
-    stack holds the iterates the denoisers were applied to (columns 1..T);
-    the schedule entry b[(t+1, s)] is the probe estimate of div_s f_t divided
-    by the given denominator (n for symmetric runs, m for sensing runs).
-    """
-    z = np.asarray(getattr(stack, "z", stack), dtype=np.float64)
-    rng = rng or RngStream(0)
-    b: Dict[Tuple[int, int], float] = {}
-    for t in range(1, min(len(denoisers), z.shape[1]) + 1):
-        den = denoisers[t - 1]
-        divs = den.onsager(z[:, :t], reps=reps, rng=rng.derive(t))[0]
-        for s in range(1, t + 1):
-            b[(t + 1, s)] = float(divs[s - 1] / denominator)
-    return OnsagerSchedule(b=b, provenance="estimated_from_data")
-
-
-def export_se_csv(path, se: SECovarianceSequence, sched: OnsagerSchedule,
-                  scalar: Optional[ScalarSE] = None) -> None:
-    """Columns: t, sigma_tt, omega_tt, b_(t,t-1), a_(t,t), predicted_mse."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sigma_tt", "omega_tt", "b_t_tminus1", "a_tt", "predicted_mse"])
-        for t in range(1, len(se.sigma) + 1):
-            omega_tt = ""
-            if se.omega is not None and t <= len(se.omega):
-                omega_tt = f"{se.omega[t - 1][t - 1, t - 1]:.17g}"
-            b_val = sched.b.get((t, t - 1))
-            a_val = sched.a.get((t, t))
-            mse = ""
-            if scalar is not None and t <= len(scalar.predicted_mse):
-                mse = f"{scalar.predicted_mse[t - 1]:.17g}"
-            writer.writerow([
-                t,
-                f"{se.sigma[t - 1][t - 1, t - 1]:.17g}",
-                omega_tt,
-                "" if b_val is None else f"{b_val:.17g}",
-                "" if a_val is None else f"{a_val:.17g}",
-                mse,
-            ])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from .rng import RngStream
 from .vecmat import split_index
 
 DENSE_MATERIALIZE_CAP = 64  # structured tensors are never densified above this n
-DEFAULT_BUDGET_BITS = 30.0  # enumeration allowed while indices * log2(n) <= this
+BUDGET_BITS = 30.0  # enumeration allowed while indices * log2(n) <= this
 ENUM_CHUNK = 1 << 16  # assignments gathered per batch by the brute-force sums
 
 
@@ -113,10 +113,6 @@ class DenseTensor:
         return float(self.gather([np.asarray([i]) for i in idx])[0])
 
 
-def alternating_tensor(k: int, M: int, N: int) -> DenseTensor:
-    return DenseTensor.alternating(k, M, N)
-
-
 # ---------------------------------------------------------------------------
 # Ordered multigraphs and labelings
 
@@ -178,17 +174,17 @@ def _check_labeling(graph: OrderedMultigraph, labeling: TensorLabeling):
             )
 
 
-def _assignment_sum(factors, num_indices: int, n: int, budget_bits: float) -> float:
+def _assignment_sum(factors, num_indices: int, n: int) -> float:
     """Sum over all assignments in [n]^num_indices of the product of the
     factors' entries; each factor is a (tensor, positions) pair whose slot p
     reads index positions[p]. Assignments are enumerated in lexicographic
     order, ENUM_CHUNK at a time; BudgetError when num_indices * log2(n)
-    exceeds budget_bits."""
+    exceeds BUDGET_BITS."""
     bits = num_indices * np.log2(max(n, 2))
-    if bits > budget_bits:
+    if bits > BUDGET_BITS:
         raise BudgetError(
             f"enumeration over {num_indices} indices of size {n} needs "
-            f"{bits:.1f} bits > budget {budget_bits}"
+            f"{bits:.1f} bits > budget {BUDGET_BITS}"
         )
     total = 0.0
     count = n**num_indices
@@ -203,17 +199,12 @@ def _assignment_sum(factors, num_indices: int, n: int, budget_bits: float) -> fl
     return total
 
 
-def eval_value_bruteforce(
-    graph: OrderedMultigraph,
-    labeling: TensorLabeling,
-    n: int,
-    budget_bits: float = DEFAULT_BUDGET_BITS,
-) -> float:
+def eval_value_bruteforce(graph: OrderedMultigraph, labeling: TensorLabeling, n: int) -> float:
     """Definitional value: sum over all edge-index assignments of the product
     of labeled tensor entries, indices read in each vertex's edge order."""
     _check_labeling(graph, labeling)
     factors = [(labeling[v], graph.incidence[v]) for v in range(graph.num_vertices)]
-    return _assignment_sum(factors, len(graph.edges), n, budget_bits)
+    return _assignment_sum(factors, len(graph.edges), n)
 
 
 def eval_value_contraction(
@@ -250,12 +241,7 @@ def _pairings(block: Tuple[int, ...]):
             yield ((head, partner),) + sub
 
 
-def wick_expectation(
-    tensor: DenseTensor,
-    sigma: Sequence[int],
-    n: int,
-    budget_bits: float = DEFAULT_BUDGET_BITS,
-) -> float:
+def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int) -> float:
     """E T[xi_(sigma(1)), ..., xi_(sigma(d))] for i.i.d. standard Gaussian
     vectors xi_1, xi_2, ...: the sum over pairings of [d] refining sigma's
     preimage partition of the identity-contracted tensor sums.
@@ -282,8 +268,7 @@ def wick_expectation(
         for free, (a, b) in enumerate(pairing):
             slot_of[a] = free
             slot_of[b] = free
-        total += _assignment_sum([(tensor, [slot_of[p] for p in range(d)])], d // 2, n,
-                                 budget_bits)
+        total += _assignment_sum([(tensor, [slot_of[p] for p in range(d)])], d // 2, n)
     return total
 
 
@@ -390,12 +375,7 @@ def validate_bcp_query(query: BcpQuery) -> dict:
     return {"even_multiplicity": even, "connected": connected}
 
 
-def bcp_ratio(
-    query: BcpQuery,
-    tensors: Sequence[DenseTensor],
-    n: int,
-    budget_bits: float = DEFAULT_BUDGET_BITS,
-) -> float:
+def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor], n: int) -> float:
     """(1/n) |sum over shared indices of the product of tensor entries|."""
     if len(tensors) != query.m:
         raise SpecError("tensor count must match the query")
@@ -404,58 +384,7 @@ def bcp_ratio(
             raise DimensionError(f"tensor order {t.order} != declared {k}")
     factors = [(tensor, [query.pi[s] for s in slots])
                for tensor, slots in zip(tensors, query.slot_ranges())]
-    return abs(_assignment_sum(factors, query.ell, n, budget_bits)) / n
-
-
-# ---------------------------------------------------------------------------
-# Tensor-represented polynomials
-
-
-def contract_leading(tensor: DenseTensor, vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """T[v_1, ..., v_d, .]: contract the first d slots, leaving the last."""
-    d = len(vectors)
-    if tensor.order != d + 1:
-        raise DimensionError(f"tensor order {tensor.order} != {d} inputs + 1 output")
-    if tensor.kind == "diagonal" or tensor.kind == "identity":
-        out = np.ones(tensor.n)
-        for v in vectors:
-            out = out * v
-        if tensor.kind == "diagonal":
-            out = out * tensor.values
-        return out
-    if tensor.kind == "alternating":
-        k = tensor.order
-        mats = [np.asarray(v).reshape((tensor.M, tensor.N), order="F") for v in vectors]
-        prod = mats[0]
-        for j in range(1, k - 1):
-            prod = prod @ (mats[j].T if j % 2 == 1 else mats[j])
-        return float(tensor.N) ** (1.0 - k / 2.0) * prod.reshape(-1, order="F")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    sub = letters[: d + 1] + "," + ",".join(letters[i] for i in range(d)) + "->" + letters[d]
-    return np.einsum(sub, tensor.values, *[np.asarray(v) for v in vectors])
-
-
-def poly_from_tensors(
-    constant: Optional[DenseTensor],
-    terms: Sequence[Tuple[Sequence[int], DenseTensor]],
-    z: np.ndarray,
-) -> np.ndarray:
-    """Evaluate a tensor-represented polynomial at the stack z in R^(n x t).
-
-    ``terms`` holds (sigma, tensor) pairs: sigma lists the 0-based columns of
-    z fed to the tensor's input slots, and the tensor has order len(sigma)+1.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    n = z.shape[0]
-    out = np.zeros(n) if constant is None else constant.to_dense().astype(float).copy()
-    if constant is not None and constant.order != 1:
-        raise DimensionError("constant term must be an order-1 tensor")
-    for sigma, tensor in terms:
-        vectors = [z[:, s] for s in sigma]
-        out = out + contract_leading(tensor, vectors)
-    return out
+    return abs(_assignment_sum(factors, query.ell, n)) / n
 
 
 # ---------------------------------------------------------------------------
@@ -572,34 +501,40 @@ def save_network(path: str, graph: OrderedMultigraph, labeling: TensorLabeling):
 
 
 def load_network(path: str) -> Tuple[OrderedMultigraph, TensorLabeling]:
+    """Read a network written by ``save_network``. A network or payload file
+    that cannot be read, or that is truncated or malformed, raises SpecError
+    naming path."""
     folder = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        num_v, num_e, n = int(head[1]), int(head[3]), int(head[5])
-        edges = []
-        for _ in range(num_e):
-            parts = fh.readline().split()
-            edges.append((int(parts[1]), int(parts[2])))
-        incidence = []
-        for _ in range(num_v):
-            parts = fh.readline().split(":")[1].split()
-            incidence.append([int(x) for x in parts])
-        labeling: TensorLabeling = {}
-        for _ in range(num_v):
-            head, spec = fh.readline().split(":")
-            v = int(head.split()[1])
-            parts = spec.split()
-            kind = parts[0]
-            order = int(parts[1])
-            if kind == "identity":
-                labeling[v] = DenseTensor.identity(n, order)
-            elif kind == "alternating":
-                labeling[v] = DenseTensor.alternating(order, int(parts[2]), int(parts[3]))
-            elif kind == "diagonal":
-                vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
-                labeling[v] = DenseTensor.diagonal(vals, order)
-            else:
-                vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
-                labeling[v] = DenseTensor.from_array(vals.reshape((n,) * order))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fh.readline().split()
+            num_v, num_e, n = int(head[1]), int(head[3]), int(head[5])
+            edges = []
+            for _ in range(num_e):
+                parts = fh.readline().split()
+                edges.append((int(parts[1]), int(parts[2])))
+            incidence = []
+            for _ in range(num_v):
+                parts = fh.readline().split(":")[1].split()
+                incidence.append([int(x) for x in parts])
+            labeling: TensorLabeling = {}
+            for _ in range(num_v):
+                head, spec = fh.readline().split(":")
+                v = int(head.split()[1])
+                parts = spec.split()
+                kind = parts[0]
+                order = int(parts[1])
+                if kind == "identity":
+                    labeling[v] = DenseTensor.identity(n, order)
+                elif kind == "alternating":
+                    labeling[v] = DenseTensor.alternating(order, int(parts[2]), int(parts[3]))
+                elif kind == "diagonal":
+                    vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
+                    labeling[v] = DenseTensor.diagonal(vals, order)
+                else:
+                    vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
+                    labeling[v] = DenseTensor.from_array(vals.reshape((n,) * order))
+    except (OSError, ValueError, IndexError) as exc:
+        raise SpecError(f"cannot read network file {path}: {exc}") from exc
     graph = OrderedMultigraph.from_edges(num_v, edges, incidence)
     return graph, labeling

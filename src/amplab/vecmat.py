@@ -6,6 +6,8 @@ The flat index of entry (j, j') is i = j + j' * M.
 
 import numpy as np
 
+from .exceptions import DimensionError
+
 
 def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(-1, order="F")
@@ -14,7 +16,7 @@ def vec(x: np.ndarray) -> np.ndarray:
 def mat(v: np.ndarray, m: int, n: int) -> np.ndarray:
     v = np.asarray(v)
     if v.size != m * n:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {m}x{n}")
+        raise DimensionError(f"cannot reshape length-{v.size} vector to {m}x{n}")
     return v.reshape((m, n), order="F")
 
 

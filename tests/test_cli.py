@@ -147,3 +147,36 @@ def test_tensor_eval_prints_both_values(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["tensor-eval", "--network", str(path), "--config", "unused.json"])
     assert info.value.code == 2
+
+
+def _network_file(tmp_path):
+    g = tn.OrderedMultigraph.from_edges(2, [(0, 1)])
+    lab = {v: tn.DenseTensor.from_array(np.arange(3.0)) for v in range(2)}
+    path = tmp_path / "net.txt"
+    tn.save_network(str(path), g, lab)
+    return path
+
+
+@pytest.mark.parametrize("case", ["missing_config", "binary_config", "missing_network",
+                                  "truncated_network"])
+def test_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case):
+    if case.endswith("config"):
+        path = tmp_path / "absent.json"
+        if case == "binary_config":
+            path = tmp_path / "binary.json"
+            path.write_bytes(b"\xff\xfe")
+        argv = ["run-amp", "--config", str(path), "--out", str(tmp_path)]
+        named = "<file>" if case == "binary_config" else path.name
+    else:
+        path = tmp_path / "absent.txt"
+        if case == "truncated_network":
+            path = _network_file(tmp_path)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:-1]), encoding="utf-8")
+        argv = ["tensor-eval", "--network", str(path)]
+        named = path.name
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err

@@ -20,6 +20,7 @@ from amplab.state_evolution import Coloring
     ("wick_samples", 0),
     ("tensor_n", 1),
     ("onsager_source", ""),
+    ("ensembles", []),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ConfigError) as info:

@@ -15,15 +15,10 @@ from amplab.exceptions import DimensionError, NumericError, ParameterError, Sche
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
-    OnsagerSchedule,
-    SECovarianceSequence,
-    export_se_csv,
-    estimate_onsager_from_data,
     se_asymmetric,
     se_scalar_sensing,
     se_symmetric,
 )
-from amplab.state_evolution import test_function_gap as tf_gap
 
 
 def test_jitter_fallback_is_recorded_on_the_sequence(caplog):
@@ -98,6 +93,20 @@ def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
     with pytest.raises(ScheduleError, match=message):
         se_asymmetric([zero_denoiser(m)] * f_count, [zero_denoiser(n)] * g_count,
                       np.ones(n), 3, m, mc_samples=2, rng=RngStream(5))
+
+
+def test_asymmetric_rejects_an_empty_m_side():
+    # without the check, m = 0 divided by zero and raised "sigma_1 is not symmetric"
+    with pytest.raises(DimensionError, match="m must be >= 1, got 0"):
+        se_asymmetric([identity_denoiser()], [], np.ones(4), 1, 0, mc_samples=2,
+                      rng=RngStream(5))
+
+
+def test_scalar_sensing_rejects_an_empty_noise_vector():
+    # without the check, an empty e returned NaN and inf
+    with pytest.raises(DimensionError, match="got lengths 4 and 0"):
+        se_scalar_sensing(np.ones(4), np.zeros(0), [identity_denoiser()], 1, mc_draws=2,
+                          rng=RngStream(5))
 
 
 def test_scalar_sensing_short_eta_seq_rejected():
@@ -312,69 +321,3 @@ def test_stein_consistency_of_coefficients():
         samples = np.asarray(samples)
         se = samples.std(ddof=1) / np.sqrt(draws)
         assert abs(samples.mean()) < 3 * se
-
-
-def test_test_function_gap_projection_and_surrogate():
-    n, T = 400, 2
-    u1 = np.ones(n)
-    f_seq = [soft_threshold_denoiser(0.4)]
-    cov, _ = se_symmetric(f_seq, u1, T, mc_samples=300, rng=RngStream(20))
-    # a stack drawn from the surrogate law itself should show a small gap
-    chol = np.linalg.cholesky(cov.sigma[1])
-    z = RngStream(21).generator().standard_normal((n, 2)) @ chol.T
-    proj = lambda stack: stack[:, 1]
-    gap = tf_gap(z, proj, proj, cov, mc_draws=400, rng=RngStream(22))
-    per_draw_sd = np.sqrt(2.0 / n) * cov.sigma[1][1, 1]
-    assert gap < 4 * per_draw_sd  # empirical term fluctuates like one draw
-    # zero stack with odd test functions: gap equals |MC mean| of the product
-    zero_gap = tf_gap(np.zeros((n, 2)), proj, proj, cov,
-                      mc_draws=400, rng=RngStream(23))
-    assert zero_gap > 0.5 * cov.sigma[1][1, 1]
-
-
-def test_test_function_gap_rejects_zero_draws():
-    cov, _ = se_symmetric([identity_denoiser()], np.ones(10), 2, mc_samples=2,
-                          rng=RngStream(5))
-    proj = lambda stack: stack[:, 0]
-    with pytest.raises(ParameterError):
-        tf_gap(np.ones((10, 2)), proj, proj, cov, mc_draws=0)
-
-
-def test_test_function_gap_rejects_a_stack_of_the_wrong_width():
-    cov = SECovarianceSequence(sigma=[np.eye(1), np.eye(2), np.eye(3)])
-    proj = lambda stack: stack[:, 0]
-    with pytest.raises(DimensionError, match="final covariance is 3x3"):
-        tf_gap(np.ones((10, 1)), proj, proj, cov, mc_draws=5)
-
-
-def test_estimate_onsager_from_data_probe():
-    n, m = 240, 180
-    gen = RngStream(24).generator()
-    z = gen.standard_normal((n, 2))
-    sched = estimate_onsager_from_data(z, [identity_denoiser()] * 2, m,
-                                       reps=300, rng=RngStream(25))
-    assert sched.provenance == "estimated_from_data"
-    se = np.sqrt(2.0 * n / 300) / m
-    assert abs(sched.b[(2, 1)] - n / m) < 3 * se
-    assert abs(sched.b[(3, 2)] - n / m) < 3 * se
-    # soft threshold: probe matches the analytic count within 2 percent
-    lam = 0.5
-    den = soft_threshold_denoiser(lam)
-    sched2 = estimate_onsager_from_data(z, [den], m, reps=200, rng=RngStream(26))
-    exact = den.divergence(z[:, :1])[-1] / m
-    assert abs(sched2.b[(2, 1)] - exact) / exact < 0.02
-    # zero denoiser: exactly zero
-    sched3 = estimate_onsager_from_data(z, [zero_denoiser(n)], m,
-                                        reps=50, rng=RngStream(27))
-    assert sched3.b[(2, 1)] == 0.0
-
-
-def test_se_csv_export(tmp_path):
-    n = 60
-    cov, sched = se_symmetric([soft_threshold_denoiser(0.4)] * 2, np.ones(n), 3,
-                              mc_samples=30, rng=RngStream(28))
-    path = tmp_path / "se.csv"
-    export_se_csv(path, cov, sched)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,sigma_tt,omega_tt,b_t_tminus1,a_tt,predicted_mse"
-    assert len(lines) == 4

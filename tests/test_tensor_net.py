@@ -10,13 +10,10 @@ from amplab.tensor_net import (
     DenseTensor,
     OrderedMultigraph,
     alt_cycle_component_bound_check,
-    alternating_tensor,
     bcp_ratio,
-    contract_leading,
     eval_value_bruteforce,
     eval_value_contraction,
     load_network,
-    poly_from_tensors,
     save_network,
     validate_bcp_query,
     wick_expectation,
@@ -270,63 +267,42 @@ def test_bcp_transposition_invariance():
 
 
 def test_alternating_order_two_is_identity():
-    t = alternating_tensor(2, 2, 3)
+    t = DenseTensor.alternating(2, 2, 3)
     for i, j in itertools.product(range(6), repeat=2):
         assert t.entry((i, j)) == (1.0 if i == j else 0.0)
-    x = RngStream(14).generator().standard_normal(6)
-    assert np.allclose(contract_leading(t, [x]), x)
 
 
 def test_alternating_order_four_contraction():
-    t = alternating_tensor(4, 2, 2)
+    t = DenseTensor.alternating(4, 2, 2)
     gen = RngStream(15).generator()
     xs = gen.standard_normal((3, 4))
     x1, x2, x3 = (mat(r, 2, 2) for r in xs)
-    out = contract_leading(t, list(xs))
-    dense = t.to_dense()
-    oracle = np.einsum("abcd,a,b,c->d", dense, xs[0], xs[1], xs[2])
-    assert np.allclose(out, oracle, atol=1e-12)
+    out = np.einsum("abcd,a,b,c->d", t.to_dense(), xs[0], xs[1], xs[2])
     assert np.allclose(out, vec(x1 @ x2.T @ x3) / 2.0, atol=1e-12)
 
 
 def test_alternating_order_six_matches_dense():
-    t = alternating_tensor(6, 2, 2)
+    t = DenseTensor.alternating(6, 2, 2)
     gen = RngStream(16).generator()
     xs = gen.standard_normal((5, 4))
-    out = contract_leading(t, list(xs))
-    dense = t.to_dense()
-    oracle = np.einsum("abcdef,a,b,c,d,e->f", dense, *xs)
-    assert np.allclose(out, oracle, atol=1e-12)
+    x1, x2, x3, x4, x5 = (mat(r, 2, 2) for r in xs)
+    out = np.einsum("abcdef,a,b,c,d,e->f", t.to_dense(), *xs)
+    assert np.allclose(out, vec(x1 @ x2.T @ x3 @ x4.T @ x5) / 4.0, atol=1e-12)
 
 
 def test_alternating_rejects_odd_order():
     with pytest.raises(SpecError):
-        alternating_tensor(3, 2, 2)
-
-
-def test_poly_diagonal_square():
-    n = 6
-    z = RngStream(17).generator().standard_normal((n, 2))
-    term = ((1, 1), DenseTensor.diagonal(np.ones(n), 3))
-    out = poly_from_tensors(None, [term], z)
-    assert np.allclose(out, z[:, 1] ** 2)
-
-
-def test_poly_constant_only():
-    c = np.array([1.0, -2.0, 3.0])
-    out = poly_from_tensors(DenseTensor.vector(c), [], np.zeros((3, 1)))
-    assert np.array_equal(out, c)
+        DenseTensor.alternating(3, 2, 2)
 
 
 def test_poly_alternating_cubic():
+    # M != N: the gather's row and column constraints must not be swapped
     m_dim, n_dim = 2, 3
     n = m_dim * n_dim
-    t = alternating_tensor(4, m_dim, n_dim)
-    z = RngStream(18).generator().standard_normal((n, 1))
-    out = poly_from_tensors(None, [((0, 0, 0), t)], z)
-    x = mat(z[:, 0], m_dim, n_dim)
-    dense_oracle = np.einsum("abcd,a,b,c->d", t.to_dense(), z[:, 0], z[:, 0], z[:, 0])
-    assert np.allclose(out, dense_oracle, atol=1e-12)
+    t = DenseTensor.alternating(4, m_dim, n_dim)
+    z = RngStream(18).generator().standard_normal(n)
+    out = np.einsum("abcd,a,b,c->d", t.to_dense(), z, z, z)
+    x = mat(z, m_dim, n_dim)
     assert np.allclose(out, vec(x @ x.T @ x) / n_dim, atol=1e-12)
 
 
