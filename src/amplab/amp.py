@@ -2,9 +2,10 @@
 asymmetric with an explicit Onsager schedule, and the sensing form, plain or
 coloured (x = W K theta + e).
 
-All runners are sequential and deterministic given their inputs; corrections
-sum over earlier iterates in ascending order so serial runs are bitwise
-reproducible.
+Denoisers read only the latest iterate, so each iteration subtracts one
+Onsager term, a coefficient times the previous iterate (Berthier, Montanari
+& Nguyen, arXiv:1708.03950), and records that coefficient on its trace. All
+runners are sequential and deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class SensingProblem:
 class SymmetricAmpTrace:
     z: np.ndarray  # n x T
     u: np.ndarray  # n x T
-    applied_b: dict
+    b_applied: np.ndarray  # length T; b_1 = 0
     wall_ms: float = 0.0
 
 
@@ -107,8 +108,8 @@ class RectAmpTrace:
     v: np.ndarray  # m x T
     y: np.ndarray  # n x T
     u: np.ndarray  # n x (T or T+1, when g_T is present)
-    applied_b: dict
-    applied_a: dict
+    b_applied: np.ndarray  # length T; b_1 = 0
+    a_applied: np.ndarray  # length T
     wall_ms: float = 0.0
 
 
@@ -129,10 +130,10 @@ class SensingAmpTrace:
 
 def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
                       rng: Optional[RngStream] = None) -> SymmetricAmpTrace:
-    """z_t = W u_t - sum_(s<t) b_ts u_s, u_(t+1) = f_t(z_(1:t)); z_1 = W u_1.
+    """z_t = W u_t - b_t u_(t-1), u_(t+1) = f_t(z_t); z_1 = W u_1.
 
     With delta > 0 every u_t gets fresh N(0, 1) noise: u_1 = u1 + delta xi_1
-    and u_(t+1) = f_t(z_(1:t)) + delta xi_(t+1), drawn from rng in that
+    and u_(t+1) = f_t(z_t) + delta xi_(t+1), drawn from rng in that
     order. delta = 0 consumes no draws and needs no rng.
     """
     if T < 1:
@@ -151,14 +152,14 @@ def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
 
     z = np.zeros((n, T))
     u = np.zeros((n, T))
-    applied = {}
+    b = np.zeros(T)
     u[:, 0] = perturb(problem.u1)
     z[:, 0] = problem.W @ u[:, 0]
     for t in range(2, T + 1):
-        u[:, t - 1] = perturb(problem.f_seq[t - 2].apply(z[:, : t - 1]))
-        z[:, t - 1] = problem.W @ u[:, t - 1] - _memory_term(
-            problem.onsager.b_coeff, t, u, t - 1, applied)
-    return SymmetricAmpTrace(z=z, u=u, applied_b=applied,
+        u[:, t - 1] = perturb(problem.f_seq[t - 2].apply(z[:, t - 2]))
+        b[t - 1] = problem.onsager.coeff("b", t)
+        z[:, t - 1] = problem.W @ u[:, t - 1] - b[t - 1] * u[:, t - 2]
+    return SymmetricAmpTrace(z=z, u=u, b_applied=b,
                              wall_ms=(time.perf_counter() - tic) * 1e3)
 
 
@@ -167,8 +168,8 @@ def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
 
 
 def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
-    """z_t = W u_t - sum b_ts v_s; v_t = f_t(z_(1:t));
-    y_t = W^T v_t - sum_(s<=t) a_ts u_s; u_(t+1) = g_t(y_(1:t)).
+    """z_t = W u_t - b_t v_(t-1); v_t = f_t(z_t);
+    y_t = W^T v_t - a_t u_t; u_(t+1) = g_t(y_t); z_1 = W u_1.
 
     The coefficients come from problem.onsager, e.g. the schedule
     ``se_asymmetric`` returns.
@@ -185,31 +186,21 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     y = np.zeros((n, T))
     has_final_g = len(problem.g_seq) >= T
     u = np.zeros((n, T + 1 if has_final_g else T))
-    applied_b = {}
-    applied_a = {}
+    b = np.zeros(T)
+    a = np.zeros(T)
     u[:, 0] = problem.u1
+    z[:, 0] = problem.W @ u[:, 0]
     for t in range(1, T + 1):
-        z[:, t - 1] = problem.W @ u[:, t - 1] - _memory_term(sched.b_coeff, t, v, t - 1,
-                                                             applied_b)
-        v[:, t - 1] = problem.f_seq[t - 1].apply(z[:, :t])
-        y[:, t - 1] = problem.W.T @ v[:, t - 1] - _memory_term(sched.a_coeff, t, u, t,
-                                                               applied_a)
+        if t > 1:
+            b[t - 1] = sched.coeff("b", t)
+            z[:, t - 1] = problem.W @ u[:, t - 1] - b[t - 1] * v[:, t - 2]
+        v[:, t - 1] = problem.f_seq[t - 1].apply(z[:, t - 1])
+        a[t - 1] = sched.coeff("a", t)
+        y[:, t - 1] = problem.W.T @ v[:, t - 1] - a[t - 1] * u[:, t - 1]
         if t < T or has_final_g:
-            u[:, t] = problem.g_seq[t - 1].apply(y[:, :t])
-    return RectAmpTrace(z=z, v=v, y=y, u=u, applied_b=applied_b, applied_a=applied_a,
+            u[:, t] = problem.g_seq[t - 1].apply(y[:, t - 1])
+    return RectAmpTrace(z=z, v=v, y=y, u=u, b_applied=b, a_applied=a,
                         wall_ms=(time.perf_counter() - tic) * 1e3)
-
-
-def _memory_term(coeff, t: int, cols: np.ndarray, count: int, applied: dict) -> np.ndarray:
-    """sum_(s=1..count) coeff(t, s) cols[:, s-1], summed in ascending s so
-    serial runs are bitwise reproducible; zero coefficients are skipped, and
-    every coefficient is recorded as applied[(t, s)]."""
-    out = np.zeros(cols.shape[0])
-    for s in range(1, count + 1):
-        c = applied[(t, s)] = coeff(t, s)
-        if c != 0.0:
-            out += c * cols[:, s - 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +249,8 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
         if t == 1:
             b_t, source = 0.0, "none"
         else:
-            divs, source = problem.eta_seq[t - 2].onsager(prev_arg, mc_reps, rng.derive(t))
-            b_t = float(divs[-1]) / m
+            div, source = problem.eta_seq[t - 2].onsager(prev_arg, mc_reps, rng.derive(t))
+            b_t = div / m
         b_source.append(source)
         b_applied[t - 1] = b_t
         signal = theta[:, t - 1] if K is None else K @ theta[:, t - 1]

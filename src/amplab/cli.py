@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import tensor_net as tn
-from .exceptions import AmplabError
+from .exceptions import AmplabError, ConfigError
 from .harness import (
     ExperimentConfig,
     config_from_dict,
@@ -50,7 +50,7 @@ def _load(args, default_experiment=None) -> ExperimentConfig:
     elif default_experiment is not None:
         cfg = config_from_dict({"experiment": default_experiment, "seeds": [0]})
     else:
-        raise SystemExit("--config is required")
+        raise ConfigError("--config", f"is required for {args.command}")
     overrides = {}
     if args.seed is not None:
         overrides["seeds"] = [args.seed]

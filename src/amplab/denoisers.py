@@ -1,9 +1,9 @@
 """Denoiser families: separable soft thresholding, local kernel smoothers,
 spectral singular-value maps, and the shift maps of the sensing recursion.
 
-Each denoiser maps the latest iterate of a stack z_(1:t) in R^(n x t) to an
-n-vector and exposes its divergence, analytically when a formula exists and
-otherwise through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
+Each denoiser maps the latest iterate z in R^n to an n-vector and exposes its
+divergence, one scalar: analytically when a formula exists and otherwise
+through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
 """
 
 from __future__ import annotations
@@ -18,27 +18,22 @@ from .rng import RngStream
 from .vecmat import mat, vec
 
 
-def _as_stack(z: np.ndarray) -> np.ndarray:
+def _vector(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        return z[:, None]
-    if z.ndim != 2:
-        raise DimensionError("denoiser input must be a vector or an n x t stack")
+    if z.ndim != 1:
+        raise DimensionError(f"denoiser input must be an n-vector, got shape {z.shape}")
     return z
 
 
 @dataclass
 class Denoiser:
-    """A non-linearity f: R^(n x t) -> R^n that reads only the latest column
-    of its input stack, plus divergence metadata.
+    """A non-linearity f: R^n -> R^n applied to the latest iterate, plus its
+    divergence.
 
-    ``fn(x)`` and ``divergence_fn(x)`` take that column x in R^n, and
-    ``divergence_fn`` returns the raw divergence sum (a scalar, not
-    normalized by n). ``apply`` and ``divergence`` hand them ``z[:, -1]``.
-    The divergences w.r.t. earlier columns are zero, so the per-column
-    vectors ``divergence``, ``divergence_mc`` and ``onsager`` return are zero
-    except in their last entry, and Onsager entries for earlier columns are
-    pinned to zero.
+    ``fn(x)`` maps the iterate x in R^n to an n-vector, and the optional
+    ``divergence_fn(x)`` returns the raw divergence sum at x (a scalar, not
+    normalized by n). ``apply``, ``divergence`` and ``divergence_mc`` take
+    one n-vector and raise DimensionError on anything else.
 
     ``onsager`` alone chooses between the formula (``divergence``) and the
     Monte-Carlo probe (``divergence_mc``); every runner and SE solver takes
@@ -46,40 +41,31 @@ class Denoiser:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
     divergence_fn: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.fn(_as_stack(z)[:, -1])
+        return self.fn(_vector(z))
 
     @property
     def has_analytic_divergence(self) -> bool:
         return self.divergence_fn is not None
 
-    def divergence(self, z: np.ndarray) -> np.ndarray:
-        """Analytic per-column divergence sums at z; requires a formula."""
+    def divergence(self, z: np.ndarray) -> float:
+        """Analytic divergence sum at z; requires a formula."""
         if self.divergence_fn is None:
             raise ParameterError(f"denoiser {self.name or '<anon>'} has no analytic divergence")
-        z = _as_stack(z)
-        out = np.zeros(z.shape[1])
-        out[-1] = self.divergence_fn(z[:, -1])
-        return out
+        return float(self.divergence_fn(_vector(z)))
 
-    def divergence_mc(self, z, reps=100, rng=None) -> np.ndarray:
-        """Monte-Carlo per-column divergence sums at z; the last column is
-        probed with rng.derive(1)."""
-        z = _as_stack(z)
-        out = np.zeros(z.shape[1])
-        out[-1] = mc_divergence(self.fn, z[:, -1], reps=reps,
-                                rng=(rng or RngStream(0)).derive(1))[0]
-        return out
+    def divergence_mc(self, z, reps=100, rng=None) -> float:
+        """Monte-Carlo divergence sum at z, probed with rng.derive(1)."""
+        return mc_divergence(self.fn, _vector(z), reps=reps,
+                             rng=(rng or RngStream(0)).derive(1))[0]
 
-    def onsager(self, z, reps=None, rng=None) -> Tuple[np.ndarray, str]:
-        """(per-column divergence sums at z, their source): ``divergence``
-        and "analytic" when reps is None and a formula exists, otherwise
-        ``divergence_mc`` with reps probes (100 when None) on rng and
-        "monte_carlo"."""
+    def onsager(self, z, reps=None, rng=None) -> Tuple[float, str]:
+        """(divergence sum at z, its source): ``divergence`` and "analytic"
+        when reps is None and a formula exists, otherwise ``divergence_mc``
+        with reps probes (100 when None) on rng and "monte_carlo"."""
         if reps is None and self.has_analytic_divergence:
             return self.divergence(z), "analytic"
         return self.divergence_mc(z, reps=100 if reps is None else reps, rng=rng), "monte_carlo"
@@ -129,7 +115,6 @@ def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
     return Denoiser(
         fn=lambda x: soft_threshold_apply(x, lmbda),
-        lipschitz_bound=1.0,
         divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
         name=f"soft_threshold(lmbda={lmbda})",
     )
@@ -194,18 +179,9 @@ def local_average_divergence(spec: LocalKernelSpec) -> float:
 
 
 def local_average_denoiser(spec: LocalKernelSpec) -> Denoiser:
-    # Row sums of the averaging operator are 1; the max column sum is the
-    # largest total weight any input pixel receives, so sqrt(linf * l1)
-    # bounds the spectral norm.
-    if spec.h == 0:
-        lip = 1.0
-    else:
-        col_sums = _box_sum(1.0 / spec.window_counts(), spec.h)
-        lip = float(np.sqrt(col_sums.max()))
     const = local_average_divergence(spec)
     return Denoiser(
         fn=lambda x: vec(local_average_apply(mat(x, spec.M, spec.N), spec)),
-        lipschitz_bound=max(lip, 1.0),
         divergence_fn=lambda x: const,
         name=f"local_average(h={spec.h})",
     )
@@ -286,7 +262,6 @@ def svt_denoiser(spec: SpectralSpec) -> Denoiser:
     singular values."""
     return Denoiser(
         fn=lambda x: vec(svt_apply(_svt_input(x, spec), spec)),
-        lipschitz_bound=1.0,
         divergence_fn=lambda x: svt_divergence(x, spec),
         name=f"svt(threshold={spec.threshold})",
     )
@@ -297,33 +272,25 @@ def svt_denoiser(spec: SpectralSpec) -> Denoiser:
 
 
 def identity_denoiser() -> Denoiser:
-    return Denoiser(fn=lambda x: x.copy(), lipschitz_bound=1.0,
-                    divergence_fn=lambda x: x.size, name="identity")
+    return Denoiser(fn=lambda x: x.copy(), divergence_fn=lambda x: x.size, name="identity")
 
 
 def zero_denoiser(n: int) -> Denoiser:
-    return Denoiser(fn=lambda x: np.zeros(n), lipschitz_bound=0.0,
-                    divergence_fn=lambda x: 0.0, name="zero")
+    return Denoiser(fn=lambda x: np.zeros(n), divergence_fn=lambda x: 0.0, name="zero")
 
 
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
-    """f(z) = z_t + e, the measurement-noise shift of the sensing recursion."""
+    """f(z) = z + e, the measurement-noise shift of the sensing recursion."""
     e = np.asarray(e, dtype=np.float64)
     m = e.size
-    lip = max(1.0, float(np.linalg.norm(e)) / np.sqrt(m))
-    return Denoiser(fn=lambda x: x + e, lipschitz_bound=lip,
-                    divergence_fn=lambda x: m, name="residual_shift")
+    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: m, name="residual_shift")
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     """g(y) = theta_star - eta(y + theta_star); divergence is -div eta."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
-    n = theta_star.size
     div_fn = None
     if eta.has_analytic_divergence:
-        div_fn = lambda x: -eta.divergence(x + theta_star)[-1]
-    at_zero = theta_star - eta.apply(theta_star)
-    lip = max(eta.lipschitz_bound, float(np.linalg.norm(at_zero)) / np.sqrt(n))
+        div_fn = lambda x: -eta.divergence(x + theta_star)
     return Denoiser(fn=lambda x: theta_star - eta.apply(x + theta_star),
-                    lipschitz_bound=lip, divergence_fn=div_fn,
-                    name=f"signal_residual({eta.name})")
+                    divergence_fn=div_fn, name=f"signal_residual({eta.name})")

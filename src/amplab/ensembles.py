@@ -8,7 +8,6 @@ standardized to mean 0, variance 1 before scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,12 +89,9 @@ class SignalSpec:
 
 @dataclass
 class SignalSample:
-    """A drawn signal vector, plus the factor decomposition for matrix signals."""
+    """A drawn signal vector."""
 
     vector: np.ndarray
-    left: Optional[np.ndarray] = None  # O
-    singular_values: Optional[np.ndarray] = None  # diag of D, length min(M, N)
-    right: Optional[np.ndarray] = None  # U
 
 
 def sample_wigner(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
@@ -156,7 +152,7 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
         sv = np.zeros(k)
         sv[: spec.rank] = np.sort(gen.uniform(0.0, np.sqrt(spec.N), size=spec.rank))[::-1]
         theta = (o[:, :k] * sv) @ u[:, :k].T
-        return SignalSample(vec(theta), left=o, singular_values=sv, right=u)
+        return SignalSample(vec(theta))
     # smooth_image: separable low-frequency cosine mixture capped at 1
     p = SMOOTH_MODES
     coef = gen.standard_normal((p, p)) / (1.0 + np.add.outer(np.arange(p), np.arange(p)))

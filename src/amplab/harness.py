@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,7 +92,24 @@ class ExperimentConfig:
         validate_config(self)
 
 
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    # types first (fields() gives annotations as strings), so range checks compare numbers
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and not _is_number(value, Integral):
+            raise ConfigError(f.name, f"must be an integer, got {value!r}")
+        if f.type == "float" and not (_is_number(value, Real) and math.isfinite(value)):
+            raise ConfigError(f.name, f"must be a finite number, got {value!r}")
+        if f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
+            raise ConfigError(f.name, f"must be a string, got {value!r}")
+    if not isinstance(cfg.seeds, list) or not all(_is_number(s, Integral) for s in cfg.seeds):
+        raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
+    if not isinstance(cfg.ensembles, list):
+        raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     if cfg.experiment != "tensor_checks":
@@ -103,11 +122,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for i, ens in enumerate(cfg.ensembles):
             if ens not in ENTRY_DISTS:
                 raise ConfigError(f"ensembles[{i}]", f"unknown entry distribution {ens!r}")
-    if _KIND_OF.get(cfg.experiment) in ("local", "spectral"):
+    kind = _KIND_OF.get(cfg.experiment)
+    if kind in ("local", "spectral"):
         if cfg.M < 1 or cfg.N < 1:
             raise ConfigError("dims.M", "matrix experiments need positive M, N")
         if cfg.n != cfg.M * cfg.N:
             raise ConfigError("dims.n", f"need n == M*N ({cfg.M * cfg.N}), got {cfg.n}")
+        if kind == "spectral" and not 0 <= cfg.signal_rank <= min(cfg.M, cfg.N):
+            raise ConfigError("signal_rank", f"must lie in [0, min(M, N)], got {cfg.signal_rank}")
+    if not 0 <= cfg.signal_density <= 1:
+        raise ConfigError("signal_density", f"must lie in [0, 1], got {cfg.signal_density}")
     if cfg.experiment != "tensor_checks":
         if cfg.n < 1:
             raise ConfigError("dims.n", "must be positive")

@@ -2,8 +2,9 @@
 
 The solvers evaluate the defining expectations by Monte Carlo over Gaussian
 surrogates drawn at the problem's own dimension: nested covariances
-Sigma_1 in Sigma_2 in ... (and Omega_t for the asymmetric recursion), with
-coefficients b_ts (and a_ts) given by normalized expected divergences.
+Sigma_1 in Sigma_2 in ... (and Omega_t for the asymmetric recursion), and
+one Onsager coefficient per iteration, b_t (and a_t): the normalized expected
+divergence of a denoiser that reads only the latest iterate.
 """
 
 from __future__ import annotations
@@ -98,25 +99,20 @@ class Coloring:
 
 @dataclass
 class OnsagerSchedule:
-    """Coefficient maps: b[(t, s)] for s < t, and a[(t, s)] for s <= t in the
-    asymmetric recursion. Entries pinned to zero for columns a denoiser
-    declares it never reads."""
+    """One Onsager coefficient per iteration: b[t] for t >= 2, the
+    coefficient of the previous iterate in z_t, and a[t] for t >= 1, the
+    coefficient of u_t in y_t of the asymmetric recursion."""
 
-    b: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    a: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    b: Dict[int, float] = field(default_factory=dict)
+    a: Dict[int, float] = field(default_factory=dict)
     provenance: str = "analytic"
 
-    def b_coeff(self, t: int, s: int) -> float:
+    def coeff(self, name: str, t: int) -> float:
+        """b[t] or a[t], by name; ScheduleError naming a missing entry."""
         try:
-            return self.b[(t, s)]
+            return getattr(self, name)[t]
         except KeyError:
-            raise ScheduleError(f"missing Onsager coefficient b[{t},{s}]")
-
-    def a_coeff(self, t: int, s: int) -> float:
-        try:
-            return self.a[(t, s)]
-        except KeyError:
-            raise ScheduleError(f"missing Onsager coefficient a[{t},{s}]")
+            raise ScheduleError(f"missing Onsager coefficient {name}[{t}]") from None
 
 
 @dataclass
@@ -174,14 +170,14 @@ def _chol_draw(chol: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndar
 
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
                name: str, jittered: List[str], rows: int, denom: int, mc_samples: int,
-               stream: RngStream) -> Tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo averages, over stacks Z (rows x t) with i.i.d. rows
-    N(0, cov), of the new covariance column (1/denom) f_r(Z)^T f_t(Z) for
-    r = 1..t, led by (1/denom) u1^T f_t(Z) when u1 is given, and of the
-    divergences (1/denom) div f_t(Z) from ``Denoiser.onsager``. The samples
-    come from stream's generator, and sample k probes with stream.derive(k)
-    when f_t has no divergence formula. Appends name to jittered when cov
-    needs the Cholesky jitter."""
+               stream: RngStream) -> Tuple[np.ndarray, float]:
+    """Monte-Carlo averages, over draws Z (rows x t) with i.i.d. rows
+    N(0, cov), of the new covariance column (1/denom) f_r(Z_r)^T f_t(Z_t) for
+    r = 1..t, led by (1/denom) u1^T f_t(Z_t) when u1 is given, and of the
+    divergence (1/denom) div f_t(Z_t) from ``Denoiser.onsager``; Z_r is
+    column r of Z. The samples come from stream's generator, and sample k
+    probes with stream.derive(k) when f_t has no divergence formula. Appends
+    name to jittered when cov needs the Cholesky jitter."""
     chol, jitter = _chol_factor(cov)
     if jitter:
         jittered.append(name)
@@ -189,17 +185,17 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
     col = np.zeros(t + off)
-    divs = np.zeros(t)
+    div = 0.0
     for rep in range(mc_samples):
         z = _chol_draw(chol, rows, gen)
-        ft_val = f_t.apply(z)
+        ft_val = f_t.apply(z[:, t - 1])
         if u1 is not None:
             col[0] += u1 @ ft_val / denom
         for r in range(1, t):
-            col[off + r - 1] += f_seq[r - 1].apply(z[:, :r]) @ ft_val / denom
+            col[off + r - 1] += f_seq[r - 1].apply(z[:, r - 1]) @ ft_val / denom
         col[off + t - 1] += ft_val @ ft_val / denom
-        divs += f_t.onsager(z, rng=stream.derive(rep))[0] / denom
-    return col / mc_samples, divs / mc_samples
+        div += f_t.onsager(z[:, t - 1], rng=stream.derive(rep))[0] / denom
+    return col / mc_samples, div / mc_samples
 
 
 def _provenance(denoisers: Sequence[Denoiser]) -> str:
@@ -226,14 +222,14 @@ def se_symmetric(
     mc_samples: int = 200,
     rng: Optional[RngStream] = None,
 ) -> Tuple[SECovarianceSequence, OnsagerSchedule]:
-    """Covariances Sigma_1..Sigma_T and coefficients b_ts for the symmetric
-    recursion driven by f_1, ..., f_(T-1) from initialization u1.
+    """Covariances Sigma_1..Sigma_T and coefficients b_2..b_T for the
+    symmetric recursion driven by f_1, ..., f_(T-1) from initialization u1.
 
-    Sigma_(t+1)[r+1, s+1] averages (1/n) f_r^T f_s over mc_samples surrogate
-    draws Z_(1:t) with i.i.d. rows N(0, Sigma_t); earlier blocks are reused so
-    the sequence nests exactly. b_(t+1, s) averages (1/n) div_s f_t, using the
-    analytic divergence when the denoiser declares one. Covariances that
-    needed the Cholesky jitter are named in the sequence's ``jittered``.
+    Sigma_(t+1)[r+1, s+1] averages (1/n) f_r(Z_r)^T f_s(Z_s) over mc_samples
+    surrogate draws Z_(1:t) with i.i.d. rows N(0, Sigma_t); earlier blocks are
+    reused so the sequence nests exactly. b_(t+1) averages (1/n) div f_t(Z_t),
+    using the analytic divergence when the denoiser declares one. Covariances
+    that needed the Cholesky jitter are named in the sequence's ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -242,14 +238,12 @@ def se_symmetric(
     u1 = np.asarray(u1, dtype=np.float64)
     n = u1.size
     sigma = [np.array([[u1 @ u1 / n]])]
-    b: Dict[Tuple[int, int], float] = {}
+    b: Dict[int, float] = {}
     jittered: List[str] = []
     for t in range(1, T):
-        col, divs = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
-                               mc_samples, rng.derive(t))
+        col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
+                                   mc_samples, rng.derive(t))
         sigma.append(_border(sigma[t - 1], col))
-        for s in range(1, t + 1):
-            b[(t + 1, s)] = float(divs[s - 1])
     cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
     sched = OnsagerSchedule(b=b, provenance=_provenance(f_seq[: T - 1]))
@@ -270,7 +264,7 @@ def se_asymmetric(
 
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
-    N(0, Sigma_t); a_ts = (1/m) E div_s f_t and b_(t+1)s = (1/m) E div_s g_t.
+    N(0, Sigma_t); a_t = (1/m) E div f_t(Z_t) and b_(t+1) = (1/m) E div g_t(Y_t).
     Covariances that needed the Cholesky jitter are named in ``jittered``.
     """
     if mc_samples < 1:
@@ -284,23 +278,19 @@ def se_asymmetric(
     n = u1.size
     omega = [np.array([[u1 @ u1 / m]])]
     sigma: List[np.ndarray] = []
-    a: Dict[Tuple[int, int], float] = {}
-    b: Dict[Tuple[int, int], float] = {}
+    a: Dict[int, float] = {}
+    b: Dict[int, float] = {}
     jittered: List[str] = []
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
-        col, divs = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
+        col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
                                mc_samples, rng.derive(2 * t))
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
-        for s in range(1, t + 1):
-            a[(t, s)] = float(divs[s - 1])
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
         if t - 1 < len(g_seq):
-            col, divs = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, m,
-                                   mc_samples, rng.derive(2 * t + 1))
+            col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
+                                       m, mc_samples, rng.derive(2 * t + 1))
             omega.append(_border(omega[t - 1], col))
-            for s in range(1, t + 1):
-                b[(t + 1, s)] = float(divs[s - 1])
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
     sched = OnsagerSchedule(b=b, a=a, provenance=_provenance([*f_seq[:T], *g_seq[:T]]))
@@ -336,8 +326,7 @@ def se_scalar_sensing(
     K may be an ndarray or a Coloring. The backprojection K^(-1) Y is the
     normal-equations form (K^T K)^(-1) K^T Y, since K is square and
     invertible; a numerically singular K raises NumericError. Each
-    iteration draws its mc_draws samples as one block, in the order the
-    per-draw loop consumed them.
+    iteration draws its mc_draws samples as one block.
     """
     if mc_draws < 1:
         raise ParameterError("mc_draws must be >= 1")

@@ -53,10 +53,6 @@ class DenseTensor:
         return cls(order=arr.ndim, n=n, kind="dense", values=arr)
 
     @classmethod
-    def vector(cls, v) -> "DenseTensor":
-        return cls.from_array(np.asarray(v, dtype=np.float64).reshape(-1))
-
-    @classmethod
     def diagonal(cls, values, order: int) -> "DenseTensor":
         values = np.asarray(values, dtype=np.float64)
         if order < 1:
@@ -108,9 +104,6 @@ class DenseTensor:
             )
         grids = np.meshgrid(*([np.arange(self.n)] * self.order), indexing="ij")
         return self.gather([g.ravel() for g in grids]).reshape((self.n,) * self.order)
-
-    def entry(self, idx: Sequence[int]) -> float:
-        return float(self.gather([np.asarray([i]) for i in idx])[0])
 
 
 # ---------------------------------------------------------------------------

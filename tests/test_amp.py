@@ -20,7 +20,7 @@ from amplab.denoisers import (
 from amplab.ensembles import EnsembleSpec, sample_ginibre, sample_wigner
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
-from amplab.state_evolution import Coloring, OnsagerSchedule
+from amplab.state_evolution import Coloring, OnsagerSchedule, se_symmetric
 
 
 def _goe(n, seed):
@@ -41,7 +41,7 @@ def test_identity_denoiser_hand_expansion():
     n = 15
     w = _goe(n, 3)
     u1 = RngStream(4).generator().standard_normal(n)
-    sched = OnsagerSchedule(b={(2, 1): 1.0})
+    sched = OnsagerSchedule(b={2: 1.0})
     prob = SymmetricAmpProblem(W=w, u1=u1, f_seq=[identity_denoiser()], onsager=sched)
     trace = run_symmetric_amp(prob, 2)
     z1 = w @ u1
@@ -52,7 +52,7 @@ def test_zero_start_stays_zero():
     n = 8
     prob = SymmetricAmpProblem(W=_goe(n, 5), u1=np.zeros(n),
                                f_seq=[zero_denoiser(n)] * 2,
-                               onsager=OnsagerSchedule(b={(2, 1): 0.3, (3, 1): 0.1, (3, 2): 0.2}))
+                               onsager=OnsagerSchedule(b={2: 0.3, 3: 0.2}))
     trace = run_symmetric_amp(prob, 3)
     assert np.all(trace.z == 0) and np.all(trace.u == 0)
 
@@ -60,15 +60,37 @@ def test_zero_start_stays_zero():
 def test_missing_coefficient_raises():
     n = 6
     prob = SymmetricAmpProblem(W=_goe(n, 6), u1=np.ones(n),
-                               f_seq=[identity_denoiser()], onsager=OnsagerSchedule())
-    with pytest.raises(ScheduleError):
-        run_symmetric_amp(prob, 2)
+                               f_seq=[identity_denoiser()] * 2,
+                               onsager=OnsagerSchedule(b={2: 1.0}))
+    with pytest.raises(ScheduleError, match=r"missing Onsager coefficient b\[3\]"):
+        run_symmetric_amp(prob, 3)
+
+
+@pytest.mark.parametrize("b, a, missing", [
+    ({2: 0.1}, {1: 0.2}, r"a\[2\]"),
+    ({}, {1: 0.2, 2: 0.3}, r"b\[2\]"),
+])
+def test_asymmetric_missing_coefficient_is_named(b, a, missing):
+    prob = _rect_problem(35, 12, 9, 2)
+    prob.onsager = OnsagerSchedule(b=b, a=a)
+    with pytest.raises(ScheduleError, match=missing):
+        run_asymmetric_amp(prob, 2)
+
+
+def test_symmetric_run_applies_the_se_schedule_it_was_given():
+    n, T = 50, 4
+    u1 = RngStream(36).generator().standard_normal(n)
+    f_seq = [soft_threshold_denoiser(0.5)] * (T - 1)
+    _, sched = se_symmetric(f_seq, u1, T, mc_samples=5, rng=RngStream(37))
+    trace = run_symmetric_amp(SymmetricAmpProblem(_goe(n, 38), u1, f_seq, sched), T)
+    assert trace.b_applied[0] == 0.0
+    assert trace.b_applied[1:].tolist() == [sched.b[t] for t in range(2, T + 1)]
 
 
 def test_perturbed_delta_zero_is_bitwise_identical():
     n = 9
     w = _goe(n, 8)
-    sched = OnsagerSchedule(b={(2, 1): 1.0})
+    sched = OnsagerSchedule(b={2: 1.0})
     prob = SymmetricAmpProblem(w, np.ones(n), [identity_denoiser()], sched)
     a = run_symmetric_amp(prob, 2)
     b = run_symmetric_amp(prob, 2, delta=0.0, rng=RngStream(99))
@@ -78,7 +100,7 @@ def test_perturbed_delta_zero_is_bitwise_identical():
 def test_perturbed_pure_noise_has_unit_norm_iterates():
     n = 5000
     w = _goe(n, 9)
-    sched = OnsagerSchedule(b={(2, 1): 0.0, (3, 1): 0.0, (3, 2): 0.0})
+    sched = OnsagerSchedule(b={2: 0.0, 3: 0.0})
     prob = SymmetricAmpProblem(w, np.zeros(n), [zero_denoiser(n)] * 2, sched)
     trace = run_symmetric_amp(prob, 3, delta=1.0, rng=RngStream(10))
     for t in range(3):
@@ -110,7 +132,7 @@ def test_asymmetric_first_iteration_expansion():
     m, n = 12, 9
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(14))
     u1 = RngStream(15).generator().standard_normal(n)
-    sched = OnsagerSchedule(a={(1, 1): 1.0})
+    sched = OnsagerSchedule(a={1: 1.0})
     prob = RectAmpProblem(W=w, u1=u1, f_seq=[identity_denoiser()], g_seq=[],
                           onsager=sched)
     trace = run_asymmetric_amp(prob, 1)
@@ -123,7 +145,7 @@ def test_asymmetric_first_iteration_expansion():
 def test_asymmetric_zero_fixed_point():
     m, n = 7, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(16))
-    sched = OnsagerSchedule(b={(2, 1): 0.3}, a={(1, 1): 0.2, (2, 1): 0.1, (2, 2): 0.4})
+    sched = OnsagerSchedule(b={2: 0.3}, a={1: 0.2, 2: 0.4})
     prob = RectAmpProblem(W=w, u1=np.zeros(n),
                           f_seq=[zero_denoiser(m)] * 2, g_seq=[zero_denoiser(n)] * 2,
                           onsager=sched)
@@ -181,7 +203,7 @@ def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
         # the run's r_t is contiguous; a strided column can round differently
         arg = trace.theta[:, t - 2] + prob.W.T @ trace.r[:, t - 2].copy()
         probe = prob.eta_seq[t - 2].divergence_mc(arg, reps=reps, rng=rng.derive(t))
-        assert trace.b_applied[t - 1] == float(probe[-1]) / m
+        assert trace.b_applied[t - 1] == probe / m
 
 
 def test_sensing_rejects_zero_probes_before_iterating():
@@ -189,7 +211,7 @@ def test_sensing_rejects_zero_probes_before_iterating():
     calls = []
     eta = prob.eta_seq[0]
     prob.eta_seq = [Denoiser(fn=lambda x: calls.append(1) or eta.fn(x),
-                             lipschitz_bound=1.0, divergence_fn=eta.divergence_fn)] * 3
+                             divergence_fn=eta.divergence_fn)] * 3
     with pytest.raises(ParameterError, match="mc_reps"):
         run_sensing_amp(prob, 3, mc_reps=0)
     assert calls == []
@@ -199,12 +221,11 @@ def _change_of_variables_gap(prob, T):
     """Max relative deviation over t between the sensing recursion run
     directly and run through the asymmetric recursion under the change of
     variables u_t = theta_star - theta_t, z_t = r_t - e, f(z) = z + e,
-    g_t(y) = theta_star - eta_t(y + theta_star). The schedule is a_tt = 1 and
-    b_(t+1)t = -b_(t+1), read off the sensing trace, and zero elsewhere."""
+    g_t(y) = theta_star - eta_t(y + theta_star). The schedule is a_t = 1 and
+    b_t = -(the sensing b_t), read off the sensing trace."""
     direct = run_sensing_amp(prob, T)
-    a = {(t, s): float(s == t) for t in range(1, T + 1) for s in range(1, t + 1)}
-    b = {(t + 1, s): -direct.b_applied[t] if s == t else 0.0
-         for t in range(1, T) for s in range(1, t + 1)}
+    a = {t: 1.0 for t in range(1, T + 1)}
+    b = {t: -direct.b_applied[t - 1] for t in range(2, T + 1)}
     mapped = run_asymmetric_amp(RectAmpProblem(
         W=prob.W, u1=prob.theta_star.copy(),
         f_seq=[residual_shift_denoiser(prob.e)] * T,
@@ -297,7 +318,7 @@ def _normal_equations_sensing(prob, K, T):
     theta, r_prev, prev_arg = np.zeros(n), np.zeros(m), None
     out = []
     for t in range(T):
-        b = 0.0 if t == 0 else prob.eta_seq[t - 1].divergence(prev_arg)[-1] / m
+        b = 0.0 if t == 0 else prob.eta_seq[t - 1].divergence(prev_arg) / m
         r = x - w_eff @ theta + b * r_prev
         arg = theta + np.linalg.solve(ktk, w_eff.T @ r)
         theta = prob.eta_seq[t].apply(arg)
@@ -354,7 +375,7 @@ def _rect_problem(seed, m, n, T):
 
 def test_symmetric_short_f_seq_raises_schedule_error():
     prob = SymmetricAmpProblem(W=_goe(6, 31), u1=np.ones(6), f_seq=[identity_denoiser()],
-                               onsager=OnsagerSchedule(b={(2, 1): 1.0}))
+                               onsager=OnsagerSchedule(b={2: 1.0}))
     with pytest.raises(ScheduleError, match="need 2 denoisers for T=3, got 1"):
         run_symmetric_amp(prob, 3)
 

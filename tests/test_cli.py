@@ -93,6 +93,15 @@ def test_universality_writes_the_comparison_table(tmp_path):
     assert set(table["pairwise_relative_gap"]) == {"gaussian|rademacher"}
 
 
+@pytest.mark.parametrize("command", ["run-amp", "state-evolution", "universality"])
+def test_missing_config_exits_2_with_an_error(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --config: is required for {command}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_field_is_rejected(tmp_path, capsys):
     config = _config(tmp_path, dict(TINY_LOCAL, serial=True))
     assert main(["run-amp", "--config", config, "--out", str(tmp_path)]) == 2

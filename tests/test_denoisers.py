@@ -127,6 +127,15 @@ def test_matrix_denoisers_reject_a_vector_of_the_wrong_length(den):
         den.apply(np.ones(11))
 
 
+@pytest.mark.parametrize("call", ["apply", "divergence", "divergence_mc"])
+@pytest.mark.parametrize("shape", [(12, 2), (12, 1), ()])
+def test_denoiser_rejects_input_that_is_not_a_vector(call, shape):
+    # an n x t stack of iterates must fail loudly, not be read by its last column
+    den = soft_threshold_denoiser(0.5)
+    with pytest.raises(DimensionError, match="must be an n-vector"):
+        getattr(den, call)(np.ones(shape))
+
+
 def test_svt_zero_threshold_reconstructs():
     x = RngStream(5).generator().standard_normal((6, 9))
     out = svt_apply(x, SpectralSpec(6, 9, 0.0))
@@ -199,7 +208,7 @@ def test_svt_divergence_matches_the_probe(case):
     exact = svt_divergence(x, spec)
     mean, se = mc_divergence(svt_denoiser(spec).fn, x, reps=2000, rng=RngStream(26))
     assert abs(exact - mean) < 3 * se
-    assert svt_denoiser(spec).divergence(np.column_stack([x, x])).tolist() == [0.0, exact]
+    assert svt_denoiser(spec).divergence(x) == exact
 
 
 def test_svt_divergence_is_taken_at_the_shifted_matrix():
@@ -252,14 +261,13 @@ def test_shifted_spectral_spec_hashes_and_goes_into_a_set():
 ])
 def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source, probes):
     n = 20
-    z = RngStream(40).generator().standard_normal((n, 2))
-    den = (soft_threshold_denoiser(0.4) if formula
-           else Denoiser(fn=np.tanh, lipschitz_bound=1.0, name="tanh"))
-    divs, got = den.onsager(z, reps=reps, rng=RngStream(41))
+    z = RngStream(40).generator().standard_normal(n)
+    den = soft_threshold_denoiser(0.4) if formula else Denoiser(fn=np.tanh, name="tanh")
+    div, got = den.onsager(z, reps=reps, rng=RngStream(41))
     assert got == source
     want = (den.divergence(z) if probes is None
             else den.divergence_mc(z, reps=probes, rng=RngStream(41)))
-    assert np.array_equal(divs, want)
+    assert div == want
 
 
 def test_mc_divergence_matches_analytic_count_for_soft_threshold():
@@ -272,27 +280,34 @@ def test_mc_divergence_matches_analytic_count_for_soft_threshold():
     assert abs(est - exact) / exact < 0.02
 
 
+def _operator_norm(den, n):
+    """Spectral norm of a linear denoiser, from its matrix on the basis."""
+    return np.linalg.norm(np.column_stack([den.apply(col) for col in np.eye(n)]), 2)
+
+
 def test_denoiser_lipschitz_probe_all_families():
     gen = RngStream(18).generator()
     n = 36
-    dens = [
-        soft_threshold_denoiser(0.5),
-        identity_denoiser(),
-        zero_denoiser(n),
-        local_average_denoiser(LocalKernelSpec(6, 6, 1)),
-        svt_denoiser(SpectralSpec(6, 6, 0.1)),
-        residual_shift_denoiser(gen.standard_normal(n)),
-        signal_residual_denoiser(gen.standard_normal(n), soft_threshold_denoiser(0.5)),
+    e, theta = gen.standard_normal(n), gen.standard_normal(n)
+    eta = soft_threshold_denoiser(0.5)
+    smoother = local_average_denoiser(LocalKernelSpec(6, 6, 1))
+    # (denoiser, Lipschitz constant, value at zero)
+    cases = [
+        (soft_threshold_denoiser(0.5), 1.0, np.zeros(n)),
+        (identity_denoiser(), 1.0, np.zeros(n)),
+        (zero_denoiser(n), 0.0, np.zeros(n)),
+        (smoother, _operator_norm(smoother, n), np.zeros(n)),
+        (svt_denoiser(SpectralSpec(6, 6, 0.1)), 1.0, np.zeros(n)),
+        (residual_shift_denoiser(e), 1.0, e),
+        (signal_residual_denoiser(theta, eta), 1.0, theta - eta.apply(theta)),
     ]
-    for den in dens:
-        lip = den.lipschitz_bound
+    for den, lip, at_zero in cases:
         for _ in range(100):
-            x = gen.standard_normal((n, 2))
-            y = x + 0.4 * gen.standard_normal((n, 2))
+            x = gen.standard_normal(n)
+            y = x + 0.4 * gen.standard_normal(n)
             dist = np.linalg.norm(den.apply(x) - den.apply(y))
             assert dist <= (lip + 1e-6) * np.linalg.norm(x - y), den.name
-        # value at zero stays within the declared envelope
-        assert np.linalg.norm(den.apply(np.zeros((n, 2)))) <= lip * np.sqrt(n) + 1e-9
+        assert np.allclose(den.apply(np.zeros(n)), at_zero, rtol=0, atol=1e-12), den.name
 
 
 def test_stein_identity_for_analytic_divergences():
@@ -308,7 +323,7 @@ def test_stein_identity_for_analytic_divergences():
         diffs = []
         for _ in range(300):
             z = sigma * gen.standard_normal(n)
-            diffs.append(z @ den.apply(z) / sigma**2 - den.divergence(z)[-1])
+            diffs.append(z @ den.apply(z) / sigma**2 - den.divergence(z))
         diffs = np.asarray(diffs) / n
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert abs(diffs.mean()) < 3 * se, den.name
@@ -317,13 +332,13 @@ def test_stein_identity_for_analytic_divergences():
 def test_stability_probe():
     gen = RngStream(22).generator()
     n = 64
-    dens = [
-        soft_threshold_denoiser(0.5),
-        local_average_denoiser(LocalKernelSpec(8, 8, 1)),
-        svt_denoiser(SpectralSpec(8, 8, 0.1)),
+    smoother = local_average_denoiser(LocalKernelSpec(8, 8, 1))
+    cases = [
+        (soft_threshold_denoiser(0.5), 1.0),
+        (smoother, _operator_norm(smoother, n)),
+        (svt_denoiser(SpectralSpec(8, 8, 0.1)), 1.0),
     ]
-    for den in dens:
-        lip = den.lipschitz_bound
+    for den, lip in cases:
         for _ in range(20):
             z = gen.standard_normal(n)
             e = gen.standard_normal(n)

@@ -21,11 +21,28 @@ from amplab.state_evolution import Coloring
     ("tensor_n", 1),
     ("onsager_source", ""),
     ("ensembles", []),
+    # each value below would otherwise pass validation and then fail deep
+    # inside a run, with a bare error or a SpecError naming no field, or run
+    # to the end on a NaN
+    ("se_draws", 1.5),
+    ("iterations", 2.5),
+    ("bandwidth", 1.5),
+    ("iterations", True),
+    ("seeds", ["a"]),
+    ("seeds", 3),
+    ("ensembles", "gaussian"),
+    ("threshold", float("nan")),
+    ("kappa_high", float("inf")),
+    ("noise_std", float("nan")),
+    ("threshold", "0.5"),
+    ("signal_rank", 9),  # above min(M, N) = 4
+    ("signal_density", 1.5),
+    ("out", 5),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ConfigError) as info:
-        config_from_dict({"experiment": "fig3_aniso", "seeds": [1], "n": 20, "m": 10,
-                          field: value})
+        config_from_dict({"experiment": "fig2_spectral", "seeds": [1], "M": 4, "N": 4,
+                          "n": 16, "m": 8, field: value})
     assert info.value.field == field
 
 

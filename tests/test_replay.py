@@ -1,0 +1,151 @@
+"""Fixed-seed replay of the sensing experiments and of the matrix-valued SE
+solvers followed by their AMP runs.
+
+Each case reduces its outputs to a short list of floats and compares it with
+the values recorded in ``EXPECTED`` at relative tolerance 1e-12. A refactor
+that claims unchanged outputs must pass here untouched; a change that moves
+the RNG consumption or the order of the arithmetic re-records the values and
+says why.
+"""
+
+import numpy as np
+import pytest
+
+import amplab
+from amplab.denoisers import residual_shift_denoiser, signal_residual_denoiser
+from amplab.ensembles import EnsembleSpec, SignalSpec, sample_noise
+from amplab.harness import config_from_dict, run_experiment
+
+RTOL = 1e-12
+
+_SENSING = {
+    "fig1_local": {"experiment": "fig1_local", "M": 6, "N": 6, "n": 36, "m": 24},
+    "fig2_spectral_analytic": {"experiment": "fig2_spectral", "M": 6, "N": 6, "n": 36,
+                               "m": 24},
+    "fig2_spectral_mc": {"experiment": "fig2_spectral", "M": 6, "N": 6, "n": 36, "m": 24,
+                         "onsager_source": "mc", "mc_reps": 5},
+    "fig3_aniso": {"experiment": "fig3_aniso", "n": 60, "m": 30, "signal_density": 0.2},
+}
+
+
+def _columns(arr):
+    """Per column: the squared norm and the inner product with sin(1..rows)."""
+    weights = np.sin(np.arange(1, arr.shape[0] + 1))
+    return [v for col in arr.T for v in (col @ col, col @ weights)]
+
+
+def _upper(cov):
+    return list(cov[np.triu_indices(cov.shape[0])])
+
+
+def _sensing(name):
+    cfg = config_from_dict({"seeds": [3], "iterations": 3, "se_draws": 4,
+                            "ensembles": ["gaussian", "rademacher"], **_SENSING[name]})
+    records, summary = run_experiment(cfg)
+    out = [r.mse for r in records]
+    for key in ("se_predicted", "sigma_sq", "omega_sq"):
+        out += summary[key]
+    out += [summary.get("condition_number", 1.0)]
+    counts = summary.get("sv_count_above_threshold", {})
+    return out + [counts[ens] for ens in sorted(counts)]
+
+
+def _symmetric():
+    n, T = 120, 4
+    u1 = amplab.RngStream(5).generator().standard_normal(n)
+    f_seq = [amplab.soft_threshold_denoiser(0.5)] * (T - 1)
+    cov, sched = amplab.se_symmetric(f_seq, u1, T, mc_samples=10, rng=amplab.RngStream(6))
+    w = amplab.sample_wigner(EnsembleSpec("goe", n, n), amplab.RngStream(7))
+    trace = amplab.run_symmetric_amp(
+        amplab.SymmetricAmpProblem(W=w, u1=u1, f_seq=f_seq, onsager=sched), T)
+    return _upper(cov.sigma[-1]) + _columns(trace.z) + _columns(trace.u)
+
+
+def _asymmetric():
+    m, n, T = 60, 100, 3
+    theta = amplab.sample_signal(SignalSpec(kind="sparse", dims=n, density=0.3),
+                                 amplab.RngStream(8, 1)).vector
+    e = sample_noise(m, 0.2, amplab.RngStream(8, 2))
+    f_seq = [residual_shift_denoiser(e)] * T
+    g_seq = [signal_residual_denoiser(theta, amplab.soft_threshold_denoiser(0.5))] * T
+    cov, sched = amplab.se_asymmetric(f_seq, g_seq, theta, T, m, mc_samples=10,
+                                      rng=amplab.RngStream(9))
+    w = amplab.sample_ginibre(EnsembleSpec("ginibre_iid", m, n), amplab.RngStream(10))
+    trace = amplab.run_asymmetric_amp(
+        amplab.RectAmpProblem(W=w, u1=theta, f_seq=f_seq, g_seq=g_seq, onsager=sched), T)
+    return (_upper(cov.omega[-1]) + _upper(cov.sigma[-1]) + _columns(trace.z)
+            + _columns(trace.v) + _columns(trace.y) + _columns(trace.u))
+
+
+CASES = {**{name: (lambda name=name: _sensing(name)) for name in _SENSING},
+         "se_symmetric": _symmetric, "se_asymmetric": _asymmetric}
+
+EXPECTED = {
+    "fig1_local": [
+        0.06615543205334876, 0.01749553552751049, 0.011090065515320473,
+        0.07974197890373791, 0.026030152561871394, 0.01898829903563478,
+        0.07009643834405628, 0.02220752256599108, 0.016613223167660084,
+        0.44140291142389587, 0.10710436551971338, 0.03527099185261558,
+        0.43944320342026694, 0.10514465751608441, 0.03331128384898662,
+        0.024919834751490125, 1.0,
+    ],
+    "fig2_spectral_analytic": [
+        0.2729213684002248, 0.25335312295565077, 0.24355496462673942,
+        0.2544865181002941, 0.18685107698654016, 0.1579311648055957,
+        0.33339821710339457, 0.19627709359719284, 0.1820521877267664,
+        0.5914105834922734, 0.5020570336587209, 0.2963753483994182,
+        0.5894508754886444, 0.5000973256550919, 0.29441564039578927,
+        0.2730782815901496, 1.0, 1.0,
+        3.0,
+    ],
+    "fig2_spectral_mc": [
+        0.2729213684002248, 0.2516418437962061, 0.22853085001402856,
+        0.2544865181002941, 0.18438390013116746, 0.15467719610607475,
+        0.33339821710339457, 0.19627709359719284, 0.1820521877267664,
+        0.5914105834922734, 0.5020570336587209, 0.2963753483994182,
+        0.5894508754886444, 0.5000973256550919, 0.29441564039578927,
+        0.2730782815901496, 1.0, 1.0,
+        3.0,
+    ],
+    "fig3_aniso": [
+        0.5082555248814736, 0.5819035597920761, 0.7576945401080137,
+        0.18118377341589803, 0.1325409422872357, 0.13679351536444623,
+        0.24996959067256147, 0.19511681542239612, 0.13618727243005116,
+        0.6220726015092305, 0.6372264323438015, 0.4832203828421304,
+        0.6199714779259123, 0.6351253087604833, 0.4811192592588123,
+        0.3906249196473753, 3.944473285336346,
+    ],
+    "se_asymmetric": [
+        0.366161042088107, 0.11169025916940947, 0.11921900601962412,
+        0.14348675419327178, 0.21313197978585047, 0.10552858290033815,
+        0.12349729381173902, 0.1595014820439948, 0.10299353209426823,
+        0.13337827956988074, 0.38952653704808365, 0.14847183211108575,
+        0.17440163850256957, 0.2492293099261113, 0.15736703756956255,
+        0.20228693101138923, 15.510230288979056, -4.591663259537041,
+        16.352653396864785, -2.3092479876699565, 9.680306886522676,
+        -2.017135427538652, 19.87023330502726, -4.924264535325101,
+        22.01640295899559, -2.6418492634580155, 13.056905369250662,
+        -2.349736703326711, 33.44834147502263, -4.637553862340019,
+        34.136341565882866, 1.2086032227846444, 25.320096965901303,
+        -2.163490985526235, 21.969662525286417, 0.6762173419227595,
+        14.627920788472675, 3.304999866682869, 12.518025019993061,
+        0.4972763773562857, 10.462394266118707, 1.9720018979420137,
+    ],
+    "se_symmetric": [
+        0.9508149661559446, -0.006178877705866353, 0.000692433701040629,
+        -0.0018529531667497723, 0.36185426774075713, -0.0043719362149780465,
+        0.000691036897310735, 0.08155166521422402, 0.00043439108689590145,
+        0.0021442779635858504, 129.62924210746422, -5.243666852377741,
+        61.48561209589949, 4.076407235147739, 21.283889581882633,
+        -4.338136990058576, 2.469676847436137, 0.6846131668331794,
+        114.09779593871336, -5.218113154018289, 57.111849082714784,
+        -4.371838133183372, 16.61710430364004, 3.2107727045814602,
+        2.027711874364989, -1.4625503110876472,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay_matches_the_recorded_outputs(name):
+    got = np.asarray(CASES[name](), dtype=np.float64)
+    np.testing.assert_allclose(got, EXPECTED[name], rtol=RTOL, atol=0)

@@ -111,16 +111,13 @@ def test_zero_signal():
 def test_low_rank_signal_factors():
     spec = SignalSpec(kind="low_rank", dims=100 * 150, M=100, N=150, rank=20)
     s = sample_signal(spec, RngStream(77))
-    sv = s.singular_values
-    assert np.count_nonzero(sv) == 20
-    assert sv.size == 100
-    assert np.all(sv <= np.sqrt(150)) and np.all(sv >= 0)
-    # reconstruction has exactly those singular values
     from amplab.vecmat import mat
 
+    # rank nonzero singular values, each in [0, sqrt(N)]
     d = np.linalg.svd(mat(s.vector, 100, 150), compute_uv=False)
-    assert np.allclose(np.sort(d)[::-1][:20], np.sort(sv[sv > 0])[::-1], atol=1e-10)
-    assert np.all(d[20:] < 1e-10)
+    assert d.size == 100
+    assert np.all(d[20:] < 1e-10) and np.all(d[:20] > 1e-10)
+    assert np.all(d <= np.sqrt(150) + 1e-10)
 
 
 def test_sparse_signal_support_count():

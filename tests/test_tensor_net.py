@@ -25,7 +25,7 @@ from amplab.vecmat import mat, vec
 def test_single_edge_is_inner_product():
     a, b = np.array([1.0, -2.0, 0.5]), np.array([2.0, 0.0, 4.0])
     g = OrderedMultigraph.from_edges(2, [(0, 1)])
-    lab = {0: DenseTensor.vector(a), 1: DenseTensor.vector(b)}
+    lab = {0: DenseTensor.from_array(a), 1: DenseTensor.from_array(b)}
     assert eval_value_bruteforce(g, lab, 3) == pytest.approx(a @ b)
     assert eval_value_contraction(g, lab, 3) == pytest.approx(a @ b)
 
@@ -54,7 +54,7 @@ def test_disconnected_union_multiplies():
     gen = RngStream(2).generator()
     vecs = gen.standard_normal((4, 3))
     g = OrderedMultigraph.from_edges(4, [(0, 1), (2, 3)])
-    lab = {i: DenseTensor.vector(vecs[i]) for i in range(4)}
+    lab = {i: DenseTensor.from_array(vecs[i]) for i in range(4)}
     expect = (vecs[0] @ vecs[1]) * (vecs[2] @ vecs[3])
     assert eval_value_bruteforce(g, lab, 3) == pytest.approx(expect)
     assert eval_value_contraction(g, lab, 3) == pytest.approx(expect)
@@ -67,7 +67,7 @@ def test_star_with_identity_center():
     g = OrderedMultigraph.from_edges(leaves + 1, edges)
     lab = {0: DenseTensor.identity(n, leaves)}
     for v in range(1, leaves + 1):
-        lab[v] = DenseTensor.vector(gen.standard_normal(n))
+        lab[v] = DenseTensor.from_array(gen.standard_normal(n))
     brute = eval_value_bruteforce(g, lab, n)
     expect = np.sum(lab[1].values * lab[2].values * lab[3].values)
     assert brute == pytest.approx(expect, rel=1e-12)
@@ -268,8 +268,8 @@ def test_bcp_transposition_invariance():
 
 def test_alternating_order_two_is_identity():
     t = DenseTensor.alternating(2, 2, 3)
-    for i, j in itertools.product(range(6), repeat=2):
-        assert t.entry((i, j)) == (1.0 if i == j else 0.0)
+    i, j = (np.array(idx) for idx in zip(*itertools.product(range(6), repeat=2)))
+    assert np.array_equal(t.gather([i, j]), (i == j).astype(np.float64))
 
 
 def test_alternating_order_four_contraction():
