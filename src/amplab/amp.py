@@ -1,6 +1,5 @@
-"""AMP recursions: symmetric (optionally Gaussian-perturbed, delta > 0),
-asymmetric with an explicit Onsager schedule, and the sensing form, plain or
-coloured (x = W K theta + e).
+"""AMP recursions: symmetric, asymmetric with an explicit Onsager schedule,
+and the sensing form, plain or coloured (x = W K theta + e).
 
 Denoisers read only the latest iterate, so each iteration subtracts one
 Onsager term, a coefficient times the previous iterate (Berthier, Montanari
@@ -128,35 +127,20 @@ class SensingAmpTrace:
 # Symmetric recursion
 
 
-def run_symmetric_amp(problem: SymmetricAmpProblem, T: int, delta: float = 0.0,
-                      rng: Optional[RngStream] = None) -> SymmetricAmpTrace:
-    """z_t = W u_t - b_t u_(t-1), u_(t+1) = f_t(z_t); z_1 = W u_1.
-
-    With delta > 0 every u_t gets fresh N(0, 1) noise: u_1 = u1 + delta xi_1
-    and u_(t+1) = f_t(z_t) + delta xi_(t+1), drawn from rng in that
-    order. delta = 0 consumes no draws and needs no rng.
-    """
+def run_symmetric_amp(problem: SymmetricAmpProblem, T: int) -> SymmetricAmpTrace:
+    """z_t = W u_t - b_t u_(t-1), u_(t+1) = f_t(z_t); z_1 = W u_1."""
     if T < 1:
         raise ParameterError("T must be >= 1")
-    if delta < 0:
-        raise ParameterError("delta must be >= 0")
-    if delta > 0 and rng is None:
-        raise ParameterError("a perturbed run (delta > 0) needs an rng")
     require_length(problem.f_seq, T - 1, T)
     tic = time.perf_counter()
     n = problem.u1.size
-    gen = rng.generator() if delta > 0 else None
-
-    def perturb(x):
-        return x if gen is None else x + delta * gen.standard_normal(n)
-
     z = np.zeros((n, T))
     u = np.zeros((n, T))
     b = np.zeros(T)
-    u[:, 0] = perturb(problem.u1)
+    u[:, 0] = problem.u1
     z[:, 0] = problem.W @ u[:, 0]
     for t in range(2, T + 1):
-        u[:, t - 1] = perturb(problem.f_seq[t - 2].apply(z[:, t - 2]))
+        u[:, t - 1] = problem.f_seq[t - 2].apply(z[:, t - 2])
         b[t - 1] = problem.onsager.coeff("b", t)
         z[:, t - 1] = problem.W @ u[:, t - 1] - b[t - 1] * u[:, t - 2]
     return SymmetricAmpTrace(z=z, u=u, b_applied=b,

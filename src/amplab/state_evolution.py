@@ -5,6 +5,13 @@ surrogates drawn at the problem's own dimension: nested covariances
 Sigma_1 in Sigma_2 in ... (and Omega_t for the asymmetric recursion), and
 one Onsager coefficient per iteration, b_t (and a_t): the normalized expected
 divergence of a denoiser that reads only the latest iterate.
+
+Each Monte-Carlo sample is one surrogate path Z_1, Z_2, ... of the process
+whose covariance SE tracks (Berthier, Montanari & Nguyen, arXiv:1708.03950).
+Iteration t redraws the same path up to Z_t from the sample's own stream and
+adds a new covariance column from it, so every Sigma_t and Omega_t is the
+Gram average (1/denom) F^T F over one sample set, F holding a path's
+denoiser outputs: positive semidefinite and nested by construction.
 """
 
 from __future__ import annotations
@@ -105,7 +112,6 @@ class OnsagerSchedule:
 
     b: Dict[int, float] = field(default_factory=dict)
     a: Dict[int, float] = field(default_factory=dict)
-    provenance: str = "analytic"
 
     def coeff(self, name: str, t: int) -> float:
         """b[t] or a[t], by name; ScheduleError naming a missing entry."""
@@ -163,46 +169,39 @@ def _chol_factor(cov: np.ndarray) -> Tuple[np.ndarray, bool]:
             ) from exc
 
 
-def _chol_draw(chol: np.ndarray, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """rows x t draw with i.i.d. rows N(0, chol chol^T)."""
-    return gen.standard_normal((rows, chol.shape[0])) @ chol.T
-
-
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
                name: str, jittered: List[str], rows: int, denom: int, mc_samples: int,
                stream: RngStream) -> Tuple[np.ndarray, float]:
-    """Monte-Carlo averages, over draws Z (rows x t) with i.i.d. rows
-    N(0, cov), of the new covariance column (1/denom) f_r(Z_r)^T f_t(Z_t) for
-    r = 1..t, led by (1/denom) u1^T f_t(Z_t) when u1 is given, and of the
-    divergence (1/denom) div f_t(Z_t) from ``Denoiser.onsager``; Z_r is
-    column r of Z. The samples come from stream's generator, and sample k
-    probes with stream.derive(k) when f_t has no divergence formula. Appends
-    name to jittered when cov needs the Cholesky jitter."""
+    """Monte-Carlo averages, over mc_samples surrogate paths Z (t x rows) with
+    i.i.d. columns N(0, cov), of the new covariance column
+    (1/denom) f_r(Z_r)^T f_t(Z_t) for r = 1..t, led by (1/denom) u1^T f_t(Z_t)
+    when u1 is given, and of the divergence (1/denom) div f_t(Z_t) from
+    ``Denoiser.onsager``; Z_r is row r of Z.
+
+    Path k is Z = L G: L is the lower Cholesky factor of cov and G the
+    t x rows normals of stream.derive(k). G fills row by row and L's rows
+    nest as cov does, so rows 1..t-1 of Z repeat the path that every earlier
+    t drew from the same stream. Path k probes with path.derive(t) when f_t
+    has no divergence formula. Appends name to jittered when cov needs the
+    Cholesky jitter."""
     chol, jitter = _chol_factor(cov)
     if jitter:
         jittered.append(name)
-    gen = stream.generator()
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
     col = np.zeros(t + off)
     div = 0.0
-    for rep in range(mc_samples):
-        z = _chol_draw(chol, rows, gen)
-        ft_val = f_t.apply(z[:, t - 1])
+    for k in range(mc_samples):
+        path = stream.derive(k)
+        z = chol @ path.generator().standard_normal((t, rows))
+        ft_val = f_t.apply(z[t - 1])
         if u1 is not None:
             col[0] += u1 @ ft_val / denom
         for r in range(1, t):
-            col[off + r - 1] += f_seq[r - 1].apply(z[:, r - 1]) @ ft_val / denom
+            col[off + r - 1] += f_seq[r - 1].apply(z[r - 1]) @ ft_val / denom
         col[off + t - 1] += ft_val @ ft_val / denom
-        div += f_t.onsager(z[:, t - 1], rng=stream.derive(rep))[0] / denom
+        div += f_t.onsager(z[t - 1], rng=path.derive(t))[0] / denom
     return col / mc_samples, div / mc_samples
-
-
-def _provenance(denoisers: Sequence[Denoiser]) -> str:
-    """Schedule provenance: analytic unless some denoiser needs the probe."""
-    if all(d.has_analytic_divergence for d in denoisers):
-        return "analytic"
-    return "monte_carlo"
 
 
 def _border(prev: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -226,10 +225,12 @@ def se_symmetric(
     symmetric recursion driven by f_1, ..., f_(T-1) from initialization u1.
 
     Sigma_(t+1)[r+1, s+1] averages (1/n) f_r(Z_r)^T f_s(Z_s) over mc_samples
-    surrogate draws Z_(1:t) with i.i.d. rows N(0, Sigma_t); earlier blocks are
-    reused so the sequence nests exactly. b_(t+1) averages (1/n) div f_t(Z_t),
-    using the analytic divergence when the denoiser declares one. Covariances
-    that needed the Cholesky jitter are named in the sequence's ``jittered``.
+    surrogate paths Z_(1:t) with i.i.d. coordinates N(0, Sigma_t); path k is
+    drawn from rng.derive(k) at every t, so Sigma_(t+1) is the Gram average
+    of [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
+    exactly. b_(t+1) averages (1/n) div f_t(Z_t), using the analytic
+    divergence when the denoiser declares one. Covariances that needed the
+    Cholesky jitter are named in the sequence's ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -242,12 +243,11 @@ def se_symmetric(
     jittered: List[str] = []
     for t in range(1, T):
         col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
-                                   mc_samples, rng.derive(t))
+                                   mc_samples, rng)
         sigma.append(_border(sigma[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
-    sched = OnsagerSchedule(b=b, provenance=_provenance(f_seq[: T - 1]))
-    return cov, sched
+    return cov, OnsagerSchedule(b=b)
 
 
 def se_asymmetric(
@@ -265,7 +265,11 @@ def se_asymmetric(
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
     N(0, Sigma_t); a_t = (1/m) E div f_t(Z_t) and b_(t+1) = (1/m) E div g_t(Y_t).
-    Covariances that needed the Cholesky jitter are named in ``jittered``.
+    Each side keeps one set of surrogate paths for every t: path k of Z is
+    drawn from rng.derive(0).derive(k) and path k of Y from
+    rng.derive(1).derive(k), so Sigma_t and Omega_t are Gram averages over
+    one sample set each. Covariances that needed the Cholesky jitter are
+    named in ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -281,20 +285,20 @@ def se_asymmetric(
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
+    f_paths, g_paths = rng.derive(0), rng.derive(1)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
         col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
-                               mc_samples, rng.derive(2 * t))
+                               mc_samples, f_paths)
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
         if t - 1 < len(g_seq):
             col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
-                                       m, mc_samples, rng.derive(2 * t + 1))
+                                       m, mc_samples, g_paths)
             omega.append(_border(omega[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
-    sched = OnsagerSchedule(b=b, a=a, provenance=_provenance([*f_seq[:T], *g_seq[:T]]))
-    return cov, sched
+    return cov, OnsagerSchedule(b=b, a=a)
 
 
 @dataclass

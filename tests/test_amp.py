@@ -87,47 +87,6 @@ def test_symmetric_run_applies_the_se_schedule_it_was_given():
     assert trace.b_applied[1:].tolist() == [sched.b[t] for t in range(2, T + 1)]
 
 
-def test_perturbed_delta_zero_is_bitwise_identical():
-    n = 9
-    w = _goe(n, 8)
-    sched = OnsagerSchedule(b={2: 1.0})
-    prob = SymmetricAmpProblem(w, np.ones(n), [identity_denoiser()], sched)
-    a = run_symmetric_amp(prob, 2)
-    b = run_symmetric_amp(prob, 2, delta=0.0, rng=RngStream(99))
-    assert np.array_equal(a.z, b.z) and np.array_equal(a.u, b.u)
-
-
-def test_perturbed_pure_noise_has_unit_norm_iterates():
-    n = 5000
-    w = _goe(n, 9)
-    sched = OnsagerSchedule(b={2: 0.0, 3: 0.0})
-    prob = SymmetricAmpProblem(w, np.zeros(n), [zero_denoiser(n)] * 2, sched)
-    trace = run_symmetric_amp(prob, 3, delta=1.0, rng=RngStream(10))
-    for t in range(3):
-        norm_sq = trace.u[:, t] @ trace.u[:, t] / n
-        assert abs(norm_sq - 1.0) < 3 * np.sqrt(2.0 / n)
-
-
-def test_perturbed_initial_variance_adds_delta_squared():
-    n = 2000
-    delta = 0.7
-    u1 = RngStream(12).generator().standard_normal(n)
-    prob = SymmetricAmpProblem(np.zeros((n, n)), u1, [], OnsagerSchedule())
-    trace = run_symmetric_amp(prob, 1, delta=delta, rng=RngStream(13))
-    sigma1 = u1 @ u1 / n
-    sigma1_pert = trace.u[:, 0] @ trace.u[:, 0] / n
-    assert not np.array_equal(trace.u[:, 0], u1)
-    assert abs(sigma1_pert - sigma1 - delta**2) < 3 * np.sqrt(2.0 / n) * (1 + delta**2)
-
-
-def test_perturbed_run_needs_rng_and_nonnegative_delta():
-    prob = SymmetricAmpProblem(_goe(4, 11), np.ones(4), [], OnsagerSchedule())
-    with pytest.raises(ParameterError):
-        run_symmetric_amp(prob, 1, delta=0.5)
-    with pytest.raises(ParameterError):
-        run_symmetric_amp(prob, 1, delta=-0.1, rng=RngStream(1))
-
-
 def test_asymmetric_first_iteration_expansion():
     m, n = 12, 9
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(14))

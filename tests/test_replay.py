@@ -5,7 +5,8 @@ Each case reduces its outputs to a short list of floats and compares it with
 the values recorded in ``EXPECTED`` at relative tolerance 1e-12. A refactor
 that claims unchanged outputs must pass here untouched; a change that moves
 the RNG consumption or the order of the arithmetic re-records the values and
-says why.
+says why. Running this file prints every case's current values in the layout
+of ``EXPECTED``.
 """
 
 import numpy as np
@@ -116,31 +117,31 @@ EXPECTED = {
         0.3906249196473753, 3.944473285336346,
     ],
     "se_asymmetric": [
-        0.366161042088107, 0.11169025916940947, 0.11921900601962412,
-        0.14348675419327178, 0.21313197978585047, 0.10552858290033815,
-        0.12349729381173902, 0.1595014820439948, 0.10299353209426823,
-        0.13337827956988074, 0.38952653704808365, 0.14847183211108575,
-        0.17440163850256957, 0.2492293099261113, 0.15736703756956255,
-        0.20228693101138923, 15.510230288979056, -4.591663259537041,
-        16.352653396864785, -2.3092479876699565, 9.680306886522676,
-        -2.017135427538652, 19.87023330502726, -4.924264535325101,
-        22.01640295899559, -2.6418492634580155, 13.056905369250662,
-        -2.349736703326711, 33.44834147502263, -4.637553862340019,
-        34.136341565882866, 1.2086032227846444, 25.320096965901303,
-        -2.163490985526235, 21.969662525286417, 0.6762173419227595,
-        14.627920788472675, 3.304999866682869, 12.518025019993061,
-        0.4972763773562857, 10.462394266118707, 1.9720018979420137,
+        0.366161042088107, 0.1340458262213126, 0.15362926831498647,
+        0.1498847214873913, 0.24194903683351, 0.12845936650261933,
+        0.1230005348746361, 0.1758473598796217, 0.11142671719600047,
+        0.13489219337176422, 0.38110352787396345, 0.15751182706083672,
+        0.17498434287592812, 0.2583978322650088, 0.14579725555348166,
+        0.2025620173683173, 15.510230288979056, -4.591663259537041,
+        16.822503017686685, -2.407733278376457, 9.716489039580024,
+        -1.950051115996648, 19.87023330502726, -4.924264535325101,
+        22.618819371654954, -2.7403345541645163, 13.09545831841505,
+        -2.2826523917847075, 33.44834147502263, -4.637553862340019,
+        34.94341399366483, 1.1293764923763, 25.57565206314743,
+        -2.030096019703424, 21.969662525286417, 0.6762173419227595,
+        14.627920788472675, 3.304999866682869, 12.605143531357806,
+        0.5844217283590903, 10.492562846859412, 1.8532377354771923,
     ],
     "se_symmetric": [
-        0.9508149661559446, -0.006178877705866353, 0.000692433701040629,
-        -0.0018529531667497723, 0.36185426774075713, -0.0043719362149780465,
-        0.000691036897310735, 0.08155166521422402, 0.00043439108689590145,
-        0.0021442779635858504, 129.62924210746422, -5.243666852377741,
-        61.48561209589949, 4.076407235147739, 21.283889581882633,
-        -4.338136990058576, 2.469676847436137, 0.6846131668331794,
+        0.9508149661559446, -0.05949077817310884, 0.0061483193894017775,
+        -0.0007110219773369796, 0.42245108279587995, -0.0192266688494845,
+        0.0002894572374134834, 0.09837936818423405, -0.00018461419384015448,
+        0.0036141102191511836, 129.62924210746422, -5.243666852377741,
+        61.127927313699715, 4.150330504829664, 20.095548416619096,
+        -4.055498071488558, 1.8453186269243198, 0.2292698620992949,
         114.09779593871336, -5.218113154018289, 57.111849082714784,
-        -4.371838133183372, 16.61710430364004, 3.2107727045814602,
-        2.027711874364989, -1.4625503110876472,
+        -4.371838133183372, 16.48586423802034, 3.157016714447686,
+        1.8469504644082004, -1.2905016434725258,
     ],
 }
 
@@ -149,3 +150,14 @@ EXPECTED = {
 def test_replay_matches_the_recorded_outputs(name):
     got = np.asarray(CASES[name](), dtype=np.float64)
     np.testing.assert_allclose(got, EXPECTED[name], rtol=RTOL, atol=0)
+
+
+if __name__ == "__main__":
+    # Prints every case's current values in the layout of EXPECTED, for a
+    # re-record: PYTHONPATH=src python tests/test_replay.py
+    for name in sorted(CASES):
+        values = [repr(float(v)) for v in CASES[name]()]
+        print(f'    "{name}": [')
+        for i in range(0, len(values), 3):
+            print("        " + ", ".join(values[i:i + 3]) + ",")
+        print("    ],")

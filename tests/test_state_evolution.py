@@ -10,7 +10,7 @@ from amplab.denoisers import (
     soft_threshold_denoiser,
     zero_denoiser,
 )
-from amplab.ensembles import sample_haar_orthogonal
+from amplab.ensembles import SignalSpec, sample_haar_orthogonal, sample_noise, sample_signal
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
 from amplab.state_evolution import (
@@ -137,6 +137,46 @@ def test_asymmetric_zero_denoisers():
                            np.ones(n), 2, m, mc_samples=10, rng=RngStream(8))
     assert np.all(cov.sigma[1] == 0)
     assert np.all(cov.omega[1][1:, 1:] == 0)
+
+
+def _sparse_recovery_se(density, noise_std, samples, seed, m=100, n=200, T=10):
+    """se_asymmetric on the sparse-recovery pipeline of the se_matrix benchmark."""
+    theta = sample_signal(SignalSpec(kind="sparse", dims=n, density=density),
+                          RngStream(seed, 1)).vector
+    e = sample_noise(m, noise_std, RngStream(seed, 2))
+    g = signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
+    return se_asymmetric([residual_shift_denoiser(e)] * T, [g] * T, theta, T, m,
+                         mc_samples=samples, rng=RngStream(seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("density, noise_std, samples", [(0.2, 0.2, 5), (0.1, 0.05, 20)])
+def test_asymmetric_covariances_need_no_jitter(density, noise_std, samples, seed):
+    # covariance columns stitched from a fresh sample set per t were indefinite
+    # here, even after jitter, and raised NumericError
+    cov, _ = _sparse_recovery_se(density, noise_std, samples, seed)
+    assert cov.jittered == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_path_covariances_are_positive_semidefinite(seed):
+    cov, _ = _sparse_recovery_se(0.2, 0.2, 1, seed)
+    for c in [*cov.sigma, *cov.omega]:
+        w = np.linalg.eigvalsh(c)
+        assert w.min() >= -1e-12 * w.max()
+
+
+def test_symmetric_covariance_is_the_gram_matrix_of_its_path():
+    n, T = 50, 4
+    u1 = RngStream(20).generator().standard_normal(n)
+    f = soft_threshold_denoiser(0.2)
+    cov, _ = se_symmetric([f] * (T - 1), u1, T, mc_samples=1, rng=RngStream(21))
+    assert cov.jittered == []
+    # the one path, as the last iteration draws it: rows of L G
+    chol = np.linalg.cholesky(cov.sigma[T - 2])
+    z = chol @ RngStream(21).derive(0).generator().standard_normal((T - 1, n))
+    F = np.column_stack([u1, *(f.apply(row) for row in z)])
+    np.testing.assert_allclose(cov.sigma[-1], F.T @ F / n, rtol=0, atol=1e-12)
 
 
 def test_scalar_sensing_identity_denoiser_recursion():
