@@ -16,6 +16,11 @@ from .rng import RngStream
 from .vecmat import vec
 
 ENTRY_DISTS = ("gaussian", "rademacher", "uniform")
+# Cumulants kappa_k of each standardized entry law through CUMULANT_ORDER (an
+# order not listed has kappa_k = 0); the Gaussian's vanish above order 2.
+ENTRY_CUMULANTS = {"gaussian": {2: 1.0}, "rademacher": {2: 1.0, 4: -2.0, 6: 16.0},
+                   "uniform": {2: 1.0, 4: -6 / 5, 6: 48 / 7}}
+CUMULANT_ORDER = 6
 
 _SQRT3 = np.sqrt(3.0)
 # smooth_image: number of low-frequency cosine modes per axis

@@ -83,7 +83,6 @@ class ExperimentConfig:
     tensor_cycles: int = 20
     tensor_n: int = 5
     wick_instances: int = 20
-    wick_samples: int = 200_000
     bcp_queries: int = 100
     graph_instances: int = 1000
     battery_seed: int = 7
@@ -145,7 +144,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("onsager_source", "must be 'analytic' or 'mc'")
     if not (0 < cfg.kappa_low <= cfg.kappa_high):
         raise ConfigError("kappa_low", "need 0 < kappa_low <= kappa_high")
-    for name in ("se_draws", "mc_reps", "wick_samples"):
+    for name in ("se_draws", "mc_reps"):
         if getattr(cfg, name) < 1:
             raise ConfigError(name, "must be >= 1")
     if cfg.tensor_n < 2:
@@ -403,26 +402,39 @@ def random_wick_instance(gen, n_cap: int):
     return tensor, sigma, n
 
 
-def _battery_wick(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _moment_oracle(tensor: tn.DenseTensor, sigma: Sequence[int], n: int, law: str) -> float:
+    """Definitional E T[xi_(sigma(1)), ..., xi_(sigma(d))]: the sum over all
+    n^d index tuples i of T[i] times, for each (stream, index) pair, the
+    law's raw moment of the number of slots that pair fills."""
+    d = tensor.order
+    moments = np.zeros(d + 1)  # E xi^k, read off the law itself rather than its cumulants
+    for k in range(0, d + 1, 2):
+        moments[k] = {"gaussian": math.prod(range(1, k, 2)), "rademacher": 1.0,
+                      "uniform": 3.0 ** (k // 2) / (k + 1)}[law]
+    idx = np.indices((n,) * d).reshape(d, -1)
+    weight = np.ones(idx.shape[1])
+    for s, i in itertools.product(set(sigma), range(n)):
+        weight *= moments[np.count_nonzero(idx[np.equal(sigma, s)] == i, axis=0)]
+    return float(tensor.to_dense().reshape(-1) @ weight)
+
+
+def _battery_moments(cfg: ExperimentConfig, rng: RngStream) -> dict:
     gen = rng.generator()
     failures = 0
-    worst_z = 0.0
-    for i in range(cfg.wick_instances):
+    worst = 0.0
+    correction = dict.fromkeys(ENTRY_DISTS, 0.0)
+    for _ in range(cfg.wick_instances):
         tensor, sigma, n = random_wick_instance(gen, cfg.tensor_n)
-        exact = tn.wick_expectation(tensor, sigma, n)
-        mc, se = tn.wick_expectation_mc(tensor, sigma, n, cfg.wick_samples,
-                                        rng.derive(1000 + i))
-        z = abs(exact - mc) / max(se, 1e-300)
-        worst_z = max(worst_z, z)
-        if z > 3.0:
-            failures += 1
-        # odd-multiplicity variant must vanish identically
-        odd_sigma = list(sigma)
-        odd_sigma[0] = max(sigma) + 1
-        if tn.wick_expectation(tensor, odd_sigma, n) != 0.0:
-            failures += 1
-    return {"name": "wick_mc", "checked": cfg.wick_instances, "worst_z": worst_z,
-            "passed": failures == 0}
+        odd_sigma = [max(sigma) + 1, *sigma[1:]]  # must vanish identically
+        exact = {law: tn.wick_expectation(tensor, sigma, n, law) for law in ENTRY_DISTS}
+        for law, value in exact.items():
+            oracle = _moment_oracle(tensor, sigma, n, law)
+            worst = max(worst, abs(value - oracle) / max(abs(oracle), 1.0))
+            shift = abs(value - exact["gaussian"]) / max(abs(exact["gaussian"]), 1.0)
+            correction[law] = max(correction[law], shift)
+            failures += tn.wick_expectation(tensor, odd_sigma, n, law) != 0.0
+    return {"name": "moments", "checked": cfg.wick_instances, "worst_relative": worst,
+            "non_gaussian_correction": correction, "passed": failures == 0 and worst <= 1e-10}
 
 
 def random_diagonal_bcp_query(gen):
@@ -484,7 +496,7 @@ def _battery_graph_lemma(cfg: ExperimentConfig, rng: RngStream) -> dict:
 # battery name -> (substream of battery_seed, battery)
 _BATTERIES = {
     "oracle_equivalence": (1, _battery_oracle_equivalence),
-    "wick_mc": (2, _battery_wick),
+    "moments": (2, _battery_moments),
     "bcp_diagonal_bound": (3, _battery_bcp_diagonal),
     "graph_lemma": (4, _battery_graph_lemma),
 }
@@ -493,8 +505,8 @@ _BATTERIES = {
 def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES)) -> dict:
     """The named batteries (default: all four) in the given order, at the
     configured sizes. Each draws from its own substream of battery_seed, so a
-    selection reports what the full run reports for it. Raises BudgetError on
-    sizes beyond the enumeration budget."""
+    selection reports what the full run reports for it; none samples. Raises
+    BudgetError on sizes beyond the enumeration budget."""
     unknown = [name for name in names if name not in _BATTERIES]
     if unknown:
         raise ParameterError(f"unknown batteries {unknown}; known: {list(_BATTERIES)}")

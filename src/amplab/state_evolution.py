@@ -140,7 +140,7 @@ class SECovarianceSequence:
                 if w.min() < -PSD_TOL * max(w.max(), 1.0):
                     raise NumericError(
                         f"{name}_{t} lost positive semidefiniteness "
-                        f"(min eig {w.min():.3e}); consider diagonal jitter"
+                        f"(min eig {w.min():.3e})"
                     )
                 if t > 1 and not np.array_equal(seq[t - 2], cov[: t - 1, : t - 1]):
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
@@ -153,20 +153,21 @@ def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -
         raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
 
 
-def _chol_factor(cov: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """(lower Cholesky factor of cov, whether the jitter fallback was needed);
-    the fallback is warned once per factor."""
+def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:
+    """Lower Cholesky factor of the covariance called name (e.g. "omega_4").
+    If cov needs the diagonal jitter, warns once and appends name to
+    jittered; NumericError naming it and its smallest eigenvalue if even the
+    jittered matrix has no factor."""
     try:
-        return np.linalg.cholesky(cov), False
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        logger.warning("covariance near-singular; adding diagonal jitter %g", CHOL_JITTER)
-        try:
-            return np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0])), True
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                "covariance not positive definite even after jitter; "
-                "increase jitter or perturb the denoisers"
-            ) from exc
+        logger.warning("%s near-singular; adding diagonal jitter %g", name, CHOL_JITTER)
+    jittered.append(name)
+    try:
+        return np.linalg.cholesky(cov + CHOL_JITTER * np.eye(cov.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{name} is not positive definite even after jitter "
+                           f"(min eig {np.linalg.eigvalsh(cov).min():.3e})") from exc
 
 
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
@@ -184,9 +185,7 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
     t drew from the same stream. Path k probes with path.derive(t) when f_t
     has no divergence formula. Appends name to jittered when cov needs the
     Cholesky jitter."""
-    chol, jitter = _chol_factor(cov)
-    if jitter:
-        jittered.append(name)
+    chol = _chol_factor(cov, name, jittered)
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
     col = np.zeros(t + off)

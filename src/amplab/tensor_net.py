@@ -1,19 +1,21 @@
 """Ordered-multigraph tensor networks and the combinatorial checkers built
 on them: definitional value evaluation, an elimination-based contraction
-path, Gaussian moment evaluation by pairings, composition-ratio bounds for
-tensor families, and the colored-cycle component-count inequality.
+path, moments in i.i.d. Gaussian, Rademacher or uniform entries by set
+partitions weighted with cumulants, composition-ratio bounds for tensor
+families, and the colored-cycle component-count inequality.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import load_matrix, save_matrix
+from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries, load_matrix, save_matrix
 from .exceptions import BudgetError, DimensionError, NumericError, ParameterError, SpecError
 from .rng import RngStream
 from .vecmat import split_index
@@ -220,48 +222,57 @@ def eval_value_contraction(
 
 
 # ---------------------------------------------------------------------------
-# Wick's rule
+# Moments of i.i.d. entries
 
 
-def _pairings(block: Tuple[int, ...]):
-    """All perfect matchings of a tuple, first element paired in index order."""
+def _partitions(block: Tuple[int, ...], sizes: Sequence[int]):
+    """Set partitions of a tuple into parts with sizes in sizes; for sizes
+    (2,), the perfect matchings, first element paired in index order."""
     if not block:
         yield ()
         return
     head, rest = block[0], block[1:]
-    for i, partner in enumerate(rest):
-        for sub in _pairings(rest[:i] + rest[i + 1 :]):
-            yield ((head, partner),) + sub
+    for size in sizes:
+        for partners in itertools.combinations(range(len(rest)), size - 1):
+            part = (head, *(rest[i] for i in partners))
+            left = tuple(x for i, x in enumerate(rest) if i not in partners)
+            for sub in _partitions(left, sizes):
+                yield (part,) + sub
 
 
-def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int) -> float:
-    """E T[xi_(sigma(1)), ..., xi_(sigma(d))] for i.i.d. standard Gaussian
-    vectors xi_1, xi_2, ...: the sum over pairings of [d] refining sigma's
-    preimage partition of the identity-contracted tensor sums.
+def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int,
+                     law: str = "gaussian") -> float:
+    """E T[xi_(sigma(1)), ..., xi_(sigma(d))] for i.i.d. vectors xi_1, xi_2, ...
+    with i.i.d. standardized entries of law (one of ``ensembles.ENTRY_DISTS``),
+    by the moment-cumulant formula: the sum over set partitions of each stream
+    block of sigma into parts B with kappa_|B| != 0 (so no singletons) of
+    prod kappa_|B| times the tensor summed with each part's slots tied to one
+    index. For the Gaussian only pairs remain: Wick's rule.
 
-    Returns exactly 0 when some stream appears an odd number of times.
+    Returns exactly 0 when some stream appears an odd number of times;
+    ParameterError when one fills more slots than the law's cumulant table.
     """
     d = tensor.order
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
     if n != tensor.n:
         raise DimensionError(f"n must equal tensor.n = {tensor.n}, got {n}")
-    blocks: Dict[int, List[int]] = {}
-    for pos, s in enumerate(sigma):
-        blocks.setdefault(s, []).append(pos)
-    if any(len(b) % 2 for b in blocks.values()):
-        return 0.0
+    if law not in ENTRY_CUMULANTS:
+        raise SpecError(f"unknown entry distribution {law!r}")
+    blocks = [tuple(p for p in range(d) if sigma[p] == s) for s in dict.fromkeys(sigma)]
+    if law != "gaussian" and max(map(len, blocks), default=0) > CUMULANT_ORDER:
+        raise ParameterError(f"{law} cumulants are tabulated through order {CUMULANT_ORDER}")
     if d == 0:
         return float(tensor.to_dense())
-    per_block = [list(_pairings(tuple(b))) for b in blocks.values()]
+    kappa = ENTRY_CUMULANTS[law]
+    sizes = [k for k in sorted(kappa) if kappa[k] != 0.0]
     total = 0.0
-    for combo in itertools.product(*per_block):
-        pairing = [pair for blockpairs in combo for pair in blockpairs]
-        slot_of = {}
-        for free, (a, b) in enumerate(pairing):
-            slot_of[a] = free
-            slot_of[b] = free
-        total += _assignment_sum([(tensor, [slot_of[p] for p in range(d)])], d // 2, n)
+    for combo in itertools.product(*(list(_partitions(b, sizes)) for b in blocks)):
+        parts = [part for block_parts in combo for part in block_parts]
+        slot_of = {p: free for free, part in enumerate(parts) for p in part}
+        weight = math.prod(kappa[len(part)] for part in parts)
+        total += weight * _assignment_sum([(tensor, [slot_of[p] for p in range(d)])],
+                                          len(parts), n)
     return total
 
 
@@ -272,15 +283,16 @@ def wick_expectation_mc(
     samples: int,
     rng: RngStream,
     chunk: int = 1 << 14,
+    law: str = "gaussian",
 ) -> Tuple[float, float]:
-    """Monte-Carlo estimate of the same Gaussian expectation.
+    """Monte-Carlo estimate of the same expectation under law.
 
     Returns (mean, standard error) over the requested number of samples.
 
     Draw order (the reproducibility contract): samples are taken in chunks
     of ``chunk`` (the last one partial); within a chunk of b samples, each
-    stream in ``sorted(set(sigma))`` draws ``standard_normal((b, n))`` from
-    ``rng.generator()`` in turn.
+    stream in ``sorted(set(sigma))`` draws ``_draw_entries(law, (b, n), gen)``
+    (for the Gaussian ``standard_normal((b, n))``) from ``gen = rng.generator()``.
 
     The kernel keeps the sample axis last: the slots 0..d//2-1 form one
     (n^(d//2), b) outer product, a single matmul contracts it with the
@@ -305,7 +317,7 @@ def wick_expectation_mc(
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        draws = {s: np.ascontiguousarray(gen.standard_normal((b, n)).T) for s in streams}
+        draws = {s: np.ascontiguousarray(_draw_entries(law, (b, n), gen).T) for s in streams}
         left = np.ones((1, b))
         for p in range(d1):
             left = (left[:, None, :] * draws[sigma[p]]).reshape(-1, b)

@@ -122,7 +122,7 @@ BATTERY_SUMMARIES = {
 # the core routine of each battery
 BATTERY_CORE = {
     "oracle_equivalence": "eval_value_bruteforce",
-    "wick_mc": "wick_expectation_mc",
+    "moments": "wick_expectation",
     "bcp_diagonal_bound": "bcp_ratio",
     "graph_lemma": "alt_cycle_component_bound_check",
 }

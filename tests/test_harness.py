@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import amplab
+from amplab import tensor_net as tn
+from amplab.ensembles import ENTRY_CUMULANTS
 from amplab.exceptions import ConfigError, ParameterError
 from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, tensor_checks
 from amplab.state_evolution import Coloring
@@ -17,7 +19,7 @@ from amplab.state_evolution import Coloring
     ("bandwidth", -1),
     ("threshold", -0.1),
     ("graph_instances", -1),
-    ("wick_samples", 0),
+    ("wick_instances", -1),
     ("tensor_n", 1),
     ("onsager_source", ""),
     ("ensembles", []),
@@ -153,13 +155,32 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_default_tensor_checks_pass_without_sampling(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the default battery sampled a moment")
+
+    monkeypatch.setattr(tn, "wick_expectation_mc", forbidden)
+    report = tensor_checks(ExperimentConfig(experiment="tensor_checks", seeds=[]))
+    assert report["all_pass"]
+    moments = report["batteries"][1]
+    assert moments["name"] == "moments" and moments["worst_relative"] <= 1e-10
+    assert set(moments["non_gaussian_correction"]) == {"gaussian", "rademacher", "uniform"}
+
+
+def test_moments_battery_catches_a_wrong_cumulant_sign(monkeypatch):
+    cfg = ExperimentConfig(experiment="tensor_checks", seeds=[])
+    assert tensor_checks(cfg, ["moments"])["all_pass"]
+    monkeypatch.setitem(ENTRY_CUMULANTS["rademacher"], 4, 2.0)
+    assert not tensor_checks(cfg, ["moments"])["all_pass"]
+
+
 def test_battery_selection_matches_the_full_run():
     cfg = ExperimentConfig(experiment="tensor_checks", seeds=[], tensor_trees=5,
-                           tensor_cycles=3, wick_instances=3, wick_samples=2000,
+                           tensor_cycles=3, wick_instances=3,
                            bcp_queries=10, graph_instances=50)
     full = tensor_checks(cfg)
     names = [b["name"] for b in full["batteries"]]
-    assert names == ["oracle_equivalence", "wick_mc", "bcp_diagonal_bound", "graph_lemma"]
+    assert names == ["oracle_equivalence", "moments", "bcp_diagonal_bound", "graph_lemma"]
     for battery in full["batteries"]:
         alone = tensor_checks(cfg, [battery["name"]])
         assert alone == {"batteries": [battery], "all_pass": battery["passed"]}

@@ -15,6 +15,7 @@ from amplab.exceptions import DimensionError, NumericError, ParameterError, Sche
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
+    _chol_factor,
     se_asymmetric,
     se_scalar_sensing,
     se_symmetric,
@@ -30,6 +31,11 @@ def test_jitter_fallback_is_recorded_on_the_sequence(caplog):
     cov, _ = se_symmetric([identity_denoiser()] * 2, np.ones(40), 3,
                           mc_samples=4, rng=RngStream(3))
     assert cov.jittered == []
+
+
+def test_indefinite_covariance_error_names_it_and_its_smallest_eigenvalue():
+    with pytest.raises(NumericError, match=r"omega_4 .*min eig -1\.000e\+00"):
+        _chol_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), "omega_4", [])
 
 
 def test_identity_chain_preserves_variance_and_unit_coefficients():

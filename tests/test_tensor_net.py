@@ -137,6 +137,39 @@ def test_wick_mixed_streams_against_mc():
     assert abs(mc - exact) < 3 * se
 
 
+# fourth cumulant of each standardized entry law, from its moments: E xi^4 - 3
+KAPPA_4 = {"gaussian": 0.0, "rademacher": 1.0 - 3.0, "uniform": 9.0 / 5.0 - 3.0}
+
+
+@pytest.mark.parametrize("law", sorted(KAPPA_4))
+def test_rank_one_fourth_moment_closed_form(law):
+    # E (v^T xi)^4 = 3 |v|^4 + kappa_4 sum_i v_i^4
+    v = np.array([0.5, -1.0, 2.0, 0.25])
+    t4 = DenseTensor.from_array(np.einsum("i,j,k,l->ijkl", v, v, v, v))
+    want = 3 * (v @ v) ** 2 + KAPPA_4[law] * np.sum(v**4)
+    assert wick_expectation(t4, [0, 0, 0, 0], 4, law) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("law", ["rademacher", "uniform"])
+def test_non_gaussian_moment_against_mc(law):
+    t = _dense(6, 3, 30)
+    sigma = [0, 1, 0, 0, 1, 0]  # one stream fills four slots, the other two
+    exact = wick_expectation(t, sigma, 3, law)
+    mc, se = wick_expectation_mc(t, sigma, 3, samples=60_000, rng=RngStream(31), law=law)
+    assert abs(mc - exact) < 3 * se
+    # the sample tells this law from the Gaussian
+    assert abs(mc - wick_expectation(t, sigma, 3)) > 3 * se
+
+
+def test_moment_rejects_untabulated_cumulants_and_unknown_laws():
+    t8 = DenseTensor.identity(2, 8)
+    assert wick_expectation(t8, [0] * 8, 2) == pytest.approx(2 * 105)  # 7!! per index
+    with pytest.raises(ParameterError, match="order 6"):
+        wick_expectation(t8, [0] * 8, 2, "rademacher")
+    with pytest.raises(SpecError, match="cauchy"):
+        wick_expectation(t8, [0] * 8, 2, "cauchy")
+
+
 def _wick_mc_kronecker(tensor, sigma, n, samples, rng, chunk):
     """Oracle: per-sample values as (b, n^k) Kronecker rows, on the draw order
     wick_expectation_mc promises (per chunk, sorted streams, (b, n) each)."""
