@@ -7,7 +7,8 @@ ExperimentConfig field names) plus the shared flags --seed, --out and
 file. state-evolution writes the SE prediction of a sensing config's own
 experiment (``harness.se_summary``) and exits 2 on a tensor_checks config.
 bcp-check and graph-lemma run only their own battery and need no config.
-tensor-eval takes only --network.
+tensor-eval takes only --network, a JSON network document written by
+``tensor_net.save_network``, and reads n off the document's tensors.
 """
 
 from __future__ import annotations
@@ -80,15 +81,14 @@ def main(argv=None) -> int:
         _common_flags(sp)
 
     sp = sub.add_parser("tensor-eval")
-    sp.add_argument("--network", required=True, help="network file saved by save_network")
+    sp.add_argument("--network", required=True, help="JSON network file saved by save_network")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "tensor-eval":
             graph, labeling = tn.load_network(args.network)
-            n = labeling[0].n
-            brute = tn.eval_value_bruteforce(graph, labeling, n)
-            fast = tn.eval_value_contraction(graph, labeling, n)
+            brute = tn.eval_value_bruteforce(graph, labeling)
+            fast = tn.eval_value_contraction(graph, labeling)
             report = {"bruteforce": brute, "contraction": fast,
                       "relative_gap": abs(brute - fast) / max(abs(brute), 1.0)}
             print(json.dumps(report, indent=2))

@@ -173,22 +173,3 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
 def sample_noise(m: int, std: float, rng: RngStream) -> np.ndarray:
     """i.i.d. N(0, std^2) noise vector of length m."""
     return std * rng.generator().standard_normal(m)
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    """Text format: header 'rows cols', then row-major entries, 17 sig digits."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (rows, cols):
-        data = data.reshape(rows, cols)
-    return data

@@ -323,8 +323,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
 
 def universality_compare(cfg: ExperimentConfig) -> dict:
     """Mean-over-seeds MSE per (ensemble, t) plus pairwise and SE gaps."""
-    if len(cfg.ensembles) < 2:
-        raise ConfigError("ensembles", "universality comparison needs >= 2 ensembles")
+    if len(set(cfg.ensembles)) < 2:
+        raise ConfigError("ensembles", "universality comparison needs >= 2 distinct ensembles")
     records, summary = run_experiment(cfg)
     means = {ens: np.asarray(info["mean_mse"])
              for ens, info in summary["ensembles"].items()}
@@ -378,8 +378,8 @@ def _battery_oracle_equivalence(cfg: ExperimentConfig, rng: RngStream) -> dict:
             n = int(gen.integers(2, cfg.tensor_n + 1))
             k = int(gen.integers(*extra)) if extra else 0
             graph, labeling = random_cyclic_network(nv, n, gen, k)
-            a = tn.eval_value_bruteforce(graph, labeling, n)
-            b = tn.eval_value_contraction(graph, labeling, n)
+            a = tn.eval_value_bruteforce(graph, labeling)
+            b = tn.eval_value_contraction(graph, labeling)
             worst = max(worst, abs(a - b) / max(abs(a), 1.0))
     return {"name": "oracle_equivalence", "checked": cfg.tensor_trees + cfg.tensor_cycles,
             "worst_relative": worst, "passed": worst <= 1e-10}
@@ -399,14 +399,14 @@ def random_wick_instance(gen, n_cap: int):
         remaining -= block
         label += 1
     sigma = list(gen.permutation(streams))
-    return tensor, sigma, n
+    return tensor, sigma
 
 
-def _moment_oracle(tensor: tn.DenseTensor, sigma: Sequence[int], n: int, law: str) -> float:
+def _moment_oracle(tensor: tn.DenseTensor, sigma: Sequence[int], law: str) -> float:
     """Definitional E T[xi_(sigma(1)), ..., xi_(sigma(d))]: the sum over all
     n^d index tuples i of T[i] times, for each (stream, index) pair, the
     law's raw moment of the number of slots that pair fills."""
-    d = tensor.order
+    d, n = tensor.order, tensor.n
     moments = np.zeros(d + 1)  # E xi^k, read off the law itself rather than its cumulants
     for k in range(0, d + 1, 2):
         moments[k] = {"gaussian": math.prod(range(1, k, 2)), "rademacher": 1.0,
@@ -424,15 +424,15 @@ def _battery_moments(cfg: ExperimentConfig, rng: RngStream) -> dict:
     worst = 0.0
     correction = dict.fromkeys(ENTRY_DISTS, 0.0)
     for _ in range(cfg.wick_instances):
-        tensor, sigma, n = random_wick_instance(gen, cfg.tensor_n)
+        tensor, sigma = random_wick_instance(gen, cfg.tensor_n)
         odd_sigma = [max(sigma) + 1, *sigma[1:]]  # must vanish identically
-        exact = {law: tn.wick_expectation(tensor, sigma, n, law) for law in ENTRY_DISTS}
+        exact = {law: tn.wick_expectation(tensor, sigma, law) for law in ENTRY_DISTS}
         for law, value in exact.items():
-            oracle = _moment_oracle(tensor, sigma, n, law)
+            oracle = _moment_oracle(tensor, sigma, law)
             worst = max(worst, abs(value - oracle) / max(abs(oracle), 1.0))
             shift = abs(value - exact["gaussian"]) / max(abs(exact["gaussian"]), 1.0)
             correction[law] = max(correction[law], shift)
-            failures += tn.wick_expectation(tensor, odd_sigma, n, law) != 0.0
+            failures += tn.wick_expectation(tensor, odd_sigma, law) != 0.0
     return {"name": "moments", "checked": cfg.wick_instances, "worst_relative": worst,
             "non_gaussian_correction": correction, "passed": failures == 0 and worst <= 1e-10}
 
@@ -465,7 +465,7 @@ def _battery_bcp_diagonal(cfg: ExperimentConfig, rng: RngStream) -> dict:
             tn.DenseTensor.diagonal(gen.uniform(-bound, bound, size=n), k)
             for k in query.orders
         ]
-        ratio = tn.bcp_ratio(query, tensors, n)
+        ratio = tn.bcp_ratio(query, tensors)
         if ratio > bound ** query.m:
             failures += 1
     return {"name": "bcp_diagonal_bound", "checked": cfg.bcp_queries, "passed": failures == 0}

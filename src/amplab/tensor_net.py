@@ -3,19 +3,23 @@ on them: definitional value evaluation, an elimination-based contraction
 path, moments in i.i.d. Gaussian, Rademacher or uniform entries by set
 partitions weighted with cumulants, composition-ratio bounds for tensor
 families, and the colored-cycle component-count inequality.
+
+Every tensor sum is a (tensor, positions) factor list and reads the index
+size n off its tensors (``common_n``). A network on disk is one JSON document
+whose tensors the ``DenseTensor`` constructors rebuild and validate.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries, load_matrix, save_matrix
+from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries
 from .exceptions import BudgetError, DimensionError, NumericError, ParameterError, SpecError
 from .rng import RngStream
 from .vecmat import split_index
@@ -34,8 +38,8 @@ class DenseTensor:
     """Order-k tensor over [n]^k, stored densely or by structural formula.
 
     kinds: "dense" (values holds the full array), "diagonal" (values holds the
-    length-n diagonal; entries vanish off the repeated-index line),
-    "identity" (1 iff all indices agree), "alternating" (the even-order
+    length-n diagonal; entries vanish off the repeated-index line, so a
+    diagonal of ones is the identity), "alternating" (the even-order
     matrix-product pattern on vec(R^(M x N)), prefactor N^(1 - k/2)).
     """
 
@@ -50,25 +54,24 @@ class DenseTensor:
     def from_array(cls, arr) -> "DenseTensor":
         arr = np.asarray(arr, dtype=np.float64)
         n = arr.shape[0] if arr.ndim else 1
-        if any(s != n for s in arr.shape):
-            raise DimensionError("dense tensor must have equal dims")
+        if arr.size == 0 or any(s != n for s in arr.shape):
+            raise DimensionError(f"dense tensor must be non-empty with equal dims, got {arr.shape}")
         return cls(order=arr.ndim, n=n, kind="dense", values=arr)
 
     @classmethod
     def diagonal(cls, values, order: int) -> "DenseTensor":
         values = np.asarray(values, dtype=np.float64)
-        if order < 1:
-            raise DimensionError("order must be >= 1")
+        if values.ndim != 1 or values.size == 0 or order < 1:
+            raise DimensionError(f"a diagonal needs a non-empty vector and order >= 1, got "
+                                 f"shape {values.shape} and order {order}")
         return cls(order=order, n=values.size, kind="diagonal", values=values)
-
-    @classmethod
-    def identity(cls, n: int, order: int) -> "DenseTensor":
-        return cls(order=order, n=n, kind="identity")
 
     @classmethod
     def alternating(cls, k: int, M: int, N: int) -> "DenseTensor":
         if k % 2 != 0 or k < 2:
             raise SpecError("alternating tensors exist for even order k >= 2")
+        if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in (k, M, N)):
+            raise DimensionError(f"alternating needs integers k, M, N >= 1, got {k}, {M}, {N}")
         return cls(order=k, n=M * N, kind="alternating", M=M, N=N)
 
     def gather(self, idx: Sequence[np.ndarray]) -> np.ndarray:
@@ -77,12 +80,11 @@ class DenseTensor:
             raise DimensionError(f"expected {self.order} index arrays, got {len(idx)}")
         if self.kind == "dense":
             return self.values[tuple(idx)]
-        if self.kind in ("diagonal", "identity"):
+        if self.kind == "diagonal":
             eq = np.ones_like(idx[0], dtype=bool)
             for other in idx[1:]:
                 eq &= other == idx[0]
-            base = self.values[idx[0]] if self.kind == "diagonal" else 1.0
-            return np.where(eq, base, 0.0)
+            return np.where(eq, self.values[idx[0]], 0.0)
         # alternating: constraints alternate between the column and row labels
         # of the (row, col) pairs, with wraparound to the first slot
         k = self.order
@@ -146,7 +148,7 @@ class OrderedMultigraph:
             if not order:
                 raise SpecError(f"vertex {v} is isolated")
             for eid in order:
-                if v not in self.edges[eid]:
+                if not 0 <= eid < len(self.edges) or v not in self.edges[eid]:
                     raise SpecError(f"vertex {v} lists non-incident edge {eid}")
                 counts[eid] += 1
         if any(c != 2 for c in counts):
@@ -159,7 +161,23 @@ class OrderedMultigraph:
 TensorLabeling = Dict[int, DenseTensor]
 
 
-def _check_labeling(graph: OrderedMultigraph, labeling: TensorLabeling):
+def common_n(tensors: Sequence[DenseTensor]) -> int:
+    """The index size n shared by tensors (a network's in vertex order);
+    DimensionError names the first tensor whose n differs from tensor 0's,
+    SpecError when there are none."""
+    if not tensors:
+        raise SpecError("a tensor sum needs at least one tensor")
+    n = tensors[0].n
+    for i, tensor in enumerate(tensors):
+        if tensor.n != n:
+            raise DimensionError(f"tensor {i} has n = {tensor.n}, tensor 0 has n = {n}")
+    return n
+
+
+def _factors(graph: OrderedMultigraph, labeling: TensorLabeling):
+    """The network's (tensor, positions) factor list: vertex v's tensor reads
+    the edge indices in v's order. SpecError on a missing label or an order
+    that is not the vertex's degree."""
     for v in range(graph.num_vertices):
         if v not in labeling:
             raise SpecError(f"vertex {v} has no tensor label")
@@ -167,14 +185,16 @@ def _check_labeling(graph: OrderedMultigraph, labeling: TensorLabeling):
             raise SpecError(
                 f"vertex {v}: tensor order {labeling[v].order} != degree {graph.degree(v)}"
             )
+    return [(labeling[v], graph.incidence[v]) for v in range(graph.num_vertices)]
 
 
-def _assignment_sum(factors, num_indices: int, n: int) -> float:
+def _assignment_sum(factors, num_indices: int) -> float:
     """Sum over all assignments in [n]^num_indices of the product of the
     factors' entries; each factor is a (tensor, positions) pair whose slot p
-    reads index positions[p]. Assignments are enumerated in lexicographic
-    order, ENUM_CHUNK at a time; BudgetError when num_indices * log2(n)
-    exceeds BUDGET_BITS."""
+    reads index positions[p], and n is ``common_n`` of the tensors.
+    Assignments are enumerated in lexicographic order, ENUM_CHUNK at a time;
+    BudgetError when num_indices * log2(n) exceeds BUDGET_BITS."""
+    n = common_n([tensor for tensor, _ in factors])
     bits = num_indices * np.log2(max(n, 2))
     if bits > BUDGET_BITS:
         raise BudgetError(
@@ -194,29 +214,22 @@ def _assignment_sum(factors, num_indices: int, n: int) -> float:
     return total
 
 
-def eval_value_bruteforce(graph: OrderedMultigraph, labeling: TensorLabeling, n: int) -> float:
+def eval_value_bruteforce(graph: OrderedMultigraph, labeling: TensorLabeling) -> float:
     """Definitional value: sum over all edge-index assignments of the product
     of labeled tensor entries, indices read in each vertex's edge order."""
-    _check_labeling(graph, labeling)
-    factors = [(labeling[v], graph.incidence[v]) for v in range(graph.num_vertices)]
-    return _assignment_sum(factors, len(graph.edges), n)
+    return _assignment_sum(_factors(graph, labeling), len(graph.edges))
 
 
-def eval_value_contraction(
-    graph: OrderedMultigraph, labeling: TensorLabeling, n: int
-) -> float:
-    """Pairwise-elimination evaluation; agrees with the brute-force value."""
-    _check_labeling(graph, labeling)
+def eval_value_contraction(graph: OrderedMultigraph, labeling: TensorLabeling) -> float:
+    """Pairwise-elimination evaluation of the brute-force factor list, as
+    one sublist einsum whose index labels are the edge ids."""
+    factors = _factors(graph, labeling)
+    common_n([tensor for tensor, _ in factors])
     if len(graph.edges) > 52:
         raise BudgetError("contraction path supports at most 52 distinct edges")
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    subs = []
-    arrays = []
-    for v in range(graph.num_vertices):
-        subs.append("".join(letters[e] for e in graph.incidence[v]))
-        arrays.append(labeling[v].to_dense())
+    operands = [x for tensor, positions in factors for x in (tensor.to_dense(), positions)]
     try:
-        return float(np.einsum(",".join(subs) + "->", *arrays, optimize=True))
+        return float(np.einsum(*operands, [], optimize=True))
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise NumericError("contraction intermediates exceeded memory") from exc
 
@@ -240,7 +253,7 @@ def _partitions(block: Tuple[int, ...], sizes: Sequence[int]):
                 yield (part,) + sub
 
 
-def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int,
+def wick_expectation(tensor: DenseTensor, sigma: Sequence[int],
                      law: str = "gaussian") -> float:
     """E T[xi_(sigma(1)), ..., xi_(sigma(d))] for i.i.d. vectors xi_1, xi_2, ...
     with i.i.d. standardized entries of law (one of ``ensembles.ENTRY_DISTS``),
@@ -255,8 +268,6 @@ def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int,
     d = tensor.order
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
-    if n != tensor.n:
-        raise DimensionError(f"n must equal tensor.n = {tensor.n}, got {n}")
     if law not in ENTRY_CUMULANTS:
         raise SpecError(f"unknown entry distribution {law!r}")
     blocks = [tuple(p for p in range(d) if sigma[p] == s) for s in dict.fromkeys(sigma)]
@@ -272,14 +283,13 @@ def wick_expectation(tensor: DenseTensor, sigma: Sequence[int], n: int,
         slot_of = {p: free for free, part in enumerate(parts) for p in part}
         weight = math.prod(kappa[len(part)] for part in parts)
         total += weight * _assignment_sum([(tensor, [slot_of[p] for p in range(d)])],
-                                          len(parts), n)
+                                          len(parts))
     return total
 
 
 def wick_expectation_mc(
     tensor: DenseTensor,
     sigma: Sequence[int],
-    n: int,
     samples: int,
     rng: RngStream,
     chunk: int = 1 << 14,
@@ -292,18 +302,17 @@ def wick_expectation_mc(
     Draw order (the reproducibility contract): samples are taken in chunks
     of ``chunk`` (the last one partial); within a chunk of b samples, each
     stream in ``sorted(set(sigma))`` draws ``_draw_entries(law, (b, n), gen)``
-    (for the Gaussian ``standard_normal((b, n))``) from ``gen = rng.generator()``.
+    (for the Gaussian ``standard_normal((b, n))``, n = tensor.n) from
+    ``gen = rng.generator()``.
 
     The kernel keeps the sample axis last: the slots 0..d//2-1 form one
     (n^(d//2), b) outer product, a single matmul contracts it with the
     tensor, and the remaining slots are summed out one at a time, last slot
     first, so no Kronecker row of the right half is ever formed.
     """
-    d = tensor.order
+    d, n = tensor.order, tensor.n
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
-    if n != tensor.n:
-        raise DimensionError(f"n must equal tensor.n = {tensor.n}, got {n}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     if chunk < 1:
@@ -380,8 +389,9 @@ def validate_bcp_query(query: BcpQuery) -> dict:
     return {"even_multiplicity": even, "connected": connected}
 
 
-def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor], n: int) -> float:
-    """(1/n) |sum over shared indices of the product of tensor entries|."""
+def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor]) -> float:
+    """(1/n) |sum over shared indices of the product of tensor entries|, n
+    the tensors' common size."""
     if len(tensors) != query.m:
         raise SpecError("tensor count must match the query")
     for t, k in zip(tensors, query.orders):
@@ -389,7 +399,7 @@ def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor], n: int) -> float:
             raise DimensionError(f"tensor order {t.order} != declared {k}")
     factors = [(tensor, [query.pi[s] for s in slots])
                for tensor, slots in zip(tensors, query.slot_ranges())]
-    return abs(_assignment_sum(factors, query.ell, n)) / n
+    return abs(_assignment_sum(factors, query.ell)) / tensors[0].n
 
 
 # ---------------------------------------------------------------------------
@@ -474,72 +484,45 @@ def alt_cycle_component_bound_check(cycles: Sequence[Sequence[int]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Text serialization of networks
+# JSON serialization of networks
 
 
 def save_network(path: str, graph: OrderedMultigraph, labeling: TensorLabeling):
-    """Text format: header, per-vertex ordered edge ids, per-vertex tensor tag
-    with payload files stored next to the network file."""
-    _check_labeling(graph, labeling)
-    base = os.path.splitext(path)[0]
+    """One JSON document ``{"edges": [[a, b], ...], "incidence": [[edge ids
+    of vertex v in order], ...], "tensors": [...]}``, vertex v's tensor as
+    ``{"kind", "order"}`` plus ``"values"`` (nested lists when dense, the
+    diagonal when diagonal) or ``"M", "N"`` (alternating). Floats are written
+    with repr, so they load back bitwise; n is the length of the values."""
+    tensors = []
+    for tensor, _ in _factors(graph, labeling):
+        doc = {"kind": tensor.kind, "order": tensor.order}
+        if tensor.kind == "alternating":
+            doc.update(M=tensor.M, N=tensor.N)
+        else:
+            doc["values"] = tensor.values.tolist()
+        tensors.append(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        n = labeling[0].n
-        fh.write(f"vertices {graph.num_vertices} edges {len(graph.edges)} n {n}\n")
-        for a, b in graph.edges:
-            fh.write(f"edge {a} {b}\n")
-        for v in range(graph.num_vertices):
-            fh.write(f"order {v}: " + " ".join(map(str, graph.incidence[v])) + "\n")
-        for v in range(graph.num_vertices):
-            t = labeling[v]
-            if t.kind == "identity":
-                fh.write(f"label {v}: identity {t.order}\n")
-            elif t.kind == "alternating":
-                fh.write(f"label {v}: alternating {t.order} {t.M} {t.N}\n")
-            elif t.kind == "diagonal":
-                payload = f"{base}.v{v}.txt"
-                save_matrix(payload, t.values.reshape(-1, 1))
-                fh.write(f"label {v}: diagonal {t.order} {os.path.basename(payload)}\n")
-            else:
-                payload = f"{base}.v{v}.txt"
-                save_matrix(payload, t.values.reshape(-1, 1))
-                fh.write(f"label {v}: dense {t.order} {os.path.basename(payload)}\n")
+        json.dump({"edges": graph.edges, "incidence": graph.incidence, "tensors": tensors}, fh)
+
+
+# tensor kind -> constructor; a dense tensor's order is the depth of its values
+_LOADERS = {
+    "dense": lambda t: DenseTensor.from_array(t["values"]),
+    "diagonal": lambda t: DenseTensor.diagonal(t["values"], t["order"]),
+    "alternating": lambda t: DenseTensor.alternating(t["order"], t["M"], t["N"]),
+}
 
 
 def load_network(path: str) -> Tuple[OrderedMultigraph, TensorLabeling]:
-    """Read a network written by ``save_network``. A network or payload file
-    that cannot be read, or that is truncated or malformed, raises SpecError
-    naming path."""
-    folder = os.path.dirname(os.path.abspath(path))
+    """Read a network written by ``save_network``; vertex v carries the v-th
+    tensor. A file that cannot be read, is not such a JSON document, or whose
+    graph, tensors or their n fail validation raises SpecError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline().split()
-            num_v, num_e, n = int(head[1]), int(head[3]), int(head[5])
-            edges = []
-            for _ in range(num_e):
-                parts = fh.readline().split()
-                edges.append((int(parts[1]), int(parts[2])))
-            incidence = []
-            for _ in range(num_v):
-                parts = fh.readline().split(":")[1].split()
-                incidence.append([int(x) for x in parts])
-            labeling: TensorLabeling = {}
-            for _ in range(num_v):
-                head, spec = fh.readline().split(":")
-                v = int(head.split()[1])
-                parts = spec.split()
-                kind = parts[0]
-                order = int(parts[1])
-                if kind == "identity":
-                    labeling[v] = DenseTensor.identity(n, order)
-                elif kind == "alternating":
-                    labeling[v] = DenseTensor.alternating(order, int(parts[2]), int(parts[3]))
-                elif kind == "diagonal":
-                    vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
-                    labeling[v] = DenseTensor.diagonal(vals, order)
-                else:
-                    vals = load_matrix(os.path.join(folder, parts[2])).reshape(-1)
-                    labeling[v] = DenseTensor.from_array(vals.reshape((n,) * order))
-    except (OSError, ValueError, IndexError) as exc:
+            doc = json.load(fh)
+        labeling = dict(enumerate(_LOADERS[t["kind"]](t) for t in doc["tensors"]))
+        graph = OrderedMultigraph.from_edges(len(labeling), doc["edges"], doc["incidence"])
+        common_n([tensor for tensor, _ in _factors(graph, labeling)])
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise SpecError(f"cannot read network file {path}: {exc}") from exc
-    graph = OrderedMultigraph.from_edges(num_v, edges, incidence)
     return graph, labeling

@@ -147,7 +147,7 @@ def test_tensor_eval_prints_both_values(tmp_path, capsys):
     g = tn.OrderedMultigraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     gen = np.random.default_rng(4)
     lab = {v: tn.DenseTensor.from_array(gen.standard_normal((3, 3))) for v in range(3)}
-    path = tmp_path / "net.txt"
+    path = tmp_path / "net.json"
     tn.save_network(str(path), g, lab)
     assert main(["tensor-eval", "--network", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -158,16 +158,40 @@ def test_tensor_eval_prints_both_values(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def _network_file(tmp_path):
+# the old text format: a header, edge and order lines, per-vertex payload files
+OLD_TEXT_NETWORK = ("vertices 2 edges 1 n 3\nedge 0 1\norder 0: 0\norder 1: 0\n"
+                    "label 0: dense 1 net.v0.txt\nlabel 1: dense 1 net.v1.txt\n")
+# vertex 1's tensor in each damaged copy of the two-vertex network
+BAD_TENSORS = {
+    "ragged_network": {"kind": "dense", "order": 1, "values": [[0.0, 1.0], [2.0]]},
+    "diagonal_2d_network": {"kind": "diagonal", "order": 1, "values": [[0.0], [1.0], [2.0]]},
+}
+
+
+def _network_file(tmp_path, case):
+    """A saved two-vertex network, damaged as the case says. Both tensors
+    have n = 3, except in unequal_n_network: there vertex 1 carries a
+    length-2 diagonal."""
     g = tn.OrderedMultigraph.from_edges(2, [(0, 1)])
-    lab = {v: tn.DenseTensor.from_array(np.arange(3.0)) for v in range(2)}
-    path = tmp_path / "net.txt"
+    lab = {0: tn.DenseTensor.from_array(np.arange(3.0)),
+           1: tn.DenseTensor.diagonal(np.arange(3.0 if case != "unequal_n_network" else 2.0), 1)}
+    path = tmp_path / "net.json"
     tn.save_network(str(path), g, lab)
+    text = path.read_text(encoding="utf-8")
+    if case == "truncated_network":
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+    elif case == "old_text_network":
+        path.write_text(OLD_TEXT_NETWORK, encoding="utf-8")
+    elif case in BAD_TENSORS:
+        doc = json.loads(text)
+        doc["tensors"][1] = BAD_TENSORS[case]
+        path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
 @pytest.mark.parametrize("case", ["missing_config", "binary_config", "missing_network",
-                                  "truncated_network"])
+                                  "truncated_network", "old_text_network", *BAD_TENSORS,
+                                  "unequal_n_network"])
 def test_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case):
     if case.endswith("config"):
         path = tmp_path / "absent.json"
@@ -177,11 +201,9 @@ def test_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, cas
         argv = ["run-amp", "--config", str(path), "--out", str(tmp_path)]
         named = "<file>" if case == "binary_config" else path.name
     else:
-        path = tmp_path / "absent.txt"
-        if case == "truncated_network":
-            path = _network_file(tmp_path)
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            path.write_text("".join(lines[:-1]), encoding="utf-8")
+        path = tmp_path / "absent.json"
+        if case != "missing_network":
+            path = _network_file(tmp_path, case)
         argv = ["tensor-eval", "--network", str(path)]
         named = path.name
     assert main(argv) == 2

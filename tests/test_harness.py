@@ -9,7 +9,13 @@ import amplab
 from amplab import tensor_net as tn
 from amplab.ensembles import ENTRY_CUMULANTS
 from amplab.exceptions import ConfigError, ParameterError
-from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, tensor_checks
+from amplab.harness import (
+    ExperimentConfig,
+    config_from_dict,
+    run_experiment,
+    tensor_checks,
+    universality_compare,
+)
 from amplab.state_evolution import Coloring
 
 
@@ -52,6 +58,16 @@ def test_se_only_is_not_an_experiment():
     with pytest.raises(ConfigError) as info:
         config_from_dict({"experiment": "se_only", "seeds": [1], "n": 20, "m": 10})
     assert info.value.field == "experiment"
+
+
+@pytest.mark.parametrize("ensembles", [["gaussian"], ["gaussian", "gaussian"]])
+def test_universality_compare_needs_two_distinct_ensembles(ensembles):
+    # a repeated name would compare an ensemble with itself: no pairwise gap
+    cfg = config_from_dict({"experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4,
+                            "n": 16, "m": 12, "iterations": 1, "ensembles": ensembles})
+    with pytest.raises(ConfigError) as info:
+        universality_compare(cfg)
+    assert info.value.field == "ensembles"
 
 
 @pytest.mark.parametrize("experiment, dims", [

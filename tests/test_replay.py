@@ -1,5 +1,5 @@
-"""Fixed-seed replay of the sensing experiments and of the matrix-valued SE
-solvers followed by their AMP runs.
+"""Fixed-seed replay of the sensing experiments, of the matrix-valued SE
+solvers followed by their AMP runs, and of the default tensor batteries.
 
 Each case reduces its outputs to a short list of floats and compares it with
 the values recorded in ``EXPECTED`` at relative tolerance 1e-12. A refactor
@@ -15,7 +15,7 @@ import pytest
 import amplab
 from amplab.denoisers import residual_shift_denoiser, signal_residual_denoiser
 from amplab.ensembles import EnsembleSpec, SignalSpec, sample_noise
-from amplab.harness import config_from_dict, run_experiment
+from amplab.harness import ExperimentConfig, config_from_dict, run_experiment, tensor_checks
 
 RTOL = 1e-12
 
@@ -78,8 +78,19 @@ def _asymmetric():
             + _columns(trace.v) + _columns(trace.y) + _columns(trace.u))
 
 
+def _tensor_checks():
+    report = tensor_checks(ExperimentConfig(experiment="tensor_checks", seeds=[]))
+    out = []
+    for battery in report["batteries"]:
+        out += [battery["worst_relative"]] if "worst_relative" in battery else []
+        correction = battery.get("non_gaussian_correction", {})
+        out += [correction[law] for law in sorted(correction)]
+    return out
+
+
 CASES = {**{name: (lambda name=name: _sensing(name)) for name in _SENSING},
-         "se_symmetric": _symmetric, "se_asymmetric": _asymmetric}
+         "se_symmetric": _symmetric, "se_asymmetric": _asymmetric,
+         "tensor_checks": _tensor_checks}
 
 EXPECTED = {
     "fig1_local": [
@@ -142,6 +153,10 @@ EXPECTED = {
         114.09779593871336, -5.218113154018289, 57.111849082714784,
         -4.371838133183372, 16.48586423802034, 3.157016714447686,
         1.8469504644082004, -1.2905016434725258,
+    ],
+    "tensor_checks": [
+        1.1252490787536314e-15, 6.259881426105853e-16, 0.0,
+        1.6217865735362855, 0.9730719441217713,
     ],
 }
 

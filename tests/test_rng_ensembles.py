@@ -4,13 +4,11 @@ import pytest
 from amplab.ensembles import (
     EnsembleSpec,
     SignalSpec,
-    load_matrix,
     sample_ginibre,
     sample_haar_orthogonal,
     sample_noise,
     sample_signal,
     sample_wigner,
-    save_matrix,
 )
 from amplab.exceptions import DimensionError, SpecError
 from amplab.rng import RngStream
@@ -173,13 +171,3 @@ def test_noise_scaling():
     e = sample_noise(20_000, 0.05, RngStream(8))
     assert abs(e.std() - 0.05) < 3 * 0.05 / np.sqrt(2 * len(e))
 
-
-def test_matrix_io_roundtrip(tmp_path):
-    a = RngStream(55).generator().standard_normal((7, 3))
-    path = tmp_path / "mat.txt"
-    save_matrix(path, a)
-    b = load_matrix(path)
-    assert np.array_equal(a, b)
-    v = RngStream(56).generator().standard_normal(9)
-    save_matrix(path, v.reshape(-1, 1))
-    assert np.array_equal(load_matrix(path).ravel(), v)

@@ -11,6 +11,7 @@ from amplab.tensor_net import (
     OrderedMultigraph,
     alt_cycle_component_bound_check,
     bcp_ratio,
+    common_n,
     eval_value_bruteforce,
     eval_value_contraction,
     load_network,
@@ -26,8 +27,8 @@ def test_single_edge_is_inner_product():
     a, b = np.array([1.0, -2.0, 0.5]), np.array([2.0, 0.0, 4.0])
     g = OrderedMultigraph.from_edges(2, [(0, 1)])
     lab = {0: DenseTensor.from_array(a), 1: DenseTensor.from_array(b)}
-    assert eval_value_bruteforce(g, lab, 3) == pytest.approx(a @ b)
-    assert eval_value_contraction(g, lab, 3) == pytest.approx(a @ b)
+    assert eval_value_bruteforce(g, lab) == pytest.approx(a @ b)
+    assert eval_value_contraction(g, lab) == pytest.approx(a @ b)
 
 
 def test_three_cycle_matches_hand_sum_and_trace():
@@ -44,10 +45,10 @@ def test_three_cycle_matches_hand_sum_and_trace():
         for j in range(n):
             for k in range(n):
                 hand += a[i, j] * b[j, k] * c[k, i]
-    val = eval_value_bruteforce(g, lab, n)
+    val = eval_value_bruteforce(g, lab)
     assert val == pytest.approx(hand, rel=1e-14)
     assert val == pytest.approx(np.trace(a @ b @ c), rel=1e-12)
-    assert eval_value_contraction(g, lab, n) == pytest.approx(val, rel=1e-12)
+    assert eval_value_contraction(g, lab) == pytest.approx(val, rel=1e-12)
 
 
 def test_disconnected_union_multiplies():
@@ -56,8 +57,8 @@ def test_disconnected_union_multiplies():
     g = OrderedMultigraph.from_edges(4, [(0, 1), (2, 3)])
     lab = {i: DenseTensor.from_array(vecs[i]) for i in range(4)}
     expect = (vecs[0] @ vecs[1]) * (vecs[2] @ vecs[3])
-    assert eval_value_bruteforce(g, lab, 3) == pytest.approx(expect)
-    assert eval_value_contraction(g, lab, 3) == pytest.approx(expect)
+    assert eval_value_bruteforce(g, lab) == pytest.approx(expect)
+    assert eval_value_contraction(g, lab) == pytest.approx(expect)
 
 
 def test_star_with_identity_center():
@@ -65,13 +66,13 @@ def test_star_with_identity_center():
     n, leaves = 4, 3
     edges = [(0, v) for v in range(1, leaves + 1)]
     g = OrderedMultigraph.from_edges(leaves + 1, edges)
-    lab = {0: DenseTensor.identity(n, leaves)}
+    lab = {0: DenseTensor.diagonal(np.ones(n), leaves)}
     for v in range(1, leaves + 1):
         lab[v] = DenseTensor.from_array(gen.standard_normal(n))
-    brute = eval_value_bruteforce(g, lab, n)
+    brute = eval_value_bruteforce(g, lab)
     expect = np.sum(lab[1].values * lab[2].values * lab[3].values)
     assert brute == pytest.approx(expect, rel=1e-12)
-    assert eval_value_contraction(g, lab, n) == pytest.approx(brute, rel=1e-12)
+    assert eval_value_contraction(g, lab) == pytest.approx(brute, rel=1e-12)
 
 
 def test_contraction_matches_bruteforce_on_random_trees():
@@ -83,21 +84,21 @@ def test_contraction_matches_bruteforce_on_random_trees():
         g = OrderedMultigraph.from_edges(nv, edges)
         lab = {v: DenseTensor.from_array(gen.standard_normal((n,) * g.degree(v)))
                for v in range(nv)}
-        a = eval_value_bruteforce(g, lab, n)
-        b = eval_value_contraction(g, lab, n)
+        a = eval_value_bruteforce(g, lab)
+        b = eval_value_contraction(g, lab)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
 def test_bruteforce_budget_error():
     g = OrderedMultigraph.from_edges(2, [(0, 1)] * 16)
-    lab = {0: DenseTensor.identity(16, 16), 1: DenseTensor.identity(16, 16)}
+    lab = {0: DenseTensor.diagonal(np.ones(16), 16), 1: DenseTensor.diagonal(np.ones(16), 16)}
     with pytest.raises(BudgetError):
-        eval_value_bruteforce(g, lab, 16)
+        eval_value_bruteforce(g, lab)
 
 
 def test_structured_materialization_cap():
     with pytest.raises(BudgetError):
-        DenseTensor.identity(65, 2).to_dense()
+        DenseTensor.diagonal(np.ones(65), 2).to_dense()
 
 
 def test_multigraph_validation():
@@ -105,26 +106,28 @@ def test_multigraph_validation():
         OrderedMultigraph.from_edges(2, [(0, 0)])
     with pytest.raises(SpecError):
         OrderedMultigraph.from_edges(3, [(0, 1)])  # vertex 2 isolated
+    with pytest.raises(SpecError):
+        OrderedMultigraph.from_edges(2, [(0, 1)], incidence=[[0], [-1]])  # no edge -1
 
 
 def test_wick_odd_multiplicity_vanishes():
     t = DenseTensor.from_array(RngStream(5).generator().standard_normal((3, 3)))
-    assert wick_expectation(t, [0, 1], 3) == 0.0
+    assert wick_expectation(t, [0, 1]) == 0.0
     t3 = DenseTensor.from_array(RngStream(6).generator().standard_normal((3, 3, 3)))
-    assert wick_expectation(t3, [0, 0, 0], 3) == 0.0
+    assert wick_expectation(t3, [0, 0, 0]) == 0.0
 
 
 def test_wick_matrix_trace():
     m = RngStream(7).generator().standard_normal((4, 4))
-    assert wick_expectation(DenseTensor.from_array(m), [0, 0], 4) == pytest.approx(np.trace(m))
+    assert wick_expectation(DenseTensor.from_array(m), [0, 0]) == pytest.approx(np.trace(m))
 
 
 def test_wick_rank_one_fourth_moment():
     a = np.array([0.5, -1.0, 2.0])
     t4 = DenseTensor.from_array(np.einsum("i,j,k,l->ijkl", a, a, a, a))
-    exact = wick_expectation(t4, [0, 0, 0, 0], 3)
+    exact = wick_expectation(t4, [0, 0, 0, 0])
     assert exact == pytest.approx(3 * (a @ a) ** 2, rel=1e-12)
-    mc, se = wick_expectation_mc(t4, [0, 0, 0, 0], 3, samples=200_000, rng=RngStream(8))
+    mc, se = wick_expectation_mc(t4, [0, 0, 0, 0], samples=200_000, rng=RngStream(8))
     assert abs(mc - exact) < 3 * se
 
 
@@ -132,8 +135,8 @@ def test_wick_mixed_streams_against_mc():
     gen = RngStream(9).generator()
     t = DenseTensor.from_array(gen.standard_normal((3, 3, 3, 3)))
     sigma = [0, 1, 0, 1]
-    exact = wick_expectation(t, sigma, 3)
-    mc, se = wick_expectation_mc(t, sigma, 3, samples=400_000, rng=RngStream(10))
+    exact = wick_expectation(t, sigma)
+    mc, se = wick_expectation_mc(t, sigma, samples=400_000, rng=RngStream(10))
     assert abs(mc - exact) < 3 * se
 
 
@@ -147,27 +150,27 @@ def test_rank_one_fourth_moment_closed_form(law):
     v = np.array([0.5, -1.0, 2.0, 0.25])
     t4 = DenseTensor.from_array(np.einsum("i,j,k,l->ijkl", v, v, v, v))
     want = 3 * (v @ v) ** 2 + KAPPA_4[law] * np.sum(v**4)
-    assert wick_expectation(t4, [0, 0, 0, 0], 4, law) == pytest.approx(want, rel=1e-13)
+    assert wick_expectation(t4, [0, 0, 0, 0], law) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("law", ["rademacher", "uniform"])
 def test_non_gaussian_moment_against_mc(law):
     t = _dense(6, 3, 30)
     sigma = [0, 1, 0, 0, 1, 0]  # one stream fills four slots, the other two
-    exact = wick_expectation(t, sigma, 3, law)
-    mc, se = wick_expectation_mc(t, sigma, 3, samples=60_000, rng=RngStream(31), law=law)
+    exact = wick_expectation(t, sigma, law)
+    mc, se = wick_expectation_mc(t, sigma, samples=60_000, rng=RngStream(31), law=law)
     assert abs(mc - exact) < 3 * se
     # the sample tells this law from the Gaussian
-    assert abs(mc - wick_expectation(t, sigma, 3)) > 3 * se
+    assert abs(mc - wick_expectation(t, sigma)) > 3 * se
 
 
 def test_moment_rejects_untabulated_cumulants_and_unknown_laws():
-    t8 = DenseTensor.identity(2, 8)
-    assert wick_expectation(t8, [0] * 8, 2) == pytest.approx(2 * 105)  # 7!! per index
+    t8 = DenseTensor.diagonal(np.ones(2), 8)
+    assert wick_expectation(t8, [0] * 8) == pytest.approx(2 * 105)  # 7!! per index
     with pytest.raises(ParameterError, match="order 6"):
-        wick_expectation(t8, [0] * 8, 2, "rademacher")
+        wick_expectation(t8, [0] * 8, "rademacher")
     with pytest.raises(SpecError, match="cauchy"):
-        wick_expectation(t8, [0] * 8, 2, "cauchy")
+        wick_expectation(t8, [0] * 8, "cauchy")
 
 
 def _wick_mc_kronecker(tensor, sigma, n, samples, rng, chunk):
@@ -214,7 +217,7 @@ def _dense(order, n, seed):
     (DenseTensor.diagonal([0.5, -1.0, 2.0, 0.25], 4), [0, 1, 1, 0], 1000, 300),
 ])
 def test_wick_mc_matches_kronecker_oracle_on_same_draws(tensor, sigma, samples, chunk):
-    got = wick_expectation_mc(tensor, sigma, tensor.n, samples, RngStream(40), chunk=chunk)
+    got = wick_expectation_mc(tensor, sigma, samples, RngStream(40), chunk=chunk)
     want = _wick_mc_kronecker(tensor, sigma, tensor.n, samples, RngStream(40), chunk)
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12 * abs(want[1]))
     assert got[1] == pytest.approx(want[1], rel=1e-12)
@@ -224,20 +227,11 @@ def test_wick_mc_matches_kronecker_oracle_on_same_draws(tensor, sigma, samples, 
     ({"samples": 0}, ParameterError, "samples"),
     ({"samples": -5}, ParameterError, "samples"),
     ({"chunk": 0}, ParameterError, "chunk"),
-    ({"n": 4}, DimensionError, "n must equal tensor.n"),
 ])
 def test_wick_mc_rejects_bad_arguments(kwargs, error, field):
-    args = {"n": 3, "samples": 100, "chunk": 1 << 14, **kwargs}
+    args = {"samples": 100, "chunk": 1 << 14, **kwargs}
     with pytest.raises(error, match=field):
         wick_expectation_mc(_dense(2, 3, 29), [0, 0], rng=RngStream(1), **args)
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_wick_rejects_n_unequal_to_tensor_n(n):
-    t = DenseTensor.from_array(np.arange(9.0).reshape(3, 3))
-    assert wick_expectation(t, [0, 0], 3) == 12.0
-    with pytest.raises(DimensionError, match="n must equal tensor.n"):
-        wick_expectation(t, [0, 0], n)
 
 
 def test_bcp_worked_order4_example_vs_nested_loops():
@@ -252,7 +246,7 @@ def test_bcp_worked_order4_example_vs_nested_loops():
     hand = 0.0
     for i1, i2, i3, i4 in itertools.product(range(n), repeat=4):
         hand += t1[i1, i1, i2, i3] * t2[i2, i3, i4, i4]
-    ratio = bcp_ratio(query, [DenseTensor.from_array(t1), DenseTensor.from_array(t2)], n)
+    ratio = bcp_ratio(query, [DenseTensor.from_array(t1), DenseTensor.from_array(t2)])
     assert ratio == pytest.approx(abs(hand) / n, rel=1e-12)
 
 
@@ -268,8 +262,8 @@ def test_bcp_validation_flags():
 def test_bcp_identity_tensors_ratio_one():
     n = 10
     query = BcpQuery(orders=[2, 2], ell=2, pi=[0, 1, 0, 1])
-    tensors = [DenseTensor.identity(n, 2), DenseTensor.identity(n, 2)]
-    assert bcp_ratio(query, tensors, n) == pytest.approx(1.0)
+    tensors = [DenseTensor.diagonal(np.ones(n), 2), DenseTensor.diagonal(np.ones(n), 2)]
+    assert bcp_ratio(query, tensors) == pytest.approx(1.0)
 
 
 def test_bcp_diagonal_bound_holds():
@@ -279,7 +273,7 @@ def test_bcp_diagonal_bound_holds():
     query = BcpQuery(orders=[2, 4], ell=3, pi=[0, 1, 0, 1, 2, 2])
     tensors = [DenseTensor.diagonal(gen.uniform(-bound, bound, n), 2),
                DenseTensor.diagonal(gen.uniform(-bound, bound, n), 4)]
-    assert bcp_ratio(query, tensors, n) <= bound**2
+    assert bcp_ratio(query, tensors) <= bound**2
 
 
 def test_bcp_transposition_invariance():
@@ -289,13 +283,13 @@ def test_bcp_transposition_invariance():
         t1 = gen.standard_normal((n,) * 3)
         t2 = gen.standard_normal((n,) * 3)
         query = BcpQuery(orders=[3, 3], ell=3, pi=[0, 1, 2, 0, 1, 2])
-        base = bcp_ratio(query, [DenseTensor.from_array(t1), DenseTensor.from_array(t2)], n)
+        base = bcp_ratio(query, [DenseTensor.from_array(t1), DenseTensor.from_array(t2)])
         perm = list(gen.permutation(3))
         # transpose t1's slots by perm and relabel its slice of pi consistently
         t1_t = np.transpose(t1, axes=perm)
         pi_new = [query.pi[perm[j]] for j in range(3)] + list(query.pi[3:])
         query2 = BcpQuery(orders=[3, 3], ell=3, pi=pi_new)
-        alt = bcp_ratio(query2, [DenseTensor.from_array(t1_t), DenseTensor.from_array(t2)], n)
+        alt = bcp_ratio(query2, [DenseTensor.from_array(t1_t), DenseTensor.from_array(t2)])
         assert alt == pytest.approx(base, rel=1e-12)
 
 
@@ -326,6 +320,20 @@ def test_alternating_order_six_matches_dense():
 def test_alternating_rejects_odd_order():
     with pytest.raises(SpecError):
         DenseTensor.alternating(3, 2, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseTensor.from_array(np.zeros(0)),
+    lambda: DenseTensor.diagonal(np.zeros(0), 2),
+    lambda: DenseTensor.diagonal(np.ones((2, 2)), 2),
+    lambda: DenseTensor.alternating(2, 0, 3),
+    lambda: DenseTensor.alternating(2, 2.5, 2),
+    lambda: DenseTensor.alternating(2.0, 2, 3),
+], ids=["empty_dense", "empty_diagonal", "2d_diagonal", "zero_M", "float_M", "float_k"])
+def test_constructors_reject_values_that_define_no_n(build):
+    # each would give a tensor without a usable index size n or order
+    with pytest.raises(DimensionError):
+        build()
 
 
 def test_poly_alternating_cubic():
@@ -371,15 +379,38 @@ def test_graph_lemma_rejects_malformed():
 
 def test_network_io_roundtrip(tmp_path):
     gen = RngStream(20).generator()
-    n = 4
-    g = OrderedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)],
-                                     incidence=[[2, 0], [0, 1], [1, 2]])
-    lab = {0: DenseTensor.from_array(gen.standard_normal((n, n))),
-           1: DenseTensor.diagonal(gen.standard_normal(n), 2),
-           2: DenseTensor.identity(n, 2)}
-    val = eval_value_bruteforce(g, lab, n)
-    path = tmp_path / "net.txt"
+    n = 6
+    # vertex 0 reads edges 0..3 in order; 1 and 2 each close one pair
+    g = OrderedMultigraph.from_edges(3, [(0, 1), (0, 1), (0, 2), (0, 2)],
+                                     incidence=[[0, 1, 2, 3], [1, 0], [2, 3]])
+    lab = {0: DenseTensor.alternating(4, 2, 3),
+           1: DenseTensor.from_array(gen.standard_normal((n, n))),
+           2: DenseTensor.diagonal(gen.standard_normal(n), 2)}
+    path = tmp_path / "net.json"
     save_network(str(path), g, lab)
     g2, lab2 = load_network(str(path))
-    assert eval_value_bruteforce(g2, lab2, n) == pytest.approx(val, rel=1e-15)
-    assert [lab2[v].kind for v in range(3)] == ["dense", "diagonal", "identity"]
+    assert g2 == g
+    for v, t in lab.items():
+        assert (lab2[v].kind, lab2[v].order, lab2[v].n, lab2[v].M, lab2[v].N) == (
+            t.kind, t.order, t.n, t.M, t.N)
+        assert np.array_equal(lab2[v].to_dense(), t.to_dense())
+    assert eval_value_bruteforce(g2, lab2) == eval_value_bruteforce(g, lab)
+
+
+def test_tensor_sums_reject_tensors_of_unequal_n():
+    # vertex (or query tensor) 0 has n = 4, 1 has n = 3: no sum over [n] is defined
+    tensors = [DenseTensor.diagonal(np.ones(4), 1), DenseTensor.from_array(np.ones(3))]
+    graph = OrderedMultigraph.from_edges(2, [(0, 1)])
+    message = "tensor 1 has n = 3, tensor 0 has n = 4"
+    for evaluate in (eval_value_bruteforce, eval_value_contraction):
+        with pytest.raises(DimensionError, match=message):
+            evaluate(graph, dict(enumerate(tensors)))
+    with pytest.raises(DimensionError, match=message):
+        bcp_ratio(BcpQuery(orders=[1, 1], ell=1, pi=[0, 0]), tensors)
+
+
+def test_common_n_of_no_tensors_is_a_spec_error():
+    with pytest.raises(SpecError, match="at least one tensor"):
+        common_n([])
+    with pytest.raises(SpecError, match="at least one tensor"):
+        bcp_ratio(BcpQuery(orders=[], ell=0, pi=[]), [])
