@@ -23,6 +23,8 @@ ENTRY_CUMULANTS = {"gaussian": {2: 1.0}, "rademacher": {2: 1.0, 4: -2.0, 6: 16.0
 CUMULANT_ORDER = 6
 
 _SQRT3 = np.sqrt(3.0)
+# sample_wigner: rows symmetrized per step, so the temporary is this many rows
+SYMMETRIZE_BLOCK = 128
 # smooth_image: number of low-frequency cosine modes per axis
 SMOOTH_MODES = 3
 
@@ -104,19 +106,32 @@ def sample_wigner(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
 
     GOE uses Gaussian entries with diagonal variance 2/n; wigner_iid places
     i.i.d. scaled entry_dist draws on and above the diagonal and mirrors them,
-    so the output is bitwise symmetric.
+    so the output is bitwise symmetric. Both symmetrize in place, a block of
+    SYMMETRIZE_BLOCK rows at a time, so the peak is one n x n matrix (plus,
+    for wigner_iid, its upper-triangle draws).
     """
     if spec.kind not in ("goe", "wigner_iid"):
         raise SpecError(f"sample_wigner needs a symmetric ensemble, got {spec.kind!r}")
     n = spec.rows
     gen = rng.generator()
     if spec.kind == "goe":
-        a = gen.standard_normal((n, n)) / np.sqrt(n)
-        return (a + a.T) / np.sqrt(2.0)
-    iu = np.triu_indices(n)
+        a = gen.standard_normal((n, n))
+        a /= np.sqrt(n)
+        # (a + a.T) / sqrt(2), one block-row of the upper triangle at a time
+        for i in range(0, n, SYMMETRIZE_BLOCK):
+            j = i + SYMMETRIZE_BLOCK
+            blk = a[i:j, i:] + a[i:, i:j].T
+            blk /= np.sqrt(2.0)
+            a[i:j, i:] = blk
+            a[i:, i:j] = blk.T
+        return a
+    entries = _draw_entries(spec.entry_dist, n * (n + 1) // 2, gen)
+    entries /= np.sqrt(n)
     w = np.zeros((n, n))
-    w[iu] = _draw_entries(spec.entry_dist, len(iu[0]), gen) / np.sqrt(n)
-    w = w + np.triu(w, 1).T
+    w[np.triu(np.ones((n, n), dtype=bool))] = entries  # row-major upper triangle
+    # w + triu(w, 1).T, one block-column at a time
+    for i in range(0, n, SYMMETRIZE_BLOCK):
+        w[:, i:i + SYMMETRIZE_BLOCK] += np.triu(w[i:i + SYMMETRIZE_BLOCK], i + 1).T
     return w
 
 

@@ -8,10 +8,17 @@ divergence of a denoiser that reads only the latest iterate.
 
 Each Monte-Carlo sample is one surrogate path Z_1, Z_2, ... of the process
 whose covariance SE tracks (Berthier, Montanari & Nguyen, arXiv:1708.03950).
-Iteration t redraws the same path up to Z_t from the sample's own stream and
-adds a new covariance column from it, so every Sigma_t and Omega_t is the
-Gram average (1/denom) F^T F over one sample set, F holding a path's
-denoiser outputs: positive semidefinite and nested by construction.
+A solver draws every path's normals once, up front, from the sample's own
+stream, and iteration t colours the first t rows of the same normals into a
+new covariance column, so every Sigma_t and Omega_t is the Gram average
+(1/denom) F^T F over one sample set, F holding a path's denoiser outputs:
+positive semidefinite and nested by construction.
+
+The normals are drawn in float64 and stored rounded to float32, one
+(samples, steps, rows) block per path set that lives for one solve and
+takes samples * steps * rows * 4 bytes. Rounding keeps the RNG consumption
+of a float64 draw, so a path moves only by float32 rounding, and halves the
+memory of a float64 block.
 """
 
 from __future__ import annotations
@@ -170,36 +177,46 @@ def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:
                            f"(min eig {np.linalg.eigvalsh(cov).min():.3e})") from exc
 
 
+def _draw_paths(stream: RngStream, mc_samples: int, steps: int, rows: int) -> np.ndarray:
+    """(mc_samples, steps, rows) float32 block whose slice k holds the
+    steps x rows standard normals of stream.derive(k), drawn in float64 and
+    rounded to float32."""
+    paths = np.empty((mc_samples, steps, rows), dtype=np.float32)
+    for k in range(mc_samples):
+        paths[k] = stream.derive(k).generator().standard_normal((steps, rows))
+    return paths
+
+
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
-               name: str, jittered: List[str], rows: int, denom: int, mc_samples: int,
+               name: str, jittered: List[str], denom: int, paths: np.ndarray,
                stream: RngStream) -> Tuple[np.ndarray, float]:
-    """Monte-Carlo averages, over mc_samples surrogate paths Z (t x rows) with
+    """Monte-Carlo averages, over the surrogate paths Z (t x rows) with
     i.i.d. columns N(0, cov), of the new covariance column
     (1/denom) f_r(Z_r)^T f_t(Z_t) for r = 1..t, led by (1/denom) u1^T f_t(Z_t)
     when u1 is given, and of the divergence (1/denom) div f_t(Z_t) from
     ``Denoiser.onsager``; Z_r is row r of Z.
 
-    Path k is Z = L G: L is the lower Cholesky factor of cov and G the
-    t x rows normals of stream.derive(k). G fills row by row and L's rows
-    nest as cov does, so rows 1..t-1 of Z repeat the path that every earlier
-    t drew from the same stream. Path k probes with path.derive(t) when f_t
-    has no divergence formula. Appends name to jittered when cov needs the
-    Cholesky jitter."""
+    Path k is Z = L G: L is the lower Cholesky factor of cov and G the first
+    t rows of paths[k] (see ``_draw_paths``), cast to float64. L's rows nest
+    as cov does, so rows 1..t-1 of Z repeat the path that every earlier t
+    coloured from the same normals. Path k probes with stream.derive(k).derive(t)
+    when f_t has no divergence formula. Appends name to jittered when cov
+    needs the Cholesky jitter."""
     chol = _chol_factor(cov, name, jittered)
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
     col = np.zeros(t + off)
     div = 0.0
+    mc_samples = paths.shape[0]
     for k in range(mc_samples):
-        path = stream.derive(k)
-        z = chol @ path.generator().standard_normal((t, rows))
+        z = chol @ paths[k, :t].astype(np.float64)
         ft_val = f_t.apply(z[t - 1])
         if u1 is not None:
             col[0] += u1 @ ft_val / denom
         for r in range(1, t):
             col[off + r - 1] += f_seq[r - 1].apply(z[r - 1]) @ ft_val / denom
         col[off + t - 1] += ft_val @ ft_val / denom
-        div += f_t.onsager(z[t - 1], rng=path.derive(t))[0] / denom
+        div += f_t.onsager(z[t - 1], rng=stream.derive(k).derive(t))[0] / denom
     return col / mc_samples, div / mc_samples
 
 
@@ -224,9 +241,11 @@ def se_symmetric(
     symmetric recursion driven by f_1, ..., f_(T-1) from initialization u1.
 
     Sigma_(t+1)[r+1, s+1] averages (1/n) f_r(Z_r)^T f_s(Z_s) over mc_samples
-    surrogate paths Z_(1:t) with i.i.d. coordinates N(0, Sigma_t); path k is
-    drawn from rng.derive(k) at every t, so Sigma_(t+1) is the Gram average
-    of [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
+    surrogate paths Z_(1:t) with i.i.d. coordinates N(0, Sigma_t). Path k's
+    (T-1) x n normals are drawn once from rng.derive(k) and stored in
+    float32 (mc_samples * (T-1) * n * 4 bytes for the solve), and every t
+    colours their first t rows, so Sigma_(t+1) is the Gram average of
+    [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
     exactly. b_(t+1) averages (1/n) div f_t(Z_t), using the analytic
     divergence when the denoiser declares one. Covariances that needed the
     Cholesky jitter are named in the sequence's ``jittered``.
@@ -240,9 +259,10 @@ def se_symmetric(
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[int, float] = {}
     jittered: List[str] = []
+    paths = _draw_paths(rng, mc_samples, T - 1, n)
     for t in range(1, T):
-        col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n, n,
-                                   mc_samples, rng)
+        col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
+                                   paths, rng)
         sigma.append(_border(sigma[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
@@ -264,11 +284,12 @@ def se_asymmetric(
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
     N(0, Sigma_t); a_t = (1/m) E div f_t(Z_t) and b_(t+1) = (1/m) E div g_t(Y_t).
-    Each side keeps one set of surrogate paths for every t: path k of Z is
-    drawn from rng.derive(0).derive(k) and path k of Y from
-    rng.derive(1).derive(k), so Sigma_t and Omega_t are Gram averages over
-    one sample set each. Covariances that needed the Cholesky jitter are
-    named in ``jittered``.
+    Each side draws one set of surrogate paths once and colours it at every
+    t: path k of Z takes its T x m normals from rng.derive(0).derive(k) and
+    path k of Y its min(T, len(g_seq)) x n normals from
+    rng.derive(1).derive(k), both stored in float32 (4 bytes a normal), so
+    Sigma_t and Omega_t are Gram averages over one sample set each.
+    Covariances that needed the Cholesky jitter are named in ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -284,16 +305,18 @@ def se_asymmetric(
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    f_paths, g_paths = rng.derive(0), rng.derive(1)
+    f_stream, g_stream = rng.derive(0), rng.derive(1)
+    f_paths = _draw_paths(f_stream, mc_samples, T, m)
+    g_paths = _draw_paths(g_stream, mc_samples, min(T, len(g_seq)), n)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
-        col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m, m,
-                               mc_samples, f_paths)
+        col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m,
+                               f_paths, f_stream)
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
         if t - 1 < len(g_seq):
-            col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
-                                       m, mc_samples, g_paths)
+            col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, m,
+                                       g_paths, g_stream)
             omega.append(_border(omega[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()

@@ -50,19 +50,35 @@ class DenseTensor:
     M: int = 0
     N: int = 0
 
+    def __post_init__(self):
+        """DimensionError when n disagrees with what defines it (the dense
+        values' shape, the diagonal's length, or M * N); SpecError on an
+        unknown kind."""
+        if self.kind == "alternating":
+            if self.n != self.M * self.N:
+                raise DimensionError(f"alternating tensor needs n == M * N, got n={self.n}, "
+                                     f"M={self.M}, N={self.N}")
+            return
+        shapes = {"dense": (self.n,) * self.order, "diagonal": (self.n,)}
+        if self.kind not in shapes:
+            raise SpecError(f"unknown tensor kind {self.kind!r}")
+        shape = None if self.values is None else np.shape(self.values)
+        if shape != shapes[self.kind]:
+            raise DimensionError(f"{self.kind} tensor of order {self.order} and n={self.n} "
+                                 f"needs values of shape {shapes[self.kind]}, got {shape}")
+
     @classmethod
     def from_array(cls, arr) -> "DenseTensor":
         arr = np.asarray(arr, dtype=np.float64)
-        n = arr.shape[0] if arr.ndim else 1
-        if arr.size == 0 or any(s != n for s in arr.shape):
-            raise DimensionError(f"dense tensor must be non-empty with equal dims, got {arr.shape}")
-        return cls(order=arr.ndim, n=n, kind="dense", values=arr)
+        if arr.size == 0:
+            raise DimensionError(f"dense tensor must be non-empty, got shape {arr.shape}")
+        return cls(order=arr.ndim, n=arr.shape[0] if arr.ndim else 1, kind="dense", values=arr)
 
     @classmethod
     def diagonal(cls, values, order: int) -> "DenseTensor":
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0 or order < 1:
-            raise DimensionError(f"a diagonal needs a non-empty vector and order >= 1, got "
+        if values.size == 0 or order < 1:
+            raise DimensionError(f"a diagonal needs non-empty values and order >= 1, got "
                                  f"shape {values.shape} and order {order}")
         return cls(order=order, n=values.size, kind="diagonal", values=values)
 

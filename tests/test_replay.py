@@ -5,8 +5,9 @@ Each case reduces its outputs to a short list of floats and compares it with
 the values recorded in ``EXPECTED`` at relative tolerance 1e-12. A refactor
 that claims unchanged outputs must pass here untouched; a change that moves
 the RNG consumption or the order of the arithmetic re-records the values and
-says why. Running this file prints every case's current values in the layout
-of ``EXPECTED``.
+says why. Running this file prints the current values of the cases named on
+its command line (of every case when none is named) in the layout of
+``EXPECTED``.
 """
 
 import numpy as np
@@ -128,12 +129,12 @@ EXPECTED = {
         0.3906249196473753, 3.944473285336346,
     ],
     "se_asymmetric": [
-        0.366161042088107, 0.1340458262213126, 0.15362926831498647,
-        0.1498847214873913, 0.24194903683351, 0.12845936650261933,
-        0.1230005348746361, 0.1758473598796217, 0.11142671719600047,
-        0.13489219337176422, 0.38110352787396345, 0.15751182706083672,
-        0.17498434287592812, 0.2583978322650088, 0.14579725555348166,
-        0.2025620173683173, 15.510230288979056, -4.591663259537041,
+        0.366161042088107, 0.13404582620318134, 0.1536292680965806,
+        0.1498847211304499, 0.24194903874090282, 0.12845936638638367,
+        0.12300053485795728, 0.17584736016042296, 0.11142671670758142,
+        0.1348921931121903, 0.3811035292728452, 0.15751182709048103,
+        0.17498434334266977, 0.25839783335441935, 0.1457972551782636,
+        0.20256201771963367, 15.510230288979056, -4.591663259537041,
         16.822503017686685, -2.407733278376457, 9.716489039580024,
         -1.950051115996648, 19.87023330502726, -4.924264535325101,
         22.618819371654954, -2.7403345541645163, 13.09545831841505,
@@ -144,10 +145,10 @@ EXPECTED = {
         0.5844217283590903, 10.492562846859412, 1.8532377354771923,
     ],
     "se_symmetric": [
-        0.9508149661559446, -0.05949077817310884, 0.0061483193894017775,
-        -0.0007110219773369796, 0.42245108279587995, -0.0192266688494845,
-        0.0002894572374134834, 0.09837936818423405, -0.00018461419384015448,
-        0.0036141102191511836, 129.62924210746422, -5.243666852377741,
+        0.9508149661559446, -0.059490777705177245, 0.006148319050296658,
+        -0.0007110220296495611, 0.4224510802193061, -0.01922666849647353,
+        0.00028945714876589567, 0.09837936594922661, -0.00018461410866677124,
+        0.003614109991544194, 129.62924210746422, -5.243666852377741,
         61.127927313699715, 4.150330504829664, 20.095548416619096,
         -4.055498071488558, 1.8453186269243198, 0.2292698620992949,
         114.09779593871336, -5.218113154018289, 57.111849082714784,
@@ -168,9 +169,16 @@ def test_replay_matches_the_recorded_outputs(name):
 
 
 if __name__ == "__main__":
-    # Prints every case's current values in the layout of EXPECTED, for a
-    # re-record: PYTHONPATH=src python tests/test_replay.py
-    for name in sorted(CASES):
+    # Prints the named cases' current values (every case when none is named)
+    # in the layout of EXPECTED, for a re-record of just the cases a change
+    # moves: PYTHONPATH=src python tests/test_replay.py [case ...]
+    import sys
+
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; cases: {', '.join(sorted(CASES))}")
+    for name in names:
         values = [repr(float(v)) for v in CASES[name]()]
         print(f'    "{name}": [')
         for i in range(0, len(values), 3):

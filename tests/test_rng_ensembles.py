@@ -3,6 +3,7 @@ import pytest
 
 from amplab.ensembles import (
     EnsembleSpec,
+    _draw_entries,
     SignalSpec,
     sample_ginibre,
     sample_haar_orthogonal,
@@ -48,6 +49,28 @@ def test_wigner_rademacher_two_by_two():
     w = sample_wigner(EnsembleSpec("wigner_iid", 2, 2, "rademacher"), RngStream(3))
     assert np.array_equal(w, w.T)
     assert set(np.round(np.abs(w).ravel(), 12)) == {round(1 / np.sqrt(2), 12)}
+
+
+def _wigner_two_pass(spec, rng):
+    """sample_wigner written with whole-matrix temporaries."""
+    n, gen = spec.rows, rng.generator()
+    if spec.kind == "goe":
+        a = gen.standard_normal((n, n)) / np.sqrt(n)
+        return (a + a.T) / np.sqrt(2.0)
+    iu = np.triu_indices(n)
+    w = np.zeros((n, n))
+    w[iu] = _draw_entries(spec.entry_dist, len(iu[0]), gen) / np.sqrt(n)
+    return w + np.triu(w, 1).T
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 2000])
+@pytest.mark.parametrize("kind, dist", [("goe", "gaussian"), ("wigner_iid", "uniform"),
+                                        ("wigner_iid", "rademacher")])
+def test_in_place_wigner_is_bitwise_the_two_pass_formula(n, kind, dist):
+    # block sizes straddle SYMMETRIZE_BLOCK = 128
+    spec = EnsembleSpec(kind, n, n, dist)
+    got = sample_wigner(spec, RngStream(n, 4))
+    assert got.tobytes() == _wigner_two_pass(spec, RngStream(n, 4)).tobytes()
 
 
 def test_goe_offdiagonal_second_moment():

@@ -15,6 +15,7 @@ from amplab.exceptions import DimensionError, NumericError, ParameterError, Sche
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
+    _border,
     _chol_factor,
     se_asymmetric,
     se_scalar_sensing,
@@ -178,11 +179,91 @@ def test_symmetric_covariance_is_the_gram_matrix_of_its_path():
     f = soft_threshold_denoiser(0.2)
     cov, _ = se_symmetric([f] * (T - 1), u1, T, mc_samples=1, rng=RngStream(21))
     assert cov.jittered == []
-    # the one path, as the last iteration draws it: rows of L G
+    # the one path, as the last iteration colours it: rows of L G, with G the
+    # path's normals as the solver stores them (float32)
     chol = np.linalg.cholesky(cov.sigma[T - 2])
-    z = chol @ RngStream(21).derive(0).generator().standard_normal((T - 1, n))
+    G = RngStream(21).derive(0).generator().standard_normal((T - 1, n))
+    z = chol @ G.astype(np.float32)
     F = np.column_stack([u1, *(f.apply(row) for row in z)])
     np.testing.assert_allclose(cov.sigma[-1], F.T @ F / n, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [3, 6])
+def test_each_path_is_drawn_once_per_solve(monkeypatch, T):
+    draws = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: draws.append(self) or generator(self))
+    samples = 7
+    u1 = np.linspace(-1.0, 1.0, 30)
+    se_symmetric([soft_threshold_denoiser(0.5)] * (T - 1), u1, T, mc_samples=samples,
+                 rng=RngStream(11))
+    assert len(draws) == samples
+    m, n = 20, 30
+    f_seq = [residual_shift_denoiser(np.full(m, 0.1))] * T
+    g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
+    draws.clear()
+    se_asymmetric(f_seq, g_seq, u1, T, m, mc_samples=samples, rng=RngStream(12))
+    assert len(draws) == 2 * samples
+
+
+def _redrawn_column(fs, t, lead, cov, rows, denom, samples, stream, rounded):
+    """A covariance column and divergence by the per-iteration redraw that
+    stored paths replace: path k's t x rows normals are drawn in float64 at
+    every t, and rounded to float32 when rounded is set."""
+    chol = _chol_factor(cov, "reference", [])
+    out, div = [], 0.0
+    for k in range(samples):
+        G = stream.derive(k).generator().standard_normal((t, rows))
+        z = chol @ (G.astype(np.float32) if rounded else G)
+        F = np.column_stack([*([lead] if lead is not None else []),
+                             *(f.apply(row) for f, row in zip(fs, z))])
+        out.append(F.T @ F[:, -1] / denom)
+        div += fs[t - 1].onsager(z[t - 1], rng=stream.derive(k).derive(t))[0] / denom
+    return np.mean(out, axis=0), div / samples
+
+
+def _max_relative_gap(got, want):
+    """Largest entry gap of each pair over the largest |entry| of want."""
+    assert len(got) == len(want)
+    return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("rounded, tol", [(True, 1e-12), (False, 1e-8)])
+def test_stored_paths_match_redraws_per_iteration(rounded, tol):
+    # with the redraws rounded to float32 only the summation order differs;
+    # float64 redraws differ by the rounding of the normals
+    n, T, samples = 200, 5, 20
+    u1 = RngStream(12).generator().standard_normal(n)
+    f_seq = [soft_threshold_denoiser(0.3)] * (T - 1)
+    cov, sched = se_symmetric(f_seq, u1, T, mc_samples=samples, rng=RngStream(13))
+    assert cov.jittered == []
+    sigma, b = [np.array([[u1 @ u1 / n]])], {}
+    for t in range(1, T):
+        col, b[t + 1] = _redrawn_column(f_seq, t, u1, sigma[-1], n, n, samples,
+                                        RngStream(13), rounded)
+        sigma.append(_border(sigma[-1], col))
+    assert _max_relative_gap(cov.sigma, sigma) <= tol
+    np.testing.assert_allclose([sched.b[t] for t in b], list(b.values()), rtol=tol, atol=0)
+
+    m, n, T = 100, 200, 4
+    cov, sched = _sparse_recovery_se(0.3, 0.2, samples, 2, m=m, n=n, T=T)
+    assert cov.jittered == []
+    theta = sample_signal(SignalSpec(kind="sparse", dims=n, density=0.3),
+                          RngStream(2, 1)).vector
+    f_seq = [residual_shift_denoiser(sample_noise(m, 0.2, RngStream(2, 2)))] * T
+    g_seq = [signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))] * T
+    omega, sigma, a, b = [np.array([[theta @ theta / m]])], [np.zeros((0, 0))], {}, {}
+    for t in range(1, T + 1):
+        col, a[t] = _redrawn_column(f_seq, t, None, omega[-1], m, m, samples,
+                                    RngStream(2).derive(0), rounded)
+        sigma.append(_border(sigma[-1], col))
+        col, b[t + 1] = _redrawn_column(g_seq, t, theta, sigma[-1], n, m, samples,
+                                        RngStream(2).derive(1), rounded)
+        omega.append(_border(omega[-1], col))
+    assert _max_relative_gap(cov.sigma, sigma[1:]) <= tol
+    assert _max_relative_gap(cov.omega, omega) <= tol
+    np.testing.assert_allclose([*(sched.a[t] for t in a), *(sched.b[t] for t in b)],
+                               [*a.values(), *b.values()], rtol=tol, atol=0)
 
 
 def test_scalar_sensing_identity_denoiser_recursion():

@@ -336,6 +336,27 @@ def test_constructors_reject_values_that_define_no_n(build):
         build()
 
 
+@pytest.mark.parametrize("fields", [
+    dict(order=1, n=5, kind="dense", values=np.ones(3)),
+    dict(order=2, n=3, kind="dense", values=np.ones(3)),
+    dict(order=1, n=3, kind="dense"),
+    dict(order=2, n=5, kind="diagonal", values=np.ones(3)),
+    dict(order=2, n=3, kind="diagonal", values=np.ones((3, 3))),
+    dict(order=2, n=5, kind="alternating", M=2, N=3),
+], ids=["dense_short", "dense_low_order", "dense_no_values", "diagonal_short",
+        "diagonal_2d", "alternating_n_not_MN"])
+def test_direct_construction_rejects_an_n_its_fields_contradict(fields):
+    # the dense_short tensor beside an n = 5 one made brute force die in
+    # gather with a bare IndexError
+    with pytest.raises(DimensionError):
+        DenseTensor(**fields)
+
+
+def test_direct_construction_rejects_an_unknown_kind():
+    with pytest.raises(SpecError, match="identity"):
+        DenseTensor(order=2, n=3, kind="identity", values=np.ones(3))
+
+
 def test_poly_alternating_cubic():
     # M != N: the gather's row and column constraints must not be swapped
     m_dim, n_dim = 2, 3
