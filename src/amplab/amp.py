@@ -9,7 +9,6 @@ runners are sequential and deterministic given their inputs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -98,7 +97,6 @@ class SymmetricAmpTrace:
     z: np.ndarray  # n x T
     u: np.ndarray  # n x T
     b_applied: np.ndarray  # length T; b_1 = 0
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -109,7 +107,6 @@ class RectAmpTrace:
     u: np.ndarray  # n x (T or T+1, when g_T is present)
     b_applied: np.ndarray  # length T; b_1 = 0
     a_applied: np.ndarray  # length T
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -119,8 +116,6 @@ class SensingAmpTrace:
     b_applied: np.ndarray  # length T; b_1 = 0
     b_source: List[str]
     mse: np.ndarray  # length T, (1/n)|theta_(t+1) - theta_star|^2
-    condition_number: float = 1.0
-    wall_ms: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +124,7 @@ class SensingAmpTrace:
 
 def run_symmetric_amp(problem: SymmetricAmpProblem, T: int) -> SymmetricAmpTrace:
     """z_t = W u_t - b_t u_(t-1), u_(t+1) = f_t(z_t); z_1 = W u_1."""
-    if T < 1:
-        raise ParameterError("T must be >= 1")
     require_length(problem.f_seq, T - 1, T)
-    tic = time.perf_counter()
     n = problem.u1.size
     z = np.zeros((n, T))
     u = np.zeros((n, T))
@@ -143,8 +135,7 @@ def run_symmetric_amp(problem: SymmetricAmpProblem, T: int) -> SymmetricAmpTrace
         u[:, t - 1] = problem.f_seq[t - 2].apply(z[:, t - 2])
         b[t - 1] = problem.onsager.coeff("b", t)
         z[:, t - 1] = problem.W @ u[:, t - 1] - b[t - 1] * u[:, t - 2]
-    return SymmetricAmpTrace(z=z, u=u, b_applied=b,
-                             wall_ms=(time.perf_counter() - tic) * 1e3)
+    return SymmetricAmpTrace(z=z, u=u, b_applied=b)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +149,8 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     The coefficients come from problem.onsager, e.g. the schedule
     ``se_asymmetric`` returns.
     """
-    if T < 1:
-        raise ParameterError("T must be >= 1")
     require_length(problem.f_seq, T, T, "f-denoisers")
     require_length(problem.g_seq, T - 1, T, "g-denoisers")
-    tic = time.perf_counter()
     m, n = problem.W.shape
     sched = problem.onsager
     z = np.zeros((m, T))
@@ -183,8 +171,7 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
         y[:, t - 1] = problem.W.T @ v[:, t - 1] - a[t - 1] * u[:, t - 1]
         if t < T or has_final_g:
             u[:, t] = problem.g_seq[t - 1].apply(y[:, t - 1])
-    return RectAmpTrace(z=z, v=v, y=y, u=u, b_applied=b, a_applied=a,
-                        wall_ms=(time.perf_counter() - tic) * 1e3)
+    return RectAmpTrace(z=z, v=v, y=y, u=u, b_applied=b, a_applied=a)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,7 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     is K^(-1) (W^T r_t). That equals the normal-equations form
     (K^T K)^(-1) (W K)^T r_t because K is square and invertible, and it is
     conditioned by cond(K) rather than cond(K)^2. A K whose condition number
-    exceeds 1e12 raises NumericError; trace.condition_number is cond(K).
+    exceeds 1e12 raises NumericError.
 
     ``Denoiser.onsager`` gives the divergence. mc_reps None takes the formula
     where the denoiser declares one; an int mc_reps, or a denoiser without a
@@ -210,18 +197,13 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     rng.derive(t). The source used per iteration is recorded in
     trace.b_source.
     """
-    if T < 1:
-        raise ParameterError("T must be >= 1")
+    require_length(problem.eta_seq, T, T)
     if mc_reps is not None and mc_reps < 1:
         raise ParameterError("mc_reps must be >= 1")
-    require_length(problem.eta_seq, T, T)
-    tic = time.perf_counter()
     rng = rng or RngStream(0)
     m, n = problem.W.shape
-    if problem.K is not None:
-        K, K_inv, cond = problem.K.matrix, problem.K.inverse(), problem.K.cond
-    else:
-        K, K_inv, cond = None, None, 1.0
+    K = None if problem.K is None else problem.K.matrix
+    K_inv = None if problem.K is None else problem.K.inverse()
     theta = np.zeros((n, T + 1))
     r = np.zeros((m, T))
     b_applied = np.zeros(T)
@@ -250,5 +232,4 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
         r_prev = r_t
         prev_arg = arg
     return SensingAmpTrace(theta=theta, r=r, b_applied=b_applied, b_source=b_source,
-                           mse=mse, condition_number=cond,
-                           wall_ms=(time.perf_counter() - tic) * 1e3)
+                           mse=mse)

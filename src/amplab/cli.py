@@ -4,8 +4,10 @@ Subcommands: run-amp, state-evolution, universality, bcp-check, graph-lemma
 and tensor-eval. All but tensor-eval take --config (JSON mirroring the
 ExperimentConfig field names) plus the shared flags --seed, --out and
 --format; flags and per-command settings are validated like the config
-file. state-evolution writes the SE prediction of a sensing config's own
-experiment (``harness.se_summary``) and exits 2 on a tensor_checks config.
+file. --seed replaces the config's seeds (its battery_seed on a
+tensor_checks run). state-evolution writes the SE prediction of a sensing
+config's own experiment (``harness.se_summary``), which reads signal_seed,
+so it exits 2 on --seed; it and universality exit 2 on a tensor_checks config.
 bcp-check and graph-lemma run only their own battery and need no config.
 tensor-eval takes only --network, a JSON network document written by
 ``tensor_net.save_network``, and reads n off the document's tensors.
@@ -23,7 +25,6 @@ from . import tensor_net as tn
 from .exceptions import AmplabError, ConfigError
 from .harness import (
     ExperimentConfig,
-    config_from_dict,
     load_config,
     run_experiment,
     se_summary,
@@ -45,19 +46,22 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
 
-def _load(args, default_experiment=None) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    elif default_experiment is not None:
-        cfg = config_from_dict({"experiment": default_experiment, "seeds": [0]})
-    else:
+def _load(args) -> ExperimentConfig:
+    battery = args.command in _BATTERY_OF
+    if args.seed is not None and args.command == "state-evolution":
+        raise ConfigError("--seed", "state-evolution reads signal_seed, not seeds")
+    if not (args.config or battery):
         raise ConfigError("--config", f"is required for {args.command}")
-    overrides = {}
-    if args.seed is not None:
+    cfg = load_config(args.config) if args.config else ExperimentConfig("tensor_checks", [0])
+    if battery:
+        cfg = dataclasses.replace(cfg, experiment="tensor_checks")
+    overrides = {"out": args.out or cfg.out or "."}
+    if args.seed is not None and cfg.experiment == "tensor_checks":
+        overrides["battery_seed"] = args.seed
+    elif args.seed is not None:
         overrides["seeds"] = [args.seed]
     if args.fmt:
         overrides["fmt"] = args.fmt
-    overrides["out"] = args.out or cfg.out or "."
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -93,7 +97,7 @@ def main(argv=None) -> int:
                       "relative_gap": abs(brute - fast) / max(abs(brute), 1.0)}
             print(json.dumps(report, indent=2))
             return 0
-        cfg = _load(args, "tensor_checks" if args.command in _BATTERY_OF else None)
+        cfg = _load(args)
         if args.command == "run-amp":
             records, summary = run_experiment(cfg)
             _emit(cfg, records, summary, "results")
@@ -102,7 +106,6 @@ def main(argv=None) -> int:
         elif args.command == "universality":
             _emit(cfg, None, universality_compare(cfg), "universality")
         else:
-            cfg = dataclasses.replace(cfg, experiment="tensor_checks")
             report = tensor_checks(cfg, [_BATTERY_OF[args.command]])
             _emit(cfg, None, report, args.command.replace("-", "_"))
     except AmplabError as exc:

@@ -36,8 +36,8 @@ class Denoiser:
     one n-vector and raise DimensionError on anything else.
 
     ``onsager`` alone chooses between the formula (``divergence``) and the
-    Monte-Carlo probe (``divergence_mc``); every runner and SE solver takes
-    its Onsager terms from it.
+    Monte-Carlo probe (``divergence_mc``); ``run_sensing_amp`` takes its
+    Onsager terms from it, the matrix SE solvers from ``divergence`` alone.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

@@ -78,14 +78,7 @@ class ExperimentConfig:
     mc_reps: int = 100
     out: Optional[str] = None
     fmt: str = "csv"
-    # tensor_checks battery sizes
-    tensor_trees: int = 50
-    tensor_cycles: int = 20
-    tensor_n: int = 5
-    wick_instances: int = 20
-    bcp_queries: int = 100
-    graph_instances: int = 1000
-    battery_seed: int = 7
+    battery_seed: int = 7  # tensor_checks: the seed every battery's substream derives from
 
     def __post_init__(self):
         validate_config(self)
@@ -147,10 +140,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("se_draws", "mc_reps"):
         if getattr(cfg, name) < 1:
             raise ConfigError(name, "must be >= 1")
-    if cfg.tensor_n < 2:
-        raise ConfigError("tensor_n", "must be >= 2")
-    for name in ("bandwidth", "threshold", "tensor_trees", "tensor_cycles", "wick_instances",
-                 "bcp_queries", "graph_instances"):
+    for name in ("bandwidth", "threshold"):
         if getattr(cfg, name) < 0:
             raise ConfigError(name, "must be >= 0")
 
@@ -323,6 +313,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
 
 def universality_compare(cfg: ExperimentConfig) -> dict:
     """Mean-over-seeds MSE per (ensemble, t) plus pairwise and SE gaps."""
+    if cfg.experiment == "tensor_checks":
+        raise ConfigError("experiment", "tensor_checks has no ensembles to compare")
     if len(set(cfg.ensembles)) < 2:
         raise ConfigError("ensembles", "universality comparison needs >= 2 distinct ensembles")
     records, summary = run_experiment(cfg)
@@ -351,6 +343,13 @@ def universality_compare(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Tensor-network batteries
 
+TENSOR_TREES = 50  # oracle_equivalence: random trees
+TENSOR_CYCLES = 20  # oracle_equivalence: networks with cycles
+TENSOR_N = 5  # largest dimension n of a drawn tensor
+WICK_INSTANCES = 20
+BCP_QUERIES = 100
+GRAPH_INSTANCES = 1000
+
 
 def random_cyclic_network(num_vertices: int, n: int, gen, extra: int = 0):
     """A random tree on num_vertices vertices plus extra random edges (none,
@@ -367,21 +366,21 @@ def random_cyclic_network(num_vertices: int, n: int, gen, extra: int = 0):
     return graph, labeling
 
 
-def _battery_oracle_equivalence(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _battery_oracle_equivalence(rng: RngStream) -> dict:
     gen = rng.generator()
     worst = 0.0
     # trees on 2..6 vertices, then cyclic networks on 3..5 with 1..2 extra edges
-    for count, vertices, extra in ((cfg.tensor_trees, (2, 7), None),
-                                   (cfg.tensor_cycles, (3, 6), (1, 3))):
+    for count, vertices, extra in ((TENSOR_TREES, (2, 7), None),
+                                   (TENSOR_CYCLES, (3, 6), (1, 3))):
         for _ in range(count):
             nv = int(gen.integers(*vertices))
-            n = int(gen.integers(2, cfg.tensor_n + 1))
+            n = int(gen.integers(2, TENSOR_N + 1))
             k = int(gen.integers(*extra)) if extra else 0
             graph, labeling = random_cyclic_network(nv, n, gen, k)
             a = tn.eval_value_bruteforce(graph, labeling)
             b = tn.eval_value_contraction(graph, labeling)
             worst = max(worst, abs(a - b) / max(abs(a), 1.0))
-    return {"name": "oracle_equivalence", "checked": cfg.tensor_trees + cfg.tensor_cycles,
+    return {"name": "oracle_equivalence", "checked": TENSOR_TREES + TENSOR_CYCLES,
             "worst_relative": worst, "passed": worst <= 1e-10}
 
 
@@ -418,13 +417,13 @@ def _moment_oracle(tensor: tn.DenseTensor, sigma: Sequence[int], law: str) -> fl
     return float(tensor.to_dense().reshape(-1) @ weight)
 
 
-def _battery_moments(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _battery_moments(rng: RngStream) -> dict:
     gen = rng.generator()
     failures = 0
     worst = 0.0
     correction = dict.fromkeys(ENTRY_DISTS, 0.0)
-    for _ in range(cfg.wick_instances):
-        tensor, sigma = random_wick_instance(gen, cfg.tensor_n)
+    for _ in range(WICK_INSTANCES):
+        tensor, sigma = random_wick_instance(gen, TENSOR_N)
         odd_sigma = [max(sigma) + 1, *sigma[1:]]  # must vanish identically
         exact = {law: tn.wick_expectation(tensor, sigma, law) for law in ENTRY_DISTS}
         for law, value in exact.items():
@@ -433,7 +432,7 @@ def _battery_moments(cfg: ExperimentConfig, rng: RngStream) -> dict:
             shift = abs(value - exact["gaussian"]) / max(abs(exact["gaussian"]), 1.0)
             correction[law] = max(correction[law], shift)
             failures += tn.wick_expectation(tensor, odd_sigma, law) != 0.0
-    return {"name": "moments", "checked": cfg.wick_instances, "worst_relative": worst,
+    return {"name": "moments", "checked": WICK_INSTANCES, "worst_relative": worst,
             "non_gaussian_correction": correction, "passed": failures == 0 and worst <= 1e-10}
 
 
@@ -454,11 +453,11 @@ def random_diagonal_bcp_query(gen):
     return tn.BcpQuery(orders=orders, ell=1, pi=[0] * total)
 
 
-def _battery_bcp_diagonal(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _battery_bcp_diagonal(rng: RngStream) -> dict:
     gen = rng.generator()
     failures = 0
     n = 16
-    for _ in range(cfg.bcp_queries):
+    for _ in range(BCP_QUERIES):
         bound = float(gen.uniform(0.5, 2.0))
         query = random_diagonal_bcp_query(gen)
         tensors = [
@@ -468,7 +467,7 @@ def _battery_bcp_diagonal(cfg: ExperimentConfig, rng: RngStream) -> dict:
         ratio = tn.bcp_ratio(query, tensors)
         if ratio > bound ** query.m:
             failures += 1
-    return {"name": "bcp_diagonal_bound", "checked": cfg.bcp_queries, "passed": failures == 0}
+    return {"name": "bcp_diagonal_bound", "checked": BCP_QUERIES, "passed": failures == 0}
 
 
 def random_alt_cycles(gen, max_vertices: int = 8, max_cycles: int = 4):
@@ -479,17 +478,17 @@ def random_alt_cycles(gen, max_vertices: int = 8, max_cycles: int = 4):
     return cycles
 
 
-def _battery_graph_lemma(cfg: ExperimentConfig, rng: RngStream) -> dict:
+def _battery_graph_lemma(rng: RngStream) -> dict:
     gen = rng.generator()
     failures = 0
     base = tn.alt_cycle_component_bound_check([[0, 0]])
     if not (base["holds"] and base["lhs"] == base["rhs"]):
         failures += 1
-    for _ in range(cfg.graph_instances):
+    for _ in range(GRAPH_INSTANCES):
         report = tn.alt_cycle_component_bound_check(random_alt_cycles(gen))
         if not report["holds"]:
             failures += 1
-    return {"name": "graph_lemma", "checked": cfg.graph_instances, "passed": failures == 0,
+    return {"name": "graph_lemma", "checked": GRAPH_INSTANCES, "passed": failures == 0,
             "base_case_equality": base["lhs"] == base["rhs"]}
 
 
@@ -504,9 +503,8 @@ _BATTERIES = {
 
 def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES)) -> dict:
     """The named batteries (default: all four) in the given order, at the
-    configured sizes. Each draws from its own substream of battery_seed, so a
-    selection reports what the full run reports for it; none samples. Raises
-    BudgetError on sizes beyond the enumeration budget."""
+    module's fixed sizes. Each draws from its own substream of battery_seed,
+    so a selection reports what the full run reports for it; none samples."""
     unknown = [name for name in names if name not in _BATTERIES]
     if unknown:
         raise ParameterError(f"unknown batteries {unknown}; known: {list(_BATTERIES)}")
@@ -514,7 +512,7 @@ def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES
     batteries = []
     for name in names:
         stream, battery = _BATTERIES[name]
-        batteries.append(battery(cfg, rng.derive(stream)))
+        batteries.append(battery(rng.derive(stream)))
     return {"batteries": batteries, "all_pass": all(b["passed"] for b in batteries)}
 
 
@@ -523,7 +521,7 @@ def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES
 
 
 # One row per (ensemble, seed, t). Wall-clock time is not a column, so two
-# runs of one config write identical files; per-cell time is trace.wall_ms.
+# runs of one config write identical files.
 CSV_HEADER = ["experiment", "ensemble", "seed", "t", "mse", "se_predicted", "gap"]
 
 

@@ -154,10 +154,27 @@ class SECovarianceSequence:
 
 
 def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -> None:
-    """ScheduleError naming the needed count when seq holds fewer than count
-    entries for a run of T iterations."""
+    """ParameterError when T < 1; ScheduleError naming the needed count when
+    seq holds fewer than count entries for a run of T iterations."""
+    if T < 1:
+        raise ParameterError("T must be >= 1")
     if len(seq) < count:
         raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
+
+
+def _require_divergence(seq: Sequence[Denoiser], count: int, what: str) -> None:
+    """ParameterError naming what[i], the first of seq[:count] with no divergence formula."""
+    for i, den in enumerate(seq[:count]):
+        if not den.has_analytic_divergence:
+            raise ParameterError(f"{what}[{i}] has no divergence formula")
+
+
+def _nonempty_vector(x, name: str) -> np.ndarray:
+    """x as a float64 vector; DimensionError naming it unless it is one and non-empty."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionError(f"{name} must be a non-empty vector, got shape {x.shape}")
+    return x
 
 
 def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:
@@ -188,20 +205,19 @@ def _draw_paths(stream: RngStream, mc_samples: int, steps: int, rows: int) -> np
 
 
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
-               name: str, jittered: List[str], denom: int, paths: np.ndarray,
-               stream: RngStream) -> Tuple[np.ndarray, float]:
+               name: str, jittered: List[str], denom: int,
+               paths: np.ndarray) -> Tuple[np.ndarray, float]:
     """Monte-Carlo averages, over the surrogate paths Z (t x rows) with
     i.i.d. columns N(0, cov), of the new covariance column
     (1/denom) f_r(Z_r)^T f_t(Z_t) for r = 1..t, led by (1/denom) u1^T f_t(Z_t)
     when u1 is given, and of the divergence (1/denom) div f_t(Z_t) from
-    ``Denoiser.onsager``; Z_r is row r of Z.
+    ``Denoiser.divergence``; Z_r is row r of Z.
 
     Path k is Z = L G: L is the lower Cholesky factor of cov and G the first
     t rows of paths[k] (see ``_draw_paths``), cast to float64. L's rows nest
     as cov does, so rows 1..t-1 of Z repeat the path that every earlier t
-    coloured from the same normals. Path k probes with stream.derive(k).derive(t)
-    when f_t has no divergence formula. Appends name to jittered when cov
-    needs the Cholesky jitter."""
+    coloured from the same normals. Appends name to jittered when cov needs
+    the Cholesky jitter."""
     chol = _chol_factor(cov, name, jittered)
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
@@ -216,7 +232,7 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
         for r in range(1, t):
             col[off + r - 1] += f_seq[r - 1].apply(z[r - 1]) @ ft_val / denom
         col[off + t - 1] += ft_val @ ft_val / denom
-        div += f_t.onsager(z[t - 1], rng=stream.derive(k).derive(t))[0] / denom
+        div += f_t.divergence(z[t - 1]) / denom
     return col / mc_samples, div / mc_samples
 
 
@@ -246,15 +262,16 @@ def se_symmetric(
     float32 (mc_samples * (T-1) * n * 4 bytes for the solve), and every t
     colours their first t rows, so Sigma_(t+1) is the Gram average of
     [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
-    exactly. b_(t+1) averages (1/n) div f_t(Z_t), using the analytic
-    divergence when the denoiser declares one. Covariances that needed the
-    Cholesky jitter are named in the sequence's ``jittered``.
+    exactly. b_(t+1) averages (1/n) div f_t(Z_t) by the divergence formula,
+    which every f_t must have. Covariances that needed the Cholesky jitter
+    are named in the sequence's ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
     require_length(f_seq, T - 1, T)
+    _require_divergence(f_seq, T - 1, "f_seq")
     rng = rng or RngStream(0)
-    u1 = np.asarray(u1, dtype=np.float64)
+    u1 = _nonempty_vector(u1, "u1")
     n = u1.size
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[int, float] = {}
@@ -262,7 +279,7 @@ def se_symmetric(
     paths = _draw_paths(rng, mc_samples, T - 1, n)
     for t in range(1, T):
         col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
-                                   paths, rng)
+                                   paths)
         sigma.append(_border(sigma[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
@@ -288,35 +305,38 @@ def se_asymmetric(
     t: path k of Z takes its T x m normals from rng.derive(0).derive(k) and
     path k of Y its min(T, len(g_seq)) x n normals from
     rng.derive(1).derive(k), both stored in float32 (4 bytes a normal), so
-    Sigma_t and Omega_t are Gram averages over one sample set each.
-    Covariances that needed the Cholesky jitter are named in ``jittered``.
+    Sigma_t and Omega_t are Gram averages over one sample set each; every
+    denoiser read must have a divergence formula. Covariances that needed
+    the Cholesky jitter are named in ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
     require_length(f_seq, T, T, "f-denoisers")
     require_length(g_seq, T - 1, T, "g-denoisers")
+    g_steps = min(T, len(g_seq))
+    _require_divergence(f_seq, T, "f_seq")
+    _require_divergence(g_seq, g_steps, "g_seq")
     if m < 1:
         raise DimensionError(f"m must be >= 1, got {m}")
     rng = rng or RngStream(0)
-    u1 = np.asarray(u1, dtype=np.float64)
+    u1 = _nonempty_vector(u1, "u1")
     n = u1.size
     omega = [np.array([[u1 @ u1 / m]])]
     sigma: List[np.ndarray] = []
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    f_stream, g_stream = rng.derive(0), rng.derive(1)
-    f_paths = _draw_paths(f_stream, mc_samples, T, m)
-    g_paths = _draw_paths(g_stream, mc_samples, min(T, len(g_seq)), n)
+    f_paths = _draw_paths(rng.derive(0), mc_samples, T, m)
+    g_paths = _draw_paths(rng.derive(1), mc_samples, g_steps, n)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
         col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m,
-                               f_paths, f_stream)
+                               f_paths)
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
-        if t - 1 < len(g_seq):
+        if t <= g_steps:
             col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, m,
-                                       g_paths, g_stream)
+                                       g_paths)
             omega.append(_border(omega[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
@@ -349,7 +369,7 @@ def se_scalar_sensing(
     Y ~ N(0, sigma_t^2 I_n) of (1/m)|K(theta - eta_t(arg))|^2 and
     (1/n)|theta - eta_t(arg)|^2, where arg = K^(-1) Y + theta.
 
-    K may be an ndarray or a Coloring. The backprojection K^(-1) Y is the
+    K may be an n x n ndarray or Coloring. The backprojection K^(-1) Y is the
     normal-equations form (K^T K)^(-1) K^T Y, since K is square and
     invertible; a numerically singular K raises NumericError. Each
     iteration draws its mc_draws samples as one block.
@@ -358,13 +378,15 @@ def se_scalar_sensing(
         raise ParameterError("mc_draws must be >= 1")
     require_length(eta_seq, T, T)
     rng = rng or RngStream(0)
-    theta_star = np.asarray(theta_star, dtype=np.float64)
+    theta_star = _nonempty_vector(theta_star, "theta_star")
     e = np.asarray(e, dtype=np.float64)
     n, m = theta_star.size, e.size
-    if n < 1 or m < 1:
+    if m < 1:
         raise DimensionError(f"theta_star and e must be non-empty, got lengths {n} and {m}")
     if K is not None:
         coloring = Coloring.of(K)
+        if coloring.matrix.shape != (n, n):
+            raise DimensionError(f"K must be {n} x {n}, got {coloring.matrix.shape}")
         K, K_inv = coloring.matrix, coloring.inverse()
         u1 = K @ theta_star
     else:

@@ -128,19 +128,49 @@ BATTERY_CORE = {
 }
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a battery the command does not report was run")
+
+
 @pytest.mark.parametrize("command, battery", [("bcp-check", "bcp_diagonal_bound"),
                                               ("graph-lemma", "graph_lemma")])
 def test_battery_command_runs_only_its_battery(tmp_path, monkeypatch, command, battery):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a battery the command does not report was run")
-
     for name, core in BATTERY_CORE.items():
         if name != battery:
-            monkeypatch.setattr(tn, core, forbidden)
+            monkeypatch.setattr(tn, core, _forbidden)
     assert main([command, "--out", str(tmp_path)]) == 0
     filename, expected = BATTERY_SUMMARIES[command]
     assert [p.name for p in tmp_path.iterdir()] == [filename]
     assert (tmp_path / filename).read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("command, data, flags, named", [
+    # universality once ran every battery, then died on a KeyError
+    ("universality", {"experiment": "tensor_checks", "seeds": []}, [], "experiment"),
+    # state-evolution reads signal_seed, so a --seed was recorded and ignored
+    ("state-evolution", TINY_LOCAL, ["--seed", "2"], "--seed"),
+], ids=["universality-on-tensor-config", "state-evolution-seed"])
+def test_refused_before_anything_runs(tmp_path, capsys, monkeypatch, command, data, flags,
+                                      named):
+    for core in BATTERY_CORE.values():
+        monkeypatch.setattr(tn, core, _forbidden)
+    argv = [command, "--config", _config(tmp_path, data), "--out", str(tmp_path / "o"), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_sets_the_battery_seed_of_a_tensor_run(tmp_path):
+    config = _config(tmp_path, {"experiment": "tensor_checks", "seeds": []})
+    worst = []
+    for seed in ("1", "2"):
+        assert main(["run-amp", "--config", config, "--out", str(tmp_path / seed),
+                     "--seed", seed]) == 0
+        battery = _json(tmp_path / seed / "results_summary.json")["batteries"][0]
+        assert battery["name"] == "oracle_equivalence"
+        worst.append(battery["worst_relative"])
+    assert worst[0] != worst[1]
 
 
 def test_tensor_eval_prints_both_values(tmp_path, capsys):

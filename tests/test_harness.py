@@ -191,9 +191,7 @@ def test_moments_battery_catches_a_wrong_cumulant_sign(monkeypatch):
 
 
 def test_battery_selection_matches_the_full_run():
-    cfg = ExperimentConfig(experiment="tensor_checks", seeds=[], tensor_trees=5,
-                           tensor_cycles=3, wick_instances=3,
-                           bcp_queries=10, graph_instances=50)
+    cfg = ExperimentConfig(experiment="tensor_checks", seeds=[])
     full = tensor_checks(cfg)
     names = [b["name"] for b in full["batteries"]]
     assert names == ["oracle_equivalence", "moments", "bcp_diagonal_bound", "graph_lemma"]

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from amplab.denoisers import (
+    Denoiser,
     identity_denoiser,
     residual_shift_denoiser,
     signal_residual_denoiser,
@@ -119,6 +120,50 @@ def test_scalar_sensing_short_eta_seq_rejected():
                           mc_draws=2, rng=RngStream(5))
 
 
+_TANH = Denoiser(fn=np.tanh)  # no divergence formula
+
+
+@pytest.mark.parametrize("solve, named", [
+    (lambda: se_symmetric([soft_threshold_denoiser(0.5), _TANH], np.ones(10), 3,
+                          mc_samples=2, rng=RngStream(5)), r"f_seq\[1\]"),
+    (lambda: se_asymmetric([identity_denoiser()] * 3, [identity_denoiser(), _TANH], np.ones(10),
+                           3, 8, mc_samples=2, rng=RngStream(5)), r"g_seq\[1\]"),
+], ids=["symmetric-f_seq", "asymmetric-g_seq"])
+def test_a_denoiser_without_a_divergence_formula_is_refused_before_any_draw(
+        monkeypatch, solve, named):
+    # the solvers once probed such a denoiser's divergence by Monte Carlo
+    def no_draws(self):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    with pytest.raises(ParameterError, match=named):
+        solve()
+
+
+# each case once failed late, with an untyped error or none
+@pytest.mark.parametrize("solve, error, match", [
+    (lambda: se_symmetric([], np.ones(10), 0, mc_samples=2), ParameterError, "T must be"),
+    (lambda: se_asymmetric([], [], np.ones(10), 0, 8, mc_samples=2), ParameterError,
+     "T must be"),
+    (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [], 0, mc_draws=2), ParameterError,
+     "T must be"),
+    (lambda: se_symmetric([identity_denoiser()], np.zeros(0), 2, mc_samples=2),
+     DimensionError, "u1"),
+    (lambda: se_symmetric([identity_denoiser()], np.eye(3), 2, mc_samples=2),
+     DimensionError, "u1"),
+    (lambda: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser()], np.eye(3), 2, 8,
+                           mc_samples=2), DimensionError, "u1"),
+    (lambda: se_scalar_sensing(np.eye(3), np.ones(8), [identity_denoiser()], 1, mc_draws=2),
+     DimensionError, "theta_star"),
+    (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [identity_denoiser()], 1, mc_draws=2,
+                               K=np.eye(11)), DimensionError, "K"),
+], ids=["symmetric-T0", "asymmetric-T0", "scalar-T0", "symmetric-empty-u1",
+        "symmetric-matrix-u1", "asymmetric-matrix-u1", "scalar-matrix-theta", "scalar-K-shape"])
+def test_se_entry_points_reject_bad_input_up_front(solve, error, match):
+    with pytest.raises(error, match=match):
+        solve()
+
+
 def test_asymmetric_shift_denoiser_decomposition():
     m, n, samples = 300, 400, 200
     gen = RngStream(6).generator()
@@ -218,7 +263,7 @@ def _redrawn_column(fs, t, lead, cov, rows, denom, samples, stream, rounded):
         F = np.column_stack([*([lead] if lead is not None else []),
                              *(f.apply(row) for f, row in zip(fs, z))])
         out.append(F.T @ F[:, -1] / denom)
-        div += fs[t - 1].onsager(z[t - 1], rng=stream.derive(k).derive(t))[0] / denom
+        div += fs[t - 1].divergence(z[t - 1]) / denom
     return np.mean(out, axis=0), div / samples
 
 
