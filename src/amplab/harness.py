@@ -504,7 +504,8 @@ _BATTERIES = {
 def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES)) -> dict:
     """The named batteries (default: all four) in the given order, at the
     module's fixed sizes. Each draws from its own substream of battery_seed,
-    so a selection reports what the full run reports for it; none samples."""
+    so a selection reports what the full run reports for it; none samples.
+    The report records battery_seed beside the batteries and all_pass."""
     unknown = [name for name in names if name not in _BATTERIES]
     if unknown:
         raise ParameterError(f"unknown batteries {unknown}; known: {list(_BATTERIES)}")
@@ -513,7 +514,8 @@ def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES
     for name in names:
         stream, battery = _BATTERIES[name]
         batteries.append(battery(rng.derive(stream)))
-    return {"batteries": batteries, "all_pass": all(b["passed"] for b in batteries)}
+    return {"batteries": batteries, "all_pass": all(b["passed"] for b in batteries),
+            "battery_seed": cfg.battery_seed}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Ordered-multigraph tensor networks and the combinatorial checkers built
-on them: definitional value evaluation, an elimination-based contraction
-path, moments in i.i.d. Gaussian, Rademacher or uniform entries by set
-partitions weighted with cumulants, composition-ratio bounds for tensor
-families, and the colored-cycle component-count inequality.
+on them: definitional value evaluation, contraction-engine evaluation,
+moments in i.i.d. Gaussian, Rademacher or uniform entries by set partitions
+weighted with cumulants, composition-ratio bounds for tensor families, and
+the colored-cycle component-count inequality.
 
 Every tensor sum is a (tensor, positions) factor list and reads the index
-size n off its tensors (``common_n``). A network on disk is one JSON document
-whose tensors the ``DenseTensor`` constructors rebuild and validate.
+size n off its tensors (``common_n``). One engine, ``_contract``, evaluates
+every such sum: network values, composition ratios and each partition term
+of a moment. It merges tied labels, keeps diagonal and alternating tensors
+structured, and contracts pairwise, so its cost does not grow as n^(indices).
+The enumeration of all index assignments, ``_assignment_sum``, is kept only
+as the oracle behind ``eval_value_bruteforce``. A network on disk is one JSON
+document whose tensors the ``DenseTensor`` constructors rebuild and validate.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from .rng import RngStream
 from .vecmat import split_index
 
 DENSE_MATERIALIZE_CAP = 64  # structured tensors are never densified above this n
-BUDGET_BITS = 30.0  # enumeration allowed while indices * log2(n) <= this
-ENUM_CHUNK = 1 << 16  # assignments gathered per batch by the brute-force sums
+BUDGET_BITS = 30.0  # the brute-force oracle enumerates while indices * log2(n) <= this
+ENUM_CHUNK = 1 << 16  # assignments gathered per batch by the brute-force oracle
 
 
 # ---------------------------------------------------------------------------
 # Tensors
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseTensor:
     """Order-k tensor over [n]^k, stored densely or by structural formula.
 
@@ -205,9 +210,10 @@ def _factors(graph: OrderedMultigraph, labeling: TensorLabeling):
 
 
 def _assignment_sum(factors, num_indices: int) -> float:
-    """Sum over all assignments in [n]^num_indices of the product of the
-    factors' entries; each factor is a (tensor, positions) pair whose slot p
-    reads index positions[p], and n is ``common_n`` of the tensors.
+    """The oracle for ``_contract``: the sum over all assignments in
+    [n]^num_indices of the product of the factors' entries; each factor is a
+    (tensor, positions) pair whose slot p reads index positions[p], and n is
+    ``common_n`` of the tensors.
     Assignments are enumerated in lexicographic order, ENUM_CHUNK at a time;
     BudgetError when num_indices * log2(n) exceeds BUDGET_BITS."""
     n = common_n([tensor for tensor, _ in factors])
@@ -232,22 +238,103 @@ def _assignment_sum(factors, num_indices: int) -> float:
 
 def eval_value_bruteforce(graph: OrderedMultigraph, labeling: TensorLabeling) -> float:
     """Definitional value: sum over all edge-index assignments of the product
-    of labeled tensor entries, indices read in each vertex's edge order."""
+    of labeled tensor entries, indices read in each vertex's edge order,
+    enumerated; BudgetError past BUDGET_BITS."""
     return _assignment_sum(_factors(graph, labeling), len(graph.edges))
 
 
 def eval_value_contraction(graph: OrderedMultigraph, labeling: TensorLabeling) -> float:
-    """Pairwise-elimination evaluation of the brute-force factor list, as
-    one sublist einsum whose index labels are the edge ids."""
-    factors = _factors(graph, labeling)
-    common_n([tensor for tensor, _ in factors])
-    if len(graph.edges) > 52:
-        raise BudgetError("contraction path supports at most 52 distinct edges")
-    operands = [x for tensor, positions in factors for x in (tensor.to_dense(), positions)]
+    """The brute-force value of the network, by the contraction engine
+    ``_contract``: no bound on the number of edges, and structured tensors
+    are never densified."""
     try:
-        return float(np.einsum(*operands, [], optimize=True))
+        return _contract(_factors(graph, labeling))
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise NumericError("contraction intermediates exceeded memory") from exc
+
+
+def _einsum(terms, keep):
+    """One einsum over (array, labels) terms, summing every label not in keep.
+    Labels are renumbered from 0 for the call, so numpy's cap of 52 labels
+    bounds one step, not the whole sum."""
+    ids: Dict[object, int] = {}
+    operands = []
+    for array, labels in terms:
+        operands += [array, [ids.setdefault(label, len(ids)) for label in labels]]
+    return np.einsum(*operands, [ids[label] for label in keep])
+
+
+def _contract(factors) -> float:
+    """The value ``_assignment_sum`` enumerates, the sum over the indices the
+    (tensor, positions) factors read, computed without enumerating them; n
+    is ``common_n`` of the tensors.
+
+    First, labels that must carry one index are merged with one union-find:
+    all slots of a diagonal, which becomes a vector on the merged label, and
+    the row or column halves that an alternating tensor ties. Each slot of an
+    alternating tensor reads its index through a one-hot n x M x N splitter
+    S[i, r, c] = [i == r + c * M], so the tensor itself is the scalar
+    N^(1 - k/2) and is never densified. Then each term is reduced on its own
+    (repeated labels to the diagonal, labels no other term reads summed out),
+    and the terms are contracted pairwise, each step taking the pair with the
+    smallest result among the pairs that share a label."""
+    n = common_n([tensor for tensor, _ in factors])
+    scale = 1.0
+    size: Dict[object, int] = {}  # label -> dimension
+    ties = []  # groups of labels that carry one index
+    terms = []  # (array, labels)
+    for f, (tensor, positions) in enumerate(factors):
+        size.update(dict.fromkeys(positions, n))
+        if tensor.kind == "dense":
+            terms.append((tensor.values, positions))
+        elif tensor.kind == "diagonal":
+            ties.append(positions)
+            terms.append((tensor.values, [positions[0]]))
+        else:  # alternating
+            k = tensor.order
+            scale *= float(tensor.N) ** (1.0 - k / 2.0)
+            split = np.eye(n).reshape(n, tensor.M, tensor.N, order="F")
+            rows = [(f, p, "row") for p in range(k)]
+            cols = [(f, p, "col") for p in range(k)]
+            size.update(dict.fromkeys(rows, tensor.M))
+            size.update(dict.fromkeys(cols, tensor.N))
+            for p in range(k):
+                terms.append((split, [positions[p], rows[p], cols[p]]))
+                # even slots share their column with the next, odd slots their row
+                half = cols if p % 2 == 0 else rows
+                ties.append([half[p], half[(p + 1) % k]])
+    uf = _UnionFind(size)
+    for group in ties:
+        for label in group[1:]:
+            uf.union(group[0], label)
+    terms = [(array, [uf.find(label) for label in labels]) for array, labels in terms]
+
+    def holders():
+        out: Dict[object, List[int]] = {}
+        for t, (_, labels) in enumerate(terms):
+            for label in dict.fromkeys(labels):
+                out.setdefault(label, []).append(t)
+        return out
+
+    def kept(group, held):
+        """The labels of the group's terms that a term outside it reads."""
+        labels = dict.fromkeys(label for t in group for label in terms[t][1])
+        return [label for label in labels if any(t not in group for t in held[label])]
+
+    held = holders()
+    for t, (_, labels) in enumerate(terms):
+        keep = kept((t,), held)
+        if keep != labels:
+            terms[t] = (_einsum([terms[t]], keep), keep)
+    while len(terms) > 1:
+        held = holders()
+        pairs = {pair for ts in held.values() for pair in itertools.combinations(ts, 2)}
+        a, b = min(sorted(pairs) or [(0, 1)],
+                   key=lambda pair: math.prod(size[label] for label in kept(pair, held)))
+        keep = kept((a, b), held)
+        merged = (_einsum([terms[a], terms[b]], keep), keep)
+        terms = [term for t, term in enumerate(terms) if t not in (a, b)] + [merged]
+    return scale * float(terms[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +365,8 @@ def wick_expectation(tensor: DenseTensor, sigma: Sequence[int],
     prod kappa_|B| times the tensor summed with each part's slots tied to one
     index. For the Gaussian only pairs remain: Wick's rule.
 
-    Returns exactly 0 when some stream appears an odd number of times;
+    Each partition term is one ``_contract`` of the tensor with its slots
+    tied. Returns exactly 0 when some stream appears an odd number of times;
     ParameterError when one fills more slots than the law's cumulant table.
     """
     d = tensor.order
@@ -289,8 +377,6 @@ def wick_expectation(tensor: DenseTensor, sigma: Sequence[int],
     blocks = [tuple(p for p in range(d) if sigma[p] == s) for s in dict.fromkeys(sigma)]
     if law != "gaussian" and max(map(len, blocks), default=0) > CUMULANT_ORDER:
         raise ParameterError(f"{law} cumulants are tabulated through order {CUMULANT_ORDER}")
-    if d == 0:
-        return float(tensor.to_dense())
     kappa = ENTRY_CUMULANTS[law]
     sizes = [k for k in sorted(kappa) if kappa[k] != 0.0]
     total = 0.0
@@ -298,8 +384,7 @@ def wick_expectation(tensor: DenseTensor, sigma: Sequence[int],
         parts = [part for block_parts in combo for part in block_parts]
         slot_of = {p: free for free, part in enumerate(parts) for p in part}
         weight = math.prod(kappa[len(part)] for part in parts)
-        total += weight * _assignment_sum([(tensor, [slot_of[p] for p in range(d)])],
-                                          len(parts))
+        total += weight * _contract([(tensor, [slot_of[p] for p in range(d)])])
     return total
 
 
@@ -407,7 +492,9 @@ def validate_bcp_query(query: BcpQuery) -> dict:
 
 def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor]) -> float:
     """(1/n) |sum over shared indices of the product of tensor entries|, n
-    the tensors' common size."""
+    the tensors' common size, by ``_contract``: no enumeration budget, and
+    diagonal or alternating tensors are never densified, so n may exceed
+    ``DENSE_MATERIALIZE_CAP``."""
     if len(tensors) != query.m:
         raise SpecError("tensor count must match the query")
     for t, k in zip(tensors, query.orders):
@@ -415,7 +502,7 @@ def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor]) -> float:
             raise DimensionError(f"tensor order {t.order} != declared {k}")
     factors = [(tensor, [query.pi[s] for s in slots])
                for tensor, slots in zip(tensors, query.slot_ranges())]
-    return abs(_assignment_sum(factors, query.ell)) / tensors[0].n
+    return abs(_contract(factors)) / tensors[0].n
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,13 @@ def test_unknown_config_field_is_rejected(tmp_path, capsys):
 BATTERY_SUMMARIES = {
     "bcp-check": ("bcp_check_summary.json",
                   '{\n  "all_pass": true,\n  "batteries": [\n    {\n      "checked": 100,\n'
-                  '      "name": "bcp_diagonal_bound",\n      "passed": true\n    }\n  ]\n}\n'),
+                  '      "name": "bcp_diagonal_bound",\n      "passed": true\n    }\n  ],\n'
+                  '  "battery_seed": 7\n}\n'),
     "graph-lemma": ("graph_lemma_summary.json",
                     '{\n  "all_pass": true,\n  "batteries": [\n    {\n'
                     '      "base_case_equality": true,\n      "checked": 1000,\n'
-                    '      "name": "graph_lemma",\n      "passed": true\n    }\n  ]\n}\n'),
+                    '      "name": "graph_lemma",\n      "passed": true\n    }\n  ],\n'
+                    '  "battery_seed": 7\n}\n'),
 }
 # the core routine of each battery
 BATTERY_CORE = {
@@ -167,7 +169,9 @@ def test_seed_sets_the_battery_seed_of_a_tensor_run(tmp_path):
     for seed in ("1", "2"):
         assert main(["run-amp", "--config", config, "--out", str(tmp_path / seed),
                      "--seed", seed]) == 0
-        battery = _json(tmp_path / seed / "results_summary.json")["batteries"][0]
+        report = _json(tmp_path / seed / "results_summary.json")
+        assert report["battery_seed"] == int(seed)
+        battery = report["batteries"][0]
         assert battery["name"] == "oracle_equivalence"
         worst.append(battery["worst_relative"])
     assert worst[0] != worst[1]
@@ -186,6 +190,24 @@ def test_tensor_eval_prints_both_values(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["tensor-eval", "--network", str(path), "--config", "unused.json"])
     assert info.value.code == 2
+
+
+def test_tensor_eval_past_the_enumeration_budget_reports_the_contraction(tmp_path, capsys):
+    # a ring of 60 matrices (n = 2): 60 edges, past numpy's 52 einsum labels
+    # and 60 bits of enumeration; vertex v reads (edge v-1, edge v)
+    size = 60
+    g = tn.OrderedMultigraph.from_edges(
+        size, [(v, (v + 1) % size) for v in range(size)],
+        incidence=[[(v - 1) % size, v] for v in range(size)])
+    mats = np.random.default_rng(5).standard_normal((size, 2, 2))
+    path = tmp_path / "ring.json"
+    tn.save_network(str(path), g, {v: tn.DenseTensor.from_array(m) for v, m in enumerate(mats)})
+    assert main(["tensor-eval", "--network", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"contraction", "bruteforce", "bruteforce_skipped"}
+    assert report["bruteforce"] is None and "budget" in report["bruteforce_skipped"]
+    product = np.linalg.multi_dot(mats)
+    assert report["contraction"] == pytest.approx(np.trace(product), rel=1e-12)
 
 
 # the old text format: a header, edge and order lines, per-vertex payload files

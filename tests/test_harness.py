@@ -197,6 +197,7 @@ def test_battery_selection_matches_the_full_run():
     assert names == ["oracle_equivalence", "moments", "bcp_diagonal_bound", "graph_lemma"]
     for battery in full["batteries"]:
         alone = tensor_checks(cfg, [battery["name"]])
-        assert alone == {"batteries": [battery], "all_pass": battery["passed"]}
+        assert alone == {"batteries": [battery], "all_pass": battery["passed"],
+                         "battery_seed": cfg.battery_seed}
     with pytest.raises(ParameterError):
         tensor_checks(cfg, ["bcp_diagonal_bound", "no_such_battery"])

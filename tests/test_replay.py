@@ -156,8 +156,8 @@ EXPECTED = {
         1.8469504644082004, -1.2905016434725258,
     ],
     "tensor_checks": [
-        1.1252490787536314e-15, 6.259881426105853e-16, 0.0,
-        1.6217865735362855, 0.9730719441217713,
+        7.105427357601002e-15, 1.5910367549269532e-15, 0.0,
+        1.6217865735362857, 0.9730719441217713,
     ],
 }
 

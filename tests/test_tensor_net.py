@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 from amplab.exceptions import BudgetError, DimensionError, ParameterError, SpecError
 from amplab.rng import RngStream
 from amplab.tensor_net import (
+    DENSE_MATERIALIZE_CAP,
     BcpQuery,
     DenseTensor,
     OrderedMultigraph,
+    _assignment_sum,
+    _contract,
     alt_cycle_component_bound_check,
     bcp_ratio,
     common_n,
@@ -89,6 +93,66 @@ def test_contraction_matches_bruteforce_on_random_trees():
         assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
+def _random_factors(gen):
+    """A factor list over labels 0..L-1, every label read: 1-3 tensors of
+    random kind at n = 4 or 6, alternating ones of any (M, N) with M * N = n,
+    each slot reading a label drawn from a few, so slots often tie."""
+    n = int(gen.choice([4, 6]))
+    shapes = [(m, n // m) for m in range(1, n + 1) if n % m == 0]
+    ell = int(gen.integers(1, 5))
+    factors = []
+    for _ in range(int(gen.integers(1, 4))):
+        kind = gen.choice(["dense", "diagonal", "alternating"])
+        if kind == "alternating":
+            m, n_cols = shapes[int(gen.integers(len(shapes)))]
+            tensor = DenseTensor.alternating(int(gen.choice([2, 4])), m, n_cols)
+        elif kind == "diagonal":
+            tensor = DenseTensor.diagonal(gen.standard_normal(n), int(gen.integers(1, 4)))
+        else:
+            tensor = DenseTensor.from_array(gen.standard_normal((n,) * int(gen.integers(1, 4))))
+        factors.append((tensor, [int(i) for i in gen.integers(0, ell, size=tensor.order)]))
+    used = sorted({i for _, positions in factors for i in positions})
+    relabel = {old: new for new, old in enumerate(used)}
+    return [(t, [relabel[i] for i in positions]) for t, positions in factors], len(used)
+
+
+def _dense(order, n, seed):
+    return DenseTensor.from_array(RngStream(seed).generator().standard_normal((n,) * order))
+
+
+FIXED_FACTORS = {
+    # two alternating tensors of different (M, N) read one index pair
+    "two_shapes_one_index": ([(DenseTensor.alternating(2, 2, 3), [0, 1]),
+                              (DenseTensor.alternating(4, 3, 2), [1, 0, 2, 2])], 3),
+    # M != N, every slot tied to one index, beside a dense vector
+    "alternating_all_tied": ([(DenseTensor.alternating(4, 2, 3), [0, 0, 0, 0]),
+                              (DenseTensor.from_array(np.arange(1.0, 7.0)), [0])], 1),
+    # a dense tensor reads every slot of an M != N alternating tensor, so the
+    # splitter's pairing of i with (row, col) shows
+    "dense_reads_alternating": ([(DenseTensor.alternating(4, 2, 3), [0, 1, 2, 3]),
+                                 (_dense(4, 6, 42), [3, 0, 1, 2])], 4),
+    # a diagonal ties a dense matrix's two slots and an alternating pair
+    "diagonal_bridge": ([(DenseTensor.diagonal(np.linspace(-1, 2, 6), 3), [0, 1, 2]),
+                         (DenseTensor.from_array(np.arange(36.0).reshape(6, 6)), [0, 1]),
+                         (DenseTensor.alternating(4, 3, 2), [2, 3, 3, 1])], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_FACTORS))
+def test_engine_matches_the_enumeration_on_structured_ties(case):
+    factors, num_indices = FIXED_FACTORS[case]
+    want = _assignment_sum(factors, num_indices)
+    assert abs(_contract(factors) - want) <= 1e-10 * max(abs(want), 1.0)
+
+
+def test_engine_matches_the_enumeration_on_random_networks():
+    gen = RngStream(41).generator()
+    for _ in range(200):
+        factors, num_indices = _random_factors(gen)
+        want = _assignment_sum(factors, num_indices)
+        assert abs(_contract(factors) - want) <= 1e-10 * max(abs(want), 1.0), factors
+
+
 def test_bruteforce_budget_error():
     g = OrderedMultigraph.from_edges(2, [(0, 1)] * 16)
     lab = {0: DenseTensor.diagonal(np.ones(16), 16), 1: DenseTensor.diagonal(np.ones(16), 16)}
@@ -120,6 +184,8 @@ def test_wick_odd_multiplicity_vanishes():
 def test_wick_matrix_trace():
     m = RngStream(7).generator().standard_normal((4, 4))
     assert wick_expectation(DenseTensor.from_array(m), [0, 0]) == pytest.approx(np.trace(m))
+    # an order-0 tensor is its own expectation
+    assert wick_expectation(DenseTensor.from_array(np.array(2.5)), []) == 2.5
 
 
 def test_wick_rank_one_fourth_moment():
@@ -198,10 +264,6 @@ def _wick_mc_kronecker(tensor, sigma, n, samples, rng, chunk):
     mean = vals.sum() / samples
     var = max((vals**2).sum() / samples - mean**2, 0.0)
     return mean, np.sqrt(var / samples)
-
-
-def _dense(order, n, seed):
-    return DenseTensor.from_array(RngStream(seed).generator().standard_normal((n,) * order))
 
 
 @pytest.mark.parametrize("tensor, sigma, samples, chunk", [
@@ -293,6 +355,35 @@ def test_bcp_transposition_invariance():
         assert alt == pytest.approx(base, rel=1e-12)
 
 
+# a connected order-4 query over two alternating tensors, and one that ties
+# slots inside each tensor (ell = 2)
+ALT_CONNECTED = BcpQuery(orders=[4, 4], ell=4, pi=[0, 1, 2, 3, 3, 2, 1, 0])
+ALT_TIED = BcpQuery(orders=[4, 4], ell=2, pi=[0, 0, 1, 1, 0, 0, 1, 1])
+
+
+def _bcp_bruteforce(query, tensors):
+    factors = [(t, [query.pi[s] for s in slots])
+               for t, slots in zip(tensors, query.slot_ranges())]
+    return abs(_assignment_sum(factors, query.ell)) / tensors[0].n
+
+
+@pytest.mark.parametrize("query", [ALT_CONNECTED, ALT_TIED], ids=["connected", "tied"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_bcp_alternating_matches_bruteforce(query, m):
+    tensors = [DenseTensor.alternating(4, m, m)] * 2
+    assert validate_bcp_query(query) == {"even_multiplicity": True, "connected": True}
+    assert bcp_ratio(query, tensors) == pytest.approx(_bcp_bruteforce(query, tensors),
+                                                      rel=1e-12)
+
+
+def test_bcp_alternating_past_the_materialization_cap():
+    tensors = [DenseTensor.alternating(4, 10, 10)] * 2
+    assert tensors[0].n > DENSE_MATERIALIZE_CAP
+    with pytest.raises(BudgetError):
+        tensors[0].to_dense()
+    assert bcp_ratio(ALT_CONNECTED, tensors) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_alternating_order_two_is_identity():
     t = DenseTensor.alternating(2, 2, 3)
     i, j = (np.array(idx) for idx in zip(*itertools.product(range(6), repeat=2)))
@@ -350,6 +441,12 @@ def test_direct_construction_rejects_an_n_its_fields_contradict(fields):
     # gather with a bare IndexError
     with pytest.raises(DimensionError):
         DenseTensor(**fields)
+
+
+def test_tensors_are_frozen():
+    t = DenseTensor.from_array(np.ones(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.values = np.zeros(3)
 
 
 def test_direct_construction_rejects_an_unknown_kind():
