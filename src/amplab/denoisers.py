@@ -4,6 +4,12 @@ spectral singular-value maps, and the shift maps of the sensing recursion.
 Each denoiser maps the latest iterate z in R^n to an n-vector and exposes its
 divergence, one scalar: analytically when a formula exists and otherwise
 through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
+
+A denoiser's map also takes a stack of iterates, one per row, so the
+Monte-Carlo loops here and in ``state_evolution`` call it once per block of
+samples. A block's float64 working set is at most _BLOCK_BYTES (1 MiB), or
+one sample's where a single one takes more; a denoiser call is counted as
+_CALL_ROWS rows per sample (its input, its output and two temporaries).
 """
 
 from __future__ import annotations
@@ -16,6 +22,16 @@ import numpy as np
 from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
 from .vecmat import mat, vec
+
+# bound on the float64 bytes that a block of Monte-Carlo samples holds at once
+_BLOCK_BYTES = 1 << 20
+# rows per sample allowed for one denoiser call: input, output, two temporaries
+_CALL_ROWS = 4
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Samples per block when each holds row_bytes of float64; at least 1."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _vector(z) -> np.ndarray:
@@ -30,10 +46,14 @@ class Denoiser:
     """A non-linearity f: R^n -> R^n applied to the latest iterate, plus its
     divergence.
 
-    ``fn(x)`` maps the iterate x in R^n to an n-vector, and the optional
-    ``divergence_fn(x)`` returns the raw divergence sum at x (a scalar, not
-    normalized by n). ``apply``, ``divergence`` and ``divergence_mc`` take
-    one n-vector and raise DimensionError on anything else.
+    ``fn(x)`` maps the iterate x in R^n to an n-vector. It must also map a
+    stack of iterates, shape (..., n), to the stack (..., n) of their
+    images, each row exactly as ``fn`` maps that row alone: the Monte-Carlo
+    probe and the SE samplers call it once per block of samples. The
+    optional ``divergence_fn(x)`` returns the raw divergence sum at one
+    n-vector x (a scalar, not normalized by n). ``apply``, ``divergence``
+    and ``divergence_mc`` take exactly one n-vector and raise DimensionError
+    on anything else.
 
     ``onsager`` alone chooses between the formula (``divergence``) and the
     Monte-Carlo probe (``divergence_mc``); ``run_sensing_amp`` takes its
@@ -77,9 +97,14 @@ class Denoiser:
 
 def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     """(mean, standard error) of the probe estimates
-    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes,
-    with step eps = 1e-4 max(1, |x| / sqrt(n)). The standard error is inf
-    for a single probe.
+    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes at
+    the n-vector x, with step eps = 1e-4 max(1, |x| / sqrt(n)). The standard
+    error is inf for a single probe.
+
+    f maps a stack of rows as a ``Denoiser.fn`` does. The probes are drawn
+    from rng's generator in blocks, standard_normal((rows, n)), which is the
+    stream that one draw per probe would take, and each block is one f call;
+    a probe holds its xi, its difference and the f call's rows.
     """
     if reps < 1:
         raise ParameterError("reps must be >= 1")
@@ -88,9 +113,10 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     gen = (rng or RngStream(0)).generator()
     fx = f(x)
     samples = np.empty(reps)
-    for r in range(reps):
-        xi = gen.standard_normal(x.shape)
-        samples[r] = xi @ (f(x + eps * xi) - fx) / eps
+    step = _block_rows(8 * x.size * (2 + _CALL_ROWS))
+    for start in range(0, reps, step):
+        xi = gen.standard_normal((min(step, reps - start), x.size))
+        samples[start:start + len(xi)] = np.vecdot(xi, f(x + eps * xi) - fx) / eps
     stderr = float(np.std(samples, ddof=1) / np.sqrt(reps)) if reps > 1 else np.inf
     return float(np.mean(samples)), stderr
 
@@ -100,11 +126,12 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
 
 
 def soft_threshold_apply(x: np.ndarray, lmbda: float) -> np.ndarray:
-    """Coordinatewise sign(x) * (|x| - lmbda)_+, with sign(0) = 0."""
+    """Coordinatewise sign(x) * (|x| - lmbda)_+, computed as
+    x - clip(x, -lmbda, lmbda)."""
     if lmbda < 0:
         raise ParameterError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lmbda, 0.0)
+    return x - np.clip(x, -lmbda, lmbda)
 
 
 def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
@@ -149,22 +176,22 @@ class LocalKernelSpec:
 
 
 def _box_sum(img: np.ndarray, h: int) -> np.ndarray:
-    """Sum of img over the truncated (2h+1)^2 window around each pixel."""
-    c = np.zeros((img.shape[0] + 1, img.shape[1] + 1))
-    c[1:, 1:] = img.cumsum(0).cumsum(1)
-    m, n = img.shape
-    r0 = np.maximum(0, np.arange(m) - h)
-    r1 = np.minimum(m, np.arange(m) + h + 1)
+    """Sum of each (..., m, n) image over the truncated (2h+1)^2 window
+    around each pixel."""
+    *lead, m, n = img.shape
+    c = np.zeros((*lead, m + 1, n + 1))
+    c[..., 1:, 1:] = img.cumsum(-2).cumsum(-1)
+    r0 = np.maximum(0, np.arange(m) - h)[:, None]
+    r1 = np.minimum(m, np.arange(m) + h + 1)[:, None]
     c0 = np.maximum(0, np.arange(n) - h)
     c1 = np.minimum(n, np.arange(n) + h + 1)
-    return (
-        c[np.ix_(r1, c1)] - c[np.ix_(r0, c1)] - c[np.ix_(r1, c0)] + c[np.ix_(r0, c0)]
-    )
+    return c[..., r1, c1] - c[..., r0, c1] - c[..., r1, c0] + c[..., r0, c0]
 
 
 def local_average_apply(z: np.ndarray, spec: LocalKernelSpec) -> np.ndarray:
+    """The smoothed (..., M, N) image stack z."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (spec.M, spec.N):
+    if z.shape[-2:] != (spec.M, spec.N):
         raise DimensionError(f"expected {spec.M}x{spec.N} image, got {z.shape}")
     if spec.h == 0:
         return z.copy()
@@ -212,17 +239,18 @@ class SpectralSpec:
 
 
 def svt_apply(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
-    """O g(D) U^T where x = O D U^T and g(d) = (d - threshold * sqrt(N))_+."""
+    """O g(D) U^T where x = O D U^T and g(d) = (d - threshold * sqrt(N))_+,
+    for each matrix of the (..., M, N) stack x; one batched SVD."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.M, spec.N):
+    if x.shape[-2:] != (spec.M, spec.N):
         raise DimensionError(f"expected {spec.M}x{spec.N} matrix, got {x.shape}")
     o, d, ut = np.linalg.svd(x, full_matrices=False)
     d = np.maximum(d - spec.threshold * np.sqrt(spec.N), 0.0)
-    return (o * d) @ ut
+    return (o * d[..., None, :]) @ ut
 
 
 def _svt_input(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
-    """The matrix the SVT denoiser thresholds: mat(x) + spec.shift."""
+    """The (..., M, N) stack the SVT denoiser thresholds: mat(x) + spec.shift."""
     out = mat(x, spec.M, spec.N)
     return out if spec.shift is None else out + spec.shift
 
@@ -275,8 +303,8 @@ def identity_denoiser() -> Denoiser:
     return Denoiser(fn=lambda x: x.copy(), divergence_fn=lambda x: x.size, name="identity")
 
 
-def zero_denoiser(n: int) -> Denoiser:
-    return Denoiser(fn=lambda x: np.zeros(n), divergence_fn=lambda x: 0.0, name="zero")
+def zero_denoiser() -> Denoiser:
+    return Denoiser(fn=np.zeros_like, divergence_fn=lambda x: 0.0, name="zero")
 
 
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
@@ -292,5 +320,5 @@ def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     div_fn = None
     if eta.has_analytic_divergence:
         div_fn = lambda x: -eta.divergence(x + theta_star)
-    return Denoiser(fn=lambda x: theta_star - eta.apply(x + theta_star),
+    return Denoiser(fn=lambda x: theta_star - eta.fn(x + theta_star),
                     divergence_fn=div_fn, name=f"signal_residual({eta.name})")

@@ -18,7 +18,13 @@ The normals are drawn in float64 and stored rounded to float32, one
 (samples, steps, rows) block per path set that lives for one solve and
 takes samples * steps * rows * 4 bytes. Rounding keeps the RNG consumption
 of a float64 draw, so a path moves only by float32 rounding, and halves the
-memory of a float64 block.
+memory of a float64 block. Iteration t colours the paths a block at a time
+and maps each row of the block with one denoiser call. A path of the block
+holds 2t + 4 float64 rows: its normals cast to float64, their colouring, and
+one denoiser call's rows (``denoisers._CALL_ROWS``); a block holds at most
+1 MiB of them (``denoisers._BLOCK_BYTES``), or one path where a single one
+takes more. The per-path terms are summed in sample order, so the averages
+do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .denoisers import Denoiser
+from .denoisers import _CALL_ROWS, Denoiser, _block_rows
 from .exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from .rng import RngStream
 
@@ -216,24 +222,29 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
     Path k is Z = L G: L is the lower Cholesky factor of cov and G the first
     t rows of paths[k] (see ``_draw_paths``), cast to float64. L's rows nest
     as cov does, so rows 1..t-1 of Z repeat the path that every earlier t
-    coloured from the same normals. Appends name to jittered when cov needs
-    the Cholesky jitter."""
+    coloured from the same normals. Paths are coloured a block at a time,
+    and each f_r maps row r of the whole block in one call; the divergence
+    is taken per path. Appends name to jittered when cov needs the Cholesky
+    jitter."""
     chol = _chol_factor(cov, name, jittered)
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
-    col = np.zeros(t + off)
-    div = 0.0
-    mc_samples = paths.shape[0]
-    for k in range(mc_samples):
-        z = chol @ paths[k, :t].astype(np.float64)
-        ft_val = f_t.apply(z[t - 1])
+    mc_samples, _, rows = paths.shape
+    terms = np.empty((mc_samples, t + off))  # per-path terms of col / denom
+    divs = np.empty(mc_samples)
+    step = _block_rows(8 * rows * (2 * t + _CALL_ROWS))
+    for start in range(0, mc_samples, step):
+        block = slice(start, start + step)
+        z = chol @ paths[block, :t].astype(np.float64)
+        ft_val = f_t.fn(z[:, t - 1])
         if u1 is not None:
-            col[0] += u1 @ ft_val / denom
+            terms[block, 0] = np.vecdot(u1, ft_val) / denom
         for r in range(1, t):
-            col[off + r - 1] += f_seq[r - 1].apply(z[r - 1]) @ ft_val / denom
-        col[off + t - 1] += ft_val @ ft_val / denom
-        div += f_t.divergence(z[t - 1]) / denom
-    return col / mc_samples, div / mc_samples
+            terms[block, off + r - 1] = np.vecdot(f_seq[r - 1].fn(z[:, r - 1]), ft_val) / denom
+        terms[block, off + t - 1] = np.vecdot(ft_val, ft_val) / denom
+        divs[block] = [f_t.divergence(row) / denom for row in z[:, t - 1]]
+    # np.cumsum adds the terms one path at a time, in path order
+    return np.cumsum(terms, axis=0)[-1] / mc_samples, float(np.cumsum(divs)[-1]) / mc_samples
 
 
 def _border(prev: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -372,7 +383,8 @@ def se_scalar_sensing(
     K may be an n x n ndarray or Coloring. The backprojection K^(-1) Y is the
     normal-equations form (K^T K)^(-1) K^T Y, since K is square and
     invertible; a numerically singular K raises NumericError. Each
-    iteration draws its mc_draws samples as one block.
+    iteration draws its mc_draws samples as one block and maps it with one
+    eta_t call.
     """
     if mc_draws < 1:
         raise ParameterError("mc_draws must be >= 1")
@@ -401,11 +413,9 @@ def se_scalar_sensing(
         sigma.append(sig_t)
         acc_omega = 0.0
         acc_mse = 0.0
-        eta_t = eta_seq[t - 1]
         ys = np.sqrt(max(sig_t, 0.0)) * gen.standard_normal((mc_draws, n))
         backs = ys @ K_inv.T if K is not None else ys
-        for back in backs:
-            diff = theta_star - eta_t.apply(back + theta_star)
+        for diff in theta_star - eta_seq[t - 1].fn(backs + theta_star):
             acc_mse += diff @ diff / n
             gu = K @ diff if K is not None else diff
             acc_omega += gu @ gu / m

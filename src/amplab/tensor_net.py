@@ -183,15 +183,18 @@ TensorLabeling = Dict[int, DenseTensor]
 
 
 def common_n(tensors: Sequence[DenseTensor]) -> int:
-    """The index size n shared by tensors (a network's in vertex order);
-    DimensionError names the first tensor whose n differs from tensor 0's,
-    SpecError when there are none."""
+    """The index size n shared by tensors (a network's in vertex order).
+    An order-0 tensor reads no index, so its n is not compared; n is 1 when
+    every tensor has order 0. DimensionError names the first tensor whose n
+    differs from that of the first tensor of order >= 1, SpecError when
+    there are no tensors."""
     if not tensors:
         raise SpecError("a tensor sum needs at least one tensor")
-    n = tensors[0].n
-    for i, tensor in enumerate(tensors):
-        if tensor.n != n:
-            raise DimensionError(f"tensor {i} has n = {tensor.n}, tensor 0 has n = {n}")
+    indexed = [(i, tensor.n) for i, tensor in enumerate(tensors) if tensor.order > 0]
+    first, n = indexed[0] if indexed else (0, 1)
+    for i, size in indexed:
+        if size != n:
+            raise DimensionError(f"tensor {i} has n = {size}, tensor {first} has n = {n}")
     return n
 
 

@@ -51,7 +51,7 @@ def test_identity_denoiser_hand_expansion():
 def test_zero_start_stays_zero():
     n = 8
     prob = SymmetricAmpProblem(W=_goe(n, 5), u1=np.zeros(n),
-                               f_seq=[zero_denoiser(n)] * 2,
+                               f_seq=[zero_denoiser()] * 2,
                                onsager=OnsagerSchedule(b={2: 0.3, 3: 0.2}))
     trace = run_symmetric_amp(prob, 3)
     assert np.all(trace.z == 0) and np.all(trace.u == 0)
@@ -106,7 +106,7 @@ def test_asymmetric_zero_fixed_point():
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(16))
     sched = OnsagerSchedule(b={2: 0.3}, a={1: 0.2, 2: 0.4})
     prob = RectAmpProblem(W=w, u1=np.zeros(n),
-                          f_seq=[zero_denoiser(m)] * 2, g_seq=[zero_denoiser(n)] * 2,
+                          f_seq=[zero_denoiser()] * 2, g_seq=[zero_denoiser()] * 2,
                           onsager=sched)
     trace = run_asymmetric_amp(prob, 2)
     assert np.all(trace.z == 0) and np.all(trace.y == 0) and np.all(trace.u == 0)

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from amplab import denoisers
 from amplab.denoisers import (
     Denoiser,
     LocalKernelSpec,
@@ -295,7 +296,7 @@ def test_denoiser_lipschitz_probe_all_families():
     cases = [
         (soft_threshold_denoiser(0.5), 1.0, np.zeros(n)),
         (identity_denoiser(), 1.0, np.zeros(n)),
-        (zero_denoiser(n), 0.0, np.zeros(n)),
+        (zero_denoiser(), 0.0, np.zeros(n)),
         (smoother, _operator_norm(smoother, n), np.zeros(n)),
         (svt_denoiser(SpectralSpec(6, 6, 0.1)), 1.0, np.zeros(n)),
         (residual_shift_denoiser(e), 1.0, e),
@@ -361,3 +362,61 @@ def test_soft_threshold_expected_square_against_quadrature():
     z = sigma * RngStream(25).generator().standard_normal(n)
     emp = np.mean(soft_threshold_apply(z, lam) ** 2)
     assert abs(emp - expect) < 4 * emp / np.sqrt(n) + 1e-4
+
+
+def _stack_cases():
+    """name -> (denoiser, (k, n) stack of inputs)."""
+    gen = RngStream(40).generator()
+    lam = 0.5
+    edges = np.array([lam, -lam, 0.0, -0.0, np.inf, -np.inf, np.nan, np.nextafter(lam, 1.0)])
+    soft = np.vstack([np.resize(edges, 12), gen.standard_normal((3, 12))])
+    theta, e = gen.standard_normal(20), gen.standard_normal(20)
+    shift = gen.standard_normal((5, 6))
+    return {
+        "soft_threshold": (soft_threshold_denoiser(lam), soft),
+        "local_average_h0": (local_average_denoiser(LocalKernelSpec(3, 5, 0)),
+                             gen.standard_normal((4, 15))),
+        "local_average_h2": (local_average_denoiser(LocalKernelSpec(4, 6, 2)),
+                             gen.standard_normal((4, 24))),
+        "svt_wide": (svt_denoiser(SpectralSpec(4, 7, 0.3)), gen.standard_normal((4, 28))),
+        "svt_tall": (svt_denoiser(SpectralSpec(7, 4, 0.3)), gen.standard_normal((4, 28))),
+        "svt_shift": (svt_denoiser(SpectralSpec(5, 6, 0.2, shift=shift)),
+                      gen.standard_normal((4, 30))),
+        "svt_threshold_zero": (svt_denoiser(SpectralSpec(5, 5, 0.0)),
+                               gen.standard_normal((4, 25))),
+        "identity": (identity_denoiser(), gen.standard_normal((4, 20))),
+        "zero": (zero_denoiser(), gen.standard_normal((4, 20))),
+        "residual_shift": (residual_shift_denoiser(e), gen.standard_normal((4, 20))),
+        "signal_residual": (signal_residual_denoiser(theta, soft_threshold_denoiser(lam)),
+                            gen.standard_normal((4, 20))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_fn_maps_a_stack_of_rows_as_apply_maps_each_row(case):
+    den, stack = _stack_cases()[case]
+    rows = np.stack([den.apply(row) for row in stack])
+    assert np.array_equal(den.fn(stack), rows, equal_nan=True)
+    # leading axes beyond one are carried along
+    k, n = stack.shape
+    out = den.fn(stack.reshape(2, k // 2, n))
+    assert np.array_equal(out, rows.reshape(2, k // 2, n), equal_nan=True)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 4])
+@pytest.mark.parametrize("case", ["soft_threshold", "svt_shift"])
+def test_blocked_mc_divergence_equals_a_probe_by_probe_loop(monkeypatch, case, block_rows):
+    den, stack = _stack_cases()[case]
+    x = np.nan_to_num(stack[-1], posinf=3.0, neginf=-3.0)
+    reps = 11  # not a multiple of 4 or of the default block: the last block is partial
+    if block_rows is not None:
+        monkeypatch.setattr(denoisers, "_block_rows", lambda row_bytes: block_rows)
+    eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
+    gen = RngStream(3).generator()
+    fx = den.apply(x)
+    samples = []
+    for _ in range(reps):
+        xi = gen.standard_normal(x.size)
+        samples.append(xi @ (den.apply(x + eps * xi) - fx) / eps)
+    want = (float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(reps)))
+    assert mc_divergence(den.fn, x, reps=reps, rng=RngStream(3)) == want

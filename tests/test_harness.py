@@ -107,7 +107,8 @@ def test_aniso_factors_K_once_per_config(monkeypatch):
 
 
 def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
-    calls = {"svd": 0, "apply": 0, "divergence": 0, "divergence_mc": 0}
+    calls = {"apply": 0, "divergence": 0, "divergence_mc": 0}
+    svd_matrices = []  # matrices per np.linalg.svd call: a stack SVDs each of its own
     traces = []
 
     def counting(name, fn):
@@ -116,7 +117,13 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    np_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        svd_matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return np_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     for name in ("apply", "divergence", "divergence_mc"):
         monkeypatch.setattr(amplab.Denoiser, name, counting(name, getattr(amplab.Denoiser, name)))
     run_sensing_amp = amplab.harness.run_sensing_amp
@@ -135,9 +142,10 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
     assert all(tr.b_source == ["none"] + ["analytic"] * 3 for tr in traces)
     assert all(np.isfinite(r.mse) for r in records)
     assert calls["divergence"] == 4 * 3 and calls["divergence_mc"] == 0
-    # one SVD per apply and per divergence, plus one per cell for the summary's
-    # singular-value count
-    assert calls["svd"] <= calls["apply"] + calls["divergence"] + len(traces)
+    # one matrix per apply and per divergence, one per cell for the summary's
+    # singular-value count, and the SE's 3 draws per iteration in one stack
+    assert sum(svd_matrices) == calls["apply"] + calls["divergence"] + len(traces) + 4 * 3
+    assert len(svd_matrices) == calls["apply"] + calls["divergence"] + len(traces) + 4
 
 
 def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):

@@ -3,12 +3,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from amplab import state_evolution
 from amplab.denoisers import (
     Denoiser,
+    SpectralSpec,
     identity_denoiser,
     residual_shift_denoiser,
     signal_residual_denoiser,
     soft_threshold_denoiser,
+    svt_denoiser,
     zero_denoiser,
 )
 from amplab.ensembles import SignalSpec, sample_haar_orthogonal, sample_noise, sample_signal
@@ -18,6 +21,8 @@ from amplab.state_evolution import (
     Coloring,
     _border,
     _chol_factor,
+    _draw_paths,
+    _se_column,
     se_asymmetric,
     se_scalar_sensing,
     se_symmetric,
@@ -66,7 +71,7 @@ def test_soft_threshold_second_moment_matches_quadrature():
 
 def test_zero_denoisers_collapse():
     n = 50
-    cov, sched = se_symmetric([zero_denoiser(n)] * 2, np.ones(n), 3,
+    cov, sched = se_symmetric([zero_denoiser()] * 2, np.ones(n), 3,
                               mc_samples=20, rng=RngStream(3))
     assert np.all(cov.sigma[2][1:, :] == 0)
     assert np.all(cov.sigma[2][:, 1:] == 0)
@@ -96,7 +101,7 @@ def test_missing_denoisers_rejected():
 def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
     m, n = 20, 15
     with pytest.raises(ScheduleError, match=message):
-        se_asymmetric([zero_denoiser(m)] * f_count, [zero_denoiser(n)] * g_count,
+        se_asymmetric([zero_denoiser()] * f_count, [zero_denoiser()] * g_count,
                       np.ones(n), 3, m, mc_samples=2, rng=RngStream(5))
 
 
@@ -183,9 +188,63 @@ def test_asymmetric_shift_denoiser_decomposition():
     assert sched.b[2] == pytest.approx(n / m)
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 10])
+def test_se_solvers_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # one path a block, blocks of 3 (the last of the 10 paths alone), and
+    # every path in one block: the covariances and the schedules stay bit
+    # for bit those of the default block size
+    def solve():
+        theta = sample_signal(SignalSpec(kind="sparse", dims=60, density=0.3),
+                              RngStream(4, 1)).vector
+        e = sample_noise(40, 0.2, RngStream(4, 2))
+        g = signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
+        sym = se_symmetric([soft_threshold_denoiser(0.5)] * 4, theta, 5, mc_samples=10,
+                           rng=RngStream(5))
+        asym = se_asymmetric([residual_shift_denoiser(e)] * 4, [g] * 4, theta, 4, 40,
+                             mc_samples=10, rng=RngStream(6))
+        return [(cov.sigma + (cov.omega or []), sched.a, sched.b) for cov, sched in (sym, asym)]
+
+    want = solve()
+    monkeypatch.setattr(state_evolution, "_block_rows", lambda row_bytes: block_rows)
+    for (covs, a, b), (want_covs, want_a, want_b) in zip(solve(), want):
+        assert all(np.array_equal(c, w) for c, w in zip(covs, want_covs))
+        assert (a, b) == (want_a, want_b)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_se_column_equals_a_path_by_path_loop(monkeypatch, block_rows):
+    # the blocked column is bit for bit the loop that colours one path at a
+    # time, applies each denoiser to one row and adds the terms in path order
+    n, t, samples = 50, 3, 11
+    gen = RngStream(12).generator()
+    a = gen.standard_normal((t, t))
+    cov = a @ a.T + np.eye(t)
+    u1 = gen.standard_normal(n)
+    theta = gen.standard_normal(n)
+    f_seq = [soft_threshold_denoiser(0.3),
+             signal_residual_denoiser(theta, soft_threshold_denoiser(0.5)),
+             svt_denoiser(SpectralSpec(5, 10, 0.3))]  # a divergence that is no count
+    paths = _draw_paths(RngStream(13), samples, t, n)
+    if block_rows is not None:
+        monkeypatch.setattr(state_evolution, "_block_rows", lambda row_bytes: block_rows)
+    col, div = _se_column(f_seq, t, u1, cov, "sigma_3", [], n, paths)
+    chol = np.linalg.cholesky(cov)
+    want, want_div = np.zeros(t + 1), 0.0
+    for k in range(samples):
+        z = chol @ paths[k].astype(np.float64)
+        ft = f_seq[t - 1].apply(z[t - 1])
+        want[0] += u1 @ ft / n
+        for r in range(1, t):
+            want[r] += f_seq[r - 1].apply(z[r - 1]) @ ft / n
+        want[t] += ft @ ft / n
+        want_div += f_seq[t - 1].divergence(z[t - 1]) / n
+    assert np.array_equal(col, want / samples)
+    assert div == want_div / samples
+
+
 def test_asymmetric_zero_denoisers():
     m, n = 40, 30
-    cov, _ = se_asymmetric([zero_denoiser(m)] * 2, [zero_denoiser(n)] * 2,
+    cov, _ = se_asymmetric([zero_denoiser()] * 2, [zero_denoiser()] * 2,
                            np.ones(n), 2, m, mc_samples=10, rng=RngStream(8))
     assert np.all(cov.sigma[1] == 0)
     assert np.all(cov.omega[1][1:, 1:] == 0)

@@ -527,6 +527,20 @@ def test_tensor_sums_reject_tensors_of_unequal_n():
         bcp_ratio(BcpQuery(orders=[1, 1], ell=1, pi=[0, 0]), tensors)
 
 
+def test_a_scalar_factor_scales_a_tensor_sum():
+    # an order-0 tensor reads no index, so its n = 1 joins a sum over [4]
+    scalar = DenseTensor.from_array(2.5)
+    factors = [(_dense(2, 4, 43), [0, 1]), (DenseTensor.diagonal(np.arange(1.0, 5.0), 2), [1, 0])]
+    want = _assignment_sum(factors, 2)
+    for scaled in ([(scalar, [])] + factors, factors + [(scalar, [])]):
+        assert common_n([tensor for tensor, _ in scaled]) == 4
+        assert _assignment_sum(scaled, 2) == pytest.approx(2.5 * want, rel=1e-12)
+        assert _contract(scaled) == pytest.approx(2.5 * want, rel=1e-12)
+    assert common_n([scalar]) == 1
+    with pytest.raises(DimensionError, match="tensor 2 has n = 3, tensor 1 has n = 4"):
+        common_n([scalar, _dense(1, 4, 44), _dense(1, 3, 45)])
+
+
 def test_common_n_of_no_tensors_is_a_spec_error():
     with pytest.raises(SpecError, match="at least one tensor"):
         common_n([])
