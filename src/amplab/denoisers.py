@@ -15,11 +15,12 @@ _CALL_ROWS rows per sample (its input, its output and two temporaries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .exceptions import DimensionError, ParameterError
+from .exceptions import DimensionError, NumericError, ParameterError
 from .rng import RngStream
 from .vecmat import mat, vec
 
@@ -51,7 +52,10 @@ class Denoiser:
     images, each row exactly as ``fn`` maps that row alone: the Monte-Carlo
     probe and the SE samplers call it once per block of samples. The
     optional ``divergence_fn(x)`` returns the raw divergence sum at one
-    n-vector x (a scalar, not normalized by n). ``apply``, ``divergence``
+    n-vector x (a scalar, not normalized by n). The optional ``offset`` is
+    another closed form: when set, ``fn(z) = z + offset`` exactly, and the
+    SE solvers take the covariances of a side whose every denoiser declares
+    one in closed form instead of sampling them. ``apply``, ``divergence``
     and ``divergence_mc`` take exactly one n-vector and raise DimensionError
     on anything else.
 
@@ -63,6 +67,7 @@ class Denoiser:
     fn: Callable[[np.ndarray], np.ndarray]
     divergence_fn: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
+    offset: Optional[np.ndarray] = None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.fn(_vector(z))
@@ -109,6 +114,8 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise DimensionError(f"the probe point x must be non-empty, got shape {x.shape}")
     eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     gen = (rng or RngStream(0)).generator()
     fx = f(x)
@@ -125,21 +132,29 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
 # Separable soft thresholding
 
 
+def _check_threshold(lmbda: float) -> None:
+    """ParameterError naming threshold unless it is >= 0; NaN is not."""
+    if not lmbda >= 0:
+        raise ParameterError(f"threshold must be nonnegative, got {lmbda!r}")
+
+
 def soft_threshold_apply(x: np.ndarray, lmbda: float) -> np.ndarray:
     """Coordinatewise sign(x) * (|x| - lmbda)_+, computed as
     x - clip(x, -lmbda, lmbda)."""
-    if lmbda < 0:
-        raise ParameterError("threshold must be nonnegative")
+    _check_threshold(lmbda)
     x = np.asarray(x, dtype=np.float64)
     return x - np.clip(x, -lmbda, lmbda)
 
 
 def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
     """Weak-derivative sum: the number of coordinates with |x_i| > lmbda."""
+    _check_threshold(lmbda)
     return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
 
 
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
+    """Soft thresholding at lmbda, checked here, with its counting divergence."""
+    _check_threshold(lmbda)
     return Denoiser(
         fn=lambda x: soft_threshold_apply(x, lmbda),
         divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
@@ -160,6 +175,10 @@ class LocalKernelSpec:
     h: int
 
     def __post_init__(self):
+        for name in ("M", "N", "h"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.h < 0:
             raise ParameterError("bandwidth h must be nonnegative")
         if self.M < 1 or self.N < 1:
@@ -231,20 +250,29 @@ class SpectralSpec:
     shift: Optional[np.ndarray] = None  # M x N, added to mat(z) before thresholding
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ParameterError("threshold must be nonnegative")
+        _check_threshold(self.threshold)
         if self.shift is not None and np.shape(self.shift) != (self.M, self.N):
             raise DimensionError(
                 f"shift must be {self.M}x{self.N}, got shape {np.shape(self.shift)}")
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """x; NumericError naming what when an entry of x is inf or NaN, which
+    LAPACK's SVD cannot take."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"{what} has {np.count_nonzero(~np.isfinite(x))} non-finite "
+                           f"entries")
+    return x
+
+
 def svt_apply(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     """O g(D) U^T where x = O D U^T and g(d) = (d - threshold * sqrt(N))_+,
-    for each matrix of the (..., M, N) stack x; one batched SVD."""
+    for each matrix of the (..., M, N) stack x; one batched SVD.
+    NumericError when x holds a non-finite entry."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-2:] != (spec.M, spec.N):
         raise DimensionError(f"expected {spec.M}x{spec.N} matrix, got {x.shape}")
-    o, d, ut = np.linalg.svd(x, full_matrices=False)
+    o, d, ut = np.linalg.svd(_finite(x, "SVT input x"), full_matrices=False)
     d = np.maximum(d - spec.threshold * np.sqrt(spec.N), 0.0)
     return (o * d[..., None, :]) @ ut
 
@@ -267,8 +295,10 @@ def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> float:
     lam = 0, else 0). The pair term is 1 - lam/(s_i + s_j) when s_j > lam,
     which is also its limit (g + s g')/(2s) at a tie, s_i g_i/(s_i^2 - s_j^2)
     when only s_i > lam, and 0 otherwise, so near-ties lose no precision.
+    NumericError when mat(x) + shift holds a non-finite entry.
     """
-    s = np.linalg.svd(_svt_input(x, spec), compute_uv=False)
+    s = np.linalg.svd(_finite(_svt_input(x, spec), "SVT input mat(x) + shift"),
+                      compute_uv=False)
     lam = spec.threshold * np.sqrt(spec.N)
     g = np.maximum(s - lam, 0.0)
     active = (s > lam) | (lam == 0.0)
@@ -308,10 +338,12 @@ def zero_denoiser() -> Denoiser:
 
 
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
-    """f(z) = z + e, the measurement-noise shift of the sensing recursion."""
+    """f(z) = z + e, the measurement-noise shift of the sensing recursion,
+    declared as its ``offset`` e."""
     e = np.asarray(e, dtype=np.float64)
     m = e.size
-    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: m, name="residual_shift")
+    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: m, name="residual_shift",
+                    offset=e)
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:

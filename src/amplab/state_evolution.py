@@ -1,18 +1,28 @@
 """State-evolution covariances and Onsager coefficients.
 
-The solvers evaluate the defining expectations by Monte Carlo over Gaussian
-surrogates drawn at the problem's own dimension: nested covariances
-Sigma_1 in Sigma_2 in ... (and Omega_t for the asymmetric recursion), and
-one Onsager coefficient per iteration, b_t (and a_t): the normalized expected
-divergence of a denoiser that reads only the latest iterate.
+The solvers evaluate the defining expectations over Gaussian surrogates drawn
+at the problem's own dimension: nested covariances Sigma_1 in Sigma_2 in ...
+(and Omega_t for the asymmetric recursion), and one Onsager coefficient per
+iteration, b_t (and a_t): the normalized expected divergence of a denoiser
+that reads only the latest iterate.
 
-Each Monte-Carlo sample is one surrogate path Z_1, Z_2, ... of the process
-whose covariance SE tracks (Berthier, Montanari & Nguyen, arXiv:1708.03950).
-A solver draws every path's normals once, up front, from the sample's own
-stream, and iteration t colours the first t rows of the same normals into a
-new covariance column, so every Sigma_t and Omega_t is the Gram average
-(1/denom) F^T F over one sample set, F holding a path's denoiser outputs:
-positive semidefinite and nested by construction.
+A solver side whose every denoiser declares an offset (``Denoiser.offset``,
+f_r(z) = z + c_r exactly) takes its expectations in closed form: the new
+column is (rows/denom) Cov[Z_r, Z_t] + c_r^T c_t / denom, led by
+u1^T c_t / denom when u1 is given, and the divergence term is rows/denom. It
+draws no paths and factors no covariance. Its covariances are the exact
+Gram matrices rows * Cov / denom + C^T C / denom, so they stay positive
+semidefinite and nested. A side that mixes offset and other denoisers, or
+holds none, is sampled as below.
+
+Each Monte-Carlo sample of a sampled side is one surrogate path Z_1, Z_2,
+... of the process whose covariance SE tracks (Berthier, Montanari & Nguyen,
+arXiv:1708.03950). A solver draws every path's normals once, up front, from
+the sample's own stream, and iteration t colours the first t rows of the
+same normals into a new covariance column, so every covariance column of a
+sampled side is a column of the Gram average (1/denom) F^T F over one sample
+set, F holding a path's denoiser outputs: positive semidefinite and nested
+by construction.
 
 The normals are drawn in float64 and stored rounded to float32, one
 (samples, steps, rows) block per path set that lives for one solve and
@@ -210,22 +220,51 @@ def _draw_paths(stream: RngStream, mc_samples: int, steps: int, rows: int) -> np
     return paths
 
 
+def _side_paths(seq: Sequence[Denoiser], steps: int, rows: int, what: str,
+                stream: RngStream, mc_samples: int) -> Optional[np.ndarray]:
+    """The path set of the solver side that reads seq[:steps] at dimension
+    rows: None when every one of them declares an offset, so the side is
+    taken in closed form, otherwise ``_draw_paths(stream, mc_samples, steps,
+    rows)``. DimensionError naming what[i] when a declared offset is not a
+    vector of length rows."""
+    offsets = [den.offset for den in seq[:steps]]
+    for i, offset in enumerate(offsets):
+        if offset is not None and np.shape(offset) != (rows,):
+            raise DimensionError(f"{what}[{i}] has an offset of shape {np.shape(offset)}; "
+                                 f"its side has {rows} rows")
+    if all(offset is not None for offset in offsets):
+        return None
+    return _draw_paths(stream, mc_samples, steps, rows)
+
+
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
                name: str, jittered: List[str], denom: int,
-               paths: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Monte-Carlo averages, over the surrogate paths Z (t x rows) with
-    i.i.d. columns N(0, cov), of the new covariance column
-    (1/denom) f_r(Z_r)^T f_t(Z_t) for r = 1..t, led by (1/denom) u1^T f_t(Z_t)
-    when u1 is given, and of the divergence (1/denom) div f_t(Z_t) from
-    ``Denoiser.divergence``; Z_r is row r of Z.
+               paths: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
+    """The new covariance column (1/denom) E f_r(Z_r)^T f_t(Z_t) for
+    r = 1..t, led by (1/denom) u1^T E f_t(Z_t) when u1 is given, and the
+    divergence term (1/denom) E div f_t(Z_t), over Z (t x rows) with i.i.d.
+    columns N(0, cov); Z_r is row r of Z.
 
-    Path k is Z = L G: L is the lower Cholesky factor of cov and G the first
-    t rows of paths[k] (see ``_draw_paths``), cast to float64. L's rows nest
-    as cov does, so rows 1..t-1 of Z repeat the path that every earlier t
-    coloured from the same normals. Paths are coloured a block at a time,
-    and each f_r maps row r of the whole block in one call; the divergence
-    is taken per path. Appends name to jittered when cov needs the Cholesky
-    jitter."""
+    paths None marks a side whose denoisers all declare an offset c_r (see
+    ``_side_paths``): the column is (rows/denom) cov[r-1, t-1]
+    + c_r^T c_t / denom, its lead u1^T c_t / denom, and the divergence term
+    rows/denom, all exact, with no draw and no Cholesky factor.
+
+    Otherwise the expectations are Monte-Carlo averages over the surrogate
+    paths: path k is Z = L G, L the lower Cholesky factor of cov and G the
+    first t rows of paths[k] (see ``_draw_paths``), cast to float64. L's
+    rows nest as cov does, so rows 1..t-1 of Z repeat the path that every
+    earlier t coloured from the same normals. Paths are coloured a block at
+    a time, and each f_r maps row r of the whole block in one call; the
+    divergence is taken per path by ``Denoiser.divergence``. Appends name
+    to jittered when cov needs the Cholesky jitter."""
+    if paths is None:
+        offsets = np.stack([den.offset for den in f_seq[:t]])
+        rows = offsets.shape[1]
+        col = (rows * cov[:, t - 1] + offsets @ offsets[t - 1]) / denom
+        if u1 is not None:
+            col = np.concatenate([[u1 @ offsets[t - 1] / denom], col])
+        return col, rows / denom
     chol = _chol_factor(cov, name, jittered)
     f_t = f_seq[t - 1]
     off = 0 if u1 is None else 1
@@ -267,14 +306,17 @@ def se_symmetric(
     """Covariances Sigma_1..Sigma_T and coefficients b_2..b_T for the
     symmetric recursion driven by f_1, ..., f_(T-1) from initialization u1.
 
-    Sigma_(t+1)[r+1, s+1] averages (1/n) f_r(Z_r)^T f_s(Z_s) over mc_samples
-    surrogate paths Z_(1:t) with i.i.d. coordinates N(0, Sigma_t). Path k's
-    (T-1) x n normals are drawn once from rng.derive(k) and stored in
-    float32 (mc_samples * (T-1) * n * 4 bytes for the solve), and every t
-    colours their first t rows, so Sigma_(t+1) is the Gram average of
-    [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
-    exactly. b_(t+1) averages (1/n) div f_t(Z_t) by the divergence formula,
-    which every f_t must have. Covariances that needed the Cholesky jitter
+    Sigma_(t+1)[r+1, s+1] is (1/n) E f_r(Z_r)^T f_s(Z_s) over Z_(1:t) with
+    i.i.d. coordinates N(0, Sigma_t), and b_(t+1) is (1/n) E div f_t(Z_t) by
+    the divergence formula, which every f_t must have.
+
+    When every f_t declares an offset, both are exact (see ``_se_column``)
+    and no path is drawn. Otherwise they are averages over mc_samples
+    surrogate paths: path k's (T-1) x n normals are drawn once from
+    rng.derive(k) and stored in float32 (mc_samples * (T-1) * n * 4 bytes
+    for the solve), and every t colours their first t rows, so Sigma_(t+1)
+    is the Gram average of [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set
+    and nests Sigma_t exactly. Covariances that needed the Cholesky jitter
     are named in the sequence's ``jittered``.
     """
     if mc_samples < 1:
@@ -287,7 +329,7 @@ def se_symmetric(
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    paths = _draw_paths(rng, mc_samples, T - 1, n)
+    paths = _side_paths(f_seq, T - 1, n, "f_seq", rng, mc_samples)
     for t in range(1, T):
         col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
                                    paths)
@@ -312,13 +354,18 @@ def se_asymmetric(
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
     N(0, Sigma_t); a_t = (1/m) E div f_t(Z_t) and b_(t+1) = (1/m) E div g_t(Y_t).
-    Each side draws one set of surrogate paths once and colours it at every
-    t: path k of Z takes its T x m normals from rng.derive(0).derive(k) and
+    Every denoiser read must have a divergence formula.
+
+    A side whose denoisers all declare an offset, such as the f side of the
+    sensing recursion (``residual_shift_denoiser``), is exact (see
+    ``_se_column``): it draws no paths and factors no covariance. A sampled
+    side draws one set of surrogate paths once and colours it at every t:
+    path k of Z takes its T x m normals from rng.derive(0).derive(k) and
     path k of Y its min(T, len(g_seq)) x n normals from
     rng.derive(1).derive(k), both stored in float32 (4 bytes a normal), so
-    Sigma_t and Omega_t are Gram averages over one sample set each; every
-    denoiser read must have a divergence formula. Covariances that needed
-    the Cholesky jitter are named in ``jittered``.
+    each side's covariances are Gram averages over one sample set. The
+    covariances whose Cholesky factor needed the jitter are named in
+    ``jittered``; an exact side adds no name.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
@@ -337,8 +384,8 @@ def se_asymmetric(
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    f_paths = _draw_paths(rng.derive(0), mc_samples, T, m)
-    g_paths = _draw_paths(rng.derive(1), mc_samples, g_steps, n)
+    f_paths = _side_paths(f_seq, T, m, "f_seq", rng.derive(0), mc_samples)
+    g_paths = _side_paths(g_seq, g_steps, n, "g_seq", rng.derive(1), mc_samples)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
         col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m,

@@ -23,7 +23,7 @@ from amplab.denoisers import (
     svt_divergence,
     zero_denoiser,
 )
-from amplab.exceptions import DimensionError, ParameterError
+from amplab.exceptions import DimensionError, NumericError, ParameterError
 from amplab.rng import RngStream
 from amplab.vecmat import mat, vec
 
@@ -42,6 +42,27 @@ def test_soft_threshold_forced_values():
 def test_soft_threshold_negative_lambda_rejected():
     with pytest.raises(ParameterError):
         soft_threshold_apply(np.zeros(3), -0.1)
+
+
+# each once built: a negative soft threshold counted every coordinate in its
+# divergence, and a NaN one mapped every input to NaN
+@pytest.mark.parametrize("build", [soft_threshold_denoiser, lambda t: SpectralSpec(3, 3, t),
+                                   lambda t: soft_threshold_divergence(np.zeros(4), t)],
+                         ids=["soft_threshold_denoiser", "SpectralSpec",
+                              "soft_threshold_divergence"])
+@pytest.mark.parametrize("threshold", [-0.5, np.nan])
+def test_a_negative_or_nan_threshold_is_refused_up_front(build, threshold):
+    with pytest.raises(ParameterError, match="threshold"):
+        build(threshold)
+
+
+def test_local_kernel_spec_rejects_a_non_integer_size():
+    # h = 1.5 was accepted, and apply died with an IndexError
+    with pytest.raises(ParameterError, match="h must be an integer"):
+        LocalKernelSpec(3, 3, 1.5)
+    with pytest.raises(ParameterError, match="M must be an integer"):
+        LocalKernelSpec(3.0, 3, 1)
+    assert LocalKernelSpec(np.int64(3), 3, np.int64(1)).h == 1
 
 
 def test_soft_threshold_nonexpansive_on_probes():
@@ -163,6 +184,45 @@ def test_svt_nonexpansive_on_probes():
         y = x + 0.5 * gen.standard_normal((5, 7))
         d = np.linalg.norm(svt_apply(x, spec) - svt_apply(y, spec))
         assert d <= np.linalg.norm(x - y) + 1e-10
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: mc_divergence(lambda v: v, np.zeros(0), reps=3),
+    lambda: identity_denoiser().divergence_mc(np.zeros(0), reps=3),
+], ids=["mc_divergence", "divergence_mc"])
+def test_mc_divergence_rejects_an_empty_vector(probe):
+    # it once divided 0 by 0 and then raised a bare ZeroDivisionError
+    with pytest.raises(DimensionError, match="non-empty"):
+        probe()
+
+
+_SVT = SpectralSpec(3, 4, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("call, what", [
+    (lambda x: svt_apply(mat(x, 3, 4), _SVT), "SVT input x"),
+    (lambda x: svt_denoiser(_SVT).fn(np.stack([np.ones(12), x])), "SVT input x"),
+    (lambda x: svt_denoiser(_SVT).divergence(x), r"SVT input mat\(x\) \+ shift"),
+], ids=["svt_apply", "fn-stack", "divergence"])
+def test_svt_rejects_non_finite_input(call, what, bad):
+    # inf once gave divergence 0.0 and an all-NaN apply, NaN a raw LinAlgError
+    x = np.ones(12)
+    x[5] = bad
+    with pytest.raises(NumericError, match=f"{what} has 1 non-finite entries"):
+        call(x)
+
+
+def test_residual_shift_declares_its_offset():
+    # the SE solvers read the offset in place of fn, so the two must agree
+    e = RngStream(40).generator().standard_normal(7)
+    den = residual_shift_denoiser(e)
+    z = RngStream(41).generator().standard_normal((3, 7))
+    assert np.array_equal(den.offset, e)
+    assert np.array_equal(den.fn(z), z + den.offset)
+    assert np.array_equal(den.apply(z[0]), z[0] + den.offset)
+    assert all(d.offset is None for d in (identity_denoiser(), zero_denoiser(),
+                                          soft_threshold_denoiser(0.5)))
 
 
 def test_mc_divergence_identity_and_scaled():

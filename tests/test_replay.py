@@ -7,7 +7,8 @@ that claims unchanged outputs must pass here untouched; a change that moves
 the RNG consumption or the order of the arithmetic re-records the values and
 says why. Running this file prints the current values of the cases named on
 its command line (of every case when none is named) in the layout of
-``EXPECTED``.
+``EXPECTED``; with ``--diff`` it prints each case's largest relative change
+against ``EXPECTED`` instead.
 """
 
 import numpy as np
@@ -129,20 +130,20 @@ EXPECTED = {
         0.3906249196473753, 3.944473285336346,
     ],
     "se_asymmetric": [
-        0.366161042088107, 0.13404582620318134, 0.1536292680965806,
-        0.1498847211304499, 0.24194903874090282, 0.12845936638638367,
-        0.12300053485795728, 0.17584736016042296, 0.11142671670758142,
-        0.1348921931121903, 0.3811035292728452, 0.15751182709048103,
-        0.17498434334266977, 0.25839783335441935, 0.1457972551782636,
-        0.20256201771963367, 15.510230288979056, -4.591663259537041,
-        16.822503017686685, -2.407733278376457, 9.716489039580024,
-        -1.950051115996648, 19.87023330502726, -4.924264535325101,
-        22.618819371654954, -2.7403345541645163, 13.09545831841505,
-        -2.2826523917847075, 33.44834147502263, -4.637553862340019,
-        34.94341399366483, 1.1293764923763, 25.57565206314743,
-        -2.030096019703424, 21.969662525286417, 0.6762173419227595,
-        14.627920788472675, 3.304999866682869, 12.605143531357806,
-        0.5844217283590903, 10.492562846859412, 1.8532377354771923,
+        0.366161042088107, 0.13314594510750033, 0.15250977406314384,
+        0.14911106364676424, 0.25889510681869815, 0.13827710084707384,
+        0.1335656775535106, 0.199624751899833, 0.12566707147829576,
+        0.15208071979737742, 0.40396665168518836, 0.1709515547045817,
+        0.1903153836602252, 0.2967007164157795, 0.1760827104441552,
+        0.23743036149691438, 15.510230288979056, -4.591663259537041,
+        17.144567313036852, -2.473390138847458, 10.688460767218537,
+        -2.0327716406991287, 19.87023330502726, -4.924264535325101,
+        23.02926152823009, -2.805991414635517, 14.437283813948245,
+        -2.365372916487189, 33.44834147502263, -4.637553862340019,
+        35.50128041483853, 1.0765586721040692, 27.536492547262633,
+        -1.7449078599916468, 21.969662525286417, 0.6762173419227595,
+        14.627920788472675, 3.304999866682869, 12.678547663469235,
+        0.6427731151758072, 10.786282625897584, 1.654097364588125,
     ],
     "se_symmetric": [
         0.9508149661559446, -0.059490777705177245, 0.006148319050296658,
@@ -162,24 +163,53 @@ EXPECTED = {
 }
 
 
+def largest_change(got, want):
+    """(index, relative change |got - want| / |want|) of the value that moved
+    most; a recorded 0.0 counts a change as inf, and no change as 0."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        raise ValueError(f"{got.size} values against {want.size} recorded")
+    gap = np.abs(got - want)
+    rel = np.divide(gap, np.abs(want), out=np.where(gap > 0, np.inf, 0.0), where=want != 0)
+    i = int(np.argmax(rel))
+    return i, float(rel[i])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_replay_matches_the_recorded_outputs(name):
     got = np.asarray(CASES[name](), dtype=np.float64)
     np.testing.assert_allclose(got, EXPECTED[name], rtol=RTOL, atol=0)
 
 
+def test_largest_change_reads_relative_to_the_recorded_value():
+    assert largest_change([1.0, 2.2, 0.0], [1.0, 2.0, 0.0]) == (1, pytest.approx(0.1))
+    assert largest_change([1.0, 1e-9], [1.0, 0.0]) == (1, np.inf)
+    assert largest_change([3.0], [3.0]) == (0, 0.0)
+
+
 if __name__ == "__main__":
     # Prints the named cases' current values (every case when none is named)
     # in the layout of EXPECTED, for a re-record of just the cases a change
     # moves: PYTHONPATH=src python tests/test_replay.py [case ...]
+    # With --diff it prints instead each case's largest relative change
+    # against EXPECTED, to report how far a re-record moved it:
+    # PYTHONPATH=src python tests/test_replay.py --diff [case ...]
     import sys
 
-    names = sys.argv[1:] or sorted(CASES)
+    args = sys.argv[1:]
+    diff = "--diff" in args
+    names = [arg for arg in args if arg != "--diff"] or sorted(CASES)
     unknown = [name for name in names if name not in CASES]
     if unknown:
         sys.exit(f"unknown case(s) {', '.join(unknown)}; cases: {', '.join(sorted(CASES))}")
     for name in names:
-        values = [repr(float(v)) for v in CASES[name]()]
+        got = [float(v) for v in CASES[name]()]
+        if diff:
+            i, rel = largest_change(got, EXPECTED[name])
+            print(f"{name}: largest relative change {rel:.3e} at value {i} "
+                  f"({EXPECTED[name][i]!r} -> {got[i]!r})")
+            continue
+        values = [repr(v) for v in got]
         print(f'    "{name}": [')
         for i in range(0, len(values), 3):
             print("        " + ", ".join(values[i:i + 3]) + ",")

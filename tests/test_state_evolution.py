@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -179,10 +181,8 @@ def test_asymmetric_shift_denoiser_decomposition():
                                mc_samples=samples, rng=RngStream(7))
     omega1 = u1 @ u1 / m
     assert cov.omega[0][0, 0] == pytest.approx(omega1)
-    # Sigma_1 = Omega_1 + |e|^2/m within MC error of the chi-square mean
-    expect = omega1 + e @ e / m
-    se = np.sqrt(2.0 * omega1**2 / (m * samples)) * 3 + 3 * np.sqrt(omega1 * (e @ e / m) / (m * samples))
-    assert abs(cov.sigma[0][0, 0] - expect) < max(se, 0.02)
+    # the shift declares its offset, so Sigma_1 = Omega_1 + |e|^2/m exactly
+    assert cov.sigma[0][0, 0] == pytest.approx(omega1 + e @ e / m, rel=1e-14, abs=0)
     assert sched.a[1] == 1.0
     # identity on the n side: b = n/m exactly from the analytic divergence
     assert sched.b[2] == pytest.approx(n / m)
@@ -250,14 +250,26 @@ def test_asymmetric_zero_denoisers():
     assert np.all(cov.omega[1][1:, 1:] == 0)
 
 
-def _sparse_recovery_se(density, noise_std, samples, seed, m=100, n=200, T=10):
-    """se_asymmetric on the sparse-recovery pipeline of the se_matrix benchmark."""
+def _undeclared(den):
+    """den with no declared offset: the same map, which the SE solvers sample."""
+    return replace(den, offset=None)
+
+
+def _sparse_recovery(density, noise_std, seed, m, n, T, declared=True):
+    """(f_seq, g_seq, theta) of the sparse-recovery pipeline of the se_matrix
+    benchmark; with declared False the f side is the shift's undeclared twin."""
     theta = sample_signal(SignalSpec(kind="sparse", dims=n, density=density),
                           RngStream(seed, 1)).vector
-    e = sample_noise(m, noise_std, RngStream(seed, 2))
+    f = residual_shift_denoiser(sample_noise(m, noise_std, RngStream(seed, 2)))
     g = signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
-    return se_asymmetric([residual_shift_denoiser(e)] * T, [g] * T, theta, T, m,
-                         mc_samples=samples, rng=RngStream(seed))
+    return [f if declared else _undeclared(f)] * T, [g] * T, theta
+
+
+def _sparse_recovery_se(density, noise_std, samples, seed, m=100, n=200, T=10,
+                        declared=True):
+    """se_asymmetric on ``_sparse_recovery``'s pipeline, seeded by seed."""
+    f_seq, g_seq, theta = _sparse_recovery(density, noise_std, seed, m, n, T, declared)
+    return se_asymmetric(f_seq, g_seq, theta, T, m, mc_samples=samples, rng=RngStream(seed))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -303,7 +315,7 @@ def test_each_path_is_drawn_once_per_solve(monkeypatch, T):
                  rng=RngStream(11))
     assert len(draws) == samples
     m, n = 20, 30
-    f_seq = [residual_shift_denoiser(np.full(m, 0.1))] * T
+    f_seq = [_undeclared(residual_shift_denoiser(np.full(m, 0.1)))] * T
     g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
     draws.clear()
     se_asymmetric(f_seq, g_seq, u1, T, m, mc_samples=samples, rng=RngStream(12))
@@ -350,12 +362,9 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
     np.testing.assert_allclose([sched.b[t] for t in b], list(b.values()), rtol=tol, atol=0)
 
     m, n, T = 100, 200, 4
-    cov, sched = _sparse_recovery_se(0.3, 0.2, samples, 2, m=m, n=n, T=T)
+    cov, sched = _sparse_recovery_se(0.3, 0.2, samples, 2, m=m, n=n, T=T, declared=False)
     assert cov.jittered == []
-    theta = sample_signal(SignalSpec(kind="sparse", dims=n, density=0.3),
-                          RngStream(2, 1)).vector
-    f_seq = [residual_shift_denoiser(sample_noise(m, 0.2, RngStream(2, 2)))] * T
-    g_seq = [signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))] * T
+    f_seq, g_seq, theta = _sparse_recovery(0.3, 0.2, 2, m, n, T, declared=False)
     omega, sigma, a, b = [np.array([[theta @ theta / m]])], [np.zeros((0, 0))], {}, {}
     for t in range(1, T + 1):
         col, a[t] = _redrawn_column(f_seq, t, None, omega[-1], m, m, samples,
@@ -368,6 +377,97 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
     assert _max_relative_gap(cov.omega, omega) <= tol
     np.testing.assert_allclose([*(sched.a[t] for t in a), *(sched.b[t] for t in b)],
                                [*a.values(), *b.values()], rtol=tol, atol=0)
+
+
+def _column_terms(fs, t, lead, cov, paths, denom):
+    """Mean and standard error of the per-path terms of one sampled
+    covariance column, formed as ``_se_column`` forms them from the stored
+    paths and the Cholesky factor of cov."""
+    z = _chol_factor(cov, "reference", []) @ paths[:, :t].astype(np.float64)
+    F = [f.fn(z[:, r]) for r, f in enumerate(fs[:t])]
+    if lead is not None:
+        F.insert(0, np.broadcast_to(lead, F[0].shape))
+    terms = np.stack([np.vecdot(col, F[-1]) for col in F], axis=1) / denom
+    return terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(len(terms))
+
+
+@pytest.mark.parametrize("solver", ["symmetric", "asymmetric"])
+def test_offset_columns_match_monte_carlo_of_their_undeclared_twin(solver):
+    # At every step of a 2,000-path solve that samples the shift undeclared,
+    # the closed-form column at the twin's own input covariance lies within 4
+    # standard errors of the twin's column, each the standard error of the
+    # twin's per-path terms. Conditioning on the input leaves one step's
+    # Monte-Carlo error; between two whole solves the step errors compound
+    # (5.2 step standard errors at Sigma_3 of the asymmetric case). The g
+    # side of the asymmetric solve is sampled either way.
+    samples = 2000
+    if solver == "symmetric":
+        n, T = 40, 5
+        gen = RngStream(31).generator()
+        u1, f = gen.standard_normal(n), residual_shift_denoiser(0.4 * gen.standard_normal(n))
+        twin, _ = se_symmetric([_undeclared(f)] * (T - 1), u1, T, mc_samples=samples,
+                               rng=RngStream(32))
+        paths = _draw_paths(RngStream(32), samples, T - 1, n)
+        steps = [(t, u1, twin.sigma[t - 1], twin.sigma[t][:, t], n) for t in range(1, T)]
+    else:
+        m, n, T = 40, 60, 4
+        twin, _ = _sparse_recovery_se(0.3, 0.3, samples, 33, m, n, T, declared=False)
+        (f, *_), _, _ = _sparse_recovery(0.3, 0.3, 33, m, n, T)
+        paths = _draw_paths(RngStream(33).derive(0), samples, T, m)
+        steps = [(t, None, twin.omega[t - 1], twin.sigma[t - 1][:, t - 1], m)
+                 for t in range(1, T + 1)]
+    assert f.offset is not None and twin.jittered == []
+    for t, lead, cov, want, denom in steps:
+        got, div = _se_column([f] * t, t, lead, cov, "", [], denom, None)
+        mean, se = _column_terms([_undeclared(f)] * t, t, lead, cov, paths, denom)
+        np.testing.assert_allclose(mean, want, rtol=1e-12, atol=0)  # the twin's own terms
+        assert np.all(np.abs(got - want) <= 4 * se)
+        assert div == f.offset.size / denom
+
+
+# a sampled f side draws samples generators and factors T covariances, as the
+# g side does; test_each_path_is_drawn_once_per_solve covers an undeclared one
+@pytest.mark.parametrize("kind, f_sampled", [("declared", 0), ("mixed", 1)])
+def test_an_offset_side_draws_no_paths_and_factors_no_covariance(monkeypatch, kind,
+                                                                 f_sampled):
+    draws, factors = [], []
+    generator, cholesky = RngStream.generator, np.linalg.cholesky
+    monkeypatch.setattr(RngStream, "generator", lambda self: draws.append(self) or generator(self))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
+    m, n, T, samples = 20, 30, 4, 7
+    u1 = np.linspace(-1.0, 1.0, n)
+    shift = residual_shift_denoiser(np.full(m, 0.1))
+    f_seq = {"declared": [shift] * T, "mixed": [shift, _undeclared(shift)] * (T // 2)}[kind]
+    g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
+    cov, _ = se_asymmetric(f_seq, g_seq, u1, T, m, mc_samples=samples, rng=RngStream(12))
+    assert cov.jittered == []
+    assert len(draws) == (1 + f_sampled) * samples
+    assert len(factors) == (1 + f_sampled) * T
+    draws.clear()
+    factors.clear()
+    se_symmetric([residual_shift_denoiser(u1)] * (T - 1), u1, T, mc_samples=samples,
+                 rng=RngStream(13))
+    assert draws == factors == []
+
+
+# each offset once broadcast or mismatched silently against the side's rows
+@pytest.mark.parametrize("solve, named", [
+    (lambda: se_asymmetric([residual_shift_denoiser(np.array([0.5]))] * 2,
+                           [identity_denoiser()] * 2, np.ones(10), 2, 8, mc_samples=2),
+     r"f_seq\[0\]"),
+    (lambda: se_asymmetric([residual_shift_denoiser(np.ones(8)),
+                            residual_shift_denoiser(np.ones(9))],
+                           [identity_denoiser()] * 2, np.ones(10), 2, 8, mc_samples=2),
+     r"f_seq\[1\]"),
+    (lambda: se_asymmetric([identity_denoiser()] * 2, [residual_shift_denoiser(np.ones(8))] * 2,
+                           np.ones(10), 2, 8, mc_samples=2), r"g_seq\[0\]"),
+    (lambda: se_symmetric([residual_shift_denoiser(np.ones(9))] * 2, np.ones(10), 3,
+                          mc_samples=2), r"f_seq\[0\]"),
+], ids=["asymmetric-f-broadcast", "asymmetric-f-mixed-lengths", "asymmetric-g",
+        "symmetric"])
+def test_an_offset_of_the_wrong_length_is_refused(solve, named):
+    with pytest.raises(DimensionError, match=named):
+        solve()
 
 
 def test_scalar_sensing_identity_denoiser_recursion():
