@@ -3,7 +3,8 @@
 Subpackages: ensembles (seeded matrix/signal generation), denoisers
 (non-linearity families with divergences), amp (the symmetric, asymmetric
 and sensing recursions), state evolution (Gaussian surrogate covariances and
-Onsager schedules), tensor_net (tensor-network values, Wick oracle,
+Onsager schedules), gaussian (the normal distribution functions its closed
+forms are written in), tensor_net (tensor-network values, Wick oracle,
 composition-ratio checks) and harness (config-driven experiments and check
 batteries). Every name exported here is reached by the harness, the CLI or a
 benchmark workload.

@@ -17,7 +17,7 @@ import numpy as np
 from .denoisers import Denoiser
 from .exceptions import DimensionError, ParameterError
 from .rng import RngStream
-from .state_evolution import Coloring, OnsagerSchedule, require_length
+from .state_evolution import Coloring, OnsagerSchedule, _nonempty_vector, require_length
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ class SymmetricAmpProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = np.asarray(self.u1, dtype=np.float64)
+        self.u1 = _nonempty_vector(self.u1, "u1")
         n = self.u1.size
         if self.W.shape != (n, n):
             raise DimensionError("W must be n x n for the symmetric recursion")
@@ -49,7 +49,7 @@ class RectAmpProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = np.asarray(self.u1, dtype=np.float64)
+        self.u1 = _nonempty_vector(self.u1, "u1")
         if self.W.ndim != 2 or self.W.shape[1] != self.u1.size:
             raise DimensionError("W columns must match len(u1)")
 

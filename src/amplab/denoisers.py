@@ -42,7 +42,7 @@ def _vector(z) -> np.ndarray:
     return z
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Denoiser:
     """A non-linearity f: R^n -> R^n applied to the latest iterate, plus its
     divergence.
@@ -52,12 +52,25 @@ class Denoiser:
     images, each row exactly as ``fn`` maps that row alone: the Monte-Carlo
     probe and the SE samplers call it once per block of samples. The
     optional ``divergence_fn(x)`` returns the raw divergence sum at one
-    n-vector x (a scalar, not normalized by n). The optional ``offset`` is
-    another closed form: when set, ``fn(z) = z + offset`` exactly, and the
-    SE solvers take the covariances of a side whose every denoiser declares
-    one in closed form instead of sampling them. ``apply``, ``divergence``
+    n-vector x (a scalar, not normalized by n). ``apply``, ``divergence``
     and ``divergence_mc`` take exactly one n-vector and raise DimensionError
     on anything else.
+
+    Three optional fields declare a closed form of ``fn``; each holds
+    exactly when set, and the fields are read-only, so a declaration cannot
+    drift from its map:
+
+    - ``offset`` c: ``fn(z) = z + c``;
+    - ``threshold`` lmbda: ``fn`` is soft thresholding at lmbda;
+    - ``residual`` (c, lmbda): ``fn(z) = c - soft_threshold(z + c, lmbda)``,
+      the soft-threshold signal residual.
+
+    The SE solvers take a side whose every denoiser declares an offset, or
+    whose every denoiser declares a residual, in closed form instead of
+    sampling it. ``threshold`` alone is no such family: it is what
+    ``signal_residual_denoiser`` reads to declare a residual. Instances
+    compare and hash by identity, as ``SpectralSpec`` does: the generated
+    ``==`` and ``hash`` fail on an ndarray field.
 
     ``onsager`` alone chooses between the formula (``divergence``) and the
     Monte-Carlo probe (``divergence_mc``); ``run_sensing_amp`` takes its
@@ -68,6 +81,8 @@ class Denoiser:
     divergence_fn: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
     offset: Optional[np.ndarray] = None
+    threshold: Optional[float] = None
+    residual: Optional[Tuple[np.ndarray, float]] = None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.fn(_vector(z))
@@ -153,12 +168,14 @@ def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
 
 
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    """Soft thresholding at lmbda, checked here, with its counting divergence."""
+    """Soft thresholding at lmbda, checked here, with its counting divergence;
+    lmbda is recorded as its ``threshold``."""
     _check_threshold(lmbda)
     return Denoiser(
         fn=lambda x: soft_threshold_apply(x, lmbda),
         divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
         name=f"soft_threshold(lmbda={lmbda})",
+        threshold=float(lmbda),
     )
 
 
@@ -347,10 +364,18 @@ def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
-    """g(y) = theta_star - eta(y + theta_star); divergence is -div eta."""
+    """g(y) = theta_star - eta(y + theta_star); divergence is -div eta.
+    Declared as the ``residual`` (theta_star, lmbda) when eta declares its
+    soft ``threshold`` lmbda. DimensionError unless theta_star is a
+    non-empty vector."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
+    if theta_star.ndim != 1 or theta_star.size == 0:
+        raise DimensionError(f"theta_star must be a non-empty vector, got shape "
+                             f"{theta_star.shape}")
     div_fn = None
     if eta.has_analytic_divergence:
         div_fn = lambda x: -eta.divergence(x + theta_star)
+    residual = None if eta.threshold is None else (theta_star, eta.threshold)
     return Denoiser(fn=lambda x: theta_star - eta.fn(x + theta_star),
-                    divergence_fn=div_fn, name=f"signal_residual({eta.name})")
+                    divergence_fn=div_fn, name=f"signal_residual({eta.name})",
+                    residual=residual)

@@ -6,14 +6,24 @@ at the problem's own dimension: nested covariances Sigma_1 in Sigma_2 in ...
 iteration, b_t (and a_t): the normalized expected divergence of a denoiser
 that reads only the latest iterate.
 
-A solver side whose every denoiser declares an offset (``Denoiser.offset``,
-f_r(z) = z + c_r exactly) takes its expectations in closed form: the new
-column is (rows/denom) Cov[Z_r, Z_t] + c_r^T c_t / denom, led by
-u1^T c_t / denom when u1 is given, and the divergence term is rows/denom. It
-draws no paths and factors no covariance. Its covariances are the exact
-Gram matrices rows * Cov / denom + C^T C / denom, so they stay positive
-semidefinite and nested. A side that mixes offset and other denoisers, or
-holds none, is sampled as below.
+A solver side takes its expectations in closed form, drawing no paths and
+factoring no covariance, when all of its denoisers declare one family:
+
+- offsets (``Denoiser.offset``, f_r(z) = z + c_r exactly): the new column is
+  (rows/denom) Cov[Z_r, Z_t] + c_r^T c_t / denom, led by u1^T c_t / denom
+  when u1 is given, and the divergence term is rows/denom. The covariances
+  are the exact Gram matrices rows * Cov / denom + C^T C / denom.
+- soft-threshold residuals (``Denoiser.residual``,
+  f_r(z) = c_r - soft_threshold(z + c_r, lmbda_r) exactly), such as the g
+  side of the sensing recursion: each coordinate of (Z_r, Z_t) is bivariate
+  normal, so every entry is a sum over coordinates of truncated bivariate
+  normal moments in Phi, phi and the bivariate Phi_2 (``gaussian``), taken
+  once per group of coordinates that share their values of every c_r.
+
+An exact side handles a zero variance and a correlation of +-1 exactly and
+needs no jitter; its covariances are exact expectations of Gram matrices,
+positive semidefinite and nested. A side that mixes the families or other
+denoisers, or holds none of them, is sampled as below.
 
 Each Monte-Carlo sample of a sampled side is one surrogate path Z_1, Z_2,
 ... of the process whose covariance SE tracks (Berthier, Montanari & Nguyen,
@@ -45,8 +55,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .denoisers import _CALL_ROWS, Denoiser, _block_rows
+from .denoisers import _CALL_ROWS, Denoiser, _block_rows, soft_threshold_apply
 from .exceptions import DimensionError, NumericError, ParameterError, ScheduleError
+from .gaussian import norm_cdf, norm_pdf, ramp_pair
 from .rng import RngStream
 
 logger = logging.getLogger(__name__)
@@ -220,21 +231,119 @@ def _draw_paths(stream: RngStream, mc_samples: int, steps: int, rows: int) -> np
     return paths
 
 
-def _side_paths(seq: Sequence[Denoiser], steps: int, rows: int, what: str,
-                stream: RngStream, mc_samples: int) -> Optional[np.ndarray]:
-    """The path set of the solver side that reads seq[:steps] at dimension
-    rows: None when every one of them declares an offset, so the side is
-    taken in closed form, otherwise ``_draw_paths(stream, mc_samples, steps,
-    rows)``. DimensionError naming what[i] when a declared offset is not a
-    vector of length rows."""
-    offsets = [den.offset for den in seq[:steps]]
-    for i, offset in enumerate(offsets):
-        if offset is not None and np.shape(offset) != (rows,):
-            raise DimensionError(f"{what}[{i}] has an offset of shape {np.shape(offset)}; "
-                                 f"its side has {rows} rows")
-    if all(offset is not None for offset in offsets):
-        return None
-    return _draw_paths(stream, mc_samples, steps, rows)
+def _family(den: Denoiser) -> Tuple[Optional[str], Optional[np.ndarray]]:
+    """("offset", c) or ("residual", theta_star) for a denoiser that declares
+    that closed form (see ``Denoiser``), else (None, None)."""
+    if den.offset is not None:
+        return "offset", den.offset
+    if den.residual is not None:
+        return "residual", den.residual[0]
+    return None, None
+
+
+def _exact_side(seq: Sequence[Denoiser], steps: int, rows: int, what: str) -> bool:
+    """Whether the solver side that reads seq[:steps] at dimension rows is
+    taken in closed form: every one of them declares an offset, or every one
+    a residual. DimensionError naming what[i] when the vector of a declared
+    offset or residual is not of length rows, so a solver checks both sides
+    before it draws a path."""
+    families = set()
+    for i, den in enumerate(seq[:steps]):
+        family, vector = _family(den)
+        if vector is not None and np.shape(vector) != (rows,):
+            raise DimensionError(f"{what}[{i}] declares a {family} vector of shape "
+                                 f"{np.shape(vector)}; its side has {rows} rows")
+        families.add(family)
+    return len(families) <= 1 and None not in families
+
+
+def _groups(vectors: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, inverse, counts) of the coordinates of equal-length vectors,
+    grouped by their values in every vector: coordinate i falls in group
+    inverse[i], group j holds counts[j] coordinates, the first of them
+    first[j]. A vector passed more than once, as one object, is read once."""
+    distinct = list({id(v): v for v in vectors}.values())
+    key = distinct[0]
+    for vector in distinct[1:]:
+        # the rank of each coordinate's pair of values; exact in float64
+        # while rows^2 < 2^53
+        key = (np.unique(key, return_inverse=True)[1] * float(key.size)
+               + np.unique(vector, return_inverse=True)[1])
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
+def _residual_moments(c: np.ndarray, lmbda: float, sd: float,
+                      counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(E g(Y), E g(Y)^2, sum_j counts[j] E g_j'(Y)) for the soft-threshold
+    residual g_j(y) = c_j - soft_threshold(y + c_j, lmbda) and Y ~ N(0, sd^2),
+    per entry of c. With W = Y + c split at +-lmbda, and h+ = (lmbda - c)/sd,
+    h- = (lmbda + c)/sd:
+
+        E g   = lmbda (Q(h+) - Q(h-)) - sd (phi(h+) - phi(h-)) + c P
+        E g^2 = (sd^2 + lmbda^2)(Q(h+) + Q(h-)) - sd (lmbda + c) phi(h+)
+                - sd (lmbda - c) phi(h-) + c^2 P
+        E g'  = -(Q(h+) + Q(h-)),
+
+    Q(h) = Phi(-h) and P = Phi(h+) - Phi(-h-) = P(|W| <= lmbda); no term
+    cancels against c. When sd = 0 or lmbda = inf, g(Y) is the constant
+    g(0) (c at lmbda = inf), and E g' is the counting divergence at 0."""
+    if sd == 0 or np.isinf(lmbda):
+        const = c - soft_threshold_apply(c, lmbda)
+        return const, const * const, -float(counts @ (np.abs(c) > lmbda))
+    h_plus, h_minus = (lmbda - c) / sd, (lmbda + c) / sd
+    *tails, below = norm_cdf(np.stack([-h_plus, -h_minus, h_plus]))
+    pdfs = norm_pdf(h_plus), norm_pdf(h_minus)
+    inside = below - tails[1]
+    mean = lmbda * (tails[0] - tails[1]) - sd * (pdfs[0] - pdfs[1]) + c * inside
+    second = ((sd * sd + lmbda * lmbda) * (tails[0] + tails[1]) - sd * (lmbda + c) * pdfs[0]
+              - sd * (lmbda - c) * pdfs[1] + c * c * inside)
+    return mean, second, -float(counts @ (tails[0] + tails[1]))
+
+
+def _residual_column(seq: Sequence[Denoiser], u1: Optional[np.ndarray], cov: np.ndarray,
+                     denom: int) -> Tuple[np.ndarray, float]:
+    """``_se_column`` of a side whose denoisers g_1..g_t, t = len(seq), all
+    declare a residual (c_r, lmbda_r), in closed form.
+
+    Coordinates are grouped by their values of every c_r (``_groups``), so
+    each expectation is taken once per group. The lead, the diagonal and
+    the divergence term come from ``_residual_moments``. With
+    g_r = c_r - P_r + M_r, where P_r = (Y_r - lmbda_r + c_r)+ and
+    M_r = (-Y_r - lmbda_r - c_r)+ are ramps of Y_r ~ N(0, s_r^2), the cross
+    entry r < t is
+
+        E g_r g_t = c_r E g_t + c_t E g_r - c_r c_t + E[(M_r - P_r)(M_t - P_t)],
+
+    the last a signed sum of four ramp products (Rosenbaum 1961), each
+    s_r s_t ``ramp_pair`` at correlation +-rho, rho = cov[r, t] / (s_r s_t).
+    It is E g_r E g_t when either g is constant (zero variance or an
+    infinite threshold)."""
+    t = len(seq)
+    first, inverse, counts = _groups([den.residual[0] for den in seq])
+    sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    c = [den.residual[0][first] for den in seq]
+    lmbdas = [den.residual[1] for den in seq]
+    means = [_residual_moments(c[r], lmbdas[r], sds[r], counts)[0] for r in range(t - 1)]
+    mean, second, div = _residual_moments(c[-1], lmbdas[-1], sds[-1], counts)
+    constant = [sd == 0 or np.isinf(lmbda) for sd, lmbda in zip(sds, lmbdas)]
+    col = np.empty(t)
+    for r in range(t - 1):
+        cross = means[r] * mean
+        if not (constant[r] or constant[-1]):
+            rho = cov[r, t - 1] / (sds[r] * sds[-1])
+            h_r = np.stack([lmbdas[r] - c[r], lmbdas[r] + c[r]]) / sds[r]
+            h_t = np.stack([lmbdas[-1] - c[-1], lmbdas[-1] + c[-1]]) / sds[-1]
+            ramps = (ramp_pair(h_r, h_t, rho).sum(axis=0)
+                     - ramp_pair(h_r, h_t[::-1], -rho).sum(axis=0))
+            cross = (c[r] * mean + c[-1] * means[r] - c[r] * c[-1]
+                     + sds[r] * sds[-1] * ramps)
+        col[r] = counts @ cross / denom
+    col[-1] = counts @ second / denom
+    if u1 is not None:
+        col = np.concatenate([[u1 @ mean[inverse] / denom], col])
+    return col, div / denom
 
 
 def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
@@ -245,10 +354,11 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
     divergence term (1/denom) E div f_t(Z_t), over Z (t x rows) with i.i.d.
     columns N(0, cov); Z_r is row r of Z.
 
-    paths None marks a side whose denoisers all declare an offset c_r (see
-    ``_side_paths``): the column is (rows/denom) cov[r-1, t-1]
+    paths None marks a side whose denoisers all declare one closed form
+    (see ``_exact_side``), taken exactly, with no draw and no Cholesky
+    factor. For offsets c_r the column is (rows/denom) cov[r-1, t-1]
     + c_r^T c_t / denom, its lead u1^T c_t / denom, and the divergence term
-    rows/denom, all exact, with no draw and no Cholesky factor.
+    rows/denom; residuals are taken by ``_residual_column``.
 
     Otherwise the expectations are Monte-Carlo averages over the surrogate
     paths: path k is Z = L G, L the lower Cholesky factor of cov and G the
@@ -259,6 +369,8 @@ def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov:
     divergence is taken per path by ``Denoiser.divergence``. Appends name
     to jittered when cov needs the Cholesky jitter."""
     if paths is None:
+        if f_seq[0].residual is not None:
+            return _residual_column(f_seq[:t], u1, cov, denom)
         offsets = np.stack([den.offset for den in f_seq[:t]])
         rows = offsets.shape[1]
         col = (rows * cov[:, t - 1] + offsets @ offsets[t - 1]) / denom
@@ -310,8 +422,8 @@ def se_symmetric(
     i.i.d. coordinates N(0, Sigma_t), and b_(t+1) is (1/n) E div f_t(Z_t) by
     the divergence formula, which every f_t must have.
 
-    When every f_t declares an offset, both are exact (see ``_se_column``)
-    and no path is drawn. Otherwise they are averages over mc_samples
+    When every f_t declares an offset, or every f_t a soft-threshold
+    residual, both are exact (see ``_se_column``) and no path is drawn. Otherwise they are averages over mc_samples
     surrogate paths: path k's (T-1) x n normals are drawn once from
     rng.derive(k) and stored in float32 (mc_samples * (T-1) * n * 4 bytes
     for the solve), and every t colours their first t rows, so Sigma_(t+1)
@@ -329,7 +441,8 @@ def se_symmetric(
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    paths = _side_paths(f_seq, T - 1, n, "f_seq", rng, mc_samples)
+    exact = _exact_side(f_seq, T - 1, n, "f_seq")
+    paths = None if exact else _draw_paths(rng, mc_samples, T - 1, n)
     for t in range(1, T):
         col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
                                    paths)
@@ -357,8 +470,10 @@ def se_asymmetric(
     Every denoiser read must have a divergence formula.
 
     A side whose denoisers all declare an offset, such as the f side of the
-    sensing recursion (``residual_shift_denoiser``), is exact (see
-    ``_se_column``): it draws no paths and factors no covariance. A sampled
+    sensing recursion (``residual_shift_denoiser``), or all a soft-threshold
+    residual, such as its g side (``signal_residual_denoiser`` of a soft
+    threshold), is exact (see ``_se_column``): it draws no paths and factors
+    no covariance. Both sides are checked before either draws. A sampled
     side draws one set of surrogate paths once and colours it at every t:
     path k of Z takes its T x m normals from rng.derive(0).derive(k) and
     path k of Y its min(T, len(g_seq)) x n normals from
@@ -384,8 +499,10 @@ def se_asymmetric(
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    f_paths = _side_paths(f_seq, T, m, "f_seq", rng.derive(0), mc_samples)
-    g_paths = _side_paths(g_seq, g_steps, n, "g_seq", rng.derive(1), mc_samples)
+    f_exact = _exact_side(f_seq, T, m, "f_seq")
+    g_exact = _exact_side(g_seq, g_steps, n, "g_seq")
+    f_paths = None if f_exact else _draw_paths(rng.derive(0), mc_samples, T, m)
+    g_paths = None if g_exact else _draw_paths(rng.derive(1), mc_samples, g_steps, n)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
         col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m,

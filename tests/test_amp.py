@@ -325,6 +325,20 @@ def test_aniso_K_shape_rejected():
                            eta_seq=[soft_threshold_denoiser(0.2)], K=K)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricAmpProblem(W=np.zeros((0, 0)), u1=np.zeros(0), f_seq=[],
+                                onsager=OnsagerSchedule()),
+    lambda: RectAmpProblem(W=np.zeros((3, 0)), u1=np.zeros(0), f_seq=[], g_seq=[],
+                           onsager=OnsagerSchedule()),
+    lambda: SymmetricAmpProblem(W=np.eye(4), u1=np.ones((4, 1)), f_seq=[],
+                                onsager=OnsagerSchedule()),
+], ids=["symmetric-empty", "rect-empty", "symmetric-column"])
+def test_amp_problems_refuse_a_u1_that_is_no_non_empty_vector(build):
+    # run_symmetric_amp on a (0, 0) W once returned an empty trace
+    with pytest.raises(DimensionError, match="u1"):
+        build()
+
+
 def _rect_problem(seed, m, n, T):
     rng = RngStream(seed)
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), rng)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -223,6 +225,31 @@ def test_residual_shift_declares_its_offset():
     assert np.array_equal(den.apply(z[0]), z[0] + den.offset)
     assert all(d.offset is None for d in (identity_denoiser(), zero_denoiser(),
                                           soft_threshold_denoiser(0.5)))
+
+
+def test_signal_residual_declares_a_soft_threshold_residual():
+    # the SE solvers read (theta_star, lmbda) in place of fn, so the two must
+    # agree; a residual of any other eta declares nothing
+    theta = RngStream(42).generator().standard_normal(7)
+    eta = soft_threshold_denoiser(0.4)
+    den = signal_residual_denoiser(theta, eta)
+    z = RngStream(43).generator().standard_normal((3, 7))
+    assert eta.threshold == 0.4
+    assert np.array_equal(den.residual[0], theta) and den.residual[1] == 0.4
+    assert np.array_equal(den.fn(z), theta - soft_threshold_apply(z + theta, 0.4))
+    assert signal_residual_denoiser(theta, identity_denoiser()).residual is None
+    assert all(d.threshold is None and d.residual is None
+               for d in (identity_denoiser(), zero_denoiser(), residual_shift_denoiser(theta)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eta.threshold = 0.1
+
+
+@pytest.mark.parametrize("theta", [np.ones((3, 3)), np.zeros(0), np.float64(1.0)],
+                         ids=["matrix", "empty", "scalar"])
+def test_signal_residual_refuses_a_theta_star_that_is_no_vector(theta):
+    # a (3, 3) theta_star was accepted and broadcast against the iterate
+    with pytest.raises(DimensionError, match="theta_star"):
+        signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
 
 
 def test_mc_divergence_identity_and_scaled():

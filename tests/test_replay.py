@@ -130,20 +130,20 @@ EXPECTED = {
         0.3906249196473753, 3.944473285336346,
     ],
     "se_asymmetric": [
-        0.366161042088107, 0.13314594510750033, 0.15250977406314384,
-        0.14911106364676424, 0.25889510681869815, 0.13827710084707384,
-        0.1335656775535106, 0.199624751899833, 0.12566707147829576,
-        0.15208071979737742, 0.40396665168518836, 0.1709515547045817,
-        0.1903153836602252, 0.2967007164157795, 0.1760827104441552,
-        0.23743036149691438, 15.510230288979056, -4.591663259537041,
-        17.144567313036852, -2.473390138847458, 10.688460767218537,
-        -2.0327716406991287, 19.87023330502726, -4.924264535325101,
-        23.02926152823009, -2.805991414635517, 14.437283813948245,
-        -2.365372916487189, 33.44834147502263, -4.637553862340019,
-        35.50128041483853, 1.0765586721040692, 27.536492547262633,
-        -1.7449078599916468, 21.969662525286417, 0.6762173419227595,
-        14.627920788472675, 3.304999866682869, 12.678547663469235,
-        0.6427731151758072, 10.786282625897584, 1.654097364588125,
+        0.366161042088107, 0.12911400100024129, 0.13492190717970926,
+        0.13934445177417415, 0.2586679251055223, 0.12038803624128125,
+        0.11987438265860464, 0.18710188593179994, 0.11399048394533853,
+        0.14708805006447007, 0.40396665168518836, 0.16691961059732266,
+        0.17272751677679063, 0.2964735347026036, 0.15819364583836262,
+        0.2249074955288813, 15.510230288979056, -4.591663259537041,
+        16.753917843301057, -2.393562349762133, 10.408175246141784,
+        -2.0550915328288215, 19.87023330502726, -4.924264535325101,
+        22.531159322937516, -2.7261636255501926, 14.068579988771955,
+        -2.38769280861688, 33.44834147502263, -4.637553862340019,
+        34.82508816048587, 1.1407763301887175, 26.825623004218123,
+        -1.893403281943756, 21.969662525286417, 0.6762173419227595,
+        14.627920788472675, 3.304999866682869, 12.590909129351925,
+        0.5718275633138123, 10.651431395560975, 1.7706958728123066,
     ],
     "se_symmetric": [
         0.9508149661559446, -0.059490777705177245, 0.006148319050296658,

@@ -12,6 +12,7 @@ from amplab.denoisers import (
     identity_denoiser,
     residual_shift_denoiser,
     signal_residual_denoiser,
+    soft_threshold_apply,
     soft_threshold_denoiser,
     svt_denoiser,
     zero_denoiser,
@@ -24,6 +25,7 @@ from amplab.state_evolution import (
     _border,
     _chol_factor,
     _draw_paths,
+    _groups,
     _se_column,
     se_asymmetric,
     se_scalar_sensing,
@@ -197,7 +199,7 @@ def test_se_solvers_do_not_depend_on_the_block_size(monkeypatch, block_rows):
         theta = sample_signal(SignalSpec(kind="sparse", dims=60, density=0.3),
                               RngStream(4, 1)).vector
         e = sample_noise(40, 0.2, RngStream(4, 2))
-        g = signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
+        g = _undeclared(signal_residual_denoiser(theta, soft_threshold_denoiser(0.5)))
         sym = se_symmetric([soft_threshold_denoiser(0.5)] * 4, theta, 5, mc_samples=10,
                            rng=RngStream(5))
         asym = se_asymmetric([residual_shift_denoiser(e)] * 4, [g] * 4, theta, 4, 40,
@@ -251,18 +253,21 @@ def test_asymmetric_zero_denoisers():
 
 
 def _undeclared(den):
-    """den with no declared offset: the same map, which the SE solvers sample."""
-    return replace(den, offset=None)
+    """den with no declared closed form: the same map, which the SE solvers
+    sample."""
+    return replace(den, offset=None, residual=None)
 
 
 def _sparse_recovery(density, noise_std, seed, m, n, T, declared=True):
     """(f_seq, g_seq, theta) of the sparse-recovery pipeline of the se_matrix
-    benchmark; with declared False the f side is the shift's undeclared twin."""
+    benchmark; with declared False each side is its undeclared twin."""
     theta = sample_signal(SignalSpec(kind="sparse", dims=n, density=density),
                           RngStream(seed, 1)).vector
     f = residual_shift_denoiser(sample_noise(m, noise_std, RngStream(seed, 2)))
     g = signal_residual_denoiser(theta, soft_threshold_denoiser(0.5))
-    return [f if declared else _undeclared(f)] * T, [g] * T, theta
+    if not declared:
+        f, g = _undeclared(f), _undeclared(g)
+    return [f] * T, [g] * T, theta
 
 
 def _sparse_recovery_se(density, noise_std, samples, seed, m=100, n=200, T=10,
@@ -277,13 +282,13 @@ def _sparse_recovery_se(density, noise_std, samples, seed, m=100, n=200, T=10,
 def test_asymmetric_covariances_need_no_jitter(density, noise_std, samples, seed):
     # covariance columns stitched from a fresh sample set per t were indefinite
     # here, even after jitter, and raised NumericError
-    cov, _ = _sparse_recovery_se(density, noise_std, samples, seed)
+    cov, _ = _sparse_recovery_se(density, noise_std, samples, seed, declared=False)
     assert cov.jittered == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_path_covariances_are_positive_semidefinite(seed):
-    cov, _ = _sparse_recovery_se(0.2, 0.2, 1, seed)
+    cov, _ = _sparse_recovery_se(0.2, 0.2, 1, seed, declared=False)
     for c in [*cov.sigma, *cov.omega]:
         w = np.linalg.eigvalsh(c)
         assert w.min() >= -1e-12 * w.max()
@@ -316,7 +321,7 @@ def test_each_path_is_drawn_once_per_solve(monkeypatch, T):
     assert len(draws) == samples
     m, n = 20, 30
     f_seq = [_undeclared(residual_shift_denoiser(np.full(m, 0.1)))] * T
-    g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
+    g_seq = [_undeclared(signal_residual_denoiser(u1, soft_threshold_denoiser(0.5)))] * T
     draws.clear()
     se_asymmetric(f_seq, g_seq, u1, T, m, mc_samples=samples, rng=RngStream(12))
     assert len(draws) == 2 * samples
@@ -382,12 +387,14 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
 def _column_terms(fs, t, lead, cov, paths, denom):
     """Mean and standard error of the per-path terms of one sampled
     covariance column, formed as ``_se_column`` forms them from the stored
-    paths and the Cholesky factor of cov."""
+    paths and the Cholesky factor of cov, followed by those of the
+    divergence term."""
     z = _chol_factor(cov, "reference", []) @ paths[:, :t].astype(np.float64)
     F = [f.fn(z[:, r]) for r, f in enumerate(fs[:t])]
     if lead is not None:
         F.insert(0, np.broadcast_to(lead, F[0].shape))
-    terms = np.stack([np.vecdot(col, F[-1]) for col in F], axis=1) / denom
+    divs = [fs[t - 1].divergence(row) for row in z[:, t - 1]]
+    terms = np.column_stack([*(np.vecdot(col, F[-1]) for col in F), divs]) / denom
     return terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(len(terms))
 
 
@@ -398,8 +405,7 @@ def test_offset_columns_match_monte_carlo_of_their_undeclared_twin(solver):
     # standard errors of the twin's column, each the standard error of the
     # twin's per-path terms. Conditioning on the input leaves one step's
     # Monte-Carlo error; between two whole solves the step errors compound
-    # (5.2 step standard errors at Sigma_3 of the asymmetric case). The g
-    # side of the asymmetric solve is sampled either way.
+    # (5.2 step standard errors at Sigma_3 of the asymmetric case).
     samples = 2000
     if solver == "symmetric":
         n, T = 40, 5
@@ -420,9 +426,145 @@ def test_offset_columns_match_monte_carlo_of_their_undeclared_twin(solver):
     for t, lead, cov, want, denom in steps:
         got, div = _se_column([f] * t, t, lead, cov, "", [], denom, None)
         mean, se = _column_terms([_undeclared(f)] * t, t, lead, cov, paths, denom)
-        np.testing.assert_allclose(mean, want, rtol=1e-12, atol=0)  # the twin's own terms
-        assert np.all(np.abs(got - want) <= 4 * se)
+        np.testing.assert_allclose(mean[:-1], want, rtol=1e-12, atol=0)  # the twin's own terms
+        assert np.all(np.abs(got - want) <= 4 * se[:-1])
         assert div == f.offset.size / denom
+
+
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "asymmetric-two-residuals"])
+def test_residual_columns_match_monte_carlo_of_their_undeclared_twin(case):
+    # As for offsets: at every step of a 2,000-path solve that samples the
+    # soft-threshold residuals undeclared, the closed-form column and
+    # divergence term at the twin's own input covariance lie within 4
+    # per-step standard errors of the twin's. The symmetric solve takes the
+    # residual at theta* = 0, g(y) = -soft_threshold(y); the last case
+    # alternates two residuals with different theta* and thresholds.
+    samples = 2000
+    if case == "symmetric":
+        n, T = 40, 5
+        u1 = RngStream(34).generator().standard_normal(n)
+        g_seq = [signal_residual_denoiser(np.zeros(n), soft_threshold_denoiser(0.3))] * (T - 1)
+        twin, sched = se_symmetric([_undeclared(g) for g in g_seq], u1, T,
+                                   mc_samples=samples, rng=RngStream(35))
+        paths = _draw_paths(RngStream(35), samples, T - 1, n)
+        steps = [(t, twin.sigma[t - 1], twin.sigma[t][:, t], sched.b[t + 1], n)
+                 for t in range(1, T)]
+    else:
+        m, n, T = 40, 60, 4
+        f_seq, g_seq, u1 = _sparse_recovery(0.3, 0.3, 36, m, n, T)
+        if case == "asymmetric-two-residuals":
+            other = signal_residual_denoiser(np.round(u1[::-1], 1), soft_threshold_denoiser(0.3))
+            g_seq = [g_seq[0], other] * (T // 2)
+        twin, sched = se_asymmetric([_undeclared(f) for f in f_seq],
+                                    [_undeclared(g) for g in g_seq], u1, T, m,
+                                    mc_samples=samples, rng=RngStream(36))
+        paths = _draw_paths(RngStream(36).derive(1), samples, T, n)
+        steps = [(t, twin.sigma[t - 1], twin.omega[t][:, t], sched.b[t + 1], m)
+                 for t in range(1, T + 1)]
+    assert all(g.residual is not None for g in g_seq) and twin.jittered == []
+    for t, cov, want, want_div, denom in steps:
+        got, div = _se_column(g_seq, t, u1, cov, "", [], denom, None)
+        mean, se = _column_terms([_undeclared(g) for g in g_seq], t, u1, cov, paths, denom)
+        # the twin's own terms
+        np.testing.assert_allclose(mean, [*want, want_div], rtol=1e-12, atol=0)
+        assert np.all(np.abs(np.append(got, div) - mean) <= 4 * se)
+
+
+def test_groups_split_coordinates_by_their_values_in_every_vector():
+    a = np.array([0.0, 1.0, 0.0, 1.0, 0.0, -0.0])
+    b = np.array([2.0, 2.0, 3.0, 2.0, 2.0, 2.0])
+    for vectors, groups in [([a, a], [[0, 2, 4, 5], [1, 3]]),
+                            ([a, b, a], [[0, 4, 5], [1, 3], [2]])]:
+        first, inverse, counts = _groups(vectors)
+        got = sorted(np.flatnonzero(inverse == j).tolist() for j in range(counts.size))
+        assert got == groups
+        assert sorted(first.tolist()) == [g[0] for g in groups]
+        assert counts.tolist() == [np.count_nonzero(inverse == j) for j in range(counts.size)]
+
+
+def _quad_cross(c_r, c_t, lmbda, cov):
+    """E g_r(Y_r) g_t(Y_t) of two soft-threshold residuals at (Y_r, Y_t) ~ N(0,
+    cov) with |corr| = 1, by 1-D quadrature along the line Y_t = +-s_t/s_r Y_r."""
+    s_r = np.sqrt(cov[0, 0])
+    slope = cov[0, 1] / cov[0, 0]
+
+    def g(c, y):
+        return c - soft_threshold_apply(y + c, lmbda)
+
+    kinks = [(sign * lmbda - c_r) / s_r for sign in (-1, 1)]
+    kinks += [(sign * lmbda - c_t) / (slope * s_r) for sign in (-1, 1)]
+    value, _ = quad(lambda u: g(c_r, s_r * u) * g(c_t, slope * s_r * u) * norm.pdf(u),
+                    -12, 12, points=sorted(kinks), epsabs=1e-14, epsrel=1e-13, limit=200)
+    return value
+
+
+def _residual_pair(c_r, c_t, lmbda):
+    return [signal_residual_denoiser(c, soft_threshold_denoiser(lmbda)) for c in (c_r, c_t)]
+
+
+@pytest.mark.parametrize("corr", [1.0, -1.0])
+def test_residual_column_at_unit_correlation_is_its_limit(corr):
+    # Y_t = +-Y_r exactly: the closed form takes the steps that the Phi
+    # factors tend to, and agrees with the 1-D integral along the line and
+    # with a correlation a hair inside +-1
+    c_r, c_t, lmbda = np.array([0.0, 0.8, -1.3]), np.array([0.4, -0.2, 1.3]), 0.5
+    cov = np.array([[0.7, corr * np.sqrt(0.7 * 1.1)], [corr * np.sqrt(0.7 * 1.1), 1.1]])
+    col, _ = _se_column(_residual_pair(c_r, c_t, lmbda), 2, None, cov, "", [], 3, None)
+    want = sum(_quad_cross(a, b, lmbda, cov) for a, b in zip(c_r, c_t)) / 3
+    assert col[0] == pytest.approx(want, rel=1e-12, abs=1e-14)
+    near = cov.copy()
+    near[0, 1] = near[1, 0] = cov[0, 1] * (1 - 1e-12)
+    col_near, _ = _se_column(_residual_pair(c_r, c_t, lmbda), 2, None, near, "", [], 3, None)
+    assert col_near[0] == pytest.approx(col[0], rel=1e-6)
+
+
+def test_residual_column_at_the_edges_takes_their_limits():
+    c = np.array([0.0, 0.3, -0.9, 2.0])
+    u1 = np.array([1.0, -2.0, 0.5, 3.0])
+    cov = np.array([[0.8, 0.3], [0.3, 0.6]])
+    rows = c.size
+
+    def column(lmbda, cov):
+        return _se_column(_residual_pair(c, c, lmbda), 2, u1, cov, "", [], 7, None)
+
+    # lmbda = 0: g(y) = -y, so the column is Cov[Y_r, Y_t] and div g = -rows
+    col, div = column(0.0, cov)
+    np.testing.assert_allclose(col, [0.0, *(rows * cov[:, 1] / 7)], rtol=1e-13, atol=1e-15)
+    assert div == -rows / 7
+    # lmbda = inf: g = c, a constant, whose divergence is 0
+    col, div = column(np.inf, cov)
+    np.testing.assert_array_equal(col, np.array([u1 @ c, c @ c, c @ c]) / 7)
+    assert div == 0.0
+    # sigma_t^2 = 0: g_t(Y_t) = g_t(0) = c - soft_threshold(c), a constant, and
+    # the divergence counts |c| > lmbda at 0; a variance of 1e-30 is within 1e-13
+    g0 = c - soft_threshold_apply(c, 0.5)
+    mean_r = [quad(lambda y, ci=ci: (ci - soft_threshold_apply(y + ci, 0.5))
+                   * norm.pdf(y, scale=np.sqrt(0.8)), -12, 12, points=[-0.5 - ci, 0.5 - ci],
+                   epsabs=1e-15)[0] for ci in c]
+    flat = np.diag([0.8, 0.0])
+    col, div = column(0.5, flat)
+    np.testing.assert_allclose(col, np.array([u1 @ g0, mean_r @ g0, g0 @ g0]) / 7,
+                               rtol=1e-12, atol=1e-15)
+    assert div == -np.count_nonzero(np.abs(c) > 0.5) / 7
+    np.testing.assert_allclose(column(0.5, np.diag([0.8, 1e-30]))[0], col, rtol=1e-13,
+                               atol=1e-15)
+
+
+def test_a_residual_side_draws_no_paths_and_factors_no_covariance(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a path was drawn or a covariance factored")
+
+    monkeypatch.setattr(state_evolution, "_draw_paths", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    m, n, T = 20, 30, 4
+    u1 = np.linspace(-1.0, 1.0, n)
+    g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
+    cov, _ = se_asymmetric([residual_shift_denoiser(np.full(m, 0.1))] * T, g_seq, u1, T, m,
+                           mc_samples=7, rng=RngStream(12))
+    assert cov.jittered == []
+    residual = signal_residual_denoiser(np.zeros(n), soft_threshold_denoiser(0.5))
+    cov, _ = se_symmetric([residual] * (T - 1), u1, T, mc_samples=7, rng=RngStream(13))
+    assert cov.jittered == []
 
 
 # a sampled f side draws samples generators and factors T covariances, as the
@@ -438,7 +580,7 @@ def test_an_offset_side_draws_no_paths_and_factors_no_covariance(monkeypatch, ki
     u1 = np.linspace(-1.0, 1.0, n)
     shift = residual_shift_denoiser(np.full(m, 0.1))
     f_seq = {"declared": [shift] * T, "mixed": [shift, _undeclared(shift)] * (T // 2)}[kind]
-    g_seq = [signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))] * T
+    g_seq = [_undeclared(signal_residual_denoiser(u1, soft_threshold_denoiser(0.5)))] * T
     cov, _ = se_asymmetric(f_seq, g_seq, u1, T, m, mc_samples=samples, rng=RngStream(12))
     assert cov.jittered == []
     assert len(draws) == (1 + f_sampled) * samples
@@ -468,6 +610,25 @@ def test_an_offset_side_draws_no_paths_and_factors_no_covariance(monkeypatch, ki
 def test_an_offset_of_the_wrong_length_is_refused(solve, named):
     with pytest.raises(DimensionError, match=named):
         solve()
+
+
+@pytest.mark.parametrize("solve, named", [
+    (lambda g: se_asymmetric([identity_denoiser()] * 2, [g(50)] * 2, np.ones(40), 2, 8,
+                             mc_samples=4), r"g_seq\[0\]"),
+    (lambda g: se_asymmetric([identity_denoiser()] * 3, [g(40), g(50)], np.ones(40), 3, 8,
+                             mc_samples=4), r"g_seq\[1\]"),
+    (lambda g: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser(), g(50)],
+                             np.ones(40), 2, 8, mc_samples=4), r"g_seq\[1\]"),
+    (lambda g: se_symmetric([g(50)] * 2, np.ones(40), 3, mc_samples=4), r"f_seq\[0\]"),
+], ids=["asymmetric-declared", "asymmetric-second", "asymmetric-mixed", "symmetric"])
+def test_a_residual_of_the_wrong_length_is_refused_before_any_draw(monkeypatch, solve, named):
+    # a mis-sized theta_star once died in numpy broadcasting, after the draws
+    def no_draws(self):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(RngStream, "generator", no_draws)
+    with pytest.raises(DimensionError, match=named):
+        solve(lambda n: signal_residual_denoiser(np.ones(n), soft_threshold_denoiser(0.5)))
 
 
 def test_scalar_sensing_identity_denoiser_recursion():
