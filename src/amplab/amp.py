@@ -75,8 +75,8 @@ class SensingProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.theta_star = np.asarray(self.theta_star, dtype=np.float64)
-        self.e = np.asarray(self.e, dtype=np.float64)
+        self.theta_star = _nonempty_vector(self.theta_star, "theta_star")
+        self.e = _nonempty_vector(self.e, "e")
         if self.W.shape != (self.e.size, self.theta_star.size):
             raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
         signal = self.theta_star

@@ -1,42 +1,28 @@
-"""Standard normal functions in numpy alone: the density, the distribution
-function Phi, the bivariate distribution function Phi_2, and the ramp
-moments that the exact state evolution of soft-threshold residuals is
-written in.
+"""Standard normal functions in numpy and the standard library: the
+density, the distribution function Phi, the bivariate distribution function
+Phi_2, and the ramp moments that the exact state evolution of soft-threshold
+residuals is written in.
 
-Phi is Cody's rational Chebyshev approximation of erfc (Math. Comp. 23:631,
-1969), accurate to about one unit in the last place on the normal range of
-double precision. Phi_2 is Genz's fixed Gauss-Legendre rule in arcsin(rho)
-(Statistics and Computing 14:251, 2004), with his branch for |rho| >= 0.925;
-it is accurate to double precision. The node and weight tables are
-constants, so importing this module does no linear algebra.
+Phi is erfc(-x / sqrt(2)) / 2 over the standard library's ``math.erfc``.
+That erfc is taken directly, not as 1 - erf, so it keeps its relative
+precision deep into the upper tail, and its own error is far below that of
+rounding the argument x / sqrt(2) to a double, which sets Phi's error
+(about 2e-13 relative at x = -37.5, 3e-15 on [-5, 38]) as it would for any
+erfc. Phi_2 is Genz's fixed Gauss-Legendre rule in arcsin(rho) (Statistics
+and Computing 14:251, 2004), with his branch for |rho| >= 0.925; it is
+accurate to double precision. The node and weight tables are constants, so
+importing this module does no linear algebra.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _TWOPI = 2.0 * np.pi
-
-# Cody's coefficients: erf on |x| <= 0.46875, erfc on (0.46875, 4] and on
-# (4, inf), the last in 1/x^2
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-          3.20937758913846947e03, 1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-          2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
-_ERF_SMALL = 0.46875
-_INV_SQRTPI = 0.56418958354775628695
 
 # Genz's Gauss-Legendre rules on [-1, 1], the nodes below zero and their
 # weights (the rule is symmetric): 6 points for |rho| < 0.3, 12 for
@@ -57,49 +43,14 @@ _GL_RULES = (
 )
 
 
-def _erfc_positive(x: np.ndarray) -> np.ndarray:
-    """erfc(x) for x >= 0 or NaN, by Cody's three rational forms. erfc
-    underflows to 0 from x = 27.3 on, so a larger x, inf included, is taken
-    as 40."""
-    x = np.minimum(x, 40.0)
-    out = np.empty_like(x)
-    small = x <= _ERF_SMALL
-    mid = (x > _ERF_SMALL) & (x <= 4.0)
-    large = ~(small | mid)  # NaN included
-    y = x[small]
-    ysq = y * y
-    num, den = _ERF_A[4] * ysq, ysq
-    for a, b in zip(_ERF_A[:3], _ERF_B[:3]):
-        num, den = (num + a) * ysq, (den + b) * ysq
-    out[small] = 1.0 - y * (num + _ERF_A[3]) / (den + _ERF_B[3])
-    y = x[mid]
-    num, den = _ERFC_C[8] * y, y
-    for c, d in zip(_ERFC_C[:7], _ERFC_D[:7]):
-        num, den = (num + c) * y, (den + d) * y
-    out[mid] = _scaled_exp(y) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    y = x[large]
-    inv = 1.0 / (y * y)
-    num, den = _ERFC_P[5] * inv, inv
-    for p, q in zip(_ERFC_P[:4], _ERFC_Q[:4]):
-        num, den = (num + p) * inv, (den + q) * inv
-    out[large] = _scaled_exp(y) * (_INV_SQRTPI - inv * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])) / y
-    return out
-
-
-def _scaled_exp(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2), with y^2 split as in Cody's code so that the rounding of
-    y^2 costs no relative accuracy."""
-    head = np.trunc(y * 16.0) / 16.0
-    return np.exp(-head * head) * np.exp(-(y - head) * (y + head))
-
-
 def norm_cdf(x) -> np.ndarray:
-    """Phi(x), the standard normal distribution function, elementwise; to
-    full relative precision in both tails (Phi(-x) for a tail 1 - Phi(x))."""
+    """Phi(x), the standard normal distribution function, elementwise, as
+    erfc(-x / sqrt(2)) / 2; to full relative precision in both tails (Phi(-x)
+    for a tail 1 - Phi(x))."""
     x = np.asarray(x, dtype=np.float64)
-    u = -x / _SQRT2
-    tail = 0.5 * _erfc_positive(np.abs(u))
-    return np.where(u < 0, 1.0 - tail, tail)
+    # a map over a list of floats calls erfc faster than np.frompyfunc
+    args = (-x / _SQRT2).ravel().tolist()
+    return np.fromiter(map(math.erfc, args), np.float64, count=x.size).reshape(x.shape) / 2
 
 
 def norm_pdf(x) -> np.ndarray:

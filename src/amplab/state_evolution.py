@@ -6,19 +6,26 @@ at the problem's own dimension: nested covariances Sigma_1 in Sigma_2 in ...
 iteration, b_t (and a_t): the normalized expected divergence of a denoiser
 that reads only the latest iterate.
 
-A solver side takes its expectations in closed form, drawing no paths and
+Each side of a solve (``_Side``: the f_t of ``se_symmetric``, or either
+side of ``se_asymmetric``) is prepared once per solve: its checks run, its
+family is settled and what that family reads at every t is built, before
+any side draws; each iteration then asks it for one covariance column.
+
+A side takes its expectations in closed form, drawing no paths and
 factoring no covariance, when all of its denoisers declare one family:
 
 - offsets (``Denoiser.offset``, f_r(z) = z + c_r exactly): the new column is
   (rows/denom) Cov[Z_r, Z_t] + c_r^T c_t / denom, led by u1^T c_t / denom
   when u1 is given, and the divergence term is rows/denom. The covariances
-  are the exact Gram matrices rows * Cov / denom + C^T C / denom.
+  are the exact Gram matrices rows * Cov / denom + C^T C / denom. The
+  offsets are stacked once.
 - soft-threshold residuals (``Denoiser.residual``,
   f_r(z) = c_r - soft_threshold(z + c_r, lmbda_r) exactly), such as the g
   side of the sensing recursion: each coordinate of (Z_r, Z_t) is bivariate
   normal, so every entry is a sum over coordinates of truncated bivariate
   normal moments in Phi, phi and the bivariate Phi_2 (``gaussian``), taken
-  once per group of coordinates that share their values of every c_r.
+  once per group of coordinates that share their values of every c_r. The
+  groups are formed once.
 
 An exact side handles a zero variance and a correlation of +-1 exactly and
 needs no jitter; its covariances are exact expectations of Gram matrices,
@@ -27,29 +34,28 @@ denoisers, or holds none of them, is sampled as below.
 
 Each Monte-Carlo sample of a sampled side is one surrogate path Z_1, Z_2,
 ... of the process whose covariance SE tracks (Berthier, Montanari & Nguyen,
-arXiv:1708.03950). A solver draws every path's normals once, up front, from
-the sample's own stream, and iteration t colours the first t rows of the
-same normals into a new covariance column, so every covariance column of a
+arXiv:1708.03950). A side draws every path's normals once, from the
+sample's own stream, and iteration t colours the first t rows of the same
+normals into a new covariance column, so every covariance column of a
 sampled side is a column of the Gram average (1/denom) F^T F over one sample
 set, F holding a path's denoiser outputs: positive semidefinite and nested
 by construction.
 
-The normals are drawn in float64 and stored rounded to float32, one
-(samples, steps, rows) block per path set that lives for one solve and
-takes samples * steps * rows * 4 bytes. Rounding keeps the RNG consumption
-of a float64 draw, so a path moves only by float32 rounding, and halves the
-memory of a float64 block. Iteration t colours the paths a block at a time
-and maps each row of the block with one denoiser call. A path of the block
-holds 2t + 4 float64 rows: its normals cast to float64, their colouring, and
-one denoiser call's rows (``denoisers._CALL_ROWS``); a block holds at most
-1 MiB of them (``denoisers._BLOCK_BYTES``), or one path where a single one
-takes more. The per-path terms are summed in sample order, so the averages
-do not depend on the block size.
+The normals are stored in float64, one (samples, steps, rows) block per
+path set that lives for one solve and takes samples * steps * rows * 8
+bytes. Iteration t colours the paths a block at a time and maps each row of
+the block with one denoiser call. A path of the block holds t + 4 float64
+rows: its colouring and one denoiser call's rows
+(``denoisers._CALL_ROWS``); a block holds at most 1 MiB of them
+(``denoisers._BLOCK_BYTES``), or one path where a single one takes more.
+The per-path terms are summed in sample order, so the averages do not
+depend on the block size.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -189,13 +195,6 @@ def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -
         raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
 
 
-def _require_divergence(seq: Sequence[Denoiser], count: int, what: str) -> None:
-    """ParameterError naming what[i], the first of seq[:count] with no divergence formula."""
-    for i, den in enumerate(seq[:count]):
-        if not den.has_analytic_divergence:
-            raise ParameterError(f"{what}[{i}] has no divergence formula")
-
-
 def _nonempty_vector(x, name: str) -> np.ndarray:
     """x as a float64 vector; DimensionError naming it unless it is one and non-empty."""
     x = np.asarray(x, dtype=np.float64)
@@ -219,59 +218,6 @@ def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"{name} is not positive definite even after jitter "
                            f"(min eig {np.linalg.eigvalsh(cov).min():.3e})") from exc
-
-
-def _draw_paths(stream: RngStream, mc_samples: int, steps: int, rows: int) -> np.ndarray:
-    """(mc_samples, steps, rows) float32 block whose slice k holds the
-    steps x rows standard normals of stream.derive(k), drawn in float64 and
-    rounded to float32."""
-    paths = np.empty((mc_samples, steps, rows), dtype=np.float32)
-    for k in range(mc_samples):
-        paths[k] = stream.derive(k).generator().standard_normal((steps, rows))
-    return paths
-
-
-def _family(den: Denoiser) -> Tuple[Optional[str], Optional[np.ndarray]]:
-    """("offset", c) or ("residual", theta_star) for a denoiser that declares
-    that closed form (see ``Denoiser``), else (None, None)."""
-    if den.offset is not None:
-        return "offset", den.offset
-    if den.residual is not None:
-        return "residual", den.residual[0]
-    return None, None
-
-
-def _exact_side(seq: Sequence[Denoiser], steps: int, rows: int, what: str) -> bool:
-    """Whether the solver side that reads seq[:steps] at dimension rows is
-    taken in closed form: every one of them declares an offset, or every one
-    a residual. DimensionError naming what[i] when the vector of a declared
-    offset or residual is not of length rows, so a solver checks both sides
-    before it draws a path."""
-    families = set()
-    for i, den in enumerate(seq[:steps]):
-        family, vector = _family(den)
-        if vector is not None and np.shape(vector) != (rows,):
-            raise DimensionError(f"{what}[{i}] declares a {family} vector of shape "
-                                 f"{np.shape(vector)}; its side has {rows} rows")
-        families.add(family)
-    return len(families) <= 1 and None not in families
-
-
-def _groups(vectors: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, inverse, counts) of the coordinates of equal-length vectors,
-    grouped by their values in every vector: coordinate i falls in group
-    inverse[i], group j holds counts[j] coordinates, the first of them
-    first[j]. A vector passed more than once, as one object, is read once."""
-    distinct = list({id(v): v for v in vectors}.values())
-    key = distinct[0]
-    for vector in distinct[1:]:
-        # the rank of each coordinate's pair of values; exact in float64
-        # while rows^2 < 2^53
-        key = (np.unique(key, return_inverse=True)[1] * float(key.size)
-               + np.unique(vector, return_inverse=True)[1])
-    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    return first, inverse, counts
 
 
 def _residual_moments(c: np.ndarray, lmbda: float, sd: float,
@@ -302,100 +248,148 @@ def _residual_moments(c: np.ndarray, lmbda: float, sd: float,
     return mean, second, -float(counts @ (tails[0] + tails[1]))
 
 
-def _residual_column(seq: Sequence[Denoiser], u1: Optional[np.ndarray], cov: np.ndarray,
-                     denom: int) -> Tuple[np.ndarray, float]:
-    """``_se_column`` of a side whose denoisers g_1..g_t, t = len(seq), all
-    declare a residual (c_r, lmbda_r), in closed form.
+class _Side:
+    """One side of a matrix SE solve, prepared once per solve: the denoisers
+    seq, f_1..f_steps, of a side of rows coordinates, whose expectations are
+    normalized by denom. what names seq in errors (e.g. "g_seq").
 
-    Coordinates are grouped by their values of every c_r (``_groups``), so
-    each expectation is taken once per group. The lead, the diagonal and
-    the divergence term come from ``_residual_moments``. With
-    g_r = c_r - P_r + M_r, where P_r = (Y_r - lmbda_r + c_r)+ and
-    M_r = (-Y_r - lmbda_r - c_r)+ are ramps of Y_r ~ N(0, s_r^2), the cross
-    entry r < t is
+    Construction runs the checks that come before any draw: every f_r must
+    have a divergence formula, and a declared offset or residual vector must
+    be of length rows; each error names what[i]. It then settles the side's
+    family and builds, once, what that family reads at every t:
 
-        E g_r g_t = c_r E g_t + c_t E g_r - c_r c_t + E[(M_r - P_r)(M_t - P_t)],
+    - "offset", every f_r declares an offset c_r: the stacked offsets;
+    - "residual", every f_r declares a residual (c_r, lmbda_r): the groups of
+      coordinates that share their values of every c_r, and each c_r on its
+      groups;
+    - "sampled", otherwise: mc_samples surrogate paths, path k holding the
+      steps x rows normals of stream.derive(k), drawn in float64 on the first
+      column, so a solver checks every side before any of them draws.
+    """
 
-    the last a signed sum of four ramp products (Rosenbaum 1961), each
-    s_r s_t ``ramp_pair`` at correlation +-rho, rho = cov[r, t] / (s_r s_t).
-    It is E g_r E g_t when either g is constant (zero variance or an
-    infinite threshold)."""
-    t = len(seq)
-    first, inverse, counts = _groups([den.residual[0] for den in seq])
-    sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    c = [den.residual[0][first] for den in seq]
-    lmbdas = [den.residual[1] for den in seq]
-    means = [_residual_moments(c[r], lmbdas[r], sds[r], counts)[0] for r in range(t - 1)]
-    mean, second, div = _residual_moments(c[-1], lmbdas[-1], sds[-1], counts)
-    constant = [sd == 0 or np.isinf(lmbda) for sd, lmbda in zip(sds, lmbdas)]
-    col = np.empty(t)
-    for r in range(t - 1):
-        cross = means[r] * mean
-        if not (constant[r] or constant[-1]):
-            rho = cov[r, t - 1] / (sds[r] * sds[-1])
-            h_r = np.stack([lmbdas[r] - c[r], lmbdas[r] + c[r]]) / sds[r]
-            h_t = np.stack([lmbdas[-1] - c[-1], lmbdas[-1] + c[-1]]) / sds[-1]
-            ramps = (ramp_pair(h_r, h_t, rho).sum(axis=0)
-                     - ramp_pair(h_r, h_t[::-1], -rho).sum(axis=0))
-            cross = (c[r] * mean + c[-1] * means[r] - c[r] * c[-1]
-                     + sds[r] * sds[-1] * ramps)
-        col[r] = counts @ cross / denom
-    col[-1] = counts @ second / denom
-    if u1 is not None:
-        col = np.concatenate([[u1 @ mean[inverse] / denom], col])
-    return col, div / denom
+    def __init__(self, seq: Sequence[Denoiser], rows: int, denom: int, what: str,
+                 stream: RngStream, mc_samples: int):
+        families = set()
+        for i, den in enumerate(seq):
+            if not den.has_analytic_divergence:
+                raise ParameterError(f"{what}[{i}] has no divergence formula")
+            family, vector = (("offset", den.offset) if den.offset is not None else
+                              ("residual", den.residual[0]) if den.residual is not None else
+                              ("sampled", None))
+            if vector is not None and np.shape(vector) != (rows,):
+                raise DimensionError(f"{what}[{i}] declares a {family} vector of shape "
+                                     f"{np.shape(vector)}; its side has {rows} rows")
+            families.add(family)
+        self.seq, self.rows, self.denom = seq, rows, denom
+        self.stream, self.mc_samples = stream, mc_samples
+        self.family = families.pop() if len(families) == 1 else "sampled"
+        if self.family == "offset":
+            self.offsets = np.stack([den.offset for den in seq])
+        elif self.family == "residual":
+            _, first, inverse, self.counts = np.unique(
+                np.stack([den.residual[0] for den in seq], axis=1), axis=0,
+                return_index=True, return_inverse=True, return_counts=True)
+            self.inverse = inverse.ravel()  # numpy 2.0.0 shapes it (rows, 1)
+            self.c = [den.residual[0][first] for den in seq]
 
+    @cached_property
+    def paths(self) -> np.ndarray:
+        """(mc_samples, steps, rows) float64 block whose slice k holds the
+        steps x rows standard normals of stream.derive(k)."""
+        paths = np.empty((self.mc_samples, len(self.seq), self.rows))
+        for k in range(self.mc_samples):
+            paths[k] = self.stream.derive(k).generator().standard_normal(paths.shape[1:])
+        return paths
 
-def _se_column(f_seq: Sequence[Denoiser], t: int, u1: Optional[np.ndarray], cov: np.ndarray,
-               name: str, jittered: List[str], denom: int,
-               paths: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
-    """The new covariance column (1/denom) E f_r(Z_r)^T f_t(Z_t) for
-    r = 1..t, led by (1/denom) u1^T E f_t(Z_t) when u1 is given, and the
-    divergence term (1/denom) E div f_t(Z_t), over Z (t x rows) with i.i.d.
-    columns N(0, cov); Z_r is row r of Z.
+    def column(self, lead: Optional[np.ndarray], cov: np.ndarray, name: str,
+               jittered: List[str]) -> Tuple[np.ndarray, float]:
+        """The new covariance column (1/denom) E f_r(Z_r)^T f_t(Z_t) for
+        r = 1..t, t = len(cov), led by (1/denom) lead^T E f_t(Z_t) when lead
+        is given, and the divergence term (1/denom) E div f_t(Z_t), over Z
+        (t x rows) with i.i.d. columns N(0, cov); Z_r is row r of Z.
 
-    paths None marks a side whose denoisers all declare one closed form
-    (see ``_exact_side``), taken exactly, with no draw and no Cholesky
-    factor. For offsets c_r the column is (rows/denom) cov[r-1, t-1]
-    + c_r^T c_t / denom, its lead u1^T c_t / denom, and the divergence term
-    rows/denom; residuals are taken by ``_residual_column``.
+        An offset or residual side takes them exactly, with no draw and no
+        Cholesky factor. For offsets the column is (rows/denom) cov[r-1, t-1]
+        + c_r^T c_t / denom, its lead lead^T c_t / denom, and the divergence
+        term rows/denom; residuals are taken by ``_residual_column``.
 
-    Otherwise the expectations are Monte-Carlo averages over the surrogate
-    paths: path k is Z = L G, L the lower Cholesky factor of cov and G the
-    first t rows of paths[k] (see ``_draw_paths``), cast to float64. L's
-    rows nest as cov does, so rows 1..t-1 of Z repeat the path that every
-    earlier t coloured from the same normals. Paths are coloured a block at
-    a time, and each f_r maps row r of the whole block in one call; the
-    divergence is taken per path by ``Denoiser.divergence``. Appends name
-    to jittered when cov needs the Cholesky jitter."""
-    if paths is None:
-        if f_seq[0].residual is not None:
-            return _residual_column(f_seq[:t], u1, cov, denom)
-        offsets = np.stack([den.offset for den in f_seq[:t]])
-        rows = offsets.shape[1]
-        col = (rows * cov[:, t - 1] + offsets @ offsets[t - 1]) / denom
-        if u1 is not None:
-            col = np.concatenate([[u1 @ offsets[t - 1] / denom], col])
-        return col, rows / denom
-    chol = _chol_factor(cov, name, jittered)
-    f_t = f_seq[t - 1]
-    off = 0 if u1 is None else 1
-    mc_samples, _, rows = paths.shape
-    terms = np.empty((mc_samples, t + off))  # per-path terms of col / denom
-    divs = np.empty(mc_samples)
-    step = _block_rows(8 * rows * (2 * t + _CALL_ROWS))
-    for start in range(0, mc_samples, step):
-        block = slice(start, start + step)
-        z = chol @ paths[block, :t].astype(np.float64)
-        ft_val = f_t.fn(z[:, t - 1])
-        if u1 is not None:
-            terms[block, 0] = np.vecdot(u1, ft_val) / denom
-        for r in range(1, t):
-            terms[block, off + r - 1] = np.vecdot(f_seq[r - 1].fn(z[:, r - 1]), ft_val) / denom
-        terms[block, off + t - 1] = np.vecdot(ft_val, ft_val) / denom
-        divs[block] = [f_t.divergence(row) / denom for row in z[:, t - 1]]
-    # np.cumsum adds the terms one path at a time, in path order
-    return np.cumsum(terms, axis=0)[-1] / mc_samples, float(np.cumsum(divs)[-1]) / mc_samples
+        A sampled side averages over its surrogate paths: path k is Z = L G,
+        L the lower Cholesky factor of cov and G the first t rows of
+        paths[k]. L's rows nest as cov does, so rows 1..t-1 of Z repeat the
+        path that every earlier t coloured from the same normals. Paths are
+        coloured a block at a time, and each f_r maps row r of the whole
+        block in one call; the divergence is taken per path by
+        ``Denoiser.divergence``. Appends name to jittered when cov needs the
+        Cholesky jitter."""
+        t = cov.shape[0]
+        if self.family == "residual":
+            return self._residual_column(lead, cov)
+        if self.family == "offset":
+            offsets = self.offsets[:t]
+            col = (self.rows * cov[:, t - 1] + offsets @ offsets[t - 1]) / self.denom
+            if lead is not None:
+                col = np.concatenate([[lead @ offsets[t - 1] / self.denom], col])
+            return col, self.rows / self.denom
+        chol = _chol_factor(cov, name, jittered)
+        f_t, denom, paths = self.seq[t - 1], self.denom, self.paths
+        off = 0 if lead is None else 1
+        terms = np.empty((self.mc_samples, t + off))  # per-path terms of col / denom
+        divs = np.empty(self.mc_samples)
+        step = _block_rows(8 * self.rows * (t + _CALL_ROWS))
+        for start in range(0, self.mc_samples, step):
+            block = slice(start, start + step)
+            z = chol @ paths[block, :t]
+            ft_val = f_t.fn(z[:, t - 1])
+            if lead is not None:
+                terms[block, 0] = np.vecdot(lead, ft_val) / denom
+            for r in range(1, t):
+                terms[block, off + r - 1] = np.vecdot(self.seq[r - 1].fn(z[:, r - 1]),
+                                                      ft_val) / denom
+            terms[block, off + t - 1] = np.vecdot(ft_val, ft_val) / denom
+            divs[block] = [f_t.divergence(row) / denom for row in z[:, t - 1]]
+        # np.cumsum adds the terms one path at a time, in path order
+        return (np.cumsum(terms, axis=0)[-1] / self.mc_samples,
+                float(np.cumsum(divs)[-1]) / self.mc_samples)
+
+    def _residual_column(self, lead: Optional[np.ndarray],
+                         cov: np.ndarray) -> Tuple[np.ndarray, float]:
+        """``column`` of a residual side in closed form, at t = len(cov).
+
+        Each expectation is taken once per group of coordinates. The lead,
+        the diagonal and the divergence term come from ``_residual_moments``.
+        With g_r = c_r - P_r + M_r, where P_r = (Y_r - lmbda_r + c_r)+ and
+        M_r = (-Y_r - lmbda_r - c_r)+ are ramps of Y_r ~ N(0, s_r^2), the
+        cross entry r < t is
+
+            E g_r g_t = c_r E g_t + c_t E g_r - c_r c_t + E[(M_r - P_r)(M_t - P_t)],
+
+        the last a signed sum of four ramp products (Rosenbaum 1961), each
+        s_r s_t ``ramp_pair`` at correlation +-rho, rho = cov[r, t] / (s_r s_t).
+        It is E g_r E g_t when either g is constant (zero variance or an
+        infinite threshold)."""
+        t, counts = cov.shape[0], self.counts
+        sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        c = self.c[:t]
+        lmbdas = [den.residual[1] for den in self.seq[:t]]
+        means = [_residual_moments(c[r], lmbdas[r], sds[r], counts)[0] for r in range(t - 1)]
+        mean, second, div = _residual_moments(c[-1], lmbdas[-1], sds[-1], counts)
+        constant = [sd == 0 or np.isinf(lmbda) for sd, lmbda in zip(sds, lmbdas)]
+        col = np.empty(t)
+        for r in range(t - 1):
+            cross = means[r] * mean
+            if not (constant[r] or constant[-1]):
+                rho = cov[r, t - 1] / (sds[r] * sds[-1])
+                h_r = np.stack([lmbdas[r] - c[r], lmbdas[r] + c[r]]) / sds[r]
+                h_t = np.stack([lmbdas[-1] - c[-1], lmbdas[-1] + c[-1]]) / sds[-1]
+                ramps = (ramp_pair(h_r, h_t, rho).sum(axis=0)
+                         - ramp_pair(h_r, h_t[::-1], -rho).sum(axis=0))
+                cross = (c[r] * mean + c[-1] * means[r] - c[r] * c[-1]
+                         + sds[r] * sds[-1] * ramps)
+            col[r] = counts @ cross / self.denom
+        col[-1] = counts @ second / self.denom
+        if lead is not None:
+            col = np.concatenate([[lead @ mean[self.inverse] / self.denom], col])
+        return col, div / self.denom
 
 
 def _border(prev: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -423,29 +417,26 @@ def se_symmetric(
     the divergence formula, which every f_t must have.
 
     When every f_t declares an offset, or every f_t a soft-threshold
-    residual, both are exact (see ``_se_column``) and no path is drawn. Otherwise they are averages over mc_samples
-    surrogate paths: path k's (T-1) x n normals are drawn once from
-    rng.derive(k) and stored in float32 (mc_samples * (T-1) * n * 4 bytes
-    for the solve), and every t colours their first t rows, so Sigma_(t+1)
-    is the Gram average of [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set
-    and nests Sigma_t exactly. Covariances that needed the Cholesky jitter
-    are named in the sequence's ``jittered``.
+    residual, both are exact (see ``_Side.column``) and no path is drawn.
+    Otherwise they are averages over mc_samples surrogate paths: path k's
+    (T-1) x n normals are drawn once from rng.derive(k) and stored in float64
+    (mc_samples * (T-1) * n * 8 bytes for the solve), and every t colours
+    their first t rows, so Sigma_(t+1) is the Gram average of
+    [u1, f_1(Z_1), ..., f_t(Z_t)] over one sample set and nests Sigma_t
+    exactly. Covariances that needed the Cholesky jitter are named in the
+    sequence's ``jittered``.
     """
     if mc_samples < 1:
         raise ParameterError("mc_samples must be >= 1")
     require_length(f_seq, T - 1, T)
-    _require_divergence(f_seq, T - 1, "f_seq")
-    rng = rng or RngStream(0)
     u1 = _nonempty_vector(u1, "u1")
     n = u1.size
+    side = _Side(f_seq[:T - 1], n, n, "f_seq", rng or RngStream(0), mc_samples)
     sigma = [np.array([[u1 @ u1 / n]])]
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    exact = _exact_side(f_seq, T - 1, n, "f_seq")
-    paths = None if exact else _draw_paths(rng, mc_samples, T - 1, n)
     for t in range(1, T):
-        col, b[t + 1] = _se_column(f_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, n,
-                                   paths)
+        col, b[t + 1] = side.column(u1, sigma[t - 1], f"sigma_{t}", jittered)
         sigma.append(_border(sigma[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, jittered=jittered)
     cov.validate()
@@ -472,13 +463,13 @@ def se_asymmetric(
     A side whose denoisers all declare an offset, such as the f side of the
     sensing recursion (``residual_shift_denoiser``), or all a soft-threshold
     residual, such as its g side (``signal_residual_denoiser`` of a soft
-    threshold), is exact (see ``_se_column``): it draws no paths and factors
+    threshold), is exact (see ``_Side.column``): it draws no paths and factors
     no covariance. Both sides are checked before either draws. A sampled
     side draws one set of surrogate paths once and colours it at every t:
     path k of Z takes its T x m normals from rng.derive(0).derive(k) and
     path k of Y its min(T, len(g_seq)) x n normals from
-    rng.derive(1).derive(k), both stored in float32 (4 bytes a normal), so
-    each side's covariances are Gram averages over one sample set. The
+    rng.derive(1).derive(k), both stored in float64, so each side's
+    covariances are Gram averages over one sample set. The
     covariances whose Cholesky factor needed the jitter are named in
     ``jittered``; an exact side adds no name.
     """
@@ -486,32 +477,25 @@ def se_asymmetric(
         raise ParameterError("mc_samples must be >= 1")
     require_length(f_seq, T, T, "f-denoisers")
     require_length(g_seq, T - 1, T, "g-denoisers")
-    g_steps = min(T, len(g_seq))
-    _require_divergence(f_seq, T, "f_seq")
-    _require_divergence(g_seq, g_steps, "g_seq")
     if m < 1:
         raise DimensionError(f"m must be >= 1, got {m}")
     rng = rng or RngStream(0)
     u1 = _nonempty_vector(u1, "u1")
     n = u1.size
+    f_side = _Side(f_seq[:T], m, m, "f_seq", rng.derive(0), mc_samples)
+    g_side = _Side(g_seq[:T], n, m, "g_seq", rng.derive(1), mc_samples)
     omega = [np.array([[u1 @ u1 / m]])]
     sigma: List[np.ndarray] = []
     a: Dict[int, float] = {}
     b: Dict[int, float] = {}
     jittered: List[str] = []
-    f_exact = _exact_side(f_seq, T, m, "f_seq")
-    g_exact = _exact_side(g_seq, g_steps, n, "g_seq")
-    f_paths = None if f_exact else _draw_paths(rng.derive(0), mc_samples, T, m)
-    g_paths = None if g_exact else _draw_paths(rng.derive(1), mc_samples, g_steps, n)
     for t in range(1, T + 1):
         # f side: new column of Sigma_t from Z ~ N(0, Omega_t x I_m)
-        col, a[t] = _se_column(f_seq, t, None, omega[t - 1], f"omega_{t}", jittered, m,
-                               f_paths)
+        col, a[t] = f_side.column(None, omega[t - 1], f"omega_{t}", jittered)
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
-        if t <= g_steps:
-            col, b[t + 1] = _se_column(g_seq, t, u1, sigma[t - 1], f"sigma_{t}", jittered, m,
-                                       g_paths)
+        if t <= len(g_seq):
+            col, b[t + 1] = g_side.column(u1, sigma[t - 1], f"sigma_{t}", jittered)
             omega.append(_border(omega[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
@@ -555,10 +539,8 @@ def se_scalar_sensing(
     require_length(eta_seq, T, T)
     rng = rng or RngStream(0)
     theta_star = _nonempty_vector(theta_star, "theta_star")
-    e = np.asarray(e, dtype=np.float64)
+    e = _nonempty_vector(e, "e")
     n, m = theta_star.size, e.size
-    if m < 1:
-        raise DimensionError(f"theta_star and e must be non-empty, got lengths {n} and {m}")
     if K is not None:
         coloring = Coloring.of(K)
         if coloring.matrix.shape != (n, n):

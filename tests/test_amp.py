@@ -20,7 +20,7 @@ from amplab.denoisers import (
 from amplab.ensembles import EnsembleSpec, sample_ginibre, sample_wigner
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
-from amplab.state_evolution import Coloring, OnsagerSchedule, se_symmetric
+from amplab.state_evolution import Coloring, OnsagerSchedule, se_scalar_sensing, se_symmetric
 
 
 def _goe(n, seed):
@@ -336,6 +336,22 @@ def test_aniso_K_shape_rejected():
 def test_amp_problems_refuse_a_u1_that_is_no_non_empty_vector(build):
     # run_symmetric_amp on a (0, 0) W once returned an empty trace
     with pytest.raises(DimensionError, match="u1"):
+        build()
+
+
+# each case once died in numpy with a bare ValueError, or was accepted
+@pytest.mark.parametrize("build, named", [
+    (lambda: se_scalar_sensing(np.ones(4), np.ones((3, 2)), [identity_denoiser()], 1,
+                               mc_draws=2), "e"),
+    (lambda: SensingProblem(W=np.ones((6, 4)), theta_star=np.ones(4), e=np.ones((3, 2)),
+                            eta_seq=[]), "e"),
+    (lambda: SensingProblem(W=np.ones((3, 4)), theta_star=np.ones((2, 2)), e=np.ones(3),
+                            eta_seq=[]), "theta_star"),
+    (lambda: SensingProblem(W=np.zeros((0, 0)), theta_star=np.zeros(0), e=np.zeros(0),
+                            eta_seq=[]), "theta_star"),
+], ids=["scalar-se-matrix-e", "sensing-matrix-e", "sensing-matrix-theta", "sensing-empty"])
+def test_sensing_entry_points_refuse_a_vector_that_is_no_non_empty_vector(build, named):
+    with pytest.raises(DimensionError, match=rf"^{named} must be a non-empty vector"):
         build()
 
 

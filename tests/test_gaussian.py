@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,6 +23,17 @@ def test_norm_cdf_matches_erfc_over_both_tails():
     np.testing.assert_array_equal(norm_cdf([-np.inf, np.inf, -40.0]), [0.0, 1.0, 0.0])
     assert np.isnan(norm_cdf(np.nan))
     np.testing.assert_allclose(norm_pdf(x[::100]), norm.pdf(x[::100]), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("low, high, bound", [(-37.5, -20.0, 2e-13), (-20.0, -5.0, 9e-14),
+                                             (-5.0, 38.0, 5e-15)])
+def test_norm_cdf_matches_a_40_digit_reference(low, high, bound):
+    # the error is that of rounding the argument x / sqrt(2) to a double,
+    # which moves Phi by up to about x^2 2^-52 relative: 8.9e-14 at |x| = 20
+    x = np.linspace(low, high, 2_001)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.ncdf(v)) for v in x])
+    assert np.all(np.abs(norm_cdf(x) - want) <= bound * want)
 
 
 def _pdf(u):

@@ -146,10 +146,10 @@ EXPECTED = {
         0.5718275633138123, 10.651431395560975, 1.7706958728123066,
     ],
     "se_symmetric": [
-        0.9508149661559446, -0.059490777705177245, 0.006148319050296658,
-        -0.0007110220296495611, 0.4224510802193061, -0.01922666849647353,
-        0.00028945714876589567, 0.09837936594922661, -0.00018461410866677124,
-        0.003614109991544194, 129.62924210746422, -5.243666852377741,
+        0.9508149661559446, -0.05949077817310884, 0.0061483193894017775,
+        -0.0007110219773369796, 0.42245108279587995, -0.0192266688494845,
+        0.0002894572374134834, 0.09837936818423405, -0.00018461419384015448,
+        0.0036141102191511836, 129.62924210746422, -5.243666852377741,
         61.127927313699715, 4.150330504829664, 20.095548416619096,
         -4.055498071488558, 1.8453186269243198, 0.2292698620992949,
         114.09779593871336, -5.218113154018289, 57.111849082714784,

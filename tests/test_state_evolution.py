@@ -24,9 +24,7 @@ from amplab.state_evolution import (
     Coloring,
     _border,
     _chol_factor,
-    _draw_paths,
-    _groups,
-    _se_column,
+    _Side,
     se_asymmetric,
     se_scalar_sensing,
     se_symmetric,
@@ -118,7 +116,7 @@ def test_asymmetric_rejects_an_empty_m_side():
 
 def test_scalar_sensing_rejects_an_empty_noise_vector():
     # without the check, an empty e returned NaN and inf
-    with pytest.raises(DimensionError, match="got lengths 4 and 0"):
+    with pytest.raises(DimensionError, match=r"e must be a non-empty vector, got shape \(0,\)"):
         se_scalar_sensing(np.ones(4), np.zeros(0), [identity_denoiser()], 1, mc_draws=2,
                           rng=RngStream(5))
 
@@ -226,14 +224,14 @@ def test_se_column_equals_a_path_by_path_loop(monkeypatch, block_rows):
     f_seq = [soft_threshold_denoiser(0.3),
              signal_residual_denoiser(theta, soft_threshold_denoiser(0.5)),
              svt_denoiser(SpectralSpec(5, 10, 0.3))]  # a divergence that is no count
-    paths = _draw_paths(RngStream(13), samples, t, n)
+    side = _Side(f_seq, n, n, "f_seq", RngStream(13), samples)
     if block_rows is not None:
         monkeypatch.setattr(state_evolution, "_block_rows", lambda row_bytes: block_rows)
-    col, div = _se_column(f_seq, t, u1, cov, "sigma_3", [], n, paths)
+    col, div = side.column(u1, cov, "sigma_3", [])
     chol = np.linalg.cholesky(cov)
     want, want_div = np.zeros(t + 1), 0.0
     for k in range(samples):
-        z = chol @ paths[k].astype(np.float64)
+        z = chol @ side.paths[k]
         ft = f_seq[t - 1].apply(z[t - 1])
         want[0] += u1 @ ft / n
         for r in range(1, t):
@@ -301,10 +299,10 @@ def test_symmetric_covariance_is_the_gram_matrix_of_its_path():
     cov, _ = se_symmetric([f] * (T - 1), u1, T, mc_samples=1, rng=RngStream(21))
     assert cov.jittered == []
     # the one path, as the last iteration colours it: rows of L G, with G the
-    # path's normals as the solver stores them (float32)
+    # path's float64 normals
     chol = np.linalg.cholesky(cov.sigma[T - 2])
     G = RngStream(21).derive(0).generator().standard_normal((T - 1, n))
-    z = chol @ G.astype(np.float32)
+    z = chol @ G
     F = np.column_stack([u1, *(f.apply(row) for row in z)])
     np.testing.assert_allclose(cov.sigma[-1], F.T @ F / n, rtol=0, atol=1e-12)
 
@@ -327,20 +325,33 @@ def test_each_path_is_drawn_once_per_solve(monkeypatch, T):
     assert len(draws) == 2 * samples
 
 
-def _redrawn_column(fs, t, lead, cov, rows, denom, samples, stream, rounded):
+def _redrawn_column(fs, t, lead, cov, rows, denom, samples, stream):
     """A covariance column and divergence by the per-iteration redraw that
-    stored paths replace: path k's t x rows normals are drawn in float64 at
-    every t, and rounded to float32 when rounded is set."""
+    stored paths replace: path k's t x rows normals are drawn at every t."""
     chol = _chol_factor(cov, "reference", [])
     out, div = [], 0.0
     for k in range(samples):
         G = stream.derive(k).generator().standard_normal((t, rows))
-        z = chol @ (G.astype(np.float32) if rounded else G)
+        z = chol @ G
         F = np.column_stack([*([lead] if lead is not None else []),
                              *(f.apply(row) for f, row in zip(fs, z))])
         out.append(F.T @ F[:, -1] / denom)
         div += fs[t - 1].divergence(z[t - 1]) / denom
     return np.mean(out, axis=0), div / samples
+
+
+def _exact_column(seq, lead, cov, denom):
+    """The column and divergence term of an offset or residual side over seq
+    at t = len(cov), as a solve takes them."""
+    vector = seq[0].offset if seq[0].offset is not None else seq[0].residual[0]
+    side = _Side(seq, vector.size, denom, "seq", RngStream(0), 1)
+    assert side.family != "sampled"
+    return side.column(lead, cov, "", [])
+
+
+def _stored_paths(seq, rows, stream, samples):
+    """The surrogate paths that a sampled side over seq draws from stream."""
+    return _Side(seq, rows, 1, "seq", stream, samples).paths
 
 
 def _max_relative_gap(got, want):
@@ -349,10 +360,10 @@ def _max_relative_gap(got, want):
     return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("rounded, tol", [(True, 1e-12), (False, 1e-8)])
-def test_stored_paths_match_redraws_per_iteration(rounded, tol):
-    # with the redraws rounded to float32 only the summation order differs;
-    # float64 redraws differ by the rounding of the normals
+def test_stored_paths_match_redraws_per_iteration():
+    # the stored paths hold the very normals of the redraws, so only the
+    # summation order differs
+    tol = 1e-12
     n, T, samples = 200, 5, 20
     u1 = RngStream(12).generator().standard_normal(n)
     f_seq = [soft_threshold_denoiser(0.3)] * (T - 1)
@@ -361,7 +372,7 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
     sigma, b = [np.array([[u1 @ u1 / n]])], {}
     for t in range(1, T):
         col, b[t + 1] = _redrawn_column(f_seq, t, u1, sigma[-1], n, n, samples,
-                                        RngStream(13), rounded)
+                                        RngStream(13))
         sigma.append(_border(sigma[-1], col))
     assert _max_relative_gap(cov.sigma, sigma) <= tol
     np.testing.assert_allclose([sched.b[t] for t in b], list(b.values()), rtol=tol, atol=0)
@@ -373,10 +384,10 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
     omega, sigma, a, b = [np.array([[theta @ theta / m]])], [np.zeros((0, 0))], {}, {}
     for t in range(1, T + 1):
         col, a[t] = _redrawn_column(f_seq, t, None, omega[-1], m, m, samples,
-                                    RngStream(2).derive(0), rounded)
+                                    RngStream(2).derive(0))
         sigma.append(_border(sigma[-1], col))
         col, b[t + 1] = _redrawn_column(g_seq, t, theta, sigma[-1], n, m, samples,
-                                        RngStream(2).derive(1), rounded)
+                                        RngStream(2).derive(1))
         omega.append(_border(omega[-1], col))
     assert _max_relative_gap(cov.sigma, sigma[1:]) <= tol
     assert _max_relative_gap(cov.omega, omega) <= tol
@@ -386,10 +397,10 @@ def test_stored_paths_match_redraws_per_iteration(rounded, tol):
 
 def _column_terms(fs, t, lead, cov, paths, denom):
     """Mean and standard error of the per-path terms of one sampled
-    covariance column, formed as ``_se_column`` forms them from the stored
+    covariance column, formed as ``_Side.column`` forms them from the stored
     paths and the Cholesky factor of cov, followed by those of the
     divergence term."""
-    z = _chol_factor(cov, "reference", []) @ paths[:, :t].astype(np.float64)
+    z = _chol_factor(cov, "reference", []) @ paths[:, :t]
     F = [f.fn(z[:, r]) for r, f in enumerate(fs[:t])]
     if lead is not None:
         F.insert(0, np.broadcast_to(lead, F[0].shape))
@@ -413,18 +424,18 @@ def test_offset_columns_match_monte_carlo_of_their_undeclared_twin(solver):
         u1, f = gen.standard_normal(n), residual_shift_denoiser(0.4 * gen.standard_normal(n))
         twin, _ = se_symmetric([_undeclared(f)] * (T - 1), u1, T, mc_samples=samples,
                                rng=RngStream(32))
-        paths = _draw_paths(RngStream(32), samples, T - 1, n)
+        paths = _stored_paths([_undeclared(f)] * (T - 1), n, RngStream(32), samples)
         steps = [(t, u1, twin.sigma[t - 1], twin.sigma[t][:, t], n) for t in range(1, T)]
     else:
         m, n, T = 40, 60, 4
         twin, _ = _sparse_recovery_se(0.3, 0.3, samples, 33, m, n, T, declared=False)
         (f, *_), _, _ = _sparse_recovery(0.3, 0.3, 33, m, n, T)
-        paths = _draw_paths(RngStream(33).derive(0), samples, T, m)
+        paths = _stored_paths([_undeclared(f)] * T, m, RngStream(33).derive(0), samples)
         steps = [(t, None, twin.omega[t - 1], twin.sigma[t - 1][:, t - 1], m)
                  for t in range(1, T + 1)]
     assert f.offset is not None and twin.jittered == []
     for t, lead, cov, want, denom in steps:
-        got, div = _se_column([f] * t, t, lead, cov, "", [], denom, None)
+        got, div = _exact_column([f] * t, lead, cov, denom)
         mean, se = _column_terms([_undeclared(f)] * t, t, lead, cov, paths, denom)
         np.testing.assert_allclose(mean[:-1], want, rtol=1e-12, atol=0)  # the twin's own terms
         assert np.all(np.abs(got - want) <= 4 * se[:-1])
@@ -446,7 +457,7 @@ def test_residual_columns_match_monte_carlo_of_their_undeclared_twin(case):
         g_seq = [signal_residual_denoiser(np.zeros(n), soft_threshold_denoiser(0.3))] * (T - 1)
         twin, sched = se_symmetric([_undeclared(g) for g in g_seq], u1, T,
                                    mc_samples=samples, rng=RngStream(35))
-        paths = _draw_paths(RngStream(35), samples, T - 1, n)
+        paths = _stored_paths([_undeclared(g) for g in g_seq], n, RngStream(35), samples)
         steps = [(t, twin.sigma[t - 1], twin.sigma[t][:, t], sched.b[t + 1], n)
                  for t in range(1, T)]
     else:
@@ -458,12 +469,13 @@ def test_residual_columns_match_monte_carlo_of_their_undeclared_twin(case):
         twin, sched = se_asymmetric([_undeclared(f) for f in f_seq],
                                     [_undeclared(g) for g in g_seq], u1, T, m,
                                     mc_samples=samples, rng=RngStream(36))
-        paths = _draw_paths(RngStream(36).derive(1), samples, T, n)
+        paths = _stored_paths([_undeclared(g) for g in g_seq], n, RngStream(36).derive(1),
+                              samples)
         steps = [(t, twin.sigma[t - 1], twin.omega[t][:, t], sched.b[t + 1], m)
                  for t in range(1, T + 1)]
     assert all(g.residual is not None for g in g_seq) and twin.jittered == []
     for t, cov, want, want_div, denom in steps:
-        got, div = _se_column(g_seq, t, u1, cov, "", [], denom, None)
+        got, div = _exact_column(g_seq[:t], u1, cov, denom)
         mean, se = _column_terms([_undeclared(g) for g in g_seq], t, u1, cov, paths, denom)
         # the twin's own terms
         np.testing.assert_allclose(mean, [*want, want_div], rtol=1e-12, atol=0)
@@ -471,15 +483,18 @@ def test_residual_columns_match_monte_carlo_of_their_undeclared_twin(case):
 
 
 def test_groups_split_coordinates_by_their_values_in_every_vector():
-    a = np.array([0.0, 1.0, 0.0, 1.0, 0.0, -0.0])
-    b = np.array([2.0, 2.0, 3.0, 2.0, 2.0, 2.0])
-    for vectors, groups in [([a, a], [[0, 2, 4, 5], [1, 3]]),
-                            ([a, b, a], [[0, 4, 5], [1, 3], [2]])]:
-        first, inverse, counts = _groups(vectors)
+    a = np.array([0.0, 1.0, 0.0, 1.0, 0.0, -0.0, np.inf, -np.inf])
+    b = np.array([2.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+    for vectors, groups in [([a, a], [[0, 2, 4, 5], [1, 3], [6], [7]]),
+                            ([a, b, a], [[0, 4, 5], [1, 3], [2], [6], [7]])]:
+        side = _Side([signal_residual_denoiser(v, soft_threshold_denoiser(0.5)) for v in vectors],
+                     a.size, 1, "g_seq", RngStream(0), 1)
+        inverse, counts = side.inverse, side.counts
         got = sorted(np.flatnonzero(inverse == j).tolist() for j in range(counts.size))
         assert got == groups
-        assert sorted(first.tolist()) == [g[0] for g in groups]
         assert counts.tolist() == [np.count_nonzero(inverse == j) for j in range(counts.size)]
+        # each c_r holds its vector's value on every group
+        assert all(np.array_equal(c[inverse], v) for c, v in zip(side.c, vectors))
 
 
 def _quad_cross(c_r, c_t, lmbda, cov):
@@ -509,12 +524,12 @@ def test_residual_column_at_unit_correlation_is_its_limit(corr):
     # with a correlation a hair inside +-1
     c_r, c_t, lmbda = np.array([0.0, 0.8, -1.3]), np.array([0.4, -0.2, 1.3]), 0.5
     cov = np.array([[0.7, corr * np.sqrt(0.7 * 1.1)], [corr * np.sqrt(0.7 * 1.1), 1.1]])
-    col, _ = _se_column(_residual_pair(c_r, c_t, lmbda), 2, None, cov, "", [], 3, None)
+    col, _ = _exact_column(_residual_pair(c_r, c_t, lmbda), None, cov, 3)
     want = sum(_quad_cross(a, b, lmbda, cov) for a, b in zip(c_r, c_t)) / 3
     assert col[0] == pytest.approx(want, rel=1e-12, abs=1e-14)
     near = cov.copy()
     near[0, 1] = near[1, 0] = cov[0, 1] * (1 - 1e-12)
-    col_near, _ = _se_column(_residual_pair(c_r, c_t, lmbda), 2, None, near, "", [], 3, None)
+    col_near, _ = _exact_column(_residual_pair(c_r, c_t, lmbda), None, near, 3)
     assert col_near[0] == pytest.approx(col[0], rel=1e-6)
 
 
@@ -525,7 +540,7 @@ def test_residual_column_at_the_edges_takes_their_limits():
     rows = c.size
 
     def column(lmbda, cov):
-        return _se_column(_residual_pair(c, c, lmbda), 2, u1, cov, "", [], 7, None)
+        return _exact_column(_residual_pair(c, c, lmbda), u1, cov, 7)
 
     # lmbda = 0: g(y) = -y, so the column is Cov[Y_r, Y_t] and div g = -rows
     col, div = column(0.0, cov)
@@ -554,7 +569,7 @@ def test_a_residual_side_draws_no_paths_and_factors_no_covariance(monkeypatch):
     def refuse(*args):
         raise AssertionError("a path was drawn or a covariance factored")
 
-    monkeypatch.setattr(state_evolution, "_draw_paths", refuse)
+    monkeypatch.setattr(RngStream, "generator", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     m, n, T = 20, 30, 4
     u1 = np.linspace(-1.0, 1.0, n)
@@ -565,6 +580,22 @@ def test_a_residual_side_draws_no_paths_and_factors_no_covariance(monkeypatch):
     residual = signal_residual_denoiser(np.zeros(n), soft_threshold_denoiser(0.5))
     cov, _ = se_symmetric([residual] * (T - 1), u1, T, mc_samples=7, rng=RngStream(13))
     assert cov.jittered == []
+
+
+@pytest.mark.parametrize("family, builder", [("offset", "stack"), ("residual", "unique")])
+def test_an_exact_side_is_prepared_once_per_solve(monkeypatch, family, builder):
+    # a T = 10 solve stacks its offsets, or groups the coordinates of its
+    # theta* vectors, once; each column once rebuilt them
+    calls = []
+    build = getattr(np, builder)
+    monkeypatch.setattr(np, builder, lambda *args, **kw: calls.append(1) or build(*args, **kw))
+    n, T = 30, 10
+    u1 = np.linspace(-1.0, 1.0, n)
+    den = {"offset": residual_shift_denoiser(u1),
+           "residual": signal_residual_denoiser(u1, soft_threshold_denoiser(0.5))}[family]
+    cov, _ = se_symmetric([den] * (T - 1), u1, T, mc_samples=2, rng=RngStream(14))
+    assert len(cov.sigma) == T
+    assert len(calls) == 1
 
 
 # a sampled f side draws samples generators and factors T covariances, as the
