@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .denoisers import Denoiser
-from .exceptions import DimensionError, ParameterError
+from .exceptions import DimensionError, ParameterError, require_count
 from .rng import RngStream
-from .state_evolution import Coloring, OnsagerSchedule, _nonempty_vector, require_length
+from .state_evolution import (Coloring, OnsagerSchedule, _nonempty_vector, require_divergence,
+                              require_length)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +63,9 @@ class SensingProblem:
     With K set the sensing is coloured, x = W K theta_star + e. K may be an
     ndarray, turned into a Coloring by ``Coloring.of`` (an SVD and an LU
     inverse), or a Coloring already built, e.g. by ``Coloring.from_eig`` from
-    K's eigen-factors. Problems that share one Coloring share its inverse and
-    condition number, computed once.
+    K's eigen-factors; ``Coloring.of`` checks either form against n. Problems
+    that share one Coloring share its inverse and condition number, computed
+    once.
     """
 
     W: np.ndarray
@@ -81,9 +83,7 @@ class SensingProblem:
             raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
         signal = self.theta_star
         if self.K is not None:
-            self.K = Coloring.of(self.K)
-            if self.K.matrix.shape != (self.theta_star.size,) * 2:
-                raise DimensionError("K must be n x n")
+            self.K = Coloring.of(self.K, self.theta_star.size)
             signal = self.K.matrix @ signal
         self.x = self.W @ signal + self.e
 
@@ -191,15 +191,18 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     conditioned by cond(K) rather than cond(K)^2. A K whose condition number
     exceeds 1e12 raises NumericError.
 
-    ``Denoiser.onsager`` gives the divergence. mc_reps None takes the formula
-    where the denoiser declares one; an int mc_reps, or a denoiser without a
-    formula, takes the Gaussian probe with mc_reps probes (100 when None) on
-    rng.derive(t). The source used per iteration is recorded in
-    trace.b_source.
+    With mc_reps None the divergence is the formula,
+    ``Denoiser.divergence``, and ``require_divergence`` refuses an
+    eta_1..eta_(T-1) without one, naming eta_seq[i], before any matvec. An
+    int mc_reps takes ``Denoiser.divergence_mc`` with mc_reps probes on
+    rng.derive(t) instead. The source used per iteration ("none" at t = 1,
+    then "analytic" or "monte_carlo") is recorded in trace.b_source.
     """
     require_length(problem.eta_seq, T, T)
-    if mc_reps is not None and mc_reps < 1:
-        raise ParameterError("mc_reps must be >= 1")
+    if mc_reps is None:
+        require_divergence(problem.eta_seq[:T - 1], "eta_seq")
+    else:
+        mc_reps = require_count(mc_reps, "mc_reps", ParameterError)
     rng = rng or RngStream(0)
     m, n = problem.W.shape
     K = None if problem.K is None else problem.K.matrix
@@ -214,9 +217,11 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     for t in range(1, T + 1):
         if t == 1:
             b_t, source = 0.0, "none"
+        elif mc_reps is None:
+            b_t, source = problem.eta_seq[t - 2].divergence(prev_arg) / m, "analytic"
         else:
-            div, source = problem.eta_seq[t - 2].onsager(prev_arg, mc_reps, rng.derive(t))
-            b_t = div / m
+            probe = problem.eta_seq[t - 2].divergence_mc(prev_arg, reps=mc_reps, rng=rng.derive(t))
+            b_t, source = probe / m, "monte_carlo"
         b_source.append(source)
         b_applied[t - 1] = b_t
         signal = theta[:, t - 1] if K is None else K @ theta[:, t - 1]

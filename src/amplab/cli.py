@@ -4,10 +4,11 @@ Subcommands: run-amp, state-evolution, universality, bcp-check, graph-lemma
 and tensor-eval. All but tensor-eval take --config (JSON mirroring the
 ExperimentConfig field names) plus the shared flags --seed, --out and
 --format; flags and per-command settings are validated like the config
-file. --seed replaces the config's seeds (its battery_seed on a
-tensor_checks run). state-evolution writes the SE prediction of a sensing
-config's own experiment (``harness.se_summary``), which reads signal_seed,
-so it exits 2 on --seed; it and universality exit 2 on a tensor_checks config.
+file, and the output directory is checked, all before anything runs. --seed
+replaces the config's seeds (its battery_seed on a tensor_checks run).
+state-evolution writes the SE prediction of a sensing config's own
+experiment (``harness.se_summary``), which reads signal_seed, so it exits 2
+on --seed; it and universality exit 2 on a tensor_checks config.
 bcp-check and graph-lemma run only their own battery and need no config.
 tensor-eval takes only --network, a JSON network document written by
 ``tensor_net.save_network``, and reads n off the document's tensors. It
@@ -65,7 +66,19 @@ def _load(args) -> ExperimentConfig:
         overrides["seeds"] = [args.seed]
     if args.fmt:
         overrides["fmt"] = args.fmt
+    _require_out_dir(overrides["out"])
     return dataclasses.replace(cfg, **overrides)
+
+
+def _require_out_dir(out: str) -> None:
+    """ConfigError("--out") unless out is a writable directory or one can be
+    made there: its nearest existing ancestor is a writable directory. The
+    directory itself is made only when there is something to write."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError("--out", f"{path!r} is not a writable directory")
 
 
 def _emit(cfg: ExperimentConfig, records, summary, stem: str):

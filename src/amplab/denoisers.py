@@ -1,9 +1,11 @@
 """Denoiser families: separable soft thresholding, local kernel smoothers,
 spectral singular-value maps, and the shift maps of the sensing recursion.
 
-Each denoiser maps the latest iterate z in R^n to an n-vector and exposes its
-divergence, one scalar: analytically when a formula exists and otherwise
-through a Monte-Carlo probe (1/eps) xi^T (f(z + eps xi) - f(z)).
+Each denoiser maps the latest iterate z in R^n to an n-vector, and may
+declare a formula for its divergence, one scalar. The Monte-Carlo probe
+(1/eps) xi^T (f(z + eps xi) - f(z)) runs only when a caller asks for it
+(``Denoiser.divergence_mc``); a caller that needs the formula refuses a
+denoiser without one (``state_evolution.require_divergence``).
 
 A denoiser's map also takes a stack of iterates, one per row, so the
 Monte-Carlo loops here and in ``state_evolution`` call it once per block of
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError, ParameterError
+from .exceptions import DimensionError, NumericError, ParameterError, require_count
 from .rng import RngStream
 from .vecmat import mat, vec
 
@@ -71,10 +73,6 @@ class Denoiser:
     ``signal_residual_denoiser`` reads to declare a residual. Instances
     compare and hash by identity, as ``SpectralSpec`` does: the generated
     ``==`` and ``hash`` fail on an ndarray field.
-
-    ``onsager`` alone chooses between the formula (``divergence``) and the
-    Monte-Carlo probe (``divergence_mc``); ``run_sensing_amp`` takes its
-    Onsager terms from it, the matrix SE solvers from ``divergence`` alone.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -87,10 +85,6 @@ class Denoiser:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.fn(_vector(z))
 
-    @property
-    def has_analytic_divergence(self) -> bool:
-        return self.divergence_fn is not None
-
     def divergence(self, z: np.ndarray) -> float:
         """Analytic divergence sum at z; requires a formula."""
         if self.divergence_fn is None:
@@ -101,14 +95,6 @@ class Denoiser:
         """Monte-Carlo divergence sum at z, probed with rng.derive(1)."""
         return mc_divergence(self.fn, _vector(z), reps=reps,
                              rng=(rng or RngStream(0)).derive(1))[0]
-
-    def onsager(self, z, reps=None, rng=None) -> Tuple[float, str]:
-        """(divergence sum at z, its source): ``divergence`` and "analytic"
-        when reps is None and a formula exists, otherwise ``divergence_mc``
-        with reps probes (100 when None) on rng and "monte_carlo"."""
-        if reps is None and self.has_analytic_divergence:
-            return self.divergence(z), "analytic"
-        return self.divergence_mc(z, reps=100 if reps is None else reps, rng=rng), "monte_carlo"
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +112,7 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     stream that one draw per probe would take, and each block is one f call;
     a probe holds its xi, its difference and the f call's rows.
     """
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
+    reps = require_count(reps, "reps", ParameterError)
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise DimensionError(f"the probe point x must be non-empty, got shape {x.shape}")
@@ -192,14 +177,10 @@ class LocalKernelSpec:
     h: int
 
     def __post_init__(self):
-        for name in ("M", "N", "h"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.h < 0:
-            raise ParameterError("bandwidth h must be nonnegative")
-        if self.M < 1 or self.N < 1:
-            raise DimensionError("image dims must be positive")
+        for name in ("M", "N"):
+            require_count(getattr(self, name), name, DimensionError)
+        if not isinstance(self.h, Integral) or isinstance(self.h, bool) or self.h < 0:
+            raise ParameterError(f"bandwidth h must be an integer >= 0, got {self.h!r}")
 
     def window_counts(self) -> np.ndarray:
         rc = self._axis_counts(self.M)
@@ -267,6 +248,8 @@ class SpectralSpec:
     shift: Optional[np.ndarray] = None  # M x N, added to mat(z) before thresholding
 
     def __post_init__(self):
+        for name in ("M", "N"):
+            require_count(getattr(self, name), name, DimensionError)
         _check_threshold(self.threshold)
         if self.shift is not None and np.shape(self.shift) != (self.M, self.N):
             raise DimensionError(
@@ -373,7 +356,7 @@ def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
         raise DimensionError(f"theta_star must be a non-empty vector, got shape "
                              f"{theta_star.shape}")
     div_fn = None
-    if eta.has_analytic_divergence:
+    if eta.divergence_fn is not None:
         div_fn = lambda x: -eta.divergence(x + theta_star)
     residual = None if eta.threshold is None else (theta_star, eta.threshold)
     return Denoiser(fn=lambda x: theta_star - eta.fn(x + theta_star),

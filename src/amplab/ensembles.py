@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, SpecError
+from .exceptions import DimensionError, SpecError, require_count
 from .rng import RngStream
 from .vecmat import vec
 
@@ -54,8 +54,8 @@ class EnsembleSpec:
             raise SpecError(f"unknown ensemble kind {self.kind!r}")
         if self.entry_dist not in ENTRY_DISTS:
             raise SpecError(f"unknown entry distribution {self.entry_dist!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError("matrix dimensions must be positive")
+        for name in ("rows", "cols"):
+            require_count(getattr(self, name), name, DimensionError)
         if self.kind in ("goe", "wigner_iid") and self.rows != self.cols:
             raise DimensionError(
                 f"{self.kind} requires a square matrix, got {self.rows}x{self.cols}"
@@ -64,10 +64,10 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Declarative description of a signal generator.
+    """Declarative description of a signal generator: a vector of dims >= 1
+    entries (DimensionError otherwise).
 
     kinds:
-      zero                      all-zeros vector of length dims
       sparse                    Bernoulli(density) support, i.i.d. N(0, 1) amplitudes
       low_rank                  M x N matrix O D U^T with Haar O, U and the rank
                                 nonzero singular values uniform on [0, sqrt(N)]
@@ -83,8 +83,9 @@ class SignalSpec:
     density: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sparse", "low_rank", "smooth_image"):
+        if self.kind not in ("sparse", "low_rank", "smooth_image"):
             raise SpecError(f"unknown signal kind {self.kind!r}")
+        require_count(self.dims, "dims", DimensionError)
         if self.kind in ("low_rank", "smooth_image"):
             if self.M * self.N != self.dims:
                 raise SpecError("matrix signals require dims == M * N")
@@ -146,8 +147,7 @@ def sample_ginibre(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
 
 def sample_haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed orthogonal matrix via QR with sign correction."""
-    if dim < 1:
-        raise DimensionError("dim must be >= 1")
+    dim = require_count(dim, "dim", DimensionError)
     gen = rng.generator()
     g = gen.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -159,8 +159,6 @@ def sample_haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
 def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
     """Draw a signal vector according to spec (see :class:`SignalSpec`)."""
     gen = rng.generator()
-    if spec.kind == "zero":
-        return SignalSample(np.zeros(spec.dims))
     if spec.kind == "sparse":
         mask = gen.random(spec.dims) < spec.density
         amps = gen.standard_normal(spec.dims)
@@ -186,5 +184,6 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
 
 
 def sample_noise(m: int, std: float, rng: RngStream) -> np.ndarray:
-    """i.i.d. N(0, std^2) noise vector of length m."""
-    return std * rng.generator().standard_normal(m)
+    """i.i.d. N(0, std^2) noise vector of length m; DimensionError unless m
+    is an integer >= 1."""
+    return std * rng.generator().standard_normal(require_count(m, "m", DimensionError))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for what a
+count or a size is (``require_count``): every layer imports this module, so
+each entry point checks its counts and sizes here and names the field."""
+
+from numbers import Integral
 
 
 class AmplabError(Exception):
@@ -38,3 +42,12 @@ class ConfigError(AmplabError, ValueError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def require_count(value, name: str, error: type) -> int:
+    """value as an int; error naming name unless value is an integer (numpy's
+    too), not a bool, and at least 1. Sizes raise DimensionError, counts of
+    draws or probes ParameterError."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

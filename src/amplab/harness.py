@@ -146,6 +146,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("<root>", f"must be a JSON object, got {data!r:.40}")
     known = set(ExperimentConfig.__dataclass_fields__)
     for key in data:
         if key not in known:

@@ -62,7 +62,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .denoisers import _CALL_ROWS, Denoiser, _block_rows, soft_threshold_apply
-from .exceptions import DimensionError, NumericError, ParameterError, ScheduleError
+from .exceptions import (DimensionError, NumericError, ParameterError, ScheduleError,
+                         require_count)
 from .gaussian import norm_cdf, norm_pdf, ramp_pair
 from .rng import RngStream
 
@@ -87,9 +88,10 @@ class Coloring:
 
     Two constructors build one: ``from_eig(O, kappa)`` takes the spectral
     factors of a symmetric K = O diag(kappa) O^T and reads the inverse and
-    condition number off them, with no SVD or LU; ``of(K)`` takes any square
-    K, symmetric or not, and pays for an SVD (the condition number) and an
-    LU inverse.
+    condition number off them, with no SVD or LU; ``of(K, n)`` takes any
+    n x n K, symmetric or not, and pays for an SVD (the condition number)
+    and an LU inverse. ``of`` is also where a K of either form is checked
+    against the problem's n.
 
     A numerically singular K is accepted here and rejected by ``inverse``,
     so the error surfaces in the solver that needs the backprojection.
@@ -100,15 +102,17 @@ class Coloring:
     cond: float
 
     @classmethod
-    def of(cls, K) -> "Coloring":
-        """Coloring of K; a Coloring is returned unchanged."""
+    def of(cls, K, n: int) -> "Coloring":
+        """Coloring of the n x n matrix K; a Coloring is returned unchanged.
+        DimensionError naming K unless K, of either form, is n x n."""
+        matrix = K.matrix if isinstance(K, Coloring) else np.asarray(K, dtype=np.float64)
+        if matrix.shape != (n, n):
+            raise DimensionError(f"K must be {n} x {n}, got shape {matrix.shape}")
         if isinstance(K, Coloring):
             return K
-        K = np.asarray(K, dtype=np.float64)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise DimensionError("K must be a square matrix")
-        cond = float(np.linalg.cond(K))
-        return cls(matrix=K, inv=None if _singular(cond) else np.linalg.inv(K), cond=cond)
+        cond = float(np.linalg.cond(matrix))
+        return cls(matrix=matrix, inv=None if _singular(cond) else np.linalg.inv(matrix),
+                   cond=cond)
 
     @classmethod
     def from_eig(cls, O, kappa) -> "Coloring":
@@ -187,12 +191,22 @@ class SECovarianceSequence:
 
 
 def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -> None:
-    """ParameterError when T < 1; ScheduleError naming the needed count when
-    seq holds fewer than count entries for a run of T iterations."""
-    if T < 1:
-        raise ParameterError("T must be >= 1")
+    """ParameterError unless T is a count (``require_count``); ScheduleError
+    naming the needed count when seq holds fewer than count entries for a run
+    of T iterations."""
+    require_count(T, "T", ParameterError)
     if len(seq) < count:
         raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
+
+
+def require_divergence(seq: Sequence[Denoiser], what: str) -> None:
+    """ParameterError naming what[i] for the first denoiser of seq that has no
+    divergence formula: the solvers and the runner that take their Onsager
+    terms from ``Denoiser.divergence`` check every denoiser they will read
+    before any draw or matvec."""
+    for i, den in enumerate(seq):
+        if den.divergence_fn is None:
+            raise ParameterError(f"{what}[{i}] has no divergence formula")
 
 
 def _nonempty_vector(x, name: str) -> np.ndarray:
@@ -254,9 +268,10 @@ class _Side:
     normalized by denom. what names seq in errors (e.g. "g_seq").
 
     Construction runs the checks that come before any draw: every f_r must
-    have a divergence formula, and a declared offset or residual vector must
-    be of length rows; each error names what[i]. It then settles the side's
-    family and builds, once, what that family reads at every t:
+    have a divergence formula (``require_divergence``), and a declared offset
+    or residual vector must be of length rows; each error names what[i]. It
+    then settles the side's family and builds, once, what that family reads
+    at every t:
 
     - "offset", every f_r declares an offset c_r: the stacked offsets;
     - "residual", every f_r declares a residual (c_r, lmbda_r): the groups of
@@ -269,10 +284,9 @@ class _Side:
 
     def __init__(self, seq: Sequence[Denoiser], rows: int, denom: int, what: str,
                  stream: RngStream, mc_samples: int):
+        require_divergence(seq, what)
         families = set()
         for i, den in enumerate(seq):
-            if not den.has_analytic_divergence:
-                raise ParameterError(f"{what}[{i}] has no divergence formula")
             family, vector = (("offset", den.offset) if den.offset is not None else
                               ("residual", den.residual[0]) if den.residual is not None else
                               ("sampled", None))
@@ -426,8 +440,7 @@ def se_symmetric(
     exactly. Covariances that needed the Cholesky jitter are named in the
     sequence's ``jittered``.
     """
-    if mc_samples < 1:
-        raise ParameterError("mc_samples must be >= 1")
+    mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
     require_length(f_seq, T - 1, T)
     u1 = _nonempty_vector(u1, "u1")
     n = u1.size
@@ -473,12 +486,10 @@ def se_asymmetric(
     covariances whose Cholesky factor needed the jitter are named in
     ``jittered``; an exact side adds no name.
     """
-    if mc_samples < 1:
-        raise ParameterError("mc_samples must be >= 1")
+    mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
     require_length(f_seq, T, T, "f-denoisers")
     require_length(g_seq, T - 1, T, "g-denoisers")
-    if m < 1:
-        raise DimensionError(f"m must be >= 1, got {m}")
+    m = require_count(m, "m", DimensionError)
     rng = rng or RngStream(0)
     u1 = _nonempty_vector(u1, "u1")
     n = u1.size
@@ -534,17 +545,14 @@ def se_scalar_sensing(
     iteration draws its mc_draws samples as one block and maps it with one
     eta_t call.
     """
-    if mc_draws < 1:
-        raise ParameterError("mc_draws must be >= 1")
+    mc_draws = require_count(mc_draws, "mc_draws", ParameterError)
     require_length(eta_seq, T, T)
     rng = rng or RngStream(0)
     theta_star = _nonempty_vector(theta_star, "theta_star")
     e = _nonempty_vector(e, "e")
     n, m = theta_star.size, e.size
     if K is not None:
-        coloring = Coloring.of(K)
-        if coloring.matrix.shape != (n, n):
-            raise DimensionError(f"K must be {n} x {n}, got {coloring.matrix.shape}")
+        coloring = Coloring.of(K, n)
         K, K_inv = coloring.matrix, coloring.inverse()
         u1 = K @ theta_star
     else:

@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries
-from .exceptions import BudgetError, DimensionError, NumericError, ParameterError, SpecError
+from .exceptions import (BudgetError, DimensionError, NumericError, ParameterError, SpecError,
+                         require_count)
 from .rng import RngStream
 from .vecmat import split_index
 
@@ -46,54 +47,59 @@ class DenseTensor:
     length-n diagonal; entries vanish off the repeated-index line, so a
     diagonal of ones is the identity), "alternating" (the even-order
     matrix-product pattern on vec(R^(M x N)), prefactor N^(1 - k/2)).
+
+    The index size n is read off what defines the tensor, never stored beside
+    it: the side of the dense values (1 at order 0), the diagonal's length,
+    or M * N.
     """
 
     order: int
-    n: int
     kind: str = "dense"
     values: Optional[np.ndarray] = None
     M: int = 0
     N: int = 0
 
     def __post_init__(self):
-        """DimensionError when n disagrees with what defines it (the dense
-        values' shape, the diagonal's length, or M * N); SpecError on an
-        unknown kind."""
+        """SpecError on an unknown kind or an odd alternating order.
+        DimensionError unless what defines n is there and fits the order: an
+        alternating tensor's order, M and N are counts (``require_count``); a
+        dense tensor's values are a non-empty array of order equal sides; a
+        diagonal's order is a count and its values a non-empty vector. Values
+        of None are refused at every order."""
         if self.kind == "alternating":
-            if self.n != self.M * self.N:
-                raise DimensionError(f"alternating tensor needs n == M * N, got n={self.n}, "
-                                     f"M={self.M}, N={self.N}")
+            for name in ("order", "M", "N"):
+                require_count(getattr(self, name), name, DimensionError)
+            if self.order % 2:
+                raise SpecError("alternating tensors exist for even order k >= 2")
             return
-        shapes = {"dense": (self.n,) * self.order, "diagonal": (self.n,)}
-        if self.kind not in shapes:
+        sides = {"dense": self.order, "diagonal": 1}.get(self.kind)
+        if sides is None:
             raise SpecError(f"unknown tensor kind {self.kind!r}")
+        if self.kind == "diagonal":
+            require_count(self.order, "order", DimensionError)
         shape = None if self.values is None else np.shape(self.values)
-        if shape != shapes[self.kind]:
-            raise DimensionError(f"{self.kind} tensor of order {self.order} and n={self.n} "
-                                 f"needs values of shape {shapes[self.kind]}, got {shape}")
+        if shape != (self.n,) * sides or self.n == 0:
+            raise DimensionError(f"{self.kind} tensor of order {self.order} needs non-empty "
+                                 f"values of shape (n,) * {sides}, got {shape}")
+
+    @property
+    def n(self) -> int:
+        if self.kind == "alternating":
+            return self.M * self.N
+        return np.shape(self.values)[0] if np.ndim(self.values) else 1
 
     @classmethod
     def from_array(cls, arr) -> "DenseTensor":
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.size == 0:
-            raise DimensionError(f"dense tensor must be non-empty, got shape {arr.shape}")
-        return cls(order=arr.ndim, n=arr.shape[0] if arr.ndim else 1, kind="dense", values=arr)
+        return cls(order=arr.ndim, kind="dense", values=arr)
 
     @classmethod
     def diagonal(cls, values, order: int) -> "DenseTensor":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0 or order < 1:
-            raise DimensionError(f"a diagonal needs non-empty values and order >= 1, got "
-                                 f"shape {values.shape} and order {order}")
-        return cls(order=order, n=values.size, kind="diagonal", values=values)
+        return cls(order=order, kind="diagonal", values=np.asarray(values, dtype=np.float64))
 
     @classmethod
     def alternating(cls, k: int, M: int, N: int) -> "DenseTensor":
-        if k % 2 != 0 or k < 2:
-            raise SpecError("alternating tensors exist for even order k >= 2")
-        if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in (k, M, N)):
-            raise DimensionError(f"alternating needs integers k, M, N >= 1, got {k}, {M}, {N}")
-        return cls(order=k, n=M * N, kind="alternating", M=M, N=N)
+        return cls(order=k, kind="alternating", M=M, N=N)
 
     def gather(self, idx: Sequence[np.ndarray]) -> np.ndarray:
         """Entries at a batch of index tuples (idx holds one array per slot)."""
@@ -417,10 +423,8 @@ def wick_expectation_mc(
     d, n = tensor.order, tensor.n
     if len(sigma) != d:
         raise DimensionError("sigma must assign a stream to each tensor slot")
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    samples = require_count(samples, "samples", ParameterError)
+    chunk = require_count(chunk, "chunk", ParameterError)
     streams = sorted(set(sigma))
     d1 = d // 2
     flat_t = tensor.to_dense().reshape(n**d1, n ** (d - d1)).T

@@ -165,6 +165,44 @@ def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
         assert trace.b_applied[t - 1] == probe / m
 
 
+@pytest.mark.parametrize("formula, reps, source", [
+    (True, None, "analytic"),
+    (True, 7, "monte_carlo"),  # forced probe
+    (False, None, None),  # no formula and no probe asked for: refused
+    (False, 3, "monte_carlo"),
+])
+def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source):
+    prob = _random_sensing(43, T=2)
+    if not formula:
+        prob.eta_seq = [Denoiser(fn=np.tanh, name="tanh")] * 2
+    rng = RngStream(41)
+    if source is None:
+        with pytest.raises(ParameterError, match=r"eta_seq\[0\] has no divergence formula"):
+            run_sensing_amp(prob, 2, mc_reps=reps, rng=rng)
+        return
+    trace = run_sensing_amp(prob, 2, mc_reps=reps, rng=rng)
+    assert trace.b_source == ["none", source]
+    # the argument eta_1 was applied to at iteration 1
+    arg = trace.theta[:, 0] + prob.W.T @ trace.r[:, 0].copy()
+    eta = prob.eta_seq[0]
+    div = (eta.divergence(arg) if reps is None
+           else eta.divergence_mc(arg, reps=reps, rng=rng.derive(2)))
+    assert trace.b_applied[1] == div / prob.W.shape[0]
+
+
+def test_sensing_refuses_an_eta_without_a_formula_before_touching_W():
+    # with mc_reps None such an eta was probed with 100 draws, unasked
+    prob = _random_sensing(44, T=3)
+    soft, tanh = prob.eta_seq[0], Denoiser(fn=np.tanh, name="tanh")
+    prob.eta_seq = [soft, tanh, soft]
+    W, prob.W = prob.W, None  # a matvec or a read of W's shape would fail
+    with pytest.raises(ParameterError, match=r"eta_seq\[1\] has no divergence formula"):
+        run_sensing_amp(prob, 3)
+    # the last eta's divergence is never read, so it needs no formula
+    prob.W, prob.eta_seq = W, [soft, soft, tanh]
+    assert run_sensing_amp(prob, 3).b_source == ["none", "analytic", "analytic"]
+
+
 def test_sensing_rejects_zero_probes_before_iterating():
     prob = _random_sensing(42, T=3)
     calls = []
@@ -301,8 +339,9 @@ def test_aniso_matches_normal_equations_oracle():
 def test_aniso_ndarray_and_coloring_give_identical_traces():
     T = 4
     base, K = _colored_sensing(29, T=T)
-    coloring = Coloring.of(K)
-    assert Coloring.of(coloring) is coloring
+    n = base.theta_star.size
+    coloring = Coloring.of(K, n)
+    assert Coloring.of(coloring, n) is coloring
     traces, conds = [], []
     for k in (K, coloring):
         prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
@@ -319,8 +358,8 @@ def test_aniso_ndarray_and_coloring_give_identical_traces():
 def test_aniso_K_shape_rejected():
     m, n = 8, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(30))
-    for K in (np.eye(n + 1), np.ones((n, n + 1))):
-        with pytest.raises(DimensionError):
+    for K in (np.eye(n + 1), np.ones((n, n + 1)), Coloring.of(np.eye(n + 1), n + 1)):
+        with pytest.raises(DimensionError, match=rf"K must be {n} x {n}"):
             SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
                            eta_seq=[soft_threshold_denoiser(0.2)], K=K)
 

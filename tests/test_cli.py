@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from amplab import cli
 from amplab import tensor_net as tn
 from amplab.cli import main
 from amplab.harness import CSV_HEADER
@@ -106,6 +107,33 @@ def test_unknown_config_field_is_rejected(tmp_path, capsys):
     config = _config(tmp_path, dict(TINY_LOCAL, serial=True))
     assert main(["run-amp", "--config", config, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: serial: unknown configuration field\n"
+
+
+@pytest.mark.parametrize("text", ["5", "null", '[{"a": 1}]', '"abc"'])
+def test_a_config_that_is_no_json_object_exits_2_naming_the_root(tmp_path, capsys, text):
+    # 5 and null died on "not iterable", the list on "unhashable type", and
+    # "abc" was reported as the unknown field "a"
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run-amp", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: <root>: must be a JSON object") and "Traceback" not in err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"], ids=["file", "under_a_file"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_the_run(tmp_path, capsys,
+                                                                  monkeypatch, out):
+    # both raised a bare OSError, and only after the whole experiment had run
+    (tmp_path / "a_file").write_text("")
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    argv = ["run-amp", "--config", _config(tmp_path, TINY_LOCAL), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "Traceback" not in err
 
 
 # Summaries written by the bcp-check and graph-lemma commands at their default

@@ -62,7 +62,7 @@ def test_local_kernel_spec_rejects_a_non_integer_size():
     # h = 1.5 was accepted, and apply died with an IndexError
     with pytest.raises(ParameterError, match="h must be an integer"):
         LocalKernelSpec(3, 3, 1.5)
-    with pytest.raises(ParameterError, match="M must be an integer"):
+    with pytest.raises(DimensionError, match="M must be an integer"):
         LocalKernelSpec(3.0, 3, 1)
     assert LocalKernelSpec(np.int64(3), 3, np.int64(1)).h == 1
 
@@ -339,23 +339,6 @@ def test_shifted_spectral_spec_hashes_and_goes_into_a_set():
     assert a == a and a != b  # identity, not field-wise array comparison
     assert len({a, b, a}) == 2
     assert {a: 1}[a] == 1
-
-
-@pytest.mark.parametrize("formula, reps, source, probes", [
-    (True, None, "analytic", None),
-    (True, 7, "monte_carlo", 7),  # forced probe
-    (False, None, "monte_carlo", 100),  # no formula: the probe's default count
-    (False, 3, "monte_carlo", 3),
-])
-def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source, probes):
-    n = 20
-    z = RngStream(40).generator().standard_normal(n)
-    den = soft_threshold_denoiser(0.4) if formula else Denoiser(fn=np.tanh, name="tanh")
-    div, got = den.onsager(z, reps=reps, rng=RngStream(41))
-    assert got == source
-    want = (den.divergence(z) if probes is None
-            else den.divergence_mc(z, reps=probes, rng=RngStream(41)))
-    assert div == want
 
 
 def test_mc_divergence_matches_analytic_count_for_soft_threshold():

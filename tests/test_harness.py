@@ -154,7 +154,7 @@ def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
                             "ensembles": ["gaussian", "rademacher"]})
     records, summary = run_experiment(cfg)
     monkeypatch.setattr(Coloring, "from_eig",
-                        classmethod(lambda cls, O, kappa: cls.of((O * kappa) @ O.T)))
+                        classmethod(lambda cls, O, kappa: cls.of((O * kappa) @ O.T, kappa.size)))
     dense_records, dense_summary = run_experiment(cfg)
     assert [(r.ensemble, r.seed, r.t) for r in records] == \
         [(r.ensemble, r.seed, r.t) for r in dense_records]

@@ -124,11 +124,6 @@ def test_haar_first_coordinate_centered():
     assert abs(vals.mean()) < 3 * se
 
 
-def test_zero_signal():
-    s = sample_signal(SignalSpec(kind="zero", dims=7), RngStream(0))
-    assert np.array_equal(s.vector, np.zeros(7))
-
-
 def test_low_rank_signal_factors():
     spec = SignalSpec(kind="low_rank", dims=100 * 150, M=100, N=150, rank=20)
     s = sample_signal(spec, RngStream(77))

@@ -109,7 +109,7 @@ def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
 
 def test_asymmetric_rejects_an_empty_m_side():
     # without the check, m = 0 divided by zero and raised "sigma_1 is not symmetric"
-    with pytest.raises(DimensionError, match="m must be >= 1, got 0"):
+    with pytest.raises(DimensionError, match="m must be an integer >= 1, got 0"):
         se_asymmetric([identity_denoiser()], [], np.ones(4), 1, 0, mc_samples=2,
                       rng=RngStream(5))
 
@@ -760,7 +760,7 @@ def test_scalar_sensing_colored_matches_normal_equations():
     K = np.eye(n) + 0.3 * RngStream(32).generator().standard_normal((n, n)) / np.sqrt(n)
     eta_seq = [soft_threshold_denoiser(0.5)] * T
     omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, T, 7, RngStream(33), K=K)
-    for k in (K, Coloring.of(K)):
+    for k in (K, Coloring.of(K, n)):
         sc = se_scalar_sensing(theta, e, eta_seq, T, mc_draws=7, rng=RngStream(33), K=k)
         assert np.allclose(sc.omega_sq, omega, rtol=1e-10, atol=0)
         assert np.allclose(sc.predicted_mse, pred, rtol=1e-10, atol=0)
