@@ -15,10 +15,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .denoisers import Denoiser
-from .exceptions import DimensionError, ParameterError, require_count
+from .exceptions import DimensionError, ParameterError, require_count, require_vector
 from .rng import RngStream
-from .state_evolution import (Coloring, OnsagerSchedule, _nonempty_vector, require_divergence,
-                              require_length)
+from .state_evolution import Coloring, OnsagerSchedule, require_divergence, require_length
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +33,7 @@ class SymmetricAmpProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = _nonempty_vector(self.u1, "u1")
+        self.u1 = require_vector(self.u1, "u1")
         n = self.u1.size
         if self.W.shape != (n, n):
             raise DimensionError("W must be n x n for the symmetric recursion")
@@ -50,7 +49,7 @@ class RectAmpProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = _nonempty_vector(self.u1, "u1")
+        self.u1 = require_vector(self.u1, "u1")
         if self.W.ndim != 2 or self.W.shape[1] != self.u1.size:
             raise DimensionError("W columns must match len(u1)")
 
@@ -77,8 +76,8 @@ class SensingProblem:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        self.theta_star = _nonempty_vector(self.theta_star, "theta_star")
-        self.e = _nonempty_vector(self.e, "e")
+        self.theta_star = require_vector(self.theta_star, "theta_star")
+        self.e = require_vector(self.e, "e")
         if self.W.shape != (self.e.size, self.theta_star.size):
             raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
         signal = self.theta_star

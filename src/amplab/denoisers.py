@@ -17,12 +17,12 @@ _CALL_ROWS rows per sample (its input, its output and two temporaries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError, ParameterError, require_count
+from .exceptions import (DimensionError, NumericError, ParameterError, is_integer,
+                         require_count, require_vector)
 from .rng import RngStream
 from .vecmat import mat, vec
 
@@ -37,13 +37,6 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _vector(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionError(f"denoiser input must be an n-vector, got shape {z.shape}")
-    return z
-
-
 @dataclass(frozen=True, eq=False)
 class Denoiser:
     """A non-linearity f: R^n -> R^n applied to the latest iterate, plus its
@@ -55,8 +48,8 @@ class Denoiser:
     probe and the SE samplers call it once per block of samples. The
     optional ``divergence_fn(x)`` returns the raw divergence sum at one
     n-vector x (a scalar, not normalized by n). ``apply``, ``divergence``
-    and ``divergence_mc`` take exactly one n-vector and raise DimensionError
-    on anything else.
+    and ``divergence_mc`` take one non-empty n-vector z; a stack of iterates,
+    a scalar or an empty array is refused by ``require_vector``, naming z.
 
     Three optional fields declare a closed form of ``fn``; each holds
     exactly when set, and the fields are read-only, so a declaration cannot
@@ -83,17 +76,17 @@ class Denoiser:
     residual: Optional[Tuple[np.ndarray, float]] = None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.fn(_vector(z))
+        return self.fn(require_vector(z, "z"))
 
     def divergence(self, z: np.ndarray) -> float:
         """Analytic divergence sum at z; requires a formula."""
         if self.divergence_fn is None:
             raise ParameterError(f"denoiser {self.name or '<anon>'} has no analytic divergence")
-        return float(self.divergence_fn(_vector(z)))
+        return float(self.divergence_fn(require_vector(z, "z")))
 
     def divergence_mc(self, z, reps=100, rng=None) -> float:
         """Monte-Carlo divergence sum at z, probed with rng.derive(1)."""
-        return mc_divergence(self.fn, _vector(z), reps=reps,
+        return mc_divergence(self.fn, require_vector(z, "z"), reps=reps,
                              rng=(rng or RngStream(0)).derive(1))[0]
 
 
@@ -104,8 +97,9 @@ class Denoiser:
 def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     """(mean, standard error) of the probe estimates
     (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes at
-    the n-vector x, with step eps = 1e-4 max(1, |x| / sqrt(n)). The standard
-    error is inf for a single probe.
+    the non-empty n-vector x (``require_vector``), with step
+    eps = 1e-4 max(1, |x| / sqrt(n)). The standard error is inf for a single
+    probe.
 
     f maps a stack of rows as a ``Denoiser.fn`` does. The probes are drawn
     from rng's generator in blocks, standard_normal((rows, n)), which is the
@@ -113,9 +107,7 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
     a probe holds its xi, its difference and the f call's rows.
     """
     reps = require_count(reps, "reps", ParameterError)
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DimensionError(f"the probe point x must be non-empty, got shape {x.shape}")
+    x = require_vector(x, "x")
     eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     gen = (rng or RngStream(0)).generator()
     fx = f(x)
@@ -179,7 +171,7 @@ class LocalKernelSpec:
     def __post_init__(self):
         for name in ("M", "N"):
             require_count(getattr(self, name), name, DimensionError)
-        if not isinstance(self.h, Integral) or isinstance(self.h, bool) or self.h < 0:
+        if not is_integer(self.h) or self.h < 0:
             raise ParameterError(f"bandwidth h must be an integer >= 0, got {self.h!r}")
 
     def window_counts(self) -> np.ndarray:
@@ -339,10 +331,9 @@ def zero_denoiser() -> Denoiser:
 
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
     """f(z) = z + e, the measurement-noise shift of the sensing recursion,
-    declared as its ``offset`` e."""
-    e = np.asarray(e, dtype=np.float64)
-    m = e.size
-    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: m, name="residual_shift",
+    declared as its ``offset`` e, a non-empty vector (``require_vector``)."""
+    e = require_vector(e, "e")
+    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: e.size, name="residual_shift",
                     offset=e)
 
 
@@ -351,10 +342,7 @@ def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     Declared as the ``residual`` (theta_star, lmbda) when eta declares its
     soft ``threshold`` lmbda. DimensionError unless theta_star is a
     non-empty vector."""
-    theta_star = np.asarray(theta_star, dtype=np.float64)
-    if theta_star.ndim != 1 or theta_star.size == 0:
-        raise DimensionError(f"theta_star must be a non-empty vector, got shape "
-                             f"{theta_star.shape}")
+    theta_star = require_vector(theta_star, "theta_star")
     div_fn = None
     if eta.divergence_fn is not None:
         div_fn = lambda x: -eta.divergence(x + theta_star)

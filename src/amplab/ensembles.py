@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, SpecError, require_count
+from .exceptions import DimensionError, SpecError, is_integer, require_count
 from .rng import RngStream
 from .vecmat import vec
 
@@ -65,7 +65,7 @@ class EnsembleSpec:
 @dataclass(frozen=True)
 class SignalSpec:
     """Declarative description of a signal generator: a vector of dims >= 1
-    entries (DimensionError otherwise).
+    entries; dims and a matrix kind's M, N are counts, with M * N == dims.
 
     kinds:
       sparse                    Bernoulli(density) support, i.i.d. N(0, 1) amplitudes
@@ -87,10 +87,13 @@ class SignalSpec:
             raise SpecError(f"unknown signal kind {self.kind!r}")
         require_count(self.dims, "dims", DimensionError)
         if self.kind in ("low_rank", "smooth_image"):
+            for name in ("M", "N"):
+                require_count(getattr(self, name), name, DimensionError)
             if self.M * self.N != self.dims:
                 raise SpecError("matrix signals require dims == M * N")
-        if self.kind == "low_rank" and not (0 <= self.rank <= min(self.M, self.N)):
-            raise SpecError("rank must satisfy 0 <= rank <= min(M, N)")
+        if self.kind == "low_rank" and not (is_integer(self.rank)
+                                            and 0 <= self.rank <= min(self.M, self.N)):
+            raise SpecError(f"rank must be an integer in [0, min(M, N)], got {self.rank!r}")
         if self.kind == "sparse" and not (0.0 <= self.density <= 1.0):
             raise SpecError("density must lie in [0, 1]")
 

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the one rule for what a
-count or a size is (``require_count``): every layer imports this module, so
-each entry point checks its counts and sizes here and names the field."""
+"""Exception types shared across the package, and the two input rules every
+layer imports from here, so each entry point checks its input up front and
+names the field: ``require_count`` for a count or a size, ``require_vector``
+for a vector."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class AmplabError(Exception):
@@ -44,10 +47,24 @@ class ConfigError(AmplabError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, numpy's too, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def require_count(value, name: str, error: type) -> int:
-    """value as an int; error naming name unless value is an integer (numpy's
-    too), not a bool, and at least 1. Sizes raise DimensionError, counts of
+    """value as an int; error naming name unless value is an integer
+    (``is_integer``) and at least 1. Sizes raise DimensionError, counts of
     draws or probes ParameterError."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+    if not is_integer(value) or value < 1:
         raise error(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def require_vector(x, name: str) -> np.ndarray:
+    """x as a float64 vector; DimensionError naming name unless it is 1-D and
+    non-empty: a matrix or stack of vectors, a scalar or an empty array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionError(f"{name} must be a non-empty vector, got shape {x.shape}")
+    return x

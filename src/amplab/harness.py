@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from .ensembles import (
     sample_noise,
     sample_signal,
 )
-from .exceptions import ConfigError, ParameterError
+from .exceptions import ConfigError, ParameterError, is_integer
 from .rng import RngStream
 from .state_evolution import Coloring, se_scalar_sensing
 from .vecmat import mat
@@ -84,21 +84,18 @@ class ExperimentConfig:
         validate_config(self)
 
 
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def validate_config(cfg: ExperimentConfig) -> None:
     # types first (fields() gives annotations as strings), so range checks compare numbers
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type == "int" and not _is_number(value, Integral):
+        if f.type == "int" and not is_integer(value):
             raise ConfigError(f.name, f"must be an integer, got {value!r}")
-        if f.type == "float" and not (_is_number(value, Real) and math.isfinite(value)):
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                  or not math.isfinite(value)):
             raise ConfigError(f.name, f"must be a finite number, got {value!r}")
         if f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
-    if not isinstance(cfg.seeds, list) or not all(_is_number(s, Integral) for s in cfg.seeds):
+    if not isinstance(cfg.seeds, list) or not all(map(is_integer, cfg.seeds)):
         raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
     if not isinstance(cfg.ensembles, list):
         raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")

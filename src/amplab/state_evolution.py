@@ -63,7 +63,7 @@ import numpy as np
 
 from .denoisers import _CALL_ROWS, Denoiser, _block_rows, soft_threshold_apply
 from .exceptions import (DimensionError, NumericError, ParameterError, ScheduleError,
-                         require_count)
+                         require_count, require_vector)
 from .gaussian import norm_cdf, norm_pdf, ramp_pair
 from .rng import RngStream
 
@@ -207,14 +207,6 @@ def require_divergence(seq: Sequence[Denoiser], what: str) -> None:
     for i, den in enumerate(seq):
         if den.divergence_fn is None:
             raise ParameterError(f"{what}[{i}] has no divergence formula")
-
-
-def _nonempty_vector(x, name: str) -> np.ndarray:
-    """x as a float64 vector; DimensionError naming it unless it is one and non-empty."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"{name} must be a non-empty vector, got shape {x.shape}")
-    return x
 
 
 def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:
@@ -442,7 +434,7 @@ def se_symmetric(
     """
     mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
     require_length(f_seq, T - 1, T)
-    u1 = _nonempty_vector(u1, "u1")
+    u1 = require_vector(u1, "u1")
     n = u1.size
     side = _Side(f_seq[:T - 1], n, n, "f_seq", rng or RngStream(0), mc_samples)
     sigma = [np.array([[u1 @ u1 / n]])]
@@ -491,7 +483,7 @@ def se_asymmetric(
     require_length(g_seq, T - 1, T, "g-denoisers")
     m = require_count(m, "m", DimensionError)
     rng = rng or RngStream(0)
-    u1 = _nonempty_vector(u1, "u1")
+    u1 = require_vector(u1, "u1")
     n = u1.size
     f_side = _Side(f_seq[:T], m, m, "f_seq", rng.derive(0), mc_samples)
     g_side = _Side(g_seq[:T], n, m, "g_seq", rng.derive(1), mc_samples)
@@ -548,8 +540,8 @@ def se_scalar_sensing(
     mc_draws = require_count(mc_draws, "mc_draws", ParameterError)
     require_length(eta_seq, T, T)
     rng = rng or RngStream(0)
-    theta_star = _nonempty_vector(theta_star, "theta_star")
-    e = _nonempty_vector(e, "e")
+    theta_star = require_vector(theta_star, "theta_star")
+    e = require_vector(e, "e")
     n, m = theta_star.size, e.size
     if K is not None:
         coloring = Coloring.of(K, n)

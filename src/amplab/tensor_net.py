@@ -11,7 +11,7 @@ of a moment. It merges tied labels, keeps diagonal and alternating tensors
 structured, and contracts pairwise, so its cost does not grow as n^(indices).
 The enumeration of all index assignments, ``_assignment_sum``, is kept only
 as the oracle behind ``eval_value_bruteforce``. A network on disk is one JSON
-document whose tensors the ``DenseTensor`` constructors rebuild and validate.
+document whose tensors the ``DenseTensor`` constructor rebuilds and validates.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries
 from .exceptions import (BudgetError, DimensionError, NumericError, ParameterError, SpecError,
-                         require_count)
+                         is_integer, require_count)
 from .rng import RngStream
 from .vecmat import split_index
 
@@ -50,10 +50,10 @@ class DenseTensor:
 
     The index size n is read off what defines the tensor, never stored beside
     it: the side of the dense values (1 at order 0), the diagonal's length,
-    or M * N.
+    or M * N. A dense order is read off the values too, ``np.ndim(values)``.
     """
 
-    order: int
+    order: Optional[int] = None
     kind: str = "dense"
     values: Optional[np.ndarray] = None
     M: int = 0
@@ -63,20 +63,26 @@ class DenseTensor:
         """SpecError on an unknown kind or an odd alternating order.
         DimensionError unless what defines n is there and fits the order: an
         alternating tensor's order, M and N are counts (``require_count``); a
-        dense tensor's values are a non-empty array of order equal sides; a
-        diagonal's order is a count and its values a non-empty vector. Values
-        of None are refused at every order."""
+        dense tensor's values are a non-empty array of equal sides, any stated
+        order their ndim; a diagonal's order is a count and its values a
+        non-empty vector. Values of None are refused at every order, others kept as float64."""
+        if self.values is not None:
+            object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.kind == "alternating":
             for name in ("order", "M", "N"):
                 require_count(getattr(self, name), name, DimensionError)
             if self.order % 2:
                 raise SpecError("alternating tensors exist for even order k >= 2")
             return
-        sides = {"dense": self.order, "diagonal": 1}.get(self.kind)
+        sides = {"dense": np.ndim(self.values), "diagonal": 1}.get(self.kind)
         if sides is None:
             raise SpecError(f"unknown tensor kind {self.kind!r}")
         if self.kind == "diagonal":
             require_count(self.order, "order", DimensionError)
+        elif self.order is None:
+            object.__setattr__(self, "order", sides)
+        elif not is_integer(self.order) or self.order != sides:
+            raise DimensionError(f"order must be {sides}, the values' ndim, got {self.order!r}")
         shape = None if self.values is None else np.shape(self.values)
         if shape != (self.n,) * sides or self.n == 0:
             raise DimensionError(f"{self.kind} tensor of order {self.order} needs non-empty "
@@ -90,12 +96,11 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, arr) -> "DenseTensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(order=arr.ndim, kind="dense", values=arr)
+        return cls(values=arr)
 
     @classmethod
     def diagonal(cls, values, order: int) -> "DenseTensor":
-        return cls(order=order, kind="diagonal", values=np.asarray(values, dtype=np.float64))
+        return cls(order=order, kind="diagonal", values=values)
 
     @classmethod
     def alternating(cls, k: int, M: int, N: int) -> "DenseTensor":
@@ -152,6 +157,7 @@ class OrderedMultigraph:
 
     @classmethod
     def from_edges(cls, num_vertices, edges, incidence=None) -> "OrderedMultigraph":
+        num_vertices = require_count(num_vertices, "num_vertices", DimensionError)
         edges = [tuple(e) for e in edges]
         if incidence is None:
             incidence = [[] for _ in range(num_vertices)]
@@ -464,6 +470,9 @@ class BcpQuery:
     pi: List[int]  # length sum(orders); values in {0, ..., ell-1}
 
     def __post_init__(self):
+        for i, k in enumerate(self.orders):
+            require_count(k, f"orders[{i}]", DimensionError)
+        require_count(self.ell, "ell", DimensionError)
         if len(self.pi) != sum(self.orders):
             raise SpecError("pi must map every tensor slot")
         if set(self.pi) != set(range(self.ell)):
@@ -615,22 +624,15 @@ def save_network(path: str, graph: OrderedMultigraph, labeling: TensorLabeling):
         json.dump({"edges": graph.edges, "incidence": graph.incidence, "tensors": tensors}, fh)
 
 
-# tensor kind -> constructor; a dense tensor's order is the depth of its values
-_LOADERS = {
-    "dense": lambda t: DenseTensor.from_array(t["values"]),
-    "diagonal": lambda t: DenseTensor.diagonal(t["values"], t["order"]),
-    "alternating": lambda t: DenseTensor.alternating(t["order"], t["M"], t["N"]),
-}
-
-
 def load_network(path: str) -> Tuple[OrderedMultigraph, TensorLabeling]:
     """Read a network written by ``save_network``; vertex v carries the v-th
-    tensor. A file that cannot be read, is not such a JSON document, or whose
-    graph, tensors or their n fail validation raises SpecError naming path."""
+    tensor, ``DenseTensor(**fields)``. A file that cannot be read, is not
+    such a JSON document, or whose graph, tensors or their n fail validation
+    raises SpecError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        labeling = dict(enumerate(_LOADERS[t["kind"]](t) for t in doc["tensors"]))
+        labeling = dict(enumerate(DenseTensor(**t) for t in doc["tensors"]))
         graph = OrderedMultigraph.from_edges(len(labeling), doc["edges"], doc["incidence"])
         common_n([tensor for tensor, _ in _factors(graph, labeling)])
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:

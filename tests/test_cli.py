@@ -245,6 +245,8 @@ OLD_TEXT_NETWORK = ("vertices 2 edges 1 n 3\nedge 0 1\norder 0: 0\norder 1: 0\n"
 BAD_TENSORS = {
     "ragged_network": {"kind": "dense", "order": 1, "values": [[0.0, 1.0], [2.0]]},
     "diagonal_2d_network": {"kind": "diagonal", "order": 1, "values": [[0.0], [1.0], [2.0]]},
+    # a saved dense order was once ignored on load
+    "dense_order_network": {"kind": "dense", "order": 2, "values": [0.0, 1.0, 2.0]},
 }
 
 

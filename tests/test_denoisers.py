@@ -156,7 +156,7 @@ def test_matrix_denoisers_reject_a_vector_of_the_wrong_length(den):
 def test_denoiser_rejects_input_that_is_not_a_vector(call, shape):
     # an n x t stack of iterates must fail loudly, not be read by its last column
     den = soft_threshold_denoiser(0.5)
-    with pytest.raises(DimensionError, match="must be an n-vector"):
+    with pytest.raises(DimensionError, match=r"^z must be a non-empty vector, got shape"):
         getattr(den, call)(np.ones(shape))
 
 

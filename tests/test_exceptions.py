@@ -1,22 +1,28 @@
-"""The one count rule, ``exceptions.require_count``, at every entry point
-that takes a count or a size."""
+"""The two input rules at every entry point that takes their kind of input:
+``exceptions.require_count`` for a count or a size, ``require_vector`` for a
+vector."""
+
+import re
 
 import numpy as np
 import pytest
 
-from amplab.amp import SensingProblem, run_sensing_amp
+from amplab.amp import RectAmpProblem, SensingProblem, SymmetricAmpProblem, run_sensing_amp
 from amplab.denoisers import (
     LocalKernelSpec,
     SpectralSpec,
     identity_denoiser,
     mc_divergence,
+    residual_shift_denoiser,
+    signal_residual_denoiser,
     soft_threshold_denoiser,
 )
 from amplab.ensembles import EnsembleSpec, SignalSpec, sample_haar_orthogonal, sample_noise
-from amplab.exceptions import DimensionError, ParameterError, require_count
+from amplab.exceptions import DimensionError, ParameterError, require_count, require_vector
 from amplab.rng import RngStream
-from amplab.state_evolution import require_length, se_asymmetric, se_scalar_sensing, se_symmetric
-from amplab.tensor_net import DenseTensor, wick_expectation_mc
+from amplab.state_evolution import (OnsagerSchedule, require_length, se_asymmetric,
+                                    se_scalar_sensing, se_symmetric)
+from amplab.tensor_net import BcpQuery, DenseTensor, OrderedMultigraph, wick_expectation_mc
 
 _SOFT = soft_threshold_denoiser(0.5)
 _ID = identity_denoiser()
@@ -63,9 +69,14 @@ def _wick(**counts):
     (lambda: SignalSpec("sparse", dims=-3), "dims", DimensionError),
     (lambda: SignalSpec("sparse", dims=0), "dims", DimensionError),
     (lambda: sample_noise(-1, 1.0, RngStream(0)), "m", DimensionError),
+    (lambda: SignalSpec("low_rank", dims=36, M=2.5, N=14.4), "M", DimensionError),
+    (lambda: SignalSpec("smooth_image", dims=4, M=4, N=True), "N", DimensionError),
+    (lambda: BcpQuery(orders=[2.5, 1.5], ell=2, pi=[0, 1, 0, 1]), "orders[0]", DimensionError),
+    (lambda: BcpQuery(orders=[1, 1], ell=True, pi=[0, 0]), "ell", DimensionError),
+    (lambda: OrderedMultigraph.from_edges(2.5, [(0, 1)]), "num_vertices", DimensionError),
 ])
 def test_every_count_and_size_is_refused_by_the_one_rule_naming_its_field(call, name, error):
-    with pytest.raises(error, match=rf"^{name} must be an integer >= 1, got "):
+    with pytest.raises(error, match=rf"^{re.escape(name)} must be an integer >= 1, got "):
         call()
 
 
@@ -76,3 +87,44 @@ def test_require_count_takes_integers_of_either_kind_and_returns_an_int():
     for value in (0, -1, True, 2.0, "3", None):
         with pytest.raises(ParameterError, match="k must be an integer >= 1"):
             require_count(value, "k", ParameterError)
+
+
+_BAD_VECTORS = {"matrix": np.ones((3, 2)), "scalar": np.float64(0.5), "empty": np.zeros(0)}
+_NO_SCHEDULE = OnsagerSchedule()
+
+
+# On code that checked vectors by hand, the denoiser methods took an empty z
+# and named no field, mc_divergence died on a matrix x in numpy, and a scalar
+# e gave residual_shift_denoiser(e).divergence(z) = 1 for any length of z.
+@pytest.mark.parametrize("bad", _BAD_VECTORS.values(), ids=_BAD_VECTORS.keys())
+@pytest.mark.parametrize("call, name", [
+    (lambda x: _SOFT.apply(x), "z"),
+    (lambda x: _SOFT.divergence(x), "z"),
+    (lambda x: _SOFT.divergence_mc(x, reps=2), "z"),
+    (lambda x: mc_divergence(np.tanh, x, reps=2), "x"),
+    (lambda x: residual_shift_denoiser(x), "e"),
+    (lambda x: signal_residual_denoiser(x, _SOFT), "theta_star"),
+    (lambda x: se_symmetric([_SOFT], x, 2, mc_samples=2), "u1"),
+    (lambda x: se_asymmetric([_ID] * 2, [_ID], x, 2, 3, mc_samples=2), "u1"),
+    (lambda x: se_scalar_sensing(x, np.ones(3), [_SOFT], 1, mc_draws=2), "theta_star"),
+    (lambda x: se_scalar_sensing(np.ones(4), x, [_SOFT], 1, mc_draws=2), "e"),
+    (lambda x: SymmetricAmpProblem(W=np.eye(4), u1=x, f_seq=[], onsager=_NO_SCHEDULE), "u1"),
+    (lambda x: RectAmpProblem(W=np.ones((3, 4)), u1=x, f_seq=[], g_seq=[],
+                              onsager=_NO_SCHEDULE), "u1"),
+    (lambda x: SensingProblem(W=np.ones((3, 4)), theta_star=x, e=np.ones(3), eta_seq=[]),
+     "theta_star"),
+    (lambda x: SensingProblem(W=np.ones((3, 4)), theta_star=np.ones(4), e=x, eta_seq=[]), "e"),
+], ids=["apply", "divergence", "divergence_mc", "mc_divergence", "residual_shift",
+        "signal_residual", "se_symmetric", "se_asymmetric", "se_scalar_theta", "se_scalar_e",
+        "symmetric_amp", "rect_amp", "sensing_theta", "sensing_e"])
+def test_every_vector_is_refused_by_the_one_rule_naming_its_field(call, name, bad):
+    message = f"{name} must be a non-empty vector, got shape {np.shape(bad)}"
+    with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_require_vector_returns_a_float64_vector():
+    got = require_vector([1, 2, 3], "v")
+    assert got.dtype == np.float64 and np.array_equal(got, [1.0, 2.0, 3.0])
+    x = np.arange(3.0)
+    assert require_vector(x, "v") is x

@@ -154,6 +154,14 @@ def test_rank_above_min_dim_rejected():
         SignalSpec(kind="low_rank", dims=12, M=3, N=4, rank=5)
 
 
+@pytest.mark.parametrize("rank", [2.5, True, np.float64(2.0)], ids=["float", "bool", "np_float"])
+def test_a_rank_that_is_no_integer_is_refused(rank):
+    # each was accepted, and sample_signal then died with a bare TypeError
+    with pytest.raises(SpecError, match=r"^rank must be an integer in \[0, min\(M, N\)\], got "):
+        SignalSpec("low_rank", dims=36, M=6, N=6, rank=rank)
+    assert SignalSpec("low_rank", dims=36, M=6, N=6, rank=np.int64(2)).rank == 2
+
+
 # The scaled moment of order k is mean |W_ij|^k times rows^(k/2).
 
 

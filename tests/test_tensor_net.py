@@ -438,6 +438,27 @@ def test_direct_construction_rejects_an_n_its_fields_contradict(fields):
         DenseTensor(**fields)
 
 
+# each was accepted (order -1 with n = 1, order True) or died with a bare
+# TypeError (order 2.0) when the stated order was trusted
+@pytest.mark.parametrize("order, values", [
+    (-1, np.float64(2.0)),
+    (True, np.ones(2)),
+    (2.0, np.ones((2, 2))),
+], ids=["negative", "bool", "float"])
+def test_a_stated_dense_order_other_than_the_values_ndim_is_refused(order, values):
+    with pytest.raises(DimensionError, match=rf"^order must be {np.ndim(values)}, "):
+        DenseTensor(order=order, kind="dense", values=values)
+
+
+def test_a_dense_order_is_read_off_the_values():
+    for values in (np.float64(2.0), np.ones(2), np.ones((2, 2))):
+        assert DenseTensor(values=values).order == DenseTensor.from_array(values).order == (
+            np.ndim(values))
+    assert DenseTensor(order=np.int64(2), values=np.ones((2, 2))).order == 2
+    nested = DenseTensor(values=[[1, 2], [3, 4]])  # as a network file holds them
+    assert nested.values.dtype == np.float64 and nested.gather([[1], [0]]) == [3.0]
+
+
 def test_tensors_are_frozen():
     t = DenseTensor.from_array(np.ones(3))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -539,5 +560,6 @@ def test_a_scalar_factor_scales_a_tensor_sum():
 def test_common_n_of_no_tensors_is_a_spec_error():
     with pytest.raises(SpecError, match="at least one tensor"):
         common_n([])
-    with pytest.raises(SpecError, match="at least one tensor"):
-        bcp_ratio(BcpQuery(orders=[], ell=0, pi=[]), [])
+    # a composition sum of no tensors maps no slot onto no index: its ell is no count
+    with pytest.raises(DimensionError, match="^ell must be an integer >= 1, got 0"):
+        BcpQuery(orders=[], ell=0, pi=[])
