@@ -44,7 +44,7 @@ class RectAmpProblem:
     W: np.ndarray  # m x n
     u1: np.ndarray  # length n
     f_seq: Sequence[Denoiser]  # m-side, f_1..f_T
-    g_seq: Sequence[Denoiser]  # n-side, g_1..g_(T-1) (g_T optional)
+    g_seq: Sequence[Denoiser]  # n-side, g_1..g_T
     onsager: OnsagerSchedule
 
     def __post_init__(self):
@@ -103,7 +103,7 @@ class RectAmpTrace:
     z: np.ndarray  # m x T
     v: np.ndarray  # m x T
     y: np.ndarray  # n x T
-    u: np.ndarray  # n x (T or T+1, when g_T is present)
+    u: np.ndarray  # n x (T+1)
     b_applied: np.ndarray  # length T; b_1 = 0
     a_applied: np.ndarray  # length T
 
@@ -149,14 +149,13 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     ``se_asymmetric`` returns.
     """
     require_length(problem.f_seq, T, T, "f-denoisers")
-    require_length(problem.g_seq, T - 1, T, "g-denoisers")
+    require_length(problem.g_seq, T, T, "g-denoisers")
     m, n = problem.W.shape
     sched = problem.onsager
     z = np.zeros((m, T))
     v = np.zeros((m, T))
     y = np.zeros((n, T))
-    has_final_g = len(problem.g_seq) >= T
-    u = np.zeros((n, T + 1 if has_final_g else T))
+    u = np.zeros((n, T + 1))
     b = np.zeros(T)
     a = np.zeros(T)
     u[:, 0] = problem.u1
@@ -168,8 +167,7 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
         v[:, t - 1] = problem.f_seq[t - 1].apply(z[:, t - 1])
         a[t - 1] = sched.coeff("a", t)
         y[:, t - 1] = problem.W.T @ v[:, t - 1] - a[t - 1] * u[:, t - 1]
-        if t < T or has_final_g:
-            u[:, t] = problem.g_seq[t - 1].apply(y[:, t - 1])
+        u[:, t] = problem.g_seq[t - 1].apply(y[:, t - 1])
     return RectAmpTrace(z=z, v=v, y=y, u=u, b_applied=b, a_applied=a)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, SpecError, is_integer, require_count
+from .exceptions import DimensionError, ParameterError, SpecError, is_integer, require_count
 from .rng import RngStream
 from .vecmat import vec
 
@@ -188,5 +188,8 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
 
 def sample_noise(m: int, std: float, rng: RngStream) -> np.ndarray:
     """i.i.d. N(0, std^2) noise vector of length m; DimensionError unless m
-    is an integer >= 1."""
-    return std * rng.generator().standard_normal(require_count(m, "m", DimensionError))
+    is an integer >= 1, ParameterError unless std is a finite number >= 0."""
+    m = require_count(m, "m", DimensionError)
+    if not 0 <= std < np.inf:
+        raise ParameterError(f"std must be a finite number >= 0, got {std!r}")
+    return std * rng.generator().standard_normal(m)

@@ -348,6 +348,8 @@ TENSOR_N = 5  # largest dimension n of a drawn tensor
 WICK_INSTANCES = 20
 BCP_QUERIES = 100
 GRAPH_INSTANCES = 1000
+GRAPH_VERTICES = 8  # graph_lemma: vertices a cycle's walk draws from
+GRAPH_CYCLES = 4  # graph_lemma: most cycles in one instance
 
 
 def random_cyclic_network(num_vertices: int, n: int, gen, extra: int = 0):
@@ -357,7 +359,7 @@ def random_cyclic_network(num_vertices: int, n: int, gen, extra: int = 0):
     for _ in range(extra):
         a, b = gen.choice(num_vertices, size=2, replace=False)
         edges.append((int(min(a, b)), int(max(a, b))))
-    graph = tn.OrderedMultigraph.from_edges(num_vertices, edges)
+    graph = tn.OrderedMultigraph(num_vertices, edges)
     labeling = {
         v: tn.DenseTensor.from_array(gen.standard_normal((n,) * graph.degree(v)))
         for v in range(num_vertices)
@@ -383,9 +385,9 @@ def _battery_oracle_equivalence(rng: RngStream) -> dict:
             "worst_relative": worst, "passed": worst <= 1e-10}
 
 
-def random_wick_instance(gen, n_cap: int):
+def random_wick_instance(gen):
     d = int(gen.choice([2, 4, 4, 6]))
-    n = int(gen.integers(2, n_cap + 1))
+    n = int(gen.integers(2, TENSOR_N + 1))
     tensor = tn.DenseTensor.from_array(gen.standard_normal((n,) * d))
     # stream pattern with even multiplicities
     streams = []
@@ -422,7 +424,7 @@ def _battery_moments(rng: RngStream) -> dict:
     worst = 0.0
     correction = dict.fromkeys(ENTRY_DISTS, 0.0)
     for _ in range(WICK_INSTANCES):
-        tensor, sigma = random_wick_instance(gen, TENSOR_N)
+        tensor, sigma = random_wick_instance(gen)
         odd_sigma = [max(sigma) + 1, *sigma[1:]]  # must vanish identically
         exact = {law: tn.wick_expectation(tensor, sigma, law) for law in ENTRY_DISTS}
         for law, value in exact.items():
@@ -469,10 +471,10 @@ def _battery_bcp_diagonal(rng: RngStream) -> dict:
     return {"name": "bcp_diagonal_bound", "checked": BCP_QUERIES, "passed": failures == 0}
 
 
-def random_alt_cycles(gen, max_vertices: int = 8, max_cycles: int = 4):
+def random_alt_cycles(gen):
     cycles = []
-    for _ in range(int(gen.integers(1, max_cycles + 1))):
-        walk = [int(v) for v in gen.integers(0, max_vertices, size=int(gen.integers(1, 4)))]
+    for _ in range(int(gen.integers(1, GRAPH_CYCLES + 1))):
+        walk = [int(v) for v in gen.integers(0, GRAPH_VERTICES, size=int(gen.integers(1, 4)))]
         cycles.append(walk + walk)  # doubling keeps per-vertex color degrees even
     return cycles
 

@@ -457,8 +457,9 @@ def se_asymmetric(
     mc_samples: int = 200,
     rng: Optional[RngStream] = None,
 ) -> Tuple[SECovarianceSequence, OnsagerSchedule]:
-    """Covariances (Omega_t, Sigma_t) and coefficients (b, a) for the
-    asymmetric recursion z/v on the m side and y/u on the n side.
+    """Covariances Omega_1..Omega_(T+1), Sigma_1..Sigma_T and coefficients
+    a_1..a_T, b_2..b_(T+1) for the asymmetric recursion z/v on the m side
+    and y/u on the n side, driven by f_1..f_T and g_1..g_T.
 
     Omega_1 = |u1|^2 / m; Sigma_t[r, s] = (1/m) E f_r^T f_s over Z with rows
     N(0, Omega_t); Omega_(t+1)[r+1, s+1] = (1/m) E g_r^T g_s over Y with rows
@@ -472,15 +473,14 @@ def se_asymmetric(
     no covariance. Both sides are checked before either draws. A sampled
     side draws one set of surrogate paths once and colours it at every t:
     path k of Z takes its T x m normals from rng.derive(0).derive(k) and
-    path k of Y its min(T, len(g_seq)) x n normals from
-    rng.derive(1).derive(k), both stored in float64, so each side's
-    covariances are Gram averages over one sample set. The
-    covariances whose Cholesky factor needed the jitter are named in
+    path k of Y its T x n normals from rng.derive(1).derive(k), both stored
+    in float64, so each side's covariances are Gram averages over one sample
+    set. The covariances whose Cholesky factor needed the jitter are named in
     ``jittered``; an exact side adds no name.
     """
     mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
     require_length(f_seq, T, T, "f-denoisers")
-    require_length(g_seq, T - 1, T, "g-denoisers")
+    require_length(g_seq, T, T, "g-denoisers")
     m = require_count(m, "m", DimensionError)
     rng = rng or RngStream(0)
     u1 = require_vector(u1, "u1")
@@ -497,9 +497,8 @@ def se_asymmetric(
         col, a[t] = f_side.column(None, omega[t - 1], f"omega_{t}", jittered)
         sigma.append(_border(sigma[t - 2] if t > 1 else np.zeros((0, 0)), col))
         # g side: new column of Omega_(t+1) from Y ~ N(0, Sigma_t x I_n)
-        if t <= len(g_seq):
-            col, b[t + 1] = g_side.column(u1, sigma[t - 1], f"sigma_{t}", jittered)
-            omega.append(_border(omega[t - 1], col))
+        col, b[t + 1] = g_side.column(u1, sigma[t - 1], f"sigma_{t}", jittered)
+        omega.append(_border(omega[t - 1], col))
     cov = SECovarianceSequence(sigma=sigma, omega=omega, jittered=jittered)
     cov.validate()
     return cov, OnsagerSchedule(b=b, a=a)

@@ -149,34 +149,32 @@ class DenseTensor:
 @dataclass
 class OrderedMultigraph:
     """Undirected multigraph, no self-loops or isolated vertices, with a
-    declared ordering of the edges incident to each vertex."""
+    declared ordering of the edges incident to each vertex; an incidence of
+    None orders each vertex's edges by edge id.
+
+    Construction checks the graph: DimensionError unless num_vertices is a
+    count (``require_count``), SpecError on a self-loop, an edge to a missing
+    vertex, an isolated vertex, or an incidence that does not list every edge
+    at both of its ends and nowhere else."""
 
     num_vertices: int
     edges: List[Tuple[int, int]]
-    incidence: List[List[int]]
+    incidence: Optional[List[List[int]]] = None
 
-    @classmethod
-    def from_edges(cls, num_vertices, edges, incidence=None) -> "OrderedMultigraph":
-        num_vertices = require_count(num_vertices, "num_vertices", DimensionError)
-        edges = [tuple(e) for e in edges]
-        if incidence is None:
-            incidence = [[] for _ in range(num_vertices)]
-            for eid, (a, b) in enumerate(edges):
-                incidence[a].append(eid)
-                incidence[b].append(eid)
-        g = cls(num_vertices=num_vertices, edges=edges, incidence=incidence)
-        g.validate()
-        return g
-
-    def validate(self):
-        counts = [0] * len(self.edges)
+    def __post_init__(self):
+        self.num_vertices = require_count(self.num_vertices, "num_vertices", DimensionError)
+        self.edges = [tuple(e) for e in self.edges]
         for eid, (a, b) in enumerate(self.edges):
             if a == b:
                 raise SpecError(f"edge {eid} is a self-loop")
             if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise SpecError(f"edge {eid} references a missing vertex")
+        if self.incidence is None:
+            self.incidence = [[eid for eid, edge in enumerate(self.edges) if v in edge]
+                              for v in range(self.num_vertices)]
         if len(self.incidence) != self.num_vertices:
             raise SpecError("incidence list length must equal vertex count")
+        counts = [0] * len(self.edges)
         for v, order in enumerate(self.incidence):
             if not order:
                 raise SpecError(f"vertex {v} is isolated")
@@ -633,7 +631,7 @@ def load_network(path: str) -> Tuple[OrderedMultigraph, TensorLabeling]:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         labeling = dict(enumerate(DenseTensor(**t) for t in doc["tensors"]))
-        graph = OrderedMultigraph.from_edges(len(labeling), doc["edges"], doc["incidence"])
+        graph = OrderedMultigraph(len(labeling), doc["edges"], doc["incidence"])
         common_n([tensor for tensor, _ in _factors(graph, labeling)])
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise SpecError(f"cannot read network file {path}: {exc}") from exc

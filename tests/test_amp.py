@@ -92,13 +92,15 @@ def test_asymmetric_first_iteration_expansion():
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(14))
     u1 = RngStream(15).generator().standard_normal(n)
     sched = OnsagerSchedule(a={1: 1.0})
-    prob = RectAmpProblem(W=w, u1=u1, f_seq=[identity_denoiser()], g_seq=[],
-                          onsager=sched)
+    prob = RectAmpProblem(W=w, u1=u1, f_seq=[identity_denoiser()],
+                          g_seq=[identity_denoiser()], onsager=sched)
     trace = run_asymmetric_amp(prob, 1)
     z1 = w @ u1
     assert np.allclose(trace.z[:, 0], z1)
     assert np.allclose(trace.v[:, 0], z1)
     assert np.allclose(trace.y[:, 0], w.T @ z1 - u1)
+    # g_T is always applied: u holds u_1 .. u_(T+1)
+    assert trace.u.shape == (n, 2) and np.array_equal(trace.u[:, 1], trace.y[:, 0])
 
 
 def test_asymmetric_zero_fixed_point():
@@ -410,10 +412,10 @@ def test_symmetric_short_f_seq_raises_schedule_error():
 
 
 def test_asymmetric_short_g_seq_raises_schedule_error():
-    # an explicit schedule once ran u_3 = 0 here
+    # T - 1 g-denoisers were once accepted, and u_(T+1) was never computed
     prob = _rect_problem(32, 12, 9, 3)
-    prob.g_seq = prob.g_seq[:1]
-    with pytest.raises(ScheduleError, match="need 2 g-denoisers for T=3, got 1"):
+    prob.g_seq = prob.g_seq[:2]
+    with pytest.raises(ScheduleError, match="need 3 g-denoisers for T=3, got 2"):
         run_asymmetric_amp(prob, 3)
 
 

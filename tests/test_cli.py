@@ -206,7 +206,7 @@ def test_seed_sets_the_battery_seed_of_a_tensor_run(tmp_path):
 
 
 def test_tensor_eval_prints_both_values(tmp_path, capsys):
-    g = tn.OrderedMultigraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    g = tn.OrderedMultigraph(3, [(0, 1), (1, 2), (0, 2)])
     gen = np.random.default_rng(4)
     lab = {v: tn.DenseTensor.from_array(gen.standard_normal((3, 3))) for v in range(3)}
     path = tmp_path / "net.json"
@@ -224,7 +224,7 @@ def test_tensor_eval_past_the_enumeration_budget_reports_the_contraction(tmp_pat
     # a ring of 60 matrices (n = 2): 60 edges, past numpy's 52 einsum labels
     # and 60 bits of enumeration; vertex v reads (edge v-1, edge v)
     size = 60
-    g = tn.OrderedMultigraph.from_edges(
+    g = tn.OrderedMultigraph(
         size, [(v, (v + 1) % size) for v in range(size)],
         incidence=[[(v - 1) % size, v] for v in range(size)])
     mats = np.random.default_rng(5).standard_normal((size, 2, 2))
@@ -254,7 +254,7 @@ def _network_file(tmp_path, case):
     """A saved two-vertex network, damaged as the case says. Both tensors
     have n = 3, except in unequal_n_network: there vertex 1 carries a
     length-2 diagonal."""
-    g = tn.OrderedMultigraph.from_edges(2, [(0, 1)])
+    g = tn.OrderedMultigraph(2, [(0, 1)])
     lab = {0: tn.DenseTensor.from_array(np.arange(3.0)),
            1: tn.DenseTensor.diagonal(np.arange(3.0 if case != "unequal_n_network" else 2.0), 1)}
     path = tmp_path / "net.json"

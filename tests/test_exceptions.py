@@ -54,7 +54,7 @@ def _wick(**counts):
      ParameterError),
     (lambda: se_asymmetric([_ID] * 2, [_ID], np.ones(4), 2, 3, mc_samples=2.5), "mc_samples",
      ParameterError),
-    (lambda: se_asymmetric([_ID] * 2, [_ID], np.ones(4), 2, 2.5, mc_samples=2), "m",
+    (lambda: se_asymmetric([_ID] * 2, [_ID] * 2, np.ones(4), 2, 2.5, mc_samples=2), "m",
      DimensionError),
     (lambda: se_scalar_sensing(np.ones(4), np.ones(3), [_SOFT] * 2, 2, mc_draws=2.5),
      "mc_draws", ParameterError),
@@ -73,7 +73,7 @@ def _wick(**counts):
     (lambda: SignalSpec("smooth_image", dims=4, M=4, N=True), "N", DimensionError),
     (lambda: BcpQuery(orders=[2.5, 1.5], ell=2, pi=[0, 1, 0, 1]), "orders[0]", DimensionError),
     (lambda: BcpQuery(orders=[1, 1], ell=True, pi=[0, 0]), "ell", DimensionError),
-    (lambda: OrderedMultigraph.from_edges(2.5, [(0, 1)]), "num_vertices", DimensionError),
+    (lambda: OrderedMultigraph(2.5, [(0, 1)]), "num_vertices", DimensionError),
 ])
 def test_every_count_and_size_is_refused_by_the_one_rule_naming_its_field(call, name, error):
     with pytest.raises(error, match=rf"^{re.escape(name)} must be an integer >= 1, got "):
@@ -105,7 +105,7 @@ _NO_SCHEDULE = OnsagerSchedule()
     (lambda x: residual_shift_denoiser(x), "e"),
     (lambda x: signal_residual_denoiser(x, _SOFT), "theta_star"),
     (lambda x: se_symmetric([_SOFT], x, 2, mc_samples=2), "u1"),
-    (lambda x: se_asymmetric([_ID] * 2, [_ID], x, 2, 3, mc_samples=2), "u1"),
+    (lambda x: se_asymmetric([_ID] * 2, [_ID] * 2, x, 2, 3, mc_samples=2), "u1"),
     (lambda x: se_scalar_sensing(x, np.ones(3), [_SOFT], 1, mc_draws=2), "theta_star"),
     (lambda x: se_scalar_sensing(np.ones(4), x, [_SOFT], 1, mc_draws=2), "e"),
     (lambda x: SymmetricAmpProblem(W=np.eye(4), u1=x, f_seq=[], onsager=_NO_SCHEDULE), "u1"),

@@ -64,8 +64,8 @@ _POINTS = [(0.0, 0.0), (0.5, -0.3), (-2.0, 1.0), (3.0, 3.0), (-3.0, -3.0), (1.0,
 @pytest.mark.parametrize("rho", [0.0, 0.3, 0.75, 0.925, 0.99, 0.9999, 1.0])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_bvn_upper_matches_quadrature(rho, sign):
-    # each rule of Genz's: 6, 12 and 20 points in arcsin(rho), the branch
-    # from |rho| = 0.925 on, and |rho| = 1 exactly
+    # the 20-point rule in arcsin(rho) at small (0, 0.3) and middle (0.75)
+    # |rho|, the branch from |rho| = 0.925 on, and |rho| = 1 exactly
     h, k = np.array(_POINTS).T
     want = [_bvn_quad(a, b, sign * rho) for a, b in zip(h, k)]
     np.testing.assert_allclose(bvn_upper(h, k, sign * rho), want, rtol=0, atol=1e-13)

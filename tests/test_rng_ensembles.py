@@ -11,7 +11,7 @@ from amplab.ensembles import (
     sample_signal,
     sample_wigner,
 )
-from amplab.exceptions import DimensionError, SpecError
+from amplab.exceptions import DimensionError, ParameterError, SpecError
 from amplab.rng import RngStream
 
 
@@ -197,3 +197,9 @@ def test_noise_scaling():
     e = sample_noise(20_000, 0.05, RngStream(8))
     assert abs(e.std() - 0.05) < 3 * 0.05 / np.sqrt(2 * len(e))
 
+
+@pytest.mark.parametrize("std", [-1.0, float("nan"), float("inf")])
+def test_a_noise_std_that_is_negative_or_not_finite_is_refused(std):
+    # -1.0 once gave sign-flipped noise and NaN a NaN vector
+    with pytest.raises(ParameterError, match=r"^std must be a finite number >= 0, got "):
+        sample_noise(5, std, RngStream(8))

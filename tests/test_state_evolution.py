@@ -98,7 +98,7 @@ def test_missing_denoisers_rejected():
 
 @pytest.mark.parametrize("f_count, g_count, message", [
     (2, 2, "need 3 f-denoisers for T=3, got 2"),
-    (3, 1, "need 2 g-denoisers for T=3, got 1"),
+    (3, 2, "need 3 g-denoisers for T=3, got 2"),
 ])
 def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
     m, n = 20, 15
@@ -110,7 +110,7 @@ def test_asymmetric_short_sequences_rejected(f_count, g_count, message):
 def test_asymmetric_rejects_an_empty_m_side():
     # without the check, m = 0 divided by zero and raised "sigma_1 is not symmetric"
     with pytest.raises(DimensionError, match="m must be an integer >= 1, got 0"):
-        se_asymmetric([identity_denoiser()], [], np.ones(4), 1, 0, mc_samples=2,
+        se_asymmetric([identity_denoiser()], [identity_denoiser()], np.ones(4), 1, 0, mc_samples=2,
                       rng=RngStream(5))
 
 
@@ -133,8 +133,8 @@ _TANH = Denoiser(fn=np.tanh)  # no divergence formula
 @pytest.mark.parametrize("solve, named", [
     (lambda: se_symmetric([soft_threshold_denoiser(0.5), _TANH], np.ones(10), 3,
                           mc_samples=2, rng=RngStream(5)), r"f_seq\[1\]"),
-    (lambda: se_asymmetric([identity_denoiser()] * 3, [identity_denoiser(), _TANH], np.ones(10),
-                           3, 8, mc_samples=2, rng=RngStream(5)), r"g_seq\[1\]"),
+    (lambda: se_asymmetric([identity_denoiser()] * 3, [identity_denoiser(), _TANH, _TANH],
+                           np.ones(10), 3, 8, mc_samples=2, rng=RngStream(5)), r"g_seq\[1\]"),
 ], ids=["symmetric-f_seq", "asymmetric-g_seq"])
 def test_a_denoiser_without_a_divergence_formula_is_refused_before_any_draw(
         monkeypatch, solve, named):
@@ -158,8 +158,8 @@ def test_a_denoiser_without_a_divergence_formula_is_refused_before_any_draw(
      DimensionError, "u1"),
     (lambda: se_symmetric([identity_denoiser()], np.eye(3), 2, mc_samples=2),
      DimensionError, "u1"),
-    (lambda: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser()], np.eye(3), 2, 8,
-                           mc_samples=2), DimensionError, "u1"),
+    (lambda: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser()] * 2, np.eye(3), 2,
+                           8, mc_samples=2), DimensionError, "u1"),
     (lambda: se_scalar_sensing(np.eye(3), np.ones(8), [identity_denoiser()], 1, mc_draws=2),
      DimensionError, "theta_star"),
     (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [identity_denoiser()], 1, mc_draws=2,
@@ -646,8 +646,8 @@ def test_an_offset_of_the_wrong_length_is_refused(solve, named):
 @pytest.mark.parametrize("solve, named", [
     (lambda g: se_asymmetric([identity_denoiser()] * 2, [g(50)] * 2, np.ones(40), 2, 8,
                              mc_samples=4), r"g_seq\[0\]"),
-    (lambda g: se_asymmetric([identity_denoiser()] * 3, [g(40), g(50)], np.ones(40), 3, 8,
-                             mc_samples=4), r"g_seq\[1\]"),
+    (lambda g: se_asymmetric([identity_denoiser()] * 3, [g(40), g(50), g(50)], np.ones(40), 3,
+                             8, mc_samples=4), r"g_seq\[1\]"),
     (lambda g: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser(), g(50)],
                              np.ones(40), 2, 8, mc_samples=4), r"g_seq\[1\]"),
     (lambda g: se_symmetric([g(50)] * 2, np.ones(40), 3, mc_samples=4), r"f_seq\[0\]"),

@@ -29,7 +29,7 @@ from amplab.vecmat import mat, vec
 
 def test_single_edge_is_inner_product():
     a, b = np.array([1.0, -2.0, 0.5]), np.array([2.0, 0.0, 4.0])
-    g = OrderedMultigraph.from_edges(2, [(0, 1)])
+    g = OrderedMultigraph(2, [(0, 1)])
     lab = {0: DenseTensor.from_array(a), 1: DenseTensor.from_array(b)}
     assert eval_value_bruteforce(g, lab) == pytest.approx(a @ b)
     assert eval_value_contraction(g, lab) == pytest.approx(a @ b)
@@ -40,8 +40,7 @@ def test_three_cycle_matches_hand_sum_and_trace():
     n = 2
     a, b, c = gen.standard_normal((3, n, n))
     # vertex orderings chosen so each matrix reads (incoming, outgoing) edge
-    g = OrderedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0)],
-                                     incidence=[[2, 0], [0, 1], [1, 2]])
+    g = OrderedMultigraph(3, [(0, 1), (1, 2), (2, 0)], incidence=[[2, 0], [0, 1], [1, 2]])
     lab = {0: DenseTensor.from_array(a), 1: DenseTensor.from_array(b),
            2: DenseTensor.from_array(c)}
     hand = 0.0
@@ -58,7 +57,7 @@ def test_three_cycle_matches_hand_sum_and_trace():
 def test_disconnected_union_multiplies():
     gen = RngStream(2).generator()
     vecs = gen.standard_normal((4, 3))
-    g = OrderedMultigraph.from_edges(4, [(0, 1), (2, 3)])
+    g = OrderedMultigraph(4, [(0, 1), (2, 3)])
     lab = {i: DenseTensor.from_array(vecs[i]) for i in range(4)}
     expect = (vecs[0] @ vecs[1]) * (vecs[2] @ vecs[3])
     assert eval_value_bruteforce(g, lab) == pytest.approx(expect)
@@ -69,7 +68,7 @@ def test_star_with_identity_center():
     gen = RngStream(3).generator()
     n, leaves = 4, 3
     edges = [(0, v) for v in range(1, leaves + 1)]
-    g = OrderedMultigraph.from_edges(leaves + 1, edges)
+    g = OrderedMultigraph(leaves + 1, edges)
     lab = {0: DenseTensor.diagonal(np.ones(n), leaves)}
     for v in range(1, leaves + 1):
         lab[v] = DenseTensor.from_array(gen.standard_normal(n))
@@ -85,7 +84,7 @@ def test_contraction_matches_bruteforce_on_random_trees():
         nv = int(gen.integers(2, 7))
         n = int(gen.integers(2, 7))
         edges = [(int(gen.integers(0, v)), v) for v in range(1, nv)]
-        g = OrderedMultigraph.from_edges(nv, edges)
+        g = OrderedMultigraph(nv, edges)
         lab = {v: DenseTensor.from_array(gen.standard_normal((n,) * g.degree(v)))
                for v in range(nv)}
         a = eval_value_bruteforce(g, lab)
@@ -154,7 +153,7 @@ def test_engine_matches_the_enumeration_on_random_networks():
 
 
 def test_bruteforce_budget_error():
-    g = OrderedMultigraph.from_edges(2, [(0, 1)] * 16)
+    g = OrderedMultigraph(2, [(0, 1)] * 16)
     lab = {0: DenseTensor.diagonal(np.ones(16), 16), 1: DenseTensor.diagonal(np.ones(16), 16)}
     with pytest.raises(BudgetError):
         eval_value_bruteforce(g, lab)
@@ -167,11 +166,24 @@ def test_structured_materialization_cap():
 
 def test_multigraph_validation():
     with pytest.raises(SpecError):
-        OrderedMultigraph.from_edges(2, [(0, 0)])
+        OrderedMultigraph(2, [(0, 0)])
     with pytest.raises(SpecError):
-        OrderedMultigraph.from_edges(3, [(0, 1)])  # vertex 2 isolated
+        OrderedMultigraph(3, [(0, 1)])  # vertex 2 isolated
     with pytest.raises(SpecError):
-        OrderedMultigraph.from_edges(2, [(0, 1)], incidence=[[0], [-1]])  # no edge -1
+        OrderedMultigraph(2, [(0, 1)], incidence=[[0], [-1]])  # no edge -1
+
+
+def test_direct_construction_checks_the_graph():
+    # direct construction once skipped every check: this self-loop graph, vertex 1
+    # listing an edge it does not touch, evaluated to 3.0, and num_vertices=2.5
+    # died later with a bare TypeError
+    with pytest.raises(SpecError, match="edge 0 is a self-loop"):
+        OrderedMultigraph(num_vertices=2, edges=[(0, 0)], incidence=[[0, 0], [0]])
+    with pytest.raises(DimensionError, match="num_vertices must be an integer >= 1, got 2.5"):
+        OrderedMultigraph(num_vertices=2.5, edges=[(0, 1)], incidence=[[0], [0]])
+    with pytest.raises(SpecError, match="edge 0 references a missing vertex"):
+        OrderedMultigraph(2, [(0, 5)])
+    assert OrderedMultigraph(3, [[0, 1], [1, 2], [0, 1]]).incidence == [[0, 2], [0, 1, 2], [1]]
 
 
 def test_wick_odd_multiplicity_vanishes():
@@ -515,8 +527,8 @@ def test_network_io_roundtrip(tmp_path):
     gen = RngStream(20).generator()
     n = 6
     # vertex 0 reads edges 0..3 in order; 1 and 2 each close one pair
-    g = OrderedMultigraph.from_edges(3, [(0, 1), (0, 1), (0, 2), (0, 2)],
-                                     incidence=[[0, 1, 2, 3], [1, 0], [2, 3]])
+    g = OrderedMultigraph(3, [(0, 1), (0, 1), (0, 2), (0, 2)],
+                          incidence=[[0, 1, 2, 3], [1, 0], [2, 3]])
     lab = {0: DenseTensor.alternating(4, 2, 3),
            1: DenseTensor.from_array(gen.standard_normal((n, n))),
            2: DenseTensor.diagonal(gen.standard_normal(n), 2)}
@@ -534,7 +546,7 @@ def test_network_io_roundtrip(tmp_path):
 def test_tensor_sums_reject_tensors_of_unequal_n():
     # vertex (or query tensor) 0 has n = 4, 1 has n = 3: no sum over [n] is defined
     tensors = [DenseTensor.diagonal(np.ones(4), 1), DenseTensor.from_array(np.ones(3))]
-    graph = OrderedMultigraph.from_edges(2, [(0, 1)])
+    graph = OrderedMultigraph(2, [(0, 1)])
     message = "tensor 1 has n = 3, tensor 0 has n = 4"
     for evaluate in (eval_value_bruteforce, eval_value_contraction):
         with pytest.raises(DimensionError, match=message):
