@@ -1,5 +1,7 @@
 """AMP recursions: symmetric, asymmetric with an explicit Onsager schedule,
-and the sensing form, plain or coloured (x = W K theta + e).
+and the sensing form, plain or coloured (x = W K theta + e). The sensing
+runner applies and inverts K only through the problem's
+``state_evolution.Coloring``, the identity colouring when no K is given.
 
 Denoisers read only the latest iterate, so each iteration subtracts one
 Onsager term, a coefficient times the previous iterate (Berthier, Montanari
@@ -60,11 +62,12 @@ class SensingProblem:
     derived from the other fields, not passed.
 
     With K set the sensing is coloured, x = W K theta_star + e. K may be an
-    ndarray, turned into a Coloring by ``Coloring.of`` (an SVD and an LU
-    inverse), or a Coloring already built, e.g. by ``Coloring.from_eig`` from
-    K's eigen-factors; ``Coloring.of`` checks either form against n. Problems
-    that share one Coloring share its inverse and condition number, computed
-    once.
+    ndarray, factored into a Coloring by ``Coloring.of`` (one SVD), or a
+    Coloring already built, e.g. by ``Coloring.from_eig`` from K's
+    eigen-factors; ``Coloring.of`` checks either form against n. Without K
+    the field holds the identity colouring, which hands every vector back
+    unchanged. Problems that share one Coloring share its factors and
+    condition number, computed once.
     """
 
     W: np.ndarray
@@ -80,11 +83,8 @@ class SensingProblem:
         self.e = require_vector(self.e, "e")
         if self.W.shape != (self.e.size, self.theta_star.size):
             raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
-        signal = self.theta_star
-        if self.K is not None:
-            self.K = Coloring.of(self.K, self.theta_star.size)
-            signal = self.K.matrix @ signal
-        self.x = self.W @ signal + self.e
+        self.K = Coloring.of(self.K, self.theta_star.size)
+        self.x = self.W @ self.K.apply(self.theta_star) + self.e
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class SensingAmpTrace:
 
 def run_symmetric_amp(problem: SymmetricAmpProblem, T: int) -> SymmetricAmpTrace:
     """z_t = W u_t - b_t u_(t-1), u_(t+1) = f_t(z_t); z_1 = W u_1."""
-    require_length(problem.f_seq, T - 1, T)
+    require_length(problem.f_seq, T, fewer=1)
     n = problem.u1.size
     z = np.zeros((n, T))
     u = np.zeros((n, T))
@@ -148,8 +148,8 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
     The coefficients come from problem.onsager, e.g. the schedule
     ``se_asymmetric`` returns.
     """
-    require_length(problem.f_seq, T, T, "f-denoisers")
-    require_length(problem.g_seq, T, T, "g-denoisers")
+    require_length(problem.f_seq, T, "f-denoisers")
+    require_length(problem.g_seq, T, "g-denoisers")
     m, n = problem.W.shape
     sched = problem.onsager
     z = np.zeros((m, T))
@@ -181,12 +181,15 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     initialized at theta_1 = 0, r_0 = 0.
 
     b_t = (1/m) div eta_(t-1), evaluated at the realized input that produced
-    theta_t; b_1 = 0 since r_0 = 0. With a colored problem (K set) the
-    residual is r_t = x - W (K theta_t) + b_t r_(t-1) and the backprojection
-    is K^(-1) (W^T r_t). That equals the normal-equations form
-    (K^T K)^(-1) (W K)^T r_t because K is square and invertible, and it is
-    conditioned by cond(K) rather than cond(K)^2. A K whose condition number
-    exceeds 1e12 raises NumericError.
+    theta_t; b_1 = 0 since r_0 = 0. The residual is
+    r_t = x - W (K theta_t) + b_t r_(t-1) and the backprojection is
+    K^(-1) (W^T r_t), both taken by the problem's Coloring (``apply`` and
+    ``solve``), so an uncoloured problem's identity colouring leaves them
+    r_t = x - W theta_t + b_t r_(t-1) and W^T r_t. The backprojection equals
+    the normal-equations form (K^T K)^(-1) (W K)^T r_t because K is square
+    and invertible, and it is conditioned by cond(K) rather than cond(K)^2.
+    A K whose condition number exceeds 1e12 raises NumericError at the first
+    backprojection.
 
     With mc_reps None the divergence is the formula,
     ``Denoiser.divergence``, and ``require_divergence`` refuses an
@@ -195,15 +198,13 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     rng.derive(t) instead. The source used per iteration ("none" at t = 1,
     then "analytic" or "monte_carlo") is recorded in trace.b_source.
     """
-    require_length(problem.eta_seq, T, T)
+    require_length(problem.eta_seq, T)
     if mc_reps is None:
         require_divergence(problem.eta_seq[:T - 1], "eta_seq")
     else:
         mc_reps = require_count(mc_reps, "mc_reps", ParameterError)
     rng = rng or RngStream(0)
     m, n = problem.W.shape
-    K = None if problem.K is None else problem.K.matrix
-    K_inv = None if problem.K is None else problem.K.inverse()
     theta = np.zeros((n, T + 1))
     r = np.zeros((m, T))
     b_applied = np.zeros(T)
@@ -221,12 +222,8 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
             b_t, source = probe / m, "monte_carlo"
         b_source.append(source)
         b_applied[t - 1] = b_t
-        signal = theta[:, t - 1] if K is None else K @ theta[:, t - 1]
-        r_t = problem.x - problem.W @ signal + b_t * r_prev
-        back = problem.W.T @ r_t
-        if K_inv is not None:
-            back = K_inv @ back
-        arg = theta[:, t - 1] + back
+        r_t = problem.x - problem.W @ problem.K.apply(theta[:, t - 1]) + b_t * r_prev
+        arg = theta[:, t - 1] + problem.K.solve(problem.W.T @ r_t)
         theta[:, t] = problem.eta_seq[t - 1].apply(arg)
         r[:, t - 1] = r_t
         diff = theta[:, t] - problem.theta_star

@@ -329,24 +329,34 @@ def zero_denoiser() -> Denoiser:
     return Denoiser(fn=np.zeros_like, divergence_fn=lambda x: 0.0, name="zero")
 
 
+def _fits(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z; DimensionError naming z unless its last axis has v's length, so a
+    declared vector is never broadcast against an input of another length."""
+    if np.shape(z)[-1:] != v.shape:
+        raise DimensionError(f"z must have length {v.size} along its last axis, "
+                             f"got shape {np.shape(z)}")
+    return z
+
+
 def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
     """f(z) = z + e, the measurement-noise shift of the sensing recursion,
-    declared as its ``offset`` e, a non-empty vector (``require_vector``)."""
+    declared as its ``offset`` e, a non-empty vector (``require_vector``).
+    A z whose last axis is not of e's length is refused (``_fits``)."""
     e = require_vector(e, "e")
-    return Denoiser(fn=lambda x: x + e, divergence_fn=lambda x: e.size, name="residual_shift",
-                    offset=e)
+    return Denoiser(fn=lambda x: _fits(x, e) + e, divergence_fn=lambda x: _fits(x, e).size,
+                    name="residual_shift", offset=e)
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     """g(y) = theta_star - eta(y + theta_star); divergence is -div eta.
     Declared as the ``residual`` (theta_star, lmbda) when eta declares its
     soft ``threshold`` lmbda. DimensionError unless theta_star is a
-    non-empty vector."""
+    non-empty vector, and unless y's last axis is of its length (``_fits``)."""
     theta_star = require_vector(theta_star, "theta_star")
     div_fn = None
     if eta.divergence_fn is not None:
-        div_fn = lambda x: -eta.divergence(x + theta_star)
+        div_fn = lambda x: -eta.divergence(_fits(x, theta_star) + theta_star)
     residual = None if eta.threshold is None else (theta_star, eta.threshold)
-    return Denoiser(fn=lambda x: theta_star - eta.fn(x + theta_star),
+    return Denoiser(fn=lambda x: theta_star - eta.fn(_fits(x, theta_star) + theta_star),
                     divergence_fn=div_fn, name=f"signal_residual({eta.name})",
                     residual=residual)

@@ -215,8 +215,9 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
         kappa = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
             cfg.kappa_low, cfg.kappa_high, size=cfg.n
         )
-        # K = o diag(kappa) o^T: from_eig reads K^(-1) and cond(K) off the
-        # factors, with no SVD or LU; the Haar factor o is dropped on return
+        # K = o diag(kappa) o^T: from_eig keeps the Haar factor o and kappa
+        # as K's factors and reads cond(K) off kappa, with no SVD, LU or
+        # n x n product
         K = Coloring.from_eig(o, kappa)
         den = soft_threshold_denoiser(cfg.threshold)
         return _Pipeline(theta, e, [den] * T, K)

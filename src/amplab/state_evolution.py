@@ -50,6 +50,13 @@ rows: its colouring and one denoiser call's rows
 (``denoisers._BLOCK_BYTES``), or one path where a single one takes more.
 The per-path terms are summed in sample order, so the averages do not
 depend on the block size.
+
+The colouring matrix K of the sensing model x = W K theta + e is a
+``Coloring``: K kept as its factors, applied (``Coloring.apply``) and
+inverted (``Coloring.solve``) by products with them, and refused at its
+first ``solve`` when numerically singular. ``se_scalar_sensing`` and
+``amp.run_sensing_amp`` reach K only through it; without K they hold the
+identity colouring, which returns every vector it is given unchanged.
 """
 
 from __future__ import annotations
@@ -77,48 +84,52 @@ COND_LIMIT = 1e12
 ORTHO_TOL = 1e-10
 
 
-def _singular(cond: float) -> bool:
-    return not np.isfinite(cond) or cond > COND_LIMIT
-
-
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """Colouring matrix K of the sensing model x = W K theta + e, with its
-    inverse and exact 2-norm condition number, computed once per K.
+    """Colouring matrix K of the sensing model x = W K theta + e, kept as its
+    factors K = u diag(s) vt, with its exact 2-norm condition number, all
+    computed once per K. ``apply`` takes K x and ``solve`` K^(-1) y, each on
+    an n-vector or row by row on an (..., n) stack, by two products with the
+    factors; K and K^(-1) are never formed.
 
-    Two constructors build one: ``from_eig(O, kappa)`` takes the spectral
-    factors of a symmetric K = O diag(kappa) O^T and reads the inverse and
-    condition number off them, with no SVD or LU; ``of(K, n)`` takes any
-    n x n K, symmetric or not, and pays for an SVD (the condition number)
-    and an LU inverse. ``of`` is also where a K of either form is checked
-    against the problem's n.
+    ``from_eig(O, kappa)`` keeps the spectral factors of a symmetric
+    K = O diag(kappa) O^T as they are and reads the condition number off
+    kappa, with no SVD, LU or n x n product; ``of(K, n)`` takes any n x n K,
+    symmetric or not, and pays for one SVD (the factors) and ``np.linalg.cond``.
+    ``of(None, n)`` is the identity colouring: no factors, condition number 1,
+    and ``apply`` and ``solve`` return their argument itself, so an
+    uncoloured run does the arithmetic it would do with no K at all. ``of``
+    is also where a K of either form is checked against the problem's n.
 
-    A numerically singular K is accepted here and rejected by ``inverse``,
-    so the error surfaces in the solver that needs the backprojection.
+    A numerically singular K is accepted here and refused by ``solve``, so
+    the error surfaces in the solver that needs the backprojection.
     """
 
-    matrix: np.ndarray
-    inv: Optional[np.ndarray]  # None when cond exceeds COND_LIMIT
+    u: Optional[np.ndarray]  # u, s and vt are None for the identity colouring
+    s: Optional[np.ndarray]  # singular values, or from_eig's signed kappa
+    vt: Optional[np.ndarray]
     cond: float
 
     @classmethod
     def of(cls, K, n: int) -> "Coloring":
-        """Coloring of the n x n matrix K; a Coloring is returned unchanged.
-        DimensionError naming K unless K, of either form, is n x n."""
-        matrix = K.matrix if isinstance(K, Coloring) else np.asarray(K, dtype=np.float64)
-        if matrix.shape != (n, n):
+        """Coloring of the n x n matrix K; the identity colouring when K is
+        None; a Coloring is returned unchanged. DimensionError naming K
+        unless K, of either form, is n x n (the identity fits every n)."""
+        if K is None:
+            return cls(u=None, s=None, vt=None, cond=1.0)
+        # a factored K's vt has K's shape; the identity has none to check
+        matrix = K.vt if isinstance(K, Coloring) else np.asarray(K, dtype=np.float64)
+        if matrix is not None and matrix.shape != (n, n):
             raise DimensionError(f"K must be {n} x {n}, got shape {matrix.shape}")
         if isinstance(K, Coloring):
             return K
-        cond = float(np.linalg.cond(matrix))
-        return cls(matrix=matrix, inv=None if _singular(cond) else np.linalg.inv(matrix),
-                   cond=cond)
+        u, s, vt = np.linalg.svd(matrix)
+        return cls(u=u, s=s, vt=vt, cond=float(np.linalg.cond(matrix)))
 
     @classmethod
     def from_eig(cls, O, kappa) -> "Coloring":
-        """Coloring of K = O diag(kappa) O^T for an orthogonal O.
-
-        K^(-1) = O diag(1/kappa) O^T and cond(K) = max|kappa| / min|kappa|.
+        """Coloring of K = O diag(kappa) O^T for an orthogonal O, kept as
+        u = O, s = kappa, vt = O^T; cond(K) = max|kappa| / min|kappa|.
         Orthogonality is checked with one probe vector x, |O^T O x - x|
         against ORTHO_TOL |x|, which costs two matvecs instead of forming
         O^T O.
@@ -138,14 +149,22 @@ class Coloring:
         magnitude = np.abs(kappa)
         low = magnitude.min()
         cond = float(magnitude.max() / low) if low > 0 else np.inf
-        inv = None if _singular(cond) else (O / kappa) @ O.T
-        return cls(matrix=(O * kappa) @ O.T, inv=inv, cond=cond)
+        return cls(u=O, s=kappa, vt=O.T, cond=cond)
 
-    def inverse(self) -> np.ndarray:
-        """K^(-1); NumericError when K is numerically singular."""
-        if self.inv is None:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """K x, row by row for an (..., n) stack; x itself for the identity."""
+        if self.s is None:
+            return x
+        return (x @ self.vt.T * self.s) @ self.u.T
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """K^(-1) y, row by row for an (..., n) stack; y itself for the
+        identity. NumericError when K is numerically singular."""
+        if self.s is None:
+            return y
+        if not self.cond <= COND_LIMIT:  # a NaN too
             raise NumericError(f"K is numerically singular (condition number {self.cond:.3e})")
-        return self.inv
+        return (y @ self.u / self.s) @ self.vt
 
 
 @dataclass
@@ -190,11 +209,11 @@ class SECovarianceSequence:
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
 
 
-def require_length(seq: Sequence, count: int, T: int, what: str = "denoisers") -> None:
-    """ParameterError unless T is a count (``require_count``); ScheduleError
-    naming the needed count when seq holds fewer than count entries for a run
-    of T iterations."""
-    require_count(T, "T", ParameterError)
+def require_length(seq: Sequence, T: int, what: str = "denoisers", fewer: int = 0) -> None:
+    """ParameterError unless T is a count (``require_count``), checked before
+    any arithmetic on it; ScheduleError naming the needed count when seq holds
+    fewer than T - fewer entries, the count a run of T iterations reads."""
+    count = require_count(T, "T", ParameterError) - fewer
     if len(seq) < count:
         raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
 
@@ -433,7 +452,7 @@ def se_symmetric(
     sequence's ``jittered``.
     """
     mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
-    require_length(f_seq, T - 1, T)
+    require_length(f_seq, T, fewer=1)
     u1 = require_vector(u1, "u1")
     n = u1.size
     side = _Side(f_seq[:T - 1], n, n, "f_seq", rng or RngStream(0), mc_samples)
@@ -479,8 +498,8 @@ def se_asymmetric(
     ``jittered``; an exact side adds no name.
     """
     mc_samples = require_count(mc_samples, "mc_samples", ParameterError)
-    require_length(f_seq, T, T, "f-denoisers")
-    require_length(g_seq, T, T, "g-denoisers")
+    require_length(f_seq, T, "f-denoisers")
+    require_length(g_seq, T, "g-denoisers")
     m = require_count(m, "m", DimensionError)
     rng = rng or RngStream(0)
     u1 = require_vector(u1, "u1")
@@ -530,24 +549,21 @@ def se_scalar_sensing(
     Y ~ N(0, sigma_t^2 I_n) of (1/m)|K(theta - eta_t(arg))|^2 and
     (1/n)|theta - eta_t(arg)|^2, where arg = K^(-1) Y + theta.
 
-    K may be an n x n ndarray or Coloring. The backprojection K^(-1) Y is the
-    normal-equations form (K^T K)^(-1) K^T Y, since K is square and
-    invertible; a numerically singular K raises NumericError. Each
-    iteration draws its mc_draws samples as one block and maps it with one
-    eta_t call.
+    K may be None, an n x n ndarray or a Coloring, and is applied and
+    inverted through ``Coloring.of(K, n)``. The backprojection K^(-1) Y equals
+    the normal-equations form (K^T K)^(-1) K^T Y, since K is square and
+    invertible; a numerically singular K raises NumericError at the first
+    backprojection. Each iteration draws its mc_draws samples as one block,
+    maps it with one eta_t call and colours the residuals with one K product.
     """
     mc_draws = require_count(mc_draws, "mc_draws", ParameterError)
-    require_length(eta_seq, T, T)
+    require_length(eta_seq, T)
     rng = rng or RngStream(0)
     theta_star = require_vector(theta_star, "theta_star")
     e = require_vector(e, "e")
     n, m = theta_star.size, e.size
-    if K is not None:
-        coloring = Coloring.of(K, n)
-        K, K_inv = coloring.matrix, coloring.inverse()
-        u1 = K @ theta_star
-    else:
-        u1 = theta_star
+    K = Coloring.of(K, n)
+    u1 = K.apply(theta_star)
     noise_sq = e @ e / m
     omega = [float(u1 @ u1 / m)]
     sigma: List[float] = []
@@ -559,10 +575,9 @@ def se_scalar_sensing(
         acc_omega = 0.0
         acc_mse = 0.0
         ys = np.sqrt(max(sig_t, 0.0)) * gen.standard_normal((mc_draws, n))
-        backs = ys @ K_inv.T if K is not None else ys
-        for diff in theta_star - eta_seq[t - 1].fn(backs + theta_star):
+        diffs = theta_star - eta_seq[t - 1].fn(K.solve(ys) + theta_star)
+        for diff, gu in zip(diffs, K.apply(diffs)):
             acc_mse += diff @ diff / n
-            gu = K @ diff if K is not None else diff
             acc_omega += gu @ gu / m
         omega.append(acc_omega / mc_draws)
         pred.append(acc_mse / mc_draws)

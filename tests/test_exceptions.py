@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from amplab.amp import RectAmpProblem, SensingProblem, SymmetricAmpProblem, run_sensing_amp
+from amplab.amp import (RectAmpProblem, SensingProblem, SymmetricAmpProblem, run_sensing_amp,
+                        run_symmetric_amp)
 from amplab.denoisers import (
     LocalKernelSpec,
     SpectralSpec,
@@ -34,6 +35,11 @@ def _sensing(mc_reps):
     return run_sensing_amp(prob, 2, mc_reps=mc_reps)
 
 
+def _symmetric_problem():
+    return SymmetricAmpProblem(W=np.eye(4), u1=np.ones(4), f_seq=[_SOFT] * 2,
+                               onsager=OnsagerSchedule(b={2: 0.0, 3: 0.0}))
+
+
 def _wick(**counts):
     return wick_expectation_mc(DenseTensor.from_array(np.ones((2, 2))), [0, 0],
                                rng=RngStream(0), **{"samples": 4, **counts})
@@ -49,7 +55,16 @@ def _wick(**counts):
     (lambda: EnsembleSpec("ginibre_iid", 2.5, 3), "rows", DimensionError),
     (lambda: EnsembleSpec("ginibre_iid", 3, True), "cols", DimensionError),
     (lambda: sample_haar_orthogonal(2.5, RngStream(0)), "dim", DimensionError),
-    (lambda: require_length([_SOFT] * 3, 1, 2.5), "T", ParameterError),
+    (lambda: require_length([_SOFT] * 3, 2.5), "T", ParameterError),
+    # T - 1 was taken before the T check: a bare TypeError
+    pytest.param(lambda: se_symmetric([_SOFT] * 2, np.ones(4), "3"), "T", ParameterError,
+                 id="se_symmetric-T-str"),
+    pytest.param(lambda: se_symmetric([_SOFT] * 2, np.ones(4), None), "T", ParameterError,
+                 id="se_symmetric-T-None"),
+    pytest.param(lambda: run_symmetric_amp(_symmetric_problem(), "3"), "T", ParameterError,
+                 id="run_symmetric_amp-T-str"),
+    pytest.param(lambda: run_symmetric_amp(_symmetric_problem(), None), "T", ParameterError,
+                 id="run_symmetric_amp-T-None"),
     (lambda: se_symmetric([_SOFT], np.ones(4), 2, mc_samples=2.5), "mc_samples",
      ParameterError),
     (lambda: se_asymmetric([_ID] * 2, [_ID], np.ones(4), 2, 3, mc_samples=2.5), "mc_samples",
@@ -121,6 +136,26 @@ def test_every_vector_is_refused_by_the_one_rule_naming_its_field(call, name, ba
     message = f"{name} must be a non-empty vector, got shape {np.shape(bad)}"
     with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
         call(bad)
+
+
+# On code that broadcast a declared vector, a length-1 e or theta_star took an
+# input of any length (residual_shift_denoiser([0.5]).divergence(z) = 1 for a
+# 5-vector z) and a longer mismatch died with a bare numpy ValueError.
+@pytest.mark.parametrize("call, length, shape", [
+    (lambda: residual_shift_denoiser(np.array([0.5])).apply(np.zeros(5)), 1, (5,)),
+    (lambda: residual_shift_denoiser(np.array([0.5])).divergence(np.zeros(5)), 1, (5,)),
+    (lambda: residual_shift_denoiser(np.ones(3)).apply(np.zeros(5)), 3, (5,)),
+    (lambda: residual_shift_denoiser(np.ones(3)).fn(np.zeros((2, 5))), 3, (2, 5)),
+    (lambda: signal_residual_denoiser(np.array([1.0]), _SOFT).apply(np.zeros(4)), 1, (4,)),
+    (lambda: signal_residual_denoiser(np.array([1.0]), _SOFT).divergence(np.zeros(4)), 1,
+     (4,)),
+    (lambda: signal_residual_denoiser(np.ones(3), _SOFT).fn(np.zeros((2, 5))), 3, (2, 5)),
+], ids=["shift-short", "shift-divergence", "shift-long", "shift-stack", "residual-short",
+        "residual-divergence", "residual-stack"])
+def test_a_declared_vector_refuses_an_input_of_another_length(call, length, shape):
+    message = f"z must have length {length} along its last axis, got shape {shape}"
+    with pytest.raises(DimensionError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 def test_require_vector_returns_a_float64_vector():

@@ -779,14 +779,40 @@ def _eig_factors(n=50):
     return O, kappa
 
 
+def _assert_colours_as(col, K):
+    """col.apply and col.solve agree with K @ x and inv(K) @ y, on one
+    vector and row by row on a stack of three."""
+    inv = np.linalg.inv(K)
+    gen = RngStream(37).generator()
+    for x in (gen.standard_normal(K.shape[0]), gen.standard_normal((3, K.shape[0]))):
+        for got, ref in ((col.apply(x), x @ K.T), (col.solve(x), x @ inv.T)):
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_coloring_from_eig_matches_the_dense_path():
     O, kappa = _eig_factors()
     K = (O * kappa) @ O.T
     col = Coloring.from_eig(O, kappa)
-    assert np.array_equal(col.matrix, K)
-    ref = np.linalg.inv(K)
-    assert np.linalg.norm(col.inverse() - ref) <= 1e-12 * np.linalg.norm(ref)
+    _assert_colours_as(col, K)
     assert abs(col.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K)
+
+
+def test_coloring_of_a_non_symmetric_K_matches_the_dense_path():
+    n = 50
+    K = np.eye(n) + 0.3 * RngStream(38).generator().standard_normal((n, n)) / np.sqrt(n)
+    col = Coloring.of(K, n)
+    _assert_colours_as(col, K)
+    assert col.cond == np.linalg.cond(K)
+
+
+def test_the_identity_colouring_hands_back_its_argument():
+    col = Coloring.of(None, 4)
+    x, stack = np.arange(4.0), np.ones((3, 4))
+    assert col.apply(x) is x and col.solve(x) is x
+    assert col.apply(stack) is stack and col.solve(stack) is stack
+    assert col.cond == 1.0
+    assert Coloring.of(col, 7) is col  # the identity fits every n
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-13])
@@ -795,7 +821,7 @@ def test_coloring_from_eig_singular_kappa(spread):
     kappa[7] = spread * kappa.max()  # a zero, or max/min above 1e12
     col = Coloring.from_eig(O, kappa)
     with pytest.raises(NumericError, match="condition number"):
-        col.inverse()
+        col.solve(np.ones(kappa.size))
 
 
 @pytest.mark.parametrize("mangle, error", [
