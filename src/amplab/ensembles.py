@@ -23,7 +23,8 @@ ENTRY_CUMULANTS = {"gaussian": {2: 1.0}, "rademacher": {2: 1.0, 4: -2.0, 6: 16.0
 CUMULANT_ORDER = 6
 
 _SQRT3 = np.sqrt(3.0)
-# sample_wigner: rows symmetrized per step, so the temporary is this many rows
+# sample_wigner: upper-triangle rows drawn and mirrored per step, so the draws
+# held beside the n x n output are at most this many rows of it
 SYMMETRIZE_BLOCK = 128
 # smooth_image: number of low-frequency cosine modes per axis
 SMOOTH_MODES = 3
@@ -108,34 +109,35 @@ class SignalSample:
 def sample_wigner(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
     """Symmetric n x n matrix with off-diagonal variance 1/n.
 
-    GOE uses Gaussian entries with diagonal variance 2/n; wigner_iid places
-    i.i.d. scaled entry_dist draws on and above the diagonal and mirrors them,
-    so the output is bitwise symmetric. Both symmetrize in place, a block of
-    SYMMETRIZE_BLOCK rows at a time, so the peak is one n x n matrix (plus,
-    for wigner_iid, its upper-triangle draws).
+    wigner_iid draws the upper triangle, diagonal included, in row-major
+    order as i.i.d. entry_dist draws scaled by 1/sqrt(n), and mirrors it, so
+    the output is bitwise symmetric. GOE is the Gaussian wigner_iid with its
+    diagonal multiplied by sqrt(2) (diagonal variance 2/n), so it takes
+    n(n+1)/2 normals. The triangle is drawn SYMMETRIZE_BLOCK rows at a time,
+    which consumes the stream exactly as one draw of it would; each block's
+    rows are written in place and mirrored into the lower triangle, so the
+    peak is one n x n matrix plus one block of draws.
     """
     if spec.kind not in ("goe", "wigner_iid"):
         raise SpecError(f"sample_wigner needs a symmetric ensemble, got {spec.kind!r}")
     n = spec.rows
     gen = rng.generator()
-    if spec.kind == "goe":
-        a = gen.standard_normal((n, n))
-        a /= np.sqrt(n)
-        # (a + a.T) / sqrt(2), one block-row of the upper triangle at a time
-        for i in range(0, n, SYMMETRIZE_BLOCK):
-            j = i + SYMMETRIZE_BLOCK
-            blk = a[i:j, i:] + a[i:, i:j].T
-            blk /= np.sqrt(2.0)
-            a[i:j, i:] = blk
-            a[i:, i:j] = blk.T
-        return a
-    entries = _draw_entries(spec.entry_dist, n * (n + 1) // 2, gen)
-    entries /= np.sqrt(n)
-    w = np.zeros((n, n))
-    w[np.triu(np.ones((n, n), dtype=bool))] = entries  # row-major upper triangle
-    # w + triu(w, 1).T, one block-column at a time
+    dist = "gaussian" if spec.kind == "goe" else spec.entry_dist
+    w = np.empty((n, n))
     for i in range(0, n, SYMMETRIZE_BLOCK):
-        w[:, i:i + SYMMETRIZE_BLOCK] += np.triu(w[i:i + SYMMETRIZE_BLOCK], i + 1).T
+        j = min(i + SYMMETRIZE_BLOCK, n)
+        draws = _draw_entries(dist, (j - i) * (2 * n - i - j + 1) // 2, gen)
+        draws /= np.sqrt(n)
+        start = 0
+        for r in range(i, j):
+            tail = draws[start:start + n - r]
+            w[r, r:] = tail
+            w[r:j, r] = tail[:j - r]  # the lower triangle of the diagonal block
+            start += n - r
+        w[j:, i:j] = w[i:j, j:].T
+    if spec.kind == "goe":
+        # (d + d) / sqrt(2): the rounding of (a + a^T) / sqrt(2) at i = j
+        np.fill_diagonal(w, 2.0 * w.diagonal() / np.sqrt(2.0))
     return w
 
 

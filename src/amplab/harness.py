@@ -416,7 +416,8 @@ def _moment_oracle(tensor: tn.DenseTensor, sigma: Sequence[int], law: str) -> fl
     weight = np.ones(idx.shape[1])
     for s, i in itertools.product(set(sigma), range(n)):
         weight *= moments[np.count_nonzero(idx[np.equal(sigma, s)] == i, axis=0)]
-    return float(tensor.to_dense().reshape(-1) @ weight)
+    # einsum, not a BLAS dot: up to 5^6 terms would wake a BLAS worker thread
+    return float(np.einsum("i,i->", tensor.to_dense().reshape(-1), weight))
 
 
 def _battery_moments(rng: RngStream) -> dict:

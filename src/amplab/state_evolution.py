@@ -286,8 +286,9 @@ class _Side:
 
     - "offset", every f_r declares an offset c_r: the stacked offsets;
     - "residual", every f_r declares a residual (c_r, lmbda_r): the groups of
-      coordinates that share their values of every c_r, and each c_r on its
-      groups;
+      coordinates that share their values of every c_r, each c_r on its
+      groups, and a memo of each E f_r(Y_r) taken so far, keyed by r and the
+      sd of Y_r;
     - "sampled", otherwise: mc_samples surrogate paths, path k holding the
       steps x rows normals of stream.derive(k), drawn in float64 on the first
       column, so a solver checks every side before any of them draws.
@@ -316,6 +317,7 @@ class _Side:
                 return_index=True, return_inverse=True, return_counts=True)
             self.inverse = inverse.ravel()  # numpy 2.0.0 shapes it (rows, 1)
             self.c = [den.residual[0][first] for den in seq]
+            self.means: Dict[Tuple[int, float], np.ndarray] = {}
 
     @cached_property
     def paths(self) -> np.ndarray:
@@ -381,7 +383,10 @@ class _Side:
         """``column`` of a residual side in closed form, at t = len(cov).
 
         Each expectation is taken once per group of coordinates. The lead,
-        the diagonal and the divergence term come from ``_residual_moments``.
+        the diagonal and the divergence term come from ``_residual_moments``,
+        which stores E g_t in the memo ``means``; each earlier E g_r is read
+        from there, so a solve calls ``_residual_moments`` once per t.
+
         With g_r = c_r - P_r + M_r, where P_r = (Y_r - lmbda_r + c_r)+ and
         M_r = (-Y_r - lmbda_r - c_r)+ are ramps of Y_r ~ N(0, s_r^2), the
         cross entry r < t is
@@ -396,8 +401,13 @@ class _Side:
         sds = np.sqrt(np.maximum(np.diag(cov), 0.0))
         c = self.c[:t]
         lmbdas = [den.residual[1] for den in self.seq[:t]]
-        means = [_residual_moments(c[r], lmbdas[r], sds[r], counts)[0] for r in range(t - 1)]
+        keys = [(r, float(sd)) for r, sd in enumerate(sds)]
         mean, second, div = _residual_moments(c[-1], lmbdas[-1], sds[-1], counts)
+        self.means[keys[-1]] = mean
+        for r, key in enumerate(keys[:-1]):
+            if key not in self.means:  # a column taken out of order
+                self.means[key] = _residual_moments(c[r], lmbdas[r], sds[r], counts)[0]
+        means = [self.means[key] for key in keys]
         constant = [sd == 0 or np.isinf(lmbda) for sd, lmbda in zip(sds, lmbdas)]
         col = np.empty(t)
         for r in range(t - 1):

@@ -149,15 +149,15 @@ EXPECTED = {
         0.9508149661559446, -0.05949077817310884, 0.0061483193894017775,
         -0.0007110219773369796, 0.42245108279587995, -0.0192266688494845,
         0.0002894572374134834, 0.09837936818423405, -0.00018461419384015448,
-        0.0036141102191511836, 129.62924210746422, -5.243666852377741,
-        61.127927313699715, 4.150330504829664, 20.095548416619096,
-        -4.055498071488558, 1.8453186269243198, 0.2292698620992949,
-        114.09779593871336, -5.218113154018289, 57.111849082714784,
-        -4.371838133183372, 16.48586423802034, 3.157016714447686,
-        1.8469504644082004, -1.2905016434725258,
+        0.0036141102191511836, 138.55211486538735, 7.273278709848595,
+        54.27618114624693, -1.195095604516046, 16.379938115833806,
+        -1.8209788431905443, 1.4829430043971028, -1.116783141325166,
+        114.09779593871336, -5.218113154018289, 63.076344718224746,
+        3.7429311407937558, 13.689271441101127, -1.8208988564614,
+        1.1979515636294378, -0.5590125556676576,
     ],
     "tensor_checks": [
-        7.105427357601002e-15, 1.5910367549269532e-15, 0.0,
+        7.105427357601002e-15, 2.0797690153094583e-15, 0.0,
         1.6217865735362857, 0.9730719441217713,
     ],
 }

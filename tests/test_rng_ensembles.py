@@ -54,10 +54,13 @@ def test_wigner_rademacher_two_by_two():
 def _wigner_two_pass(spec, rng):
     """sample_wigner written with whole-matrix temporaries."""
     n, gen = spec.rows, rng.generator()
-    if spec.kind == "goe":
-        a = gen.standard_normal((n, n)) / np.sqrt(n)
-        return (a + a.T) / np.sqrt(2.0)
     iu = np.triu_indices(n)
+    if spec.kind == "goe":
+        w = np.zeros((n, n))
+        w[iu] = gen.standard_normal(len(iu[0])) / np.sqrt(n)
+        w = w + np.triu(w, 1).T
+        w[np.diag_indices(n)] = 2.0 * np.diag(w) / np.sqrt(2.0)  # sqrt(2) on the diagonal
+        return w
     w = np.zeros((n, n))
     w[iu] = _draw_entries(spec.entry_dist, len(iu[0]), gen) / np.sqrt(n)
     return w + np.triu(w, 1).T
@@ -71,6 +74,16 @@ def test_in_place_wigner_is_bitwise_the_two_pass_formula(n, kind, dist):
     spec = EnsembleSpec(kind, n, n, dist)
     got = sample_wigner(spec, RngStream(n, 4))
     assert got.tobytes() == _wigner_two_pass(spec, RngStream(n, 4)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 129])
+def test_goe_is_the_gaussian_wigner_iid_with_its_diagonal_scaled_by_sqrt2(n):
+    # one draw of the triangle for both kinds; 2 d / sqrt(2) keeps the value
+    # an n = 1 GOE had when it was drawn as (a + a^T) / sqrt(2)
+    goe = sample_wigner(EnsembleSpec("goe", n, n), RngStream(n, 6))
+    w = sample_wigner(EnsembleSpec("wigner_iid", n, n, "gaussian"), RngStream(n, 6))
+    np.fill_diagonal(w, 2.0 * w.diagonal() / np.sqrt(2.0))
+    assert goe.tobytes() == w.tobytes()
 
 
 def test_goe_offdiagonal_second_moment():
