@@ -473,26 +473,24 @@ def _battery_bcp_diagonal(rng: RngStream) -> dict:
     return {"name": "bcp_diagonal_bound", "checked": BCP_QUERIES, "passed": failures == 0}
 
 
-def random_alt_cycles(gen):
-    cycles = []
-    for _ in range(int(gen.integers(1, GRAPH_CYCLES + 1))):
-        walk = [int(v) for v in gen.integers(0, GRAPH_VERTICES, size=int(gen.integers(1, 4)))]
-        cycles.append(walk + walk)  # doubling keeps per-vertex color degrees even
-    return cycles
-
-
 def _battery_graph_lemma(rng: RngStream) -> dict:
+    """One batch: instance 0 is the base case [[0, 0]], where the bound is
+    an equality, and GRAPH_INSTANCES random instances follow. Three draws
+    make them: each instance's number of cycles (1..GRAPH_CYCLES), each
+    cycle's walk length (1..3), and the walks' vertices
+    (0..GRAPH_VERTICES - 1). A cycle is its walk taken twice, which keeps
+    every vertex's color degrees even."""
     gen = rng.generator()
-    failures = 0
-    base = tn.alt_cycle_component_bound_check([[0, 0]])
-    if not (base["holds"] and base["lhs"] == base["rhs"]):
-        failures += 1
-    for _ in range(GRAPH_INSTANCES):
-        report = tn.alt_cycle_component_bound_check(random_alt_cycles(gen))
-        if not report["holds"]:
-            failures += 1
-    return {"name": "graph_lemma", "checked": GRAPH_INSTANCES, "passed": failures == 0,
-            "base_case_equality": base["lhs"] == base["rhs"]}
+    counts = gen.integers(1, GRAPH_CYCLES + 1, size=GRAPH_INSTANCES)
+    lengths = gen.integers(1, 4, size=counts.sum()).tolist()
+    walks = gen.integers(0, GRAPH_VERTICES, size=sum(lengths)).tolist()
+    ends = itertools.accumulate(lengths)
+    cycles = [[0, 0]] + [walks[end - length:end] * 2 for end, length in zip(ends, lengths)]
+    instance = [0] + np.repeat(np.arange(1, GRAPH_INSTANCES + 1), counts).tolist()
+    report = tn.alt_cycle_component_bound_check(cycles, instance)
+    equality = bool(report["lhs"][0] == report["rhs"][0])
+    return {"name": "graph_lemma", "checked": GRAPH_INSTANCES,
+            "passed": equality and all(report["holds"]), "base_case_equality": equality}
 
 
 # battery name -> (substream of battery_seed, battery)

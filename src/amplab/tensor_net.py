@@ -12,6 +12,13 @@ structured, and contracts pairwise, so its cost does not grow as n^(indices).
 The enumeration of all index assignments, ``_assignment_sum``, is kept only
 as the oracle behind ``eval_value_bruteforce``. A network on disk is one JSON
 document whose tensors the ``DenseTensor`` constructor rebuilds and validates.
+
+The colored-cycle inequality is checked on a batch of instances in one call,
+with one algorithm for a batch of any size, one instance included: labels
+are compressed to vertex ids per instance and each color's components come
+from one array pass of min-label propagation over the whole batch, so memory
+grows with edges plus vertices, whatever the labels. The dict union-find
+``_UnionFind`` serves only ``_contract`` and ``validate_bcp_query``.
 """
 
 from __future__ import annotations
@@ -277,6 +284,26 @@ def _einsum(terms, keep):
     return np.einsum(*operands, [ids[label] for label in keep])
 
 
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def count(self):
+        return len({self.find(x) for x in self.parent})
+
+
 def _contract(factors) -> float:
     """The value ``_assignment_sum`` enumerates, the sum over the indices the
     (tensor, positions) factors read, computed without enumerating them; n
@@ -523,81 +550,136 @@ def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor]) -> float:
 # Colored alternating-cycle multigraphs
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def count(self):
-        return len({self.find(x) for x in self.parent})
+def _first_non_integer(values) -> Optional[int]:
+    """Position of the first value that is not an integer (``is_integer``),
+    or None; the rule is asked once per type, not once per value."""
+    if all(map(is_integer, dict(zip(map(type, values), values)).values())):
+        return None
+    return next(i for i, value in enumerate(values) if not is_integer(value))
 
 
-def alt_cycle_component_bound_check(cycles: Sequence[Sequence[int]]) -> dict:
-    """Check c(G_R) + c(G_B) <= |E|/2 - m + 2 c(G) for a union of even-length
-    cycles whose edges alternate red/blue (first edge red).
+def _component_labels(edges, num_vertices: int) -> np.ndarray:
+    """A label per vertex of the graph whose edges are the (a[i], b[i]) of
+    each (a, b) in edges, equal on each component and a vertex of it, the
+    one vertex v with label v: min-label propagation along the edges with
+    pointer jumping, until no label moves. A label only falls and stays a
+    vertex of its component."""
+    label = np.arange(num_vertices)
+    while True:
+        new = label.copy()
+        for a, b in edges:
+            low = np.minimum(label[a], label[b])
+            np.minimum.at(new, a, low)
+            np.minimum.at(new, b, low)
+        new = new[new]
+        if not np.count_nonzero(new != label):
+            return label
+        label = new
 
-    Each cycle is a vertex sequence v_1, ..., v_L (L even, self-loop steps
-    allowed); edge i joins v_i to v_(i+1) with wraparound. Every vertex must
-    end up with nonzero even degree in each color.
+
+def _vertex_ids(cycles, edge_owner: np.ndarray, end: np.ndarray, where):
+    """Per label in the cycles laid end to end (cycle j ending before
+    end[j]), the id of its vertex, the (instance, label) pairs numbered in
+    order; and per id, its instance. edge_owner holds each label's instance.
+    SpecError on a label that is not an integer, or on a vertex that occurs
+    an odd number of times: each occurrence ends one red and one blue edge,
+    so both color degrees of a vertex are its number of occurrences."""
+    flat = list(itertools.chain.from_iterable(cycles))
+    bad = _first_non_integer(flat)
+    if bad is not None:
+        raise SpecError(f"{where(np.searchsorted(end, bad, side='right'))}: "
+                        f"vertex label {flat[bad]!r} is not an integer")
+    code = {v: i for i, v in enumerate(dict.fromkeys(flat))}
+    key = edge_owner * len(code)
+    key += np.fromiter(map(code.__getitem__, flat), dtype=key.dtype, count=key.size)
+    _, first, vertex = np.unique(key, return_index=True, return_inverse=True)
+    degree = np.bincount(vertex)
+    odd = np.flatnonzero(degree % 2)
+    if odd.size:
+        at = first[odd[0]]
+        raise SpecError(f"instance {edge_owner[at]}: vertex {flat[at]!r} has red and blue "
+                        f"degree {degree[odd[0]]}; need even")
+    return vertex, edge_owner[first]
+
+
+def alt_cycle_component_bound_check(cycles: Sequence[Sequence[int]],
+                                    instance: Optional[Sequence[int]] = None) -> dict:
+    """Check c(G_R) + c(G_B) <= |E|/2 - m + 2 c(G) on a batch of instances,
+    each a union of m even-length cycles whose edges alternate red/blue
+    (first edge red).
+
+    Each cycle is a sequence of integer vertex labels v_1, ..., v_L (L even,
+    self-loop steps allowed); edge i joins v_i to v_(i+1) with wraparound.
+    Cycle j belongs to instance ``instance[j]``: the instances are numbered
+    0, 1, ..., each needs a cycle, and a label names a vertex of its own
+    instance only. Every vertex must have even degree in each color. With
+    instance None the cycles form one instance, a batch of one, and the
+    report's entries are scalars; otherwise each is an array over instances.
+    Both sides of the inequality are integers, since |E| is even.
+
+    One algorithm for any batch: the (instance, label) pairs are numbered
+    (``_vertex_ids``), so memory grows with edges plus vertices; each
+    vertex's color degrees are its occurrences, and the components of G_R,
+    G_B and G are each one ``_component_labels`` pass over the whole batch,
+    where no edge joins two instances. SpecError, naming the instance, on an
+    instance with no cycles, an empty or odd cycle or a label that is not an
+    integer (these also name the cycle, numbered within its instance), or an
+    odd color degree. A zero color degree cannot occur.
     """
     if not cycles:
         raise SpecError("need at least one cycle")
-    red, blue = [], []
-    vertices = set()
-    for cyc in cycles:
-        cyc = list(cyc)
-        if len(cyc) < 2 or len(cyc) % 2 != 0:
-            raise SpecError("each cycle must have nonzero even length")
-        vertices.update(cyc)
-        for i, a in enumerate(cyc):
-            b = cyc[(i + 1) % len(cyc)]
-            (red if i % 2 == 0 else blue).append((a, b))
+    num = len(cycles)
+    single = instance is None
+    if single:
+        instance = np.zeros(num, dtype=np.intp)
+    ids = np.asarray(instance)
+    if (ids.shape != (num,) or _first_non_integer(instance) is not None
+            or not 0 <= ids.min() <= ids.max() < num):
+        raise SpecError(f"instance must give each of the {num} cycles an integer in 0..{num - 1}")
+    owner = ids.astype(np.intp)
+    num_cycles = np.bincount(owner)
+    if num_cycles.min() == 0:
+        raise SpecError(f"instance {np.argmin(num_cycles)} has no cycles; need at least one")
 
-    def degrees(edge_list):
-        deg = {v: 0 for v in vertices}
-        for a, b in edge_list:
-            deg[a] += 1
-            deg[b] += 1  # a self-loop hits the same vertex twice
-        return deg
+    def where(j):
+        return f"instance {owner[j]}, cycle {np.count_nonzero(owner[:j] == owner[j])}"
 
-    for name, edge_list in (("red", red), ("blue", blue)):
-        for v, dg in degrees(edge_list).items():
-            if dg == 0 or dg % 2 != 0:
-                raise SpecError(f"vertex {v} has {name} degree {dg}; need nonzero even")
+    lengths = np.fromiter(map(len, cycles), dtype=np.intp, count=num)
+    odd = np.flatnonzero((lengths == 0) | (lengths % 2 == 1))
+    if odd.size:
+        raise SpecError(f"{where(odd[0])} has length {lengths[odd[0]]}; need nonzero even")
+    end = np.cumsum(lengths)
+    edge_owner = np.repeat(owner, lengths)
+    vertex, vertex_owner = _vertex_ids(cycles, edge_owner, end, where)
 
-    def components(edge_list):
-        uf = _UnionFind(vertices)
-        for a, b in edge_list:
-            uf.union(a, b)
-        return uf.count()
+    # edge i joins label i to the next label of its cycle; every cycle
+    # starts at an even position, so the red edges are the even i
+    following = np.arange(1, end[-1] + 1)
+    following[end - 1] = end - lengths
+    red = (vertex[0::2], vertex[1::2])
+    blue = (vertex[1::2], vertex[following[1::2]])
 
-    c_red = components(red)
-    c_blue = components(blue)
-    c_all = components(red + blue)
-    num_edges = len(red) + len(blue)
+    def components(*edges):
+        roots = _component_labels(edges, vertex_owner.size) == np.arange(vertex_owner.size)
+        return np.bincount(vertex_owner[roots], minlength=num_cycles.size)
+
+    c_red, c_blue, c_all = components(red), components(blue), components(red, blue)
+    half_edges = np.bincount(edge_owner[0::2], minlength=num_cycles.size)  # red edges
     lhs = c_red + c_blue
-    rhs = num_edges / 2 - len(cycles) + 2 * c_all
-    return {
+    rhs = half_edges - num_cycles + 2 * c_all
+    report = {
         "c_red": c_red,
         "c_blue": c_blue,
         "c_graph": c_all,
-        "num_edges": num_edges,
-        "num_cycles": len(cycles),
+        "num_edges": 2 * half_edges,
+        "num_cycles": num_cycles,
         "lhs": lhs,
         "rhs": rhs,
         "holds": lhs <= rhs,
     }
+    if single:
+        return {key: value[0].item() for key, value in report.items()}
+    return report
 
 
 # ---------------------------------------------------------------------------

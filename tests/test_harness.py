@@ -209,3 +209,11 @@ def test_battery_selection_matches_the_full_run():
                          "battery_seed": cfg.battery_seed}
     with pytest.raises(ParameterError):
         tensor_checks(cfg, ["bcp_diagonal_bound", "no_such_battery"])
+
+
+def test_tensor_checks_pass_at_battery_seeds_1_to_20():
+    # `seeds` reaches no battery, so battery_seed is what draws new instances
+    for seed in range(1, 21):
+        report = tensor_checks(ExperimentConfig(experiment="tensor_checks", seeds=[],
+                                                battery_seed=seed))
+        assert report["all_pass"], (seed, report)

@@ -514,13 +514,95 @@ def test_graph_lemma_random_instances():
         assert rep["holds"], cycles
 
 
+def _scipy_counts(cycles):
+    """The lemma's counts for one instance, each color graph built as a sparse
+    matrix and its components counted by scipy."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ids = {v: i for i, v in enumerate(dict.fromkeys(v for cyc in cycles for v in cyc))}
+    edges = [(ids[cyc[i]], ids[cyc[(i + 1) % len(cyc)]], i % 2)
+             for cyc in cycles for i in range(len(cyc))]
+
+    def count(color):
+        a, b = np.array([(a, b) for a, b, c in edges if color is None or c == color]).T
+        graph = coo_matrix((np.ones(a.size), (a, b)), shape=(len(ids), len(ids)))
+        return connected_components(graph, directed=False)[0]
+
+    return {"c_red": count(0), "c_blue": count(1), "c_graph": count(None),
+            "num_edges": len(edges), "num_cycles": len(cycles)}
+
+
+def _random_lemma_instance(gen):
+    """Cycles on a few sparse or negative labels, drawn with repeats, so there
+    are self-loops and multi-edges: a walk taken twice, or an even sequence
+    used as two cycles, which keeps every vertex's color degrees even."""
+    pool = gen.choice([-(10**12), -3, -1, 0, 2, 7, 10**9, 2**62], size=int(gen.integers(1, 6)))
+    cycles = []
+    for _ in range(int(gen.integers(1, 4))):
+        if gen.random() < 0.5:
+            cycles.append(gen.choice(pool, size=int(gen.integers(1, 4))).tolist() * 2)
+        else:
+            cycles += [gen.choice(pool, size=2 * int(gen.integers(1, 3))).tolist()] * 2
+    return cycles
+
+
+def test_graph_lemma_counts_match_scipy_and_follow_their_instance():
+    gen = RngStream(47).generator()
+    instances = [_random_lemma_instance(gen) for _ in range(500)]
+    keys = ["c_red", "c_blue", "c_graph", "num_edges", "num_cycles"]
+
+    def batch(order, shuffle):
+        """The batch report of the instances in order, each instance's cycles
+        placed in the flat list in the order shuffle gives."""
+        pairs = [(i, cyc) for i, k in enumerate(order) for cyc in instances[k]]
+        pairs = [pairs[j] for j in shuffle(len(pairs))]
+        return alt_cycle_component_bound_check([cyc for _, cyc in pairs],
+                                               [i for i, _ in pairs])
+
+    report = batch(range(len(instances)), range)
+    want = [_scipy_counts(cycles) for cycles in instances]
+    for key in keys:
+        assert report[key].tolist() == [counts[key] for counts in want], key
+    assert report["holds"].all()
+    perm = gen.permutation(len(instances))
+    permuted = batch(perm, gen.permutation)
+    for key in report:
+        assert np.array_equal(permuted[key], report[key][perm]), key
+    for i in range(5):  # one instance alone is a batch of one, with scalar counts
+        assert alt_cycle_component_bound_check(instances[i]) == {
+            key: value[i].item() for key, value in report.items()}
+
+
+MALFORMED_LEMMA_INPUTS = [
+    (([[0, 1, 2]],), "instance 0, cycle 0 has length 3; need nonzero even"),
+    (([[]],), "instance 0, cycle 0 has length 0"),
+    (([[0, 1, 2, 3]],), "instance 0: vertex 0 has red and blue degree 1; need even"),
+    (([],), "need at least one cycle"),
+    # labels must be integers; 1.0 was once the vertex 1
+    (([[0.5, 0.5]],), "instance 0, cycle 0: vertex label 0.5 is not an integer"),
+    (([[None, None]],), "vertex label None is not"),
+    (([["a", "a"]],), "vertex label 'a' is not"),
+    (([[True, True]],), "vertex label True is not"),
+    (([[1.0, 1.0, 1, 1]],), "vertex label 1.0 is not"),
+    # a bad instance after a good one is named, and so is its cycle within it
+    (([[0, 0], [2, 2], [3, 3, 0.5, 0.5]], [0, 1, 1]),
+     "instance 1, cycle 1: vertex label 0.5 is not an integer"),
+    (([[0, 0], [5, 5], [0, 1, 2]], [0, 1, 1]), "instance 1, cycle 1 has length 3"),
+    (([[0, 0], [0, 1, 2, 3]], [0, 1]), "instance 1: vertex 0 has red and blue degree 1"),
+    (([[0, 0], [1, 1], [2, 2]], [0, 2, 2]), "instance 1 has no cycles"),
+    (([[0, 0], [1, 1]], [0, 2]), r"integer in 0\.\.1"),
+    (([[0, 0]], [1.0]), "instance must give"),
+    (([[0, 0]], [True]), "instance must give"),
+    (([[0, 0]], [-1]), "instance must give"),
+    (([[0, 0], [1, 1]], [0]), "instance must give"),
+]
+
+
 def test_graph_lemma_rejects_malformed():
-    with pytest.raises(SpecError):
-        alt_cycle_component_bound_check([[0, 1, 2]])  # odd length
-    with pytest.raises(SpecError):
-        alt_cycle_component_bound_check([[0, 1, 2, 3]])  # odd color degrees
-    with pytest.raises(SpecError):
-        alt_cycle_component_bound_check([])
+    for args, message in MALFORMED_LEMMA_INPUTS:
+        with pytest.raises(SpecError, match=message):
+            alt_cycle_component_bound_check(*args)
 
 
 def test_network_io_roundtrip(tmp_path):
