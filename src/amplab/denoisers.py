@@ -12,6 +12,10 @@ Monte-Carlo loops here and in ``state_evolution`` call it once per block of
 samples. A block's float64 working set is at most _BLOCK_BYTES (1 MiB), or
 one sample's where a single one takes more; a denoiser call is counted as
 _CALL_ROWS rows per sample (its input, its output and two temporaries).
+
+Every threshold, of soft thresholding and of ``SpectralSpec``, is checked by
+``exceptions.require_number`` as a number in [0, inf]; an infinite threshold
+maps every input to 0.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import (DimensionError, NumericError, ParameterError, is_integer,
-                         require_count, require_vector)
+                         require_count, require_number, require_vector)
 from .rng import RngStream
 from .vecmat import mat, vec
 
@@ -124,35 +128,29 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
 # Separable soft thresholding
 
 
-def _check_threshold(lmbda: float) -> None:
-    """ParameterError naming threshold unless it is >= 0; NaN is not."""
-    if not lmbda >= 0:
-        raise ParameterError(f"threshold must be nonnegative, got {lmbda!r}")
-
-
 def soft_threshold_apply(x: np.ndarray, lmbda: float) -> np.ndarray:
     """Coordinatewise sign(x) * (|x| - lmbda)_+, computed as
     x - clip(x, -lmbda, lmbda)."""
-    _check_threshold(lmbda)
+    require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     x = np.asarray(x, dtype=np.float64)
     return x - np.clip(x, -lmbda, lmbda)
 
 
 def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
     """Weak-derivative sum: the number of coordinates with |x_i| > lmbda."""
-    _check_threshold(lmbda)
+    require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
 
 
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
     """Soft thresholding at lmbda, checked here, with its counting divergence;
     lmbda is recorded as its ``threshold``."""
-    _check_threshold(lmbda)
+    threshold = require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     return Denoiser(
         fn=lambda x: soft_threshold_apply(x, lmbda),
         divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
         name=f"soft_threshold(lmbda={lmbda})",
-        threshold=float(lmbda),
+        threshold=threshold,
     )
 
 
@@ -242,7 +240,7 @@ class SpectralSpec:
     def __post_init__(self):
         for name in ("M", "N"):
             require_count(getattr(self, name), name, DimensionError)
-        _check_threshold(self.threshold)
+        require_number(self.threshold, "threshold", ParameterError, 0, np.inf)
         if self.shift is not None and np.shape(self.shift) != (self.M, self.N):
             raise DimensionError(
                 f"shift must be {self.M}x{self.N}, got shape {np.shape(self.shift)}")

@@ -2,7 +2,9 @@
 
 Matrix ensembles are scaled so that off-diagonal entry variances are 1/n
 (symmetric case) or 1/m (rectangular case). Entry distributions are
-standardized to mean 0, variance 1 before scaling.
+standardized to mean 0, variance 1 before scaling. Sizes are checked by
+``exceptions.require_count``, and a signal's density and the noise level by
+``exceptions.require_number``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, ParameterError, SpecError, is_integer, require_count
+from .exceptions import (DimensionError, ParameterError, SpecError, is_integer, require_count,
+                         require_number)
 from .rng import RngStream
 from .vecmat import vec
 
@@ -43,7 +46,8 @@ def _draw_entries(dist: str, size, gen: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Declarative description of a random matrix ensemble."""
+    """Declarative description of a random matrix ensemble; the entries of
+    a goe ensemble are Gaussian, so its entry_dist is "gaussian"."""
 
     kind: str  # "goe" | "wigner_iid" | "ginibre_iid"
     rows: int
@@ -53,8 +57,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("goe", "wigner_iid", "ginibre_iid"):
             raise SpecError(f"unknown ensemble kind {self.kind!r}")
-        if self.entry_dist not in ENTRY_DISTS:
-            raise SpecError(f"unknown entry distribution {self.entry_dist!r}")
+        laws = ("gaussian",) if self.kind == "goe" else ENTRY_DISTS
+        if self.entry_dist not in laws:
+            raise SpecError(f"entry_dist must be one of {laws} for {self.kind}, "
+                            f"got {self.entry_dist!r}")
         for name in ("rows", "cols"):
             require_count(getattr(self, name), name, DimensionError)
         if self.kind in ("goe", "wigner_iid") and self.rows != self.cols:
@@ -95,8 +101,8 @@ class SignalSpec:
         if self.kind == "low_rank" and not (is_integer(self.rank)
                                             and 0 <= self.rank <= min(self.M, self.N)):
             raise SpecError(f"rank must be an integer in [0, min(M, N)], got {self.rank!r}")
-        if self.kind == "sparse" and not (0.0 <= self.density <= 1.0):
-            raise SpecError("density must lie in [0, 1]")
+        if self.kind == "sparse":
+            require_number(self.density, "density", SpecError, 0, 1)
 
 
 @dataclass
@@ -122,11 +128,10 @@ def sample_wigner(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
         raise SpecError(f"sample_wigner needs a symmetric ensemble, got {spec.kind!r}")
     n = spec.rows
     gen = rng.generator()
-    dist = "gaussian" if spec.kind == "goe" else spec.entry_dist
     w = np.empty((n, n))
     for i in range(0, n, SYMMETRIZE_BLOCK):
         j = min(i + SYMMETRIZE_BLOCK, n)
-        draws = _draw_entries(dist, (j - i) * (2 * n - i - j + 1) // 2, gen)
+        draws = _draw_entries(spec.entry_dist, (j - i) * (2 * n - i - j + 1) // 2, gen)
         draws /= np.sqrt(n)
         start = 0
         for r in range(i, j):
@@ -190,8 +195,7 @@ def sample_signal(spec: SignalSpec, rng: RngStream) -> SignalSample:
 
 def sample_noise(m: int, std: float, rng: RngStream) -> np.ndarray:
     """i.i.d. N(0, std^2) noise vector of length m; DimensionError unless m
-    is an integer >= 1, ParameterError unless std is a finite number >= 0."""
+    is a count, ParameterError unless std is a number in [0, inf)."""
     m = require_count(m, "m", DimensionError)
-    if not 0 <= std < np.inf:
-        raise ParameterError(f"std must be a finite number >= 0, got {std!r}")
+    require_number(std, "std", ParameterError, 0)
     return std * rng.generator().standard_normal(m)

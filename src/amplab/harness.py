@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +36,7 @@ from .ensembles import (
     sample_noise,
     sample_signal,
 )
-from .exceptions import ConfigError, ParameterError, is_integer
+from .exceptions import ConfigError, ParameterError, is_integer, require_count, require_number
 from .rng import RngStream
 from .state_evolution import Coloring, se_scalar_sensing
 from .vecmat import mat
@@ -84,62 +83,62 @@ class ExperimentConfig:
         validate_config(self)
 
 
+# field -> the [low, high] that require_number holds it to, None leaving a
+# side open but finite; a float field not listed is any finite number
+_BOUNDS = {"threshold": (0, None), "signal_density": (0, 1), "noise_std": (0, None),
+           "bandwidth": (0, None)}
+
+
+def _config_error(name: str):
+    """The error an ``exceptions`` input rule raises for the config key name:
+    a ConfigError whose field is name."""
+    return lambda message: ConfigError(name, message.removeprefix(f"{name} "))
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    # types first (fields() gives annotations as strings), so range checks compare numbers
+    """ConfigError naming the first bad field. Counts (the sensing fields
+    iterations, n and m, a matrix kind's M and N, and se_draws and mc_reps)
+    are checked by ``require_count``; float fields, bandwidth and a spectral
+    signal_rank by ``require_number``."""
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
+    kind = _KIND_OF.get(cfg.experiment)
+    counts = {"se_draws", "mc_reps", *(("iterations", "n", "m") if kind else ()),
+              *(("M", "N") if kind in ("local", "spectral") else ())}
+    # fields() gives the annotations as strings
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type == "int" and not is_integer(value):
+        if f.name in counts:
+            require_count(value, f.name, _config_error(f.name))
+        elif f.type == "int" and not is_integer(value):
             raise ConfigError(f.name, f"must be an integer, got {value!r}")
-        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
-                                  or not math.isfinite(value)):
-            raise ConfigError(f.name, f"must be a finite number, got {value!r}")
-        if f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
+        elif f.type == "float" or f.name in _BOUNDS:
+            require_number(value, f.name, _config_error(f.name), *_BOUNDS.get(f.name, ()))
+        elif f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
     if not isinstance(cfg.seeds, list) or not all(map(is_integer, cfg.seeds)):
         raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
     if not isinstance(cfg.ensembles, list):
         raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
-    if cfg.experiment != "tensor_checks":
+    if kind is not None:
         if not cfg.seeds:
             raise ConfigError("seeds", "must list at least one seed")
-        if cfg.iterations < 1:
-            raise ConfigError("iterations", "must be >= 1")
         if not cfg.ensembles:
             raise ConfigError("ensembles", "must list at least one entry distribution")
         for i, ens in enumerate(cfg.ensembles):
             if ens not in ENTRY_DISTS:
                 raise ConfigError(f"ensembles[{i}]", f"unknown entry distribution {ens!r}")
-    kind = _KIND_OF.get(cfg.experiment)
-    if kind in ("local", "spectral"):
-        if cfg.M < 1 or cfg.N < 1:
-            raise ConfigError("dims.M", "matrix experiments need positive M, N")
-        if cfg.n != cfg.M * cfg.N:
-            raise ConfigError("dims.n", f"need n == M*N ({cfg.M * cfg.N}), got {cfg.n}")
-        if kind == "spectral" and not 0 <= cfg.signal_rank <= min(cfg.M, cfg.N):
-            raise ConfigError("signal_rank", f"must lie in [0, min(M, N)], got {cfg.signal_rank}")
-    if not 0 <= cfg.signal_density <= 1:
-        raise ConfigError("signal_density", f"must lie in [0, 1], got {cfg.signal_density}")
-    if cfg.experiment != "tensor_checks":
-        if cfg.n < 1:
-            raise ConfigError("dims.n", "must be positive")
-        if cfg.m < 1:
-            raise ConfigError("dims.m", "must be positive")
-    if cfg.noise_std < 0:
-        raise ConfigError("noise_std", "must be >= 0")
+    if kind in ("local", "spectral") and cfg.n != cfg.M * cfg.N:
+        raise ConfigError("n", f"need n == M*N ({cfg.M * cfg.N}), got {cfg.n}")
+    if kind == "spectral":
+        require_number(cfg.signal_rank, "signal_rank", _config_error("signal_rank"), 0,
+                       min(cfg.M, cfg.N))
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError("fmt", f"must be csv or json, got {cfg.fmt!r}")
     if cfg.onsager_source not in ("analytic", "mc"):
         raise ConfigError("onsager_source", "must be 'analytic' or 'mc'")
     if not (0 < cfg.kappa_low <= cfg.kappa_high):
         raise ConfigError("kappa_low", "need 0 < kappa_low <= kappa_high")
-    for name in ("se_draws", "mc_reps"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(name, "must be >= 1")
-    for name in ("bandwidth", "threshold"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(name, "must be >= 0")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -193,9 +192,10 @@ class _Pipeline:
 
 def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
     kind = _KIND_OF.get(cfg.experiment)
+    if kind is None:
+        raise ConfigError("experiment", f"no sensing pipeline for {cfg.experiment!r}")
     signal_rng = RngStream(cfg.signal_seed, _STREAM_SIGNAL)
-    noise_rng = RngStream(cfg.signal_seed, _STREAM_NOISE)
-    e = sample_noise(cfg.m, cfg.noise_std, noise_rng)
+    e = sample_noise(cfg.m, cfg.noise_std, RngStream(cfg.signal_seed, _STREAM_NOISE))
     T = cfg.iterations
     if kind == "local":
         spec = SignalSpec(kind="smooth_image", dims=cfg.n, M=cfg.M, N=cfg.N)
@@ -208,20 +208,18 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
         theta = sample_signal(spec, signal_rng).vector
         den = svt_denoiser(SpectralSpec(cfg.M, cfg.N, cfg.threshold))
         return _Pipeline(theta, e, [den] * T, None)
-    if kind == "aniso":
-        spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
-        theta = sample_signal(spec, signal_rng).vector
-        o = sample_haar_orthogonal(cfg.n, RngStream(cfg.signal_seed, _STREAM_KAPPA))
-        kappa = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
-            cfg.kappa_low, cfg.kappa_high, size=cfg.n
-        )
-        # K = o diag(kappa) o^T: from_eig keeps the Haar factor o and kappa
-        # as K's factors and reads cond(K) off kappa, with no SVD, LU or
-        # n x n product
-        K = Coloring.from_eig(o, kappa)
-        den = soft_threshold_denoiser(cfg.threshold)
-        return _Pipeline(theta, e, [den] * T, K)
-    raise ConfigError("experiment", f"no sensing pipeline for {cfg.experiment!r}")
+    spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
+    theta = sample_signal(spec, signal_rng).vector
+    o = sample_haar_orthogonal(cfg.n, RngStream(cfg.signal_seed, _STREAM_KAPPA))
+    kappa = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
+        cfg.kappa_low, cfg.kappa_high, size=cfg.n
+    )
+    # K = o diag(kappa) o^T: from_eig keeps the Haar factor o and kappa as
+    # K's factors and reads cond(K) off kappa, with no SVD, LU or n x n
+    # product
+    K = Coloring.from_eig(o, kappa)
+    den = soft_threshold_denoiser(cfg.threshold)
+    return _Pipeline(theta, e, [den] * T, K)
 
 
 def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
@@ -507,9 +505,9 @@ def tensor_checks(cfg: ExperimentConfig, names: Sequence[str] = tuple(_BATTERIES
     module's fixed sizes. Each draws from its own substream of battery_seed,
     so a selection reports what the full run reports for it; none samples.
     The report records battery_seed beside the batteries and all_pass."""
-    unknown = [name for name in names if name not in _BATTERIES]
-    if unknown:
-        raise ParameterError(f"unknown batteries {unknown}; known: {list(_BATTERIES)}")
+    if not names or any(name not in _BATTERIES for name in names):
+        raise ParameterError(f"names must be one or more of {list(_BATTERIES)}, "
+                             f"got {list(names)}")
     rng = RngStream(cfg.battery_seed)
     batteries = []
     for name in names:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ParameterError, is_integer
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -22,20 +24,29 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ParameterError naming name unless it is an integer."""
+    if not is_integer(value):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream keyed by (seed, stream_id).
 
     The same pair always yields the identical sample sequence; distinct
-    stream_ids key independent Philox counter streams.
+    stream_ids key independent Philox counter streams. seed and stream_id
+    are integers (``exceptions.is_integer``), taken mod 2^64; anything else
+    raises ParameterError naming it.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name) & _MASK64)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -43,6 +54,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, k: int) -> "RngStream":
-        """Substream k of this stream (same seed, mixed stream_id)."""
-        mixed = splitmix64((self.stream_id ^ splitmix64(k & _MASK64)) & _MASK64)
+        """Substream k of this stream (same seed, mixed stream_id); k is an
+        integer, taken mod 2^64."""
+        mixed = splitmix64((self.stream_id ^ splitmix64(_integer(k, "k") & _MASK64)) & _MASK64)
         return RngStream(self.seed, mixed)

@@ -80,7 +80,7 @@ def test_state_evolution_on_a_tensor_config_is_a_config_error(tmp_path, capsys):
     code = main(["state-evolution", "--config", config, "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: experiment: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

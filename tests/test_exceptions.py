@@ -1,6 +1,6 @@
-"""The two input rules at every entry point that takes their kind of input:
-``exceptions.require_count`` for a count or a size, ``require_vector`` for a
-vector."""
+"""The three input rules at every entry point that takes their kind of input:
+``exceptions.require_count`` for a count or a size, ``require_number`` for a
+real-valued parameter, ``require_vector`` for a vector."""
 
 import re
 
@@ -16,10 +16,14 @@ from amplab.denoisers import (
     mc_divergence,
     residual_shift_denoiser,
     signal_residual_denoiser,
+    soft_threshold_apply,
     soft_threshold_denoiser,
+    soft_threshold_divergence,
 )
 from amplab.ensembles import EnsembleSpec, SignalSpec, sample_haar_orthogonal, sample_noise
-from amplab.exceptions import DimensionError, ParameterError, require_count, require_vector
+from amplab.exceptions import (ConfigError, DimensionError, ParameterError, SpecError,
+                               require_count, require_number, require_vector)
+from amplab.harness import config_from_dict
 from amplab.rng import RngStream
 from amplab.state_evolution import (OnsagerSchedule, require_length, se_asymmetric,
                                     se_scalar_sensing, se_symmetric)
@@ -102,6 +106,78 @@ def test_require_count_takes_integers_of_either_kind_and_returns_an_int():
     for value in (0, -1, True, 2.0, "3", None):
         with pytest.raises(ParameterError, match="k must be an integer >= 1"):
             require_count(value, "k", ParameterError)
+
+
+# A value of the wrong kind: a string, None and a bool are no real number,
+# and NaN lies in no range.
+_NO_NUMBERS = ["0.5", None, True, float("nan")]
+# entry point -> (call on the value, name, error, range, values out of range)
+_NUMBER_PARAMETERS = {
+    "soft_threshold_apply": (lambda v: soft_threshold_apply(np.zeros(3), v), "threshold",
+                             ParameterError, "[0, inf]", [-0.5, -np.inf]),
+    "soft_threshold_divergence": (lambda v: soft_threshold_divergence(np.zeros(3), v),
+                                  "threshold", ParameterError, "[0, inf]", [-0.5]),
+    "soft_threshold_denoiser": (soft_threshold_denoiser, "threshold", ParameterError,
+                                "[0, inf]", [-0.5]),
+    "SpectralSpec": (lambda v: SpectralSpec(3, 3, v), "threshold", ParameterError,
+                     "[0, inf]", [-0.5]),
+    "sample_noise": (lambda v: sample_noise(3, v, RngStream(0)), "std", ParameterError,
+                     "[0, inf)", [-1.0, np.inf]),
+    "SignalSpec": (lambda v: SignalSpec("sparse", dims=3, density=v), "density", SpecError,
+                   "[0, 1]", [-0.1, 1.5]),
+}
+
+
+def _number_cases():
+    for entry, (call, name, error, span, out_of_range) in _NUMBER_PARAMETERS.items():
+        for value in _NO_NUMBERS + out_of_range:
+            yield pytest.param(call, error, f"{name} must be a number in {span}, got {value!r}",
+                               value, id=f"{entry}-{value!r}")
+
+
+# Each case failed on code that tested these numbers by hand: "0.5" and None
+# died with a bare TypeError, True passed as 1.0, and the wording differed
+# from one parameter to the next.
+@pytest.mark.parametrize("call, error, message, value", _number_cases())
+def test_every_real_parameter_is_refused_by_the_one_rule_naming_it(call, error, message,
+                                                                   value):
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        call(value)
+
+
+_CONFIG = {"experiment": "fig2_spectral", "seeds": [1], "M": 4, "N": 4, "n": 16, "m": 8}
+# config field -> (the rule's words for it, a value out of range)
+_CONFIG_FIELDS = {
+    **{name: ("an integer >= 1", 0) for name in
+       ("iterations", "n", "m", "M", "N", "se_draws", "mc_reps")},
+    "threshold": ("a number in [0, inf)", -0.1),
+    "signal_density": ("a number in [0, 1]", 1.5),
+    "kappa_low": ("a number in (-inf, inf)", np.inf),
+    "kappa_high": ("a number in (-inf, inf)", -np.inf),
+    "noise_std": ("a number in [0, inf)", -1.0),
+}
+
+
+@pytest.mark.parametrize("value", _NO_NUMBERS + ["out-of-range"])
+@pytest.mark.parametrize("field", _CONFIG_FIELDS)
+def test_every_config_count_and_number_is_refused_by_the_library_rule(field, value):
+    words, out_of_range = _CONFIG_FIELDS[field]
+    value = out_of_range if value == "out-of-range" else value
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({**_CONFIG, field: value})
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: must be {words}, got {value!r}"
+
+
+def test_require_number_returns_a_float_and_keeps_an_infinite_bound():
+    for value in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(1)):
+        got = require_number(value, "x", ParameterError, 0, 1)
+        assert got == float(value) and type(got) is float
+    assert require_number(np.inf, "x", ParameterError, 0, np.inf) == np.inf
+    assert require_number(-1e308, "x", ParameterError) == -1e308
+    for value, low, high in ((np.inf, 0, None), (-np.inf, None, None), (np.bool_(True), 0, 1)):
+        with pytest.raises(ParameterError, match="^x must be a number in "):
+            require_number(value, "x", ParameterError, low, high)
 
 
 _BAD_VECTORS = {"matrix": np.ones((3, 2)), "scalar": np.float64(0.5), "empty": np.zeros(0)}

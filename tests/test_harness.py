@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import amplab
+from amplab import harness
 from amplab import tensor_net as tn
 from amplab.ensembles import ENTRY_CUMULANTS
 from amplab.exceptions import ConfigError, ParameterError
@@ -13,6 +15,7 @@ from amplab.harness import (
     ExperimentConfig,
     config_from_dict,
     run_experiment,
+    se_summary,
     tensor_checks,
     universality_compare,
 )
@@ -24,9 +27,13 @@ from amplab.state_evolution import Coloring
     ("mc_reps", 0),
     ("bandwidth", -1),
     ("threshold", -0.1),
-    ("graph_instances", -1),
-    ("wick_instances", -1),
-    ("tensor_n", 1),
+    # M, N, n and m were once refused as dims.M, dims.n and dims.m, keys
+    # the config does not have
+    ("M", 0),
+    ("N", -4),
+    ("n", 0),
+    ("n", 15),  # not M * N = 16
+    ("m", 0),
     ("onsager_source", ""),
     ("ensembles", []),
     # each value below would otherwise pass validation and then fail deep
@@ -52,6 +59,20 @@ def test_config_rejects_out_of_range_field(field, value):
         config_from_dict({"experiment": "fig2_spectral", "seeds": [1], "M": 4, "N": 4,
                           "n": 16, "m": 8, field: value})
     assert info.value.field == field
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called before the input was refused")
+
+
+@pytest.mark.parametrize("dims", [{}, {"n": 5, "m": 5}], ids=["no-dims", "dims"])
+def test_se_summary_refuses_a_tensor_config_before_it_draws(monkeypatch, dims):
+    # the noise was drawn first: a DimensionError naming m, or a draw and then
+    # the refusal
+    monkeypatch.setattr(harness, "sample_noise", _forbidden)
+    with pytest.raises(ConfigError, match=r"^experiment: ") as info:
+        se_summary(ExperimentConfig("tensor_checks", [], **dims))
+    assert info.value.field == "experiment"
 
 
 def test_se_only_is_not_an_experiment():
@@ -165,14 +186,16 @@ def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
     assert 1 < summary["condition_number"] <= cfg.kappa_high / cfg.kappa_low
 
 
-def test_import_loads_no_scipy():
-    """``import amplab`` must load no scipy module. Importing scipy.linalg
-    took about 0.33 s on a 2-CPU machine with scipy 1.17, more than the
-    whole median set-up time of a benchmark run there (about 0.27 s), so a
-    single scipy import in the package would regress every run's set-up."""
+def test_import_loads_no_test_extra():
+    """``import amplab`` and ``amplab.cli`` load no module of the test
+    extras (scipy, mpmath, pytest): numpy is the one runtime dependency that
+    pyproject.toml declares. Importing scipy.linalg also took about 0.33 s on
+    a 2-CPU machine with scipy 1.17, more than the whole median set-up time
+    of a benchmark run there (about 0.27 s), so a single scipy import in the
+    package would regress every run's set-up."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(amplab.__file__)))
-    code = ("import sys, amplab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, amplab, amplab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath', 'pytest', '_pytest')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
@@ -207,8 +230,19 @@ def test_battery_selection_matches_the_full_run():
         alone = tensor_checks(cfg, [battery["name"]])
         assert alone == {"batteries": [battery], "all_pass": battery["passed"],
                          "battery_seed": cfg.battery_seed}
-    with pytest.raises(ParameterError):
-        tensor_checks(cfg, ["bcp_diagonal_bound", "no_such_battery"])
+
+
+@pytest.mark.parametrize("names", [["bcp_diagonal_bound", "no_such_battery"], []],
+                         ids=["unknown", "empty"])
+def test_a_battery_selection_is_one_or_more_known_names(monkeypatch, names):
+    # an empty selection once ran nothing and reported all_pass = True
+    for core in ("eval_value_bruteforce", "wick_expectation", "bcp_ratio",
+                 "alt_cycle_component_bound_check"):
+        monkeypatch.setattr(tn, core, _forbidden)
+    message = (f"names must be one or more of ['oracle_equivalence', 'moments', "
+               f"'bcp_diagonal_bound', 'graph_lemma'], got {names}")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+        tensor_checks(ExperimentConfig(experiment="tensor_checks", seeds=[]), names)
 
 
 def test_tensor_checks_pass_at_battery_seeds_1_to_20():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,34 @@ def test_distinct_streams_differ():
 def test_nonsquare_symmetric_spec_rejected():
     with pytest.raises(DimensionError):
         EnsembleSpec("goe", 3, 4)
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "uniform"])
+def test_a_goe_spec_refuses_a_non_gaussian_entry_law(dist):
+    # such a spec was accepted and drew Gaussian entries all the same
+    message = f"entry_dist must be one of ('gaussian',) for goe, got {dist!r}"
+    with pytest.raises(SpecError, match=rf"^{re.escape(message)}$"):
+        EnsembleSpec("goe", 3, 3, dist)
+
+
+# 2.7 was silently seed 2, "5" seed 5 and True seed 1; None died with a bare
+# TypeError
+@pytest.mark.parametrize("value", [2.7, "5", True, None, np.float64(3.0)])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: RngStream(v), "seed"),
+    (lambda v: RngStream(1, v), "stream_id"),
+    (lambda v: RngStream(1).derive(v), "k"),
+], ids=["seed", "stream_id", "derive"])
+def test_a_seed_stream_id_or_substream_that_is_no_integer_is_refused(call, name, value):
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_seeds_of_either_integer_kind_wrap_mod_2_to_the_64():
+    assert RngStream(-1, np.int64(-2)) == RngStream(2**64 - 1, 2**64 - 2)
+    assert RngStream(np.uint64(5)).derive(np.int32(3)) == RngStream(5).derive(3)
+    assert RngStream(1).derive(-1) == RngStream(1).derive(2**64 - 1)
 
 
 def test_goe_scalar_entry_variance_is_two_over_n():
@@ -214,5 +244,5 @@ def test_noise_scaling():
 @pytest.mark.parametrize("std", [-1.0, float("nan"), float("inf")])
 def test_a_noise_std_that_is_negative_or_not_finite_is_refused(std):
     # -1.0 once gave sign-flipped noise and NaN a NaN vector
-    with pytest.raises(ParameterError, match=r"^std must be a finite number >= 0, got "):
+    with pytest.raises(ParameterError, match=r"^std must be a number in \[0, inf\), got "):
         sample_noise(5, std, RngStream(8))
