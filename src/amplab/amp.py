@@ -64,7 +64,9 @@ class SensingProblem:
     With K set the sensing is coloured, x = W K theta_star + e. K may be an
     ndarray, factored into a Coloring by ``Coloring.of`` (one SVD), or a
     Coloring already built, e.g. by ``Coloring.from_eig`` from K's
-    eigen-factors; ``Coloring.of`` checks either form against n. Without K
+    eigenvalues and eigenbasis, a dense orthogonal matrix or a
+    ``state_evolution.SignedDCT``; ``Coloring.of`` checks either form
+    against n. Without K
     the field holds the identity colouring, which hands every vector back
     unchanged. Problems that share one Coloring share its factors and
     condition number, computed once.

@@ -128,27 +128,37 @@ def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
 # Separable soft thresholding
 
 
+def _soft_threshold(x: np.ndarray, lmbda: float) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x - np.clip(x, -lmbda, lmbda)
+
+
+def _count_above(x: np.ndarray, lmbda: float) -> float:
+    return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
+
+
 def soft_threshold_apply(x: np.ndarray, lmbda: float) -> np.ndarray:
     """Coordinatewise sign(x) * (|x| - lmbda)_+, computed as
     x - clip(x, -lmbda, lmbda)."""
     require_number(lmbda, "threshold", ParameterError, 0, np.inf)
-    x = np.asarray(x, dtype=np.float64)
-    return x - np.clip(x, -lmbda, lmbda)
+    return _soft_threshold(x, lmbda)
 
 
 def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
     """Weak-derivative sum: the number of coordinates with |x_i| > lmbda."""
     require_number(lmbda, "threshold", ParameterError, 0, np.inf)
-    return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
+    return _count_above(x, lmbda)
 
 
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    """Soft thresholding at lmbda, checked here, with its counting divergence;
-    lmbda is recorded as its ``threshold``."""
+    """Soft thresholding at lmbda, checked here once, with its counting
+    divergence; lmbda is recorded as its ``threshold``. Its map and
+    divergence do the arithmetic of ``soft_threshold_apply`` and
+    ``soft_threshold_divergence`` without checking lmbda again."""
     threshold = require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     return Denoiser(
-        fn=lambda x: soft_threshold_apply(x, lmbda),
-        divergence_fn=lambda x: soft_threshold_divergence(x, lmbda),
+        fn=lambda x: _soft_threshold(x, lmbda),
+        divergence_fn=lambda x: _count_above(x, lmbda),
         name=f"soft_threshold(lmbda={lmbda})",
         threshold=threshold,
     )

@@ -32,13 +32,12 @@ from .ensembles import (
     EnsembleSpec,
     SignalSpec,
     sample_ginibre,
-    sample_haar_orthogonal,
     sample_noise,
     sample_signal,
 )
 from .exceptions import ConfigError, ParameterError, is_integer, require_count, require_number
 from .rng import RngStream
-from .state_evolution import Coloring, se_scalar_sensing
+from .state_evolution import Coloring, SignedDCT, se_scalar_sensing
 from .vecmat import mat
 
 # sensing experiment -> pipeline kind
@@ -210,14 +209,14 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
         return _Pipeline(theta, e, [den] * T, None)
     spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
     theta = sample_signal(spec, signal_rng).vector
-    o = sample_haar_orthogonal(cfg.n, RngStream(cfg.signal_seed, _STREAM_KAPPA))
-    kappa = RngStream(cfg.signal_seed, _STREAM_KAPPA).derive(1).generator().uniform(
-        cfg.kappa_low, cfg.kappa_high, size=cfg.n
-    )
-    # K = o diag(kappa) o^T: from_eig keeps the Haar factor o and kappa as
-    # K's factors and reads cond(K) off kappa, with no SVD, LU or n x n
-    # product
-    K = Coloring.from_eig(o, kappa)
+    kappa_rng = RngStream(cfg.signal_seed, _STREAM_KAPPA)
+    kappa = kappa_rng.derive(1).generator().uniform(cfg.kappa_low, cfg.kappa_high, size=cfg.n)
+    # K = O diag(kappa) O^T with O a signed, permuted DCT, which is as
+    # delocalised as a Haar eigenbasis (the universality results need a fixed,
+    # well-conditioned K, not Haar eigenvectors) but is drawn in O(n) and
+    # applied by FFTs, where a Haar O costs an n x n QR; cond(K) is read off
+    # kappa
+    K = Coloring.from_eig(SignedDCT.draw(cfg.n, kappa_rng), kappa)
     den = soft_threshold_denoiser(cfg.threshold)
     return _Pipeline(theta, e, [den] * T, K)
 

@@ -52,11 +52,14 @@ The per-path terms are summed in sample order, so the averages do not
 depend on the block size.
 
 The colouring matrix K of the sensing model x = W K theta + e is a
-``Coloring``: K kept as its factors, applied (``Coloring.apply``) and
-inverted (``Coloring.solve``) by products with them, and refused at its
-first ``solve`` when numerically singular. ``se_scalar_sensing`` and
-``amp.run_sensing_amp`` reach K only through it; without K they hold the
-identity colouring, which returns every vector it is given unchanged.
+``Coloring``: K kept as two orthogonal bases and a diagonal, applied
+(``Coloring.apply``) and inverted (``Coloring.solve``) through the bases'
+row-wise maps, and refused at its first ``solve`` when numerically
+singular. A basis is a dense matrix (``DenseBasis``) or a signed, permuted
+DCT (``SignedDCT``), applied by FFTs with O(n) storage.
+``se_scalar_sensing`` and ``amp.run_sensing_amp`` reach K only through it;
+without K they hold the identity colouring, which returns every vector it
+is given unchanged.
 """
 
 from __future__ import annotations
@@ -84,30 +87,119 @@ COND_LIMIT = 1e12
 ORTHO_TOL = 1e-10
 
 
+class DenseBasis:
+    """An n x n matrix O kept as it is, used through the two row-wise maps
+    every eigenbasis of a ``Coloring`` has: ``matvec`` (O c) and
+    ``rmatvec`` (O^T x), each on an n-vector or row by row on an (..., n)
+    stack, by one product with O."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        return c @ self.matrix.T
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.matrix
+
+
+class SignedDCT:
+    """The orthogonal n x n matrix O = S P C^T, kept as its O(n) signs and
+    permutation: C is the orthonormal DCT-II (C x is the DCT of x, whose
+    entry (k, j) is sqrt(2/n) cos(pi k (2j + 1) / (2n)), sqrt(1/n) at k = 0),
+    P the permutation (P z)_i = z_perm[i], and S = diag(signs), signs +-1.
+    Every entry of O is at most sqrt(2/n) in magnitude, so O is
+    delocalised as a Haar eigenbasis is, yet ``matvec`` (O c) and
+    ``rmatvec`` (O^T x) cost one real FFT of length n and one gather per row
+    (Makhoul's DCT, IEEE Trans. ASSP 28, 1980), on an n-vector or row by row
+    on an (..., n) stack, and O is never formed. ParameterError unless signs
+    is a non-empty vector of +-1 and perm a permutation of 0..n-1 as long."""
+
+    def __init__(self, signs, perm):
+        signs, perm = np.asarray(signs, dtype=np.float64), np.asarray(perm)
+        n = signs.size
+        if signs.shape != (n,) or n == 0 or not np.all(np.abs(signs) == 1):
+            raise ParameterError("signs must be a non-empty vector of +-1")
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ParameterError(f"perm must be a permutation of 0..{n - 1}")
+        self.n, self.signs, self.perm = n, signs, perm
+        # Makhoul's reordering: the even-indexed entries, then the odd ones reversed
+        order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+        self._gather_in = np.argsort(perm)[order]  # S x, unpermuted and reordered
+        self._signs_in = signs[self._gather_in]
+        self._gather_out = np.argsort(order)[perm]  # C^T c, undone and permuted
+        self._twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+        self._scale = np.full(n, np.sqrt(2.0 / n))
+        self._scale[0] = np.sqrt(1.0 / n)
+
+    @classmethod
+    def draw(cls, n: int, rng: RngStream) -> "SignedDCT":
+        """The n signs, uniform on +-1, then the permutation, uniform,
+        from rng's generator; DimensionError unless n is a count."""
+        n = require_count(n, "n", DimensionError)
+        gen = rng.generator()
+        signs = 2.0 * gen.integers(0, 2, size=n) - 1.0
+        return cls(signs, gen.permutation(n))
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """O^T x = C (P^T S x): the DCT-II of the reordered P^T S x is read
+        off the real FFT V, entry k as Re(w_k V_k) and entry n - k as
+        -Im(w_k V_k), with w_k = exp(-i pi k / (2n))."""
+        n, half = self.n, self.n // 2
+        spectrum = np.fft.rfft(x[..., self._gather_in] * self._signs_in, axis=-1)
+        spectrum *= self._twiddle
+        out = np.empty(spectrum.shape[:-1] + (n,))
+        out[..., :half + 1] = spectrum.real
+        out[..., half + 1:] = -spectrum.imag[..., (n - 1) // 2:0:-1]
+        return out * self._scale
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        """O c = S P (C^T c): ``rmatvec``'s DCT run backwards, its spectrum
+        V_k = (y_k - i y_(n-k)) / w_k rebuilt from y = c / scale (y_n = 0)
+        and inverted by one inverse real FFT."""
+        n, half = self.n, self.n // 2
+        y = c / self._scale
+        spectrum = np.empty(y.shape[:-1] + (half + 1,), dtype=np.complex128)
+        spectrum.real = y[..., :half + 1]
+        spectrum.imag[..., 0] = 0.0
+        spectrum.imag[..., 1:] = -y[..., n - 1:n - half - 1:-1]
+        spectrum /= self._twiddle
+        return np.fft.irfft(spectrum, n, axis=-1)[..., self._gather_out] * self.signs
+
+
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """Colouring matrix K of the sensing model x = W K theta + e, kept as its
-    factors K = u diag(s) vt, with its exact 2-norm condition number, all
-    computed once per K. ``apply`` takes K x and ``solve`` K^(-1) y, each on
-    an n-vector or row by row on an (..., n) stack, by two products with the
-    factors; K and K^(-1) are never formed.
+    """Colouring matrix K of the sensing model x = W K theta + e, kept as
+    K = L diag(s) R^T, with L and R orthogonal bases, and with its exact
+    2-norm condition number, all computed once per K. ``apply`` takes K x and
+    ``solve`` K^(-1) y, each on an n-vector or row by row on an (..., n)
+    stack, through the bases' two row-wise maps, ``matvec`` (L c) and
+    ``rmatvec`` (R^T x): K x = L (s * R^T x) and K^(-1) y = R (L^T y / s).
+    K and K^(-1) are never formed, and neither body asks which kind of basis
+    it holds.
 
-    ``from_eig(O, kappa)`` keeps the spectral factors of a symmetric
-    K = O diag(kappa) O^T as they are and reads the condition number off
-    kappa, with no SVD, LU or n x n product; ``of(K, n)`` takes any n x n K,
-    symmetric or not, and pays for one SVD (the factors) and ``np.linalg.cond``.
-    ``of(None, n)`` is the identity colouring: no factors, condition number 1,
-    and ``apply`` and ``solve`` return their argument itself, so an
-    uncoloured run does the arithmetic it would do with no K at all. ``of``
-    is also where a K of either form is checked against the problem's n.
+    ``from_eig(O, kappa)`` keeps the eigenbasis of a symmetric
+    K = O diag(kappa) O^T, L = R = O, and reads the condition number off
+    kappa, with no SVD, LU or n x n product. O is an n x n orthogonal
+    matrix, kept as a ``DenseBasis`` (two n^2 products per use), or a
+    ``SignedDCT`` operator (two FFTs of length n per use, O(n) storage).
+    ``of(K, n)`` takes any n x n K, symmetric or not, and pays for one SVD
+    K = u diag(s) vt (L = u and R = vt^T, both dense) and
+    ``np.linalg.cond``. ``of(None, n)`` is the identity colouring: no
+    factors, condition number 1, and ``apply`` and ``solve`` return their
+    argument itself, so an uncoloured run does the arithmetic it would do
+    with no K at all. ``of`` is also where a K of either form is checked
+    against the problem's n.
 
     A numerically singular K is accepted here and refused by ``solve``, so
     the error surfaces in the solver that needs the backprojection.
     """
 
-    u: Optional[np.ndarray]  # u, s and vt are None for the identity colouring
+    # left, s and right are None for the identity colouring
+    left: Optional[Union[DenseBasis, SignedDCT]]
     s: Optional[np.ndarray]  # singular values, or from_eig's signed kappa
-    vt: Optional[np.ndarray]
+    right: Optional[Union[DenseBasis, SignedDCT]]
     cond: float
 
     @classmethod
@@ -116,46 +208,50 @@ class Coloring:
         None; a Coloring is returned unchanged. DimensionError naming K
         unless K, of either form, is n x n (the identity fits every n)."""
         if K is None:
-            return cls(u=None, s=None, vt=None, cond=1.0)
-        # a factored K's vt has K's shape; the identity has none to check
-        matrix = K.vt if isinstance(K, Coloring) else np.asarray(K, dtype=np.float64)
-        if matrix is not None and matrix.shape != (n, n):
-            raise DimensionError(f"K must be {n} x {n}, got shape {matrix.shape}")
+            return cls(left=None, s=None, right=None, cond=1.0)
         if isinstance(K, Coloring):
+            if K.s is not None and K.s.size != n:
+                raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.s.size}")
             return K
+        matrix = np.asarray(K, dtype=np.float64)
+        if matrix.shape != (n, n):
+            raise DimensionError(f"K must be {n} x {n}, got shape {matrix.shape}")
         u, s, vt = np.linalg.svd(matrix)
-        return cls(u=u, s=s, vt=vt, cond=float(np.linalg.cond(matrix)))
+        return cls(left=DenseBasis(u), s=s, right=DenseBasis(vt.T),
+                   cond=float(np.linalg.cond(matrix)))
 
     @classmethod
     def from_eig(cls, O, kappa) -> "Coloring":
-        """Coloring of K = O diag(kappa) O^T for an orthogonal O, kept as
-        u = O, s = kappa, vt = O^T; cond(K) = max|kappa| / min|kappa|.
-        Orthogonality is checked with one probe vector x, |O^T O x - x|
-        against ORTHO_TOL |x|, which costs two matvecs instead of forming
-        O^T O.
+        """Coloring of K = O diag(kappa) O^T for an orthogonal O, an n x n
+        matrix or a ``SignedDCT``, kept as L = R = O and s = kappa;
+        cond(K) = max|kappa| / min|kappa|. Orthogonality is checked with one
+        probe vector x, |O^T O x - x| against ORTHO_TOL |x|, which costs the
+        two row-wise maps instead of forming O^T O.
         """
-        O = np.asarray(O, dtype=np.float64)
+        if not isinstance(O, SignedDCT):
+            O = np.asarray(O, dtype=np.float64)
+            if O.ndim != 2 or O.shape[0] != O.shape[1] or O.size == 0:
+                raise DimensionError("O must be a non-empty square matrix")
+            O = DenseBasis(O)
         kappa = np.asarray(kappa, dtype=np.float64)
-        if O.ndim != 2 or O.shape[0] != O.shape[1] or O.size == 0:
-            raise DimensionError("O must be a non-empty square matrix")
-        if kappa.shape != (O.shape[0],):
-            raise DimensionError(f"kappa must be a vector of length {O.shape[0]}")
+        if kappa.shape != (O.n,):
+            raise DimensionError(f"kappa must be a vector of length {O.n}")
         if not np.all(np.isfinite(kappa)):
             raise ParameterError("kappa must be finite")
         x = np.sin(np.arange(1, kappa.size + 1))  # no entry is zero
         # written so that a NaN in O fails the test too
-        if not np.linalg.norm(O.T @ (O @ x) - x) <= ORTHO_TOL * np.linalg.norm(x):
+        if not np.linalg.norm(O.rmatvec(O.matvec(x)) - x) <= ORTHO_TOL * np.linalg.norm(x):
             raise ParameterError("O is not orthogonal")
         magnitude = np.abs(kappa)
         low = magnitude.min()
         cond = float(magnitude.max() / low) if low > 0 else np.inf
-        return cls(u=O, s=kappa, vt=O.T, cond=cond)
+        return cls(left=O, s=kappa, right=O, cond=cond)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K x, row by row for an (..., n) stack; x itself for the identity."""
         if self.s is None:
             return x
-        return (x @ self.vt.T * self.s) @ self.u.T
+        return self.left.matvec(self.right.rmatvec(x) * self.s)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """K^(-1) y, row by row for an (..., n) stack; y itself for the
@@ -164,7 +260,7 @@ class Coloring:
             return y
         if not self.cond <= COND_LIMIT:  # a NaN too
             raise NumericError(f"K is numerically singular (condition number {self.cond:.3e})")
-        return (y @ self.u / self.s) @ self.vt
+        return self.right.matvec(self.left.rmatvec(y) / self.s)
 
 
 @dataclass

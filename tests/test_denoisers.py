@@ -58,6 +58,29 @@ def test_a_negative_or_nan_threshold_is_refused_up_front(build, threshold):
         build(threshold)
 
 
+def test_the_soft_threshold_denoiser_checks_its_threshold_once(monkeypatch):
+    """The denoiser checks lmbda when it is built, and its map and divergence
+    call no ``require_number``; the public functions still check on every
+    call. The outputs equal the public functions'."""
+    calls = []
+    checked = denoisers.require_number
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(denoisers, "require_number", counting)
+    den = soft_threshold_denoiser(0.5)
+    assert calls == ["threshold"]
+    x = RngStream(2).generator().standard_normal((3, 20))
+    for _ in range(4):
+        out, div = den.fn(x), den.divergence_fn(x[0])
+    assert calls == ["threshold"]
+    assert np.array_equal(out, soft_threshold_apply(x, 0.5))
+    assert div == soft_threshold_divergence(x[0], 0.5)
+    assert calls == ["threshold"] * 3
+
+
 def test_local_kernel_spec_rejects_a_non_integer_size():
     # h = 1.5 was accepted, and apply died with an IndexError
     with pytest.raises(ParameterError, match="h must be an integer"):

@@ -19,7 +19,7 @@ from amplab.harness import (
     tensor_checks,
     universality_compare,
 )
-from amplab.state_evolution import Coloring
+from amplab.state_evolution import Coloring, SignedDCT
 
 
 @pytest.mark.parametrize("field, value", [
@@ -170,13 +170,22 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
 
 
 def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
+    """fig3's K, applied through its signed, permuted DCT basis, colours as
+    the dense K = O diag(kappa) O^T of the same basis, factored by one SVD."""
     cfg = config_from_dict({"experiment": "fig3_aniso", "seeds": [1, 2], "n": 60, "m": 30,
                             "iterations": 3, "se_draws": 4, "threshold": 0.5,
                             "ensembles": ["gaussian", "rademacher"]})
     records, summary = run_experiment(cfg)
-    monkeypatch.setattr(Coloring, "from_eig",
-                        classmethod(lambda cls, O, kappa: cls.of((O * kappa) @ O.T, kappa.size)))
+    bases = []
+
+    def dense(cls, O, kappa):
+        bases.append(O)
+        matrix = O.matvec(np.eye(kappa.size)).T  # column j is O e_j
+        return cls.of((matrix * kappa) @ matrix.T, kappa.size)
+
+    monkeypatch.setattr(Coloring, "from_eig", classmethod(dense))
     dense_records, dense_summary = run_experiment(cfg)
+    assert len(bases) == 1 and isinstance(bases[0], SignedDCT)
     assert [(r.ensemble, r.seed, r.t) for r in records] == \
         [(r.ensemble, r.seed, r.t) for r in dense_records]
     assert np.allclose([r.mse for r in records], [r.mse for r in dense_records],

@@ -122,12 +122,12 @@ EXPECTED = {
         3.0,
     ],
     "fig3_aniso": [
-        0.5082555248814736, 0.5819035597920761, 0.7576945401080137,
-        0.18118377341589803, 0.1325409422872357, 0.13679351536444623,
-        0.24996959067256147, 0.19511681542239612, 0.13618727243005116,
-        0.6220726015092305, 0.6372264323438015, 0.4832203828421304,
-        0.6199714779259123, 0.6351253087604833, 0.4811192592588123,
-        0.3906249196473753, 3.944473285336346,
+        0.4305267914565388, 0.4721444110885475, 0.35713146321183553,
+        0.23748575309183845, 0.26445681163137486, 0.4557976157332265,
+        0.2805583001069934, 0.22771378005311133, 0.17152255124482663,
+        0.7210145812738995, 0.7145353737170589, 0.5907153356470003,
+        0.7189134576905813, 0.7124342501337407, 0.5886142120636821,
+        0.45895462224354444, 3.944473285336346,
     ],
     "se_asymmetric": [
         0.366161042088107, 0.12911400100024129, 0.13492190717970926,

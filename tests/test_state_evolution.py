@@ -22,6 +22,7 @@ from amplab.exceptions import DimensionError, NumericError, ParameterError, Sche
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
+    SignedDCT,
     _border,
     _chol_factor,
     _Side,
@@ -822,6 +823,65 @@ def test_coloring_from_eig_singular_kappa(spread):
     col = Coloring.from_eig(O, kappa)
     with pytest.raises(NumericError, match="condition number"):
         col.solve(np.ones(kappa.size))
+
+
+def _dct_matrix(n):
+    """The orthonormal DCT-II C as a dense matrix, from its defining cosines."""
+    k, j = np.arange(n)[:, None], np.arange(n)
+    C = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    C[0] /= np.sqrt(2.0)
+    return C
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_the_signed_dct_is_orthogonal_and_delocalised(n):
+    basis = SignedDCT.draw(n, RngStream(40, n))
+    O = basis.matvec(np.eye(n)).T  # column j is O e_j
+    assert np.abs(O.T @ O - np.eye(n)).max() <= 1e-14
+    assert np.abs(basis.rmatvec(np.eye(n)) - O).max() <= 1e-14  # row i is O^T e_i
+    # O = S P C^T: row i is signs[i] times column perm[i] of C
+    ref = basis.signs[:, None] * _dct_matrix(n).T[basis.perm]
+    assert np.abs(O - ref).max() <= 1e-13
+    assert np.abs(O).max() <= np.sqrt(2.0 / n) + 1e-15
+
+
+def test_the_signed_dct_round_trip_is_exact_at_n_6400():
+    n = 6400
+    basis = SignedDCT.draw(n, RngStream(41))
+    x = RngStream(42).generator().standard_normal((3, n))
+    for back in (basis.matvec(basis.rmatvec(x)), basis.rmatvec(basis.matvec(x))):
+        assert back.shape == x.shape
+        assert np.linalg.norm(back - x) <= 1e-14 * np.linalg.norm(x)
+
+
+def test_a_signed_dct_draw_is_reproducible_and_a_bad_one_is_refused():
+    a, b = SignedDCT.draw(9, RngStream(43)), SignedDCT.draw(9, RngStream(43))
+    assert np.array_equal(a.signs, b.signs) and np.array_equal(a.perm, b.perm)
+    assert set(a.signs) <= {-1.0, 1.0} and sorted(a.perm) == list(range(9))
+    with pytest.raises(DimensionError, match="n must be an integer"):
+        SignedDCT.draw(0, RngStream(43))
+    for signs, perm in (([1.0, 0.5], [0, 1]), ([], []), ([1.0, -1.0], [0, 0]),
+                        ([1.0, -1.0], [0, 1, 2])):
+        with pytest.raises(ParameterError):
+            SignedDCT(signs, perm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_a_dct_colouring_matches_the_dense_colouring(n):
+    basis = SignedDCT.draw(n, RngStream(44, n))
+    kappa = RngStream(45, n).generator().uniform(0.5, 2.0, size=n)
+    O = basis.matvec(np.eye(n)).T
+    col = Coloring.from_eig(basis, kappa)
+    _assert_colours_as(col, (O * kappa) @ O.T)
+    assert col.cond == kappa.max() / kappa.min()
+
+
+def test_a_dct_colouring_refuses_a_singular_kappa():
+    kappa = np.linspace(0.5, 2.0, 50)
+    kappa[7] = 0.0
+    col = Coloring.from_eig(SignedDCT.draw(50, RngStream(46)), kappa)
+    with pytest.raises(NumericError, match="condition number"):
+        col.solve(np.ones(50))
 
 
 @pytest.mark.parametrize("mangle, error", [
