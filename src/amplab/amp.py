@@ -1,7 +1,9 @@
 """AMP recursions: symmetric, asymmetric with an explicit Onsager schedule,
 and the sensing form, plain or coloured (x = W K theta + e). The sensing
 runner applies and inverts K only through the problem's
-``state_evolution.Coloring``, the identity colouring when no K is given.
+``state_evolution.Coloring``, K = O diag(kappa) O^T on a signed, permuted
+DCT basis O, or the identity colouring when no K is given; an ndarray K is
+refused.
 
 Denoisers read only the latest iterate, so each iteration subtracts one
 Onsager term, a coefficient times the previous iterate (Berthier, Montanari
@@ -12,7 +14,7 @@ runners are sequential and deterministic given their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -61,22 +63,20 @@ class SensingProblem:
     """Observations x = W theta_star + e with per-iteration denoisers; x is
     derived from the other fields, not passed.
 
-    With K set the sensing is coloured, x = W K theta_star + e. K may be an
-    ndarray, factored into a Coloring by ``Coloring.of`` (one SVD), or a
-    Coloring already built, e.g. by ``Coloring.from_eig`` from K's
-    eigenvalues and eigenbasis, a dense orthogonal matrix or a
-    ``state_evolution.SignedDCT``; ``Coloring.of`` checks either form
-    against n. Without K
-    the field holds the identity colouring, which hands every vector back
-    unchanged. Problems that share one Coloring share its factors and
-    condition number, computed once.
+    With K set the sensing is coloured, x = W K theta_star + e. K is a
+    Coloring, built by ``Coloring.from_eig`` from K's eigenvalues and its
+    ``state_evolution.SignedDCT`` eigenbasis; ``Coloring.of`` checks it
+    against n and refuses anything else, an ndarray too. Without K the field
+    holds the identity colouring, which hands every vector back unchanged.
+    Problems that share one Coloring share its basis and condition number,
+    computed once.
     """
 
     W: np.ndarray
     theta_star: np.ndarray
     e: np.ndarray
     eta_seq: Sequence[Denoiser]
-    K: Optional[Union[np.ndarray, Coloring]] = None
+    K: Optional[Coloring] = None
     x: np.ndarray = field(init=False)
 
     def __post_init__(self):

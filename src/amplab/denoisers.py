@@ -13,9 +13,11 @@ samples. A block's float64 working set is at most _BLOCK_BYTES (1 MiB), or
 one sample's where a single one takes more; a denoiser call is counted as
 _CALL_ROWS rows per sample (its input, its output and two temporaries).
 
-Every threshold, of soft thresholding and of ``SpectralSpec``, is checked by
-``exceptions.require_number`` as a number in [0, inf]; an infinite threshold
-maps every input to 0.
+Soft thresholding has one entry point, ``soft_threshold_denoiser``; the
+exact SE reads its arithmetic (``_soft_threshold``) directly. Every
+threshold, of that denoiser and of ``SpectralSpec``, is checked once, when
+the denoiser or spec is built, by ``exceptions.require_number`` as a number
+in [0, inf]; an infinite threshold maps every input to 0.
 """
 
 from __future__ import annotations
@@ -137,24 +139,11 @@ def _count_above(x: np.ndarray, lmbda: float) -> float:
     return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
 
 
-def soft_threshold_apply(x: np.ndarray, lmbda: float) -> np.ndarray:
-    """Coordinatewise sign(x) * (|x| - lmbda)_+, computed as
-    x - clip(x, -lmbda, lmbda)."""
-    require_number(lmbda, "threshold", ParameterError, 0, np.inf)
-    return _soft_threshold(x, lmbda)
-
-
-def soft_threshold_divergence(x: np.ndarray, lmbda: float) -> float:
-    """Weak-derivative sum: the number of coordinates with |x_i| > lmbda."""
-    require_number(lmbda, "threshold", ParameterError, 0, np.inf)
-    return _count_above(x, lmbda)
-
-
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
-    """Soft thresholding at lmbda, checked here once, with its counting
-    divergence; lmbda is recorded as its ``threshold``. Its map and
-    divergence do the arithmetic of ``soft_threshold_apply`` and
-    ``soft_threshold_divergence`` without checking lmbda again."""
+    """Soft thresholding at lmbda, sign(x) * (|x| - lmbda)_+ coordinatewise,
+    computed as x - clip(x, -lmbda, lmbda), with its counting divergence,
+    the number of coordinates with |x_i| > lmbda. lmbda is checked here
+    once and recorded as its ``threshold``."""
     threshold = require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     return Denoiser(
         fn=lambda x: _soft_threshold(x, lmbda),

@@ -119,6 +119,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
     if not isinstance(cfg.ensembles, list):
         raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
+    # a repeated entry would run its cells twice and count them as replicates
+    for name in ("seeds", "ensembles"):
+        values = getattr(cfg, name)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{name}[{i}]", f"repeats {value!r}")
     if kind is not None:
         if not cfg.seeds:
             raise ConfigError("seeds", "must list at least one seed")
@@ -222,7 +228,8 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
 
 
 def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
-    # streams keyed by the ensemble name, so a repeated entry replays exactly
+    # streams keyed by the ensemble name, so a cell's draws do not depend on
+    # where its ensemble stands in the list
     eidx = ENTRY_DISTS.index(ensemble)
     w = sample_ginibre(
         EnsembleSpec("ginibre_iid", cfg.m, cfg.n, ensemble),
@@ -312,8 +319,8 @@ def universality_compare(cfg: ExperimentConfig) -> dict:
     """Mean-over-seeds MSE per (ensemble, t) plus pairwise and SE gaps."""
     if cfg.experiment == "tensor_checks":
         raise ConfigError("experiment", "tensor_checks has no ensembles to compare")
-    if len(set(cfg.ensembles)) < 2:
-        raise ConfigError("ensembles", "universality comparison needs >= 2 distinct ensembles")
+    if len(cfg.ensembles) < 2:  # the config refuses a repeated ensemble
+        raise ConfigError("ensembles", "universality comparison needs >= 2 ensembles")
     records, summary = run_experiment(cfg)
     means = {ens: np.asarray(info["mean_mse"])
              for ens, info in summary["ensembles"].items()}

@@ -52,14 +52,13 @@ The per-path terms are summed in sample order, so the averages do not
 depend on the block size.
 
 The colouring matrix K of the sensing model x = W K theta + e is a
-``Coloring``: K kept as two orthogonal bases and a diagonal, applied
-(``Coloring.apply``) and inverted (``Coloring.solve``) through the bases'
-row-wise maps, and refused at its first ``solve`` when numerically
-singular. A basis is a dense matrix (``DenseBasis``) or a signed, permuted
-DCT (``SignedDCT``), applied by FFTs with O(n) storage.
-``se_scalar_sensing`` and ``amp.run_sensing_amp`` reach K only through it;
-without K they hold the identity colouring, which returns every vector it
-is given unchanged.
+``Coloring``: K = O diag(kappa) O^T kept as its eigenbasis O, a signed,
+permuted DCT (``SignedDCT``) applied by FFTs with O(n) storage, and its
+eigenvalues kappa. K is applied (``Coloring.apply``) and inverted
+(``Coloring.solve``) through O's row-wise maps, and refused at its first
+``solve`` when numerically singular. ``se_scalar_sensing`` and
+``amp.run_sensing_amp`` reach K only through it; without K they hold the
+identity colouring, which returns every vector it is given unchanged.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ from __future__ import annotations
 import logging
 from functools import cached_property
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .denoisers import _CALL_ROWS, Denoiser, _block_rows, soft_threshold_apply
+from .denoisers import _CALL_ROWS, Denoiser, _block_rows, _soft_threshold
 from .exceptions import (DimensionError, NumericError, ParameterError, ScheduleError,
                          require_count, require_vector)
 from .gaussian import norm_cdf, norm_pdf, ramp_pair
@@ -83,25 +82,6 @@ PSD_TOL = 1e-8
 CHOL_JITTER = 1e-8
 # condition number above which a colouring matrix K counts as singular
 COND_LIMIT = 1e12
-# relative error |O^T O x - x| / |x| above which Coloring.from_eig rejects O
-ORTHO_TOL = 1e-10
-
-
-class DenseBasis:
-    """An n x n matrix O kept as it is, used through the two row-wise maps
-    every eigenbasis of a ``Coloring`` has: ``matvec`` (O c) and
-    ``rmatvec`` (O^T x), each on an n-vector or row by row on an (..., n)
-    stack, by one product with O."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.n = matrix.shape[0]
-
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        return c @ self.matrix.T
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.matrix
 
 
 class SignedDCT:
@@ -114,15 +94,18 @@ class SignedDCT:
     ``rmatvec`` (O^T x) cost one real FFT of length n and one gather per row
     (Makhoul's DCT, IEEE Trans. ASSP 28, 1980), on an n-vector or row by row
     on an (..., n) stack, and O is never formed. ParameterError unless signs
-    is a non-empty vector of +-1 and perm a permutation of 0..n-1 as long."""
+    is a non-empty vector of +-1 and perm an integer array holding a
+    permutation of 0..n-1, so every SignedDCT is orthogonal by construction."""
 
     def __init__(self, signs, perm):
         signs, perm = np.asarray(signs, dtype=np.float64), np.asarray(perm)
         n = signs.size
         if signs.shape != (n,) or n == 0 or not np.all(np.abs(signs) == 1):
             raise ParameterError("signs must be a non-empty vector of +-1")
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ParameterError(f"perm must be a permutation of 0..{n - 1}")
+        # a bool array would index as a mask, a float one not at all
+        if (perm.shape != (n,) or perm.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(perm), np.arange(n))):
+            raise ParameterError(f"perm must be an integer permutation of 0..{n - 1}")
         self.n, self.signs, self.perm = n, signs, perm
         # Makhoul's reordering: the even-indexed entries, then the odd ones reversed
         order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
@@ -170,97 +153,73 @@ class SignedDCT:
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """Colouring matrix K of the sensing model x = W K theta + e, kept as
-    K = L diag(s) R^T, with L and R orthogonal bases, and with its exact
-    2-norm condition number, all computed once per K. ``apply`` takes K x and
-    ``solve`` K^(-1) y, each on an n-vector or row by row on an (..., n)
-    stack, through the bases' two row-wise maps, ``matvec`` (L c) and
-    ``rmatvec`` (R^T x): K x = L (s * R^T x) and K^(-1) y = R (L^T y / s).
-    K and K^(-1) are never formed, and neither body asks which kind of basis
-    it holds.
+    """Colouring matrix K = O diag(kappa) O^T of the sensing model
+    x = W K theta + e, with O a ``SignedDCT``, kept as that basis, kappa and
+    the 2-norm condition number max|kappa| / min|kappa|. ``apply`` takes
+    K x = O (kappa * O^T x) and ``solve`` K^(-1) y = O (O^T y / kappa), each
+    on an n-vector or row by row on an (..., n) stack, by two FFTs of length
+    n; K and K^(-1) are never formed, and nothing is factored.
 
-    ``from_eig(O, kappa)`` keeps the eigenbasis of a symmetric
-    K = O diag(kappa) O^T, L = R = O, and reads the condition number off
-    kappa, with no SVD, LU or n x n product. O is an n x n orthogonal
-    matrix, kept as a ``DenseBasis`` (two n^2 products per use), or a
-    ``SignedDCT`` operator (two FFTs of length n per use, O(n) storage).
-    ``of(K, n)`` takes any n x n K, symmetric or not, and pays for one SVD
-    K = u diag(s) vt (L = u and R = vt^T, both dense) and
-    ``np.linalg.cond``. ``of(None, n)`` is the identity colouring: no
-    factors, condition number 1, and ``apply`` and ``solve`` return their
-    argument itself, so an uncoloured run does the arithmetic it would do
-    with no K at all. ``of`` is also where a K of either form is checked
-    against the problem's n.
+    ``from_eig(O, kappa)`` builds the colouring. ``of(None, n)`` is the
+    identity colouring: no basis, condition number 1, and ``apply`` and
+    ``solve`` return their argument itself, so an uncoloured run does the
+    arithmetic it would do with no K at all. ``of`` is also where K is
+    checked against the problem's n, and where anything but a Coloring or
+    None is refused.
 
     A numerically singular K is accepted here and refused by ``solve``, so
     the error surfaces in the solver that needs the backprojection.
     """
 
-    # left, s and right are None for the identity colouring
-    left: Optional[Union[DenseBasis, SignedDCT]]
-    s: Optional[np.ndarray]  # singular values, or from_eig's signed kappa
-    right: Optional[Union[DenseBasis, SignedDCT]]
+    # basis and kappa are None for the identity colouring
+    basis: Optional[SignedDCT]
+    kappa: Optional[np.ndarray]
     cond: float
 
     @classmethod
-    def of(cls, K, n: int) -> "Coloring":
-        """Coloring of the n x n matrix K; the identity colouring when K is
-        None; a Coloring is returned unchanged. DimensionError naming K
-        unless K, of either form, is n x n (the identity fits every n)."""
+    def of(cls, K: Optional["Coloring"], n: int) -> "Coloring":
+        """K itself, or the identity colouring when K is None.
+        DimensionError naming K unless K is a Coloring or None, and unless
+        it is n x n (the identity fits every n)."""
         if K is None:
-            return cls(left=None, s=None, right=None, cond=1.0)
-        if isinstance(K, Coloring):
-            if K.s is not None and K.s.size != n:
-                raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.s.size}")
-            return K
-        matrix = np.asarray(K, dtype=np.float64)
-        if matrix.shape != (n, n):
-            raise DimensionError(f"K must be {n} x {n}, got shape {matrix.shape}")
-        u, s, vt = np.linalg.svd(matrix)
-        return cls(left=DenseBasis(u), s=s, right=DenseBasis(vt.T),
-                   cond=float(np.linalg.cond(matrix)))
+            return cls(basis=None, kappa=None, cond=1.0)
+        if not isinstance(K, Coloring):
+            raise DimensionError(f"K must be a Coloring or None, got {type(K).__name__}")
+        if K.kappa is not None and K.kappa.size != n:
+            raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.kappa.size}")
+        return K
 
     @classmethod
-    def from_eig(cls, O, kappa) -> "Coloring":
-        """Coloring of K = O diag(kappa) O^T for an orthogonal O, an n x n
-        matrix or a ``SignedDCT``, kept as L = R = O and s = kappa;
-        cond(K) = max|kappa| / min|kappa|. Orthogonality is checked with one
-        probe vector x, |O^T O x - x| against ORTHO_TOL |x|, which costs the
-        two row-wise maps instead of forming O^T O.
-        """
+    def from_eig(cls, O: SignedDCT, kappa) -> "Coloring":
+        """Coloring of K = O diag(kappa) O^T; cond(K) = max|kappa| / min|kappa|.
+        ParameterError unless O is a ``SignedDCT`` and kappa finite,
+        DimensionError unless kappa has O's length."""
         if not isinstance(O, SignedDCT):
-            O = np.asarray(O, dtype=np.float64)
-            if O.ndim != 2 or O.shape[0] != O.shape[1] or O.size == 0:
-                raise DimensionError("O must be a non-empty square matrix")
-            O = DenseBasis(O)
+            raise ParameterError(f"O must be a SignedDCT, got {type(O).__name__}")
         kappa = np.asarray(kappa, dtype=np.float64)
         if kappa.shape != (O.n,):
             raise DimensionError(f"kappa must be a vector of length {O.n}")
         if not np.all(np.isfinite(kappa)):
             raise ParameterError("kappa must be finite")
-        x = np.sin(np.arange(1, kappa.size + 1))  # no entry is zero
-        # written so that a NaN in O fails the test too
-        if not np.linalg.norm(O.rmatvec(O.matvec(x)) - x) <= ORTHO_TOL * np.linalg.norm(x):
-            raise ParameterError("O is not orthogonal")
         magnitude = np.abs(kappa)
         low = magnitude.min()
         cond = float(magnitude.max() / low) if low > 0 else np.inf
-        return cls(left=O, s=kappa, right=O, cond=cond)
+        return cls(basis=O, kappa=kappa, cond=cond)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K x, row by row for an (..., n) stack; x itself for the identity."""
-        if self.s is None:
+        if self.kappa is None:
             return x
-        return self.left.matvec(self.right.rmatvec(x) * self.s)
+        return self.basis.matvec(self.basis.rmatvec(x) * self.kappa)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """K^(-1) y, row by row for an (..., n) stack; y itself for the
         identity. NumericError when K is numerically singular."""
-        if self.s is None:
+        if self.kappa is None:
             return y
         if not self.cond <= COND_LIMIT:  # a NaN too
             raise NumericError(f"K is numerically singular (condition number {self.cond:.3e})")
-        return self.right.matvec(self.left.rmatvec(y) / self.s)
+        return self.basis.matvec(self.basis.rmatvec(y) / self.kappa)
 
 
 @dataclass
@@ -357,7 +316,7 @@ def _residual_moments(c: np.ndarray, lmbda: float, sd: float,
     cancels against c. When sd = 0 or lmbda = inf, g(Y) is the constant
     g(0) (c at lmbda = inf), and E g' is the counting divergence at 0."""
     if sd == 0 or np.isinf(lmbda):
-        const = c - soft_threshold_apply(c, lmbda)
+        const = c - _soft_threshold(c, lmbda)
         return const, const * const, -float(counts @ (np.abs(c) > lmbda))
     h_plus, h_minus = (lmbda - c) / sd, (lmbda + c) / sd
     *tails, below = norm_cdf(np.stack([-h_plus, -h_minus, h_plus]))
@@ -645,7 +604,7 @@ def se_scalar_sensing(
     T: int,
     mc_draws: int = 50,
     rng: Optional[RngStream] = None,
-    K: Optional[Union[np.ndarray, Coloring]] = None,
+    K: Optional[Coloring] = None,
 ) -> ScalarSE:
     """Variance recursion for the sensing recursion with denoisers eta_t.
 
@@ -655,8 +614,8 @@ def se_scalar_sensing(
     Y ~ N(0, sigma_t^2 I_n) of (1/m)|K(theta - eta_t(arg))|^2 and
     (1/n)|theta - eta_t(arg)|^2, where arg = K^(-1) Y + theta.
 
-    K may be None, an n x n ndarray or a Coloring, and is applied and
-    inverted through ``Coloring.of(K, n)``. The backprojection K^(-1) Y equals
+    K may be None or a Coloring of size n, and is applied and inverted
+    through ``Coloring.of(K, n)``. The backprojection K^(-1) Y equals
     the normal-equations form (K^T K)^(-1) K^T Y, since K is square and
     invertible; a numerically singular K raises NumericError at the first
     backprojection. Each iteration draws its mc_draws samples as one block,

@@ -20,7 +20,8 @@ from amplab.denoisers import (
 from amplab.ensembles import EnsembleSpec, sample_ginibre, sample_wigner
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
-from amplab.state_evolution import Coloring, OnsagerSchedule, se_scalar_sensing, se_symmetric
+from amplab.state_evolution import (Coloring, OnsagerSchedule, SignedDCT, se_scalar_sensing,
+                                     se_symmetric)
 
 
 def _goe(n, seed):
@@ -253,11 +254,22 @@ def test_change_of_variables_zero_instance():
     assert _change_of_variables_gap(prob, 3) == 0.0
 
 
+def _dct_colouring(kappa, seed=0):
+    """K = O diag(kappa) O^T on a drawn signed, permuted DCT basis O."""
+    return Coloring.from_eig(SignedDCT.draw(len(kappa), RngStream(seed, 7)), kappa)
+
+
+def _dense(col):
+    """The colouring's K as a dense matrix, O formed column by column."""
+    O = col.basis.matvec(np.eye(col.kappa.size)).T  # column j is O e_j
+    return (O * col.kappa) @ O.T
+
+
 def test_aniso_identity_K_matches_plain():
     base = _random_sensing(22)
     plain = run_sensing_amp(base, 3)
     colored = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
-                             eta_seq=base.eta_seq, K=np.eye(base.theta_star.size))
+                             eta_seq=base.eta_seq, K=_dct_colouring(np.ones(base.theta_star.size)))
     aniso = run_sensing_amp(colored, 3)
     assert np.allclose(plain.theta, aniso.theta, atol=1e-10)
 
@@ -270,7 +282,7 @@ def test_aniso_scalar_K_hand_expansion():
     e = 0.05 * gen.standard_normal(m)
     K = 2.0 * np.eye(n)
     prob = SensingProblem(W=w, theta_star=theta, e=e,
-                          eta_seq=[soft_threshold_denoiser(0.2)], K=K)
+                          eta_seq=[soft_threshold_denoiser(0.2)], K=_dct_colouring(np.full(n, 2.0)))
     trace = run_sensing_amp(prob, 1)
     x = (w @ K) @ theta + e
     # (K^T K)^(-1) (W K)^T = W^T / 2
@@ -282,7 +294,7 @@ def test_aniso_scalar_K_hand_expansion():
 def test_aniso_zero_instance():
     m, n = 9, 6
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(25))
-    K = np.diag(RngStream(26).generator().uniform(0.5, 2.0, n))
+    K = _dct_colouring(RngStream(26).generator().uniform(0.5, 2.0, n))
     prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)] * 2, K=K)
     trace = run_sensing_amp(prob, 2)
@@ -292,7 +304,7 @@ def test_aniso_zero_instance():
 def test_aniso_singular_K_rejected():
     m, n = 8, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(27))
-    K = np.zeros((n, n))
+    K = _dct_colouring(np.zeros(n))
     prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
     with pytest.raises(NumericError):
@@ -300,11 +312,10 @@ def test_aniso_singular_K_rejected():
 
 
 def _colored_sensing(seed, m=30, n=40, T=4):
-    """A sensing instance and a non-symmetric, well-conditioned K."""
+    """A sensing instance and a well-conditioned colouring K."""
     base = _random_sensing(seed, m=m, n=n, T=T)
-    gen = RngStream(seed).derive(2).generator()
-    K = np.eye(n) + 0.3 * gen.standard_normal((n, n)) / np.sqrt(n)
-    return base, K
+    kappa = RngStream(seed).derive(2).generator().uniform(0.5, 2.0, n)
+    return base, _dct_colouring(kappa, seed)
 
 
 def _normal_equations_sensing(prob, K, T):
@@ -328,42 +339,35 @@ def _normal_equations_sensing(prob, K, T):
 
 def test_aniso_matches_normal_equations_oracle():
     T = 4
-    base, K = _colored_sensing(28, T=T)
+    base, col = _colored_sensing(28, T=T)
     prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
-                          eta_seq=base.eta_seq, K=K)
+                          eta_seq=base.eta_seq, K=col)
+    assert prob.K is col  # problems that share a colouring share its basis
     trace = run_sensing_amp(prob, T)
+    K = _dense(col)
     expect = _normal_equations_sensing(base, K, T)
     assert np.abs(expect).max() > 0.1  # the soft threshold lets signal through
     assert np.abs(trace.theta[:, 1:] - expect).max() <= 1e-10 * np.abs(expect).max()
-    assert prob.K.cond == np.linalg.cond(K) < 10
+    assert abs(prob.K.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K) < 10
 
 
-def test_aniso_ndarray_and_coloring_give_identical_traces():
-    T = 4
-    base, K = _colored_sensing(29, T=T)
-    n = base.theta_star.size
-    coloring = Coloring.of(K, n)
-    assert Coloring.of(coloring, n) is coloring
-    traces, conds = [], []
-    for k in (K, coloring):
-        prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
-                              eta_seq=base.eta_seq, K=k)
-        assert isinstance(prob.K, Coloring)
-        traces.append(run_sensing_amp(prob, T))
-        conds.append(prob.K.cond)
-    raw, shared = traces
-    for name in ("theta", "r", "b_applied", "mse"):
-        assert np.array_equal(getattr(raw, name), getattr(shared, name))
-    assert conds[0] == conds[1]
+def test_aniso_an_ndarray_K_is_refused_naming_K():
+    # an ndarray K was once factored by an SVD; K is a Coloring or None
+    m, n = 8, 5
+    w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(29))
+    for K in (np.eye(n), np.eye(n + 1), np.ones((n, n + 1)), np.eye(n).tolist()):
+        with pytest.raises(DimensionError, match="^K must be a Coloring or None, got "):
+            SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
 
 
 def test_aniso_K_shape_rejected():
     m, n = 8, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(30))
-    for K in (np.eye(n + 1), np.ones((n, n + 1)), Coloring.of(np.eye(n + 1), n + 1)):
-        with pytest.raises(DimensionError, match=rf"K must be {n} x {n}"):
-            SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
-                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
+    with pytest.raises(DimensionError, match=rf"K must be {n} x {n}"):
+        SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+                       eta_seq=[soft_threshold_denoiser(0.2)],
+                       K=_dct_colouring(np.ones(n + 1)))
 
 
 @pytest.mark.parametrize("build", [

@@ -179,7 +179,12 @@ def test_battery_command_runs_only_its_battery(tmp_path, monkeypatch, command, b
     ("universality", {"experiment": "tensor_checks", "seeds": []}, [], "experiment"),
     # state-evolution reads signal_seed, so a --seed was recorded and ignored
     ("state-evolution", TINY_LOCAL, ["--seed", "2"], "--seed"),
-], ids=["universality-on-tensor-config", "state-evolution-seed"])
+    # a repeated seed or ensemble once ran its cells twice, as replicates
+    ("run-amp", {**TINY_LOCAL, "seeds": [3, 3]}, [], "seeds[1]"),
+    ("universality", {**TINY_LOCAL, "ensembles": ["gaussian", "rademacher", "gaussian"]}, [],
+     "ensembles[2]"),
+], ids=["universality-on-tensor-config", "state-evolution-seed", "run-amp-repeated-seed",
+        "universality-repeated-ensemble"])
 def test_refused_before_anything_runs(tmp_path, capsys, monkeypatch, command, data, flags,
                                       named):
     for core in BATTERY_CORE.values():

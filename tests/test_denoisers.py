@@ -17,9 +17,7 @@ from amplab.denoisers import (
     mc_divergence,
     residual_shift_denoiser,
     signal_residual_denoiser,
-    soft_threshold_apply,
     soft_threshold_denoiser,
-    soft_threshold_divergence,
     svt_apply,
     svt_denoiser,
     svt_divergence,
@@ -30,28 +28,35 @@ from amplab.rng import RngStream
 from amplab.vecmat import mat, vec
 
 
+def _soft(x, lmbda):
+    """Soft thresholding by its textbook formula, independent of the library's."""
+    return np.sign(x) * np.maximum(np.abs(x) - lmbda, 0.0)
+
+
 def test_soft_threshold_zero_lambda_is_identity():
     x = RngStream(1).generator().standard_normal(50)
-    assert np.array_equal(soft_threshold_apply(x, 0.0), x)
+    assert np.array_equal(soft_threshold_denoiser(0.0).apply(x), x)
 
 
 def test_soft_threshold_forced_values():
-    out = soft_threshold_apply(np.array([2.0, -0.5, 1.0]), 1.0)
+    den = soft_threshold_denoiser(1.0)
+    out = den.apply(np.array([2.0, -0.5, 1.0]))
     assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
-    assert soft_threshold_divergence(np.array([2.0, -0.5, 1.0]), 1.0) == 1.0
+    assert den.divergence(np.array([2.0, -0.5, 1.0])) == 1.0
 
 
-def test_soft_threshold_negative_lambda_rejected():
-    with pytest.raises(ParameterError):
-        soft_threshold_apply(np.zeros(3), -0.1)
+def test_an_infinite_soft_threshold_maps_every_input_to_zero():
+    # the exact SE's constant branch reads lmbda = inf as g(Y) = c
+    den = soft_threshold_denoiser(np.inf)
+    x = np.array([1e300, -2.0, 0.0, 5e-324])
+    assert np.array_equal(den.apply(x), np.zeros(4))
+    assert den.divergence(x) == 0.0
 
 
 # each once built: a negative soft threshold counted every coordinate in its
 # divergence, and a NaN one mapped every input to NaN
-@pytest.mark.parametrize("build", [soft_threshold_denoiser, lambda t: SpectralSpec(3, 3, t),
-                                   lambda t: soft_threshold_divergence(np.zeros(4), t)],
-                         ids=["soft_threshold_denoiser", "SpectralSpec",
-                              "soft_threshold_divergence"])
+@pytest.mark.parametrize("build", [soft_threshold_denoiser, lambda t: SpectralSpec(3, 3, t)],
+                         ids=["soft_threshold_denoiser", "SpectralSpec"])
 @pytest.mark.parametrize("threshold", [-0.5, np.nan])
 def test_a_negative_or_nan_threshold_is_refused_up_front(build, threshold):
     with pytest.raises(ParameterError, match="threshold"):
@@ -60,8 +65,7 @@ def test_a_negative_or_nan_threshold_is_refused_up_front(build, threshold):
 
 def test_the_soft_threshold_denoiser_checks_its_threshold_once(monkeypatch):
     """The denoiser checks lmbda when it is built, and its map and divergence
-    call no ``require_number``; the public functions still check on every
-    call. The outputs equal the public functions'."""
+    call no ``require_number``. The outputs equal the textbook formulas'."""
     calls = []
     checked = denoisers.require_number
 
@@ -76,9 +80,8 @@ def test_the_soft_threshold_denoiser_checks_its_threshold_once(monkeypatch):
     for _ in range(4):
         out, div = den.fn(x), den.divergence_fn(x[0])
     assert calls == ["threshold"]
-    assert np.array_equal(out, soft_threshold_apply(x, 0.5))
-    assert div == soft_threshold_divergence(x[0], 0.5)
-    assert calls == ["threshold"] * 3
+    assert np.array_equal(out, _soft(x, 0.5))
+    assert div == np.count_nonzero(np.abs(x[0]) > 0.5)
 
 
 def test_local_kernel_spec_rejects_a_non_integer_size():
@@ -91,25 +94,26 @@ def test_local_kernel_spec_rejects_a_non_integer_size():
 
 
 def test_soft_threshold_nonexpansive_on_probes():
+    den = soft_threshold_denoiser(0.7)
     gen = RngStream(2).generator()
     for _ in range(100):
         x = gen.standard_normal(40)
         y = x + 0.3 * gen.standard_normal(40)
-        dx = np.linalg.norm(soft_threshold_apply(x, 0.7) - soft_threshold_apply(y, 0.7))
+        dx = np.linalg.norm(den.fn(x) - den.fn(y))
         assert dx <= np.linalg.norm(x - y) + 1e-12
 
 
 def test_soft_threshold_divergence_gaussian_tail():
     n, sigma = 100_000, 1.3
     x = sigma * RngStream(3).generator().standard_normal(n)
-    frac = soft_threshold_divergence(x, sigma) / n
+    frac = soft_threshold_denoiser(sigma).divergence(x) / n
     expect = 2 * (1 - norm.cdf(1.0))
     assert abs(frac - expect) / expect < 0.01
 
 
 def test_divergence_zero_lambda_counts_all():
     x = np.array([0.4, -2.0, 1.0])
-    assert soft_threshold_divergence(x, 0.0) == 3.0
+    assert soft_threshold_denoiser(0.0).divergence(x) == 3.0
 
 
 def test_local_average_h0_identity_and_constants():
@@ -259,7 +263,7 @@ def test_signal_residual_declares_a_soft_threshold_residual():
     z = RngStream(43).generator().standard_normal((3, 7))
     assert eta.threshold == 0.4
     assert np.array_equal(den.residual[0], theta) and den.residual[1] == 0.4
-    assert np.array_equal(den.fn(z), theta - soft_threshold_apply(z + theta, 0.4))
+    assert np.array_equal(den.fn(z), theta - _soft(z + theta, 0.4))
     assert signal_residual_denoiser(theta, identity_denoiser()).residual is None
     assert all(d.threshold is None and d.residual is None
                for d in (identity_denoiser(), zero_denoiser(), residual_shift_denoiser(theta)))
@@ -368,9 +372,9 @@ def test_mc_divergence_matches_analytic_count_for_soft_threshold():
     n = 2000
     x = RngStream(12).generator().standard_normal(n)
     lam = 0.6
-    est, _ = mc_divergence(lambda v: soft_threshold_apply(v, lam), x,
-                           reps=200, rng=RngStream(13))
-    exact = soft_threshold_divergence(x, lam)
+    den = soft_threshold_denoiser(lam)
+    est, _ = mc_divergence(den.fn, x, reps=200, rng=RngStream(13))
+    exact = np.count_nonzero(np.abs(x) > lam)
     assert abs(est - exact) / exact < 0.02
 
 
@@ -453,7 +457,7 @@ def test_soft_threshold_expected_square_against_quadrature():
     )
     n = 200_000
     z = sigma * RngStream(25).generator().standard_normal(n)
-    emp = np.mean(soft_threshold_apply(z, lam) ** 2)
+    emp = np.mean(soft_threshold_denoiser(lam).fn(z) ** 2)
     assert abs(emp - expect) < 4 * emp / np.sqrt(n) + 1e-4
 
 

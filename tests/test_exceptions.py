@@ -16,9 +16,7 @@ from amplab.denoisers import (
     mc_divergence,
     residual_shift_denoiser,
     signal_residual_denoiser,
-    soft_threshold_apply,
     soft_threshold_denoiser,
-    soft_threshold_divergence,
 )
 from amplab.ensembles import EnsembleSpec, SignalSpec, sample_haar_orthogonal, sample_noise
 from amplab.exceptions import (ConfigError, DimensionError, ParameterError, SpecError,
@@ -113,12 +111,8 @@ def test_require_count_takes_integers_of_either_kind_and_returns_an_int():
 _NO_NUMBERS = ["0.5", None, True, float("nan")]
 # entry point -> (call on the value, name, error, range, values out of range)
 _NUMBER_PARAMETERS = {
-    "soft_threshold_apply": (lambda v: soft_threshold_apply(np.zeros(3), v), "threshold",
-                             ParameterError, "[0, inf]", [-0.5, -np.inf]),
-    "soft_threshold_divergence": (lambda v: soft_threshold_divergence(np.zeros(3), v),
-                                  "threshold", ParameterError, "[0, inf]", [-0.5]),
     "soft_threshold_denoiser": (soft_threshold_denoiser, "threshold", ParameterError,
-                                "[0, inf]", [-0.5]),
+                                "[0, inf]", [-0.5, -np.inf]),
     "SpectralSpec": (lambda v: SpectralSpec(3, 3, v), "threshold", ParameterError,
                      "[0, inf]", [-0.5]),
     "sample_noise": (lambda v: sample_noise(3, v, RngStream(0)), "std", ParameterError,

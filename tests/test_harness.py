@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -81,14 +82,33 @@ def test_se_only_is_not_an_experiment():
     assert info.value.field == "experiment"
 
 
-@pytest.mark.parametrize("ensembles", [["gaussian"], ["gaussian", "gaussian"]])
-def test_universality_compare_needs_two_distinct_ensembles(ensembles):
-    # a repeated name would compare an ensemble with itself: no pairwise gap
+def test_universality_compare_needs_two_distinct_ensembles():
+    # a repeated name, which would compare an ensemble with itself, is
+    # refused by the config (test_config_refuses_a_repeated_seed_or_ensemble)
     cfg = config_from_dict({"experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4,
-                            "n": 16, "m": 12, "iterations": 1, "ensembles": ensembles})
+                            "n": 16, "m": 12, "iterations": 1, "ensembles": ["gaussian"]})
     with pytest.raises(ConfigError) as info:
         universality_compare(cfg)
     assert info.value.field == "ensembles"
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("seeds", [3, 3], "seeds[1]"),
+    ("seeds", [1, 2, 1, 2], "seeds[2]"),
+    ("ensembles", ["gaussian", "gaussian"], "ensembles[1]"),
+    ("ensembles", ["gaussian", "rademacher", "gaussian"], "ensembles[2]"),
+    ("seeds", [3, np.int64(3)], "seeds[1]"),  # equal across integer types
+])
+def test_config_refuses_a_repeated_seed_or_ensemble(field, value, named):
+    # a repeat once ran its cells again: fig1 with seeds [3, 3] wrote every
+    # record twice and read sd_mse 0.0 off the two identical copies
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4,
+                          "n": 16, "m": 12, "iterations": 1, field: value})
+    assert info.value.field == named
+    with pytest.raises(ConfigError) as info:  # a tensor config lists seeds too
+        config_from_dict({"experiment": "tensor_checks", "seeds": [], field: value})
+    assert info.value.field == named
 
 
 @pytest.mark.parametrize("experiment, dims", [
@@ -169,9 +189,23 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
     assert len(svd_matrices) == calls["apply"] + calls["divergence"] + len(traces) + 4
 
 
+@dataclass(frozen=True, eq=False)
+class _DenseColoring(Coloring):
+    """A colouring that applies and inverts the dense K it holds by numpy."""
+
+    K: np.ndarray = None
+
+    def apply(self, x):
+        return x @ self.K.T
+
+    def solve(self, y):
+        return y @ np.linalg.inv(self.K).T
+
+
 def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
     """fig3's K, applied through its signed, permuted DCT basis, colours as
-    the dense K = O diag(kappa) O^T of the same basis, factored by one SVD."""
+    the dense K = O diag(kappa) O^T of the same basis, applied, inverted and
+    conditioned by numpy."""
     cfg = config_from_dict({"experiment": "fig3_aniso", "seeds": [1, 2], "n": 60, "m": 30,
                             "iterations": 3, "se_draws": 4, "threshold": 0.5,
                             "ensembles": ["gaussian", "rademacher"]})
@@ -181,7 +215,8 @@ def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
     def dense(cls, O, kappa):
         bases.append(O)
         matrix = O.matvec(np.eye(kappa.size)).T  # column j is O e_j
-        return cls.of((matrix * kappa) @ matrix.T, kappa.size)
+        K = (matrix * kappa) @ matrix.T
+        return _DenseColoring(basis=O, kappa=kappa, cond=float(np.linalg.cond(K)), K=K)
 
     monkeypatch.setattr(Coloring, "from_eig", classmethod(dense))
     dense_records, dense_summary = run_experiment(cfg)
