@@ -45,6 +45,15 @@ def test_soft_threshold_forced_values():
     assert den.divergence(np.array([2.0, -0.5, 1.0])) == 1.0
 
 
+def test_soft_threshold_negative_lambda_rejected():
+    # the least negative double is refused; -0.0 compares equal to 0 and is
+    # the identity, as lmbda = 0 is
+    with pytest.raises(ParameterError, match="^threshold must be a number in"):
+        soft_threshold_denoiser(-5e-324)
+    x = np.array([2.0, -0.5, 0.0])
+    assert np.array_equal(soft_threshold_denoiser(-0.0).apply(x), x)
+
+
 def test_an_infinite_soft_threshold_maps_every_input_to_zero():
     # the exact SE's constant branch reads lmbda = inf as g(Y) = c
     den = soft_threshold_denoiser(np.inf)

@@ -82,14 +82,15 @@ def test_se_only_is_not_an_experiment():
     assert info.value.field == "experiment"
 
 
-def test_universality_compare_needs_two_distinct_ensembles():
-    # a repeated name, which would compare an ensemble with itself, is
-    # refused by the config (test_config_refuses_a_repeated_seed_or_ensemble)
-    cfg = config_from_dict({"experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4,
-                            "n": 16, "m": 12, "iterations": 1, "ensembles": ["gaussian"]})
+@pytest.mark.parametrize("ensembles", [["gaussian"], ["gaussian", "gaussian"]])
+def test_universality_compare_needs_two_distinct_ensembles(ensembles):
+    # a repeated name would compare an ensemble with itself: no pairwise gap;
+    # the config refuses it, naming the repeat, before universality_compare
     with pytest.raises(ConfigError) as info:
-        universality_compare(cfg)
-    assert info.value.field == "ensembles"
+        universality_compare(config_from_dict({
+            "experiment": "fig1_local", "seeds": [1], "M": 4, "N": 4, "n": 16, "m": 12,
+            "iterations": 1, "ensembles": ensembles}))
+    assert info.value.field == ("ensembles" if len(ensembles) == 1 else "ensembles[1]")
 
 
 @pytest.mark.parametrize("field, value, named", [

@@ -811,6 +811,17 @@ def _assert_colours_as(col, K):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_coloring_from_eig_matches_the_dense_path():
+    # K formed through O^T (row i of O^T is O^T e_i), not through ``_dense``'s O
+    basis, kappa = _eig_factors()
+    Ot = basis.rmatvec(np.eye(basis.n)).T
+    K = (Ot.T * kappa) @ Ot
+    col = Coloring.from_eig(basis, kappa)
+    assert np.linalg.norm(K - _dense(col)) <= 1e-12 * np.linalg.norm(K)
+    _assert_colours_as(col, K)
+    assert abs(col.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K)
+
+
 @pytest.mark.parametrize("K", [np.eye(4), np.eye(4).tolist(), 2.0],
                          ids=["ndarray", "list", "scalar"])
 def test_coloring_of_refuses_anything_but_a_coloring_naming_K(K):
@@ -893,9 +904,7 @@ def test_an_integer_perm_of_any_width_builds_the_same_basis():
         assert np.array_equal(basis.rmatvec(x), ref.rmatvec(x))
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "indefinite"])
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_a_dct_colouring_matches_the_dense_colouring(n, sign):
+def _assert_dct_colours_as_dense(n, sign):
     basis = SignedDCT.draw(n, RngStream(44, n))
     kappa = RngStream(45, n).generator().uniform(0.5, 2.0, size=n)
     kappa[::2] *= sign  # an indefinite K's condition number reads |kappa|
@@ -907,14 +916,41 @@ def test_a_dct_colouring_matches_the_dense_colouring(n, sign):
     assert abs(col.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_a_dct_colouring_matches_the_dense_colouring(n):
+    _assert_dct_colours_as_dense(n, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_an_indefinite_dct_colouring_matches_the_dense_colouring(n):
+    _assert_dct_colours_as_dense(n, -1.0)
+
+
+def test_a_dct_colouring_refuses_a_singular_kappa():
+    # the condition number reads |kappa|: a tiny negative eigenvalue is as
+    # singular as a zero one, while K itself still applies
+    kappa = np.linspace(0.5, 2.0, 50)
+    kappa[7] = -1e-13
+    col = Coloring.from_eig(SignedDCT.draw(50, RngStream(46)), kappa)
+    assert col.cond == 2.0 / 1e-13
+    assert np.all(np.isfinite(col.apply(np.ones(50))))
+    with pytest.raises(NumericError, match="condition number"):
+        col.solve(np.ones(50))
+
+
 @pytest.mark.parametrize("mangle, error", [
     (lambda O, k: (O, k[:-1]), DimensionError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.nan, k)), ParameterError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.inf, k)), ParameterError),
     # a dense O was once taken and checked by a probe; a SignedDCT is
-    # orthogonal by construction
+    # orthogonal by construction, and refuses what would make it otherwise
     (lambda O, k: (O.matvec(np.eye(O.n)).T, k), ParameterError),
-], ids=["kappa-too-short", "kappa-nan", "kappa-inf", "O-dense"])
+    (lambda O, k: (SignedDCT(O.signs[:-1], np.arange(O.n - 1)), k), DimensionError),
+    (lambda O, k: (SignedDCT(1.01 * O.signs, O.perm), k), ParameterError),
+    (lambda O, k: (SignedDCT(np.where(np.arange(O.n) == 3, np.nan, O.signs), O.perm), k),
+     ParameterError),
+], ids=["kappa-too-short", "kappa-nan", "kappa-inf", "O-dense", "O-not-square", "O-scaled",
+        "O-nan"])
 def test_coloring_from_eig_rejects_bad_factors(mangle, error):
     with pytest.raises(error):
         Coloring.from_eig(*mangle(*_eig_factors()))
