@@ -1,6 +1,6 @@
 """amplab: a simulation and verification lab for non-separable AMP.
 
-Subpackages: ensembles (seeded matrix/signal generation), denoisers
+Modules: ensembles (seeded matrix/signal generation), denoisers
 (non-linearity families with divergences), amp (the symmetric, asymmetric
 and sensing recursions), state evolution (Gaussian surrogate covariances and
 Onsager schedules), gaussian (the normal distribution functions its closed

@@ -64,8 +64,9 @@ class SensingProblem:
     derived from the other fields, not passed.
 
     With K set the sensing is coloured, x = W K theta_star + e. K is a
-    Coloring, built by ``Coloring.from_eig`` from K's eigenvalues and its
-    ``state_evolution.SignedDCT`` eigenbasis; ``Coloring.of`` checks it
+    Coloring, built as ``Coloring(basis, kappa)`` from its
+    ``state_evolution.SignedDCT`` eigenbasis and its eigenvalues, which it
+    checks and reads the condition number off; ``Coloring.of`` checks it
     against n and refuses anything else, an ndarray too. Without K the field
     holds the identity colouring, which hands every vector back unchanged.
     Problems that share one Coloring share its basis and condition number,

@@ -56,7 +56,7 @@ def _load(args) -> ExperimentConfig:
         raise ConfigError("--seed", "state-evolution reads signal_seed, not seeds")
     if not (args.config or battery):
         raise ConfigError("--config", f"is required for {args.command}")
-    cfg = load_config(args.config) if args.config else ExperimentConfig("tensor_checks", [0])
+    cfg = load_config(args.config) if args.config else ExperimentConfig("tensor_checks")
     if battery:
         cfg = dataclasses.replace(cfg, experiment="tensor_checks")
     overrides = {"out": args.out or cfg.out or "."}

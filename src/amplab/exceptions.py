@@ -28,8 +28,10 @@ class SpecError(AmplabError, ValueError):
     """A declarative spec (ensemble, signal, config) is invalid."""
 
 
-class ScheduleError(AmplabError, KeyError):
-    """An Onsager coefficient required by the recursion is missing."""
+class ScheduleError(AmplabError, LookupError):
+    """An Onsager coefficient, or a denoiser, that a recursion of T
+    iterations reads is missing. A LookupError but not a KeyError, whose
+    str() would quote the message."""
 
 
 class BudgetError(AmplabError, RuntimeError):

@@ -55,8 +55,8 @@ _STREAM_MATRIX = 100  # + ensemble index
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    seeds: List[int]
+    experiment: str = ""
+    seeds: List[int] = field(default_factory=list)
     M: int = 0
     N: int = 0
     m: int = 0
@@ -98,7 +98,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """ConfigError naming the first bad field. Counts (the sensing fields
     iterations, n and m, a matrix kind's M and N, and se_draws and mc_reps)
     are checked by ``require_count``; float fields, bandwidth and a spectral
-    signal_rank by ``require_number``."""
+    signal_rank by ``require_number``. Each accepted int or float field, and
+    each seed, is stored back as a plain Python int or float, so a numpy
+    scalar in the config cannot reach the JSON summary."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     kind = _KIND_OF.get(cfg.experiment)
@@ -115,8 +117,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             require_number(value, f.name, _config_error(f.name), *_BOUNDS.get(f.name, ()))
         elif f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
+        if f.type in ("int", "float"):  # stored plain: json writes no np.int64 or np.float32
+            setattr(cfg, f.name, int(value) if f.type == "int" else float(value))
     if not isinstance(cfg.seeds, list) or not all(map(is_integer, cfg.seeds)):
         raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
+    cfg.seeds = [int(seed) for seed in cfg.seeds]
     if not isinstance(cfg.ensembles, list):
         raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
     # a repeated entry would run its cells twice and count them as replicates
@@ -153,10 +158,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key in data:
         if key not in known:
             raise ConfigError(key, "unknown configuration field")
-    try:
-        return ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ConfigError("<root>", str(exc))
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -222,7 +224,7 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
     # well-conditioned K, not Haar eigenvectors) but is drawn in O(n) and
     # applied by FFTs, where a Haar O costs an n x n QR; cond(K) is read off
     # kappa
-    K = Coloring.from_eig(SignedDCT.draw(cfg.n, kappa_rng), kappa)
+    K = Coloring(SignedDCT.draw(cfg.n, kappa_rng), kappa)
     den = soft_threshold_denoiser(cfg.threshold)
     return _Pipeline(theta, e, [den] * T, K)
 

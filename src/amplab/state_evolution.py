@@ -54,11 +54,13 @@ depend on the block size.
 The colouring matrix K of the sensing model x = W K theta + e is a
 ``Coloring``: K = O diag(kappa) O^T kept as its eigenbasis O, a signed,
 permuted DCT (``SignedDCT``) applied by FFTs with O(n) storage, and its
-eigenvalues kappa. K is applied (``Coloring.apply``) and inverted
-(``Coloring.solve``) through O's row-wise maps, and refused at its first
-``solve`` when numerically singular. ``se_scalar_sensing`` and
-``amp.run_sensing_amp`` reach K only through it; without K they hold the
-identity colouring, which returns every vector it is given unchanged.
+eigenvalues kappa. ``Coloring(O, kappa)`` is the one constructor: it checks
+both and reads the condition number off kappa. K is applied
+(``Coloring.apply``) and inverted (``Coloring.solve``) through O's row-wise
+maps, and refused at its first ``solve`` when numerically singular.
+``se_scalar_sensing`` and ``amp.run_sensing_amp`` reach K only through it;
+without K they hold the identity colouring, which returns every vector it is
+given unchanged.
 """
 
 from __future__ import annotations
@@ -155,26 +157,45 @@ class SignedDCT:
 class Coloring:
     """Colouring matrix K = O diag(kappa) O^T of the sensing model
     x = W K theta + e, with O a ``SignedDCT``, kept as that basis, kappa and
-    the 2-norm condition number max|kappa| / min|kappa|. ``apply`` takes
-    K x = O (kappa * O^T x) and ``solve`` K^(-1) y = O (O^T y / kappa), each
-    on an n-vector or row by row on an (..., n) stack, by two FFTs of length
-    n; K and K^(-1) are never formed, and nothing is factored.
+    the 2-norm condition number ``cond`` = max|kappa| / min|kappa|, which is
+    read off kappa and never passed in. ``apply`` takes K x = O (kappa * O^T x)
+    and ``solve`` K^(-1) y = O (O^T y / kappa), each on an n-vector or row by
+    row on an (..., n) stack, by two FFTs of length n; K and K^(-1) are never
+    formed, and nothing is factored.
 
-    ``from_eig(O, kappa)`` builds the colouring. ``of(None, n)`` is the
-    identity colouring: no basis, condition number 1, and ``apply`` and
-    ``solve`` return their argument itself, so an uncoloured run does the
-    arithmetic it would do with no K at all. ``of`` is also where K is
-    checked against the problem's n, and where anything but a Coloring or
-    None is refused.
+    ``Coloring(basis, kappa)`` is the one constructor, and it checks its
+    input: ParameterError unless basis is a ``SignedDCT`` and kappa finite,
+    DimensionError unless kappa is a vector of basis's length. It keeps a
+    read-only copy of kappa, so ``cond`` cannot go stale. ``Coloring()``
+    is the identity colouring: no basis, condition number 1, and ``apply``
+    and ``solve`` return their argument itself, so an uncoloured run does the
+    arithmetic it would do with no K at all. ``of`` is where K is checked
+    against the problem's n, and where anything but a Coloring or None is
+    refused.
 
     A numerically singular K is accepted here and refused by ``solve``, so
     the error surfaces in the solver that needs the backprojection.
     """
 
     # basis and kappa are None for the identity colouring
-    basis: Optional[SignedDCT]
-    kappa: Optional[np.ndarray]
-    cond: float
+    basis: Optional[SignedDCT] = None
+    kappa: Optional[np.ndarray] = None
+    cond: float = field(init=False, default=1.0)
+
+    def __post_init__(self):
+        if self.basis is None and self.kappa is None:
+            return
+        if not isinstance(self.basis, SignedDCT):
+            raise ParameterError(f"basis must be a SignedDCT, got {type(self.basis).__name__}")
+        kappa = np.array(self.kappa, dtype=np.float64)  # a copy, so cond stays kappa's
+        kappa.flags.writeable = False
+        if kappa.shape != (self.basis.n,):
+            raise DimensionError(f"kappa must be a vector of length {self.basis.n}")
+        if not np.all(np.isfinite(kappa)):
+            raise ParameterError("kappa must be finite")
+        low, high = np.min(np.abs(kappa)), np.max(np.abs(kappa))
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "cond", float(high / low) if low > 0 else np.inf)
 
     @classmethod
     def of(cls, K: Optional["Coloring"], n: int) -> "Coloring":
@@ -182,29 +203,12 @@ class Coloring:
         DimensionError naming K unless K is a Coloring or None, and unless
         it is n x n (the identity fits every n)."""
         if K is None:
-            return cls(basis=None, kappa=None, cond=1.0)
+            return cls()
         if not isinstance(K, Coloring):
             raise DimensionError(f"K must be a Coloring or None, got {type(K).__name__}")
         if K.kappa is not None and K.kappa.size != n:
             raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.kappa.size}")
         return K
-
-    @classmethod
-    def from_eig(cls, O: SignedDCT, kappa) -> "Coloring":
-        """Coloring of K = O diag(kappa) O^T; cond(K) = max|kappa| / min|kappa|.
-        ParameterError unless O is a ``SignedDCT`` and kappa finite,
-        DimensionError unless kappa has O's length."""
-        if not isinstance(O, SignedDCT):
-            raise ParameterError(f"O must be a SignedDCT, got {type(O).__name__}")
-        kappa = np.asarray(kappa, dtype=np.float64)
-        if kappa.shape != (O.n,):
-            raise DimensionError(f"kappa must be a vector of length {O.n}")
-        if not np.all(np.isfinite(kappa)):
-            raise ParameterError("kappa must be finite")
-        magnitude = np.abs(kappa)
-        low = magnitude.min()
-        cond = float(magnitude.max() / low) if low > 0 else np.inf
-        return cls(basis=O, kappa=kappa, cond=cond)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K x, row by row for an (..., n) stack; x itself for the identity."""

@@ -17,8 +17,7 @@ The colored-cycle inequality is checked on a batch of instances in one call,
 with one algorithm for a batch of any size, one instance included: labels
 are compressed to vertex ids per instance and each color's components come
 from one array pass of min-label propagation over the whole batch, so memory
-grows with edges plus vertices, whatever the labels. The dict union-find
-``_UnionFind`` serves only ``_contract`` and ``validate_bcp_query``.
+grows with edges plus vertices, whatever the labels.
 """
 
 from __future__ import annotations
@@ -284,24 +283,21 @@ def _einsum(terms, keep):
     return np.einsum(*operands, [ids[label] for label in keep])
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _merge_labels(groups) -> Dict[object, object]:
+    """Each label of the groups -> one label of its merged group, where groups
+    that share a label, directly or through a chain of groups, merge."""
+    parent: Dict[object, object] = {}
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    def root(label):
+        while parent.setdefault(label, label) != label:
+            label = parent[label]
+        return label
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def count(self):
-        return len({self.find(x) for x in self.parent})
+    for group in groups:
+        first = root(group[0])
+        for label in group[1:]:
+            parent[root(label)] = first
+    return {label: root(label) for label in parent}
 
 
 def _contract(factors) -> float:
@@ -309,7 +305,7 @@ def _contract(factors) -> float:
     (tensor, positions) factors read, computed without enumerating them; n
     is ``common_n`` of the tensors.
 
-    First, labels that must carry one index are merged with one union-find:
+    First, labels that must carry one index are merged (``_merge_labels``):
     all slots of a diagonal, which becomes a vector on the merged label, and
     the row or column halves that an alternating tensor ties. Each slot of an
     alternating tensor reads its index through a one-hot n x M x N splitter
@@ -343,11 +339,8 @@ def _contract(factors) -> float:
                 # even slots share their column with the next, odd slots their row
                 half = cols if p % 2 == 0 else rows
                 ties.append([half[p], half[(p + 1) % k]])
-    uf = _UnionFind(size)
-    for group in ties:
-        for label in group[1:]:
-            uf.union(group[0], label)
-    terms = [(array, [uf.find(label) for label in labels]) for array, labels in terms]
+    merged = _merge_labels(ties)
+    terms = [(array, [merged.get(label, label) for label in labels]) for array, labels in terms]
 
     def holders():
         out: Dict[object, List[int]] = {}
@@ -521,14 +514,9 @@ def validate_bcp_query(query: BcpQuery) -> dict:
     tensor-index incidence pattern is connected."""
     counts = np.bincount(query.pi, minlength=query.ell)
     even = bool(np.all(counts % 2 == 0))
-
-    uf = _UnionFind(range(query.m))
-    owner: Dict[int, int] = {}
-    for a, slots in enumerate(query.slot_ranges()):
-        for s in slots:
-            uf.union(a, owner.setdefault(query.pi[s], a))
-    connected = uf.count() == 1
-    return {"even_multiplicity": even, "connected": connected}
+    # the tensors are connected when the index sets they read merge into one
+    merged = _merge_labels([[query.pi[s] for s in slots] for slots in query.slot_ranges()])
+    return {"even_multiplicity": even, "connected": len(set(merged.values())) == 1}
 
 
 def bcp_ratio(query: BcpQuery, tensors: Sequence[DenseTensor]) -> float:

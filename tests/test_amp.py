@@ -256,7 +256,7 @@ def test_change_of_variables_zero_instance():
 
 def _dct_colouring(kappa, seed=0):
     """K = O diag(kappa) O^T on a drawn signed, permuted DCT basis O."""
-    return Coloring.from_eig(SignedDCT.draw(len(kappa), RngStream(seed, 7)), kappa)
+    return Coloring(SignedDCT.draw(len(kappa), RngStream(seed, 7)), kappa)
 
 
 def _dense(col):

@@ -210,6 +210,16 @@ def test_seed_sets_the_battery_seed_of_a_tensor_run(tmp_path):
     assert worst[0] != worst[1]
 
 
+def test_run_amp_takes_a_tensor_config_without_seeds(tmp_path):
+    # a tensor_checks config once had to list the seeds that nothing reads
+    config = _config(tmp_path, {"experiment": "tensor_checks"})
+    assert main(["run-amp", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    report = _json(tmp_path / "o" / "results_summary.json")
+    assert report["all_pass"] and report["battery_seed"] == 7
+    assert [b["name"] for b in report["batteries"]] == ["oracle_equivalence", "moments",
+                                                        "bcp_diagonal_bound", "graph_lemma"]
+
+
 def test_tensor_eval_prints_both_values(tmp_path, capsys):
     g = tn.OrderedMultigraph(3, [(0, 1), (1, 2), (0, 2)])
     gen = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -19,6 +20,7 @@ from amplab.harness import (
     se_summary,
     tensor_checks,
     universality_compare,
+    write_summary_json,
 )
 from amplab.state_evolution import Coloring, SignedDCT
 
@@ -112,6 +114,38 @@ def test_config_refuses_a_repeated_seed_or_ensemble(field, value, named):
     assert info.value.field == named
 
 
+def test_a_missing_key_is_named_and_a_tensor_config_needs_no_seeds():
+    # a missing key was once refused as "<root>", naming no key, and a
+    # tensor_checks config had to list seeds that nothing reads
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({})
+    assert info.value.field == "experiment"
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"experiment": "fig1_local", "M": 4, "N": 4, "n": 16, "m": 12})
+    assert info.value.field == "seeds"
+    assert config_from_dict({"experiment": "tensor_checks"}).seeds == []
+
+
+def test_numpy_scalars_in_a_config_are_stored_plain_and_write_json(tmp_path):
+    # np.int64 and np.float32 were once stored as given, and writing the
+    # summary raised "Object of type int64 is not JSON serializable"
+    cfg = config_from_dict({"experiment": "fig1_local", "seeds": [np.int64(1)],
+                            "M": np.int64(4), "N": np.int32(4), "n": 16, "m": np.uint8(12),
+                            "iterations": np.int64(2), "ensembles": ["gaussian"],
+                            "se_draws": 2, "threshold": np.float32(0.5),
+                            "battery_seed": np.int64(3)})
+    assert [type(v) for v in (cfg.seeds[0], cfg.M, cfg.N, cfg.m, cfg.battery_seed)] == [int] * 5
+    assert type(cfg.threshold) is float and cfg.threshold == 0.5
+    tensor_cfg = config_from_dict({"experiment": "tensor_checks", "battery_seed": np.int64(3),
+                                   "threshold": np.float32(0.5)})
+    for name, summary in (("run", run_experiment(cfg)[1]),
+                          ("tensor", tensor_checks(tensor_cfg, ["graph_lemma"]))):
+        path = tmp_path / f"{name}_summary.json"
+        write_summary_json(path, summary)
+        assert json.loads(path.read_text(encoding="utf-8")) == json.loads(json.dumps(summary))
+    assert json.loads((tmp_path / "tensor_summary.json").read_text())["battery_seed"] == 3
+
+
 @pytest.mark.parametrize("experiment, dims", [
     ("fig2_spectral", {"M": 10, "N": 10, "n": 100, "m": 50}),
     ("fig3_aniso", {"n": 100, "m": 50}),
@@ -192,9 +226,14 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
 
 @dataclass(frozen=True, eq=False)
 class _DenseColoring(Coloring):
-    """A colouring that applies and inverts the dense K it holds by numpy."""
+    """A colouring that applies, inverts and conditions the dense K it holds
+    by numpy: its cond is np.linalg.cond(K), set after the base checks."""
 
     K: np.ndarray = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "cond", float(np.linalg.cond(self.K)))
 
     def apply(self, x):
         return x @ self.K.T
@@ -213,13 +252,13 @@ def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
     records, summary = run_experiment(cfg)
     bases = []
 
-    def dense(cls, O, kappa):
+    def dense(O, kappa):
         bases.append(O)
         matrix = O.matvec(np.eye(kappa.size)).T  # column j is O e_j
         K = (matrix * kappa) @ matrix.T
-        return _DenseColoring(basis=O, kappa=kappa, cond=float(np.linalg.cond(K)), K=K)
+        return _DenseColoring(O, kappa, K=K)
 
-    monkeypatch.setattr(Coloring, "from_eig", classmethod(dense))
+    monkeypatch.setattr(harness, "Coloring", dense)
     dense_records, dense_summary = run_experiment(cfg)
     assert len(bases) == 1 and isinstance(bases[0], SignedDCT)
     assert [(r.ensemble, r.seed, r.t) for r in records] == \

@@ -21,6 +21,7 @@ from amplab.exceptions import DimensionError, NumericError, ParameterError, Sche
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
+    OnsagerSchedule,
     SignedDCT,
     _border,
     _chol_factor,
@@ -94,6 +95,17 @@ def test_nesting_is_exact_and_psd():
 def test_missing_denoisers_rejected():
     with pytest.raises(ScheduleError):
         se_symmetric([], np.ones(10), 3, mc_samples=5, rng=RngStream(5))
+
+
+def test_a_schedule_error_prints_its_bare_message():
+    # as a KeyError it printed the repr of its message, quotes included
+    with pytest.raises(LookupError) as info:
+        OnsagerSchedule(b={2: 0.0}).coeff("b", 3)
+    assert isinstance(info.value, ScheduleError) and not isinstance(info.value, KeyError)
+    assert str(info.value) == "missing Onsager coefficient b[3]"
+    with pytest.raises(ScheduleError) as info:
+        se_symmetric([], np.ones(10), 3, mc_samples=5, rng=RngStream(5))
+    assert str(info.value) == "need 2 denoisers for T=3, got 0"
 
 
 @pytest.mark.parametrize("f_count, g_count, message", [
@@ -790,7 +802,7 @@ def _eig_factors(n=50):
 
 def _dct_colouring(kappa):
     """K = O diag(kappa) O^T on a drawn signed, permuted DCT basis O."""
-    return Coloring.from_eig(SignedDCT.draw(len(kappa), RngStream(35)), kappa)
+    return Coloring(SignedDCT.draw(len(kappa), RngStream(35)), kappa)
 
 
 def _dense(col):
@@ -811,12 +823,12 @@ def _assert_colours_as(col, K):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_coloring_from_eig_matches_the_dense_path():
+def test_coloring_matches_the_dense_path():
     # K formed through O^T (row i of O^T is O^T e_i), not through ``_dense``'s O
     basis, kappa = _eig_factors()
     Ot = basis.rmatvec(np.eye(basis.n)).T
     K = (Ot.T * kappa) @ Ot
-    col = Coloring.from_eig(basis, kappa)
+    col = Coloring(basis, kappa)
     assert np.linalg.norm(K - _dense(col)) <= 1e-12 * np.linalg.norm(K)
     _assert_colours_as(col, K)
     assert abs(col.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K)
@@ -831,19 +843,19 @@ def test_coloring_of_refuses_anything_but_a_coloring_naming_K(K):
 
 
 def test_the_identity_colouring_hands_back_its_argument():
-    col = Coloring.of(None, 4)
     x, stack = np.arange(4.0), np.ones((3, 4))
-    assert col.apply(x) is x and col.solve(x) is x
-    assert col.apply(stack) is stack and col.solve(stack) is stack
-    assert col.cond == 1.0
-    assert Coloring.of(col, 7) is col  # the identity fits every n
+    for col in (Coloring.of(None, 4), Coloring()):
+        assert col.basis is None and col.kappa is None and col.cond == 1.0
+        assert col.apply(x) is x and col.solve(x) is x
+        assert col.apply(stack) is stack and col.solve(stack) is stack
+        assert Coloring.of(col, 7) is col  # the identity fits every n
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-13])
-def test_coloring_from_eig_singular_kappa(spread):
+def test_coloring_singular_kappa(spread):
     basis, kappa = _eig_factors()
     kappa[7] = spread * kappa.max()  # a zero, or max/min above 1e12
-    col = Coloring.from_eig(basis, kappa)
+    col = Coloring(basis, kappa)
     with pytest.raises(NumericError, match="condition number"):
         col.solve(np.ones(kappa.size))
 
@@ -909,7 +921,7 @@ def _assert_dct_colours_as_dense(n, sign):
     kappa = RngStream(45, n).generator().uniform(0.5, 2.0, size=n)
     kappa[::2] *= sign  # an indefinite K's condition number reads |kappa|
     O = basis.matvec(np.eye(n)).T
-    col = Coloring.from_eig(basis, kappa)
+    col = Coloring(basis, kappa)
     K = (O * kappa) @ O.T
     _assert_colours_as(col, K)
     assert col.cond == np.abs(kappa).max() / np.abs(kappa).min()
@@ -931,7 +943,7 @@ def test_a_dct_colouring_refuses_a_singular_kappa():
     # singular as a zero one, while K itself still applies
     kappa = np.linspace(0.5, 2.0, 50)
     kappa[7] = -1e-13
-    col = Coloring.from_eig(SignedDCT.draw(50, RngStream(46)), kappa)
+    col = Coloring(SignedDCT.draw(50, RngStream(46)), kappa)
     assert col.cond == 2.0 / 1e-13
     assert np.all(np.isfinite(col.apply(np.ones(50))))
     with pytest.raises(NumericError, match="condition number"):
@@ -940,6 +952,8 @@ def test_a_dct_colouring_refuses_a_singular_kappa():
 
 @pytest.mark.parametrize("mangle, error", [
     (lambda O, k: (O, k[:-1]), DimensionError),
+    (lambda O, k: (None, k), ParameterError),
+    (lambda O, k: (O, None), DimensionError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.nan, k)), ParameterError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.inf, k)), ParameterError),
     # a dense O was once taken and checked by a probe; a SignedDCT is
@@ -949,11 +963,28 @@ def test_a_dct_colouring_refuses_a_singular_kappa():
     (lambda O, k: (SignedDCT(1.01 * O.signs, O.perm), k), ParameterError),
     (lambda O, k: (SignedDCT(np.where(np.arange(O.n) == 3, np.nan, O.signs), O.perm), k),
      ParameterError),
-], ids=["kappa-too-short", "kappa-nan", "kappa-inf", "O-dense", "O-not-square", "O-scaled",
-        "O-nan"])
-def test_coloring_from_eig_rejects_bad_factors(mangle, error):
+], ids=["kappa-too-short", "O-none", "kappa-none", "kappa-nan", "kappa-inf", "O-dense",
+        "O-not-square", "O-scaled", "O-nan"])
+def test_coloring_rejects_bad_factors(mangle, error):
     with pytest.raises(error):
-        Coloring.from_eig(*mangle(*_eig_factors()))
+        Coloring(*mangle(*_eig_factors()))
+
+
+def test_a_coloring_is_checked_when_it_is_built():
+    # built directly, a Coloring once trusted the cond it was handed and died
+    # in apply with a bare IndexError
+    with pytest.raises(DimensionError, match="^kappa must be a vector of length 5"):
+        Coloring(SignedDCT.draw(5, RngStream(48)), np.ones(4))
+    with pytest.raises(TypeError):
+        Coloring(SignedDCT.draw(4, RngStream(48)), np.ones(4), cond=1.0)
+    kappa = np.array([0.5, -2.0, 1.0, 1.0])
+    col = Coloring(SignedDCT.draw(4, RngStream(48)), kappa)
+    assert col.cond == 4.0 and col.kappa.dtype == np.float64
+    # the caller's kappa once stayed the colouring's own: zeroing an entry
+    # left cond at 4.0, and solve returned NaN and inf instead of refusing K
+    kappa[0] = 0.0
+    assert col.kappa[0] == 0.5 and not col.kappa.flags.writeable
+    assert np.all(np.isfinite(col.solve(np.ones(4))))
 
 
 def test_mc_sample_size_convergence():

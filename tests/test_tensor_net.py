@@ -13,6 +13,7 @@ from amplab.tensor_net import (
     OrderedMultigraph,
     _assignment_sum,
     _contract,
+    _merge_labels,
     alt_cycle_component_bound_check,
     bcp_ratio,
     common_n,
@@ -322,6 +323,17 @@ def test_bcp_worked_order4_example_vs_nested_loops():
         hand += t1[i1, i1, i2, i3] * t2[i2, i3, i4, i4]
     ratio = bcp_ratio(query, [DenseTensor.from_array(t1), DenseTensor.from_array(t2)])
     assert ratio == pytest.approx(abs(hand) / n, rel=1e-12)
+
+
+def test_merge_labels_joins_chained_groups():
+    # [b, c] joins [a, b] to [c, d] only through the chain a-b-c-d
+    merged = _merge_labels([["a", "b"], ["c", "d"], ["b", "c"]])
+    assert set(merged) == {"a", "b", "c", "d"}
+    assert len(set(merged.values())) == 1 and merged["a"] in merged
+    apart = _merge_labels([[0, 1], [2], [3, 4], [1, 0]])
+    assert set(apart) == {0, 1, 2, 3, 4}
+    assert [apart[0] == apart[1], apart[2] == 2, apart[3] == apart[4]] == [True] * 3
+    assert len(set(apart.values())) == 3
 
 
 def test_bcp_validation_flags():
