@@ -1,9 +1,11 @@
 """AMP recursions: symmetric, asymmetric with an explicit Onsager schedule,
 and the sensing form, plain or coloured (x = W K theta + e). The sensing
-runner applies and inverts K only through the problem's
+runner takes the model without W, a ``state_evolution.SensingProblem``
+checked when it was built, and the matrix W it runs on, so one problem runs
+on many matrices. It applies and inverts K only through the problem's
 ``state_evolution.Coloring``, K = O diag(kappa) O^T on a signed, permuted
 DCT basis O, or the identity colouring when no K is given; an ndarray K is
-refused.
+refused when the problem is built.
 
 Denoisers read only the latest iterate, so each iteration subtracts one
 Onsager term, a coefficient times the previous iterate (Berthier, Montanari
@@ -13,7 +15,7 @@ runners are sequential and deterministic given their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +23,8 @@ import numpy as np
 from .denoisers import Denoiser
 from .exceptions import DimensionError, ParameterError, require_count, require_vector
 from .rng import RngStream
-from .state_evolution import Coloring, OnsagerSchedule, require_divergence, require_length
+from .state_evolution import (OnsagerSchedule, SensingProblem, require_divergence,
+                              require_length)
 
 
 # ---------------------------------------------------------------------------
@@ -56,38 +59,6 @@ class RectAmpProblem:
         self.u1 = require_vector(self.u1, "u1")
         if self.W.ndim != 2 or self.W.shape[1] != self.u1.size:
             raise DimensionError("W columns must match len(u1)")
-
-
-@dataclass
-class SensingProblem:
-    """Observations x = W theta_star + e with per-iteration denoisers; x is
-    derived from the other fields, not passed.
-
-    With K set the sensing is coloured, x = W K theta_star + e. K is a
-    Coloring, built as ``Coloring(basis, kappa)`` from its
-    ``state_evolution.SignedDCT`` eigenbasis and its eigenvalues, which it
-    checks and reads the condition number off; ``Coloring.of`` checks it
-    against n and refuses anything else, an ndarray too. Without K the field
-    holds the identity colouring, which hands every vector back unchanged.
-    Problems that share one Coloring share its basis and condition number,
-    computed once.
-    """
-
-    W: np.ndarray
-    theta_star: np.ndarray
-    e: np.ndarray
-    eta_seq: Sequence[Denoiser]
-    K: Optional[Coloring] = None
-    x: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.theta_star = require_vector(self.theta_star, "theta_star")
-        self.e = require_vector(self.e, "e")
-        if self.W.shape != (self.e.size, self.theta_star.size):
-            raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
-        self.K = Coloring.of(self.K, self.theta_star.size)
-        self.x = self.W @ self.K.apply(self.theta_star) + self.e
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +149,12 @@ def run_asymmetric_amp(problem: RectAmpProblem, T: int) -> RectAmpTrace:
 # Sensing recursion
 
 
-def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = None,
+def run_sensing_amp(problem: SensingProblem, W: np.ndarray, T: int,
+                    mc_reps: Optional[int] = None,
                     rng: Optional[RngStream] = None) -> SensingAmpTrace:
     """r_t = x - W theta_t + b_t r_(t-1); theta_(t+1) = eta_t(theta_t + W^T r_t),
-    initialized at theta_1 = 0, r_0 = 0.
+    initialized at theta_1 = 0, r_0 = 0, on the observations
+    x = W K theta_star + e of problem's model on the m x n matrix W.
 
     b_t = (1/m) div eta_(t-1), evaluated at the realized input that produced
     theta_t; b_1 = 0 since r_0 = 0. The residual is
@@ -192,7 +165,7 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     the normal-equations form (K^T K)^(-1) (W K)^T r_t because K is square
     and invertible, and it is conditioned by cond(K) rather than cond(K)^2.
     A K whose condition number exceeds 1e12 raises NumericError at the first
-    backprojection.
+    backprojection. The run reads problem and W and writes to neither.
 
     With mc_reps None the divergence is the formula,
     ``Denoiser.divergence``, and ``require_divergence`` refuses an
@@ -200,14 +173,21 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
     int mc_reps takes ``Denoiser.divergence_mc`` with mc_reps probes on
     rng.derive(t) instead. The source used per iteration ("none" at t = 1,
     then "analytic" or "monte_carlo") is recorded in trace.b_source.
+    DimensionError, after those checks and before any matvec, unless W is
+    m x n with m = len(e) and n = len(theta_star).
     """
     require_length(problem.eta_seq, T)
     if mc_reps is None:
         require_divergence(problem.eta_seq[:T - 1], "eta_seq")
     else:
         mc_reps = require_count(mc_reps, "mc_reps", ParameterError)
+    W = np.asarray(W, dtype=np.float64)
+    m, n = problem.e.size, problem.theta_star.size
+    if W.shape != (m, n):
+        raise DimensionError("W must be m x n with m = len(e), n = len(theta_star)")
     rng = rng or RngStream(0)
-    m, n = problem.W.shape
+    K = problem.K
+    x = W @ K.apply(problem.theta_star) + problem.e
     theta = np.zeros((n, T + 1))
     r = np.zeros((m, T))
     b_applied = np.zeros(T)
@@ -225,8 +205,8 @@ def run_sensing_amp(problem: SensingProblem, T: int, mc_reps: Optional[int] = No
             b_t, source = probe / m, "monte_carlo"
         b_source.append(source)
         b_applied[t - 1] = b_t
-        r_t = problem.x - problem.W @ problem.K.apply(theta[:, t - 1]) + b_t * r_prev
-        arg = theta[:, t - 1] + problem.K.solve(problem.W.T @ r_t)
+        r_t = x - W @ K.apply(theta[:, t - 1]) + b_t * r_prev
+        arg = theta[:, t - 1] + K.solve(W.T @ r_t)
         theta[:, t] = problem.eta_seq[t - 1].apply(arg)
         r[:, t - 1] = r_t
         diff = theta[:, t] - problem.theta_star

@@ -20,7 +20,6 @@ import numpy as np
 from . import tensor_net as tn
 from .amp import SensingProblem, run_sensing_amp
 from .denoisers import (
-    Denoiser,
     LocalKernelSpec,
     SpectralSpec,
     local_average_denoiser,
@@ -189,15 +188,12 @@ class ResultRecord:
 # Pipelines
 
 
-@dataclass
-class _Pipeline:
-    theta_star: np.ndarray
-    e: np.ndarray
-    eta_seq: List[Denoiser]
-    K: Optional[Coloring]
-
-
-def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
+def _build_pipeline(cfg: ExperimentConfig) -> SensingProblem:
+    """The sensing model of cfg without its matrix, one per config: the
+    signal and noise draws, the denoisers and, for fig3_aniso, the colouring
+    K. Its SE summary and every (ensemble, seed) cell read this one problem;
+    a cell draws only its W. ConfigError for a config with no sensing
+    pipeline, before any draw."""
     kind = _KIND_OF.get(cfg.experiment)
     if kind is None:
         raise ConfigError("experiment", f"no sensing pipeline for {cfg.experiment!r}")
@@ -208,13 +204,13 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
         spec = SignalSpec(kind="smooth_image", dims=cfg.n, M=cfg.M, N=cfg.N)
         theta = sample_signal(spec, signal_rng).vector
         den = local_average_denoiser(LocalKernelSpec(cfg.M, cfg.N, cfg.bandwidth))
-        return _Pipeline(theta, e, [den] * T, None)
+        return SensingProblem(theta, e, [den] * T)
     if kind == "spectral":
         spec = SignalSpec(kind="low_rank", dims=cfg.n, M=cfg.M, N=cfg.N,
                           rank=cfg.signal_rank)
         theta = sample_signal(spec, signal_rng).vector
         den = svt_denoiser(SpectralSpec(cfg.M, cfg.N, cfg.threshold))
-        return _Pipeline(theta, e, [den] * T, None)
+        return SensingProblem(theta, e, [den] * T)
     spec = SignalSpec(kind="sparse", dims=cfg.n, density=cfg.signal_density)
     theta = sample_signal(spec, signal_rng).vector
     kappa_rng = RngStream(cfg.signal_seed, _STREAM_KAPPA)
@@ -226,10 +222,10 @@ def _build_pipeline(cfg: ExperimentConfig) -> _Pipeline:
     # kappa
     K = Coloring(SignedDCT.draw(cfg.n, kappa_rng), kappa)
     den = soft_threshold_denoiser(cfg.threshold)
-    return _Pipeline(theta, e, [den] * T, K)
+    return SensingProblem(theta, e, [den] * T, K)
 
 
-def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
+def _run_cell(cfg: ExperimentConfig, problem: SensingProblem, ensemble: str, seed: int):
     # streams keyed by the ensemble name, so a cell's draws do not depend on
     # where its ensemble stands in the list
     eidx = ENTRY_DISTS.index(ensemble)
@@ -237,10 +233,9 @@ def _run_cell(cfg: ExperimentConfig, pipe: _Pipeline, ensemble: str, seed: int):
         EnsembleSpec("ginibre_iid", cfg.m, cfg.n, ensemble),
         RngStream(seed, _STREAM_MATRIX + eidx),
     )
-    problem = SensingProblem(W=w, theta_star=pipe.theta_star, e=pipe.e,
-                             eta_seq=pipe.eta_seq, K=pipe.K)
     return run_sensing_amp(
         problem,
+        w,
         cfg.iterations,
         mc_reps=cfg.mc_reps if cfg.onsager_source == "mc" else None,
         rng=RngStream(seed, _STREAM_ONSAGER + 10 * eidx),
@@ -259,19 +254,17 @@ def se_summary(cfg: ExperimentConfig) -> dict:
     return _se_summary(cfg, _build_pipeline(cfg))
 
 
-def _se_summary(cfg: ExperimentConfig, pipe: _Pipeline) -> dict:
-    scalar = se_scalar_sensing(
-        pipe.theta_star, pipe.e, pipe.eta_seq, cfg.iterations,
-        mc_draws=cfg.se_draws, rng=RngStream(cfg.signal_seed, _STREAM_SE), K=pipe.K,
-    )
+def _se_summary(cfg: ExperimentConfig, problem: SensingProblem) -> dict:
+    scalar = se_scalar_sensing(problem, cfg.iterations, mc_draws=cfg.se_draws,
+                               rng=RngStream(cfg.signal_seed, _STREAM_SE))
     summary: dict = {
         "config": asdict(cfg),
         "se_predicted": list(scalar.predicted_mse),
         "sigma_sq": list(scalar.sigma_sq),
         "omega_sq": list(scalar.omega_sq),
     }
-    if pipe.K is not None:
-        summary["condition_number"] = pipe.K.cond
+    if problem.K.kappa is not None:  # fig3's K, not the identity
+        summary["condition_number"] = problem.K.cond
     return summary
 
 
@@ -285,13 +278,13 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[List[ResultRecord], dict]:
     """
     if cfg.experiment == "tensor_checks":
         return [], tensor_checks(cfg)
-    pipe = _build_pipeline(cfg)
-    summary = _se_summary(cfg, pipe)
+    problem = _build_pipeline(cfg)
+    summary = _se_summary(cfg, problem)
     records: List[ResultRecord] = []
     sv_counts: Dict[str, List[int]] = {}
     curves: Dict[str, List[List[float]]] = {}
     for ens, seed in itertools.product(cfg.ensembles, cfg.seeds):
-        trace = _run_cell(cfg, pipe, ens, seed)
+        trace = _run_cell(cfg, problem, ens, seed)
         curves.setdefault(ens, []).append([float(v) for v in trace.mse])
         for t in range(1, cfg.iterations + 1):
             mse = float(trace.mse[t - 1])

@@ -58,9 +58,12 @@ eigenvalues kappa. ``Coloring(O, kappa)`` is the one constructor: it checks
 both and reads the condition number off kappa. K is applied
 (``Coloring.apply``) and inverted (``Coloring.solve``) through O's row-wise
 maps, and refused at its first ``solve`` when numerically singular.
-``se_scalar_sensing`` and ``amp.run_sensing_amp`` reach K only through it;
-without K they hold the identity colouring, which returns every vector it is
-given unchanged.
+
+The sensing model without its matrix W is a ``SensingProblem``: theta,
+e, the denoisers and K, checked once when built, K against n; without K it
+holds the identity colouring, which returns every vector it is given
+unchanged. ``se_scalar_sensing`` and ``amp.run_sensing_amp``, which takes W
+beside it, both read the problem and reach K only through its Coloring.
 """
 
 from __future__ import annotations
@@ -97,10 +100,12 @@ class SignedDCT:
     (Makhoul's DCT, IEEE Trans. ASSP 28, 1980), on an n-vector or row by row
     on an (..., n) stack, and O is never formed. ParameterError unless signs
     is a non-empty vector of +-1 and perm an integer array holding a
-    permutation of 0..n-1, so every SignedDCT is orthogonal by construction."""
+    permutation of 0..n-1, so every SignedDCT is orthogonal by construction;
+    it keeps read-only copies of both, so no later write to the caller's
+    arrays, or to its own, can make it otherwise."""
 
     def __init__(self, signs, perm):
-        signs, perm = np.asarray(signs, dtype=np.float64), np.asarray(perm)
+        signs, perm = np.array(signs, dtype=np.float64), np.array(perm)
         n = signs.size
         if signs.shape != (n,) or n == 0 or not np.all(np.abs(signs) == 1):
             raise ParameterError("signs must be a non-empty vector of +-1")
@@ -108,6 +113,7 @@ class SignedDCT:
         if (perm.shape != (n,) or perm.dtype.kind not in "iu"
                 or not np.array_equal(np.sort(perm), np.arange(n))):
             raise ParameterError(f"perm must be an integer permutation of 0..{n - 1}")
+        signs.flags.writeable = perm.flags.writeable = False
         self.n, self.signs, self.perm = n, signs, perm
         # Makhoul's reordering: the even-indexed entries, then the odd ones reversed
         order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
@@ -169,8 +175,8 @@ class Coloring:
     read-only copy of kappa, so ``cond`` cannot go stale. ``Coloring()``
     is the identity colouring: no basis, condition number 1, and ``apply``
     and ``solve`` return their argument itself, so an uncoloured run does the
-    arithmetic it would do with no K at all. ``of`` is where K is checked
-    against the problem's n, and where anything but a Coloring or None is
+    arithmetic it would do with no K at all. ``SensingProblem`` is where K
+    is checked against n, and where anything but a Coloring or None is
     refused.
 
     A numerically singular K is accepted here and refused by ``solve``, so
@@ -197,19 +203,6 @@ class Coloring:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "cond", float(high / low) if low > 0 else np.inf)
 
-    @classmethod
-    def of(cls, K: Optional["Coloring"], n: int) -> "Coloring":
-        """K itself, or the identity colouring when K is None.
-        DimensionError naming K unless K is a Coloring or None, and unless
-        it is n x n (the identity fits every n)."""
-        if K is None:
-            return cls()
-        if not isinstance(K, Coloring):
-            raise DimensionError(f"K must be a Coloring or None, got {type(K).__name__}")
-        if K.kappa is not None and K.kappa.size != n:
-            raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.kappa.size}")
-        return K
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K x, row by row for an (..., n) stack; x itself for the identity."""
         if self.kappa is None:
@@ -224,6 +217,40 @@ class Coloring:
         if not self.cond <= COND_LIMIT:  # a NaN too
             raise NumericError(f"K is numerically singular (condition number {self.cond:.3e})")
         return self.basis.matvec(self.basis.rmatvec(y) / self.kappa)
+
+
+@dataclass
+class SensingProblem:
+    """The sensing model x = W K theta_star + e without its matrix W: the
+    signal theta_star, the noise e, the per-iteration denoisers eta_seq and
+    the colouring K, checked once when built. One problem runs on any number
+    of m x n matrices (``amp.run_sensing_amp`` takes W and forms x) and
+    gives the SE prediction for all of them (``se_scalar_sensing``), since
+    neither the model nor its SE depends on W.
+
+    theta_star and e must be non-empty vectors (``require_vector``), of
+    lengths n and m. K is a ``Coloring`` of size n, built as
+    ``Coloring(basis, kappa)``; None stands for the identity colouring,
+    ``Coloring()``, which hands every vector back unchanged. Anything else,
+    an ndarray too, or a Coloring of another size raises DimensionError
+    naming K.
+    """
+
+    theta_star: np.ndarray
+    e: np.ndarray
+    eta_seq: Sequence[Denoiser]
+    K: Optional[Coloring] = None
+
+    def __post_init__(self):
+        self.theta_star = require_vector(self.theta_star, "theta_star")
+        self.e = require_vector(self.e, "e")
+        K, n = self.K, self.theta_star.size
+        if K is None:
+            self.K = Coloring()
+        elif not isinstance(K, Coloring):
+            raise DimensionError(f"K must be a Coloring or None, got {type(K).__name__}")
+        elif K.kappa is not None and K.kappa.size != n:
+            raise DimensionError(f"K must be {n} x {n}, got a colouring of size {K.kappa.size}")
 
 
 @dataclass
@@ -601,37 +628,31 @@ class ScalarSE:
     predicted_mse: List[float]
 
 
-def se_scalar_sensing(
-    theta_star: np.ndarray,
-    e: np.ndarray,
-    eta_seq: Sequence[Denoiser],
-    T: int,
-    mc_draws: int = 50,
-    rng: Optional[RngStream] = None,
-    K: Optional[Coloring] = None,
-) -> ScalarSE:
-    """Variance recursion for the sensing recursion with denoisers eta_t.
+def se_scalar_sensing(problem: SensingProblem, T: int, mc_draws: int = 50,
+                      rng: Optional[RngStream] = None) -> ScalarSE:
+    """Variance recursion for the sensing recursion of problem, with its
+    denoisers eta_t and colouring K.
 
-    omega_1^2 = |u1|^2/m with u1 = K theta_star (K = identity when absent);
-    sigma_t^2 = omega_t^2 + |e|^2/m exactly (the shift map adds an independent
-    offset); omega_(t+1)^2 and the predicted MSE are Monte-Carlo averages over
+    omega_1^2 = |u1|^2/m with u1 = K theta_star; sigma_t^2 = omega_t^2 +
+    |e|^2/m exactly (the shift map adds an independent offset);
+    omega_(t+1)^2 and the predicted MSE are Monte-Carlo averages over
     Y ~ N(0, sigma_t^2 I_n) of (1/m)|K(theta - eta_t(arg))|^2 and
     (1/n)|theta - eta_t(arg)|^2, where arg = K^(-1) Y + theta.
 
-    K may be None or a Coloring of size n, and is applied and inverted
-    through ``Coloring.of(K, n)``. The backprojection K^(-1) Y equals
-    the normal-equations form (K^T K)^(-1) K^T Y, since K is square and
-    invertible; a numerically singular K raises NumericError at the first
-    backprojection. Each iteration draws its mc_draws samples as one block,
-    maps it with one eta_t call and colours the residuals with one K product.
+    K is applied and inverted through the problem's Coloring. The
+    backprojection K^(-1) Y equals the normal-equations form
+    (K^T K)^(-1) K^T Y, since K is square and invertible; a numerically
+    singular K raises NumericError at the first backprojection. Each
+    iteration draws its mc_draws samples as one block, maps it with one
+    eta_t call, colours the residuals with one K product and takes each
+    squared norm with one ``np.vecdot``; the per-draw terms are summed in
+    draw order.
     """
     mc_draws = require_count(mc_draws, "mc_draws", ParameterError)
-    require_length(eta_seq, T)
+    require_length(problem.eta_seq, T)
     rng = rng or RngStream(0)
-    theta_star = require_vector(theta_star, "theta_star")
-    e = require_vector(e, "e")
+    theta_star, e, K = problem.theta_star, problem.e, problem.K
     n, m = theta_star.size, e.size
-    K = Coloring.of(K, n)
     u1 = K.apply(theta_star)
     noise_sq = e @ e / m
     omega = [float(u1 @ u1 / m)]
@@ -641,13 +662,10 @@ def se_scalar_sensing(
     for t in range(1, T + 1):
         sig_t = omega[-1] + noise_sq
         sigma.append(sig_t)
-        acc_omega = 0.0
-        acc_mse = 0.0
         ys = np.sqrt(max(sig_t, 0.0)) * gen.standard_normal((mc_draws, n))
-        diffs = theta_star - eta_seq[t - 1].fn(K.solve(ys) + theta_star)
-        for diff, gu in zip(diffs, K.apply(diffs)):
-            acc_mse += diff @ diff / n
-            acc_omega += gu @ gu / m
-        omega.append(acc_omega / mc_draws)
-        pred.append(acc_mse / mc_draws)
+        diffs = theta_star - problem.eta_seq[t - 1].fn(K.solve(ys) + theta_star)
+        colored = K.apply(diffs)
+        # np.cumsum adds the terms one draw at a time, in draw order
+        omega.append(np.cumsum(np.vecdot(colored, colored) / m)[-1] / mc_draws)
+        pred.append(np.cumsum(np.vecdot(diffs, diffs) / n)[-1] / mc_draws)
     return ScalarSE(sigma_sq=sigma, omega_sq=omega, predicted_mse=pred)

@@ -121,49 +121,54 @@ def _random_sensing(seed, m=35, n=25, T=3, lam=0.3, noise=0.1, density=0.4):
     gen = rng.derive(1).generator()
     theta = gen.standard_normal(n) * (gen.random(n) < density)
     e = noise * gen.standard_normal(m)
-    return SensingProblem(W=w, theta_star=theta, e=e,
-                          eta_seq=[soft_threshold_denoiser(lam)] * T)
+    return SensingProblem(theta_star=theta, e=e, eta_seq=[soft_threshold_denoiser(lam)] * T), w
+
+
+def _observations(prob, w):
+    """x = W K theta_star + e, the observations run_sensing_amp forms."""
+    return w @ prob.K.apply(prob.theta_star) + prob.e
 
 
 def test_sensing_zero_instance():
     m, n = 10, 8
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(17))
-    prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+    prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.5)] * 2)
-    trace = run_sensing_amp(prob, 2)
+    trace = run_sensing_amp(prob, w, 2)
     assert np.all(trace.theta == 0) and np.all(trace.r == 0)
     assert np.all(trace.mse == 0)
 
 
 def test_sensing_first_iteration_forced():
-    prob = _random_sensing(18)
-    trace = run_sensing_amp(prob, 1)
-    assert np.allclose(trace.r[:, 0], prob.x)
+    prob, w = _random_sensing(18)
+    trace = run_sensing_amp(prob, w, 1)
+    x = _observations(prob, w)
+    assert np.allclose(trace.r[:, 0], x)
     eta = prob.eta_seq[0]
-    assert np.allclose(trace.theta[:, 1], eta.apply(prob.W.T @ prob.x))
+    assert np.allclose(trace.theta[:, 1], eta.apply(w.T @ x))
     assert trace.b_applied[0] == 0.0
 
 
 def test_sensing_dead_zone_threshold():
-    prob = _random_sensing(19, lam=1e6)
-    trace = run_sensing_amp(prob, 3)
+    prob, w = _random_sensing(19, lam=1e6)
+    trace = run_sensing_amp(prob, w, 3)
     assert np.all(trace.theta == 0)
     # with theta pinned at zero the divergence count is zero, so b_t = 0
     assert np.all(trace.b_applied == 0)
     for t in range(3):
-        assert np.allclose(trace.r[:, t], prob.x)
+        assert np.allclose(trace.r[:, t], _observations(prob, w))
 
 
 def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
-    prob = _random_sensing(40, T=4)
+    prob, w = _random_sensing(40, T=4)
     reps, rng = 5, RngStream(41)
-    trace = run_sensing_amp(prob, 4, mc_reps=reps, rng=rng)
+    trace = run_sensing_amp(prob, w, 4, mc_reps=reps, rng=rng)
     assert trace.b_source == ["none"] + ["monte_carlo"] * 3
-    m = prob.W.shape[0]
+    m = w.shape[0]
     for t in range(2, 5):
         # the argument eta_(t-1) was applied to at iteration t-1
         # the run's r_t is contiguous; a strided column can round differently
-        arg = trace.theta[:, t - 2] + prob.W.T @ trace.r[:, t - 2].copy()
+        arg = trace.theta[:, t - 2] + w.T @ trace.r[:, t - 2].copy()
         probe = prob.eta_seq[t - 2].divergence_mc(arg, reps=reps, rng=rng.derive(t))
         assert trace.b_applied[t - 1] == probe / m
 
@@ -175,59 +180,59 @@ def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
     (False, 3, "monte_carlo"),
 ])
 def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source):
-    prob = _random_sensing(43, T=2)
+    prob, w = _random_sensing(43, T=2)
     if not formula:
         prob.eta_seq = [Denoiser(fn=np.tanh, name="tanh")] * 2
     rng = RngStream(41)
     if source is None:
         with pytest.raises(ParameterError, match=r"eta_seq\[0\] has no divergence formula"):
-            run_sensing_amp(prob, 2, mc_reps=reps, rng=rng)
+            run_sensing_amp(prob, w, 2, mc_reps=reps, rng=rng)
         return
-    trace = run_sensing_amp(prob, 2, mc_reps=reps, rng=rng)
+    trace = run_sensing_amp(prob, w, 2, mc_reps=reps, rng=rng)
     assert trace.b_source == ["none", source]
     # the argument eta_1 was applied to at iteration 1
-    arg = trace.theta[:, 0] + prob.W.T @ trace.r[:, 0].copy()
+    arg = trace.theta[:, 0] + w.T @ trace.r[:, 0].copy()
     eta = prob.eta_seq[0]
     div = (eta.divergence(arg) if reps is None
            else eta.divergence_mc(arg, reps=reps, rng=rng.derive(2)))
-    assert trace.b_applied[1] == div / prob.W.shape[0]
+    assert trace.b_applied[1] == div / w.shape[0]
 
 
 def test_sensing_refuses_an_eta_without_a_formula_before_touching_W():
     # with mc_reps None such an eta was probed with 100 draws, unasked
-    prob = _random_sensing(44, T=3)
+    prob, w = _random_sensing(44, T=3)
     soft, tanh = prob.eta_seq[0], Denoiser(fn=np.tanh, name="tanh")
     prob.eta_seq = [soft, tanh, soft]
-    W, prob.W = prob.W, None  # a matvec or a read of W's shape would fail
+    # no W: a matvec or a read of W's shape would fail
     with pytest.raises(ParameterError, match=r"eta_seq\[1\] has no divergence formula"):
-        run_sensing_amp(prob, 3)
+        run_sensing_amp(prob, None, 3)
     # the last eta's divergence is never read, so it needs no formula
-    prob.W, prob.eta_seq = W, [soft, soft, tanh]
-    assert run_sensing_amp(prob, 3).b_source == ["none", "analytic", "analytic"]
+    prob.eta_seq = [soft, soft, tanh]
+    assert run_sensing_amp(prob, w, 3).b_source == ["none", "analytic", "analytic"]
 
 
 def test_sensing_rejects_zero_probes_before_iterating():
-    prob = _random_sensing(42, T=3)
+    prob, w = _random_sensing(42, T=3)
     calls = []
     eta = prob.eta_seq[0]
     prob.eta_seq = [Denoiser(fn=lambda x: calls.append(1) or eta.fn(x),
                              divergence_fn=eta.divergence_fn)] * 3
     with pytest.raises(ParameterError, match="mc_reps"):
-        run_sensing_amp(prob, 3, mc_reps=0)
+        run_sensing_amp(prob, w, 3, mc_reps=0)
     assert calls == []
 
 
-def _change_of_variables_gap(prob, T):
+def _change_of_variables_gap(prob, w, T):
     """Max relative deviation over t between the sensing recursion run
     directly and run through the asymmetric recursion under the change of
     variables u_t = theta_star - theta_t, z_t = r_t - e, f(z) = z + e,
     g_t(y) = theta_star - eta_t(y + theta_star). The schedule is a_t = 1 and
     b_t = -(the sensing b_t), read off the sensing trace."""
-    direct = run_sensing_amp(prob, T)
+    direct = run_sensing_amp(prob, w, T)
     a = {t: 1.0 for t in range(1, T + 1)}
     b = {t: -direct.b_applied[t - 1] for t in range(2, T + 1)}
     mapped = run_asymmetric_amp(RectAmpProblem(
-        W=prob.W, u1=prob.theta_star.copy(),
+        W=w, u1=prob.theta_star.copy(),
         f_seq=[residual_shift_denoiser(prob.e)] * T,
         g_seq=[signal_residual_denoiser(prob.theta_star, eta) for eta in prob.eta_seq[:T]],
         onsager=OnsagerSchedule(b=b, a=a)), T)
@@ -242,16 +247,16 @@ def _change_of_variables_gap(prob, T):
 
 def test_change_of_variables_identity():
     for seed in range(10):
-        prob = _random_sensing(100 + seed)
-        assert _change_of_variables_gap(prob, 3) <= 1e-8
+        prob, w = _random_sensing(100 + seed)
+        assert _change_of_variables_gap(prob, w, 3) <= 1e-8
 
 
 def test_change_of_variables_zero_instance():
     m, n = 12, 9
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(21))
-    prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+    prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.3)] * 3)
-    assert _change_of_variables_gap(prob, 3) == 0.0
+    assert _change_of_variables_gap(prob, w, 3) == 0.0
 
 
 def _dct_colouring(kappa, seed=0):
@@ -266,11 +271,11 @@ def _dense(col):
 
 
 def test_aniso_identity_K_matches_plain():
-    base = _random_sensing(22)
-    plain = run_sensing_amp(base, 3)
-    colored = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
+    base, w = _random_sensing(22)
+    plain = run_sensing_amp(base, w, 3)
+    colored = SensingProblem(theta_star=base.theta_star, e=base.e,
                              eta_seq=base.eta_seq, K=_dct_colouring(np.ones(base.theta_star.size)))
-    aniso = run_sensing_amp(colored, 3)
+    aniso = run_sensing_amp(colored, w, 3)
     assert np.allclose(plain.theta, aniso.theta, atol=1e-10)
 
 
@@ -281,9 +286,9 @@ def test_aniso_scalar_K_hand_expansion():
     theta = gen.standard_normal(n)
     e = 0.05 * gen.standard_normal(m)
     K = 2.0 * np.eye(n)
-    prob = SensingProblem(W=w, theta_star=theta, e=e,
+    prob = SensingProblem(theta_star=theta, e=e,
                           eta_seq=[soft_threshold_denoiser(0.2)], K=_dct_colouring(np.full(n, 2.0)))
-    trace = run_sensing_amp(prob, 1)
+    trace = run_sensing_amp(prob, w, 1)
     x = (w @ K) @ theta + e
     # (K^T K)^(-1) (W K)^T = W^T / 2
     arg = (w.T @ x) / 2.0
@@ -295,9 +300,9 @@ def test_aniso_zero_instance():
     m, n = 9, 6
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(25))
     K = _dct_colouring(RngStream(26).generator().uniform(0.5, 2.0, n))
-    prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+    prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)] * 2, K=K)
-    trace = run_sensing_amp(prob, 2)
+    trace = run_sensing_amp(prob, w, 2)
     assert np.all(trace.theta == 0)
 
 
@@ -305,24 +310,24 @@ def test_aniso_singular_K_rejected():
     m, n = 8, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(27))
     K = _dct_colouring(np.zeros(n))
-    prob = SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+    prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
     with pytest.raises(NumericError):
-        run_sensing_amp(prob, 1)
+        run_sensing_amp(prob, w, 1)
 
 
 def _colored_sensing(seed, m=30, n=40, T=4):
     """A sensing instance and a well-conditioned colouring K."""
-    base = _random_sensing(seed, m=m, n=n, T=T)
+    base, w = _random_sensing(seed, m=m, n=n, T=T)
     kappa = RngStream(seed).derive(2).generator().uniform(0.5, 2.0, n)
-    return base, _dct_colouring(kappa, seed)
+    return base, w, _dct_colouring(kappa, seed)
 
 
-def _normal_equations_sensing(prob, K, T):
+def _normal_equations_sensing(prob, w, K, T):
     """Reference coloured recursion: effective matrix W K and the
     normal-equations backprojection (K^T K)^(-1) (W K)^T r_t."""
-    m, n = prob.W.shape
-    w_eff = prob.W @ K
+    m, n = w.shape
+    w_eff = w @ K
     ktk = K.T @ K
     x = w_eff @ prob.theta_star + prob.e
     theta, r_prev, prev_arg = np.zeros(n), np.zeros(m), None
@@ -339,13 +344,12 @@ def _normal_equations_sensing(prob, K, T):
 
 def test_aniso_matches_normal_equations_oracle():
     T = 4
-    base, col = _colored_sensing(28, T=T)
-    prob = SensingProblem(W=base.W, theta_star=base.theta_star, e=base.e,
-                          eta_seq=base.eta_seq, K=col)
+    base, w, col = _colored_sensing(28, T=T)
+    prob = SensingProblem(theta_star=base.theta_star, e=base.e, eta_seq=base.eta_seq, K=col)
     assert prob.K is col  # problems that share a colouring share its basis
-    trace = run_sensing_amp(prob, T)
+    trace = run_sensing_amp(prob, w, T)
     K = _dense(col)
-    expect = _normal_equations_sensing(base, K, T)
+    expect = _normal_equations_sensing(base, w, K, T)
     assert np.abs(expect).max() > 0.1  # the soft threshold lets signal through
     assert np.abs(trace.theta[:, 1:] - expect).max() <= 1e-10 * np.abs(expect).max()
     assert abs(prob.K.cond - np.linalg.cond(K)) <= 1e-12 * np.linalg.cond(K) < 10
@@ -354,20 +358,55 @@ def test_aniso_matches_normal_equations_oracle():
 def test_aniso_an_ndarray_K_is_refused_naming_K():
     # an ndarray K was once factored by an SVD; K is a Coloring or None
     m, n = 8, 5
-    w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(29))
     for K in (np.eye(n), np.eye(n + 1), np.ones((n, n + 1)), np.eye(n).tolist()):
         with pytest.raises(DimensionError, match="^K must be a Coloring or None, got "):
-            SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+            SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                            eta_seq=[soft_threshold_denoiser(0.2)], K=K)
 
 
 def test_aniso_K_shape_rejected():
     m, n = 8, 5
-    w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(30))
-    with pytest.raises(DimensionError, match=rf"K must be {n} x {n}"):
-        SensingProblem(W=w, theta_star=np.zeros(n), e=np.zeros(m),
+    message = f"K must be {n} x {n}, got a colouring of size {n + 1}"
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                        eta_seq=[soft_threshold_denoiser(0.2)],
                        K=_dct_colouring(np.ones(n + 1)))
+
+
+def _assert_same_trace(a, b):
+    for name in ("theta", "r", "b_applied", "mse"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.b_source == b.b_source
+
+
+def test_one_problem_runs_on_many_matrices_and_is_left_as_built():
+    # the harness builds one problem per config and runs it on every cell's W
+    base, w1, col = _colored_sensing(50, T=3)
+    w2 = sample_ginibre(EnsembleSpec("ginibre_iid", *w1.shape, "rademacher"), RngStream(51))
+    theta, e, kappa = base.theta_star.copy(), base.e.copy(), col.kappa.copy()
+    shared = SensingProblem(theta_star=base.theta_star, e=base.e, eta_seq=base.eta_seq, K=col)
+    for w in (w1, w2):
+        fresh = SensingProblem(theta_star=theta.copy(), e=e.copy(), eta_seq=base.eta_seq,
+                               K=_dct_colouring(kappa, 50))
+        _assert_same_trace(run_sensing_amp(shared, w, 3), run_sensing_amp(fresh, w, 3))
+    assert np.array_equal(shared.theta_star, theta) and np.array_equal(shared.e, e)
+    assert shared.K is col and np.array_equal(col.kappa, kappa)
+    assert np.array_equal(col.basis.signs, _dct_colouring(kappa, 50).basis.signs)
+
+
+def test_a_run_refuses_a_W_of_the_wrong_shape_before_any_matvec(monkeypatch):
+    m, n = 8, 5
+
+    def no_matvec(self, x):
+        raise AssertionError("K was applied before W was checked")
+
+    monkeypatch.setattr(Coloring, "apply", no_matvec)
+    for K in (None, _dct_colouring(np.ones(n))):
+        prob = SensingProblem(np.ones(n), np.ones(m), [soft_threshold_denoiser(0.2)], K=K)
+        for w in (np.ones((m, n + 1)), np.ones((n, m)), np.ones(m * n), np.ones((1, m, n))):
+            with pytest.raises(DimensionError,
+                               match=r"^W must be m x n with m = len\(e\), n = len\(theta_star\)$"):
+                run_sensing_amp(prob, w, 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -386,14 +425,12 @@ def test_amp_problems_refuse_a_u1_that_is_no_non_empty_vector(build):
 
 # each case once died in numpy with a bare ValueError, or was accepted
 @pytest.mark.parametrize("build, named", [
-    (lambda: se_scalar_sensing(np.ones(4), np.ones((3, 2)), [identity_denoiser()], 1,
-                               mc_draws=2), "e"),
-    (lambda: SensingProblem(W=np.ones((6, 4)), theta_star=np.ones(4), e=np.ones((3, 2)),
-                            eta_seq=[]), "e"),
-    (lambda: SensingProblem(W=np.ones((3, 4)), theta_star=np.ones((2, 2)), e=np.ones(3),
-                            eta_seq=[]), "theta_star"),
-    (lambda: SensingProblem(W=np.zeros((0, 0)), theta_star=np.zeros(0), e=np.zeros(0),
-                            eta_seq=[]), "theta_star"),
+    (lambda: se_scalar_sensing(SensingProblem(np.ones(4), np.ones((3, 2)),
+                                              [identity_denoiser()]), 1, mc_draws=2), "e"),
+    (lambda: SensingProblem(theta_star=np.ones(4), e=np.ones((3, 2)), eta_seq=[]), "e"),
+    (lambda: SensingProblem(theta_star=np.ones((2, 2)), e=np.ones(3), eta_seq=[]),
+     "theta_star"),
+    (lambda: SensingProblem(theta_star=np.zeros(0), e=np.zeros(0), eta_seq=[]), "theta_star"),
 ], ids=["scalar-se-matrix-e", "sensing-matrix-e", "sensing-matrix-theta", "sensing-empty"])
 def test_sensing_entry_points_refuse_a_vector_that_is_no_non_empty_vector(build, named):
     with pytest.raises(DimensionError, match=rf"^{named} must be a non-empty vector"):
@@ -431,6 +468,6 @@ def test_asymmetric_short_f_seq_raises_schedule_error():
 
 
 def test_sensing_short_eta_seq_raises_schedule_error():
-    prob = _random_sensing(34, T=2)
+    prob, w = _random_sensing(34, T=2)
     with pytest.raises(ScheduleError, match="need 3 denoisers for T=3, got 2"):
-        run_sensing_amp(prob, 3)
+        run_sensing_amp(prob, w, 3)

@@ -32,9 +32,8 @@ _ID = identity_denoiser()
 
 
 def _sensing(mc_reps):
-    prob = SensingProblem(W=np.ones((3, 2)), theta_star=np.ones(2), e=np.zeros(3),
-                          eta_seq=[_SOFT] * 2)
-    return run_sensing_amp(prob, 2, mc_reps=mc_reps)
+    prob = SensingProblem(theta_star=np.ones(2), e=np.zeros(3), eta_seq=[_SOFT] * 2)
+    return run_sensing_amp(prob, np.ones((3, 2)), 2, mc_reps=mc_reps)
 
 
 def _symmetric_problem():
@@ -73,8 +72,8 @@ def _wick(**counts):
      ParameterError),
     (lambda: se_asymmetric([_ID] * 2, [_ID] * 2, np.ones(4), 2, 2.5, mc_samples=2), "m",
      DimensionError),
-    (lambda: se_scalar_sensing(np.ones(4), np.ones(3), [_SOFT] * 2, 2, mc_draws=2.5),
-     "mc_draws", ParameterError),
+    (lambda: se_scalar_sensing(SensingProblem(np.ones(4), np.ones(3), [_SOFT] * 2), 2,
+                               mc_draws=2.5), "mc_draws", ParameterError),
     (lambda: DenseTensor.alternating(True, 2, 3), "order", DimensionError),
     (lambda: DenseTensor.alternating(2, True, 3), "M", DimensionError),
     (lambda: DenseTensor.alternating(2, 2, np.float64(3)), "N", DimensionError),
@@ -191,14 +190,14 @@ _NO_SCHEDULE = OnsagerSchedule()
     (lambda x: signal_residual_denoiser(x, _SOFT), "theta_star"),
     (lambda x: se_symmetric([_SOFT], x, 2, mc_samples=2), "u1"),
     (lambda x: se_asymmetric([_ID] * 2, [_ID] * 2, x, 2, 3, mc_samples=2), "u1"),
-    (lambda x: se_scalar_sensing(x, np.ones(3), [_SOFT], 1, mc_draws=2), "theta_star"),
-    (lambda x: se_scalar_sensing(np.ones(4), x, [_SOFT], 1, mc_draws=2), "e"),
+    (lambda x: se_scalar_sensing(SensingProblem(x, np.ones(3), [_SOFT]), 1, mc_draws=2),
+     "theta_star"),
+    (lambda x: se_scalar_sensing(SensingProblem(np.ones(4), x, [_SOFT]), 1, mc_draws=2), "e"),
     (lambda x: SymmetricAmpProblem(W=np.eye(4), u1=x, f_seq=[], onsager=_NO_SCHEDULE), "u1"),
     (lambda x: RectAmpProblem(W=np.ones((3, 4)), u1=x, f_seq=[], g_seq=[],
                               onsager=_NO_SCHEDULE), "u1"),
-    (lambda x: SensingProblem(W=np.ones((3, 4)), theta_star=x, e=np.ones(3), eta_seq=[]),
-     "theta_star"),
-    (lambda x: SensingProblem(W=np.ones((3, 4)), theta_star=np.ones(4), e=x, eta_seq=[]), "e"),
+    (lambda x: SensingProblem(theta_star=x, e=np.ones(3), eta_seq=[]), "theta_star"),
+    (lambda x: SensingProblem(theta_star=np.ones(4), e=x, eta_seq=[]), "e"),
 ], ids=["apply", "divergence", "divergence_mc", "mc_divergence", "residual_shift",
         "signal_residual", "se_symmetric", "se_asymmetric", "se_scalar_theta", "se_scalar_e",
         "symmetric_amp", "rect_amp", "sensing_theta", "sensing_e"])

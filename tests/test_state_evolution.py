@@ -22,6 +22,7 @@ from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
     OnsagerSchedule,
+    SensingProblem,
     SignedDCT,
     _border,
     _chol_factor,
@@ -129,13 +130,13 @@ def test_asymmetric_rejects_an_empty_m_side():
 def test_scalar_sensing_rejects_an_empty_noise_vector():
     # without the check, an empty e returned NaN and inf
     with pytest.raises(DimensionError, match=r"e must be a non-empty vector, got shape \(0,\)"):
-        se_scalar_sensing(np.ones(4), np.zeros(0), [identity_denoiser()], 1, mc_draws=2,
-                          rng=RngStream(5))
+        se_scalar_sensing(SensingProblem(np.ones(4), np.zeros(0), [identity_denoiser()]), 1,
+                          mc_draws=2, rng=RngStream(5))
 
 
 def test_scalar_sensing_short_eta_seq_rejected():
     with pytest.raises(ScheduleError, match="need 3 denoisers for T=3, got 2"):
-        se_scalar_sensing(np.ones(10), np.zeros(5), [identity_denoiser()] * 2, 3,
+        se_scalar_sensing(SensingProblem(np.ones(10), np.zeros(5), [identity_denoiser()] * 2), 3,
                           mc_draws=2, rng=RngStream(5))
 
 
@@ -164,21 +165,23 @@ def test_a_denoiser_without_a_divergence_formula_is_refused_before_any_draw(
     (lambda: se_symmetric([], np.ones(10), 0, mc_samples=2), ParameterError, "T must be"),
     (lambda: se_asymmetric([], [], np.ones(10), 0, 8, mc_samples=2), ParameterError,
      "T must be"),
-    (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [], 0, mc_draws=2), ParameterError,
-     "T must be"),
+    (lambda: se_scalar_sensing(SensingProblem(np.ones(10), np.ones(8), []), 0, mc_draws=2),
+     ParameterError, "T must be"),
     (lambda: se_symmetric([identity_denoiser()], np.zeros(0), 2, mc_samples=2),
      DimensionError, "u1"),
     (lambda: se_symmetric([identity_denoiser()], np.eye(3), 2, mc_samples=2),
      DimensionError, "u1"),
     (lambda: se_asymmetric([identity_denoiser()] * 2, [identity_denoiser()] * 2, np.eye(3), 2,
                            8, mc_samples=2), DimensionError, "u1"),
-    (lambda: se_scalar_sensing(np.eye(3), np.ones(8), [identity_denoiser()], 1, mc_draws=2),
-     DimensionError, "theta_star"),
-    (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [identity_denoiser()], 1, mc_draws=2,
-                               K=_dct_colouring(np.ones(11))), DimensionError, "K must be 10 x 10"),
+    (lambda: se_scalar_sensing(SensingProblem(np.eye(3), np.ones(8), [identity_denoiser()]), 1,
+                               mc_draws=2), DimensionError, "theta_star"),
+    (lambda: se_scalar_sensing(SensingProblem(np.ones(10), np.ones(8), [identity_denoiser()],
+                                              K=_dct_colouring(np.ones(11))), 1, mc_draws=2),
+     DimensionError, "K must be 10 x 10"),
     # an ndarray K was once factored by an SVD; K is a Coloring or None
-    (lambda: se_scalar_sensing(np.ones(10), np.ones(8), [identity_denoiser()], 1, mc_draws=2,
-                               K=np.eye(10)), DimensionError, "K must be a Coloring or None"),
+    (lambda: se_scalar_sensing(SensingProblem(np.ones(10), np.ones(8), [identity_denoiser()],
+                                              K=np.eye(10)), 1, mc_draws=2),
+     DimensionError, "K must be a Coloring or None"),
 ], ids=["symmetric-T0", "asymmetric-T0", "scalar-T0", "symmetric-empty-u1",
         "symmetric-matrix-u1", "asymmetric-matrix-u1", "scalar-matrix-theta", "scalar-K-shape",
         "scalar-K-ndarray"])
@@ -688,7 +691,7 @@ def test_scalar_sensing_identity_denoiser_recursion():
     gen = RngStream(9).generator()
     theta = gen.standard_normal(n)
     e = 0.3 * gen.standard_normal(m)
-    sc = se_scalar_sensing(theta, e, [identity_denoiser()] * T, T,
+    sc = se_scalar_sensing(SensingProblem(theta, e, [identity_denoiser()] * T), T,
                            mc_draws=400, rng=RngStream(10))
     noise_sq = e @ e / m
     omega = theta @ theta / m
@@ -704,14 +707,14 @@ def test_scalar_sensing_identity_denoiser_recursion():
 
 def test_scalar_sensing_degenerate_and_dead_zone():
     m, n, T = 20, 30, 3
-    zero = se_scalar_sensing(np.zeros(n), np.zeros(m),
-                             [soft_threshold_denoiser(0.5)] * T, T,
+    zero = se_scalar_sensing(SensingProblem(np.zeros(n), np.zeros(m),
+                                            [soft_threshold_denoiser(0.5)] * T), T,
                              mc_draws=10, rng=RngStream(11))
     assert all(v == 0 for v in zero.sigma_sq)
     assert all(v == 0 for v in zero.omega_sq)
     theta = RngStream(12).generator().standard_normal(n)
-    dead = se_scalar_sensing(theta, np.zeros(m),
-                             [soft_threshold_denoiser(1e9)] * T, T,
+    dead = se_scalar_sensing(SensingProblem(theta, np.zeros(m),
+                                            [soft_threshold_denoiser(1e9)] * T), T,
                              mc_draws=10, rng=RngStream(13))
     const = theta @ theta / m
     assert all(v == pytest.approx(const) for v in dead.omega_sq)
@@ -723,7 +726,8 @@ def test_scalar_sensing_agrees_with_asymmetric_solver():
     theta = gen.standard_normal(n) * (gen.random(n) < 0.4)
     e = 0.2 * gen.standard_normal(m)
     eta = soft_threshold_denoiser(0.5)
-    sc = se_scalar_sensing(theta, e, [eta] * T, T, mc_draws=300, rng=RngStream(15))
+    sc = se_scalar_sensing(SensingProblem(theta, e, [eta] * T), T, mc_draws=300,
+                           rng=RngStream(15))
     cov, sched = se_asymmetric([residual_shift_denoiser(e)] * T,
                                [signal_residual_denoiser(theta, eta)] * T,
                                theta, T, m, mc_samples=300, rng=RngStream(16))
@@ -769,7 +773,7 @@ def _sparse_sensing_instance(seed, m=30, n=40):
 def test_scalar_sensing_blocked_draws_equal_per_draw_loop():
     theta, e = _sparse_sensing_instance(29)
     eta_seq = [soft_threshold_denoiser(0.5)] * 4
-    sc = se_scalar_sensing(theta, e, eta_seq, 4, mc_draws=7, rng=RngStream(30))
+    sc = se_scalar_sensing(SensingProblem(theta, e, eta_seq), 4, mc_draws=7, rng=RngStream(30))
     omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, 4, 7, RngStream(30))
     assert sc.omega_sq == omega
     assert sc.predicted_mse == pred
@@ -782,7 +786,8 @@ def test_scalar_sensing_colored_matches_normal_equations():
     eta_seq = [soft_threshold_denoiser(0.5)] * T
     omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, T, 7, RngStream(33),
                                            K=_dense(col))
-    sc = se_scalar_sensing(theta, e, eta_seq, T, mc_draws=7, rng=RngStream(33), K=col)
+    sc = se_scalar_sensing(SensingProblem(theta, e, eta_seq, K=col), T, mc_draws=7,
+                           rng=RngStream(33))
     assert np.allclose(sc.omega_sq, omega, rtol=1e-10, atol=0)
     assert np.allclose(sc.predicted_mse, pred, rtol=1e-10, atol=0)
 
@@ -790,8 +795,9 @@ def test_scalar_sensing_colored_matches_normal_equations():
 def test_scalar_sensing_rejects_singular_K():
     n = 6
     with pytest.raises(NumericError, match="condition number"):
-        se_scalar_sensing(np.ones(n), np.zeros(4), [soft_threshold_denoiser(0.2)], 1,
-                          mc_draws=2, rng=RngStream(34), K=_dct_colouring(np.zeros(n)))
+        se_scalar_sensing(SensingProblem(np.ones(n), np.zeros(4), [soft_threshold_denoiser(0.2)],
+                                         K=_dct_colouring(np.zeros(n))), 1,
+                          mc_draws=2, rng=RngStream(34))
 
 
 def _eig_factors(n=50):
@@ -836,19 +842,20 @@ def test_coloring_matches_the_dense_path():
 
 @pytest.mark.parametrize("K", [np.eye(4), np.eye(4).tolist(), 2.0],
                          ids=["ndarray", "list", "scalar"])
-def test_coloring_of_refuses_anything_but_a_coloring_naming_K(K):
+def test_a_sensing_problem_refuses_anything_but_a_coloring_naming_K(K):
     # an ndarray K was once factored by an SVD and np.linalg.cond
     with pytest.raises(DimensionError, match="^K must be a Coloring or None, got "):
-        Coloring.of(K, 4)
+        SensingProblem(np.ones(4), np.ones(3), [], K=K)
 
 
 def test_the_identity_colouring_hands_back_its_argument():
     x, stack = np.arange(4.0), np.ones((3, 4))
-    for col in (Coloring.of(None, 4), Coloring()):
+    for col in (SensingProblem(np.ones(4), np.ones(3), []).K, Coloring()):
         assert col.basis is None and col.kappa is None and col.cond == 1.0
         assert col.apply(x) is x and col.solve(x) is x
         assert col.apply(stack) is stack and col.solve(stack) is stack
-        assert Coloring.of(col, 7) is col  # the identity fits every n
+        # the identity fits every n
+        assert SensingProblem(np.ones(7), np.ones(3), [], K=col).K is col
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-13])
@@ -904,6 +911,24 @@ def test_a_signed_dct_draw_is_reproducible_and_a_bad_one_is_refused():
     for signs, perm in (([1.0, 1.0], [False, True]), ([1.0, -1.0, 1.0], [0.0, 1.0, 2.0])):
         with pytest.raises(ParameterError, match="^perm must be an integer permutation"):
             SignedDCT(signs, perm)
+
+
+def test_a_signed_dct_keeps_read_only_copies_of_its_signs_and_perm():
+    # the caller's signs were once kept: matvec read them and rmatvec a
+    # gathered copy, so after signs[1] = -1 the round trip of [1, 2, 3, 4]
+    # returned [1, -2, 3, 4]
+    signs, perm = np.ones(4), np.arange(4)
+    basis = SignedDCT(signs, perm)
+    signs[1], perm[:2] = -1.0, [1, 0]
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.abs(basis.matvec(basis.rmatvec(x)) - x).max() <= 1e-14
+    assert np.array_equal(basis.signs, np.ones(4)) and np.array_equal(basis.perm, np.arange(4))
+    # writing to a colouring's basis once changed its K in the same way
+    col = Coloring(basis, np.linspace(0.5, 2.0, 4))
+    for stored in (col.basis.signs, col.basis.perm):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[1] = -stored[1]
 
 
 def test_an_integer_perm_of_any_width_builds_the_same_basis():
