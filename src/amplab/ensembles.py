@@ -27,18 +27,25 @@ CUMULANT_ORDER = 6
 
 _SQRT3 = np.sqrt(3.0)
 # sample_wigner: upper-triangle rows drawn and mirrored per step, so the draws
-# held beside the n x n output are at most this many rows of it
+# held beside the n x n output are at most this many rows of it; a multiple of
+# 64, so every full block holds a multiple of 32 entries (see _draw_entries)
 SYMMETRIZE_BLOCK = 128
 # smooth_image: number of low-frequency cosine modes per axis
 SMOOTH_MODES = 3
 
 
 def _draw_entries(dist: str, size, gen: np.random.Generator) -> np.ndarray:
-    """Standardized (mean 0, variance 1) i.i.d. draws."""
+    """Standardized (mean 0, variance 1) i.i.d. draws, float64.
+
+    A Rademacher entry is one bit of a 32-bit word of the stream, lowest bit
+    first, and the only full-size array is the float64 output. A draw split
+    into pieces reads the stream as one draw would only if every piece but
+    the last holds a multiple of 32 entries.
+    """
     if dist == "gaussian":
         return gen.standard_normal(size)
     if dist == "rademacher":
-        return 2.0 * gen.integers(0, 2, size=size).astype(np.float64) - 1.0
+        return 2.0 * gen.integers(0, 2, size=size, dtype=bool) - 1.0
     if dist == "uniform":
         return gen.uniform(-_SQRT3, _SQRT3, size=size)
     raise SpecError(f"unknown entry distribution {dist!r}")
@@ -120,9 +127,10 @@ def sample_wigner(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
     the output is bitwise symmetric. GOE is the Gaussian wigner_iid with its
     diagonal multiplied by sqrt(2) (diagonal variance 2/n), so it takes
     n(n+1)/2 normals. The triangle is drawn SYMMETRIZE_BLOCK rows at a time,
-    which consumes the stream exactly as one draw of it would; each block's
-    rows are written in place and mirrored into the lower triangle, so the
-    peak is one n x n matrix plus one block of draws.
+    which consumes the stream exactly as one draw of it would; for the
+    Rademacher law that needs SYMMETRIZE_BLOCK to be a multiple of 64. Each
+    block's rows are written in place and mirrored into the lower triangle,
+    so the peak is one n x n matrix plus one block of draws.
     """
     if spec.kind not in ("goe", "wigner_iid"):
         raise SpecError(f"sample_wigner needs a symmetric ensemble, got {spec.kind!r}")

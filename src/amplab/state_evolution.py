@@ -219,7 +219,7 @@ class Coloring:
         return self.basis.matvec(self.basis.rmatvec(y) / self.kappa)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SensingProblem:
     """The sensing model x = W K theta_star + e without its matrix W: the
     signal theta_star, the noise e, the per-iteration denoisers eta_seq and
@@ -233,7 +233,9 @@ class SensingProblem:
     ``Coloring(basis, kappa)``; None stands for the identity colouring,
     ``Coloring()``, which hands every vector back unchanged. Anything else,
     an ndarray too, or a Coloring of another size raises DimensionError
-    naming K.
+    naming K. The problem is frozen: it keeps read-only copies of theta_star
+    and e and eta_seq as a tuple, so no field or caller's array can change it
+    after the checks; ``dataclasses.replace`` builds a checked variant.
     """
 
     theta_star: np.ndarray
@@ -242,11 +244,14 @@ class SensingProblem:
     K: Optional[Coloring] = None
 
     def __post_init__(self):
-        self.theta_star = require_vector(self.theta_star, "theta_star")
-        self.e = require_vector(self.e, "e")
+        for name in ("theta_star", "e"):
+            v = require_vector(getattr(self, name), name).copy()
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "eta_seq", tuple(self.eta_seq))
         K, n = self.K, self.theta_star.size
         if K is None:
-            self.K = Coloring()
+            object.__setattr__(self, "K", Coloring())
         elif not isinstance(K, Coloring):
             raise DimensionError(f"K must be a Coloring or None, got {type(K).__name__}")
         elif K.kappa is not None and K.kappa.size != n:

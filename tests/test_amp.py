@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ def test_sensing_probe_onsager_is_the_probe_at_the_derived_stream():
 def test_onsager_takes_the_formula_unless_reps_is_given(formula, reps, source):
     prob, w = _random_sensing(43, T=2)
     if not formula:
-        prob.eta_seq = [Denoiser(fn=np.tanh, name="tanh")] * 2
+        prob = replace(prob, eta_seq=[Denoiser(fn=np.tanh, name="tanh")] * 2)
     rng = RngStream(41)
     if source is None:
         with pytest.raises(ParameterError, match=r"eta_seq\[0\] has no divergence formula"):
@@ -202,12 +204,12 @@ def test_sensing_refuses_an_eta_without_a_formula_before_touching_W():
     # with mc_reps None such an eta was probed with 100 draws, unasked
     prob, w = _random_sensing(44, T=3)
     soft, tanh = prob.eta_seq[0], Denoiser(fn=np.tanh, name="tanh")
-    prob.eta_seq = [soft, tanh, soft]
+    prob = replace(prob, eta_seq=[soft, tanh, soft])
     # no W: a matvec or a read of W's shape would fail
     with pytest.raises(ParameterError, match=r"eta_seq\[1\] has no divergence formula"):
         run_sensing_amp(prob, None, 3)
     # the last eta's divergence is never read, so it needs no formula
-    prob.eta_seq = [soft, soft, tanh]
+    prob = replace(prob, eta_seq=[soft, soft, tanh])
     assert run_sensing_amp(prob, w, 3).b_source == ["none", "analytic", "analytic"]
 
 
@@ -215,8 +217,8 @@ def test_sensing_rejects_zero_probes_before_iterating():
     prob, w = _random_sensing(42, T=3)
     calls = []
     eta = prob.eta_seq[0]
-    prob.eta_seq = [Denoiser(fn=lambda x: calls.append(1) or eta.fn(x),
-                             divergence_fn=eta.divergence_fn)] * 3
+    prob = replace(prob, eta_seq=[Denoiser(fn=lambda x: calls.append(1) or eta.fn(x),
+                                           divergence_fn=eta.divergence_fn)] * 3)
     with pytest.raises(ParameterError, match="mc_reps"):
         run_sensing_amp(prob, w, 3, mc_reps=0)
     assert calls == []
@@ -392,6 +394,24 @@ def test_one_problem_runs_on_many_matrices_and_is_left_as_built():
     assert np.array_equal(shared.theta_star, theta) and np.array_equal(shared.e, e)
     assert shared.K is col and np.array_equal(col.kappa, kappa)
     assert np.array_equal(col.basis.signs, _dct_colouring(kappa, 50).basis.signs)
+
+
+def test_a_sensing_problem_is_frozen_and_keeps_read_only_copies():
+    theta, e = np.ones(5), np.ones(8)
+    eta_seq = [soft_threshold_denoiser(0.2)]
+    p = SensingProblem(theta, e, eta_seq)
+    # a field assigned after the build would skip the checks of K
+    with pytest.raises(FrozenInstanceError):
+        p.K = np.eye(5)
+    theta[0], e[0] = 7.0, 7.0
+    eta_seq.append(soft_threshold_denoiser(0.3))
+    assert np.array_equal(p.theta_star, np.ones(5)) and np.array_equal(p.e, np.ones(8))
+    assert p.eta_seq == (eta_seq[0],)
+    for v in (p.theta_star, p.e):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 7.0
+    w = np.ones((8, 5))
+    assert np.array_equal(run_sensing_amp(p, w, 1).r[:, 0], w @ np.ones(5) + 1.0)
 
 
 def test_a_run_refuses_a_W_of_the_wrong_shape_before_any_matvec(monkeypatch):

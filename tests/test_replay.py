@@ -97,7 +97,7 @@ CASES = {**{name: (lambda name=name: _sensing(name)) for name in _SENSING},
 EXPECTED = {
     "fig1_local": [
         0.06615543205334876, 0.01749553552751049, 0.011090065515320473,
-        0.07974197890373791, 0.026030152561871394, 0.01898829903563478,
+        0.08337913956682806, 0.02798298034812295, 0.013781239691870643,
         0.07009643834405628, 0.02220752256599108, 0.016613223167660084,
         0.44140291142389587, 0.10710436551971338, 0.03527099185261558,
         0.43944320342026694, 0.10514465751608441, 0.03331128384898662,
@@ -105,7 +105,7 @@ EXPECTED = {
     ],
     "fig2_spectral_analytic": [
         0.2729213684002248, 0.25335312295565077, 0.24355496462673942,
-        0.2544865181002941, 0.18685107698654016, 0.1579311648055957,
+        0.2948990966949738, 0.15190483564955867, 0.11894801829308513,
         0.33339821710339457, 0.19627709359719284, 0.1820521877267664,
         0.5914105834922734, 0.5020570336587209, 0.2963753483994182,
         0.5894508754886444, 0.5000973256550919, 0.29441564039578927,
@@ -114,7 +114,7 @@ EXPECTED = {
     ],
     "fig2_spectral_mc": [
         0.2729213684002248, 0.2516418437962061, 0.22853085001402856,
-        0.2544865181002941, 0.18438390013116746, 0.15467719610607475,
+        0.2948990966949738, 0.15347635198140877, 0.11993082189439017,
         0.33339821710339457, 0.19627709359719284, 0.1820521877267664,
         0.5914105834922734, 0.5020570336587209, 0.2963753483994182,
         0.5894508754886444, 0.5000973256550919, 0.29441564039578927,
@@ -123,7 +123,7 @@ EXPECTED = {
     ],
     "fig3_aniso": [
         0.4305267914565388, 0.4721444110885475, 0.35713146321183553,
-        0.23748575309183845, 0.26445681163137486, 0.4557976157332265,
+        0.3363996419626146, 0.22266290135003225, 0.45947053637609336,
         0.2805583001069934, 0.22771378005311133, 0.17152255124482663,
         0.7210145812738995, 0.7145353737170589, 0.5907153356470003,
         0.7189134576905813, 0.7124342501337407, 0.5886142120636821,

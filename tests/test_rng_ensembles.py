@@ -139,6 +139,39 @@ def test_ginibre_rademacher_entries():
     assert set(np.abs(g).ravel()) == {0.5}
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (33, 65)])
+def test_ginibre_rademacher_entries_are_exactly_plus_or_minus_one_over_sqrt_m(m, n):
+    # 3 x 7 and 33 x 65 hold no multiple of 32 entries: the last word is cut
+    g = sample_ginibre(EnsembleSpec("ginibre_iid", m, n, "rademacher"), RngStream(m, n))
+    assert g.shape == (m, n) and g.dtype == np.float64
+    assert np.all((g == 1.0 / np.sqrt(m)) | (g == -1.0 / np.sqrt(m)))
+
+
+def test_ginibre_rademacher_signs_are_fair_and_uncorrelated_at_lag_one():
+    # 10^6 signs in stream order; a reused or shifted bit shows at lag 1
+    s = np.sign(sample_ginibre(EnsembleSpec("ginibre_iid", 1000, 1000, "rademacher"),
+                               RngStream(37))).ravel()
+    assert abs(s.mean()) < 4 / np.sqrt(s.size)
+    assert abs((s[1:] * s[:-1]).mean()) < 4 / np.sqrt(s.size - 1)
+
+
+def test_rademacher_entries_are_the_stream_bits_lowest_first():
+    # a numpy release that changes its bounded bool generator fails here
+    words = RngStream(43).generator().integers(0, 2**32, size=2, dtype=np.uint32)
+    bits = (words[:, None] >> np.arange(32, dtype=np.uint32)) & 1
+    got = _draw_entries("rademacher", 70, RngStream(43).generator())
+    assert np.array_equal(got[:64], 2.0 * bits.ravel() - 1.0)
+
+
+@pytest.mark.parametrize("m, n", [(3, 7), (40, 25)])
+def test_gaussian_and_uniform_ginibre_are_one_draw_over_sqrt_m(m, n):
+    rng = RngStream(47, m)
+    want = {"gaussian": rng.generator().standard_normal((m, n)) / np.sqrt(m),
+            "uniform": rng.generator().uniform(-np.sqrt(3.0), np.sqrt(3.0), (m, n)) / np.sqrt(m)}
+    for dist, w in want.items():
+        assert sample_ginibre(EnsembleSpec("ginibre_iid", m, n, dist), rng).tobytes() == w.tobytes()
+
+
 def test_ginibre_column_norms_near_one():
     g = sample_ginibre(EnsembleSpec("ginibre_iid", 400, 300), RngStream(23))
     mean_sq = (g**2).sum(axis=0).mean()
