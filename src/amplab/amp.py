@@ -31,23 +31,38 @@ from .state_evolution import (OnsagerSchedule, SensingProblem, require_divergenc
 # Problems
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SymmetricAmpProblem:
+    """The symmetric recursion's inputs, checked once when built: W must be
+    n x n for the non-empty vector u1 (``require_vector``). The problem is
+    frozen: it keeps a read-only copy of u1 and f_seq as a tuple, so no
+    field can change after the checks; ``dataclasses.replace`` builds a
+    checked variant. W is kept as given (``np.asarray``, no copy), so a run
+    reads the caller's W."""
+
     W: np.ndarray
     u1: np.ndarray
     f_seq: Sequence[Denoiser]  # f_1, ..., f_(T-1)
     onsager: OnsagerSchedule
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = require_vector(self.u1, "u1")
+        object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
+        u1 = require_vector(self.u1, "u1").copy()
+        u1.flags.writeable = False
+        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "f_seq", tuple(self.f_seq))
         n = self.u1.size
         if self.W.shape != (n, n):
             raise DimensionError("W must be n x n for the symmetric recursion")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RectAmpProblem:
+    """The asymmetric recursion's inputs, checked once when built: W must be
+    a matrix with one column per entry of the non-empty vector u1. Frozen
+    as ``SymmetricAmpProblem`` is, with f_seq and g_seq as tuples; a run
+    reads the caller's W."""
+
     W: np.ndarray  # m x n
     u1: np.ndarray  # length n
     f_seq: Sequence[Denoiser]  # m-side, f_1..f_T
@@ -55,8 +70,12 @@ class RectAmpProblem:
     onsager: OnsagerSchedule
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.u1 = require_vector(self.u1, "u1")
+        object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
+        u1 = require_vector(self.u1, "u1").copy()
+        u1.flags.writeable = False
+        object.__setattr__(self, "u1", u1)
+        for name in ("f_seq", "g_seq"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.W.ndim != 2 or self.W.shape[1] != self.u1.size:
             raise DimensionError("W columns must match len(u1)")
 

@@ -7,11 +7,12 @@ declare a formula for its divergence, one scalar. The Monte-Carlo probe
 (``Denoiser.divergence_mc``); a caller that needs the formula refuses a
 denoiser without one (``state_evolution.require_divergence``).
 
-A denoiser's map also takes a stack of iterates, one per row, so the
-Monte-Carlo loops here and in ``state_evolution`` call it once per block of
-samples. A block's float64 working set is at most _BLOCK_BYTES (1 MiB), or
-one sample's where a single one takes more; a denoiser call is counted as
-_CALL_ROWS rows per sample (its input, its output and two temporaries).
+A denoiser's map and its divergence formula also take a stack of iterates,
+one per row, so the Monte-Carlo loops here and in ``state_evolution`` call
+each once per block of samples. A block's float64 working set is at most
+_BLOCK_BYTES (1 MiB), or one sample's where a single one takes more; a
+denoiser call is counted as _CALL_ROWS rows per sample (its input, its
+output and two temporaries).
 
 Soft thresholding has one entry point, ``soft_threshold_denoiser``; the
 exact SE reads its arithmetic (``_soft_threshold``) directly. Every
@@ -48,14 +49,15 @@ class Denoiser:
     """A non-linearity f: R^n -> R^n applied to the latest iterate, plus its
     divergence.
 
-    ``fn(x)`` maps the iterate x in R^n to an n-vector. It must also map a
-    stack of iterates, shape (..., n), to the stack (..., n) of their
-    images, each row exactly as ``fn`` maps that row alone: the Monte-Carlo
-    probe and the SE samplers call it once per block of samples. The
-    optional ``divergence_fn(x)`` returns the raw divergence sum at one
-    n-vector x (a scalar, not normalized by n). ``apply``, ``divergence``
-    and ``divergence_mc`` take one non-empty n-vector z; a stack of iterates,
-    a scalar or an empty array is refused by ``require_vector``, naming z.
+    Both maps take row stacks. ``fn(x)`` maps the iterate x in R^n to an
+    n-vector, and a stack of iterates, shape (..., n), to the stack
+    (..., n) of their images. The optional ``divergence_fn(x)`` maps the
+    stack to the (...) array of raw divergence sums (not normalized by n),
+    a scalar at one n-vector. Each row is mapped exactly as that row alone:
+    the Monte-Carlo probe and the SE samplers call each map once per block
+    of samples. ``apply``, ``divergence`` and ``divergence_mc`` still take
+    one non-empty n-vector z; a stack of iterates, a scalar or an empty
+    array is refused by ``require_vector``, naming z.
 
     Three optional fields declare a closed form of ``fn``; each holds
     exactly when set, and the fields are read-only, so a declaration cannot
@@ -75,7 +77,7 @@ class Denoiser:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    divergence_fn: Optional[Callable[[np.ndarray], float]] = None
+    divergence_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     offset: Optional[np.ndarray] = None
     threshold: Optional[float] = None
@@ -135,19 +137,15 @@ def _soft_threshold(x: np.ndarray, lmbda: float) -> np.ndarray:
     return x - np.clip(x, -lmbda, lmbda)
 
 
-def _count_above(x: np.ndarray, lmbda: float) -> float:
-    return float(np.count_nonzero(np.abs(np.asarray(x)) > lmbda))
-
-
 def soft_threshold_denoiser(lmbda: float) -> Denoiser:
     """Soft thresholding at lmbda, sign(x) * (|x| - lmbda)_+ coordinatewise,
     computed as x - clip(x, -lmbda, lmbda), with its counting divergence,
-    the number of coordinates with |x_i| > lmbda. lmbda is checked here
-    once and recorded as its ``threshold``."""
+    the number of coordinates of each row with |x_i| > lmbda. lmbda is
+    checked here once and recorded as its ``threshold``."""
     threshold = require_number(lmbda, "threshold", ParameterError, 0, np.inf)
     return Denoiser(
         fn=lambda x: _soft_threshold(x, lmbda),
-        divergence_fn=lambda x: _count_above(x, lmbda),
+        divergence_fn=lambda x: np.count_nonzero(np.abs(x) > lmbda, axis=-1),
         name=f"soft_threshold(lmbda={lmbda})",
         threshold=threshold,
     )
@@ -215,7 +213,7 @@ def local_average_denoiser(spec: LocalKernelSpec) -> Denoiser:
     const = local_average_divergence(spec)
     return Denoiser(
         fn=lambda x: vec(local_average_apply(mat(x, spec.M, spec.N), spec)),
-        divergence_fn=lambda x: const,
+        divergence_fn=lambda x: np.full(np.shape(x)[:-1], const),
         name=f"local_average(h={spec.h})",
     )
 
@@ -229,7 +227,9 @@ class SpectralSpec:
     """Soft-threshold the singular values at level threshold * sqrt(N).
 
     Specs compare and hash by identity, as ``Coloring`` does: the generated
-    ``==`` and ``hash`` fail on an ndarray ``shift``."""
+    ``==`` and ``hash`` fail on an ndarray ``shift``. The spec keeps a
+    read-only float64 copy of shift, so no later write to the caller's array
+    changes a denoiser built from it."""
 
     M: int
     N: int
@@ -240,9 +240,13 @@ class SpectralSpec:
         for name in ("M", "N"):
             require_count(getattr(self, name), name, DimensionError)
         require_number(self.threshold, "threshold", ParameterError, 0, np.inf)
-        if self.shift is not None and np.shape(self.shift) != (self.M, self.N):
-            raise DimensionError(
-                f"shift must be {self.M}x{self.N}, got shape {np.shape(self.shift)}")
+        if self.shift is None:
+            return
+        shift = np.array(self.shift, dtype=np.float64)
+        if shift.shape != (self.M, self.N):
+            raise DimensionError(f"shift must be {self.M}x{self.N}, got shape {shift.shape}")
+        shift.flags.writeable = False
+        object.__setattr__(self, "shift", shift)
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -272,10 +276,12 @@ def _svt_input(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     return out if spec.shift is None else out + spec.shift
 
 
-def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> float:
+def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     """Exact divergence of x -> vec(svt(mat(x) + shift)) (Candes, Sing-Long &
-    Trzasko 2013, arXiv:1210.4139). With s_1 >= ... >= s_k the singular
-    values of mat(x) + shift and g(s) = (s - lam)_+, lam = threshold sqrt(N):
+    Trzasko 2013, arXiv:1210.4139) at each row of the (..., M*N) stack x,
+    the (...) array of sums, from one batched SVD of singular values only.
+    With s_1 >= ... >= s_k the singular values of a row's mat(x) + shift
+    and g(s) = (s - lam)_+, lam = threshold sqrt(N):
 
         sum_i g'(s_i) + |M - N| sum_i g(s_i)/s_i
             + 2 sum_(i<j) (s_i g_i - s_j g_j) / (s_i^2 - s_j^2),
@@ -292,21 +298,21 @@ def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> float:
     g = np.maximum(s - lam, 0.0)
     active = (s > lam) | (lam == 0.0)
     ratio = np.divide(g, s, out=active.astype(np.float64), where=s > 0)
-    i, j = np.triu_indices(s.size, 1)
-    a, b = s[i], s[j]
-    pair = np.where(active[j], 1.0 - np.divide(lam, a + b, out=np.zeros(a.size),
-                                                 where=a + b > 0), 0.0)
-    one = active[i] & ~active[j]  # then s_i > lam >= s_j, so s_i > s_j
-    pair[one] = (a * g[i])[one] / ((a - b) * (a + b))[one]
-    return float(np.count_nonzero(active) + abs(spec.M - spec.N) * ratio.sum()
-                 + 2.0 * pair.sum())
+    i, j = np.triu_indices(s.shape[-1], 1)
+    a, b = s[..., i], s[..., j]
+    pair = np.where(active[..., j], 1.0 - np.divide(lam, a + b, out=np.zeros(a.shape),
+                                                      where=a + b > 0), 0.0)
+    one = active[..., i] & ~active[..., j]  # then s_i > lam >= s_j, so s_i > s_j
+    pair[one] = (a * g[..., i])[one] / ((a - b) * (a + b))[one]
+    return (np.count_nonzero(active, axis=-1) + abs(spec.M - spec.N) * ratio.sum(-1)
+            + 2.0 * pair.sum(-1))
 
 
 def svt_denoiser(spec: SpectralSpec) -> Denoiser:
     """Soft thresholding of the singular values of mat(x) + spec.shift, with
     the exact divergence ``svt_divergence``. ``apply`` and ``divergence``
     each take one SVD of the same matrix; the divergence needs only the
-    singular values."""
+    singular values, and takes a stack's in one batched SVD."""
     return Denoiser(
         fn=lambda x: vec(svt_apply(_svt_input(x, spec), spec)),
         divergence_fn=lambda x: svt_divergence(x, spec),
@@ -319,11 +325,13 @@ def svt_denoiser(spec: SpectralSpec) -> Denoiser:
 
 
 def identity_denoiser() -> Denoiser:
-    return Denoiser(fn=lambda x: x.copy(), divergence_fn=lambda x: x.size, name="identity")
+    return Denoiser(fn=lambda x: x.copy(), name="identity",
+                    divergence_fn=lambda x: np.full(x.shape[:-1], x.shape[-1]))
 
 
 def zero_denoiser() -> Denoiser:
-    return Denoiser(fn=np.zeros_like, divergence_fn=lambda x: 0.0, name="zero")
+    return Denoiser(fn=np.zeros_like, name="zero",
+                    divergence_fn=lambda x: np.zeros(np.shape(x)[:-1]))
 
 
 def _fits(z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -340,8 +348,8 @@ def residual_shift_denoiser(e: np.ndarray) -> Denoiser:
     declared as its ``offset`` e, a non-empty vector (``require_vector``).
     A z whose last axis is not of e's length is refused (``_fits``)."""
     e = require_vector(e, "e")
-    return Denoiser(fn=lambda x: _fits(x, e) + e, divergence_fn=lambda x: _fits(x, e).size,
-                    name="residual_shift", offset=e)
+    return Denoiser(fn=lambda x: _fits(x, e) + e, name="residual_shift", offset=e,
+                    divergence_fn=lambda x: np.full(_fits(x, e).shape[:-1], e.size))
 
 
 def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
@@ -352,7 +360,7 @@ def signal_residual_denoiser(theta_star: np.ndarray, eta: Denoiser) -> Denoiser:
     theta_star = require_vector(theta_star, "theta_star")
     div_fn = None
     if eta.divergence_fn is not None:
-        div_fn = lambda x: -eta.divergence(_fits(x, theta_star) + theta_star)
+        div_fn = lambda x: -eta.divergence_fn(_fits(x, theta_star) + theta_star)
     residual = None if eta.threshold is None else (theta_star, eta.threshold)
     return Denoiser(fn=lambda x: theta_star - eta.fn(_fits(x, theta_star) + theta_star),
                     divergence_fn=div_fn, name=f"signal_residual({eta.name})",

@@ -44,7 +44,8 @@ by construction.
 The normals are stored in float64, one (samples, steps, rows) block per
 path set that lives for one solve and takes samples * steps * rows * 8
 bytes. Iteration t colours the paths a block at a time and maps each row of
-the block with one denoiser call. A path of the block holds t + 4 float64
+the block with one denoiser call, and takes the block's divergences with one
+``divergence_fn`` call. A path of the block holds t + 4 float64
 rows: its colouring and one denoiser call's rows
 (``denoisers._CALL_ROWS``); a block holds at most 1 MiB of them
 (``denoisers._BLOCK_BYTES``), or one path where a single one takes more.
@@ -312,7 +313,7 @@ def require_length(seq: Sequence, T: int, what: str = "denoisers", fewer: int = 
 def require_divergence(seq: Sequence[Denoiser], what: str) -> None:
     """ParameterError naming what[i] for the first denoiser of seq that has no
     divergence formula: the solvers and the runner that take their Onsager
-    terms from ``Denoiser.divergence`` check every denoiser they will read
+    terms from the formula check every denoiser they will read
     before any draw or matvec."""
     for i, den in enumerate(seq):
         if den.divergence_fn is None:
@@ -397,7 +398,7 @@ class _Side:
                 raise DimensionError(f"{what}[{i}] declares a {family} vector of shape "
                                      f"{np.shape(vector)}; its side has {rows} rows")
             families.add(family)
-        self.seq, self.rows, self.denom = seq, rows, denom
+        self.seq, self.rows, self.denom, self.what = seq, rows, denom, what
         self.stream, self.mc_samples = stream, mc_samples
         self.family = families.pop() if len(families) == 1 else "sampled"
         if self.family == "offset":
@@ -436,9 +437,10 @@ class _Side:
         paths[k]. L's rows nest as cov does, so rows 1..t-1 of Z repeat the
         path that every earlier t coloured from the same normals. Paths are
         coloured a block at a time, and each f_r maps row r of the whole
-        block in one call; the divergence is taken per path by
-        ``Denoiser.divergence``. Appends name to jittered when cov needs the
-        Cholesky jitter."""
+        block in one call; the divergences are one ``divergence_fn`` call per
+        block, which must give one value per path, else ParameterError naming
+        what[t-1]. Appends name to jittered when cov needs the Cholesky
+        jitter."""
         t = cov.shape[0]
         if self.family == "residual":
             return self._residual_column(lead, cov)
@@ -451,8 +453,8 @@ class _Side:
         chol = _chol_factor(cov, name, jittered)
         f_t, denom, paths = self.seq[t - 1], self.denom, self.paths
         off = 0 if lead is None else 1
-        terms = np.empty((self.mc_samples, t + off))  # per-path terms of col / denom
-        divs = np.empty(self.mc_samples)
+        # per-path terms of col / denom, then of the divergence term
+        terms = np.empty((self.mc_samples, t + off + 1))
         step = _block_rows(8 * self.rows * (t + _CALL_ROWS))
         for start in range(0, self.mc_samples, step):
             block = slice(start, start + step)
@@ -464,10 +466,14 @@ class _Side:
                 terms[block, off + r - 1] = np.vecdot(self.seq[r - 1].fn(z[:, r - 1]),
                                                       ft_val) / denom
             terms[block, off + t - 1] = np.vecdot(ft_val, ft_val) / denom
-            divs[block] = [f_t.divergence(row) / denom for row in z[:, t - 1]]
+            div = np.asarray(f_t.divergence_fn(z[:, t - 1]))
+            if div.shape != (len(z),):
+                raise ParameterError(f"{self.what}[{t - 1}] divergence_fn gave shape "
+                                     f"{div.shape} for {len(z)} paths, not one value per path")
+            terms[block, -1] = div / denom
         # np.cumsum adds the terms one path at a time, in path order
-        return (np.cumsum(terms, axis=0)[-1] / self.mc_samples,
-                float(np.cumsum(divs)[-1]) / self.mc_samples)
+        sums = np.cumsum(terms, axis=0)[-1] / self.mc_samples
+        return sums[:-1], float(sums[-1])
 
     def _residual_column(self, lead: Optional[np.ndarray],
                          cov: np.ndarray) -> Tuple[np.ndarray, float]:

@@ -74,8 +74,7 @@ def test_missing_coefficient_raises():
     ({}, {1: 0.2, 2: 0.3}, r"b\[2\]"),
 ])
 def test_asymmetric_missing_coefficient_is_named(b, a, missing):
-    prob = _rect_problem(35, 12, 9, 2)
-    prob.onsager = OnsagerSchedule(b=b, a=a)
+    prob = replace(_rect_problem(35, 12, 9, 2), onsager=OnsagerSchedule(b=b, a=a))
     with pytest.raises(ScheduleError, match=missing):
         run_asymmetric_amp(prob, 2)
 
@@ -414,6 +413,37 @@ def test_a_sensing_problem_is_frozen_and_keeps_read_only_copies():
     assert np.array_equal(run_sensing_amp(p, w, 1).r[:, 0], w @ np.ones(5) + 1.0)
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_recursion_problem_is_frozen_and_keeps_a_read_only_u1(symmetric):
+    u1, f_seq = np.ones(4), [identity_denoiser()]
+    if symmetric:
+        W = np.eye(4)
+        p = SymmetricAmpProblem(W=W, u1=u1, f_seq=f_seq, onsager=OnsagerSchedule())
+    else:
+        W = np.ones((3, 4))
+        p = RectAmpProblem(W=W, u1=u1, f_seq=f_seq, g_seq=[zero_denoiser()],
+                           onsager=OnsagerSchedule(a={1: 0.0}))
+    # a W assigned after the build would skip its shape check
+    with pytest.raises(FrozenInstanceError):
+        p.W = np.ones((3, 3))
+    with pytest.raises(FrozenInstanceError):
+        p.f_seq = []
+    u1[0] = 7.0
+    f_seq.append(zero_denoiser())
+    assert np.array_equal(p.u1, np.ones(4)) and p.f_seq == (f_seq[0],)
+    with pytest.raises(ValueError, match="read-only"):
+        p.u1[0] = 7.0
+    if not symmetric:
+        assert p.g_seq[0].name == "zero" and isinstance(p.g_seq, tuple)
+    # W is kept as given, not copied: the run reads the caller's matrix
+    assert p.W is W
+    run = run_symmetric_amp(p, 1) if symmetric else run_asymmetric_amp(p, 1)
+    assert np.array_equal(run.z[:, 0], W @ np.ones(4))
+    # replace builds a new problem through the same checks
+    with pytest.raises(DimensionError):
+        replace(p, W=np.ones((3, 3)))
+
+
 def test_a_run_refuses_a_W_of_the_wrong_shape_before_any_matvec(monkeypatch):
     m, n = 8, 5
 
@@ -475,14 +505,14 @@ def test_symmetric_short_f_seq_raises_schedule_error():
 def test_asymmetric_short_g_seq_raises_schedule_error():
     # T - 1 g-denoisers were once accepted, and u_(T+1) was never computed
     prob = _rect_problem(32, 12, 9, 3)
-    prob.g_seq = prob.g_seq[:2]
+    prob = replace(prob, g_seq=prob.g_seq[:2])
     with pytest.raises(ScheduleError, match="need 3 g-denoisers for T=3, got 2"):
         run_asymmetric_amp(prob, 3)
 
 
 def test_asymmetric_short_f_seq_raises_schedule_error():
     prob = _rect_problem(33, 12, 9, 3)
-    prob.f_seq = prob.f_seq[:2]
+    prob = replace(prob, f_seq=prob.f_seq[:2])
     with pytest.raises(ScheduleError, match="need 3 f-denoisers for T=3, got 2"):
         run_asymmetric_amp(prob, 3)
 

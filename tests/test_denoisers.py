@@ -369,6 +369,19 @@ def test_spectral_spec_rejects_a_mismatched_shift():
     assert SpectralSpec(5, 4, 0.5, shift=np.ones((5, 4))).shift.shape == (5, 4)
 
 
+def test_a_spectral_spec_keeps_a_read_only_float64_copy_of_its_shift():
+    shift = np.ones((2, 3), dtype=np.int64)
+    spec = SpectralSpec(2, 3, 0.5, shift=shift)
+    den = svt_denoiser(spec)
+    x = RngStream(43).generator().standard_normal(6)
+    want = den.apply(x), den.divergence(x)
+    shift[0, 0] = 7
+    assert spec.shift.dtype == np.float64 and np.array_equal(spec.shift, np.ones((2, 3)))
+    assert np.array_equal(den.apply(x), want[0]) and den.divergence(x) == want[1]
+    with pytest.raises(ValueError, match="read-only"):
+        spec.shift[0, 0] = 7.0
+
+
 def test_shifted_spectral_spec_hashes_and_goes_into_a_set():
     shift = np.ones((2, 2))
     a, b = SpectralSpec(2, 2, 0.5, shift=shift), SpectralSpec(2, 2, 0.5, shift=shift)
@@ -507,6 +520,50 @@ def test_fn_maps_a_stack_of_rows_as_apply_maps_each_row(case):
     k, n = stack.shape
     out = den.fn(stack.reshape(2, k // 2, n))
     assert np.array_equal(out, rows.reshape(2, k // 2, n), equal_nan=True)
+
+
+def _divergence_cases():
+    """name -> (denoiser, (3, 4, n) stack of inputs)."""
+    gen = RngStream(41).generator()
+    theta, e = gen.standard_normal(20), gen.standard_normal(20)
+    shift = gen.standard_normal((5, 6))
+    soft = gen.standard_normal((3, 4, 12))
+    soft[0, 0] = np.resize([0.5, -0.5, 0.0, -0.0, np.inf, -np.inf], 12)
+    # a repeated singular value, 3, and two zero ones, of a rank-3 5 x 5 matrix
+    tie = gen.standard_normal((3, 4, 25))
+    tie[1, 2] = vec(_matrix_with_singular_values(5, 5, [3.0, 3.0, 1.2], seed=42))
+    cases = {f"soft_threshold_{lam}": (soft_threshold_denoiser(lam), soft)
+             for lam in (0.0, 0.5, np.inf)}
+    return cases | {
+        "local_average_h0": (local_average_denoiser(LocalKernelSpec(3, 5, 0)),
+                             gen.standard_normal((3, 4, 15))),
+        "local_average_h2": (local_average_denoiser(LocalKernelSpec(4, 6, 2)),
+                             gen.standard_normal((3, 4, 24))),
+        "svt_square": (svt_denoiser(SpectralSpec(5, 5, 0.3)), gen.standard_normal((3, 4, 25))),
+        "svt_wide": (svt_denoiser(SpectralSpec(4, 7, 0.3)), gen.standard_normal((3, 4, 28))),
+        "svt_tall": (svt_denoiser(SpectralSpec(7, 4, 0.3)), gen.standard_normal((3, 4, 28))),
+        "svt_shift": (svt_denoiser(SpectralSpec(5, 6, 0.2, shift=shift)),
+                      gen.standard_normal((3, 4, 30))),
+        "svt_threshold_zero": (svt_denoiser(SpectralSpec(5, 5, 0.0)),
+                               gen.standard_normal((3, 4, 25))),
+        "svt_tie_and_zero": (svt_denoiser(SpectralSpec(5, 5, 0.2)), tie),
+        "residual_shift": (residual_shift_denoiser(e), gen.standard_normal((3, 4, 20))),
+        "signal_residual": (signal_residual_denoiser(theta, soft_threshold_denoiser(0.5)),
+                            gen.standard_normal((3, 4, 20))),
+        "identity": (identity_denoiser(), gen.standard_normal((3, 4, 20))),
+        "zero": (zero_denoiser(), gen.standard_normal((3, 4, 20))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_divergence_cases()))
+def test_divergence_fn_maps_a_stack_of_rows_as_divergence_takes_each_row(case):
+    den, stack = _divergence_cases()[case]
+    out = den.divergence_fn(stack)
+    assert out.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            one = den.divergence(stack[i, j])
+            assert type(one) is float and out[i, j] == one
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 4])

@@ -261,6 +261,37 @@ def test_se_column_equals_a_path_by_path_loop(monkeypatch, block_rows):
     assert div == want_div / samples
 
 
+@pytest.mark.parametrize("block_rows, blocks", [(None, [11]), (4, [4, 4, 3])])
+def test_a_sampled_side_takes_one_divergence_call_per_block(monkeypatch, block_rows, blocks):
+    # every divergence_fn call maps a whole block of paths, never one path
+    n, T = 30, 4
+    calls = []
+    soft = soft_threshold_denoiser(0.4)
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return soft.divergence_fn(x)
+
+    f = Denoiser(fn=soft.fn, divergence_fn=counted, name="counted")
+    if block_rows is not None:
+        monkeypatch.setattr(state_evolution, "_block_rows", lambda row_bytes: block_rows)
+    _, sched = se_symmetric([f] * (T - 1), np.ones(n), T, mc_samples=11, rng=RngStream(9))
+    assert calls == [(k, n) for k in blocks] * (T - 1)
+    _, want = se_symmetric([soft] * (T - 1), np.ones(n), T, mc_samples=11, rng=RngStream(9))
+    assert sched.b == want.b
+
+
+def test_a_divergence_that_is_not_one_value_per_path_is_refused():
+    n = 12
+    bad = Denoiser(fn=lambda x: x.copy(), divergence_fn=lambda x: float(x.size), name="bad")
+    with pytest.raises(ParameterError, match=r"f_seq\[0\] divergence_fn gave shape \(\)"):
+        se_symmetric([bad] * 2, np.ones(n), 3, mc_samples=5, rng=RngStream(1))
+    e = np.ones(n)
+    with pytest.raises(ParameterError, match=r"g_seq\[0\] divergence_fn gave shape \(\)"):
+        se_asymmetric([residual_shift_denoiser(e)] * 2, [bad] * 2, np.ones(n), 2, n,
+                      mc_samples=5, rng=RngStream(1))
+
+
 def test_asymmetric_zero_denoisers():
     m, n = 40, 30
     cov, _ = se_asymmetric([zero_denoiser()] * 2, [zero_denoiser()] * 2,
