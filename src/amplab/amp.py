@@ -21,10 +21,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .denoisers import Denoiser
-from .exceptions import DimensionError, ParameterError, require_count, require_vector
+from .exceptions import (DimensionError, ParameterError, require_count, require_divergence,
+                         require_length, require_vector)
 from .rng import RngStream
-from .state_evolution import (OnsagerSchedule, SensingProblem, require_divergence,
-                              require_length)
+from .state_evolution import OnsagerSchedule, SensingProblem
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +35,9 @@ from .state_evolution import (OnsagerSchedule, SensingProblem, require_divergenc
 class SymmetricAmpProblem:
     """The symmetric recursion's inputs, checked once when built: W must be
     n x n for the non-empty vector u1 (``require_vector``). The problem is
-    frozen: it keeps a read-only copy of u1 and f_seq as a tuple, so no
-    field can change after the checks; ``dataclasses.replace`` builds a
-    checked variant. W is kept as given (``np.asarray``, no copy), so a run
-    reads the caller's W."""
+    frozen, with f_seq as a tuple, so no field can change after the checks;
+    ``dataclasses.replace`` builds a checked variant. W is kept as given
+    (``np.asarray``, no copy), so a run reads the caller's W."""
 
     W: np.ndarray
     u1: np.ndarray
@@ -47,9 +46,7 @@ class SymmetricAmpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
-        u1 = require_vector(self.u1, "u1").copy()
-        u1.flags.writeable = False
-        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "u1", require_vector(self.u1, "u1"))
         object.__setattr__(self, "f_seq", tuple(self.f_seq))
         n = self.u1.size
         if self.W.shape != (n, n):
@@ -71,9 +68,7 @@ class RectAmpProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
-        u1 = require_vector(self.u1, "u1").copy()
-        u1.flags.writeable = False
-        object.__setattr__(self, "u1", u1)
+        object.__setattr__(self, "u1", require_vector(self.u1, "u1"))
         for name in ("f_seq", "g_seq"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.W.ndim != 2 or self.W.shape[1] != self.u1.size:

@@ -5,7 +5,7 @@ Each denoiser maps the latest iterate z in R^n to an n-vector, and may
 declare a formula for its divergence, one scalar. The Monte-Carlo probe
 (1/eps) xi^T (f(z + eps xi) - f(z)) runs only when a caller asks for it
 (``Denoiser.divergence_mc``); a caller that needs the formula refuses a
-denoiser without one (``state_evolution.require_divergence``).
+denoiser without one (``exceptions.require_divergence``).
 
 A denoiser's map and its divergence formula also take a stack of iterates,
 one per row, so the Monte-Carlo loops here and in ``state_evolution`` call
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .exceptions import (DimensionError, NumericError, ParameterError, is_integer,
+from .exceptions import (DimensionError, NumericError, ParameterError, _owned, is_integer,
                          require_count, require_number, require_vector)
 from .rng import RngStream
 from .vecmat import mat, vec
@@ -57,11 +57,16 @@ class Denoiser:
     the Monte-Carlo probe and the SE samplers call each map once per block
     of samples. ``apply``, ``divergence`` and ``divergence_mc`` still take
     one non-empty n-vector z; a stack of iterates, a scalar or an empty
-    array is refused by ``require_vector``, naming z.
+    array is refused by ``require_vector``, naming z. They pass ``fn`` and
+    ``divergence_fn`` the read-only copy of z that ``require_vector`` makes,
+    so a custom ``fn`` that writes to its input raises ValueError instead of
+    changing the caller's array (a runner's trace column).
 
     Three optional fields declare a closed form of ``fn``; each holds
-    exactly when set, and the fields are read-only, so a declaration cannot
-    drift from its map:
+    exactly when set. The fields are read-only, and the library builders
+    keep read-only copies of the declared vectors (``require_vector``), so a
+    declaration cannot drift from its map, not even by a later write to the
+    caller's array:
 
     - ``offset`` c: ``fn(z) = z + c``;
     - ``threshold`` lmbda: ``fn`` is soft thresholding at lmbda;
@@ -228,8 +233,8 @@ class SpectralSpec:
 
     Specs compare and hash by identity, as ``Coloring`` does: the generated
     ``==`` and ``hash`` fail on an ndarray ``shift``. The spec keeps a
-    read-only float64 copy of shift, so no later write to the caller's array
-    changes a denoiser built from it."""
+    read-only float64 copy of shift (``exceptions._owned``), so no later
+    write to the caller's array changes a denoiser built from it."""
 
     M: int
     N: int
@@ -242,11 +247,9 @@ class SpectralSpec:
         require_number(self.threshold, "threshold", ParameterError, 0, np.inf)
         if self.shift is None:
             return
-        shift = np.array(self.shift, dtype=np.float64)
-        if shift.shape != (self.M, self.N):
-            raise DimensionError(f"shift must be {self.M}x{self.N}, got shape {shift.shape}")
-        shift.flags.writeable = False
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", _owned(self.shift))
+        if self.shift.shape != (self.M, self.N):
+            raise DimensionError(f"shift must be {self.M}x{self.N}, got shape {self.shift.shape}")
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:

@@ -1,13 +1,22 @@
-"""Exception types shared across the package, and the three input rules
+"""Exception types shared across the package, and the five input rules
 every layer imports from here, so each entry point checks its input up front
 and names the field: ``require_count`` for a count or a size,
 ``require_number`` for a real-valued parameter (a threshold, a noise level, a
-density), ``require_vector`` for a vector. The first two raise
-error(message), where error is an exception type or any callable that makes
-the exception from the message, as the config's ConfigError naming its key."""
+density), ``require_vector`` for a vector, ``require_length`` for the
+denoisers or schedule entries a run of T iterations reads, and
+``require_divergence`` for the divergence formulas a caller takes its Onsager
+terms from. The first two raise error(message), where error is an exception
+type or any callable that makes the exception from the message, as the
+config's ConfigError naming its key.
+
+The vector rule owns what it checks: it hands back a read-only float64 copy
+(``_owned``), so no later write to the caller's array, or through the copy,
+can change a value after its checks. Every constructor that keeps an array
+builds it by the same step.
+"""
 
 from numbers import Integral, Real
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,10 +92,37 @@ def require_number(value, name: str, error: Callable, low=None, high=None) -> fl
     return float(value)
 
 
+def _owned(x) -> np.ndarray:
+    """A read-only float64 copy of x."""
+    x = np.array(x, dtype=np.float64)
+    x.flags.writeable = False
+    return x
+
+
 def require_vector(x, name: str) -> np.ndarray:
-    """x as a float64 vector; DimensionError naming name unless it is 1-D and
-    non-empty: a matrix or stack of vectors, a scalar or an empty array."""
-    x = np.asarray(x, dtype=np.float64)
+    """x as a read-only float64 copy (``_owned``); DimensionError naming name
+    unless it is 1-D and non-empty: a matrix or stack of vectors, a scalar or
+    an empty array."""
+    x = _owned(x)
     if x.ndim != 1 or x.size == 0:
         raise DimensionError(f"{name} must be a non-empty vector, got shape {x.shape}")
     return x
+
+
+def require_length(seq: Sequence, T: int, what: str = "denoisers", fewer: int = 0) -> None:
+    """ParameterError unless T is a count (``require_count``), checked before
+    any arithmetic on it; ScheduleError naming the needed count when seq holds
+    fewer than T - fewer entries, the count a run of T iterations reads."""
+    count = require_count(T, "T", ParameterError) - fewer
+    if len(seq) < count:
+        raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
+
+
+def require_divergence(seq: Sequence, what: str) -> None:
+    """ParameterError naming what[i] for the first denoiser of seq that has no
+    divergence formula: the solvers and the runner that take their Onsager
+    terms from the formula check every denoiser they will read
+    before any draw or matvec."""
+    for i, den in enumerate(seq):
+        if den.divergence_fn is None:
+            raise ParameterError(f"{what}[{i}] has no divergence formula")

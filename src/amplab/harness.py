@@ -52,8 +52,13 @@ _STREAM_ONSAGER = 5
 _STREAM_MATRIX = 100  # + ensemble index
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when built (``validate_config``).
+    The config is frozen, so no field can be reassigned past the checks;
+    ``dataclasses.replace`` builds a checked variant. seeds and ensembles
+    stay lists, whose contents can still be edited in place."""
+
     experiment: str = ""
     seeds: List[int] = field(default_factory=list)
     M: int = 0
@@ -117,10 +122,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         elif f.type == "Optional[str]" and not isinstance(value, (str, type(None))):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
         if f.type in ("int", "float"):  # stored plain: json writes no np.int64 or np.float32
-            setattr(cfg, f.name, int(value) if f.type == "int" else float(value))
+            object.__setattr__(cfg, f.name, int(value) if f.type == "int" else float(value))
     if not isinstance(cfg.seeds, list) or not all(map(is_integer, cfg.seeds)):
         raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
-    cfg.seeds = [int(seed) for seed in cfg.seeds]
+    object.__setattr__(cfg, "seeds", [int(seed) for seed in cfg.seeds])
     if not isinstance(cfg.ensembles, list):
         raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
     # a repeated entry would run its cells twice and count them as replicates

@@ -78,7 +78,7 @@ import numpy as np
 
 from .denoisers import _CALL_ROWS, Denoiser, _block_rows, _soft_threshold
 from .exceptions import (DimensionError, NumericError, ParameterError, ScheduleError,
-                         require_count, require_vector)
+                         require_count, require_divergence, require_length, require_vector)
 from .gaussian import norm_cdf, norm_pdf, ramp_pair
 from .rng import RngStream
 
@@ -172,13 +172,12 @@ class Coloring:
 
     ``Coloring(basis, kappa)`` is the one constructor, and it checks its
     input: ParameterError unless basis is a ``SignedDCT`` and kappa finite,
-    DimensionError unless kappa is a vector of basis's length. It keeps a
-    read-only copy of kappa, so ``cond`` cannot go stale. ``Coloring()``
-    is the identity colouring: no basis, condition number 1, and ``apply``
-    and ``solve`` return their argument itself, so an uncoloured run does the
-    arithmetic it would do with no K at all. ``SensingProblem`` is where K
-    is checked against n, and where anything but a Coloring or None is
-    refused.
+    DimensionError unless kappa is a vector (``require_vector``) of basis's
+    length. ``Coloring()`` is the identity colouring: no basis, condition
+    number 1, and ``apply`` and ``solve`` return their argument itself, so
+    an uncoloured run does the arithmetic it would do with no K at all.
+    ``SensingProblem`` is where K is checked against n, and where anything
+    but a Coloring or None is refused.
 
     A numerically singular K is accepted here and refused by ``solve``, so
     the error surfaces in the solver that needs the backprojection.
@@ -194,14 +193,12 @@ class Coloring:
             return
         if not isinstance(self.basis, SignedDCT):
             raise ParameterError(f"basis must be a SignedDCT, got {type(self.basis).__name__}")
-        kappa = np.array(self.kappa, dtype=np.float64)  # a copy, so cond stays kappa's
-        kappa.flags.writeable = False
-        if kappa.shape != (self.basis.n,):
+        object.__setattr__(self, "kappa", require_vector(self.kappa, "kappa"))
+        if self.kappa.size != self.basis.n:
             raise DimensionError(f"kappa must be a vector of length {self.basis.n}")
-        if not np.all(np.isfinite(kappa)):
+        if not np.all(np.isfinite(self.kappa)):
             raise ParameterError("kappa must be finite")
-        low, high = np.min(np.abs(kappa)), np.max(np.abs(kappa))
-        object.__setattr__(self, "kappa", kappa)
+        low, high = np.min(np.abs(self.kappa)), np.max(np.abs(self.kappa))
         object.__setattr__(self, "cond", float(high / low) if low > 0 else np.inf)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -234,9 +231,9 @@ class SensingProblem:
     ``Coloring(basis, kappa)``; None stands for the identity colouring,
     ``Coloring()``, which hands every vector back unchanged. Anything else,
     an ndarray too, or a Coloring of another size raises DimensionError
-    naming K. The problem is frozen: it keeps read-only copies of theta_star
-    and e and eta_seq as a tuple, so no field or caller's array can change it
-    after the checks; ``dataclasses.replace`` builds a checked variant.
+    naming K. The problem is frozen, with eta_seq as a tuple, so no field
+    can change after the checks; ``dataclasses.replace`` builds a checked
+    variant.
     """
 
     theta_star: np.ndarray
@@ -246,9 +243,7 @@ class SensingProblem:
 
     def __post_init__(self):
         for name in ("theta_star", "e"):
-            v = require_vector(getattr(self, name), name).copy()
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, require_vector(getattr(self, name), name))
         object.__setattr__(self, "eta_seq", tuple(self.eta_seq))
         K, n = self.K, self.theta_star.size
         if K is None:
@@ -299,25 +294,6 @@ class SECovarianceSequence:
                     )
                 if t > 1 and not np.array_equal(seq[t - 2], cov[: t - 1, : t - 1]):
                     raise NumericError(f"{name}_{t} does not nest {name}_{t-1}")
-
-
-def require_length(seq: Sequence, T: int, what: str = "denoisers", fewer: int = 0) -> None:
-    """ParameterError unless T is a count (``require_count``), checked before
-    any arithmetic on it; ScheduleError naming the needed count when seq holds
-    fewer than T - fewer entries, the count a run of T iterations reads."""
-    count = require_count(T, "T", ParameterError) - fewer
-    if len(seq) < count:
-        raise ScheduleError(f"need {count} {what} for T={T}, got {len(seq)}")
-
-
-def require_divergence(seq: Sequence[Denoiser], what: str) -> None:
-    """ParameterError naming what[i] for the first denoiser of seq that has no
-    divergence formula: the solvers and the runner that take their Onsager
-    terms from the formula check every denoiser they will read
-    before any draw or matvec."""
-    for i, den in enumerate(seq):
-        if den.divergence_fn is None:
-            raise ParameterError(f"{what}[{i}] has no divergence formula")
 
 
 def _chol_factor(cov: np.ndarray, name: str, jittered: List[str]) -> np.ndarray:

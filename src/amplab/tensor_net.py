@@ -32,7 +32,7 @@ import numpy as np
 
 from .ensembles import CUMULANT_ORDER, ENTRY_CUMULANTS, _draw_entries
 from .exceptions import (BudgetError, DimensionError, NumericError, ParameterError, SpecError,
-                         is_integer, require_count)
+                         _owned, is_integer, require_count)
 from .rng import RngStream
 from .vecmat import split_index
 
@@ -71,9 +71,11 @@ class DenseTensor:
         alternating tensor's order, M and N are counts (``require_count``); a
         dense tensor's values are a non-empty array of equal sides, any stated
         order their ndim; a diagonal's order is a count and its values a
-        non-empty vector. Values of None are refused at every order, others kept as float64."""
+        non-empty vector. Values of None are refused at every order, others kept
+        as a read-only float64 copy (``exceptions._owned``), which ``to_dense``
+        of a dense tensor returns."""
         if self.values is not None:
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+            object.__setattr__(self, "values", _owned(self.values))
         if self.kind == "alternating":
             for name in ("order", "M", "N"):
                 require_count(getattr(self, name), name, DimensionError)
@@ -152,7 +154,7 @@ class DenseTensor:
 # Ordered multigraphs and labelings
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderedMultigraph:
     """Undirected multigraph, no self-loops or isolated vertices, with a
     declared ordering of the edges incident to each vertex; an incidence of
@@ -161,23 +163,26 @@ class OrderedMultigraph:
     Construction checks the graph: DimensionError unless num_vertices is a
     count (``require_count``), SpecError on a self-loop, an edge to a missing
     vertex, an isolated vertex, or an incidence that does not list every edge
-    at both of its ends and nowhere else."""
+    at both of its ends and nowhere else. The graph is frozen, so no field
+    can be reassigned past the checks; edges and incidence stay lists, whose
+    contents can still be edited in place."""
 
     num_vertices: int
     edges: List[Tuple[int, int]]
     incidence: Optional[List[List[int]]] = None
 
     def __post_init__(self):
-        self.num_vertices = require_count(self.num_vertices, "num_vertices", DimensionError)
-        self.edges = [tuple(e) for e in self.edges]
+        object.__setattr__(self, "num_vertices",
+                           require_count(self.num_vertices, "num_vertices", DimensionError))
+        object.__setattr__(self, "edges", [tuple(e) for e in self.edges])
         for eid, (a, b) in enumerate(self.edges):
             if a == b:
                 raise SpecError(f"edge {eid} is a self-loop")
             if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise SpecError(f"edge {eid} references a missing vertex")
         if self.incidence is None:
-            self.incidence = [[eid for eid, edge in enumerate(self.edges) if v in edge]
-                              for v in range(self.num_vertices)]
+            object.__setattr__(self, "incidence", [[i for i, e in enumerate(self.edges) if v in e]
+                                                   for v in range(self.num_vertices)])
         if len(self.incidence) != self.num_vertices:
             raise SpecError("incidence list length must equal vertex count")
         counts = [0] * len(self.edges)
@@ -478,10 +483,12 @@ def wick_expectation_mc(
 # Bounded composition queries
 
 
-@dataclass
+@dataclass(frozen=True)
 class BcpQuery:
     """Index pattern of a composition sum: m tensors of the given orders whose
-    slots are mapped onto ell shared indices by the surjection pi."""
+    slots are mapped onto ell shared indices by the surjection pi. The query
+    is frozen, so no field can be reassigned past the checks; orders and pi
+    stay lists, whose contents can still be edited in place."""
 
     orders: List[int]
     ell: int

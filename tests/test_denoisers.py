@@ -583,3 +583,22 @@ def test_blocked_mc_divergence_equals_a_probe_by_probe_loop(monkeypatch, case, b
         samples.append(xi @ (den.apply(x + eps * xi) - fx) / eps)
     want = (float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(reps)))
     assert mc_divergence(den.fn, x, reps=reps, rng=RngStream(3)) == want
+
+
+def _write_first(x):
+    x[..., 0] = 9.0
+    return x
+
+
+@pytest.mark.parametrize("method", [
+    lambda z: Denoiser(fn=_write_first).apply(z),
+    lambda z: Denoiser(fn=np.tanh, divergence_fn=_write_first).divergence(z),
+    lambda z: Denoiser(fn=_write_first).divergence_mc(z, reps=2),
+], ids=["apply", "divergence", "divergence_mc"])
+def test_a_denoiser_hands_its_maps_a_read_only_copy_of_z(method):
+    # a map that wrote to its input once changed the caller's z, in a runner
+    # the trace column the iterate was read from
+    z = np.arange(3.0)
+    with pytest.raises(ValueError, match="read-only"):
+        method(z)
+    assert np.array_equal(z, [0.0, 1.0, 2.0])

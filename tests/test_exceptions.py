@@ -20,11 +20,11 @@ from amplab.denoisers import (
 )
 from amplab.ensembles import EnsembleSpec, SignalSpec, sample_haar_orthogonal, sample_noise
 from amplab.exceptions import (ConfigError, DimensionError, ParameterError, SpecError,
-                               require_count, require_number, require_vector)
+                               require_count, require_length, require_number, require_vector)
 from amplab.harness import config_from_dict
 from amplab.rng import RngStream
-from amplab.state_evolution import (OnsagerSchedule, require_length, se_asymmetric,
-                                    se_scalar_sensing, se_symmetric)
+from amplab.state_evolution import (OnsagerSchedule, se_asymmetric, se_scalar_sensing,
+                                    se_symmetric)
 from amplab.tensor_net import BcpQuery, DenseTensor, OrderedMultigraph, wick_expectation_mc
 
 _SOFT = soft_threshold_denoiser(0.5)
@@ -231,4 +231,7 @@ def test_require_vector_returns_a_float64_vector():
     got = require_vector([1, 2, 3], "v")
     assert got.dtype == np.float64 and np.array_equal(got, [1.0, 2.0, 3.0])
     x = np.arange(3.0)
-    assert require_vector(x, "v") is x
+    got = require_vector(x, "v")
+    assert got is not x and not got.flags.writeable
+    x[0] = 7.0
+    assert np.array_equal(got, [0.0, 1.0, 2.0])
