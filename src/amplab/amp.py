@@ -4,7 +4,7 @@ runner takes the model without W, a ``state_evolution.SensingProblem``
 checked when it was built, and the matrix W it runs on, so one problem runs
 on many matrices. It applies and inverts K only through the problem's
 ``state_evolution.Coloring``, K = O diag(kappa) O^T on a signed, permuted
-DCT basis O, or the identity colouring when no K is given; an ndarray K is
+Hartley basis O, or the identity colouring when no K is given; an ndarray K is
 refused when the problem is built.
 
 Denoisers read only the latest iterate, so each iteration subtracts one

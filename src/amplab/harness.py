@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from .ensembles import (
 )
 from .exceptions import ConfigError, ParameterError, is_integer, require_count, require_number
 from .rng import RngStream
-from .state_evolution import Coloring, SignedDCT, se_scalar_sensing
+from .state_evolution import Coloring, SignedHartley, se_scalar_sensing
 from .vecmat import mat
 
 # sensing experiment -> pipeline kind
@@ -57,16 +57,16 @@ class ExperimentConfig:
     """One experiment's settings, checked when built (``validate_config``).
     The config is frozen, so no field can be reassigned past the checks;
     ``dataclasses.replace`` builds a checked variant. seeds and ensembles
-    stay lists, whose contents can still be edited in place."""
+    may be given as lists and are stored as tuples."""
 
     experiment: str = ""
-    seeds: List[int] = field(default_factory=list)
+    seeds: Sequence[int] = ()
     M: int = 0
     N: int = 0
     m: int = 0
     n: int = 0
     iterations: int = 4
-    ensembles: List[str] = field(default_factory=lambda: ["gaussian", "rademacher"])
+    ensembles: Sequence[str] = ("gaussian", "rademacher")
     bandwidth: int = 1
     threshold: float = 0.5
     signal_rank: int = 4
@@ -104,7 +104,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     are checked by ``require_count``; float fields, bandwidth and a spectral
     signal_rank by ``require_number``. Each accepted int or float field, and
     each seed, is stored back as a plain Python int or float, so a numpy
-    scalar in the config cannot reach the JSON summary."""
+    scalar in the config cannot reach the JSON summary; seeds and ensembles,
+    each a list or a tuple, are stored as tuples."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     kind = _KIND_OF.get(cfg.experiment)
@@ -123,11 +124,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f.name, f"must be a string, got {value!r}")
         if f.type in ("int", "float"):  # stored plain: json writes no np.int64 or np.float32
             object.__setattr__(cfg, f.name, int(value) if f.type == "int" else float(value))
-    if not isinstance(cfg.seeds, list) or not all(map(is_integer, cfg.seeds)):
-        raise ConfigError("seeds", f"must be a list of integers, got {cfg.seeds!r}")
-    object.__setattr__(cfg, "seeds", [int(seed) for seed in cfg.seeds])
-    if not isinstance(cfg.ensembles, list):
-        raise ConfigError("ensembles", f"must be a list, got {cfg.ensembles!r}")
+    if not isinstance(cfg.seeds, (list, tuple)) or not all(map(is_integer, cfg.seeds)):
+        raise ConfigError("seeds", f"must be a list or tuple of integers, got {cfg.seeds!r}")
+    object.__setattr__(cfg, "seeds", tuple(int(seed) for seed in cfg.seeds))
+    if not isinstance(cfg.ensembles, (list, tuple)):
+        raise ConfigError("ensembles", f"must be a list or tuple, got {cfg.ensembles!r}")
+    object.__setattr__(cfg, "ensembles", tuple(cfg.ensembles))
     # a repeated entry would run its cells twice and count them as replicates
     for name in ("seeds", "ensembles"):
         values = getattr(cfg, name)
@@ -220,12 +222,12 @@ def _build_pipeline(cfg: ExperimentConfig) -> SensingProblem:
     theta = sample_signal(spec, signal_rng).vector
     kappa_rng = RngStream(cfg.signal_seed, _STREAM_KAPPA)
     kappa = kappa_rng.derive(1).generator().uniform(cfg.kappa_low, cfg.kappa_high, size=cfg.n)
-    # K = O diag(kappa) O^T with O a signed, permuted DCT, which is as
+    # K = O diag(kappa) O^T with O a signed, permuted Hartley basis, which is as
     # delocalised as a Haar eigenbasis (the universality results need a fixed,
     # well-conditioned K, not Haar eigenvectors) but is drawn in O(n) and
     # applied by FFTs, where a Haar O costs an n x n QR; cond(K) is read off
     # kappa
-    K = Coloring(SignedDCT.draw(cfg.n, kappa_rng), kappa)
+    K = Coloring(SignedHartley.draw(cfg.n, kappa_rng), kappa)
     den = soft_threshold_denoiser(cfg.threshold)
     return SensingProblem(theta, e, [den] * T, K)
 

@@ -54,11 +54,12 @@ depend on the block size.
 
 The colouring matrix K of the sensing model x = W K theta + e is a
 ``Coloring``: K = O diag(kappa) O^T kept as its eigenbasis O, a signed,
-permuted DCT (``SignedDCT``) applied by FFTs with O(n) storage, and its
-eigenvalues kappa. ``Coloring(O, kappa)`` is the one constructor: it checks
-both and reads the condition number off kappa. K is applied
-(``Coloring.apply``) and inverted (``Coloring.solve``) through O's row-wise
-maps, and refused at its first ``solve`` when numerically singular.
+permuted Hartley basis (``SignedHartley``) whose transform is symmetric and
+its own inverse, so one FFT routine applies both O and O^T with O(n)
+storage, and its eigenvalues kappa. ``Coloring(O, kappa)`` is the one
+constructor: it checks both and reads the condition number off kappa. K is
+applied (``Coloring.apply``) and inverted (``Coloring.solve``) through O's
+row-wise maps, and refused at its first ``solve`` when numerically singular.
 
 The sensing model without its matrix W is a ``SensingProblem``: theta,
 e, the denoisers and K, checked once when built, K against n; without K it
@@ -77,6 +78,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .denoisers import _CALL_ROWS, Denoiser, _block_rows, _soft_threshold
+from .ensembles import _draw_entries
 from .exceptions import (DimensionError, NumericError, ParameterError, ScheduleError,
                          require_count, require_divergence, require_length, require_vector)
 from .gaussian import norm_cdf, norm_pdf, ramp_pair
@@ -90,20 +92,21 @@ CHOL_JITTER = 1e-8
 COND_LIMIT = 1e12
 
 
-class SignedDCT:
-    """The orthogonal n x n matrix O = S P C^T, kept as its O(n) signs and
-    permutation: C is the orthonormal DCT-II (C x is the DCT of x, whose
-    entry (k, j) is sqrt(2/n) cos(pi k (2j + 1) / (2n)), sqrt(1/n) at k = 0),
-    P the permutation (P z)_i = z_perm[i], and S = diag(signs), signs +-1.
-    Every entry of O is at most sqrt(2/n) in magnitude, so O is
-    delocalised as a Haar eigenbasis is, yet ``matvec`` (O c) and
-    ``rmatvec`` (O^T x) cost one real FFT of length n and one gather per row
-    (Makhoul's DCT, IEEE Trans. ASSP 28, 1980), on an n-vector or row by row
-    on an (..., n) stack, and O is never formed. ParameterError unless signs
-    is a non-empty vector of +-1 and perm an integer array holding a
-    permutation of 0..n-1, so every SignedDCT is orthogonal by construction;
-    it keeps read-only copies of both, so no later write to the caller's
-    arrays, or to its own, can make it otherwise."""
+class SignedHartley:
+    """The orthogonal n x n matrix O = S P H, kept as its O(n) signs and
+    permutation: H is the discrete Hartley transform, entry (j, k)
+    cas(2 pi j k / n) / sqrt(n) with cas = cos + sin (Bracewell, JOSA 73,
+    1983), real, symmetric and its own inverse (H H = I); P is the
+    permutation (P z)_i = z_perm[i], and S = diag(signs), signs +-1. Every
+    entry of O is at most sqrt(2/n) in magnitude, so O is delocalised as a
+    Haar eigenbasis is, yet ``matvec`` (O c = S P H c) and ``rmatvec``
+    (O^T x = H P^T S x) each cost one real FFT of length n and one gather per
+    row, on an n-vector or row by row on an (..., n) stack, and O is never
+    formed. ParameterError unless signs is a non-empty vector of +-1 and perm
+    an integer array holding a permutation of 0..n-1, so every SignedHartley
+    is orthogonal by construction; it keeps read-only copies of both, so no
+    later write to the caller's arrays, or to its own, can make it
+    otherwise."""
 
     def __init__(self, signs, perm):
         signs, perm = np.array(signs, dtype=np.float64), np.array(perm)
@@ -116,63 +119,51 @@ class SignedDCT:
             raise ParameterError(f"perm must be an integer permutation of 0..{n - 1}")
         signs.flags.writeable = perm.flags.writeable = False
         self.n, self.signs, self.perm = n, signs, perm
-        # Makhoul's reordering: the even-indexed entries, then the odd ones reversed
-        order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
-        self._gather_in = np.argsort(perm)[order]  # S x, unpermuted and reordered
-        self._signs_in = signs[self._gather_in]
-        self._gather_out = np.argsort(order)[perm]  # C^T c, undone and permuted
-        self._twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
-        self._scale = np.full(n, np.sqrt(2.0 / n))
-        self._scale[0] = np.sqrt(1.0 / n)
+        self._unperm, self._scale = np.argsort(perm), 1.0 / np.sqrt(n)
 
     @classmethod
-    def draw(cls, n: int, rng: RngStream) -> "SignedDCT":
-        """The n signs, uniform on +-1, then the permutation, uniform,
-        from rng's generator; DimensionError unless n is a count."""
+    def draw(cls, n: int, rng: RngStream) -> "SignedHartley":
+        """The n signs, Rademacher entries as ``ensembles`` draws them, then
+        the permutation, uniform, from rng's generator; DimensionError unless
+        n is a count."""
         n = require_count(n, "n", DimensionError)
         gen = rng.generator()
-        signs = 2.0 * gen.integers(0, 2, size=n) - 1.0
-        return cls(signs, gen.permutation(n))
+        return cls(_draw_entries("rademacher", n, gen), gen.permutation(n))
+
+    def _hartley(self, x: np.ndarray) -> np.ndarray:
+        """H x, row by row: for real x the FFT X has X_(n-k) = conj(X_k), so
+        entry k is Re X_k - Im X_k and entry n - k is Re X_k + Im X_k."""
+        n, half = self.n, self.n // 2
+        spectrum = np.fft.rfft(x, axis=-1)
+        re, im = spectrum.real, spectrum.imag
+        out = np.empty(spectrum.shape[:-1] + (n,))
+        np.subtract(re, im, out=out[..., :half + 1])
+        np.add(re[..., (n - 1) // 2:0:-1], im[..., (n - 1) // 2:0:-1], out=out[..., half + 1:])
+        out *= self._scale
+        return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """O^T x = C (P^T S x): the DCT-II of the reordered P^T S x is read
-        off the real FFT V, entry k as Re(w_k V_k) and entry n - k as
-        -Im(w_k V_k), with w_k = exp(-i pi k / (2n))."""
-        n, half = self.n, self.n // 2
-        spectrum = np.fft.rfft(x[..., self._gather_in] * self._signs_in, axis=-1)
-        spectrum *= self._twiddle
-        out = np.empty(spectrum.shape[:-1] + (n,))
-        out[..., :half + 1] = spectrum.real
-        out[..., half + 1:] = -spectrum.imag[..., (n - 1) // 2:0:-1]
-        return out * self._scale
+        """O^T x = H P^T S x."""
+        return self._hartley((x * self.signs)[..., self._unperm])
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
-        """O c = S P (C^T c): ``rmatvec``'s DCT run backwards, its spectrum
-        V_k = (y_k - i y_(n-k)) / w_k rebuilt from y = c / scale (y_n = 0)
-        and inverted by one inverse real FFT."""
-        n, half = self.n, self.n // 2
-        y = c / self._scale
-        spectrum = np.empty(y.shape[:-1] + (half + 1,), dtype=np.complex128)
-        spectrum.real = y[..., :half + 1]
-        spectrum.imag[..., 0] = 0.0
-        spectrum.imag[..., 1:] = -y[..., n - 1:n - half - 1:-1]
-        spectrum /= self._twiddle
-        return np.fft.irfft(spectrum, n, axis=-1)[..., self._gather_out] * self.signs
+        """O c = S P H c."""
+        return self._hartley(c)[..., self.perm] * self.signs
 
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
     """Colouring matrix K = O diag(kappa) O^T of the sensing model
-    x = W K theta + e, with O a ``SignedDCT``, kept as that basis, kappa and
-    the 2-norm condition number ``cond`` = max|kappa| / min|kappa|, which is
+    x = W K theta + e, with O a ``SignedHartley``, kept as that basis, kappa
+    and the 2-norm condition number ``cond`` = max|kappa| / min|kappa|, which is
     read off kappa and never passed in. ``apply`` takes K x = O (kappa * O^T x)
     and ``solve`` K^(-1) y = O (O^T y / kappa), each on an n-vector or row by
     row on an (..., n) stack, by two FFTs of length n; K and K^(-1) are never
     formed, and nothing is factored.
 
     ``Coloring(basis, kappa)`` is the one constructor, and it checks its
-    input: ParameterError unless basis is a ``SignedDCT`` and kappa finite,
-    DimensionError unless kappa is a vector (``require_vector``) of basis's
+    input: ParameterError unless basis is a ``SignedHartley`` and kappa
+    finite, DimensionError unless kappa is a vector (``require_vector``) of basis's
     length. ``Coloring()`` is the identity colouring: no basis, condition
     number 1, and ``apply`` and ``solve`` return their argument itself, so
     an uncoloured run does the arithmetic it would do with no K at all.
@@ -184,15 +175,15 @@ class Coloring:
     """
 
     # basis and kappa are None for the identity colouring
-    basis: Optional[SignedDCT] = None
+    basis: Optional[SignedHartley] = None
     kappa: Optional[np.ndarray] = None
     cond: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         if self.basis is None and self.kappa is None:
             return
-        if not isinstance(self.basis, SignedDCT):
-            raise ParameterError(f"basis must be a SignedDCT, got {type(self.basis).__name__}")
+        if not isinstance(self.basis, SignedHartley):
+            raise ParameterError(f"basis must be a SignedHartley, got {type(self.basis).__name__}")
         object.__setattr__(self, "kappa", require_vector(self.kappa, "kappa"))
         if self.kappa.size != self.basis.n:
             raise DimensionError(f"kappa must be a vector of length {self.basis.n}")
@@ -415,8 +406,11 @@ class _Side:
         coloured a block at a time, and each f_r maps row r of the whole
         block in one call; the divergences are one ``divergence_fn`` call per
         block, which must give one value per path, else ParameterError naming
-        what[t-1]. Appends name to jittered when cov needs the Cholesky
-        jitter."""
+        what[t-1]. The colouring stays blocked because colouring every path
+        at once, one row at a time, slowed the ``se_matrix`` benchmark
+        workload (wall 0.30-0.43 to 0.47-0.58 s, CPU 0.42-0.56 to 0.86-1.05
+        s, on 2 vCPUs), where a 1 MiB block keeps a path block in cache.
+        Appends name to jittered when cov needs the Cholesky jitter."""
         t = cov.shape[0]
         if self.family == "residual":
             return self._residual_column(lead, cov)

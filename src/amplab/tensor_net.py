@@ -163,18 +163,18 @@ class OrderedMultigraph:
     Construction checks the graph: DimensionError unless num_vertices is a
     count (``require_count``), SpecError on a self-loop, an edge to a missing
     vertex, an isolated vertex, or an incidence that does not list every edge
-    at both of its ends and nowhere else. The graph is frozen, so no field
-    can be reassigned past the checks; edges and incidence stay lists, whose
-    contents can still be edited in place."""
+    at both of its ends and nowhere else. The graph is frozen, and it stores
+    edges and incidence as tuples of tuples, so nothing can change past the
+    checks."""
 
     num_vertices: int
-    edges: List[Tuple[int, int]]
-    incidence: Optional[List[List[int]]] = None
+    edges: Sequence[Tuple[int, int]]
+    incidence: Optional[Sequence[Sequence[int]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "num_vertices",
                            require_count(self.num_vertices, "num_vertices", DimensionError))
-        object.__setattr__(self, "edges", [tuple(e) for e in self.edges])
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         for eid, (a, b) in enumerate(self.edges):
             if a == b:
                 raise SpecError(f"edge {eid} is a self-loop")
@@ -183,6 +183,7 @@ class OrderedMultigraph:
         if self.incidence is None:
             object.__setattr__(self, "incidence", [[i for i, e in enumerate(self.edges) if v in e]
                                                    for v in range(self.num_vertices)])
+        object.__setattr__(self, "incidence", tuple(map(tuple, self.incidence)))
         if len(self.incidence) != self.num_vertices:
             raise SpecError("incidence list length must equal vertex count")
         counts = [0] * len(self.edges)
@@ -487,14 +488,16 @@ def wick_expectation_mc(
 class BcpQuery:
     """Index pattern of a composition sum: m tensors of the given orders whose
     slots are mapped onto ell shared indices by the surjection pi. The query
-    is frozen, so no field can be reassigned past the checks; orders and pi
-    stay lists, whose contents can still be edited in place."""
+    is frozen, and it stores orders and pi as tuples, so nothing can change
+    past the checks."""
 
-    orders: List[int]
+    orders: Sequence[int]
     ell: int
-    pi: List[int]  # length sum(orders); values in {0, ..., ell-1}
+    pi: Sequence[int]  # length sum(orders); values in {0, ..., ell-1}
 
     def __post_init__(self):
+        object.__setattr__(self, "orders", tuple(self.orders))
+        object.__setattr__(self, "pi", tuple(self.pi))
         for i, k in enumerate(self.orders):
             require_count(k, f"orders[{i}]", DimensionError)
         require_count(self.ell, "ell", DimensionError)

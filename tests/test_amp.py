@@ -22,7 +22,7 @@ from amplab.denoisers import (
 from amplab.ensembles import EnsembleSpec, sample_ginibre, sample_wigner
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
-from amplab.state_evolution import (Coloring, OnsagerSchedule, SignedDCT, se_scalar_sensing,
+from amplab.state_evolution import (Coloring, OnsagerSchedule, SignedHartley, se_scalar_sensing,
                                      se_symmetric)
 
 
@@ -260,9 +260,9 @@ def test_change_of_variables_zero_instance():
     assert _change_of_variables_gap(prob, w, 3) == 0.0
 
 
-def _dct_colouring(kappa, seed=0):
-    """K = O diag(kappa) O^T on a drawn signed, permuted DCT basis O."""
-    return Coloring(SignedDCT.draw(len(kappa), RngStream(seed, 7)), kappa)
+def _hartley_colouring(kappa, seed=0):
+    """K = O diag(kappa) O^T on a drawn signed, permuted Hartley basis O."""
+    return Coloring(SignedHartley.draw(len(kappa), RngStream(seed, 7)), kappa)
 
 
 def _dense(col):
@@ -274,8 +274,8 @@ def _dense(col):
 def test_aniso_identity_K_matches_plain():
     base, w = _random_sensing(22)
     plain = run_sensing_amp(base, w, 3)
-    colored = SensingProblem(theta_star=base.theta_star, e=base.e,
-                             eta_seq=base.eta_seq, K=_dct_colouring(np.ones(base.theta_star.size)))
+    colored = SensingProblem(theta_star=base.theta_star, e=base.e, eta_seq=base.eta_seq,
+                             K=_hartley_colouring(np.ones(base.theta_star.size)))
     aniso = run_sensing_amp(colored, w, 3)
     assert np.allclose(plain.theta, aniso.theta, atol=1e-10)
 
@@ -287,8 +287,8 @@ def test_aniso_scalar_K_hand_expansion():
     theta = gen.standard_normal(n)
     e = 0.05 * gen.standard_normal(m)
     K = 2.0 * np.eye(n)
-    prob = SensingProblem(theta_star=theta, e=e,
-                          eta_seq=[soft_threshold_denoiser(0.2)], K=_dct_colouring(np.full(n, 2.0)))
+    prob = SensingProblem(theta_star=theta, e=e, eta_seq=[soft_threshold_denoiser(0.2)],
+                          K=_hartley_colouring(np.full(n, 2.0)))
     trace = run_sensing_amp(prob, w, 1)
     x = (w @ K) @ theta + e
     # (K^T K)^(-1) (W K)^T = W^T / 2
@@ -300,7 +300,7 @@ def test_aniso_scalar_K_hand_expansion():
 def test_aniso_zero_instance():
     m, n = 9, 6
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(25))
-    K = _dct_colouring(RngStream(26).generator().uniform(0.5, 2.0, n))
+    K = _hartley_colouring(RngStream(26).generator().uniform(0.5, 2.0, n))
     prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)] * 2, K=K)
     trace = run_sensing_amp(prob, w, 2)
@@ -310,7 +310,7 @@ def test_aniso_zero_instance():
 def test_aniso_singular_K_rejected():
     m, n = 8, 5
     w = sample_ginibre(EnsembleSpec("ginibre_iid", m, n), RngStream(27))
-    K = _dct_colouring(np.zeros(n))
+    K = _hartley_colouring(np.zeros(n))
     prob = SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                           eta_seq=[soft_threshold_denoiser(0.2)], K=K)
     with pytest.raises(NumericError):
@@ -321,7 +321,7 @@ def _colored_sensing(seed, m=30, n=40, T=4):
     """A sensing instance and a well-conditioned colouring K."""
     base, w = _random_sensing(seed, m=m, n=n, T=T)
     kappa = RngStream(seed).derive(2).generator().uniform(0.5, 2.0, n)
-    return base, w, _dct_colouring(kappa, seed)
+    return base, w, _hartley_colouring(kappa, seed)
 
 
 def _normal_equations_sensing(prob, w, K, T):
@@ -371,7 +371,7 @@ def test_aniso_K_shape_rejected():
     with pytest.raises(DimensionError, match=f"^{message}$"):
         SensingProblem(theta_star=np.zeros(n), e=np.zeros(m),
                        eta_seq=[soft_threshold_denoiser(0.2)],
-                       K=_dct_colouring(np.ones(n + 1)))
+                       K=_hartley_colouring(np.ones(n + 1)))
 
 
 def _assert_same_trace(a, b):
@@ -388,11 +388,11 @@ def test_one_problem_runs_on_many_matrices_and_is_left_as_built():
     shared = SensingProblem(theta_star=base.theta_star, e=base.e, eta_seq=base.eta_seq, K=col)
     for w in (w1, w2):
         fresh = SensingProblem(theta_star=theta.copy(), e=e.copy(), eta_seq=base.eta_seq,
-                               K=_dct_colouring(kappa, 50))
+                               K=_hartley_colouring(kappa, 50))
         _assert_same_trace(run_sensing_amp(shared, w, 3), run_sensing_amp(fresh, w, 3))
     assert np.array_equal(shared.theta_star, theta) and np.array_equal(shared.e, e)
     assert shared.K is col and np.array_equal(col.kappa, kappa)
-    assert np.array_equal(col.basis.signs, _dct_colouring(kappa, 50).basis.signs)
+    assert np.array_equal(col.basis.signs, _hartley_colouring(kappa, 50).basis.signs)
 
 
 def test_a_sensing_problem_is_frozen_and_keeps_read_only_copies():
@@ -451,7 +451,7 @@ def test_a_run_refuses_a_W_of_the_wrong_shape_before_any_matvec(monkeypatch):
         raise AssertionError("K was applied before W was checked")
 
     monkeypatch.setattr(Coloring, "apply", no_matvec)
-    for K in (None, _dct_colouring(np.ones(n))):
+    for K in (None, _hartley_colouring(np.ones(n))):
         prob = SensingProblem(np.ones(n), np.ones(m), [soft_threshold_denoiser(0.2)], K=K)
         for w in (np.ones((m, n + 1)), np.ones((n, m)), np.ones(m * n), np.ones((1, m, n))):
             with pytest.raises(DimensionError,

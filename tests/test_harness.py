@@ -22,7 +22,7 @@ from amplab.harness import (
     universality_compare,
     write_summary_json,
 )
-from amplab.state_evolution import Coloring, SignedDCT
+from amplab.state_evolution import Coloring, SignedHartley
 
 
 @pytest.mark.parametrize("field, value", [
@@ -123,7 +123,7 @@ def test_a_missing_key_is_named_and_a_tensor_config_needs_no_seeds():
     with pytest.raises(ConfigError) as info:
         config_from_dict({"experiment": "fig1_local", "M": 4, "N": 4, "n": 16, "m": 12})
     assert info.value.field == "seeds"
-    assert config_from_dict({"experiment": "tensor_checks"}).seeds == []
+    assert config_from_dict({"experiment": "tensor_checks"}).seeds == ()
 
 
 def test_numpy_scalars_in_a_config_are_stored_plain_and_write_json(tmp_path):
@@ -243,7 +243,7 @@ class _DenseColoring(Coloring):
 
 
 def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
-    """fig3's K, applied through its signed, permuted DCT basis, colours as
+    """fig3's K, applied through its signed, permuted Hartley basis, colours as
     the dense K = O diag(kappa) O^T of the same basis, applied, inverted and
     conditioned by numpy."""
     cfg = config_from_dict({"experiment": "fig3_aniso", "seeds": [1, 2], "n": 60, "m": 30,
@@ -260,7 +260,7 @@ def test_aniso_eigen_colouring_matches_the_dense_colouring(monkeypatch):
 
     monkeypatch.setattr(harness, "Coloring", dense)
     dense_records, dense_summary = run_experiment(cfg)
-    assert len(bases) == 1 and isinstance(bases[0], SignedDCT)
+    assert len(bases) == 1 and isinstance(bases[0], SignedHartley)
     assert [(r.ensemble, r.seed, r.t) for r in records] == \
         [(r.ensemble, r.seed, r.t) for r in dense_records]
     assert np.allclose([r.mse for r in records], [r.mse for r in dense_records],

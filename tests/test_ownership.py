@@ -1,9 +1,10 @@
 """Every checked value owns what it checked: a constructor that keeps an array
 keeps a read-only float64 copy (``exceptions.require_vector``, or the same
 step for a matrix or tensor), and a checked value's fields cannot be
-reassigned past its checks."""
+reassigned past its checks, nor the sequences it stores edited in place."""
 
 from dataclasses import FrozenInstanceError
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from amplab.denoisers import (SpectralSpec, residual_shift_denoiser, signal_resi
                               soft_threshold_denoiser)
 from amplab.harness import ExperimentConfig
 from amplab.rng import RngStream
-from amplab.state_evolution import Coloring, OnsagerSchedule, SignedDCT
+from amplab.state_evolution import Coloring, OnsagerSchedule, SignedHartley
 from amplab.tensor_net import BcpQuery, DenseTensor, OrderedMultigraph
 
 _SOFT = soft_threshold_denoiser(0.5)
@@ -35,7 +36,7 @@ _NO_SCHEDULE = OnsagerSchedule()
     (np.arange(1.0, 4.0), residual_shift_denoiser, lambda d: d.offset),
     (np.arange(1.0, 4.0), lambda a: signal_residual_denoiser(a, _SOFT),
      lambda d: d.residual[0]),
-    (np.arange(1.0, 5.0), lambda a: Coloring(SignedDCT.draw(4, RngStream(3)), a),
+    (np.arange(1.0, 5.0), lambda a: Coloring(SignedHartley.draw(4, RngStream(3)), a),
      lambda c: c.kappa),
     (np.arange(1.0, 7.0).reshape(2, 3), lambda a: SpectralSpec(2, 3, 0.5, shift=a),
      lambda spec: spec.shift),
@@ -69,3 +70,22 @@ def test_a_denoiser_maps_with_the_vectors_it_was_built_with():
 def test_a_checked_value_refuses_a_field_assigned_after_its_checks(build, field, value):
     with pytest.raises(FrozenInstanceError):
         setattr(build(), field, value)
+
+
+# their sequences were once stored as lists: seeds.append(1) made the repeat
+# the config refuses, edges[0] = (0, 0) put a self-loop into a built graph, and
+# after pi[0] = 5 validate_bcp_query answered instead of refusing the query
+@pytest.mark.parametrize("build, edit", [
+    (lambda: ExperimentConfig("tensor_checks", seeds=[1]), lambda c: c.seeds.append(1)),
+    (lambda: ExperimentConfig("tensor_checks", seeds=[1]), lambda c: setitem(c.seeds, 0, 2)),
+    (lambda: ExperimentConfig("tensor_checks"), lambda c: c.ensembles.append("gaussian")),
+    (lambda: OrderedMultigraph(2, [(0, 1)]), lambda g: setitem(g.edges, 0, (0, 0))),
+    (lambda: OrderedMultigraph(2, [(0, 1)]), lambda g: g.incidence[0].append(0)),
+    (lambda: BcpQuery([1, 1], 1, [0, 0]), lambda q: setitem(q.pi, 0, 5)),
+    (lambda: BcpQuery([1, 1], 1, [0, 0]), lambda q: setitem(q.orders, 0, 2)),
+], ids=["seeds-append", "seeds-item", "ensembles-append", "edges-item", "incidence-append",
+        "pi-item", "orders-item"])
+def test_a_checked_value_refuses_an_in_place_edit_of_its_sequences(build, edit):
+    value = build()
+    with pytest.raises((AttributeError, TypeError)):
+        edit(value)

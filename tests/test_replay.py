@@ -122,12 +122,12 @@ EXPECTED = {
         3.0,
     ],
     "fig3_aniso": [
-        0.4305267914565388, 0.4721444110885475, 0.35713146321183553,
-        0.3363996419626146, 0.22266290135003225, 0.45947053637609336,
-        0.2805583001069934, 0.22771378005311133, 0.17152255124482663,
-        0.7210145812738995, 0.7145353737170589, 0.5907153356470003,
-        0.7189134576905813, 0.7124342501337407, 0.5886142120636821,
-        0.45895462224354444, 3.944473285336346,
+        0.3902654129097742, 0.2627195035808264, 0.3921736794018064,
+        0.16994473001999913, 0.1294747484730037, 0.14791593344467494,
+        0.2163842949940988, 0.18568922212354919, 0.12706388710296476,
+        0.5882937103871607, 0.5909674085585725, 0.4522303847907034,
+        0.5861925868038426, 0.5888662849752544, 0.4501292612073853,
+        0.36146861046031403, 3.944473285336346,
     ],
     "se_asymmetric": [
         0.366161042088107, 0.12911400100024129, 0.13492190717970926,

@@ -16,14 +16,14 @@ from amplab.denoisers import (
     svt_denoiser,
     zero_denoiser,
 )
-from amplab.ensembles import SignalSpec, sample_noise, sample_signal
+from amplab.ensembles import SignalSpec, _draw_entries, sample_noise, sample_signal
 from amplab.exceptions import DimensionError, NumericError, ParameterError, ScheduleError
 from amplab.rng import RngStream
 from amplab.state_evolution import (
     Coloring,
     OnsagerSchedule,
     SensingProblem,
-    SignedDCT,
+    SignedHartley,
     _border,
     _chol_factor,
     _Side,
@@ -176,7 +176,7 @@ def test_a_denoiser_without_a_divergence_formula_is_refused_before_any_draw(
     (lambda: se_scalar_sensing(SensingProblem(np.eye(3), np.ones(8), [identity_denoiser()]), 1,
                                mc_draws=2), DimensionError, "theta_star"),
     (lambda: se_scalar_sensing(SensingProblem(np.ones(10), np.ones(8), [identity_denoiser()],
-                                              K=_dct_colouring(np.ones(11))), 1, mc_draws=2),
+                                              K=_hartley_colouring(np.ones(11))), 1, mc_draws=2),
      DimensionError, "K must be 10 x 10"),
     # an ndarray K was once factored by an SVD; K is a Coloring or None
     (lambda: se_scalar_sensing(SensingProblem(np.ones(10), np.ones(8), [identity_denoiser()],
@@ -813,7 +813,7 @@ def test_scalar_sensing_blocked_draws_equal_per_draw_loop():
 def test_scalar_sensing_colored_matches_normal_equations():
     n, T = 40, 4
     theta, e = _sparse_sensing_instance(31, n=n)
-    col = _dct_colouring(RngStream(32).generator().uniform(0.5, 2.0, size=n))
+    col = _hartley_colouring(RngStream(32).generator().uniform(0.5, 2.0, size=n))
     eta_seq = [soft_threshold_denoiser(0.5)] * T
     omega, pred = _per_draw_scalar_sensing(theta, e, eta_seq, T, 7, RngStream(33),
                                            K=_dense(col))
@@ -827,19 +827,19 @@ def test_scalar_sensing_rejects_singular_K():
     n = 6
     with pytest.raises(NumericError, match="condition number"):
         se_scalar_sensing(SensingProblem(np.ones(n), np.zeros(4), [soft_threshold_denoiser(0.2)],
-                                         K=_dct_colouring(np.zeros(n))), 1,
+                                         K=_hartley_colouring(np.zeros(n))), 1,
                           mc_draws=2, rng=RngStream(34))
 
 
 def _eig_factors(n=50):
-    basis = SignedDCT.draw(n, RngStream(35))
+    basis = SignedHartley.draw(n, RngStream(35))
     kappa = RngStream(36).generator().uniform(0.5, 2.0, size=n)
     return basis, kappa
 
 
-def _dct_colouring(kappa):
-    """K = O diag(kappa) O^T on a drawn signed, permuted DCT basis O."""
-    return Coloring(SignedDCT.draw(len(kappa), RngStream(35)), kappa)
+def _hartley_colouring(kappa):
+    """K = O diag(kappa) O^T on a drawn signed, permuted Hartley basis O."""
+    return Coloring(SignedHartley.draw(len(kappa), RngStream(35)), kappa)
 
 
 def _dense(col):
@@ -898,58 +898,72 @@ def test_coloring_singular_kappa(spread):
         col.solve(np.ones(kappa.size))
 
 
-def _dct_matrix(n):
-    """The orthonormal DCT-II C as a dense matrix, from its defining cosines."""
-    k, j = np.arange(n)[:, None], np.arange(n)
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
-    C[0] /= np.sqrt(2.0)
-    return C
+def _hartley_matrix(n):
+    """The orthonormal discrete Hartley transform H as a dense matrix, from
+    its defining cas(2 pi j k / n) / sqrt(n), cas = cos + sin; j k is reduced
+    mod n so that the angles stay small."""
+    angle = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
+    return (np.cos(angle) + np.sin(angle)) / np.sqrt(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
-def test_the_signed_dct_is_orthogonal_and_delocalised(n):
-    basis = SignedDCT.draw(n, RngStream(40, n))
+def test_the_signed_hartley_is_orthogonal_and_delocalised(n):
+    basis = SignedHartley.draw(n, RngStream(40, n))
     O = basis.matvec(np.eye(n)).T  # column j is O e_j
     assert np.abs(O.T @ O - np.eye(n)).max() <= 1e-14
     assert np.abs(basis.rmatvec(np.eye(n)) - O).max() <= 1e-14  # row i is O^T e_i
-    # O = S P C^T: row i is signs[i] times column perm[i] of C
-    ref = basis.signs[:, None] * _dct_matrix(n).T[basis.perm]
+    # H is symmetric and its own inverse, so one transform serves O and O^T
+    H = _hartley_matrix(n)
+    assert np.abs(H - H.T).max() <= 1e-14
+    assert np.abs(H @ H - np.eye(n)).max() <= 1e-14
+    # O = S P H: row i is signs[i] times row perm[i] of H
+    ref = basis.signs[:, None] * H[basis.perm]
     assert np.abs(O - ref).max() <= 1e-13
     assert np.abs(O).max() <= np.sqrt(2.0 / n) + 1e-15
 
 
-def test_the_signed_dct_round_trip_is_exact_at_n_6400():
+@pytest.mark.parametrize("n", [1, 6, 33])
+def test_a_signed_hartley_draw_takes_rademacher_signs_then_a_permutation(n):
+    # the signs are drawn by the package's one Rademacher rule, then the
+    # permutation from the same generator
+    gen = RngStream(49, n).generator()
+    ref = SignedHartley(_draw_entries("rademacher", n, gen), gen.permutation(n))
+    basis = SignedHartley.draw(n, RngStream(49, n))
+    assert np.array_equal(basis.signs, ref.signs) and np.array_equal(basis.perm, ref.perm)
+
+
+def test_the_signed_hartley_round_trip_is_exact_at_n_6400():
     n = 6400
-    basis = SignedDCT.draw(n, RngStream(41))
+    basis = SignedHartley.draw(n, RngStream(41))
     x = RngStream(42).generator().standard_normal((3, n))
     for back in (basis.matvec(basis.rmatvec(x)), basis.rmatvec(basis.matvec(x))):
         assert back.shape == x.shape
         assert np.linalg.norm(back - x) <= 1e-14 * np.linalg.norm(x)
 
 
-def test_a_signed_dct_draw_is_reproducible_and_a_bad_one_is_refused():
-    a, b = SignedDCT.draw(9, RngStream(43)), SignedDCT.draw(9, RngStream(43))
+def test_a_signed_hartley_draw_is_reproducible_and_a_bad_one_is_refused():
+    a, b = SignedHartley.draw(9, RngStream(43)), SignedHartley.draw(9, RngStream(43))
     assert np.array_equal(a.signs, b.signs) and np.array_equal(a.perm, b.perm)
     assert set(a.signs) <= {-1.0, 1.0} and sorted(a.perm) == list(range(9))
     with pytest.raises(DimensionError, match="n must be an integer"):
-        SignedDCT.draw(0, RngStream(43))
+        SignedHartley.draw(0, RngStream(43))
     for signs, perm in (([1.0, 0.5], [0, 1]), ([], []), ([1.0, -1.0], [0, 0]),
                         ([1.0, -1.0], [0, 1, 2]), ([1.0, np.nan], [0, 1])):
         with pytest.raises(ParameterError):
-            SignedDCT(signs, perm)
+            SignedHartley(signs, perm)
     # a bool perm once indexed as a mask, building a non-orthogonal O
     # (matvec([0, 1]) was [-0.707, -0.707]); a float one died with an IndexError
     for signs, perm in (([1.0, 1.0], [False, True]), ([1.0, -1.0, 1.0], [0.0, 1.0, 2.0])):
         with pytest.raises(ParameterError, match="^perm must be an integer permutation"):
-            SignedDCT(signs, perm)
+            SignedHartley(signs, perm)
 
 
-def test_a_signed_dct_keeps_read_only_copies_of_its_signs_and_perm():
+def test_a_signed_hartley_keeps_read_only_copies_of_its_signs_and_perm():
     # the caller's signs were once kept: matvec read them and rmatvec a
     # gathered copy, so after signs[1] = -1 the round trip of [1, 2, 3, 4]
     # returned [1, -2, 3, 4]
     signs, perm = np.ones(4), np.arange(4)
-    basis = SignedDCT(signs, perm)
+    basis = SignedHartley(signs, perm)
     signs[1], perm[:2] = -1.0, [1, 0]
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.abs(basis.matvec(basis.rmatvec(x)) - x).max() <= 1e-14
@@ -964,16 +978,16 @@ def test_a_signed_dct_keeps_read_only_copies_of_its_signs_and_perm():
 
 def test_an_integer_perm_of_any_width_builds_the_same_basis():
     signs = [1.0, -1.0, 1.0, -1.0, 1.0]
-    ref = SignedDCT(signs, [3, 0, 4, 1, 2])
+    ref = SignedHartley(signs, [3, 0, 4, 1, 2])
     x = RngStream(47).generator().standard_normal((2, 5))
     for dtype in (np.int32, np.uint8, np.uint64):
-        basis = SignedDCT(signs, np.array([3, 0, 4, 1, 2], dtype=dtype))
+        basis = SignedHartley(signs, np.array([3, 0, 4, 1, 2], dtype=dtype))
         assert np.array_equal(basis.matvec(x), ref.matvec(x))
         assert np.array_equal(basis.rmatvec(x), ref.rmatvec(x))
 
 
-def _assert_dct_colours_as_dense(n, sign):
-    basis = SignedDCT.draw(n, RngStream(44, n))
+def _assert_hartley_colours_as_dense(n, sign):
+    basis = SignedHartley.draw(n, RngStream(44, n))
     kappa = RngStream(45, n).generator().uniform(0.5, 2.0, size=n)
     kappa[::2] *= sign  # an indefinite K's condition number reads |kappa|
     O = basis.matvec(np.eye(n)).T
@@ -985,21 +999,21 @@ def _assert_dct_colours_as_dense(n, sign):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_a_dct_colouring_matches_the_dense_colouring(n):
-    _assert_dct_colours_as_dense(n, 1.0)
+def test_a_hartley_colouring_matches_the_dense_colouring(n):
+    _assert_hartley_colours_as_dense(n, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_an_indefinite_dct_colouring_matches_the_dense_colouring(n):
-    _assert_dct_colours_as_dense(n, -1.0)
+def test_an_indefinite_hartley_colouring_matches_the_dense_colouring(n):
+    _assert_hartley_colours_as_dense(n, -1.0)
 
 
-def test_a_dct_colouring_refuses_a_singular_kappa():
+def test_a_hartley_colouring_refuses_a_singular_kappa():
     # the condition number reads |kappa|: a tiny negative eigenvalue is as
     # singular as a zero one, while K itself still applies
     kappa = np.linspace(0.5, 2.0, 50)
     kappa[7] = -1e-13
-    col = Coloring(SignedDCT.draw(50, RngStream(46)), kappa)
+    col = Coloring(SignedHartley.draw(50, RngStream(46)), kappa)
     assert col.cond == 2.0 / 1e-13
     assert np.all(np.isfinite(col.apply(np.ones(50))))
     with pytest.raises(NumericError, match="condition number"):
@@ -1012,12 +1026,12 @@ def test_a_dct_colouring_refuses_a_singular_kappa():
     (lambda O, k: (O, None), DimensionError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.nan, k)), ParameterError),
     (lambda O, k: (O, np.where(np.arange(k.size) == 3, np.inf, k)), ParameterError),
-    # a dense O was once taken and checked by a probe; a SignedDCT is
+    # a dense O was once taken and checked by a probe; a SignedHartley is
     # orthogonal by construction, and refuses what would make it otherwise
     (lambda O, k: (O.matvec(np.eye(O.n)).T, k), ParameterError),
-    (lambda O, k: (SignedDCT(O.signs[:-1], np.arange(O.n - 1)), k), DimensionError),
-    (lambda O, k: (SignedDCT(1.01 * O.signs, O.perm), k), ParameterError),
-    (lambda O, k: (SignedDCT(np.where(np.arange(O.n) == 3, np.nan, O.signs), O.perm), k),
+    (lambda O, k: (SignedHartley(O.signs[:-1], np.arange(O.n - 1)), k), DimensionError),
+    (lambda O, k: (SignedHartley(1.01 * O.signs, O.perm), k), ParameterError),
+    (lambda O, k: (SignedHartley(np.where(np.arange(O.n) == 3, np.nan, O.signs), O.perm), k),
      ParameterError),
 ], ids=["kappa-too-short", "O-none", "kappa-none", "kappa-nan", "kappa-inf", "O-dense",
         "O-not-square", "O-scaled", "O-nan"])
@@ -1030,11 +1044,11 @@ def test_a_coloring_is_checked_when_it_is_built():
     # built directly, a Coloring once trusted the cond it was handed and died
     # in apply with a bare IndexError
     with pytest.raises(DimensionError, match="^kappa must be a vector of length 5"):
-        Coloring(SignedDCT.draw(5, RngStream(48)), np.ones(4))
+        Coloring(SignedHartley.draw(5, RngStream(48)), np.ones(4))
     with pytest.raises(TypeError):
-        Coloring(SignedDCT.draw(4, RngStream(48)), np.ones(4), cond=1.0)
+        Coloring(SignedHartley.draw(4, RngStream(48)), np.ones(4), cond=1.0)
     kappa = np.array([0.5, -2.0, 1.0, 1.0])
-    col = Coloring(SignedDCT.draw(4, RngStream(48)), kappa)
+    col = Coloring(SignedHartley.draw(4, RngStream(48)), kappa)
     assert col.cond == 4.0 and col.kappa.dtype == np.float64
     # the caller's kappa once stayed the colouring's own: zeroing an entry
     # left cond at 4.0, and solve returned NaN and inf instead of refusing K

@@ -184,7 +184,7 @@ def test_direct_construction_checks_the_graph():
         OrderedMultigraph(num_vertices=2.5, edges=[(0, 1)], incidence=[[0], [0]])
     with pytest.raises(SpecError, match="edge 0 references a missing vertex"):
         OrderedMultigraph(2, [(0, 5)])
-    assert OrderedMultigraph(3, [[0, 1], [1, 2], [0, 1]]).incidence == [[0, 2], [0, 1, 2], [1]]
+    assert OrderedMultigraph(3, [[0, 1], [1, 2], [0, 1]]).incidence == ((0, 2), (0, 1, 2), (1,))
 
 
 def test_wick_odd_multiplicity_vanishes():
