@@ -185,7 +185,9 @@ def run_sensing_amp(problem: SensingProblem, W: np.ndarray, T: int,
     ``Denoiser.divergence``, and ``require_divergence`` refuses an
     eta_1..eta_(T-1) without one, naming eta_seq[i], before any matvec. An
     int mc_reps takes ``Denoiser.divergence_mc`` with mc_reps probes on
-    rng.derive(t) instead. The source used per iteration ("none" at t = 1,
+    rng.derive(t) instead, through the denoiser's ``jvp`` where it declares
+    one (SVT does: one SVD per probe call) and by finite differences
+    otherwise. The source used per iteration ("none" at t = 1,
     then "analytic" or "monte_carlo") is recorded in trace.b_source.
     DimensionError, after those checks and before any matvec, unless W is
     m x n with m = len(e) and n = len(theta_star).

@@ -3,9 +3,12 @@ spectral singular-value maps, and the shift maps of the sensing recursion.
 
 Each denoiser maps the latest iterate z in R^n to an n-vector, and may
 declare a formula for its divergence, one scalar. The Monte-Carlo probe
-(1/eps) xi^T (f(z + eps xi) - f(z)) runs only when a caller asks for it
+xi^T J_f(z) xi runs only when a caller asks for it
 (``Denoiser.divergence_mc``); a caller that needs the formula refuses a
-denoiser without one (``exceptions.require_divergence``).
+denoiser without one (``exceptions.require_divergence``). The probe takes
+J_f(z) xi from the denoiser's declared linearization ``jvp`` where it has
+one (SVT: one SVD of the iterate per probe call), and otherwise from the
+finite difference (1/eps) (f(z + eps xi) - f(z)).
 
 A denoiser's map and its divergence formula also take a stack of iterates,
 one per row, so the Monte-Carlo loops here and in ``state_evolution`` call
@@ -64,6 +67,12 @@ class Denoiser:
     so a custom ``fn`` that writes to its input raises ValueError instead of
     changing the caller's array (a runner's trace column).
 
+    The optional ``jvp(x)`` declares the derivative of ``fn``: at one
+    n-vector x it returns the linear map that sends a stack (..., n) of
+    directions xi to the stack (..., n) of J_f(x) xi, each row mapped
+    exactly as that row alone. ``divergence_mc`` probes with it in place of
+    a finite difference; it is handed the read-only copy of z, as ``fn`` is.
+
     Three optional fields declare a closed form of ``fn``; each holds
     exactly when set. The fields are read-only, and the library builders
     keep read-only copies of the declared vectors (``require_vector``), so a
@@ -89,6 +98,7 @@ class Denoiser:
     offset: Optional[np.ndarray] = None
     threshold: Optional[float] = None
     residual: Optional[Tuple[np.ndarray, float]] = None
+    jvp: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.fn(require_vector(z, "z"))
@@ -100,37 +110,47 @@ class Denoiser:
         return float(self.divergence_fn(require_vector(z, "z")))
 
     def divergence_mc(self, z, reps=100, rng=None) -> float:
-        """Monte-Carlo divergence sum at z, probed with rng.derive(1)."""
+        """Monte-Carlo divergence sum at z, probed with rng.derive(1) through
+        ``jvp`` when the denoiser declares one."""
         return mc_divergence(self.fn, require_vector(z, "z"), reps=reps,
-                             rng=(rng or RngStream(0)).derive(1))[0]
+                             rng=(rng or RngStream(0)).derive(1), jvp=self.jvp)[0]
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo divergence probe
 
 
-def mc_divergence(f, x, reps=100, rng=None) -> Tuple[float, float]:
-    """(mean, standard error) of the probe estimates
-    (1/eps) xi^T (f(x + eps xi) - f(x)), xi ~ N(0, I), over reps probes at
-    the non-empty n-vector x (``require_vector``), with step
-    eps = 1e-4 max(1, |x| / sqrt(n)). The standard error is inf for a single
-    probe.
+def mc_divergence(f, x, reps=100, rng=None, jvp=None) -> Tuple[float, float]:
+    """(mean, standard error) of the Hutchinson estimates xi^T J_f(x) xi,
+    xi ~ N(0, I), over reps probes at the non-empty n-vector x
+    (``require_vector``). The standard error is inf for a single probe.
 
-    f maps a stack of rows as a ``Denoiser.fn`` does. The probes are drawn
-    from rng's generator in blocks, standard_normal((rows, n)), which is the
-    stream that one draw per probe would take, and each block is one f call;
-    a probe holds its xi, its difference and the f call's rows.
+    With jvp None each probe is the finite difference
+    (1/eps) xi^T (f(x + eps xi) - f(x)), with step
+    eps = 1e-4 max(1, |x| / sqrt(n)), and f maps a stack of rows as a
+    ``Denoiser.fn`` does. With a ``Denoiser.jvp``, x is linearized once,
+    lin = jvp(x), each probe is xi^T lin(xi), and f is not called.
+
+    The probes are drawn from rng's generator in blocks,
+    standard_normal((rows, n)), which is the stream that one draw per probe
+    would take, so both ways see the same xi; each block is one f or lin
+    call. A probe holds its xi, its J_f(x) xi and the call's rows.
     """
     reps = require_count(reps, "reps", ParameterError)
     x = require_vector(x, "x")
-    eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     gen = (rng or RngStream(0)).generator()
-    fx = f(x)
+    if jvp is None:
+        eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
+        fx = f(x)
+        probe = lambda xi: np.vecdot(xi, f(x + eps * xi) - fx) / eps
+    else:
+        lin = jvp(x)
+        probe = lambda xi: np.vecdot(xi, lin(xi))
     samples = np.empty(reps)
     step = _block_rows(8 * x.size * (2 + _CALL_ROWS))
     for start in range(0, reps, step):
         xi = gen.standard_normal((min(step, reps - start), x.size))
-        samples[start:start + len(xi)] = np.vecdot(xi, f(x + eps * xi) - fx) / eps
+        samples[start:start + len(xi)] = probe(xi)
     stderr = float(np.std(samples, ddof=1) / np.sqrt(reps)) if reps > 1 else np.inf
     return float(np.mean(samples)), stderr
 
@@ -281,6 +301,17 @@ def _svt_input(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     return out if spec.shift is None else out + spec.shift
 
 
+def _svt_gains(s: np.ndarray, spec: SpectralSpec):
+    """(lam, g, active, ratio) at the singular values s: the level
+    lam = threshold sqrt(N), g(s) = (s - lam)_+, active = g'(s) as a mask,
+    (s > lam) | (lam == 0), and g(s)/s, taken at s = 0 as the right
+    derivative g'(0+) (1 at lam = 0, else 0)."""
+    lam = spec.threshold * np.sqrt(spec.N)
+    g = np.maximum(s - lam, 0.0)
+    active = (s > lam) | (lam == 0.0)
+    return lam, g, active, np.divide(g, s, out=active.astype(np.float64), where=s > 0)
+
+
 def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     """Exact divergence of x -> vec(svt(mat(x) + shift)) (Candes, Sing-Long &
     Trzasko 2013, arXiv:1210.4139) at each row of the (..., M*N) stack x,
@@ -299,10 +330,7 @@ def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
     """
     s = np.linalg.svd(_finite(_svt_input(x, spec), "SVT input mat(x) + shift"),
                       compute_uv=False)
-    lam = spec.threshold * np.sqrt(spec.N)
-    g = np.maximum(s - lam, 0.0)
-    active = (s > lam) | (lam == 0.0)
-    ratio = np.divide(g, s, out=active.astype(np.float64), where=s > 0)
+    lam, g, active, ratio = _svt_gains(s, spec)
     i, j = np.triu_indices(s.shape[-1], 1)
     a, b = s[..., i], s[..., j]
     pair = np.where(active[..., j], 1.0 - np.divide(lam, a + b, out=np.zeros(a.shape),
@@ -313,15 +341,62 @@ def svt_divergence(x: np.ndarray, spec: SpectralSpec) -> np.ndarray:
             + 2.0 * pair.sum(-1))
 
 
+def svt_jvp(x: np.ndarray, spec: SpectralSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The derivative of x -> vec(svt(mat(x) + shift)) at the n-vector x
+    (Candes, Sing-Long & Trzasko 2013, arXiv:1210.4139), as the linear map
+    that sends a stack (..., n) of directions xi to the stack of J xi, from
+    one thin SVD U S V^T of mat(x) + shift. With g, ``active`` and g(s)/s
+    as in ``svt_divergence`` (``_svt_gains``), and A = U^T mat(xi) V:
+
+        J xi = vec(U [D1 o sym A + D2 o skew A] V^T + E),
+
+    D1 the divided difference (g_i - g_j)/(s_i - s_j) of g, which is 1 when
+    both s_i and s_j are active and 0 when neither is (g'(s_i) on the
+    diagonal); D2 = (g_i + g_j)/(s_i + s_j), taken as the active value where
+    s_i + s_j = 0; and E = (mat(xi) V - U A) diag(g/s) V^T when M > N, the
+    part of mat(xi) outside U's columns, and 0 when M = N. A wide matrix is
+    taken through its transpose, as svt(X^T) = svt(X)^T, so there
+    E = U diag(g/s) (U^T mat(xi) - A V^T). ``mat`` is column-major, as
+    ``vec`` is. NumericError when mat(x) + shift holds a non-finite entry.
+    """
+    u, s, vt = np.linalg.svd(_finite(_svt_input(x, spec), "SVT input mat(x) + shift"),
+                             full_matrices=False)
+    _, g, active, ratio = _svt_gains(s, spec)
+    both = active[:, None] & active[None, :]
+    # exactly one of s_i, s_j active: then they differ by at least the active one's g
+    d1 = np.divide(g[:, None] - g[None, :], s[:, None] - s[None, :], out=both.astype(np.float64),
+                   where=active[:, None] != active[None, :])
+    total = s[:, None] + s[None, :]
+    d2 = np.divide(g[:, None] + g[None, :], total, out=both.astype(np.float64), where=total > 0)
+    # D1 o sym A + D2 o skew A = P o A + Q o A^T, one pass over each A
+    p, q = (d1 + d2) / 2, (d1 - d2) / 2
+    tall = spec.M >= spec.N
+    u, v = (u, vt.T) if tall else (vt.T, u)
+
+    def lin(xi: np.ndarray) -> np.ndarray:
+        xm = mat(xi, spec.M, spec.N)
+        xv = (xm if tall else np.swapaxes(xm, -1, -2)) @ v
+        a = u.T @ xv
+        out = u @ (p * a + q * np.swapaxes(a, -1, -2))
+        if spec.M != spec.N:
+            out += (xv - u @ a) * ratio
+        out = out @ v.T
+        return vec(out if tall else np.swapaxes(out, -1, -2))
+
+    return lin
+
+
 def svt_denoiser(spec: SpectralSpec) -> Denoiser:
     """Soft thresholding of the singular values of mat(x) + spec.shift, with
-    the exact divergence ``svt_divergence``. ``apply`` and ``divergence``
-    each take one SVD of the same matrix; the divergence needs only the
-    singular values, and takes a stack's in one batched SVD."""
+    the exact divergence ``svt_divergence`` and the derivative ``svt_jvp``.
+    ``apply``, ``divergence`` and each ``divergence_mc`` call take one SVD
+    of the same matrix; the divergence needs only the singular values, and
+    takes a stack's in one batched SVD."""
     return Denoiser(
         fn=lambda x: vec(svt_apply(_svt_input(x, spec), spec)),
         divergence_fn=lambda x: svt_divergence(x, spec),
         name=f"svt(threshold={spec.threshold})",
+        jvp=lambda x: svt_jvp(x, spec),
     )
 
 

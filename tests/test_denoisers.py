@@ -21,6 +21,7 @@ from amplab.denoisers import (
     svt_apply,
     svt_denoiser,
     svt_divergence,
+    svt_jvp,
     zero_denoiser,
 )
 from amplab.exceptions import DimensionError, NumericError, ParameterError
@@ -242,7 +243,8 @@ _SVT = SpectralSpec(3, 4, 0.5)
     (lambda x: svt_apply(mat(x, 3, 4), _SVT), "SVT input x"),
     (lambda x: svt_denoiser(_SVT).fn(np.stack([np.ones(12), x])), "SVT input x"),
     (lambda x: svt_denoiser(_SVT).divergence(x), r"SVT input mat\(x\) \+ shift"),
-], ids=["svt_apply", "fn-stack", "divergence"])
+    (lambda x: svt_denoiser(_SVT).jvp(x), r"SVT input mat\(x\) \+ shift"),
+], ids=["svt_apply", "fn-stack", "divergence", "jvp"])
 def test_svt_rejects_non_finite_input(call, what, bad):
     # inf once gave divergence 0.0 and an all-NaN apply, NaN a raw LinAlgError
     x = np.ones(12)
@@ -359,6 +361,56 @@ def test_svt_divergence_is_taken_at_the_shifted_matrix():
 def test_svt_divergence_at_threshold_zero_is_exactly_MN(M, N, sv):
     x = vec(_matrix_with_singular_values(M, N, sv, seed=30))
     assert svt_divergence(x, SpectralSpec(M, N, 0.0)) == M * N
+
+
+def _jvp_cases():
+    """name -> (spec, point x) for the SVT derivative: every shape, a zero
+    threshold, a shift, and a tie with zero singular values."""
+    gen = RngStream(31).generator()
+    return {
+        "square": (SpectralSpec(30, 30, 0.5), gen.standard_normal(900)),
+        "wide": (SpectralSpec(8, 13, 0.3), gen.standard_normal(104)),
+        "tall": (SpectralSpec(13, 8, 0.3), gen.standard_normal(104)),
+        "threshold_zero": (SpectralSpec(6, 9, 0.0), gen.standard_normal(54)),
+        "shift": (SpectralSpec(5, 6, 0.2, shift=gen.standard_normal((5, 6))),
+                  gen.standard_normal(30)),
+        # singular values 3, 3, 1.2, 0, 0 about the level 0.2 sqrt(5)
+        "rank3_tie": (SpectralSpec(5, 5, 0.2),
+                      vec(_matrix_with_singular_values(5, 5, [3.0, 3.0, 1.2], seed=42))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_jvp_cases()))
+def test_svt_jvp_matches_central_differences(case):
+    spec, x = _jvp_cases()[case]
+    fn = svt_denoiser(spec).fn
+    # non-symmetric directions, so the skew part of U^T mat(xi) V is exercised
+    xi = RngStream(32).generator().standard_normal((3, x.size))
+    h = 1e-6
+    want = (fn(x + h * xi) - fn(x - h * xi)) / (2 * h)
+    got = svt_jvp(x, spec)(xi)
+    assert got.shape == xi.shape
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
+
+@pytest.mark.parametrize("case", sorted(_jvp_cases()))
+def test_svt_jvp_traced_over_the_basis_is_the_divergence(case):
+    spec, x = _jvp_cases()[case]
+    jac = svt_jvp(x, spec)(np.eye(x.size))  # row i is J e_i
+    exact = svt_divergence(x, spec)
+    assert abs(np.trace(jac) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("case", sorted(_jvp_cases()))
+def test_the_jvp_probe_agrees_with_the_difference_probe_on_one_stream(case):
+    spec, x = _jvp_cases()[case]
+    den = svt_denoiser(spec)
+    difference = mc_divergence(den.fn, x, reps=40, rng=RngStream(33))
+    exact = mc_divergence(den.fn, x, reps=40, rng=RngStream(33), jvp=den.jvp)
+    assert exact[0] == pytest.approx(difference[0], rel=1e-4)
+    assert exact[1] == pytest.approx(difference[1], rel=1e-4)
+    assert den.divergence_mc(x, reps=40, rng=RngStream(33)) == mc_divergence(
+        den.fn, x, reps=40, rng=RngStream(33).derive(1), jvp=den.jvp)[0]
 
 
 def test_spectral_spec_rejects_a_mismatched_shift():
@@ -567,22 +619,25 @@ def test_divergence_fn_maps_a_stack_of_rows_as_divergence_takes_each_row(case):
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 4])
-@pytest.mark.parametrize("case", ["soft_threshold", "svt_shift"])
+@pytest.mark.parametrize("case", ["soft_threshold", "svt_shift", "svt_shift_jvp"])
 def test_blocked_mc_divergence_equals_a_probe_by_probe_loop(monkeypatch, case, block_rows):
-    den, stack = _stack_cases()[case]
+    den, stack = _stack_cases()[case.removesuffix("_jvp")]
+    jvp = den.jvp if case.endswith("_jvp") else None
     x = np.nan_to_num(stack[-1], posinf=3.0, neginf=-3.0)
     reps = 11  # not a multiple of 4 or of the default block: the last block is partial
     if block_rows is not None:
         monkeypatch.setattr(denoisers, "_block_rows", lambda row_bytes: block_rows)
-    eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
     gen = RngStream(3).generator()
-    fx = den.apply(x)
-    samples = []
-    for _ in range(reps):
-        xi = gen.standard_normal(x.size)
-        samples.append(xi @ (den.apply(x + eps * xi) - fx) / eps)
+    if jvp is None:
+        eps = 1e-4 * max(1.0, float(np.linalg.norm(x)) / np.sqrt(x.size))
+        fx = den.apply(x)
+        probe = lambda xi: xi @ (den.apply(x + eps * xi) - fx) / eps
+    else:
+        lin = jvp(x)
+        probe = lambda xi: xi @ lin(xi)
+    samples = [probe(gen.standard_normal(x.size)) for _ in range(reps)]
     want = (float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(reps)))
-    assert mc_divergence(den.fn, x, reps=reps, rng=RngStream(3)) == want
+    assert mc_divergence(den.fn, x, reps=reps, rng=RngStream(3), jvp=jvp) == want
 
 
 def _write_first(x):
@@ -594,7 +649,8 @@ def _write_first(x):
     lambda z: Denoiser(fn=_write_first).apply(z),
     lambda z: Denoiser(fn=np.tanh, divergence_fn=_write_first).divergence(z),
     lambda z: Denoiser(fn=_write_first).divergence_mc(z, reps=2),
-], ids=["apply", "divergence", "divergence_mc"])
+    lambda z: Denoiser(fn=np.tanh, jvp=_write_first).divergence_mc(z, reps=2),
+], ids=["apply", "divergence", "divergence_mc", "jvp"])
 def test_a_denoiser_hands_its_maps_a_read_only_copy_of_z(method):
     # a map that wrote to its input once changed the caller's z, in a runner
     # the trace column the iterate was read from

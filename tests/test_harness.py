@@ -224,6 +224,37 @@ def test_spectral_default_takes_the_svt_formula_one_svd_per_call(monkeypatch):
     assert len(svd_matrices) == calls["apply"] + calls["divergence"] + len(traces) + 4
 
 
+@pytest.mark.parametrize("mc_reps", [1, 7, 700])
+def test_spectral_probe_takes_one_svd_matrix_per_call_whatever_the_reps(monkeypatch, mc_reps):
+    # the finite-difference probe took 1 + mc_reps matrices per call; 700 probes
+    # at n = 36 span two Monte-Carlo blocks
+    svd_matrices = []
+    per_call = []
+    np_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        svd_matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return np_svd(a, *args, **kwargs)
+
+    divergence_mc = amplab.Denoiser.divergence_mc
+
+    def counting(self, *args, **kwargs):
+        start = len(svd_matrices)
+        out = divergence_mc(self, *args, **kwargs)
+        per_call.append(sum(svd_matrices[start:]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(amplab.Denoiser, "divergence_mc", counting)
+    cfg = config_from_dict({"experiment": "fig2_spectral", "seeds": [1, 2], "M": 6, "N": 6,
+                            "n": 36, "m": 24, "iterations": 4, "se_draws": 3,
+                            "ensembles": ["gaussian"], "onsager_source": "mc",
+                            "mc_reps": mc_reps})
+    records, _ = run_experiment(cfg)
+    assert all(np.isfinite(r.mse) for r in records)
+    assert per_call == [1] * (2 * 3)
+
+
 @dataclass(frozen=True, eq=False)
 class _DenseColoring(Coloring):
     """A colouring that applies, inverts and conditions the dense K it holds

@@ -113,8 +113,8 @@ EXPECTED = {
         3.0,
     ],
     "fig2_spectral_mc": [
-        0.2729213684002248, 0.2516418437962061, 0.22853085001402856,
-        0.2948990966949738, 0.15347635198140877, 0.11993082189439017,
+        0.2729213684002248, 0.25164134789639186, 0.22852999007865607,
+        0.2948990966949738, 0.15347687599990284, 0.11993156319038868,
         0.33339821710339457, 0.19627709359719284, 0.1820521877267664,
         0.5914105834922734, 0.5020570336587209, 0.2963753483994182,
         0.5894508754886444, 0.5000973256550919, 0.29441564039578927,
